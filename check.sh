@@ -5,6 +5,10 @@
 # and the full test suite under the race detector.
 set -e
 
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+test -z "$unformatted" || { echo "$unformatted"; exit 1; }
+
 echo "==> go vet ./..."
 go vet ./...
 

@@ -83,6 +83,15 @@ func (a *rowAlloc) next(width int) expr.Row {
 	return row
 }
 
+// concat returns r followed by s as one carved row — the slab counterpart
+// of Row.Concat for join outputs.
+func (a *rowAlloc) concat(r, s expr.Row) expr.Row {
+	out := a.next(len(r) + len(s))
+	copy(out, r)
+	copy(out[len(r):], s)
+	return out
+}
+
 // rowBufPool recycles the []expr.Row batch buffers operators shuttle rows
 // through (pump buffers, exchange messages, worker task batches). Only the
 // slice headers are pooled — rows themselves are owned by whoever received

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"predplace/internal/btree"
 	"predplace/internal/catalog"
@@ -422,7 +421,7 @@ func (n *indexNLJoinIter) Next() (expr.Row, bool, error) {
 
 func (n *indexNLJoinIter) Close() error { return n.outer.Close() }
 
-// hashJoinIter builds an in-memory hash table on the inner input keyed by
+// hashJoinIter builds an in-memory joinTable on the inner input keyed by
 // the join column, then streams the outer input probing it. Grace-hash
 // partition traffic is charged synthetically per tuple on both sides so the
 // measured cost matches the linear model's constants.
@@ -433,18 +432,16 @@ type hashJoinIter struct {
 	inner   Iterator
 	outIdx  int
 	inIdx   int
-	table   map[string][]expr.Row
+	table   joinTable
 	outRow  expr.Row
-	bucket  []expr.Row
-	pos     int
+	cur     int32 // next inner match of outRow in table, -1 when none is left
 	haveOut bool
 	count   int
-	// batch state: current outer batch, probe key scratch, output row slab
-	obuf   []expr.Row
-	opos   int
-	olen   int
-	keyBuf []byte
-	alloc  rowAlloc
+	// batch state: current outer batch, output row slab
+	obuf  []expr.Row
+	opos  int
+	olen  int
+	alloc rowAlloc
 }
 
 func newHashJoin(e *Env, j *plan.Join) (Iterator, error) {
@@ -470,7 +467,7 @@ func (h *hashJoinIter) Open() error {
 	if err := h.inner.Open(); err != nil {
 		return err
 	}
-	h.table = make(map[string][]expr.Row)
+	h.table, h.cur = joinTable{idx: h.inIdx}, -1
 	if bs := h.e.batchSize(); bs > 1 {
 		if err := h.buildBatched(bs); err != nil {
 			return err
@@ -495,12 +492,10 @@ func (h *hashJoinIter) buildTupleAtATime() error {
 			return nil
 		}
 		h.e.ChargeSpillTuple()
-		v := row[h.inIdx]
-		if v.IsNull() {
+		if row[h.inIdx].IsNull() {
 			continue
 		}
-		k := string(v.AppendKey(nil))
-		h.table[k] = append(h.table[k], row)
+		h.table.add(row)
 		h.count++
 		if h.count%1024 == 0 {
 			if err := h.e.checkAbort(); err != nil {
@@ -510,13 +505,11 @@ func (h *hashJoinIter) buildTupleAtATime() error {
 	}
 }
 
-// buildBatched drains the inner input batch-at-a-time, encoding join keys
-// into a reused buffer (a string materializes only on map insert). Spill
-// charges, skipped NULL keys, and budget cadence match the legacy loop.
+// buildBatched drains the inner input batch-at-a-time. Spill charges,
+// skipped NULL keys, and budget cadence match the legacy loop.
 func (h *hashJoinIter) buildBatched(bs int) error {
 	buf := getRowBuf(bs)
 	defer putRowBuf(buf)
-	var keyBuf []byte
 	for {
 		m, err := nextBatch(h.inner, buf)
 		if err != nil {
@@ -527,12 +520,10 @@ func (h *hashJoinIter) buildBatched(bs int) error {
 		}
 		for _, row := range buf[:m] {
 			h.e.ChargeSpillTuple()
-			v := row[h.inIdx]
-			if v.IsNull() {
+			if row[h.inIdx].IsNull() {
 				continue
 			}
-			keyBuf = v.AppendKey(keyBuf[:0])
-			h.table[string(keyBuf)] = append(h.table[string(keyBuf)], row)
+			h.table.add(row)
 			h.count++
 			if h.count%1024 == 0 {
 				if err := h.e.checkAbort(); err != nil {
@@ -551,13 +542,8 @@ func (h *hashJoinIter) Next() (expr.Row, bool, error) {
 				return nil, false, err
 			}
 			h.e.ChargeSpillTuple()
-			h.outRow, h.haveOut, h.pos = row, true, 0
-			v := row[h.outIdx]
-			if v.IsNull() {
-				h.bucket = nil
-			} else {
-				h.bucket = h.table[string(v.AppendKey(nil))]
-			}
+			h.outRow, h.haveOut = row, true
+			h.cur = h.table.first(row[h.outIdx])
 			h.count++
 			if h.count%1024 == 0 {
 				if err := h.e.checkAbort(); err != nil {
@@ -565,33 +551,28 @@ func (h *hashJoinIter) Next() (expr.Row, bool, error) {
 				}
 			}
 		}
-		if h.pos < len(h.bucket) {
-			irow := h.bucket[h.pos]
-			h.pos++
+		if h.cur >= 0 {
+			irow := h.table.rows[h.cur]
+			h.cur = h.table.next[h.cur]
 			return h.outRow.Concat(irow), true, nil
 		}
 		h.haveOut = false
 	}
 }
 
-// NextBatch probes the hash table with a batch of outer rows at a time:
-// probe keys are encoded into a reused buffer (map lookup on a []byte
-// conversion is allocation-free), and output rows are carved from a value
-// slab instead of one Concat allocation per match. Spill charges, probe
-// order, and budget cadence match the Next path exactly.
+// NextBatch probes the hash table with a batch of outer rows at a time and
+// carves output rows from a value slab instead of one Concat allocation per
+// match. Spill charges, probe order, and budget cadence match the Next path
+// exactly.
 func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if cap(h.obuf) < h.e.batchSize() {
 		h.obuf = make([]expr.Row, h.e.batchSize())
 	}
 	n := 0
 	for n < len(dst) {
-		if h.pos < len(h.bucket) {
-			irow := h.bucket[h.pos]
-			h.pos++
-			out := h.alloc.next(len(h.outRow) + len(irow))
-			copy(out, h.outRow)
-			copy(out[len(h.outRow):], irow)
-			dst[n] = out
+		if h.cur >= 0 {
+			dst[n] = h.alloc.concat(h.outRow, h.table.rows[h.cur])
+			h.cur = h.table.next[h.cur]
 			n++
 			continue
 		}
@@ -614,14 +595,7 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 				return 0, err
 			}
 		}
-		v := row[h.outIdx]
-		if v.IsNull() {
-			h.bucket = nil
-			continue
-		}
-		h.keyBuf = v.AppendKey(h.keyBuf[:0])
-		h.bucket = h.table[string(h.keyBuf)]
-		h.outRow, h.pos = row, 0
+		h.outRow, h.cur = row, h.table.first(row[h.outIdx])
 	}
 	return n, nil
 }
@@ -644,6 +618,7 @@ type mergeJoinIter struct {
 	group  []expr.Row // inner group matching current outer key
 	gpos   int
 	opened bool
+	alloc  rowAlloc
 }
 
 func newMergeJoin(e *Env, j *plan.Join) (Iterator, error) {
@@ -702,9 +677,7 @@ func (m *mergeJoinIter) Open() error {
 	}
 	sortSide := func(rows []expr.Row, idx int) {
 		m.e.ChargeSynthetic(float64(len(rows)) * cost.SortSpillPerTuple)
-		sort.SliceStable(rows, func(a, b int) bool {
-			return rows[a][idx].Compare(rows[b][idx]) < 0
-		})
+		sortRowsByKey(rows, idx)
 	}
 	if m.node.SortOuter {
 		sortSide(m.orows, m.outIdx)
@@ -720,11 +693,50 @@ func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
 	if !m.opened {
 		return nil, false, fmt.Errorf("exec: Next before Open on MergeJoin")
 	}
+	ok, err := m.seek()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return m.emit(), true, nil
+}
+
+// NextBatch emits whole runs of an inner group per seek. Pair order, the
+// per-group budget check, and the slab-carved rows are the Next path's.
+func (m *mergeJoinIter) NextBatch(dst []expr.Row) (int, error) {
+	if !m.opened {
+		return 0, fmt.Errorf("exec: NextBatch before Open on MergeJoin")
+	}
+	n := 0
+	for n < len(dst) {
+		ok, err := m.seek()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		for n < len(dst) && m.gpos < len(m.group) {
+			dst[n] = m.emit()
+			n++
+		}
+	}
+	return n, nil
+}
+
+// emit returns the pair seek stopped on — the current outer row with the
+// group's next inner row — carved from the output slab, and steps past it.
+func (m *mergeJoinIter) emit() expr.Row {
+	out := m.alloc.concat(m.orows[m.oi], m.group[m.gpos])
+	m.gpos++
+	return out
+}
+
+// seek positions the merge on the next matching pair (m.orows[m.oi] with
+// m.group[m.gpos]) and reports false once either input is exhausted.
+func (m *mergeJoinIter) seek() (bool, error) {
 	for {
 		if m.gpos < len(m.group) {
-			out := m.orows[m.oi].Concat(m.group[m.gpos])
-			m.gpos++
-			return out, true, nil
+			return true, nil
 		}
 		// Group finished: advance outer; if its key matches the previous
 		// group's key, reuse the group.
@@ -739,7 +751,7 @@ func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
 			m.group, m.gpos = nil, 0
 		}
 		if m.oi >= len(m.orows) {
-			return nil, false, nil
+			return false, nil
 		}
 		okey := m.orows[m.oi][m.outIdx]
 		if okey.IsNull() {
@@ -751,7 +763,7 @@ func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
 			m.ii++
 		}
 		if m.ii >= len(m.irows) {
-			return nil, false, nil
+			return false, nil
 		}
 		if m.irows[m.ii][m.inIdx].Compare(okey) > 0 {
 			m.oi++
@@ -771,7 +783,7 @@ func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
 		// groups are re-found by key comparison: reset ii to start is safe
 		// because the outer only moves forward.
 		if err := m.e.checkAbort(); err != nil {
-			return nil, false, err
+			return false, err
 		}
 	}
 }

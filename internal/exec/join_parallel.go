@@ -9,20 +9,9 @@ import (
 	"predplace/internal/plan"
 )
 
-// hashPartition maps an encoded join key to one of w partitions (FNV-1a).
-// Build and probe must agree on this mapping.
-func hashPartition(key []byte, w int) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(w))
-}
-
 // parallelHashJoinIter is the partitioned parallel hash join: the inner
 // input is hash-partitioned by join key across W builder goroutines, each
-// owning a private hash table, so the build runs without shared-map locking;
+// owning a private joinTable, so the build runs without shared-table locking;
 // then W probe workers stream batches of outer rows, each probing whichever
 // partition a row's key hashes to (partition tables are read-only by then).
 // Spill accounting mirrors the serial hash join exactly: one per-tuple
@@ -35,7 +24,7 @@ type parallelHashJoinIter struct {
 	inner  Iterator
 	outIdx int
 	inIdx  int
-	parts  []map[string][]expr.Row
+	parts  []joinTable
 	tasks  chan []expr.Row
 	fan    fanIn
 }
@@ -64,10 +53,10 @@ func (h *parallelHashJoinIter) Open() error {
 		return err
 	}
 	w := h.e.workers()
-	h.parts = make([]map[string][]expr.Row, w)
+	h.parts = make([]joinTable, w)
 	build := make([]chan []expr.Row, w)
 	for i := range build {
-		h.parts[i] = make(map[string][]expr.Row)
+		h.parts[i].idx = h.inIdx
 		build[i] = make(chan []expr.Row, 2)
 	}
 	var bwg sync.WaitGroup
@@ -75,12 +64,9 @@ func (h *parallelHashJoinIter) Open() error {
 		bwg.Add(1)
 		go func(i int) {
 			defer bwg.Done()
-			m := h.parts[i]
-			var keyBuf []byte
 			for rows := range build[i] {
 				for _, row := range rows {
-					keyBuf = row[h.inIdx].AppendKey(keyBuf[:0])
-					m[string(keyBuf)] = append(m[string(keyBuf)], row)
+					h.parts[i].add(row)
 				}
 				putRowBuf(rows)
 			}
@@ -114,9 +100,8 @@ func (h *parallelHashJoinIter) Open() error {
 
 // routeBuild drains the inner input batch-at-a-time, charging spill per
 // tuple (null keys included, matching the serial operator) and routing
-// non-null rows to the builder that owns their partition. Partition keys are
-// encoded into a reused buffer and per-partition pending batches use pooled
-// buffers the builders recycle after insertion.
+// non-null rows to the builder that owns their partition. Per-partition
+// pending batches use pooled buffers the builders recycle after insertion.
 func (h *parallelHashJoinIter) routeBuild(build []chan []expr.Row, w int) error {
 	bs := h.e.exchangeBatch()
 	pend := make([][]expr.Row, w)
@@ -130,7 +115,6 @@ func (h *parallelHashJoinIter) routeBuild(build []chan []expr.Row, w int) error 
 	}
 	buf := getRowBuf(bs)
 	defer putRowBuf(buf)
-	var keyBuf []byte
 	count := 0
 	for {
 		m, err := nextBatch(h.inner, buf)
@@ -154,8 +138,7 @@ func (h *parallelHashJoinIter) routeBuild(build []chan []expr.Row, w int) error 
 			if v.IsNull() {
 				continue
 			}
-			keyBuf = v.AppendKey(keyBuf[:0])
-			p := hashPartition(keyBuf, w)
+			p := hashPartition(v, w)
 			pend[p] = append(pend[p], row)
 			if len(pend[p]) == bs {
 				build[p] <- pend[p]
@@ -213,14 +196,12 @@ func (h *parallelHashJoinIter) routeProbe() {
 }
 
 // probeWorker probes the read-only partition tables with each outer row in
-// its batches: probe keys are encoded into a reused buffer (the map lookup
-// on a []byte conversion is allocation-free) and output rows are carved
-// from a per-worker value slab instead of one Concat allocation per match.
+// its batches; output rows are carved from a per-worker value slab instead
+// of one Concat allocation per match.
 func (h *parallelHashJoinIter) probeWorker() {
 	defer h.fan.wg.Done()
 	w := len(h.parts)
 	bs := h.e.exchangeBatch()
-	var keyBuf []byte
 	var alloc rowAlloc
 	for batch := range h.tasks {
 		out := getRowBuf(bs)[:0]
@@ -229,12 +210,9 @@ func (h *parallelHashJoinIter) probeWorker() {
 			if v.IsNull() {
 				continue
 			}
-			keyBuf = v.AppendKey(keyBuf[:0])
-			for _, irow := range h.parts[hashPartition(keyBuf, w)][string(keyBuf)] {
-				orow := alloc.next(len(row) + len(irow))
-				copy(orow, row)
-				copy(orow[len(row):], irow)
-				out = append(out, orow)
+			t := &h.parts[hashPartition(v, w)]
+			for i := t.first(v); i >= 0; i = t.next[i] {
+				out = append(out, alloc.concat(row, t.rows[i]))
 			}
 		}
 		putRowBuf(batch)

@@ -1,0 +1,183 @@
+package exec
+
+// Typed-key join kernels (DESIGN.md §12): the one hash table every hash-join
+// path builds and probes, and the key sort the merge join runs. Both work on
+// the join column's int64 payload directly when the key is an integer — the
+// benchmark schema's only join-key type — and fall back to expr.Value
+// equality / Compare for every other kind, so no key is ever re-encoded.
+
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+
+	"predplace/internal/expr"
+)
+
+// joinTable is the build side of a hash join: rows in insertion order in one
+// flat slice, rows of equal key linked through next in insertion order, and
+// the head of each chain found by key. Integer keys live in an open-addressed
+// table keyed by the int64 itself; keys of any other kind in a map keyed by
+// the Value, so TInt and TBool of equal payload never meet and a mixed-kind
+// column simply uses both. NULL keys are never linked and never match.
+//
+// Probe with first, then walk: for i := t.first(k); i >= 0; i = t.next[i]
+// visits t.rows[i] in the order the rows were added. Row positions are
+// int32, which bounds one table at 2^31 rows. Not safe for concurrent add;
+// concurrent probes of a finished table only read.
+type joinTable struct {
+	idx   int // key column of the added rows
+	rows  []expr.Row
+	next  []int32
+	slots []intSlot // power-of-two length, at most half occupied
+	used  int       // occupied slots
+	shift uint      // 64 - log2(len(slots))
+	other map[expr.Value]chainEnds
+}
+
+// intSlot is one open-addressing slot: a key and the ends of its chain.
+type intSlot struct {
+	key  int64
+	head int32 // first row of the chain, plus one; 0 marks an empty slot
+	tail int32 // last row of the chain
+}
+
+// chainEnds is a non-integer key's chain.
+type chainEnds struct{ head, tail int32 }
+
+// joinTableMinSlots is the slot count of the first integer table.
+const joinTableMinSlots = 64
+
+// slot returns the slot holding key, or the empty slot where it belongs.
+// Fibonacci hashing: the multiply spreads consecutive keys (the usual join
+// column) over the whole table and the top bits index it.
+func (t *joinTable) slot(key int64) *intSlot {
+	mask := uint64(len(t.slots) - 1)
+	for s := uint64(key) * 0x9E3779B97F4A7C15 >> t.shift; ; s = (s + 1) & mask {
+		if sl := &t.slots[s]; sl.head == 0 || sl.key == key {
+			return sl
+		}
+	}
+}
+
+// grow doubles the integer table (or creates it) and re-seats every chain.
+func (t *joinTable) grow() {
+	old := t.slots
+	n := 2 * len(old)
+	if n < joinTableMinSlots {
+		n = joinTableMinSlots
+	}
+	t.slots = make([]intSlot, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, sl := range old {
+		if sl.head != 0 {
+			*t.slot(sl.key) = sl
+		}
+	}
+}
+
+// add appends row to the table, linking it behind the earlier rows of its
+// key. A row whose key is NULL is dropped: it can match nothing.
+func (t *joinTable) add(row expr.Row) {
+	k := row[t.idx]
+	if k.IsNull() {
+		return
+	}
+	i := int32(len(t.rows))
+	t.rows = append(t.rows, row)
+	t.next = append(t.next, -1)
+	if k.Kind == expr.TInt {
+		if 2*(t.used+1) > len(t.slots) {
+			t.grow()
+		}
+		sl := t.slot(k.I)
+		if sl.head == 0 {
+			sl.key, sl.head = k.I, i+1
+			t.used++
+		} else {
+			t.next[sl.tail] = i
+		}
+		sl.tail = i
+		return
+	}
+	if t.other == nil {
+		t.other = make(map[expr.Value]chainEnds)
+	}
+	c, ok := t.other[k]
+	if ok {
+		t.next[c.tail] = i
+	} else {
+		c.head = i
+	}
+	c.tail = i
+	t.other[k] = c
+}
+
+// first returns the position of the first row added with the given key, or
+// -1 when there is none.
+func (t *joinTable) first(key expr.Value) int32 {
+	if key.Kind == expr.TInt {
+		if t.used == 0 {
+			return -1
+		}
+		return t.slot(key.I).head - 1
+	}
+	if c, ok := t.other[key]; ok {
+		return c.head
+	}
+	return -1
+}
+
+// hashPartition maps a join key to one of w partitions. Build and probe must
+// agree on this mapping; equal keys hash equally, and an integer key goes
+// through the mixer as it is.
+func hashPartition(key expr.Value, w int) int {
+	return int(bloomHash(key) % uint64(w))
+}
+
+// keyPos is one sort record: a row's integer key and its input position.
+type keyPos struct {
+	key int64
+	pos int32
+}
+
+// sortRowsByKey sorts rows by column idx ascending under Value.Compare,
+// keeping rows of equal key in their input order. When every key is an
+// integer it sorts (key, position) records — position as the tie-break is
+// what makes an unstable sort of the records a stable sort of the rows —
+// and then moves each row header once, following the permutation's cycles;
+// otherwise (NULLs, strings, mixed kinds) it stable-sorts the headers with
+// the general comparator.
+func sortRowsByKey(rows []expr.Row, idx int) {
+	recs := make([]keyPos, len(rows))
+	for i, r := range rows {
+		if r[idx].Kind != expr.TInt {
+			slices.SortStableFunc(rows, func(a, b expr.Row) int { return a[idx].Compare(b[idx]) })
+			return
+		}
+		recs[i] = keyPos{r[idx].I, int32(i)}
+	}
+	slices.SortFunc(recs, func(a, b keyPos) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	// recs[d].pos is now the input position of the row that belongs at d.
+	for i := range recs {
+		if int(recs[i].pos) == i {
+			continue
+		}
+		displaced := rows[i]
+		for d := i; ; {
+			s := int(recs[d].pos)
+			recs[d].pos = int32(d) // d is settled
+			if s == i {
+				rows[d] = displaced
+				break
+			}
+			rows[d] = rows[s]
+			d = s
+		}
+	}
+}

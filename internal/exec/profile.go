@@ -253,18 +253,18 @@ func assembleProfile(e *Env, n plan.Node) *OpProfile {
 	rows := *e.nodeCounter(n)
 	c := e.nodeProf(n)
 	p := &OpProfile{
-		Op:          n.Describe(),
-		EstRows:     n.Card(),
-		EstCost:     n.Cost(),
-		EstSel:      estSel(n),
-		ActRows:     rows,
-		ErrFactor:   errFactor(n.Card(), rows),
-		Opens:       c.opens.Load(),
-		Batches:     c.batches.Load(),
-		WallNs:      c.wallNs.Load(),
-		IO:          c.io(),
-		PredEvals:   c.predEvals.Load(),
-		Invocations: c.invocations.Load(),
+		Op:             n.Describe(),
+		EstRows:        n.Card(),
+		EstCost:        n.Cost(),
+		EstSel:         estSel(n),
+		ActRows:        rows,
+		ErrFactor:      errFactor(n.Card(), rows),
+		Opens:          c.opens.Load(),
+		Batches:        c.batches.Load(),
+		WallNs:         c.wallNs.Load(),
+		IO:             c.io(),
+		PredEvals:      c.predEvals.Load(),
+		Invocations:    c.invocations.Load(),
 		CacheHits:      c.cacheHits.Load(),
 		CacheMisses:    c.cacheMisses.Load(),
 		FuncCharge:     c.charge(),

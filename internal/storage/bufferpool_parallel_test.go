@@ -102,10 +102,15 @@ func TestShardedBufferPoolClampsShards(t *testing.T) {
 
 // TestShardedBufferPoolConcurrentScan hammers a sharded pool from many
 // goroutines scanning disjoint page ranges (the parallel scan's access
-// pattern) under -race.
+// pattern) under -race. A scanner holds one pin at a time, and page hashing
+// may put every scanner's current page in the same shard, so a shard needs
+// one frame per worker: with fewer (8 frames over 4 shards left 2 per shard
+// for 4 scanners) a Fetch can find its shard all pinned and fail with
+// "buffer pool exhausted".
 func TestShardedBufferPoolConcurrentScan(t *testing.T) {
+	const workers, shards = 4, 4
 	d := NewDisk(nil)
-	bp := NewShardedBufferPool(d, 8, 4)
+	bp := NewShardedBufferPool(d, shards*workers, shards)
 	h := NewHeapFile(bp)
 	for i := 0; i < 2000; i++ {
 		rec := []byte(fmt.Sprintf("conc-%05d-%s", i, "zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz"))
@@ -114,7 +119,6 @@ func TestShardedBufferPoolConcurrentScan(t *testing.T) {
 		}
 	}
 	n := h.NumPages()
-	const workers = 4
 	counts := make([]int, workers)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

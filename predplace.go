@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -992,13 +993,12 @@ func finishResult(bound *sqlparse.Bound, res *Result, topkPlanned bool) error {
 		if idx < 0 {
 			return fmt.Errorf("predplace: ORDER BY column %s is not in the select list", bound.OrderBy)
 		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			ra, rb := res.Rows[a], res.Rows[b]
+		slices.SortStableFunc(res.Rows, func(ra, rb []Value) int {
 			if c := ra[idx].Compare(rb[idx]); c != 0 {
 				if bound.Desc {
-					return c > 0
+					return -c
 				}
-				return c < 0
+				return c
 			}
 			// Deterministic tie-break: equal keys order by the full projected
 			// row, ascending regardless of Desc. Parallel operators do not
@@ -1007,10 +1007,10 @@ func finishResult(bound *sqlparse.Bound, res *Result, topkPlanned bool) error {
 			// same way on every run, in every executor mode.
 			for i := range ra {
 				if c := ra[i].Compare(rb[i]); c != 0 {
-					return c < 0
+					return c
 				}
 			}
-			return false
+			return 0
 		})
 	}
 	if bound.Limit >= 0 && int64(len(res.Rows)) > bound.Limit {
