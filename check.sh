@@ -29,6 +29,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> benchmark module (cd bench && go vet . && go test .)"
+# bench/ is a module of its own (so ./... above never compiles it) and calls
+# internal/ packages directly; a signature change there must fail this gate.
+(cd bench && go vet . && go test .)
+
 echo "==> bench smoke (go test -bench Fig3 -benchtime 1x)"
 go test -run '^$' -bench Fig3 -benchtime 1x .
 

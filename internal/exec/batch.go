@@ -61,22 +61,48 @@ const slabValues = 4096
 
 // rowAlloc carves rows out of contiguous value slabs: one slab allocation
 // amortizes across slabValues/width rows instead of one allocation per
-// row. Carved rows are never recycled — consumers may retain them freely
-// (result sets, hash-join builds) — the slab simply becomes garbage when
-// its rows do.
+// row. Without a pool, carved rows are never recycled — consumers may
+// retain them freely (result sets, hash-join builds) — the slab simply
+// becomes garbage when its rows do.
 type rowAlloc struct {
 	slab []expr.Value
+	// pool, set on the serial operators of a nested-loop inner subtree,
+	// supplies the slabs instead: rows then live until the next rescan.
+	pool *slabPool
 }
 
-// next returns a zeroed row of the given width carved from the current
-// slab, starting a fresh slab when the current one is exhausted.
+// slabPool recycles the row slabs of one nested-loop join's inner subtree.
+// Rows that subtree produces are valid only until its next rescan: the join
+// copies the pairs it keeps, rewinds the pool, and the rebuilt subtree
+// carves its rows from the same slabs, neither reallocated nor re-zeroed.
+// Not safe for concurrent use: it reaches only operators that run on the
+// goroutine driving the join, and an exchange's subtree keeps fresh slabs.
+type slabPool struct {
+	slabs [][]expr.Value
+	used  int
+}
+
+func (p *slabPool) get() []expr.Value {
+	if p.used == len(p.slabs) {
+		p.slabs = append(p.slabs, make([]expr.Value, slabValues))
+	}
+	p.used++
+	return p.slabs[p.used-1]
+}
+
+// next returns a row of the given width carved from the current slab,
+// starting another slab when the current one is exhausted. The row is
+// zeroed only when its slab is fresh; callers overwrite every slot.
 func (a *rowAlloc) next(width int) expr.Row {
 	if len(a.slab) < width {
-		n := slabValues
-		if n < width {
-			n = width
+		switch {
+		case width > slabValues:
+			a.slab = make([]expr.Value, width)
+		case a.pool != nil:
+			a.slab = a.pool.get()
+		default:
+			a.slab = make([]expr.Value, slabValues)
 		}
-		a.slab = make([]expr.Value, n)
 	}
 	row := expr.Row(a.slab[:width:width])
 	a.slab = a.slab[width:]

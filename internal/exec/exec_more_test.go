@@ -211,3 +211,34 @@ func TestStatsString(t *testing.T) {
 		t.Fatalf("stats = %q charged=%v", out, s.Charged())
 	}
 }
+
+// TestHoldsCachedTuplePathAllocFree pins the tuple path's allocation
+// contract: evaluating a cached function predicate row by row reuses the
+// operator's scratch — no argument slice, no key string per row.
+func TestHoldsCachedTuplePathAllocFree(t *testing.T) {
+	db, env := newEnv(t, []int{1}, true)
+	f, _ := db.Cat.Func("costly10join")
+	scan := scanNode(t, db.Cat, "t1")
+	q, _ := query.NewQuery([]string{"t1"}, []*query.Predicate{{
+		Kind: query.KindFunc, Func: f,
+		Args: []query.ColRef{{Table: "t1", Col: "u10"}, {Table: "t1", Col: "u100"}},
+	}})
+	query.Analyze(db.Cat, q)
+	cp, err := compilePred(env, q.Preds[0], scan.Cols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := naiveRows(t, db.Cat, "t1")
+	var sc predScratch
+	pass := func() {
+		for _, row := range rows {
+			if _, err := cp.holds(env, row, &sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass() // warm the cache and the scratch buffers
+	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
+		t.Fatalf("%v allocations per pass over %d cached rows, want 0", allocs, len(rows))
+	}
+}

@@ -15,7 +15,7 @@ import (
 )
 
 // newEnv builds a small benchmark database and an Env over it.
-func newEnv(t *testing.T, tables []int, caching bool) (*datagen.DB, *Env) {
+func newEnv(t testing.TB, tables []int, caching bool) (*datagen.DB, *Env) {
 	t.Helper()
 	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: tables})
 	if err != nil {
@@ -28,7 +28,7 @@ func newEnv(t *testing.T, tables []int, caching bool) (*datagen.DB, *Env) {
 	}
 }
 
-func scanNode(t *testing.T, cat *catalog.Catalog, table string) *plan.SeqScan {
+func scanNode(t testing.TB, cat *catalog.Catalog, table string) *plan.SeqScan {
 	t.Helper()
 	tab, err := cat.Table(table)
 	if err != nil {

@@ -25,8 +25,13 @@ type Iterator interface {
 // row counter so EXPLAIN ANALYZE can print actual cardinalities next to the
 // optimizer's estimates. With profiling on the wrapper additionally measures
 // wall time and attributes physical I/O per operator.
-func Build(e *Env, n plan.Node) (Iterator, error) {
-	it, err := build(e, n)
+func Build(e *Env, n plan.Node) (Iterator, error) { return buildIn(e, n, nil) }
+
+// buildIn is Build for a subtree of a nested-loop join's inner input: its
+// serial operators carve their rows from rs, the join's recycled slabs
+// (nil everywhere else). Operators behind an exchange do not receive it.
+func buildIn(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
+	it, err := build(e, n, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -39,33 +44,37 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 	return it, nil
 }
 
-func build(e *Env, n plan.Node) (Iterator, error) {
+func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	switch t := n.(type) {
 	case *plan.SeqScan:
 		if e.workers() > 1 && !e.buildSerial {
 			return newParallelSeqScan(e, t)
 		}
-		return newSeqScan(e, t)
+		return newSeqScan(e, t, rs)
 	case *plan.IndexScan:
-		return newIndexScan(e, t)
+		return newIndexScan(e, t, rs)
 	case *plan.Filter:
-		in, err := Build(e, t.Input)
+		parallel := e.workers() > 1 && !e.buildSerial && t.Pred.IsExpensive()
+		if parallel {
+			rs = nil // the input runs on the exchange's router goroutine
+		}
+		in, err := buildIn(e, t.Input, rs)
 		if err != nil {
 			return nil, err
 		}
-		cp, err := compilePred(t.Pred, t.Input.Cols())
+		cp, err := compilePred(e, t.Pred, t.Input.Cols())
 		if err != nil {
 			return nil, err
 		}
 		if e.prof != nil {
 			cp.prof = e.nodeProf(t)
 		}
-		if e.workers() > 1 && !e.buildSerial && t.Pred.IsExpensive() {
+		if parallel {
 			return newParallelFilter(e, in, cp), nil
 		}
 		return &filterIter{e: e, in: in, pred: cp}, nil
 	case *plan.Join:
-		return buildJoin(e, t)
+		return buildJoin(e, t, rs)
 	case *plan.TopK:
 		return newTopK(e, t)
 	case *plan.Limit:
@@ -89,7 +98,7 @@ type seqScanIter struct {
 	tc     *opCounters
 }
 
-func newSeqScan(e *Env, s *plan.SeqScan) (Iterator, error) {
+func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (Iterator, error) {
 	tab, err := e.Cat.Table(s.Table)
 	if err != nil {
 		return nil, err
@@ -97,7 +106,7 @@ func newSeqScan(e *Env, s *plan.SeqScan) (Iterator, error) {
 	if tab.Heap == nil || tab.Codec == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", s.Table)
 	}
-	it := &seqScanIter{e: e, tab: tab}
+	it := &seqScanIter{e: e, tab: tab, alloc: rowAlloc{pool: rs}}
 	if e.prof != nil {
 		it.tc = e.nodeProf(s)
 	}
@@ -216,7 +225,7 @@ type indexScanIter struct {
 	tc     *opCounters
 }
 
-func newIndexScan(e *Env, s *plan.IndexScan) (Iterator, error) {
+func newIndexScan(e *Env, s *plan.IndexScan, rs *slabPool) (Iterator, error) {
 	tab, err := e.Cat.Table(s.Table)
 	if err != nil {
 		return nil, err
@@ -224,7 +233,7 @@ func newIndexScan(e *Env, s *plan.IndexScan) (Iterator, error) {
 	if !tab.HasIndex(s.Col) {
 		return nil, fmt.Errorf("exec: no index on %s.%s", s.Table, s.Col)
 	}
-	it := &indexScanIter{e: e, node: s, tab: tab}
+	it := &indexScanIter{e: e, node: s, tab: tab, alloc: rowAlloc{pool: rs}}
 	if e.prof != nil {
 		it.tc = e.nodeProf(s)
 	}
@@ -368,7 +377,7 @@ func (f *filterIter) Next() (expr.Row, bool, error) {
 				return nil, false, err
 			}
 		}
-		pass, err := f.pred.holds(f.e, row)
+		pass, err := f.pred.holds(f.e, row, &f.sc)
 		if err != nil {
 			return nil, false, err
 		}

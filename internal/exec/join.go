@@ -13,19 +13,21 @@ import (
 	"predplace/internal/storage"
 )
 
-func buildJoin(e *Env, j *plan.Join) (Iterator, error) {
+// buildJoin builds j; rs is buildIn's. The partitioned hash join pulls its
+// probe side from a router goroutine, so its subtree keeps fresh slabs.
+func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	switch j.Method {
 	case plan.NestLoop:
-		return newNLJoin(e, j)
+		return newNLJoin(e, j, rs)
 	case plan.IndexNestLoop:
-		return newIndexNLJoin(e, j)
+		return newIndexNLJoin(e, j, rs)
 	case plan.HashJoin:
 		if e.workers() > 1 {
 			return newParallelHashJoin(e, j)
 		}
-		return newHashJoin(e, j)
+		return newHashJoin(e, j, rs)
 	case plan.MergeJoin:
-		return newMergeJoin(e, j)
+		return newMergeJoin(e, j, rs)
 	}
 	return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
 }
@@ -35,6 +37,10 @@ func buildJoin(e *Env, j *plan.Join) (Iterator, error) {
 // tuple, exactly the access pattern the paper's |S|-pages-per-outer-tuple
 // cost term models. The primary join predicate — which may be an expensive
 // function over both sides (Query 5) — is evaluated per pair.
+//
+// Inner rows are valid only until the next rescan (their slabs are recycled
+// through rescan, see slabPool); Next and NextBatch copy every pair they
+// keep, so the join's own output follows the usual never-recycled contract.
 type nlJoinIter struct {
 	e        *Env
 	node     *plan.Join
@@ -54,16 +60,17 @@ type nlJoinIter struct {
 	keep    []bool
 	sc      predScratch
 	alloc   rowAlloc
+	rescan  slabPool
 }
 
-func newNLJoin(e *Env, j *plan.Join) (Iterator, error) {
-	outer, err := Build(e, j.Outer)
+func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
+	outer, err := buildIn(e, j.Outer, rs)
 	if err != nil {
 		return nil, err
 	}
-	it := &nlJoinIter{e: e, node: j, outer: outer}
+	it := &nlJoinIter{e: e, node: j, outer: outer, alloc: rowAlloc{pool: rs}}
 	if j.Primary != nil {
-		cp, err := compilePred(j.Primary, joinCols(j))
+		cp, err := compilePred(e, j.Primary, joinCols(j))
 		if err != nil {
 			return nil, err
 		}
@@ -79,6 +86,28 @@ func joinCols(j *plan.Join) []query.ColRef { return plan.ConcatCols(j.Outer, j.I
 
 func (n *nlJoinIter) Open() error { return n.outer.Open() }
 
+// rescanInner closes the previous outer tuple's inner subtree, then builds
+// and opens the next one over the same slabs.
+func (n *nlJoinIter) rescanInner() error {
+	if n.inner != nil {
+		if err := n.inner.Close(); err != nil {
+			return err
+		}
+	}
+	n.rescan.used = 0
+	inner, err := buildIn(n.e, n.node.Inner, &n.rescan)
+	if err != nil {
+		return err
+	}
+	// Store the rebuilt inner before opening it: if Open fails the join's
+	// Close still reaches the new subtree (Close on a half-opened iterator is
+	// safe), so a mid-query Open fault cannot strand pinned pages or exchange
+	// goroutines.
+	n.inner = inner
+	n.ipos, n.ilen = 0, 0
+	return inner.Open()
+}
+
 func (n *nlJoinIter) Next() (expr.Row, bool, error) {
 	for {
 		if !n.haveOut {
@@ -88,21 +117,7 @@ func (n *nlJoinIter) Next() (expr.Row, bool, error) {
 			}
 			n.outerRow = row
 			n.haveOut = true
-			if n.inner != nil {
-				if err := n.inner.Close(); err != nil {
-					return nil, false, err
-				}
-			}
-			inner, err := Build(n.e, n.node.Inner)
-			if err != nil {
-				return nil, false, err
-			}
-			// Store the rebuilt inner before opening it: if Open fails the
-			// join's Close still reaches the new subtree (Close on a
-			// half-opened iterator is safe), so a mid-query Open fault cannot
-			// strand pinned pages or exchange goroutines.
-			n.inner = inner
-			if err := inner.Open(); err != nil {
+			if err := n.rescanInner(); err != nil {
 				return nil, false, err
 			}
 		}
@@ -123,7 +138,7 @@ func (n *nlJoinIter) Next() (expr.Row, bool, error) {
 			}
 			out := n.outerRow.Concat(irow)
 			if n.primary != nil {
-				pass, err := n.primary.holds(n.e, out)
+				pass, err := n.primary.holds(n.e, out, &n.sc)
 				if err != nil {
 					return nil, false, err
 				}
@@ -175,20 +190,7 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 				}
 				n.outerRow = row
 				n.haveOut = true
-				if n.inner != nil {
-					if err := n.inner.Close(); err != nil {
-						return 0, err
-					}
-				}
-				inner, err := Build(n.e, n.node.Inner)
-				if err != nil {
-					return 0, err
-				}
-				// As in Next: store before Open so Close reaches the new
-				// subtree even when Open fails mid-rescan.
-				n.inner = inner
-				n.ipos, n.ilen = 0, 0
-				if err := inner.Open(); err != nil {
+				if err := n.rescanInner(); err != nil {
 					return 0, err
 				}
 			}
@@ -285,9 +287,10 @@ type indexNLJoinIter struct {
 	pos          int
 	haveOut      bool
 	count        int
+	sc           predScratch
 }
 
-func newIndexNLJoin(e *Env, j *plan.Join) (Iterator, error) {
+func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	table, filters, ok := plan.BaseTable(j.Inner)
 	if !ok {
 		return nil, fmt.Errorf("exec: index-nested-loop inner must be a (filtered) base table")
@@ -317,7 +320,7 @@ func newIndexNLJoin(e *Env, j *plan.Join) (Iterator, error) {
 	if outIdx < 0 {
 		return nil, fmt.Errorf("exec: outer key %v not in outer schema", outerKey)
 	}
-	outer, err := Build(e, j.Outer)
+	outer, err := buildIn(e, j.Outer, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +329,7 @@ func newIndexNLJoin(e *Env, j *plan.Join) (Iterator, error) {
 	for i := len(filters) - 1; i >= 0; i-- {
 		rev = append(rev, filters[i])
 	}
-	residual, err := compilePreds(rev, j.Inner.Cols())
+	residual, err := compilePreds(e, rev, j.Inner.Cols())
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +389,7 @@ func (n *indexNLJoinIter) Next() (expr.Row, bool, error) {
 					}
 					keep := true
 					for ri, f := range n.residual {
-						pass, err := f.holds(n.e, irow)
+						pass, err := f.holds(n.e, irow, &n.sc)
 						if err != nil {
 							return nil, false, err
 						}
@@ -444,15 +447,15 @@ type hashJoinIter struct {
 	alloc rowAlloc
 }
 
-func newHashJoin(e *Env, j *plan.Join) (Iterator, error) {
+func newHashJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if j.Primary != nil && j.Primary.IsExpensive() {
 		return nil, fmt.Errorf("exec: hash join cannot use an expensive primary predicate")
 	}
-	outer, err := Build(e, j.Outer)
+	outer, err := buildIn(e, j.Outer, rs)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := Build(e, j.Inner)
+	inner, err := buildIn(e, j.Inner, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +463,7 @@ func newHashJoin(e *Env, j *plan.Join) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{e: e, node: j, outer: outer, inner: inner, outIdx: oi, inIdx: ii}, nil
+	return &hashJoinIter{e: e, node: j, outer: outer, inner: inner, outIdx: oi, inIdx: ii, alloc: rowAlloc{pool: rs}}, nil
 }
 
 func (h *hashJoinIter) Open() error {
@@ -621,7 +624,7 @@ type mergeJoinIter struct {
 	alloc  rowAlloc
 }
 
-func newMergeJoin(e *Env, j *plan.Join) (Iterator, error) {
+func newMergeJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if j.Primary != nil && j.Primary.IsExpensive() {
 		return nil, fmt.Errorf("exec: merge join cannot use an expensive primary predicate")
 	}
@@ -629,11 +632,11 @@ func newMergeJoin(e *Env, j *plan.Join) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mergeJoinIter{e: e, node: j, outIdx: oi, inIdx: ii}, nil
+	return &mergeJoinIter{e: e, node: j, outIdx: oi, inIdx: ii, alloc: rowAlloc{pool: rs}}, nil
 }
 
-func drain(e *Env, n plan.Node) ([]expr.Row, error) {
-	it, err := Build(e, n)
+func drain(e *Env, n plan.Node, rs *slabPool) ([]expr.Row, error) {
+	it, err := buildIn(e, n, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -669,10 +672,10 @@ func drain(e *Env, n plan.Node) ([]expr.Row, error) {
 
 func (m *mergeJoinIter) Open() error {
 	var err error
-	if m.orows, err = drain(m.e, m.node.Outer); err != nil {
+	if m.orows, err = drain(m.e, m.node.Outer, m.alloc.pool); err != nil {
 		return err
 	}
-	if m.irows, err = drain(m.e, m.node.Inner); err != nil {
+	if m.irows, err = drain(m.e, m.node.Inner, m.alloc.pool); err != nil {
 		return err
 	}
 	sortSide := func(rows []expr.Row, idx int) {

@@ -1,0 +1,171 @@
+package exec
+
+import (
+	"fmt"
+	"testing"
+
+	"predplace/internal/datagen"
+	"predplace/internal/expr"
+	"predplace/internal/pcache"
+	"predplace/internal/plan"
+	"predplace/internal/query"
+)
+
+// drainSnapshot runs root the way Run does, but copies every output row the
+// moment it is produced and compares the retained rows with those copies
+// once the tree is drained and closed: a row whose slab was recycled after
+// it was handed out (the nested loop's rescan-scoped inner rows leaking into
+// a result) no longer matches its snapshot.
+func drainSnapshot(t *testing.T, env *Env, root plan.Node) ([]expr.Row, Stats) {
+	t.Helper()
+	env.begin()
+	it, err := Build(env, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var rows, snap []expr.Row
+	buf := make([]expr.Row, env.batchSize())
+	for {
+		n := 0
+		if len(buf) > 1 {
+			n, err = nextBatch(it, buf)
+		} else if row, ok, nerr := it.Next(); ok {
+			buf[0], n = row, 1
+		} else {
+			err = nerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		for _, row := range buf[:n] {
+			rows = append(rows, row)
+			snap = append(snap, append(expr.Row(nil), row...))
+		}
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "rows retained past Close vs. as produced", rows, snap)
+	return rows, env.finish(len(rows))
+}
+
+// TestNLJoinMatrix runs a nested loop with an expensive primary over every
+// shape of rescanned inner subtree, across the executor grid, with caching
+// on and off. Every configuration must reproduce the tuple-at-a-time serial
+// run: the same rows (in the same order when serial), the same charged
+// cost, the same invocation and cache counts.
+func TestNLJoinMatrix(t *testing.T) {
+	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := db.Cat.Func("costly10join")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
+	below := func(tab string, v int64) *query.Predicate {
+		return &query.Predicate{Kind: query.KindSelCmp, Op: expr.OpLT, Left: col(tab, "ua1"), Value: expr.I(v)}
+	}
+	q, err := query.NewQuery([]string{"t1", "t2", "t3"}, []*query.Predicate{
+		below("t1", 30), below("t2", 300), below("t2", 200), below("t3", 2),
+		{Kind: query.KindJoinCmp, Op: expr.OpEQ, Left: col("t2", "ua1"), Right: col("t3", "ua1")},
+		{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t1", "u10"), col("t2", "u10")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query.Analyze(db.Cat, q)
+	scan := func(tab string) plan.Node { return scanNode(t, db.Cat, tab) }
+	filter := func(in plan.Node, p *query.Predicate) plan.Node { return &plan.Filter{Input: in, Pred: p} }
+	join := func(m plan.JoinMethod, outer, inner plan.Node, primary *query.Predicate) plan.Node {
+		return &plan.Join{Method: m, Outer: outer, Inner: inner, Primary: primary,
+			ExpensivePrimary: primary != nil && primary.IsExpensive(),
+			SortOuter:        true, SortInner: true, ColRefs: plan.ConcatCols(outer, inner)}
+	}
+	inners := []struct {
+		name string
+		node plan.Node
+	}{
+		{"scan", scan("t2")},
+		{"filter", filter(scan("t2"), q.Preds[1])},
+		{"hashjoin", join(plan.HashJoin, scan("t2"), scan("t3"), q.Preds[4])},
+		{"mergejoin", join(plan.MergeJoin, scan("t2"), scan("t3"), q.Preds[4])},
+		// A nested loop inside the inner: its own output and outer rows are
+		// carved from the enclosing join's recycled slabs.
+		{"nestloop", join(plan.NestLoop, filter(scan("t3"), q.Preds[3]), filter(scan("t2"), q.Preds[2]), nil)},
+	}
+	for _, in := range inners {
+		root := join(plan.NestLoop, filter(scan("t1"), q.Preds[0]), in.node, q.Preds[5])
+		for _, caching := range []bool{false, true} {
+			env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(caching, 0), BatchSize: 1}
+			base, baseStats := drainSnapshot(t, env, root)
+			if len(base) == 0 {
+				t.Fatalf("%s: empty baseline", in.name)
+			}
+			for _, p := range []int{1, 4} {
+				for _, bs := range []int{1, 7, 256} {
+					name := fmt.Sprintf("%s caching=%v P=%d BS=%d", in.name, caching, p, bs)
+					env.Parallelism, env.BatchSize = p, bs
+					rows, stats := drainSnapshot(t, env, root)
+					if p == 1 {
+						sameRows(t, name, rows, base)
+					} else {
+						sameRowMultiset(t, rows, base)
+					}
+					if got, want := stats.Charged(), baseStats.Charged(); got != want {
+						t.Fatalf("%s: charged %v, tuple-at-a-time serial %v", name, got, want)
+					}
+					if got, want := stats.Invocations[f.Name], baseStats.Invocations[f.Name]; got != want {
+						t.Fatalf("%s: %d invocations, tuple-at-a-time serial %d", name, got, want)
+					}
+					if stats.CacheHits != baseStats.CacheHits || stats.CacheMisses != baseStats.CacheMisses ||
+						stats.CacheEntries != baseStats.CacheEntries {
+						t.Fatalf("%s: cache %d/%d/%d, tuple-at-a-time serial %d/%d/%d", name,
+							stats.CacheHits, stats.CacheMisses, stats.CacheEntries,
+							baseStats.CacheHits, baseStats.CacheMisses, baseStats.CacheEntries)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNLJoinRescan is Query 5's hot loop at scale 0.02: a nested loop
+// whose expensive primary is cached, rescanning t7 (1 400 rows) once per
+// outer tuple — 120 of them, the outer stream Query 5's plan delivers.
+func BenchmarkNLJoinRescan(b *testing.B) {
+	db, env := newEnv(b, []int{3, 7}, true)
+	env.CountOnly = true
+	f, err := db.Cat.Func("costly10join")
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := query.NewQuery([]string{"t3", "t7"}, []*query.Predicate{
+		{Kind: query.KindSelCmp, Op: expr.OpLT, Left: query.ColRef{Table: "t3", Col: "ua1"}, Value: expr.I(120)},
+		{Kind: query.KindFunc, Func: f, Args: []query.ColRef{{Table: "t3", Col: "u20"}, {Table: "t7", Col: "u20"}}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	query.Analyze(db.Cat, q)
+	outer := &plan.Filter{Input: scanNode(b, db.Cat, "t3"), Pred: q.Preds[0]}
+	inner := scanNode(b, db.Cat, "t7")
+	root := &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, Primary: q.Preds[1],
+		ExpensivePrimary: true, ColRefs: plan.ConcatCols(outer, inner)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(env, root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += res.Stats.Rows
+	}
+}

@@ -18,8 +18,11 @@ type compiledPred struct {
 	leftIdx  int
 	rightIdx int        // -1 for col-vs-const
 	constVal expr.Value // col-vs-const
-	// function predicates
+	// function predicates; owner is the predicate's cache table, resolved
+	// once at compile time and empty when results are not cached (caching
+	// off, or a non-cacheable function)
 	argIdx []int
+	owner  string
 	// prof, when profiling is on, receives this predicate's evaluation,
 	// invocation, and cache counters, attributed to the plan node the
 	// predicate executes at. Nil on the default path (no per-row overhead).
@@ -27,7 +30,7 @@ type compiledPred struct {
 }
 
 // compilePred resolves p's column references against cols.
-func compilePred(p *query.Predicate, cols []query.ColRef) (*compiledPred, error) {
+func compilePred(e *Env, p *query.Predicate, cols []query.ColRef) (*compiledPred, error) {
 	find := func(ref query.ColRef) (int, error) {
 		for i, c := range cols {
 			if c == ref {
@@ -62,53 +65,13 @@ func compilePred(p *query.Predicate, cols []query.ColRef) (*compiledPred, error)
 			}
 			cp.argIdx = append(cp.argIdx, i)
 		}
+		if e.Cache.Enabled() && p.Func.Cacheable {
+			cp.owner = e.Cache.Owner(p.ID, p.Func.Name)
+		}
 	default:
 		return nil, fmt.Errorf("exec: unknown predicate kind %d", p.Kind)
 	}
 	return cp, nil
-}
-
-// eval computes the predicate's tri-state result on a row, consulting the
-// predicate cache for cacheable function predicates (the cache stores the
-// result of the whole predicate keyed on the argument binding, §5.1).
-func (cp *compiledPred) eval(e *Env, row expr.Row) (expr.Value, error) {
-	p := cp.pred
-	switch p.Kind {
-	case query.KindSelCmp:
-		return cp.op.Apply(row[cp.leftIdx], cp.constVal), nil
-	case query.KindJoinCmp:
-		return cp.op.Apply(row[cp.leftIdx], row[cp.rightIdx]), nil
-	case query.KindFunc:
-		args := make([]expr.Value, len(cp.argIdx))
-		for i, idx := range cp.argIdx {
-			args[i] = row[idx]
-		}
-		if e.Cache.Enabled() && p.Func.Cacheable {
-			owner := e.Cache.Owner(p.ID, p.Func.Name)
-			key := pcache.Key(args)
-			if v, ok := e.Cache.Lookup(owner, key); ok {
-				if cp.prof != nil {
-					cp.prof.cacheHits.Add(1)
-				}
-				return v, nil
-			}
-			v, err := e.invoke(p.Func, args)
-			if err != nil {
-				return expr.Null, err
-			}
-			if cp.prof != nil {
-				cp.prof.cacheMisses.Add(1)
-				cp.noteInvocation()
-			}
-			e.Cache.Store(owner, key, v)
-			return v, nil
-		}
-		if cp.prof != nil {
-			cp.noteInvocation()
-		}
-		return e.invoke(p.Func, args)
-	}
-	return expr.Null, fmt.Errorf("exec: unknown predicate kind %d", p.Kind)
 }
 
 // noteInvocation counts one user-defined function call (and its per-call
@@ -124,17 +87,15 @@ func (cp *compiledPred) noteInvocation() {
 }
 
 // holds reports whether the predicate is satisfied (NULL and false both
-// reject the row, per SQL WHERE semantics).
-func (cp *compiledPred) holds(e *Env, row expr.Row) (bool, error) {
-	if cp.prof != nil {
-		cp.prof.predEvals.Add(1)
-	}
-	v, err := cp.eval(e, row)
-	if err != nil {
-		return false, err
-	}
-	b, known := v.Bool()
-	return known && b, nil
+// reject the row, per SQL WHERE semantics): holdsBatch at width 1, so the
+// tuple path shares the batch path's scratch buffers and cache protocol.
+// The caller keeps its own abort cadence; the counter here is a throwaway.
+func (cp *compiledPred) holds(e *Env, row expr.Row, sc *predScratch) (bool, error) {
+	sc.row[0] = row
+	var keep [1]bool
+	tick := 0
+	err := cp.holdsBatch(e, sc.row[:], keep[:], &tick, sc)
+	return keep[0], err
 }
 
 // budgetEvery is the input-row cadence of filter abort checks — budget and
@@ -152,15 +113,15 @@ type predScratch struct {
 	keys    [][]byte
 	entries []pcache.BatchEntry
 	args    []expr.Value
+	row     [1]expr.Row // holds' one-row batch
 }
 
 // holdsBatch evaluates the predicate over a whole batch, writing keep[i]
-// for each row — the vectorized analog of calling holds row by row, with
-// identical results, invocation counts, cache statistics, and budget-check
-// cadence (count persists across batches at the same every-32-rows rhythm).
-// Cacheable function predicates batch their cache traffic through
-// GetBatch/PutBatch when the cache qualifies (unbounded tables), taking
-// each shard lock once per batch instead of twice per row.
+// for each row. Results, invocation counts, and cache statistics are those
+// of evaluating the rows one by one in order, at any batch width; count
+// carries the every-32-rows budget-check cadence across batches. Cached
+// function predicates batch their cache traffic through GetBatch/PutBatch,
+// taking each shard lock once per batch instead of twice per row.
 func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
 	p := cp.pred
 	tick := func() error {
@@ -196,40 +157,41 @@ func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *
 		}
 		return nil
 	case query.KindFunc:
-		if e.Cache.Batchable() && p.Func.Cacheable {
-			return cp.holdsBatchCached(e, rows, keep, count, sc)
+		if cp.owner != "" {
+			// Bounded tables evict in FIFO order, which depends on how lookups
+			// and stores interleave: they run the protocol one row at a time.
+			step := len(rows)
+			if !e.Cache.Batchable() {
+				step = 1
+			}
+			for i := 0; i < len(rows); i += step {
+				if err := cp.holdsBatchCached(e, rows[i:i+step], keep[i:i+step], count, sc); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		// Uncached (or bounded-cache) path: evaluate row by row exactly as
-		// holds would, reusing one argument vector across rows.
+		// Uncached path: evaluate row by row, reusing one argument vector.
 		if cap(sc.args) < len(cp.argIdx) {
 			sc.args = make([]expr.Value, len(cp.argIdx))
 		}
 		args := sc.args[:len(cp.argIdx)]
+		if cp.prof != nil {
+			cp.prof.predEvals.Add(int64(len(rows)))
+		}
 		for i, row := range rows {
 			if err := tick(); err != nil {
 				return err
 			}
-			var v expr.Value
-			if e.Cache.Enabled() && p.Func.Cacheable {
-				if cp.prof != nil {
-					cp.prof.predEvals.Add(1)
-				}
-				var err error
-				if v, err = cp.eval(e, row); err != nil {
-					return err
-				}
-			} else {
-				for k, idx := range cp.argIdx {
-					args[k] = row[idx]
-				}
-				if cp.prof != nil {
-					cp.prof.predEvals.Add(1)
-					cp.noteInvocation()
-				}
-				var err error
-				if v, err = e.invoke(p.Func, args); err != nil {
-					return err
-				}
+			for k, idx := range cp.argIdx {
+				args[k] = row[idx]
+			}
+			if cp.prof != nil {
+				cp.noteInvocation()
+			}
+			v, err := e.invoke(p.Func, args)
+			if err != nil {
+				return err
 			}
 			b, known := v.Bool()
 			keep[i] = known && b
@@ -268,8 +230,7 @@ func (cp *compiledPred) holdsBatchCached(e *Env, rows []expr.Row, keep []bool, c
 		sc.entries = make([]pcache.BatchEntry, n)
 	}
 	entries := sc.entries[:n]
-	owner := e.Cache.Owner(p.ID, p.Func.Name)
-	e.Cache.GetBatch(owner, keys, entries)
+	e.Cache.GetBatch(cp.owner, keys, entries)
 	if cap(sc.args) < len(cp.argIdx) {
 		sc.args = make([]expr.Value, len(cp.argIdx))
 	}
@@ -311,7 +272,7 @@ func (cp *compiledPred) holdsBatchCached(e *Env, rows []expr.Row, keep []bool, c
 			}
 		}
 	}
-	e.Cache.PutBatch(owner, keys, entries)
+	e.Cache.PutBatch(cp.owner, keys, entries)
 	for i := range entries {
 		b, known := entries[i].Val.Bool()
 		keep[i] = known && b
@@ -320,10 +281,10 @@ func (cp *compiledPred) holdsBatchCached(e *Env, rows []expr.Row, keep []bool, c
 }
 
 // compilePreds compiles a slice of predicates against one schema.
-func compilePreds(ps []*query.Predicate, cols []query.ColRef) ([]*compiledPred, error) {
+func compilePreds(e *Env, ps []*query.Predicate, cols []query.ColRef) ([]*compiledPred, error) {
 	out := make([]*compiledPred, 0, len(ps))
 	for _, p := range ps {
-		cp, err := compilePred(p, cols)
+		cp, err := compilePred(e, p, cols)
 		if err != nil {
 			return nil, err
 		}

@@ -163,7 +163,7 @@ func MatchingTIDs(e *Env, tableName string, preds []*query.Predicate) ([]storage
 	for i, c := range tab.Columns {
 		cols[i] = query.ColRef{Table: tableName, Col: c.Name}
 	}
-	compiled, err := compilePreds(preds, cols)
+	compiled, err := compilePreds(e, preds, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -171,6 +171,7 @@ func MatchingTIDs(e *Env, tableName string, preds []*query.Predicate) ([]storage
 	it := e.heap(tab).Scan()
 	defer it.Close()
 	count := 0
+	var sc predScratch
 	for {
 		rec, tid, ok, err := it.Next()
 		if err != nil {
@@ -191,7 +192,7 @@ func MatchingTIDs(e *Env, tableName string, preds []*query.Predicate) ([]storage
 		}
 		keep := true
 		for _, cp := range compiled {
-			pass, err := cp.holds(e, row)
+			pass, err := cp.holds(e, row, &sc)
 			if err != nil {
 				return nil, err
 			}

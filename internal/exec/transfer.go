@@ -250,7 +250,7 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 			for i, c := range t.tab.Columns {
 				cols[i] = query.ColRef{Table: t.tab.Name, Col: c.Name}
 			}
-			cp, err := compilePred(p, cols)
+			cp, err := compilePred(e, p, cols)
 			if err != nil {
 				return nil, err
 			}
@@ -371,6 +371,7 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 		slotVal = make([]expr.Value, len(t.slots))
 		rows    []expr.Row
 		backing []expr.Value
+		sc      predScratch
 	)
 	if len(t.costly) > 0 {
 		backing = make([]expr.Value, transferBatch*width)
@@ -406,7 +407,7 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 				if !keep[i] {
 					continue
 				}
-				pass, err := cp.holds(e, rows[i])
+				pass, err := cp.holds(e, rows[i], &sc)
 				if err != nil {
 					return err
 				}

@@ -6,7 +6,7 @@
 package pcache
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -99,22 +99,10 @@ func newCache(maxEntries int) *cache {
 	return c
 }
 
-// shardFor hashes a binding key to one of the cache's lock shards (FNV-1a).
-func (c *cache) shardFor(key string) *cacheShard {
-	if len(c.shards) == 1 {
-		return &c.shards[0]
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &c.shards[h%uint64(len(c.shards))]
-}
-
-// shardIdx is shardFor over a raw key, allocation-free for the batched
-// paths (converting a []byte to string for a function argument would copy).
-func (c *cache) shardIdx(key []byte) int {
+// shardIdx hashes a binding key to one of the cache's lock shards (FNV-1a).
+// Generic over the key's representation so the batched paths hash their raw
+// encodings in place (converting a []byte to string for an argument copies).
+func shardIdx[K string | []byte](c *cache, key K) int {
 	if len(c.shards) == 1 {
 		return 0
 	}
@@ -140,7 +128,7 @@ func (m *Manager) Owner(predID int, funcName string) string {
 	if m.Scope() == ByFunction {
 		return "f:" + funcName
 	}
-	return fmt.Sprintf("p:%d", predID)
+	return "p:" + strconv.Itoa(predID)
 }
 
 // Enabled reports whether caching is on.
@@ -183,7 +171,7 @@ func (m *Manager) Lookup(owner string, key string) (expr.Value, bool) {
 		m.misses.Add(1)
 		return expr.Null, false
 	}
-	s := c.shardFor(key)
+	s := &c.shards[shardIdx(c, key)]
 	s.mu.Lock()
 	v, ok := s.m[key]
 	s.mu.Unlock()
@@ -202,7 +190,7 @@ func (m *Manager) Store(owner string, key string, v expr.Value) {
 		return
 	}
 	c := m.table(owner, true)
-	s := c.shardFor(key)
+	s := &c.shards[shardIdx(c, key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.store(key, v)
@@ -264,12 +252,36 @@ type BatchEntry struct {
 // the sequential per-row protocol.
 func (m *Manager) Batchable() bool { return m.Enabled() && m.maxEntries == 0 }
 
-// GetBatch looks up a batch of bindings, taking each shard lock at most
-// once per call instead of once per row. Semantics are as-if-sequential:
-// out[i] reports what the i'th Lookup of a tuple-at-a-time loop would have
-// seen, assuming each miss is stored before the next lookup — duplicates
-// of an earlier miss therefore report BatchDup (counted as hits). Keys are
-// raw binding encodings; GetBatch does not retain them.
+// bucket hashes each selected binding once and threads the batch into one
+// index-ordered list per shard through entries[i].Dup: head[s]-1 is shard s's
+// first index (0 = none), each Dup the shard's next index, -1 at the end.
+// Equal bindings share a shard, so walking a list sees duplicates in batch
+// order. With missesOnly, only BatchMiss entries (whose Dup is -1) are linked.
+func (c *cache) bucket(keys [][]byte, entries []BatchEntry, missesOnly bool) (head [stripes]int32) {
+	var tail [stripes]int32
+	for i, key := range keys {
+		if missesOnly && entries[i].State != BatchMiss {
+			continue
+		}
+		si := shardIdx(c, key)
+		if head[si] == 0 {
+			head[si] = int32(i) + 1
+		} else {
+			entries[tail[si]].Dup = int32(i)
+		}
+		tail[si] = int32(i)
+		entries[i].Dup = -1
+	}
+	return head
+}
+
+// GetBatch looks up a batch of bindings, hashing each binding once and
+// taking each shard lock at most once per call instead of once per row.
+// Semantics are as-if-sequential: out[i] reports what the i'th Lookup of a
+// tuple-at-a-time loop would have seen, assuming each miss is stored before
+// the next lookup — duplicates of an earlier miss therefore report BatchDup
+// (counted as hits). Keys are raw binding encodings; GetBatch does not
+// retain them.
 func (m *Manager) GetBatch(owner string, keys [][]byte, out []BatchEntry) {
 	var c *cache
 	if m.Enabled() {
@@ -277,50 +289,47 @@ func (m *Manager) GetBatch(owner string, keys [][]byte, out []BatchEntry) {
 	}
 	var hits, misses int64
 	// pending maps a missed binding to its first index, for duplicate
-	// detection. Allocated lazily: batches with no misses never touch it.
+	// detection. Allocated lazily: batches with no misses never touch it,
+	// and the batch's last key can have no later duplicate.
 	var pending map[string]int32
-	miss := func(i int, key []byte) {
+	miss := func(i int32, key []byte) {
 		if j, ok := pending[string(key)]; ok {
 			out[i] = BatchEntry{State: BatchDup, Dup: j}
 			hits++
 			return
 		}
-		if pending == nil {
-			pending = make(map[string]int32, 8)
+		if int(i)+1 < len(keys) {
+			if pending == nil {
+				pending = make(map[string]int32, 8)
+			}
+			pending[string(key)] = i
 		}
-		pending[string(key)] = int32(i)
 		out[i] = BatchEntry{State: BatchMiss, Dup: -1}
 		misses++
 	}
 	if c == nil {
 		for i, key := range keys {
-			miss(i, key)
+			miss(int32(i), key)
 		}
 	} else {
-		// One pass per shard, locking each shard once; equal bindings hash
-		// to the same shard, so duplicate detection stays in order.
+		head := c.bucket(keys, out, false)
 		for si := range c.shards {
+			if head[si] == 0 {
+				continue
+			}
 			s := &c.shards[si]
-			locked := false
-			for i, key := range keys {
-				if c.shardIdx(key) != si {
-					continue
-				}
-				if !locked {
-					//pplint:ignore lockbalance the locked flag guards both Lock and the Unlock below, giving exactly one Lock/Unlock per shard pass; the flag correlation is outside the analyzer's path model
-					s.mu.Lock()
-					locked = true
-				}
-				if v, ok := s.m[string(key)]; ok {
+			s.mu.Lock()
+			for i := head[si] - 1; i >= 0; {
+				next := out[i].Dup
+				if v, ok := s.m[string(keys[i])]; ok {
 					out[i] = BatchEntry{Val: v, State: BatchHit, Dup: -1}
 					hits++
 				} else {
-					miss(i, key)
+					miss(i, keys[i])
 				}
+				i = next
 			}
-			if locked {
-				s.mu.Unlock()
-			}
+			s.mu.Unlock()
 		}
 	}
 	m.hits.Add(hits)
@@ -328,30 +337,28 @@ func (m *Manager) GetBatch(owner string, keys [][]byte, out []BatchEntry) {
 }
 
 // PutBatch stores the results of a GetBatch's misses (entries whose State
-// is BatchMiss, with Val filled in by the caller), taking each shard lock
-// at most once. Hits and duplicates are skipped.
+// is BatchMiss, with Val filled in by the caller), hashing each stored
+// binding once and taking each shard lock at most once. Hits and duplicates
+// are skipped; entries are left as they were found.
 func (m *Manager) PutBatch(owner string, keys [][]byte, entries []BatchEntry) {
 	if !m.Enabled() {
 		return
 	}
 	c := m.table(owner, true)
+	head := c.bucket(keys, entries, true)
 	for si := range c.shards {
+		if head[si] == 0 {
+			continue
+		}
 		s := &c.shards[si]
-		locked := false
-		for i := range entries {
-			if entries[i].State != BatchMiss || c.shardIdx(keys[i]) != si {
-				continue
-			}
-			if !locked {
-				//pplint:ignore lockbalance the locked flag guards both Lock and the Unlock below, giving exactly one Lock/Unlock per shard pass; the flag correlation is outside the analyzer's path model
-				s.mu.Lock()
-				locked = true
-			}
+		s.mu.Lock()
+		for i := head[si] - 1; i >= 0; {
+			next := entries[i].Dup
+			entries[i].Dup = -1
 			s.store(string(keys[i]), entries[i].Val)
+			i = next
 		}
-		if locked {
-			s.mu.Unlock()
-		}
+		s.mu.Unlock()
 	}
 }
 

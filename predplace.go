@@ -83,8 +83,10 @@ type Config struct {
 	// same function share cache entries.
 	PerFunctionCache bool
 	// CacheMaxEntries bounds each predicate's cache table (0 = unbounded);
-	// when full an arbitrary entry is evicted (§5.1 notes caches "can be
-	// limited in size, using any of a variety of replacement schemes").
+	// when full the oldest binding is evicted, deterministic FIFO (§5.1
+	// notes caches "can be limited in size, using any of a variety of
+	// replacement schemes"; a deterministic one keeps bounded runs
+	// reproducible).
 	CacheMaxEntries int
 	// Budget aborts queries whose charged cost exceeds it (0 = unlimited) —
 	// used to reproduce the paper's did-not-finish result for Query 5.
