@@ -106,9 +106,20 @@ func ComputeTransfer(cat *catalog.Catalog, q *query.Query, caching bool) (*Trans
 		return sel
 	}
 
+	// Classes and tables are visited in sorted order: the products and the
+	// sum below are floating-point, and map order would move their last bit
+	// from one planning of the same query to the next.
+	roots := make([]string, 0, len(groups))
+	for r := range groups {
+		roots = append(roots, r)
+	}
+	sort.Strings(roots)
+
 	info := &TransferInfo{Sel: map[string]float64{}, Recv: map[string][]string{}}
 	classTables := map[string]int{} // table → number of classes it is in
-	for _, members := range groups {
+	for _, r := range roots {
+		members := groups[r]
+		sort.Strings(members)
 		tabs := map[string]bool{}
 		for _, m := range members {
 			tabs[refs[m].Table] = true
@@ -168,7 +179,11 @@ func ComputeTransfer(cat *catalog.Catalog, q *query.Query, caching bool) (*Trans
 	for t := range info.Recv {
 		sort.Strings(info.Recv[t])
 	}
-	for t, n := range classTables {
+	for _, t := range q.Tables {
+		n := classTables[t]
+		if n == 0 {
+			continue
+		}
 		tab, err := cat.Table(t)
 		if err != nil {
 			return nil, err
