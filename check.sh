@@ -23,6 +23,13 @@ echo "==> pplint dataflow analyzers (pinbalance, chargeonce, atomicconsistency, 
 go run ./cmd/pplint -only pinbalance,chargeonce,atomicconsistency,lockbalance,suppress ./...
 go run ./cmd/pplint ./internal/lint
 
+echo "==> planner gates (plan-identity corpus, annotation property, allocation budget)"
+# Also part of the full test run below; named here so that a planner change
+# which alters a plan (testdata/plans.golden), leaves a stale estimate or an
+# unfilled column list on a returned plan, or doubles planning allocations
+# fails under this heading, not somewhere inside `go test ./...`.
+go test -count=1 -run '^(TestPlanCorpus|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget)$' ./internal/optimizer
+
 echo "==> go build ./..."
 go build ./...
 

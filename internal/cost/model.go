@@ -65,6 +65,38 @@ type Model struct {
 	// an expensive predicate whose survivors seed a filter exports its
 	// selectivity, which moves the (s−1)/c rank knife-edge.
 	Transfer *TransferInfo
+	// stats memoizes table statistics until Refresh.
+	stats []tableStats
+}
+
+// tableStats is what pricing reads of a base table: resolved once per
+// planning instead of once per leaf visit (a catalog lookup takes its lock,
+// a page count the disk's).
+type tableStats struct {
+	tab         *catalog.Table
+	card, pages float64
+}
+
+// Refresh drops the memoized table statistics, so the next pricing reads the
+// catalog again. The optimizer calls it at the start of every Plan: one
+// planning prices all its candidates from one reading of the statistics.
+func (m *Model) Refresh() { m.stats = m.stats[:0] }
+
+// table returns the memoized statistics of a base table; a query's handful
+// of tables is searched linearly.
+func (m *Model) table(name string) (tableStats, error) {
+	for _, s := range m.stats {
+		if s.tab.Name == name {
+			return s, nil
+		}
+	}
+	tab, err := m.Cat.Table(name)
+	if err != nil {
+		return tableStats{}, err
+	}
+	s := tableStats{tab: tab, card: float64(tab.Card), pages: float64(tab.Pages())}
+	m.stats = append(m.stats, s)
+	return s, nil
 }
 
 // transferSel returns the combined received-filter selectivity for a base
@@ -96,11 +128,11 @@ func NewModel(cat *catalog.Catalog, caching bool) *Model {
 // distinctOf returns the distinct-value statistic of a base column, or 0 if
 // unknown.
 func (m *Model) distinctOf(ref query.ColRef) float64 {
-	tab, err := m.Cat.Table(ref.Table)
+	st, err := m.table(ref.Table)
 	if err != nil {
 		return 0
 	}
-	col, err := tab.Column(ref.Col)
+	col, err := st.tab.Column(ref.Col)
 	if err != nil {
 		return 0
 	}
@@ -143,27 +175,45 @@ type streamInfo struct {
 	cost float64
 }
 
-// Annotate recomputes EstCard and EstCost bottom-up over the whole tree.
-// It is the single source of truth for plan costs: the DP, the migration
-// re-costing pass, the exhaustive oracle, and the tests all use it.
+// Annotate recomputes EstCard and EstCost bottom-up over every node of the
+// tree. It is the single source of truth for plan costs — the per-node
+// formulas live only below it — and what the migration re-costing pass,
+// Robust's corner scoring and the tests call.
 func (m *Model) Annotate(n plan.Node) error {
-	_, err := m.annotate(n)
+	_, err := m.annotate(n, nil)
 	return err
 }
 
-func (m *Model) annotate(n plan.Node) (streamInfo, error) {
+// AnnotateAbove prices only the nodes of n above the given subtrees, taking
+// each priced subtree's stored Card()/Cost() as its stream: the System R DP
+// prices a candidate in time proportional to the nodes it adds over
+// subplans it has already priced. The caller vouches that every priced node
+// was annotated under the model's current predicate estimates and transfer
+// state; anything that changes those (Robust's perturbations, a migration
+// that moves filters) must go back through Annotate.
+func (m *Model) AnnotateAbove(n plan.Node, priced ...plan.Node) error {
+	_, err := m.annotate(n, priced)
+	return err
+}
+
+func (m *Model) annotate(n plan.Node, priced []plan.Node) (streamInfo, error) {
+	for _, p := range priced {
+		if p == n {
+			return streamInfo{card: n.Card(), cost: n.Cost()}, nil
+		}
+	}
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		tab, err := m.Cat.Table(t.Table)
+		tab, err := m.table(t.Table)
 		if err != nil {
 			return streamInfo{}, err
 		}
-		info := streamInfo{card: float64(tab.Card), cost: float64(tab.Pages()) * SeqPageCost}
+		info := streamInfo{card: tab.card, cost: tab.pages * SeqPageCost}
 		// Received transfer filters: every record is probed before the
 		// full-row decode, and only the filtered fraction flows upstream.
 		t.TransferRecv, t.TransferSel = nil, 0
 		if recv := m.transferRecv(t.Table); len(recv) > 0 {
-			info.cost += float64(tab.Card) * float64(len(recv)) * BloomProbePerTuple
+			info.cost += tab.card * float64(len(recv)) * BloomProbePerTuple
 			info.card *= m.transferSel(t.Table)
 			t.TransferRecv, t.TransferSel = recv, m.transferSel(t.Table)
 		}
@@ -171,11 +221,11 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		return info, nil
 
 	case *plan.IndexScan:
-		tab, err := m.Cat.Table(t.Table)
+		tab, err := m.table(t.Table)
 		if err != nil {
 			return streamInfo{}, err
 		}
-		card := float64(tab.Card)
+		card := tab.card
 		if t.Matched != nil {
 			card *= t.Matched.Selectivity
 		}
@@ -183,7 +233,7 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		// scans (no bounds) walk all leaves plus fetch every tuple.
 		cost := ProbeCost + card*RandPageCost
 		if t.Eq == nil && t.Lo == nil && t.Hi == nil {
-			leaves := float64(tab.Card) / 256
+			leaves := tab.card / 256
 			cost = leaves*RandPageCost + card*RandPageCost
 		}
 		// Transfer filters are probed on the already-fetched rows (the
@@ -199,7 +249,7 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		return info, nil
 
 	case *plan.Filter:
-		in, err := m.annotate(t.Input)
+		in, err := m.annotate(t.Input, priced)
 		if err != nil {
 			return streamInfo{}, err
 		}
@@ -209,10 +259,10 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		return info, nil
 
 	case *plan.Join:
-		return m.annotateJoin(t)
+		return m.annotateJoin(t, priced)
 
 	case *plan.TopK:
-		in, err := m.annotate(t.Input)
+		in, err := m.annotate(t.Input, priced)
 		if err != nil {
 			return streamInfo{}, err
 		}
@@ -228,7 +278,7 @@ func (m *Model) annotate(n plan.Node) (streamInfo, error) {
 		return info, nil
 
 	case *plan.Limit:
-		in, err := m.annotate(t.Input)
+		in, err := m.annotate(t.Input, priced)
 		if err != nil {
 			return streamInfo{}, err
 		}
@@ -255,12 +305,12 @@ func JoinSel(p *query.Predicate) float64 {
 	return p.Selectivity
 }
 
-func (m *Model) annotateJoin(j *plan.Join) (streamInfo, error) {
-	outer, err := m.annotate(j.Outer)
+func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, error) {
+	outer, err := m.annotate(j.Outer, priced)
 	if err != nil {
 		return streamInfo{}, err
 	}
-	inner, err := m.annotate(j.Inner)
+	inner, err := m.annotate(j.Inner, priced)
 	if err != nil {
 		return streamInfo{}, err
 	}
@@ -279,12 +329,11 @@ func (m *Model) annotateJoin(j *plan.Join) (streamInfo, error) {
 		if !ok {
 			return streamInfo{}, fmt.Errorf("cost: index-nested-loop inner is not a base table")
 		}
-		tab, err := m.Cat.Table(table)
+		tab, err := m.table(table)
 		if err != nil {
 			return streamInfo{}, err
 		}
-		base := float64(tab.Card)
-		matches := s * R * base
+		matches := s * R * tab.card
 		cost = outer.cost + R*ProbeCost + matches*RandPageCost
 		outCard = matches
 		for _, f := range filters {
@@ -305,15 +354,15 @@ func (m *Model) annotateJoin(j *plan.Join) (streamInfo, error) {
 		if !ok {
 			return streamInfo{}, fmt.Errorf("cost: nested-loop inner is not a base table")
 		}
-		tab, err := m.Cat.Table(table)
+		tab, err := m.table(table)
 		if err != nil {
 			return streamInfo{}, err
 		}
 		passes := math.Max(R, 1)
-		cost = outer.cost + passes*float64(tab.Pages())*SeqPageCost
+		cost = outer.cost + passes*tab.pages*SeqPageCost
 		// Inner-side filters are re-evaluated on every pass; with caching,
 		// total invocations are bounded by distinct argument bindings.
-		streamCard := float64(tab.Card)
+		streamCard := tab.card
 		// The rescanned inner probes its received transfer filters on every
 		// pass (the executor rebuilds the scan per outer tuple), pruning the
 		// stream before the inner-side filters see it.

@@ -71,9 +71,10 @@ func (m *Model) JoinInputStats(j *plan.Join) (outer, inner InputStats) {
 		dl := math.Min(m.distinctOf(j.Primary.Left), R)
 		dr := math.Min(m.distinctOf(j.Primary.Right), S)
 		// Left/Right orientation: whichever side belongs to the outer stream.
-		outerTables := plan.Tables(j.Outer)
+		// (Asked of the inner subtree: in a left-deep plan it is one table,
+		// while the outer grows with the plan.)
 		lv, rv := dl, dr
-		if !outerTables[j.Primary.Left.Table] {
+		if plan.Tables(j.Inner)[j.Primary.Left.Table] {
 			lv, rv = dr, dl
 		}
 		outer.Sel = math.Min(1, s*rv)
@@ -117,11 +118,11 @@ func (m *Model) innerBasePages(j *plan.Join) float64 {
 	if !ok {
 		return 0
 	}
-	tab, err := m.Cat.Table(table)
+	tab, err := m.table(table)
 	if err != nil {
 		return 0
 	}
-	return float64(tab.Pages())
+	return tab.pages
 }
 
 // SelectionModule views a selection predicate as a stream module, honouring

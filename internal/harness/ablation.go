@@ -6,6 +6,7 @@ import (
 
 	"predplace"
 	"predplace/internal/optimizer"
+	"predplace/internal/plan"
 	"predplace/internal/query"
 	"predplace/internal/sqlparse"
 )
@@ -101,22 +102,36 @@ func (h *Harness) Ablations() (*Report, error) {
 // planWithOptions plans one SQL text with explicit optimizer options,
 // returning the estimated cost and diagnostics.
 func (h *Harness) planWithOptions(sql string, opts optimizer.Options) (float64, *optimizer.Info, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return 0, nil, err
-	}
-	binder := &sqlparse.Binder{Cat: h.DB.Catalog()}
-	bound, err := binder.Bind(stmt)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := query.Analyze(h.DB.Catalog(), bound.Query); err != nil {
-		return 0, nil, err
-	}
-	opt := optimizer.New(h.DB.Catalog(), opts)
-	root, info, err := opt.Plan(bound.Query)
+	_, _, root, info, err := h.planDirect(sql, opts)
 	if err != nil {
 		return 0, nil, err
 	}
 	return root.Cost(), info, nil
+}
+
+// worstCase plans one SQL text with explicit optimizer options and scores the
+// plan over Robust's error box of half-width e.
+func (h *Harness) worstCase(sql string, opts optimizer.Options, e float64) (float64, error) {
+	opt, q, root, _, err := h.planDirect(sql, opts)
+	if err != nil {
+		return 0, err
+	}
+	return opt.WorstCase(q, root, e)
+}
+
+// planDirect binds one SQL text and plans it with the optimizer itself, past
+// the facade's knobs.
+func (h *Harness) planDirect(sql string, opts optimizer.Options) (*optimizer.Optimizer, *query.Query, plan.Node, *optimizer.Info, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	binder := &sqlparse.Binder{Cat: h.DB.Catalog()}
+	bound, err := binder.Bind(stmt)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	opt := optimizer.New(h.DB.Catalog(), opts)
+	root, info, err := opt.Plan(bound.Query)
+	return opt, bound.Query, root, info, err
 }

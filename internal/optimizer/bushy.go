@@ -170,7 +170,7 @@ func (s *bushySearch) applyVariants(set, applied uint32, root plan.Node, order q
 			}
 		}
 		cur := chainFilters(root, s.o.orderByRank(chosen, root.Card()))
-		if err := s.o.model.Annotate(cur); err != nil {
+		if err := s.o.model.AnnotateAbove(cur, root); err != nil {
 			return err
 		}
 		s.addEntry(bushyState{set: set, applied: applied | add},
@@ -236,7 +236,6 @@ func (s *bushySearch) joins(set, rightSet, applied uint32, le, re bushyEntry) er
 		} else {
 			order = le.order
 		}
-		j.ColRefs = plan.ConcatCols(le.root, re.root)
 		var above []*query.Predicate
 		for _, p := range conns {
 			if p != md.primary {
@@ -244,7 +243,7 @@ func (s *bushySearch) joins(set, rightSet, applied uint32, le, re bushyEntry) er
 			}
 		}
 		root := chainFilters(j, s.o.orderByRank(above, 0))
-		if err := s.o.model.Annotate(root); err != nil {
+		if err := s.o.model.AnnotateAbove(root, le.root, re.root); err != nil {
 			continue // invalid shape for this method
 		}
 		if err := s.applyVariants(set, applied, root, order); err != nil {

@@ -267,6 +267,7 @@ func bindCorpus(tb testing.TB, db *datagen.DB, sql string) (*query.Query, *TopKS
 // and what the property tests inspect.
 type corpusEntry struct {
 	name string
+	sql  string
 	opt  *Optimizer
 	q    *query.Query
 	root plan.Node
@@ -285,7 +286,7 @@ func forEachCorpusEntry(tb testing.TB, visit func(e corpusEntry)) {
 			q, _ := bindCorpus(tb, db, s.sql)
 			opt := New(db.Cat, leg.opts)
 			root, info, err := opt.Plan(q)
-			visit(corpusEntry{name: s.name + "/" + leg.name, opt: opt, q: q, root: root, info: info, err: err})
+			visit(corpusEntry{name: s.name + "/" + leg.name, sql: s.sql, opt: opt, q: q, root: root, info: info, err: err})
 		}
 	}
 }

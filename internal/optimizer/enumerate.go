@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"predplace/internal/cost"
-	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
@@ -61,41 +60,13 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 
 	for step, idx := range order[1:] {
 		innerTable := q.Tables[idx]
-		tab, err := o.cat.Table(innerTable)
-		if err != nil {
-			return nil, err
-		}
 		innerPaths, err := o.accessPathsPlace(q, idx, false)
 		if err != nil {
 			return nil, err
 		}
 		var next []*subplan
 		for _, op := range cur {
-			conns := connectingPreds(q, op.set, idx)
-			var eqPreds []*query.Predicate
-			for _, p := range conns {
-				if p.Kind == query.KindJoinCmp && p.Op == expr.OpEQ && !p.IsExpensive() {
-					eqPreds = append(eqPreds, p)
-				}
-			}
-			type method struct {
-				m        plan.JoinMethod
-				primary  *query.Predicate
-				indexCol string
-			}
-			var methods []method
-			for _, p := range eqPreds {
-				innerRef, _ := sides(p, innerTable)
-				methods = append(methods,
-					method{m: plan.HashJoin, primary: p},
-					method{m: plan.MergeJoin, primary: p},
-				)
-				if tab.HasIndex(innerRef.Col) {
-					methods = append(methods, method{m: plan.IndexNestLoop, primary: p, indexCol: innerRef.Col})
-				}
-			}
-			methods = append(methods, method{m: plan.NestLoop, primary: minRankPred(conns)})
-
+			methods := o.skel.shape(op.set, idx).methods()
 			for _, ip := range innerPaths {
 				innerRoot := chainFilters(ip.root, scanLevelOf(innerTable))
 				for _, md := range methods {
@@ -107,25 +78,15 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 						InnerIndexCol:    md.indexCol,
 						ExpensivePrimary: md.primary != nil && md.primary.IsExpensive(),
 					}
-					var outOrder query.ColRef
+					outOrder := op.order
 					if md.m == plan.MergeJoin {
-						innerRef, outerRef := sides(md.primary, innerTable)
-						j.SortOuter = op.order != outerRef
-						j.SortInner = ip.order != innerRef
-						outOrder = outerRef
-					} else {
-						outOrder = op.order
+						j.SortOuter = op.order != md.outerRef
+						j.SortInner = ip.order != md.innerRef
+						outOrder = md.outerRef
 					}
-					j.ColRefs = plan.ConcatCols(op.root, innerRoot)
-					var above []*query.Predicate
-					for _, p := range conns {
-						if p != md.primary {
-							above = append(above, p)
-						}
-					}
-					above = append(o.orderByRank(above, 1e18), afterOf(step)...)
+					above := append(o.orderByRank(md.secondaries, 1e18), afterOf(step)...)
 					root := chainFilters(j, above)
-					if err := o.model.Annotate(root); err != nil {
+					if err := o.model.AnnotateAbove(root, op.root, ip.root); err != nil {
 						continue // invalid method/shape combination
 					}
 					next = append(next, &subplan{

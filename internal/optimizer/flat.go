@@ -6,6 +6,7 @@
 package optimizer
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"predplace/internal/plan"
@@ -99,7 +100,8 @@ func chainFilters(node plan.Node, preds []*query.Predicate) plan.Node {
 }
 
 // Tree rebuilds the plan tree (with fresh Filter and Join nodes; access-path
-// leaves are shared). Cost annotations are not filled; run Annotate.
+// leaves are shared). Cost annotations and join column lists are not filled;
+// run Annotate, and plan.FillCols on a tree that leaves the planner.
 func (f *FlatPlan) Tree() plan.Node {
 	cur := chainFilters(f.Base, f.BaseFilters)
 	for _, s := range f.Steps {
@@ -114,37 +116,20 @@ func (f *FlatPlan) Tree() plan.Node {
 			SortOuter:        s.SortOuter,
 			SortInner:        s.SortInner,
 		}
-		j.ColRefs = plan.ConcatCols(cur, inner)
 		cur = chainFilters(j, s.AfterFilters)
 	}
 	return cur
 }
 
-// Clone deep-copies the flat plan's mutable structure (filter slices and
-// steps); access-path nodes and predicates are shared.
-func (f *FlatPlan) Clone() *FlatPlan {
-	out := &FlatPlan{
-		Base:        f.Base,
-		BaseTable:   f.BaseTable,
-		BaseFilters: append([]*query.Predicate(nil), f.BaseFilters...),
-	}
-	for _, s := range f.Steps {
-		cp := *s
-		cp.InnerFilters = append([]*query.Predicate(nil), s.InnerFilters...)
-		cp.AfterFilters = append([]*query.Predicate(nil), s.AfterFilters...)
-		out.Steps = append(out.Steps, &cp)
-	}
-	return out
-}
-
-// signature encodes the plan's predicate placement for cycle detection.
+// signature encodes the plan's predicate placement for cycle detection:
+// each filter list as its length, then its predicate IDs.
 func (f *FlatPlan) signature() string {
 	var b []byte
 	app := func(preds []*query.Predicate) {
+		b = binary.AppendUvarint(b, uint64(len(preds)))
 		for _, p := range preds {
-			b = append(b, byte(p.ID))
+			b = binary.AppendUvarint(b, uint64(p.ID))
 		}
-		b = append(b, '|')
 	}
 	app(f.BaseFilters)
 	for _, s := range f.Steps {

@@ -1,43 +1,136 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
+	"predplace/internal/catalog"
 	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
 
-// connectingPreds returns the predicates that span the outer set and the
-// inner table: every referenced table is available in the join, and at least
-// one lives on each side.
-func connectingPreds(q *query.Query, outerSet uint32, innerIdx int) []*query.Predicate {
-	avail := map[string]bool{}
-	outerHas := map[string]bool{}
-	for i, t := range q.Tables {
-		if outerSet&(1<<uint(i)) != 0 {
-			avail[t] = true
-			outerHas[t] = true
+// skeleton is everything a planning derives from the query and the schema
+// alone, before any estimate is consulted: which predicates connect which
+// tables, which join methods are legal, which predicates are expensive. It is
+// built once per Plan and shared by every enumeration the planning runs —
+// Robust's twelve System R runs perturb selectivities between runs, and none
+// of this moves with them.
+type skeleton struct {
+	q    *query.Query
+	tabs []*catalog.Table // by q.Tables index
+	// masks holds, by q.Preds index, the bitset of q.Tables indices the
+	// predicate references.
+	masks []uint32
+	// buriedBit maps a predicate ID to its bit in subplan.buried: expensive
+	// predicates are numbered densely, so the 64-bit set overflows only when
+	// a query has more than 64 of them (which newSkeleton rejects), not when
+	// an expensive predicate's query-wide ID happens to exceed 63.
+	buriedBit []uint64
+	shapes    map[uint32]*joinShape
+}
+
+// TooManyExpensiveError reports a query with more expensive predicates than
+// the unpruneable-subplan bitset can track.
+type TooManyExpensiveError struct{ Count int }
+
+func (e *TooManyExpensiveError) Error() string {
+	return fmt.Sprintf("optimizer: %d expensive predicates exceed the limit of 64", e.Count)
+}
+
+func newSkeleton(cat *catalog.Catalog, q *query.Query) (*skeleton, error) {
+	s := &skeleton{q: q, shapes: map[uint32]*joinShape{}}
+	for _, t := range q.Tables {
+		tab, err := cat.Table(t)
+		if err != nil {
+			return nil, err
+		}
+		s.tabs = append(s.tabs, tab)
+	}
+	if n := len(expensiveOf(q.Preds)); n > 64 {
+		return nil, &TooManyExpensiveError{Count: n}
+	}
+	nextBit := uint64(1)
+	for _, p := range q.Preds {
+		var mask uint32
+		for _, t := range p.Tables {
+			mask |= 1 << uint(tableIndex(q, t))
+		}
+		s.masks = append(s.masks, mask)
+		for len(s.buriedBit) <= p.ID {
+			s.buriedBit = append(s.buriedBit, 0)
+		}
+		if p.IsExpensive() {
+			s.buriedBit[p.ID] = nextBit
+			nextBit <<= 1
 		}
 	}
-	inner := q.Tables[innerIdx]
-	avail[inner] = true
-	var out []*query.Predicate
-	for _, p := range q.Preds {
-		if !p.IsJoin() || !p.CoveredBy(avail) || !p.References(inner) {
+	return s, nil
+}
+
+// joinMethod is one way to join an outer table set with an inner table.
+type joinMethod struct {
+	m        plan.JoinMethod
+	primary  *query.Predicate // nil = cross product (NestLoop only)
+	indexCol string
+	// innerRef and outerRef are an equality primary's two sides.
+	innerRef, outerRef query.ColRef
+	// secondaries are the other connecting predicates, applied above the join.
+	secondaries []*query.Predicate
+}
+
+// joinShape is the estimate-independent part of joining an outer table set
+// with one inner table.
+type joinShape struct {
+	// conns are the predicates that span the two sides: every referenced
+	// table is available in the join, and at least one lives on each side.
+	conns []*query.Predicate
+	// eq lists hash, merge and (where the inner column is indexed) index
+	// nested-loop joins per cheap equality connecting predicate.
+	eq []joinMethod
+}
+
+// shape returns the memoized join shape of (outer table set, inner table).
+func (s *skeleton) shape(outerSet uint32, innerIdx int) *joinShape {
+	key := outerSet<<4 | uint32(innerIdx)
+	if sh, ok := s.shapes[key]; ok {
+		return sh
+	}
+	sh := &joinShape{}
+	innerBit := uint32(1) << uint(innerIdx)
+	for pi, p := range s.q.Preds {
+		if m := s.masks[pi]; p.IsJoin() && m&^(outerSet|innerBit) == 0 && m&innerBit != 0 && m&outerSet != 0 {
+			sh.conns = append(sh.conns, p)
+		}
+	}
+	innerTable := s.q.Tables[innerIdx]
+	for _, p := range sh.conns {
+		if p.Kind != query.KindJoinCmp || p.Op != expr.OpEQ || p.IsExpensive() {
 			continue
 		}
-		touchesOuter := false
-		for _, t := range p.Tables {
-			if outerHas[t] {
-				touchesOuter = true
-			}
-		}
-		if touchesOuter {
-			out = append(out, p)
+		md := joinMethod{m: plan.HashJoin, primary: p, secondaries: without(sh.conns, p)}
+		md.innerRef, md.outerRef = sides(p, innerTable)
+		sh.eq = append(sh.eq, md)
+		md.m = plan.MergeJoin
+		sh.eq = append(sh.eq, md)
+		if s.tabs[innerIdx].HasIndex(md.innerRef.Col) {
+			md.m, md.indexCol = plan.IndexNestLoop, md.innerRef.Col
+			sh.eq = append(sh.eq, md)
 		}
 	}
-	return out
+	s.shapes[key] = sh
+	return sh
+}
+
+// methods completes the shape under the current estimates: after the
+// equality methods comes a nested loop whose primary is the minimal-rank
+// connecting predicate (footnote 1 of the paper) — a cross product when
+// nothing connects — and ranks move with the selectivities.
+func (sh *joinShape) methods() []joinMethod {
+	nl := minRankPred(sh.conns)
+	return append(sh.eq[:len(sh.eq):len(sh.eq)],
+		joinMethod{m: plan.NestLoop, primary: nl, secondaries: without(sh.conns, nl)})
 }
 
 // tableIndex returns the position of t in q.Tables.
@@ -48,66 +141,6 @@ func tableIndex(q *query.Query, t string) int {
 		}
 	}
 	return -1
-}
-
-// joinCandidates builds every join of outer ⋈ inner the methods allow,
-// applying the configured algorithm's pullup policy, and returns annotated
-// subplans.
-func (o *Optimizer) joinCandidates(q *query.Query, outer, inner *subplan) ([]*subplan, error) {
-	innerIdx := bits32(inner.set)
-	conns := connectingPreds(q, outer.set, innerIdx)
-	innerTable := q.Tables[innerIdx]
-
-	// Classify the connecting predicates.
-	var eqPreds []*query.Predicate // cheap equality column-column joins
-	for _, p := range conns {
-		if p.Kind == query.KindJoinCmp && p.Op == expr.OpEQ && !p.IsExpensive() {
-			eqPreds = append(eqPreds, p)
-		}
-	}
-
-	type method struct {
-		m        plan.JoinMethod
-		primary  *query.Predicate
-		indexCol string
-	}
-	var methods []method
-	tab, err := o.cat.Table(innerTable)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range eqPreds {
-		innerRef, _ := sides(p, innerTable)
-		methods = append(methods,
-			method{m: plan.HashJoin, primary: p},
-			method{m: plan.MergeJoin, primary: p},
-		)
-		if tab.HasIndex(innerRef.Col) {
-			methods = append(methods, method{m: plan.IndexNestLoop, primary: p, indexCol: innerRef.Col})
-		}
-	}
-	// Nested loop with the minimal-rank connecting predicate as primary
-	// (footnote 1 of the paper); a cross product when nothing connects.
-	nlPrimary := minRankPred(conns)
-	methods = append(methods, method{m: plan.NestLoop, primary: nlPrimary})
-
-	var out []*subplan
-	for _, md := range methods {
-		var secondaries []*query.Predicate
-		for _, p := range conns {
-			if p != md.primary {
-				secondaries = append(secondaries, p)
-			}
-		}
-		sp, err := o.buildJoin(q, outer, inner, md.m, md.primary, md.indexCol, secondaries)
-		if err != nil {
-			return nil, err
-		}
-		if sp != nil {
-			out = append(out, sp)
-		}
-	}
-	return out, nil
 }
 
 // sides splits an equality join predicate into (innerSide, outerSide)
@@ -131,130 +164,90 @@ func minRankPred(preds []*query.Predicate) *query.Predicate {
 	return best
 }
 
-func bits32(set uint32) int {
-	for i := 0; i < 32; i++ {
-		if set&(1<<uint(i)) != 0 {
-			return i
-		}
+// buildJoin constructs one candidate join of two priced subplans with the
+// algorithm's pullup policy and returns its subplan (nil when the
+// combination is invalid). It prices only the nodes it adds: the join, any
+// input filter chain it rebuilds without hoisted selections, and the filters
+// above the join.
+func (o *Optimizer) buildJoin(outer, inner *subplan, md joinMethod) (*subplan, error) {
+	j := &plan.Join{
+		Method:           md.m,
+		Outer:            outer.root,
+		Inner:            inner.root,
+		Primary:          md.primary,
+		InnerIndexCol:    md.indexCol,
+		ExpensivePrimary: md.primary != nil && md.primary.IsExpensive(),
 	}
-	return -1
-}
-
-// buildJoin constructs one candidate join with the algorithm's pullup policy
-// and returns its annotated subplan (nil when the combination is invalid).
-func (o *Optimizer) buildJoin(q *query.Query, outer, inner *subplan,
-	m plan.JoinMethod, primary *query.Predicate, indexCol string,
-	secondaries []*query.Predicate) (*subplan, error) {
-
-	outerChainF, outerBase := plan.TopFilters(outer.root)
-	innerChainF, innerBase := plan.TopFilters(inner.root)
-	outerChain := bottomFirst(outerChainF)
-	innerChain := bottomFirst(innerChainF)
-
-	// Tentative join with children as-is, to measure per-input ranks with
-	// plan-time cardinalities (§5.2).
-	mk := func(oPreds, iPreds []*query.Predicate) (*plan.Join, error) {
-		on := chainFilters(outerBase, oPreds)
-		in := chainFilters(innerBase, iPreds)
-		j := &plan.Join{
-			Method:           m,
-			Outer:            on,
-			Inner:            in,
-			Primary:          primary,
-			InnerIndexCol:    indexCol,
-			ExpensivePrimary: primary != nil && primary.IsExpensive(),
-		}
-		if m == plan.MergeJoin {
-			innerTable := q.Tables[bits32(inner.set)]
-			innerRef, outerRef := sides(primary, innerTable)
-			j.SortOuter = outer.order != outerRef
-			j.SortInner = inner.order != innerRef
-		}
-		j.ColRefs = plan.ConcatCols(on, in)
-		if err := o.model.Annotate(j); err != nil {
-			return nil, err
-		}
-		return j, nil
+	order := outer.order // hash and nested-loop joins preserve the outer stream's order
+	if md.m == plan.MergeJoin {
+		j.SortOuter = outer.order != md.outerRef
+		j.SortInner = inner.order != md.innerRef
+		order = md.outerRef
 	}
-
-	tentative, err := mk(outerChain, innerChain)
-	if err != nil {
+	// The join over its inputs as they stand is the candidate when nothing is
+	// hoisted, and otherwise the tentative join whose per-input ranks at
+	// plan-time cardinalities decide the hoisting (§5.2).
+	if err := o.model.AnnotateAbove(j, outer.root, inner.root); err != nil {
 		return nil, nil //nolint:nilerr // invalid method/shape combination: skip candidate
 	}
-
-	hoistOut, hoistIn := o.chooseHoists(tentative, outerChain, innerChain, outer.card, inner.card)
-
-	keepOut := subtract(outerChain, hoistOut)
-	keepIn := subtract(innerChain, hoistIn)
-	j, err := mk(keepOut, keepIn)
-	if err != nil {
-		return nil, nil //nolint:nilerr
+	hoistOut, hoistIn := o.chooseHoists(j, outer, inner)
+	keepOut, keepIn := outer.chain, inner.chain
+	if len(hoistOut) > 0 {
+		keepOut = subtract(keepOut, hoistOut)
+		j.Outer = chainFilters(outer.base, keepOut)
+	}
+	if len(hoistIn) > 0 {
+		keepIn = subtract(keepIn, hoistIn)
+		j.Inner = chainFilters(inner.base, keepIn)
+	}
+	if len(hoistOut)+len(hoistIn) > 0 {
+		if err := o.model.AnnotateAbove(j, outer.root, outer.base, inner.root, inner.base); err != nil {
+			return nil, nil //nolint:nilerr
+		}
 	}
 
 	// Everything above the join: secondaries plus hoisted selections, in
 	// ascending rank order (bottom first).
-	above := append(append([]*query.Predicate(nil), secondaries...), hoistOut...)
-	above = append(above, hoistIn...)
-	above = o.orderByRank(above, j.EstCard)
+	above := make([]*query.Predicate, 0, len(md.secondaries)+len(hoistOut)+len(hoistIn))
+	above = append(append(append(above, md.secondaries...), hoistOut...), hoistIn...)
+	o.sortByRank(above, j.EstCard)
 	root := chainFilters(j, above)
-	if err := o.model.Annotate(root); err != nil {
+	if err := o.model.AnnotateAbove(root, j); err != nil {
 		return nil, err
 	}
 
-	// Output order: merge join emits join-column order; the others preserve
-	// the outer stream's order.
-	var order query.ColRef
-	if m == plan.MergeJoin {
-		innerTable := q.Tables[bits32(inner.set)]
-		_, outerRef := sides(primary, innerTable)
-		order = outerRef
-	} else {
-		order = outer.order
-	}
-
 	buried := outer.buried | inner.buried
-	for _, p := range keepOut {
-		if p.IsExpensive() {
-			buried |= 1 << uint(p.ID)
+	for _, chain := range [2][]*query.Predicate{keepOut, keepIn} {
+		for _, p := range chain {
+			buried |= o.skel.buriedBit[p.ID] // zero for cheap predicates
 		}
 	}
-	for _, p := range keepIn {
-		if p.IsExpensive() {
-			buried |= 1 << uint(p.ID)
-		}
-	}
-
 	return &subplan{
-		root:   root,
-		set:    outer.set | inner.set,
-		order:  order,
-		cost:   root.Cost(),
-		card:   root.Card(),
-		buried: buried,
+		root: root, base: j, chain: above,
+		set: outer.set | inner.set, order: order,
+		cost: root.Cost(), card: root.Card(), buried: buried,
 	}, nil
 }
 
 // chooseHoists decides which expensive selections to pull above the join,
 // per the configured algorithm. Inner pullup is decided first (§5.2).
-func (o *Optimizer) chooseHoists(j *plan.Join, outerChain, innerChain []*query.Predicate,
-	outerCard, innerCard float64) (hoistOut, hoistIn []*query.Predicate) {
-
+func (o *Optimizer) chooseHoists(j *plan.Join, outer, inner *subplan) (hoistOut, hoistIn []*query.Predicate) {
 	switch o.opts.Algorithm {
 	case NaivePushDown, PushDown:
 		return nil, nil
 	case PullUp:
-		return expensiveOf(outerChain), expensiveOf(innerChain)
+		return expensiveOf(outer.chain), expensiveOf(inner.chain)
 	default: // PullRank, Migration
 		os, is := o.model.JoinInputStats(j)
 		innerRank := is.Rank()
-		for _, p := range expensiveOf(innerChain) {
-			if o.selRank(p, innerCard) > innerRank {
+		for _, p := range inner.chain {
+			if p.IsExpensive() && o.selRank(p, inner.card) > innerRank {
 				hoistIn = append(hoistIn, p)
 			}
 		}
 		outerRank := os.Rank()
-		for _, p := range expensiveOf(outerChain) {
-			if o.selRank(p, outerCard) > outerRank {
+		for _, p := range outer.chain {
+			if p.IsExpensive() && o.selRank(p, outer.card) > outerRank {
 				hoistOut = append(hoistOut, p)
 			}
 		}
@@ -274,15 +267,16 @@ func expensiveOf(preds []*query.Predicate) []*query.Predicate {
 
 // subtract returns preds minus remove, preserving order.
 func subtract(preds, remove []*query.Predicate) []*query.Predicate {
-	rm := map[*query.Predicate]bool{}
-	for _, p := range remove {
-		rm[p] = true
-	}
 	var out []*query.Predicate
 	for _, p := range preds {
-		if !rm[p] {
+		if !slices.Contains(remove, p) {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// without returns preds minus the one predicate drop, preserving order.
+func without(preds []*query.Predicate, drop *query.Predicate) []*query.Predicate {
+	return subtract(preds, []*query.Predicate{drop})
 }

@@ -8,35 +8,60 @@ import (
 	"predplace/internal/query"
 )
 
+// migration is one plan's Predicate Migration in progress: the flat plan
+// whose filter lists the stream passes rewrite, and the annotated tree of its
+// current placement — built when a pass or the bookkeeping first needs it,
+// and again only after a pass has rewritten a list differently.
+type migration struct {
+	o     *Optimizer
+	f     *FlatPlan
+	tree  plan.Node    // nil when f's lists have changed since it was built
+	joins []*plan.Join // tree's joins in step order
+}
+
+// price makes tree and joins current.
+func (m *migration) price() error {
+	if m.tree != nil {
+		return nil
+	}
+	tree := m.f.Tree()
+	if err := m.o.model.Annotate(tree); err != nil {
+		return err
+	}
+	m.tree, m.joins = tree, joinNodes(tree)
+	return nil
+}
+
 // migrate runs the Predicate Migration algorithm (§4.4) on a left-deep plan:
 // it repeatedly applies the series-parallel algorithm using parallel chains
 // [MS79] to each root-to-leaf stream — inner streams before the spine, per
 // §5.2's pull-from-inner-first policy — until no predicate moves. The
-// returned tree is freshly annotated.
+// returned tree is freshly built and annotated.
 func (o *Optimizer) migrate(root plan.Node) (plan.Node, int, error) {
 	f, err := Flatten(root)
 	if err != nil {
 		return nil, 0, err
 	}
+	m := &migration{o: o, f: f}
 	passes := 0
 	// Moving a selection changes cardinalities, which changes the ranks the
 	// next pass sees, so the placement sequence can cycle instead of
 	// converging (the cross-stream interdependency of §6). We detect cycles
-	// by placement signature and keep the cheapest plan seen.
+	// by placement signature and keep the cheapest plan seen — its tree: a
+	// placement that changes gets a new one, so a recorded tree stays as it
+	// was priced.
 	seen := map[string]bool{}
-	var best *FlatPlan
-	bestCost := 0.0
-	record := func() (float64, error) {
-		tree := f.Tree()
-		if err := o.model.Annotate(tree); err != nil {
-			return 0, err
+	var best plan.Node
+	record := func() error {
+		if err := m.price(); err != nil {
+			return err
 		}
-		if best == nil || tree.Cost() < bestCost {
-			best, bestCost = f.Clone(), tree.Cost()
+		if best == nil || m.tree.Cost() < best.Cost() {
+			best = m.tree
 		}
-		return tree.Cost(), nil
+		return nil
 	}
-	if _, err := record(); err != nil {
+	if err := record(); err != nil {
 		return nil, 0, err
 	}
 	for iter := 0; iter < o.opts.MaxMigrationPasses; iter++ {
@@ -44,14 +69,14 @@ func (o *Optimizer) migrate(root plan.Node) (plan.Node, int, error) {
 		// Streams: k = len(Steps) … 1 are the inner streams (entering step
 		// k-1 from the inner side); k = 0 is the spine.
 		for k := len(f.Steps); k >= 0; k-- {
-			ch, err := o.migrateStream(f, k)
+			ch, err := m.stream(k)
 			if err != nil {
 				return nil, passes, err
 			}
 			changed = changed || ch
 			passes++
 		}
-		if _, err := record(); err != nil {
+		if err := record(); err != nil {
 			return nil, passes, err
 		}
 		sig := f.signature()
@@ -60,11 +85,7 @@ func (o *Optimizer) migrate(root plan.Node) (plan.Node, int, error) {
 		}
 		seen[sig] = true
 	}
-	tree := best.Tree()
-	if err := o.model.Annotate(tree); err != nil {
-		return nil, passes, err
-	}
-	return tree, passes, nil
+	return best, passes, nil
 }
 
 // moduleGroup is a maximal run of join modules composed because they were
@@ -111,30 +132,13 @@ func groupModules(mods []cost.Module, firstStep int) []moduleGroup {
 // join's effective rank, which can trigger further grouping and justify
 // pulling other selections over the whole group. The pinning loop iterates
 // to fixpoint before the remaining selections are placed.
-func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
+func (m *migration) stream(k int) (bool, error) {
+	o, f := m.o, m.f
 	startStep := 0
 	innerEntry := false
 	if k >= 1 {
 		startStep = k - 1
 		innerEntry = true
-	}
-
-	tree := f.Tree()
-	if err := o.model.Annotate(tree); err != nil {
-		return false, err
-	}
-	joins := joinNodes(tree)
-
-	// Fixed join modules of this stream, with per-input stats (§3.2).
-	nSteps := len(f.Steps) - startStep
-	baseMods := make([]cost.Module, 0, nSteps)
-	for i := startStep; i < len(f.Steps); i++ {
-		os, is := o.model.JoinInputStats(joins[i])
-		st := os
-		if innerEntry && i == startStep {
-			st = is
-		}
-		baseMods = append(baseMods, st.Module())
 	}
 
 	// Leaf info for gap-0 eligibility and caching-aware selection ranks.
@@ -172,6 +176,21 @@ func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
 	}
 	if len(movable) == 0 {
 		return false, nil
+	}
+
+	// Fixed join modules of this stream, with per-input stats (§3.2).
+	if err := m.price(); err != nil {
+		return false, err
+	}
+	nSteps := len(f.Steps) - startStep
+	baseMods := make([]cost.Module, 0, nSteps)
+	for i := startStep; i < len(f.Steps); i++ {
+		os, is := o.model.JoinInputStats(m.joins[i])
+		st := os
+		if innerEntry && i == startStep {
+			st = is
+		}
+		baseMods = append(baseMods, st.Module())
 	}
 
 	// homeStepOf returns the lowest step a selection must stay above on this
@@ -287,7 +306,10 @@ func (o *Optimizer) migrateStream(f *FlatPlan, k int) (bool, error) {
 		}
 		return assign[a].pred.ID < assign[b].pred.ID
 	})
-	for _, pl := range assign {
+	for i, pl := range assign {
+		if pl != movable[i] {
+			m.tree = nil // a list differs, if only in order: the tree is stale
+		}
 		if pl.pos < 0 {
 			*gap0() = append(*gap0(), pl.pred)
 			continue

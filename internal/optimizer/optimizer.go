@@ -1,8 +1,9 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"predplace/internal/catalog"
@@ -163,6 +164,8 @@ type Optimizer struct {
 	cat   *catalog.Catalog
 	model *cost.Model
 	opts  Options
+	// skel is the query under planning's estimate-independent skeleton.
+	skel *skeleton
 }
 
 // New creates an optimizer.
@@ -190,10 +193,15 @@ func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 	if len(q.Tables) == 0 {
 		return nil, nil, fmt.Errorf("optimizer: query has no tables")
 	}
+	var err error
+	if o.skel, err = newSkeleton(o.cat, q); err != nil {
+		return nil, nil, err
+	}
 	// Predicate transfer: estimate the filters once per query and plan the
 	// whole search under the adjusted scans. The prepass's own cost is added
 	// to the plan total below, never inside the recursive annotation — the
 	// prepass runs once, not once per candidate subtree.
+	o.model.Refresh()
 	o.model.Transfer = nil
 	if o.opts.Transfer {
 		ti, err := cost.ComputeTransfer(o.cat, q, o.opts.Caching)
@@ -205,7 +213,6 @@ func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 	var (
 		root plan.Node
 		info *Info
-		err  error
 	)
 	switch o.opts.Algorithm {
 	case LDL:
@@ -238,6 +245,9 @@ func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 			}
 		}
 	}
+	// Enumeration leaves Join.ColRefs unset; only the plan that leaves the
+	// planner needs its column lists.
+	plan.FillCols(root)
 	info.Algorithm = o.opts.Algorithm
 	info.Elapsed = time.Since(start)
 	info.EstCost = root.Cost()
@@ -262,16 +272,19 @@ func (o *Optimizer) selRank(p *query.Predicate, streamCard float64) float64 {
 // determinism. The Naive algorithm skips this ordering.
 func (o *Optimizer) orderByRank(preds []*query.Predicate, streamCard float64) []*query.Predicate {
 	out := append([]*query.Predicate(nil), preds...)
-	if o.opts.Algorithm == NaivePushDown {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		return out
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, rj := o.selRank(out[i], streamCard), o.selRank(out[j], streamCard)
-		if !cost.ApproxEq(ri, rj) {
-			return ri < rj
-		}
-		return out[i].ID < out[j].ID
-	})
+	o.sortByRank(out, streamCard)
 	return out
+}
+
+// sortByRank is orderByRank in place.
+func (o *Optimizer) sortByRank(preds []*query.Predicate, streamCard float64) {
+	slices.SortStableFunc(preds, func(a, b *query.Predicate) int {
+		if o.opts.Algorithm != NaivePushDown {
+			ra, rb := o.selRank(a, streamCard), o.selRank(b, streamCard)
+			if !cost.ApproxEq(ra, rb) {
+				return cmp.Compare(ra, rb)
+			}
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 }

@@ -12,13 +12,17 @@ package optimizer
 // spectrum under the interval's endpoint selectivities (every selectivity
 // ×e and ÷e): a join order or access path that only wins when the estimates
 // are wrong by a factor of e is exactly the alternative a robust choice must
-// have available. The deduplicated candidates are then costed at the four
+// have available. The twelve enumerations run over the planning's one
+// skeleton, and the four of a scaling over one set of access paths (the
+// spectrum agrees at base level); everything priced is priced anew per
+// scaling. The deduplicated candidates are then costed at the four
 // corners of the (selectivity ×e/÷e, expensive-cost ×e/÷e) error box by
 // perturbing the shared predicate annotations and re-annotating each tree;
 // the plan minimizing the maximum corner cost wins, with the nominal cost
 // breaking ties.
 
 import (
+	"math"
 	"strings"
 
 	"predplace/internal/cost"
@@ -34,6 +38,45 @@ const DefaultRobustE = 4.0
 // the candidate pool — the Figure 10 eagerness spectrum.
 var robustSpectrum = []Algorithm{PushDown, PullRank, Migration, PullUp}
 
+// perturbEstimates multiplies every predicate's selectivity (clamped to a
+// probability) and per-tuple cost by the given factors and returns the
+// function that puts the nominal annotations back. The predicates are shared
+// with the caller's query, so every path out of a perturbation must run it.
+func perturbEstimates(q *query.Query, selScale, costScale float64) (restore func()) {
+	nominalSel := make([]float64, len(q.Preds))
+	nominalCost := make([]float64, len(q.Preds))
+	for i, p := range q.Preds {
+		nominalSel[i], nominalCost[i] = p.Selectivity, p.CostPerTuple
+		p.Selectivity = clampSel(p.Selectivity * selScale)
+		p.CostPerTuple *= costScale
+	}
+	return func() {
+		for i, p := range q.Preds {
+			p.Selectivity, p.CostPerTuple = nominalSel[i], nominalCost[i]
+		}
+	}
+}
+
+// WorstCase scores a plan for q over the error interval of half-width e: its
+// largest cost at the four corners of the error box, where a corner scales
+// all selectivities by e or 1/e and all expensive per-tuple costs by e or
+// 1/e (cheap predicates, cost 0, stay free). Each corner moves every
+// estimate the tree's stored annotations were computed from, so each is a
+// full Annotate; the tree is left re-annotated at the nominal estimates.
+func (o *Optimizer) WorstCase(q *query.Query, root plan.Node, e float64) (float64, error) {
+	worst := 0.0
+	for _, corner := range [4][2]float64{{e, e}, {e, 1 / e}, {1 / e, e}, {1 / e, 1 / e}} {
+		restore := perturbEstimates(q, corner[0], corner[1])
+		err := o.model.Annotate(root)
+		restore()
+		if err != nil {
+			return 0, err
+		}
+		worst = math.Max(worst, root.Cost())
+	}
+	return worst, o.model.Annotate(root)
+}
+
 // planRobust implements Algorithm Robust; see the file comment.
 func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 	e := o.opts.RobustE
@@ -41,89 +84,53 @@ func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 		e = DefaultRobustE
 	}
 
-	// Snapshot the nominal annotations; every perturbation below mutates the
-	// shared predicates and must restore them.
-	nominalSel := make([]float64, len(q.Preds))
-	nominalCost := make([]float64, len(q.Preds))
-	for i, p := range q.Preds {
-		nominalSel[i] = p.Selectivity
-		nominalCost[i] = p.CostPerTuple
-	}
-	restore := func() {
-		for i, p := range q.Preds {
-			p.Selectivity = nominalSel[i]
-			p.CostPerTuple = nominalCost[i]
-		}
-	}
-
 	type candidate struct {
-		root    plan.Node
-		info    *Info
-		worst   float64
-		nominal float64
+		root  plan.Node
+		info  *Info
+		worst float64
 	}
 	var cands []*candidate
 	seen := map[string]bool{}
-	for _, selScale := range []float64{1, e, 1 / e} {
-		for i, p := range q.Preds {
-			p.Selectivity = clampSel(nominalSel[i] * selScale)
+	generate := func(selScale float64) error {
+		defer perturbEstimates(q, selScale, 1)()
+		sub := *o
+		sub.opts.Algorithm = robustSpectrum[0]
+		base, err := sub.basePaths(q)
+		if err != nil {
+			return err
 		}
 		for _, a := range robustSpectrum {
-			sub := *o
 			sub.opts.Algorithm = a
-			root, info, err := sub.planSystemR(q)
+			root, info, err := sub.systemR(q, base)
 			if err != nil {
-				restore()
-				return nil, nil, err
+				return err
 			}
-			key := planShapeKey(root)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			cands = append(cands, &candidate{root: root, info: info})
-		}
-	}
-
-	// Score every candidate at the four corners of the error box. A corner
-	// scales all selectivities by one factor and all expensive per-tuple
-	// costs by another; cheap predicates (cost 0) stay free.
-	corners := [4][2]float64{{e, e}, {e, 1 / e}, {1 / e, e}, {1 / e, 1 / e}}
-	for _, c := range cands {
-		for _, corner := range corners {
-			for i, p := range q.Preds {
-				p.Selectivity = clampSel(nominalSel[i] * corner[0])
-				p.CostPerTuple = nominalCost[i] * corner[1]
-			}
-			if err := o.model.Annotate(c.root); err != nil {
-				restore()
-				return nil, nil, err
-			}
-			if got := c.root.Cost(); got > c.worst {
-				c.worst = got
+			if key := planShapeKey(root); !seen[key] {
+				seen[key] = true
+				cands = append(cands, &candidate{root: root, info: info})
 			}
 		}
+		return nil
 	}
-
-	// Restore the nominal annotations on every candidate tree — the chosen
-	// plan leaves the planner carrying point-estimate cards and costs, like
-	// every other algorithm's output.
-	restore()
-	for _, c := range cands {
-		if err := o.model.Annotate(c.root); err != nil {
+	for _, selScale := range []float64{1, e, 1 / e} {
+		if err := generate(selScale); err != nil {
 			return nil, nil, err
 		}
-		c.nominal = c.root.Cost()
 	}
 
 	best := cands[0]
-	for _, c := range cands[1:] {
-		switch {
+	for _, c := range cands {
+		var err error
+		if c.worst, err = o.WorstCase(q, c.root, e); err != nil {
+			return nil, nil, err
+		}
+		// Smallest worst case wins; the nominal cost breaks ties.
+		switch nominal, bestNominal := c.root.Cost(), best.root.Cost(); {
 		case !cost.ApproxEq(c.worst, best.worst):
 			if c.worst < best.worst {
 				best = c
 			}
-		case !cost.ApproxEq(c.nominal, best.nominal) && c.nominal < best.nominal:
+		case !cost.ApproxEq(nominal, bestNominal) && nominal < bestNominal:
 			best = c
 		}
 	}

@@ -14,7 +14,12 @@ import (
 
 // subplan is one retained entry of the dynamic-programming table.
 type subplan struct {
-	root  plan.Node
+	root plan.Node
+	// base is root beneath its top filter chain — the access path or join the
+	// System R DP built it on — and chain that chain's predicates, bottom
+	// first: what a join over this subplan may hoist.
+	base  plan.Node
+	chain []*query.Predicate
 	set   uint32       // bitset of q.Tables indices
 	order query.ColRef // output ordering column (zero value = unordered)
 	cost  float64
@@ -25,25 +30,38 @@ type subplan struct {
 	buried uint64
 }
 
-func (s *subplan) unpruneable() bool { return s.buried != 0 }
-
 // planSystemR runs the left-deep System R enumeration with the configured
 // placement algorithm.
 func (o *Optimizer) planSystemR(q *query.Query) (plan.Node, *Info, error) {
-	n := len(q.Tables)
-	if n > 12 {
-		return nil, nil, fmt.Errorf("optimizer: %d-way join exceeds the System R enumerator's limit", n)
+	base, err := o.basePaths(q)
+	if err != nil {
+		return nil, nil, err
 	}
-	info := &Info{}
+	return o.systemR(q, base)
+}
 
-	base := make([][]*subplan, n)
+// basePaths generates every table's access paths. Apart from NaivePushDown
+// they do not depend on the placement algorithm, so one set can seed several
+// enumerations run under the same estimates.
+func (o *Optimizer) basePaths(q *query.Query) ([][]*subplan, error) {
+	if n := len(q.Tables); n > 12 {
+		return nil, fmt.Errorf("optimizer: %d-way join exceeds the System R enumerator's limit", n)
+	}
+	base := make([][]*subplan, len(q.Tables))
 	for i := range q.Tables {
-		sps, err := o.accessPaths(q, i)
+		sps, err := o.accessPathsPlace(q, i, true)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		base[i] = sps
 	}
+	return base, nil
+}
+
+// systemR is the enumeration over the given access paths.
+func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info, error) {
+	n := len(q.Tables)
+	info := &Info{}
 
 	if n == 1 {
 		info.PlansRetained = len(base[0])
@@ -58,30 +76,35 @@ func (o *Optimizer) planSystemR(q *query.Query) (plan.Node, *Info, error) {
 		return root, info, err
 	}
 
-	table := make(map[uint32][]*subplan)
+	full := uint32(1)<<uint(n) - 1
+	table := make([][]*subplan, full+1) // by table bitset
 	for i := range q.Tables {
 		table[1<<uint(i)] = base[i]
 	}
-	full := uint32(1)<<uint(n) - 1
+	var cands []*subplan
 	for mask := uint32(1); mask <= full; mask++ {
-		size := bits.OnesCount32(mask)
-		if size < 2 {
+		if bits.OnesCount32(mask) < 2 {
 			continue
 		}
-		var cands []*subplan
+		cands = cands[:0]
 		for i := 0; i < n; i++ {
 			bit := uint32(1) << uint(i)
 			if mask&bit == 0 {
 				continue
 			}
 			outerMask := mask &^ bit
+			methods := o.skel.shape(outerMask, i).methods()
 			for _, op := range table[outerMask] {
 				for _, ip := range base[i] {
-					cs, err := o.joinCandidates(q, op, ip)
-					if err != nil {
-						return nil, nil, err
+					for _, md := range methods {
+						sp, err := o.buildJoin(op, ip, md)
+						if err != nil {
+							return nil, nil, err
+						}
+						if sp != nil {
+							cands = append(cands, sp)
+						}
 					}
-					cands = append(cands, cs...)
 				}
 			}
 		}
@@ -152,40 +175,43 @@ func cheapest(sps []*subplan) *subplan {
 	return best
 }
 
-// prune keeps, per (order, buried-signature) bucket, only the cheapest plan.
-// Plans with a non-empty buried set survive pruning they would otherwise
-// lose (the unpruneable retention of §4.4); unpr counts them.
+// prune keeps, per (order, buried-signature) bucket, only the cheapest plan
+// (the first of equals). Plans with a non-empty buried set survive pruning
+// they would otherwise lose (the unpruneable retention of §4.4); unpr counts
+// them.
 func (o *Optimizer) prune(cands []*subplan) (kept []*subplan, unpr int) {
-	type key struct {
-		order  query.ColRef
-		buried uint64
-	}
-	bestBy := map[key]*subplan{}
-	for _, sp := range cands {
-		k := key{order: sp.order}
+	// bucket is the part of the buried set that keys retention: all of it
+	// under Migration, none of it otherwise. Buckets are few; a scan finds one.
+	bucket := func(sp *subplan) uint64 {
 		if o.opts.Algorithm == Migration && !o.opts.DisableUnpruneable {
-			k.buried = sp.buried
+			return sp.buried
 		}
-		if cur, ok := bestBy[k]; !ok || sp.cost < cur.cost {
-			bestBy[k] = sp
+		return 0
+	}
+next:
+	for _, sp := range cands {
+		for i, cur := range kept {
+			if cur.order == sp.order && bucket(cur) == bucket(sp) {
+				if sp.cost < cur.cost {
+					kept[i] = sp
+				}
+				continue next
+			}
 		}
+		kept = append(kept, sp)
 	}
 	// Count plans that survive only due to their buried signature.
-	minCost := map[query.ColRef]float64{}
-	for k, sp := range bestBy {
-		if cur, ok := minCost[k.order]; !ok || sp.cost < cur {
-			minCost[k.order] = sp.cost
+	for _, sp := range kept {
+		for _, other := range kept {
+			if bucket(sp) != 0 && other.order == sp.order && other.cost < sp.cost {
+				unpr++
+				break
+			}
 		}
 	}
-	for k, sp := range bestBy {
-		kept = append(kept, sp)
-		if k.buried != 0 && sp.cost > minCost[k.order] {
-			unpr++
-		}
-	}
-	// Deterministic order (map iteration above is not): cost, then order
-	// column, then buried signature — equal-cost ties always resolve the
-	// same way, so plans are reproducible run to run.
+	// Deterministic order: cost, then order column, then buried signature —
+	// equal-cost ties always resolve the same way, so plans are reproducible
+	// run to run.
 	sort.Slice(kept, func(i, j int) bool {
 		if !cost.ApproxEq(kept[i].cost, kept[j].cost) {
 			return kept[i].cost < kept[j].cost
@@ -199,23 +225,14 @@ func (o *Optimizer) prune(cands []*subplan) (kept []*subplan, unpr int) {
 	return kept, unpr
 }
 
-// accessPaths generates base subplans for table index i: a sequential scan
-// and one index scan per matching cheap selection, each with the remaining
-// selections layered per the configured algorithm (cheap first, expensive
-// rank-ordered above — at base level every algorithm but Naive agrees).
-func (o *Optimizer) accessPaths(q *query.Query, i int) ([]*subplan, error) {
-	return o.accessPathsPlace(q, i, true)
-}
-
-// accessPathsPlace is accessPaths with control over whether the table's
-// expensive selections are attached (the LDL and Exhaustive enumerators
-// place them explicitly).
+// accessPathsPlace generates base subplans for table index i: a sequential
+// scan and one index scan per matching cheap selection, each with the
+// remaining selections layered per the configured algorithm (cheap first,
+// expensive rank-ordered above — at base level every algorithm but Naive
+// agrees). withExpensive controls whether the table's expensive selections
+// are attached (the LDL and Exhaustive enumerators place them explicitly).
 func (o *Optimizer) accessPathsPlace(q *query.Query, i int, withExpensive bool) ([]*subplan, error) {
-	t := q.Tables[i]
-	tab, err := o.cat.Table(t)
-	if err != nil {
-		return nil, err
-	}
+	t, tab := q.Tables[i], o.skel.tabs[i]
 	cols := make([]query.ColRef, len(tab.Columns))
 	for ci, c := range tab.Columns {
 		cols[ci] = query.ColRef{Table: t, Col: c.Name}
@@ -245,11 +262,9 @@ func (o *Optimizer) accessPathsPlace(q *query.Query, i int, withExpensive bool) 
 			return nil, err
 		}
 		return &subplan{
-			root:  root,
-			set:   1 << uint(i),
-			order: order,
-			cost:  root.Cost(),
-			card:  root.Card(),
+			root: root, base: baseNode, chain: preds,
+			set: 1 << uint(i), order: order,
+			cost: root.Cost(), card: root.Card(),
 		}, nil
 	}
 

@@ -77,11 +77,12 @@ func (o *Optimizer) wrapTopK(root plan.Node) (plan.Node, error) {
 	} else {
 		tie := spec.Tie
 		if tie == nil {
+			plan.FillCols(root)
 			tie = root.Cols()
 		}
 		wrapped = &plan.TopK{Input: root, K: spec.K, Key: spec.Key, Desc: spec.Desc, Tie: tie}
 	}
-	if err := o.model.Annotate(wrapped); err != nil {
+	if err := o.model.AnnotateAbove(wrapped, root); err != nil {
 		return nil, err
 	}
 	return wrapped, nil

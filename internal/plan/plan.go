@@ -226,6 +226,23 @@ func ConcatCols(outer, inner Node) []query.ColRef {
 	return out
 }
 
+// FillCols stores the output column list on every join of the tree that has
+// none yet. Planners leave Join.ColRefs nil on the candidates they enumerate
+// — nothing reads a candidate's columns — and fill the plan they return; a
+// join that already has its list has it on every join below, too.
+func FillCols(n Node) {
+	j, isJoin := n.(*Join)
+	if isJoin && j.ColRefs != nil {
+		return
+	}
+	for _, c := range n.Children() {
+		FillCols(c)
+	}
+	if isJoin {
+		j.ColRefs = ConcatCols(j.Outer, j.Inner)
+	}
+}
+
 // ColIndex locates a column in a node's output, or -1.
 func ColIndex(n Node, ref query.ColRef) int {
 	for i, c := range n.Cols() {
