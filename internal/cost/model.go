@@ -65,25 +65,34 @@ type Model struct {
 	// an expensive predicate whose survivors seed a filter exports its
 	// selectivity, which moves the (s−1)/c rank knife-edge.
 	Transfer *TransferInfo
-	// stats memoizes table statistics until Refresh.
+	// stats holds the statistics of the tables bound for one planning.
 	stats []tableStats
 }
 
-// tableStats is what pricing reads of a base table: resolved once per
-// planning instead of once per leaf visit (a catalog lookup takes its lock,
-// a page count the disk's).
+// tableStats is what pricing reads of a base table.
 type tableStats struct {
 	tab         *catalog.Table
 	card, pages float64
 }
 
-// Refresh drops the memoized table statistics, so the next pricing reads the
-// catalog again. The optimizer calls it at the start of every Plan: one
-// planning prices all its candidates from one reading of the statistics.
-func (m *Model) Refresh() { m.stats = m.stats[:0] }
+func statsOf(tab *catalog.Table) tableStats {
+	return tableStats{tab: tab, card: float64(tab.Card), pages: float64(tab.Pages())}
+}
 
-// table returns the memoized statistics of a base table; a query's handful
-// of tables is searched linearly.
+// Bind reads the statistics of the tables one planning prices, once: until
+// the planning unbinds them with Bind(nil), every candidate is priced from
+// this reading instead of a catalog lookup (which takes its lock) and a page
+// count (the disk's) per leaf visit. An unbound model prices from the catalog
+// as it stands.
+func (m *Model) Bind(tabs []*catalog.Table) {
+	m.stats = m.stats[:0]
+	for _, tab := range tabs {
+		m.stats = append(m.stats, statsOf(tab))
+	}
+}
+
+// table returns the statistics of a base table; a query's handful of bound
+// tables is searched linearly.
 func (m *Model) table(name string) (tableStats, error) {
 	for _, s := range m.stats {
 		if s.tab.Name == name {
@@ -94,9 +103,7 @@ func (m *Model) table(name string) (tableStats, error) {
 	if err != nil {
 		return tableStats{}, err
 	}
-	s := tableStats{tab: tab, card: float64(tab.Card), pages: float64(tab.Pages())}
-	m.stats = append(m.stats, s)
-	return s, nil
+	return statsOf(tab), nil
 }
 
 // transferSel returns the combined received-filter selectivity for a base

@@ -198,11 +198,7 @@ func (s *bushySearch) joins(set, rightSet, applied uint32, le, re bushyEntry) er
 				method{m: plan.MergeJoin, primary: p})
 			if innerIsBase {
 				innerRef, _ := sides(p, innerTable)
-				tab, err := s.o.cat.Table(innerTable)
-				if err != nil {
-					return err
-				}
-				if tab.HasIndex(innerRef.Col) {
+				if s.o.skel.table(innerTable).HasIndex(innerRef.Col) {
 					methods = append(methods, method{m: plan.IndexNestLoop, primary: p, indexCol: innerRef.Col})
 				}
 			}

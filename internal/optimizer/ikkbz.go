@@ -146,11 +146,7 @@ func (o *Optimizer) ikkbzOrder(q *query.Query, virtuals []*query.Predicate) ([]i
 	// Cardinalities after cheap local selections.
 	card := make([]float64, n)
 	for i, t := range q.Tables {
-		tab, err := o.cat.Table(t)
-		if err != nil {
-			return nil, nil, err
-		}
-		c := float64(tab.Card)
+		c := float64(o.skel.tabs[i].Card)
 		for _, p := range q.SelectionsOn(t) {
 			if !p.IsExpensive() {
 				c *= p.Selectivity

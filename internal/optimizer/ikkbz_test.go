@@ -1,10 +1,12 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"predplace/internal/plan"
 	"predplace/internal/query"
 )
 
@@ -208,5 +210,78 @@ func TestDisableUnpruneableAblation(t *testing.T) {
 	if infoAbl.PlansRetained > infoFull.PlansRetained {
 		t.Fatalf("ablation retained more plans (%d) than full (%d)?",
 			infoAbl.PlansRetained, infoFull.PlansRetained)
+	}
+}
+
+// TestWideJoinKeepsEveryJoinPredicate: LDL-IKKBZ has no table cap, so its
+// join shapes are memoized for outer sets of up to 31 tables. Every (outer
+// set, inner table) pair must get its own shape — a shared one joins a table
+// on another pair's predicate and loses its own — so on 31-table path
+// queries, whichever end of the path the high table indices sit at, each
+// join predicate appears exactly once in the plan.
+func TestWideJoinKeepsEveryJoinPredicate(t *testing.T) {
+	const n = 31
+	cat := wideCatalog(t, n)
+	paths := map[string][]int{"ascending": nil, "descending": nil, "w28 then w12 last": nil}
+	for i := 0; i < n; i++ {
+		paths["ascending"] = append(paths["ascending"], i)
+		paths["descending"] = append(paths["descending"], n-1-i)
+		if i != 12 && i != 28 {
+			paths["w28 then w12 last"] = append(paths["w28 then w12 last"], i)
+		}
+	}
+	paths["w28 then w12 last"] = append(paths["w28 then w12 last"], 28, 12)
+	for name, path := range paths {
+		var tables []string
+		var preds []*query.Predicate
+		for i := 0; i < n; i++ {
+			tables = append(tables, fmt.Sprintf("w%d", i))
+		}
+		for i := 1; i < n; i++ {
+			preds = append(preds, jp(tables[path[i-1]], "k", tables[path[i]], "k"))
+		}
+		q, err := query.NewQuery(tables, preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, _, err := New(cat, Options{Algorithm: LDLIKKBZ}).Plan(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		uses := map[*query.Predicate]int{}
+		plan.Walk(root, func(nd plan.Node) {
+			switch x := nd.(type) {
+			case *plan.Join:
+				uses[x.Primary]++
+			case *plan.Filter:
+				uses[x.Pred]++
+			}
+		})
+		for _, p := range q.Preds {
+			if uses[p] != 1 {
+				t.Errorf("%s: %s appears %d times in the plan, want once", name, p, uses[p])
+			}
+		}
+	}
+}
+
+// TestTooManyTables: table sets are 32-bit, and a 33rd table is refused
+// rather than planned without its predicates.
+func TestTooManyTables(t *testing.T) {
+	cat := wideCatalog(t, 33)
+	var tables []string
+	var preds []*query.Predicate
+	for i := 0; i < 33; i++ {
+		tables = append(tables, fmt.Sprintf("w%d", i))
+		if i > 0 {
+			preds = append(preds, jp(tables[i-1], "k", tables[i], "k"))
+		}
+	}
+	q, err := query.NewQuery(tables, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := New(cat, Options{Algorithm: LDLIKKBZ}).Plan(q); err == nil {
+		t.Fatal("a 33-table query planned")
 	}
 }

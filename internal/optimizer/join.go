@@ -28,7 +28,18 @@ type skeleton struct {
 	// a query has more than 64 of them (which newSkeleton rejects), not when
 	// an expensive predicate's query-wide ID happens to exceed 63.
 	buriedBit []uint64
-	shapes    map[uint32]*joinShape
+	shapes    map[shapeKey]*joinShape
+}
+
+// shapeKey names a join shape: an outer table set and an inner table index.
+type shapeKey struct {
+	outer uint32
+	inner int
+}
+
+// table returns the resolved catalog entry of one of the query's tables.
+func (s *skeleton) table(name string) *catalog.Table {
+	return s.tabs[tableIndex(s.q, name)]
 }
 
 // TooManyExpensiveError reports a query with more expensive predicates than
@@ -40,7 +51,10 @@ func (e *TooManyExpensiveError) Error() string {
 }
 
 func newSkeleton(cat *catalog.Catalog, q *query.Query) (*skeleton, error) {
-	s := &skeleton{q: q, shapes: map[uint32]*joinShape{}}
+	if n := len(q.Tables); n > 32 {
+		return nil, fmt.Errorf("optimizer: %d tables exceed the 32-bit table sets", n)
+	}
+	s := &skeleton{q: q, shapes: map[shapeKey]*joinShape{}}
 	for _, t := range q.Tables {
 		tab, err := cat.Table(t)
 		if err != nil {
@@ -93,7 +107,7 @@ type joinShape struct {
 
 // shape returns the memoized join shape of (outer table set, inner table).
 func (s *skeleton) shape(outerSet uint32, innerIdx int) *joinShape {
-	key := outerSet<<4 | uint32(innerIdx)
+	key := shapeKey{outerSet, innerIdx}
 	if sh, ok := s.shapes[key]; ok {
 		return sh
 	}

@@ -148,10 +148,7 @@ func (m *migration) stream(k int) (bool, error) {
 	} else {
 		leafTable = f.BaseTable
 	}
-	leafCard := 1.0
-	if tab, err := o.cat.Table(leafTable); err == nil {
-		leafCard = float64(tab.Card)
-	}
+	leafCard := float64(o.skel.table(leafTable).Card)
 
 	// Collect the movable selections on this stream with current positions
 	// (in step units: -1 = gap 0, otherwise the AfterFilters step index).

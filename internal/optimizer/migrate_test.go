@@ -167,6 +167,12 @@ func TestMigrateNeverIncreasesCost(t *testing.T) {
 		for _, seedAlgo := range []Algorithm{NaivePushDown, PushDown, PullUp} {
 			q := mkQuery(t, db, tlist, clonePreds(preds))
 			seed, _ := planWith(t, db, seedAlgo, q)
+			// migrate runs inside a planning; this direct call brings its own
+			// skeleton.
+			var err error
+			if opt.skel, err = newSkeleton(db.Cat, q); err != nil {
+				t.Fatal(err)
+			}
 			migrated, _, err := opt.migrate(seed)
 			if err != nil {
 				t.Fatalf("case %d seed %v: %v", ci, seedAlgo, err)

@@ -197,11 +197,14 @@ func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 	if o.skel, err = newSkeleton(o.cat, q); err != nil {
 		return nil, nil, err
 	}
+	// The skeleton's one resolution of the tables is what the model prices
+	// this planning from, and no later call.
+	o.model.Bind(o.skel.tabs)
+	defer o.model.Bind(nil)
 	// Predicate transfer: estimate the filters once per query and plan the
 	// whole search under the adjusted scans. The prepass's own cost is added
 	// to the plan total below, never inside the recursive annotation — the
 	// prepass runs once, not once per candidate subtree.
-	o.model.Refresh()
 	o.model.Transfer = nil
 	if o.opts.Transfer {
 		ti, err := cost.ComputeTransfer(o.cat, q, o.opts.Caching)

@@ -51,10 +51,7 @@ func (o *Optimizer) orderSatisfied(n plan.Node) bool {
 			if t.Table != spec.Key.Table || t.Col != spec.Key.Col || t.Eq != nil {
 				return false
 			}
-			tab, err := o.cat.Table(t.Table)
-			if err != nil {
-				return false
-			}
+			tab := o.skel.table(t.Table)
 			col, err := tab.Column(t.Col)
 			if err != nil {
 				return false
