@@ -30,6 +30,16 @@ echo "==> planner gates (plan-identity corpus, annotation property, allocation b
 # fails under this heading, not somewhere inside `go test ./...`.
 go test -count=1 -run '^(TestPlanCorpus|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget)$' ./internal/optimizer
 
+echo "==> row-memory gates (arena lifetime matrix, release on every exit, allocation budget)"
+# Also part of the full test run below; named here so that a row that outlives
+# its slab (the race build poisons every slab a pool rewinds or releases), a
+# Run exit that keeps slabs, or a figure query that allocates more than half
+# of what it did before the query arena fails under this heading. The budget
+# test skips itself under -race (sync.Pool drops puts at random under the
+# detector), so it gets a run of its own without.
+go test -race -count=1 -run 'TestArena|TestFiguresAllocBudget' ./internal/exec
+go test -count=1 -run '^TestFiguresAllocBudget$' ./internal/exec
+
 echo "==> go build ./..."
 go build ./...
 

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -12,74 +13,71 @@ import (
 // FixedLen bytes, NUL-padded. The benchmark schema pads every tuple to the
 // paper's 100 bytes via a trailing string filler column.
 type RowCodec struct {
-	cols  []Column
-	width int
+	cols   []Column
+	layout []colLayout
+	width  int
+}
+
+// colLayout is one column's place in the record, compiled once from the
+// schema: the null flag sits at off, followed by len payload bytes.
+type colLayout struct {
+	off, len int
+	kind     expr.Type
 }
 
 // NewRowCodec builds a codec for the given columns.
 func NewRowCodec(cols []Column) (*RowCodec, error) {
+	layout := make([]colLayout, len(cols))
 	w := 0
-	for _, c := range cols {
+	for i, c := range cols {
+		layout[i] = colLayout{off: w, len: 8, kind: c.Type}
 		switch c.Type {
 		case expr.TInt, expr.TBool:
-			w += 9
 		case expr.TString:
 			if c.FixedLen <= 0 {
 				return nil, fmt.Errorf("catalog: string column %s needs FixedLen", c.Name)
 			}
-			w += 1 + c.FixedLen
+			layout[i].len = c.FixedLen
 		default:
 			return nil, fmt.Errorf("catalog: unsupported column type %v for %s", c.Type, c.Name)
 		}
+		w += 1 + layout[i].len
 	}
-	return &RowCodec{cols: append([]Column(nil), cols...), width: w}, nil
+	return &RowCodec{cols: append([]Column(nil), cols...), layout: layout, width: w}, nil
 }
 
 // Width returns the fixed encoded record width in bytes.
 func (rc *RowCodec) Width() int { return rc.width }
 
 // Encode serializes row (which must match the schema arity) into a record.
+// Every field is written in place into the one zeroed record buffer, so a
+// NULL's payload and a string's padding are the bytes make left behind.
 func (rc *RowCodec) Encode(row expr.Row) ([]byte, error) {
 	if len(row) != len(rc.cols) {
 		return nil, fmt.Errorf("catalog: row arity %d, schema arity %d", len(row), len(rc.cols))
 	}
-	out := make([]byte, 0, rc.width)
-	for i, c := range rc.cols {
+	out := make([]byte, rc.width)
+	for i, l := range rc.layout {
 		v := row[i]
 		if v.IsNull() {
-			out = append(out, 0)
-			switch c.Type {
-			case expr.TInt, expr.TBool:
-				out = append(out, make([]byte, 8)...)
-			case expr.TString:
-				out = append(out, make([]byte, c.FixedLen)...)
-			default:
-				return nil, fmt.Errorf("catalog: column %s has unsupported type %v", c.Name, c.Type)
-			}
 			continue
 		}
-		out = append(out, 1)
-		switch c.Type {
-		case expr.TInt, expr.TBool:
-			if v.Kind != expr.TInt && v.Kind != expr.TBool {
-				return nil, fmt.Errorf("catalog: column %s wants int, got %v", c.Name, v.Kind)
-			}
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-			out = append(out, buf[:]...)
-		case expr.TString:
+		out[l.off] = 1
+		field := out[l.off+1 : l.off+1+l.len]
+		if l.kind == expr.TString {
 			if v.Kind != expr.TString {
-				return nil, fmt.Errorf("catalog: column %s wants string, got %v", c.Name, v.Kind)
+				return nil, fmt.Errorf("catalog: column %s wants string, got %v", rc.cols[i].Name, v.Kind)
 			}
-			if len(v.S) > c.FixedLen {
-				return nil, fmt.Errorf("catalog: value %q exceeds column %s width %d", v.S, c.Name, c.FixedLen)
+			if len(v.S) > l.len {
+				return nil, fmt.Errorf("catalog: value %q exceeds column %s width %d", v.S, rc.cols[i].Name, l.len)
 			}
-			buf := make([]byte, c.FixedLen)
-			copy(buf, v.S)
-			out = append(out, buf...)
-		default:
-			return nil, fmt.Errorf("catalog: column %s has unsupported type %v", c.Name, c.Type)
+			copy(field, v.S)
+			continue
 		}
+		if v.Kind != expr.TInt && v.Kind != expr.TBool {
+			return nil, fmt.Errorf("catalog: column %s wants int, got %v", rc.cols[i].Name, v.Kind)
+		}
+		binary.LittleEndian.PutUint64(field, uint64(v.I))
 	}
 	return out, nil
 }
@@ -98,7 +96,14 @@ func (rc *RowCodec) Decode(rec []byte) (expr.Row, error) {
 // decode without allocating. Each scan owns its memo — the codec itself is
 // shared across concurrent scans and stays immutable.
 type DecodeMemo struct {
-	last []string
+	last []memoString
+}
+
+// memoString is one column's previous value: the field's raw padded bytes
+// and the string they trimmed to.
+type memoString struct {
+	raw []byte
+	s   string
 }
 
 // DecodeInto deserializes a record into row, which must have exactly one
@@ -110,95 +115,73 @@ func (rc *RowCodec) DecodeInto(rec []byte, row expr.Row) error {
 }
 
 // DecodeIntoMemo is DecodeInto with string-value memoization: when a string
-// column's bytes match the previous record's value for that column, the
-// prior string is reused instead of allocating a copy.
+// column's raw field equals the previous record's — one comparison, padding
+// included, before any trimming — the prior string is reused instead of
+// allocating a copy. Every slot of row is overwritten, NULLs included: rows
+// carved from recycled slabs hold a previous query's values until then.
 func (rc *RowCodec) DecodeIntoMemo(rec []byte, row expr.Row, memo *DecodeMemo) error {
 	if len(rec) != rc.width {
 		return fmt.Errorf("catalog: record length %d, want %d", len(rec), rc.width)
 	}
-	if len(row) != len(rc.cols) {
-		return fmt.Errorf("catalog: row has %d slots, want %d", len(row), len(rc.cols))
+	if len(row) != len(rc.layout) {
+		return fmt.Errorf("catalog: row has %d slots, want %d", len(row), len(rc.layout))
 	}
-	off := 0
-	for i, c := range rc.cols {
-		notNull := rec[off] == 1
-		off++
-		switch c.Type {
-		case expr.TInt, expr.TBool:
-			if notNull {
-				v := int64(binary.LittleEndian.Uint64(rec[off : off+8]))
-				if c.Type == expr.TBool {
-					row[i] = expr.B(v != 0)
-				} else {
-					row[i] = expr.I(v)
-				}
-			} else {
-				row[i] = expr.Null
-			}
-			off += 8
-		case expr.TString:
-			if notNull {
-				b := rec[off : off+c.FixedLen]
-				end := len(b)
-				for end > 0 && b[end-1] == 0 {
-					end--
-				}
-				if memo != nil {
-					if memo.last == nil {
-						memo.last = make([]string, len(rc.cols))
-					}
-					// The conversion inside a == comparison does not allocate.
-					if memo.last[i] != string(b[:end]) {
-						memo.last[i] = string(b[:end])
-					}
-					row[i] = expr.S(memo.last[i])
-				} else {
-					row[i] = expr.S(string(b[:end]))
-				}
-			} else {
-				row[i] = expr.Null
-			}
-			off += c.FixedLen
+	layout := rc.layout
+	row = row[:len(layout)] // one bounds check for the loop, not one per column
+	for i := range layout {
+		l := &layout[i]
+		field := rec[l.off+1 : l.off+1+l.len]
+		switch {
+		case rec[l.off] != 1:
+			row[i] = expr.Null
+		case l.kind == expr.TInt:
+			row[i] = expr.Value{Kind: expr.TInt, I: int64(binary.LittleEndian.Uint64(field))}
+		case l.kind == expr.TBool:
+			row[i] = expr.B(binary.LittleEndian.Uint64(field) != 0)
+		case memo == nil:
+			row[i] = expr.S(trimNUL(field))
 		default:
-			return fmt.Errorf("catalog: column %s has unsupported type %v", c.Name, c.Type)
+			if memo.last == nil {
+				memo.last = make([]memoString, len(layout))
+			}
+			m := &memo.last[i]
+			if !bytes.Equal(m.raw, field) {
+				m.raw, m.s = append(m.raw[:0], field...), trimNUL(field)
+			}
+			row[i] = expr.S(m.s)
 		}
 	}
 	return nil
 }
 
+// trimNUL copies a string field out of its record without the NUL padding.
+func trimNUL(field []byte) string {
+	end := len(field)
+	for end > 0 && field[end-1] == 0 {
+		end--
+	}
+	return string(field[:end])
+}
+
 // DecodeCol extracts a single column's value from a record without decoding
-// the whole row (used by index builds and key probes).
+// the whole row (used by index builds and key probes). It indexes the
+// compiled layout, and rejects a short or long record as DecodeIntoMemo does.
 func (rc *RowCodec) DecodeCol(rec []byte, idx int) (expr.Value, error) {
-	if idx < 0 || idx >= len(rc.cols) {
+	if idx < 0 || idx >= len(rc.layout) {
 		return expr.Null, fmt.Errorf("catalog: column index %d out of range", idx)
 	}
-	off := 0
-	for i := 0; i < idx; i++ {
-		switch rc.cols[i].Type {
-		case expr.TInt, expr.TBool:
-			off += 9
-		case expr.TString:
-			off += 1 + rc.cols[i].FixedLen
-		default:
-			return expr.Null, fmt.Errorf("catalog: column %s has unsupported type %v", rc.cols[i].Name, rc.cols[i].Type)
-		}
+	if len(rec) != rc.width {
+		return expr.Null, fmt.Errorf("catalog: record length %d, want %d", len(rec), rc.width)
 	}
-	c := rc.cols[idx]
-	if rec[off] == 0 {
+	l := rc.layout[idx]
+	field := rec[l.off+1 : l.off+1+l.len]
+	switch {
+	case rec[l.off] != 1:
 		return expr.Null, nil
+	case l.kind == expr.TInt:
+		return expr.I(int64(binary.LittleEndian.Uint64(field))), nil
+	case l.kind == expr.TBool:
+		return expr.B(binary.LittleEndian.Uint64(field) != 0), nil
 	}
-	off++
-	switch c.Type {
-	case expr.TInt:
-		return expr.I(int64(binary.LittleEndian.Uint64(rec[off : off+8]))), nil
-	case expr.TBool:
-		return expr.B(binary.LittleEndian.Uint64(rec[off:off+8]) != 0), nil
-	default:
-		b := rec[off : off+c.FixedLen]
-		end := len(b)
-		for end > 0 && b[end-1] == 0 {
-			end--
-		}
-		return expr.S(string(b[:end])), nil
-	}
+	return expr.S(trimNUL(field)), nil
 }

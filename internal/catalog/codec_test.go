@@ -1,0 +1,208 @@
+package catalog
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"predplace/internal/expr"
+)
+
+// benchCols is the benchmark schema: seven integers and the 36-byte filler,
+// 100 bytes a tuple.
+func benchCols() []Column {
+	var cols []Column
+	for _, n := range []string{"a1", "a10", "a100", "ua1", "u10", "u20", "u100"} {
+		cols = append(cols, Column{Name: n, Type: expr.TInt})
+	}
+	return append(cols, Column{Name: "str", Type: expr.TString, FixedLen: 36})
+}
+
+// mixedCols exercises every decode branch: integers, booleans, two strings.
+func mixedCols() []Column {
+	return []Column{
+		{Name: "k", Type: expr.TInt}, {Name: "flag", Type: expr.TBool},
+		{Name: "name", Type: expr.TString, FixedLen: 12}, {Name: "n", Type: expr.TInt},
+		{Name: "tag", Type: expr.TString, FixedLen: 5},
+	}
+}
+
+// mixedRow is row i of a table over mixedCols: NULLs in every column, runs
+// of repeated strings (memo hits) between distinct ones (memo misses), a
+// string with an embedded NUL and an empty one.
+func mixedRow(i int) expr.Row {
+	row := expr.Row{expr.I(int64(i) - 3), expr.B(i%3 == 0), expr.S(fmt.Sprint("name", i/4)),
+		expr.I(int64(i) << 40), expr.S([]string{"", "a\x00b", "tag", "tag", "t"}[i%5])}
+	if i%7 < len(row) {
+		row[i%7] = expr.Null
+	}
+	return row
+}
+
+// referenceEncode is the parent commit's Encode, kept as the byte-level
+// reference: three allocations per row, the same record.
+func referenceEncode(rc *RowCodec, row expr.Row) []byte {
+	out := make([]byte, 0, rc.width)
+	for i, c := range rc.cols {
+		v := row[i]
+		n := 8
+		if c.Type == expr.TString {
+			n = c.FixedLen
+		}
+		if v.IsNull() {
+			out = append(out, 0)
+			out = append(out, make([]byte, n)...)
+			continue
+		}
+		out = append(out, 1)
+		buf := make([]byte, n)
+		if c.Type == expr.TString {
+			copy(buf, v.S)
+		} else {
+			binary.LittleEndian.PutUint64(buf, uint64(v.I))
+		}
+		out = append(out, buf...)
+	}
+	return out
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	rc, err := NewRowCodec(mixedCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		row := mixedRow(i)
+		got, err := rc.Encode(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceEncode(rc, row); !bytes.Equal(got, want) {
+			t.Fatalf("row %d %v:\n got %x\nwant %x", i, row, got, want)
+		}
+	}
+	row := mixedRow(1)
+	if n := testing.AllocsPerRun(100, func() { rc.Encode(row) }); n != 1 {
+		t.Fatalf("Encode allocates %v times per row, want the record only", n)
+	}
+}
+
+// TestDecodeMemoMatchesDecode: the layout-compiled decode with and without
+// a memo, into dirty rows, yields what was encoded — across memo hits and
+// misses, NULLs after values and values after NULLs in the same slot.
+func TestDecodeMemoMatchesDecode(t *testing.T) {
+	rc, err := NewRowCodec(mixedCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var memo DecodeMemo
+	dirty := make(expr.Row, len(mixedCols()))
+	for i := 0; i < 200; i++ {
+		want := mixedRow(i)
+		rec, err := rc.Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := rc.Decode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range dirty {
+			dirty[j] = expr.Value{Kind: 0xEE, I: -1, S: "stale"}
+		}
+		if err := rc.DecodeIntoMemo(rec, dirty, &memo); err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if plain[j] != want[j] || dirty[j] != want[j] {
+				t.Fatalf("row %d col %d: Decode %#v, DecodeIntoMemo %#v, want %#v", i, j, plain[j], dirty[j], want[j])
+			}
+		}
+	}
+	if err := rc.DecodeIntoMemo(make([]byte, rc.Width()), dirty[:2], &memo); err == nil {
+		t.Fatal("arity mismatch should fail")
+	}
+}
+
+// TestDecodeColShortRecord: every proper prefix of a record (and one byte
+// more) is rejected with the record-length error DecodeIntoMemo returns, for
+// every column — a truncated record must not index past its end.
+func TestDecodeColShortRecord(t *testing.T) {
+	rc, err := NewRowCodec(mixedCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := mixedRow(1)
+	rec, err := rc.Encode(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col := range row {
+		for n := 0; n <= len(rec)+1; n++ {
+			short := append(append([]byte(nil), rec...), 0)[:n]
+			v, err := rc.DecodeCol(short, col)
+			if n == len(rec) {
+				if err != nil || v != row[col] {
+					t.Fatalf("col %d: %#v, %v; want %#v", col, v, err, row[col])
+				}
+				continue
+			}
+			want := rc.DecodeIntoMemo(short, make(expr.Row, len(row)), nil)
+			if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "record length") {
+				t.Fatalf("col %d, %d of %d bytes: DecodeCol error %v, DecodeIntoMemo error %v", col, n, len(rec), err, want)
+			}
+		}
+	}
+}
+
+var decodeSink expr.Value
+
+func BenchmarkDecodeIntoMemo(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, schema := range []struct {
+		name string
+		cols []Column
+		row  func(i int) expr.Row
+	}{
+		{"benchmark", benchCols(), func(i int) expr.Row {
+			row := make(expr.Row, 8)
+			for j := range row[:7] {
+				row[j] = expr.I(rng.Int63n(30000))
+			}
+			row[7] = expr.S(strings.Repeat("x", 36))
+			return row
+		}},
+		{"nulls-bools-strings", mixedCols(), func(i int) expr.Row {
+			row := mixedRow(i)
+			row[2] = expr.S(fmt.Sprint("name", i)) // every record a memo miss
+			return row
+		}},
+	} {
+		b.Run(schema.name, func(b *testing.B) {
+			rc, err := NewRowCodec(schema.cols)
+			if err != nil {
+				b.Fatal(err)
+			}
+			recs := make([][]byte, 1024)
+			for i := range recs {
+				if recs[i], err = rc.Encode(schema.row(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var memo DecodeMemo
+			row := make(expr.Row, len(schema.cols))
+			b.SetBytes(int64(rc.Width()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := rc.DecodeIntoMemo(recs[i%len(recs)], row, &memo); err != nil {
+					b.Fatal(err)
+				}
+			}
+			decodeSink = row[0]
+		})
+	}
+}

@@ -1,0 +1,308 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
+	"testing"
+
+	"predplace/internal/catalog"
+	"predplace/internal/datagen"
+	"predplace/internal/expr"
+	"predplace/internal/optimizer"
+	"predplace/internal/pcache"
+	"predplace/internal/plan"
+	"predplace/internal/query"
+	"predplace/internal/storage"
+)
+
+// poisonOn switches slab poisoning on for one test (it is always on under
+// the race detector): every value a pool invalidates is overwritten before
+// its slab can be handed out again.
+func poisonOn(t *testing.T) {
+	old := poisonSlabs
+	poisonSlabs = true
+	t.Cleanup(func() { poisonSlabs = old })
+}
+
+// noPoison fails if any value of rows is the poison sentinel.
+func noPoison(t *testing.T, what string, rows []expr.Row) {
+	t.Helper()
+	for i, r := range rows {
+		for j, v := range r {
+			if v.Kind == poisonValue.Kind {
+				t.Fatalf("%s: row %d column %d is a released slab's value", what, i, j)
+			}
+		}
+	}
+}
+
+// equiJoin is outer ⋈ inner on one column of each, by the given method.
+func equiJoin(t *testing.T, cat *catalog.Catalog, m plan.JoinMethod, outer, inner plan.Node, l, r query.ColRef) *plan.Join {
+	t.Helper()
+	q, err := query.NewQuery([]string{l.Table, r.Table}, []*query.Predicate{
+		{Kind: query.KindJoinCmp, Op: expr.OpEQ, Left: l, Right: r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query.Analyze(cat, q)
+	j := &plan.Join{Method: m, Outer: outer, Inner: inner, Primary: q.Preds[0], SortOuter: true, SortInner: true}
+	if m == plan.IndexNestLoop {
+		j.InnerIndexCol = r.Col
+	}
+	j.ColRefs = plan.ConcatCols(outer, inner)
+	return j
+}
+
+// TestArenaMatrix is the lifetime gate of the one row-memory rule: over the
+// figure queries and the plan shapes that decide who carves fresh (a root
+// scan, a root join, TopK and Limit roots, an index nested loop) times the
+// executor grid, the rows a query returns are the rows it produced — after
+// Run released the query's slabs, poisoned them, and another query carved
+// its own rows out of them.
+func TestArenaMatrix(t *testing.T) {
+	poisonOn(t)
+	db := figuresDB(t, 0.02)
+	small := figuresDB(t, 0.005) // Query 5's nested loop is quadratic in the scale
+	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
+	scribble := equiJoin(t, db.Cat, plan.HashJoin, scanNode(t, db.Cat, "t3"), scanNode(t, db.Cat, "t10"),
+		col("t3", "ua1"), col("t10", "ua1"))
+	stmts := []struct{ name, sql string }{
+		{"query1", sqlQuery1}, {"query2", sqlQuery2}, {"query3", sqlQuery3},
+		{"query4", sqlQuery4}, {"query5", sqlQuery5}, {"fig1", sqlFig1},
+		{"scan", `SELECT * FROM t6 WHERE t6.ua1 < 700`},
+		{"topk-scan", `SELECT * FROM t6 ORDER BY u10 LIMIT 25`},
+		{"limit-scan", `SELECT * FROM t6 WHERE costly1(t6.u20) ORDER BY a1 LIMIT 25`},
+		{"topk-join", `SELECT * FROM t3, t10 WHERE t3.ua1 = t10.ua1 AND costly1(t10.u20) ORDER BY t10.u10 LIMIT 25`},
+		{"indexnl", ""},
+	}
+	for _, st := range stmts {
+		db := db
+		if st.name == "query5" {
+			db = small
+		}
+		t.Run(st.name, func(t *testing.T) {
+			for knobs := 0; knobs < 8; knobs++ {
+				transfer, caching, profile := knobs&1 != 0, knobs&2 != 0, knobs&4 != 0
+				var root plan.Node
+				if st.sql != "" {
+					root = planSQL(t, db.Cat, st.sql, optimizer.Options{
+						Algorithm: optimizer.Migration, Caching: caching, Transfer: transfer})
+				} else {
+					root = equiJoin(t, db.Cat, plan.IndexNestLoop, scanNode(t, db.Cat, "t1"), scanNode(t, db.Cat, "t3"),
+						col("t1", "a1"), col("t3", "a1"))
+				}
+				for _, p := range []int{1, 4} {
+					for _, bs := range []int{1, 7, 256} {
+						name := fmt.Sprintf("%s transfer=%v caching=%v profile=%v P=%d BS=%d", st.name, transfer, caching, profile, p, bs)
+						env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(caching, 0),
+							Parallelism: p, BatchSize: bs, Transfer: transfer, Profile: profile}
+						want, _ := drainSnapshot(t, env, root)
+						res, err := Run(env, root)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if _, err := Run(&Env{Cat: db.Cat, Pool: db.Pool, CountOnly: true, Parallelism: p}, scribble); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						noPoison(t, name, res.Rows)
+						_, ordered := root.(*plan.Limit)
+						if _, topk := root.(*plan.TopK); p == 1 || topk || ordered {
+							sameRows(t, name, res.Rows, want)
+						} else {
+							sameRowMultiset(t, res.Rows, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestArenaNulls pins the "callers overwrite every slot" contract of
+// rowAlloc.next, which session isolation now rests on: a NULL column of a
+// row carved from a recycled — here poisoned — slab decodes to expr.Null.
+func TestArenaNulls(t *testing.T) {
+	poisonOn(t)
+	db, _ := newEnv(t, []int{1}, false)
+	cols := []catalog.Column{
+		{Name: "k", Type: expr.TInt}, {Name: "b", Type: expr.TBool}, {Name: "s", Type: expr.TString, FixedLen: 6}}
+	codec, err := catalog.NewRowCodec(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := &catalog.Table{Name: "nulls", Columns: cols, Codec: codec, TupleBytes: codec.Width(), Heap: storage.NewHeapFile(db.Pool)}
+	var want []expr.Row
+	for i := 0; i < 3*slabValues/len(cols); i++ {
+		row := expr.Row{expr.I(int64(i)), expr.B(i%2 == 0), expr.S(fmt.Sprint("s", i%7))}
+		row[i%3] = expr.Null
+		rec, err := codec.Encode(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Heap.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	tab.Card = int64(len(want))
+	db.Cat.AddTable(tab)
+	// nulls ⋈ t1: the scan of nulls carves from the query's pool, which every
+	// run leaves poisoned on the free list for the next.
+	k, ua1 := query.ColRef{Table: "nulls", Col: "k"}, query.ColRef{Table: "t1", Col: "ua1"}
+	j := equiJoin(t, db.Cat, plan.HashJoin, scanNode(t, db.Cat, "t1"), scanNode(t, db.Cat, "nulls"), ua1, k)
+	width := len(j.Outer.Cols())
+	for run := 0; run < 2; run++ {
+		for _, p := range []int{1, 4} {
+			res, err := Run(&Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), Parallelism: p}, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatal("empty join")
+			}
+			for _, r := range res.Rows {
+				if got, want := rowKey(r[width:]), rowKey(want[r[width].I]); got != want {
+					t.Fatalf("run %d P=%d: decoded %s, stored %s", run, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// arenaIdle fails unless the Env's pool has given every slab back and the
+// process-wide free list balances.
+func arenaIdle(t *testing.T, what string, env *Env) {
+	t.Helper()
+	if env.slabs.slabs != nil || env.slabs.used != 0 {
+		t.Fatalf("%s: the query's pool still holds %d slabs", what, len(env.slabs.slabs))
+	}
+	if g, p := slabGets.Load(), slabPuts.Load(); g != p {
+		t.Fatalf("%s: %d slabs taken from the free list, %d returned", what, g, p)
+	}
+}
+
+// TestArenaReleased: Run gives the query's slabs back on every exit, and
+// every nested-loop pool inside the tree does at Close — after success, a
+// budget DNF, an injected read error mid-scan, a cancellation mid-probe and
+// a transfer-prepass abort, serial and parallel, with no goroutine left.
+func TestArenaReleased(t *testing.T) {
+	db := figuresDB(t, 0.02)
+	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
+	mig := optimizer.Options{Algorithm: optimizer.Migration}
+	newEnv := func(p int) *Env {
+		return &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), Parallelism: p}
+	}
+	// cancelAfter is a filter over a hash join whose UDF cancels the query at
+	// its n-th call: the build is long done, the probe is in flight.
+	cancelAfter := func(cancel context.CancelFunc, n int64) plan.Node {
+		var calls atomic.Int64 // a parallel filter's workers call Eval concurrently
+		f := &expr.FuncDef{Name: "cancelprobe", Arity: 1, Cost: 1, Selectivity: 1, Eval: func([]expr.Value) expr.Value {
+			if calls.Add(1) == n {
+				cancel()
+			}
+			return expr.B(true)
+		}}
+		j := equiJoin(t, db.Cat, plan.HashJoin, scanNode(t, db.Cat, "t9"), scanNode(t, db.Cat, "t10"),
+			col("t9", "a10"), col("t10", "a10"))
+		return &plan.Filter{Input: j, Pred: &query.Predicate{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t9", "u10")}}}
+	}
+	for _, p := range []int{1, 4} {
+		baseline := runtime.NumGoroutine()
+		check := func(what string, env *Env) {
+			t.Helper()
+			waitTeardown(t, env, baseline)
+			arenaIdle(t, fmt.Sprintf("%s P=%d", what, p), env)
+		}
+
+		env := newEnv(p)
+		for _, sql := range []string{sqlQuery3, sqlQuery4, sqlQuery5} { // hash, merge, nested-loop pools
+			if res, err := Run(env, planSQL(t, db.Cat, sql, mig)); err != nil || res.DNF || len(res.Rows) == 0 {
+				t.Fatalf("P=%d: %v %+v", p, err, res)
+			}
+			check("success", env)
+		}
+
+		env = newEnv(p)
+		env.Budget = 3000
+		if res, err := Run(env, planSQL(t, db.Cat, sqlQuery5, mig)); err != nil || !res.DNF {
+			t.Fatalf("P=%d budget: want DNF, got %v %+v", p, err, res)
+		}
+		check("budget DNF", env)
+
+		env = newEnv(p)
+		if err := db.Pool.EvictUnpinned(); err != nil {
+			t.Fatal(err)
+		}
+		db.Disk.SetFaults(storage.NewFaultInjector(storage.FaultConfig{FailReadN: 12}))
+		_, err := Run(env, planSQL(t, db.Cat, sqlQuery3, mig))
+		db.Disk.SetFaults(nil)
+		if !errors.Is(err, storage.ErrInjectedFault) {
+			t.Fatalf("P=%d fault: want the injected fault, got %v", p, err)
+		}
+		check("read fault", env)
+
+		env = newEnv(p)
+		ctx, cancel := context.WithCancel(context.Background())
+		env.Ctx = ctx
+		_, err = Run(env, cancelAfter(cancel, 40))
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("P=%d cancel: want ErrCanceled, got %v", p, err)
+		}
+		check("cancel mid-probe", env)
+
+		env = newEnv(p)
+		env.Transfer, env.Budget = true, 1
+		res, err := Run(env, planSQL(t, db.Cat, sqlQuery4, optimizer.Options{Algorithm: optimizer.Migration, Transfer: true}))
+		if err != nil || !res.DNF || env.transfer != nil {
+			t.Fatalf("P=%d prepass: want a DNF from the prepass, got %v %+v", p, err, res)
+		}
+		check("prepass abort", env)
+	}
+}
+
+// figuresAllocParent is what one warmed round of Queries 1-4 (Migration,
+// scale 0.05, collector off) allocated at the parent commit, where every
+// scan and join carved fresh slabs: measured with this test's loop.
+const figuresAllocParent = 17409776 // bytes
+
+// TestFiguresAllocBudget is the deterministic form of the benchmark's
+// alloc_mb_per_op: with the collector off the free list is never trimmed, so
+// a warmed round allocates its result rows and header slices and little
+// else — at most half of what the parent allocated.
+func TestFiguresAllocBudget(t *testing.T) {
+	if slabPoison {
+		t.Skip("under the race detector sync.Pool drops a quarter of its puts at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	db, err := datagen.Build(datagen.Config{Scale: 0.05, Tables: []int{1, 3, 9, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []plan.Node
+	for _, sql := range []string{sqlQuery1, sqlQuery2, sqlQuery3, sqlQuery4} {
+		roots = append(roots, planSQL(t, db.Cat, sql, optimizer.Options{Algorithm: optimizer.Migration}))
+	}
+	round := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, root := range roots {
+			env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0)}
+			if _, err := Run(env, root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	round()
+	got := round()
+	t.Logf("one warmed round allocates %d bytes (parent: %d)", got, figuresAllocParent)
+	if 2*got > figuresAllocParent {
+		t.Fatalf("one warmed round of Queries 1-4 allocates %d bytes, more than half the parent's %d", got, figuresAllocParent)
+	}
+}

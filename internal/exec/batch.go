@@ -11,6 +11,7 @@ package exec
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"predplace/internal/expr"
 )
@@ -56,53 +57,95 @@ func nextBatch(it Iterator, dst []expr.Row) (int, error) {
 	return n, nil
 }
 
-// slabValues is the size in values of one row-slab allocation.
+// slabValues is the size in values of one row slab (128 KiB).
 const slabValues = 4096
 
-// rowAlloc carves rows out of contiguous value slabs: one slab allocation
-// amortizes across slabValues/width rows instead of one allocation per
-// row. Without a pool, carved rows are never recycled — consumers may
-// retain them freely (result sets, hash-join builds) — the slab simply
-// becomes garbage when its rows do.
+// rowAlloc carves rows out of contiguous value slabs: one slab amortizes
+// across slabValues/width rows instead of one allocation per row. The one
+// lifetime rule (DESIGN.md §12): a row belongs to the query unless it is a
+// result row. With a pool the slabs are the pool's, and the rows die when it
+// rewinds or releases; without one (the operator build names as feeding
+// Result.Rows or a TopK heap) every slab is fresh, zeroed and never
+// recycled, and becomes garbage when its rows do.
 type rowAlloc struct {
 	slab []expr.Value
-	// pool, set on the serial operators of a nested-loop inner subtree,
-	// supplies the slabs instead: rows then live until the next rescan.
 	pool *slabPool
 }
 
-// slabPool recycles the row slabs of one nested-loop join's inner subtree.
-// Rows that subtree produces are valid only until its next rescan: the join
-// copies the pairs it keeps, rewinds the pool, and the rebuilt subtree
-// carves its rows from the same slabs, neither reallocated nor re-zeroed.
-// Not safe for concurrent use: it reaches only operators that run on the
-// goroutine driving the join, and an exchange's subtree keeps fresh slabs.
+// slabPool owns the row slabs of one lifetime: a query's (Env.slabs,
+// released when Run returns) or one nested-loop inner subtree's (rewound at
+// every rescan, released at Close). Slabs come from slabFree and go back to
+// it neither reallocated nor re-zeroed; get takes the mutex once per slab,
+// so scan partitions, partition builders and probe workers share a pool.
+// rewind and release take no lock: their callers have closed the operators
+// carving from the pool, which joins the goroutines those started.
 type slabPool struct {
-	slabs [][]expr.Value
+	mu    sync.Mutex
+	slabs []*[slabValues]expr.Value
 	used  int
 }
 
-func (p *slabPool) get() []expr.Value {
+// slabFree is the process-wide free list of row slabs, trimmed by the
+// collector; slabGets and slabPuts count its traffic (equal once every pool
+// has been released).
+var (
+	slabFree           = sync.Pool{New: func() interface{} { return new([slabValues]expr.Value) }}
+	slabGets, slabPuts atomic.Int64
+)
+
+// poisonSlabs makes rewind and release overwrite every value they
+// invalidate with poisonValue, so a row retained past its lifetime reads as
+// garbage instead of as a plausible later row. On under the race detector;
+// tests may switch it on.
+var poisonSlabs = slabPoison
+
+var poisonValue = expr.Value{Kind: 0xEE}
+
+// get returns a slab of at least n values: fresh when there is no pool or
+// the row is wider than a slab, otherwise the pool's next.
+func (p *slabPool) get(n int) []expr.Value {
+	if p == nil || n > slabValues {
+		return make([]expr.Value, max(n, slabValues))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.used == len(p.slabs) {
-		p.slabs = append(p.slabs, make([]expr.Value, slabValues))
+		p.slabs = append(p.slabs, slabFree.Get().(*[slabValues]expr.Value))
+		slabGets.Add(1)
 	}
 	p.used++
-	return p.slabs[p.used-1]
+	return p.slabs[p.used-1][:]
+}
+
+// rewind ends the life of every row carved so far; the slabs stay with the
+// pool for the next get.
+func (p *slabPool) rewind() {
+	if poisonSlabs {
+		for _, s := range p.slabs[:p.used] {
+			for i := range s {
+				s[i] = poisonValue
+			}
+		}
+	}
+	p.used = 0
+}
+
+// release is rewind, with the slabs returned to the free list.
+func (p *slabPool) release() {
+	p.rewind()
+	for _, s := range p.slabs {
+		slabFree.Put(s)
+	}
+	slabPuts.Add(int64(len(p.slabs)))
+	p.slabs = nil
 }
 
 // next returns a row of the given width carved from the current slab,
-// starting another slab when the current one is exhausted. The row is
-// zeroed only when its slab is fresh; callers overwrite every slot.
+// starting another slab when the current one is exhausted. The row holds
+// whatever its slab last held; callers overwrite every slot.
 func (a *rowAlloc) next(width int) expr.Row {
 	if len(a.slab) < width {
-		switch {
-		case width > slabValues:
-			a.slab = make([]expr.Value, width)
-		case a.pool != nil:
-			a.slab = a.pool.get()
-		default:
-			a.slab = make([]expr.Value, slabValues)
-		}
+		a.slab = a.pool.get(width)
 	}
 	row := expr.Row(a.slab[:width:width])
 	a.slab = a.slab[width:]
@@ -119,10 +162,10 @@ func (a *rowAlloc) concat(r, s expr.Row) expr.Row {
 }
 
 // rowBufPool recycles the []expr.Row batch buffers operators shuttle rows
-// through (pump buffers, exchange messages, worker task batches). Only the
-// slice headers are pooled — rows themselves are owned by whoever received
-// them — so a buffer may be recycled as soon as its rows have been handed
-// off.
+// through (collect buffers, exchange messages, worker task batches). Only
+// the slice headers are pooled — the rows belong to their rowAlloc's
+// lifetime — so a buffer may be recycled as soon as its rows have been
+// handed off.
 var rowBufPool = sync.Pool{
 	New: func() interface{} {
 		buf := make([]expr.Row, DefaultBatchSize)

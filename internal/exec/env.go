@@ -132,6 +132,10 @@ type Env struct {
 	// single-threaded before execution starts; nested-loop runtime rebuilds
 	// only read it, and ordered chains contain no joins).
 	buildSerial bool
+	// slabs owns every row the query carves below its result-producing
+	// operator (rowAlloc); Run releases it on every exit, once the iterator
+	// tree is closed and its goroutines joined.
+	slabs slabPool
 
 	traceMu sync.Mutex
 	trace   map[plan.Node]*int64
@@ -192,6 +196,7 @@ func (e *Env) begin() {
 	e.bloomProbes.Store(0)
 	e.transfer = nil
 	e.buildSerial = false
+	e.slabs.release() // a no-op after Run; callers that drive Build themselves may not have
 	e.trace = map[plan.Node]*int64{}
 	if e.Profile {
 		e.prof = map[plan.Node]*opCounters{}

@@ -25,11 +25,16 @@ type Iterator interface {
 // row counter so EXPLAIN ANALYZE can print actual cardinalities next to the
 // optimizer's estimates. With profiling on the wrapper additionally measures
 // wall time and attributes physical I/O per operator.
+//
+// Build also decides, from the plan alone, where each operator's rows live
+// (DESIGN.md §12). The root's rows escape into Result.Rows, so the first
+// operator under it that makes rows — filters, TopK and Limit only pass
+// them on — carves fresh slabs; a join copies what it emits, so everything
+// below a join carves from the query's pool, or from the pool of the
+// nested-loop inner subtree it sits in.
 func Build(e *Env, n plan.Node) (Iterator, error) { return buildIn(e, n, nil) }
 
-// buildIn is Build for a subtree of a nested-loop join's inner input: its
-// serial operators carve their rows from rs, the join's recycled slabs
-// (nil everywhere else). Operators behind an exchange do not receive it.
+// buildIn builds n with its output rows carved from rs (nil: fresh slabs).
 func buildIn(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	it, err := build(e, n, rs)
 	if err != nil {
@@ -48,16 +53,13 @@ func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	switch t := n.(type) {
 	case *plan.SeqScan:
 		if e.workers() > 1 && !e.buildSerial {
-			return newParallelSeqScan(e, t)
+			return newParallelSeqScan(e, t, rs)
 		}
 		return newSeqScan(e, t, rs)
 	case *plan.IndexScan:
 		return newIndexScan(e, t, rs)
 	case *plan.Filter:
 		parallel := e.workers() > 1 && !e.buildSerial && t.Pred.IsExpensive()
-		if parallel {
-			rs = nil // the input runs on the exchange's router goroutine
-		}
 		in, err := buildIn(e, t.Input, rs)
 		if err != nil {
 			return nil, err
@@ -76,11 +78,21 @@ func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	case *plan.Join:
 		return buildJoin(e, t, rs)
 	case *plan.TopK:
-		return newTopK(e, t)
+		return newTopK(e, t, rs)
 	case *plan.Limit:
-		return newLimit(e, t)
+		return newLimit(e, t, rs)
 	}
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
+}
+
+// below returns the pool a join whose output carves from rs hands to its
+// inputs: rs itself inside a nested-loop inner subtree, the query's pool
+// under the join that feeds the result.
+func (e *Env) below(rs *slabPool) *slabPool {
+	if rs == nil {
+		return &e.slabs
+	}
+	return rs
 }
 
 // seqScanIter reads a heap file front to back. With predicate transfer on,

@@ -13,8 +13,8 @@ import (
 	"predplace/internal/storage"
 )
 
-// buildJoin builds j; rs is buildIn's. The partitioned hash join pulls its
-// probe side from a router goroutine, so its subtree keeps fresh slabs.
+// buildJoin builds j with its output carved from rs and its inputs from
+// e.below(rs): every join copies the pairs it emits.
 func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	switch j.Method {
 	case plan.NestLoop:
@@ -23,7 +23,7 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 		return newIndexNLJoin(e, j, rs)
 	case plan.HashJoin:
 		if e.workers() > 1 {
-			return newParallelHashJoin(e, j)
+			return newParallelHashJoin(e, j, rs)
 		}
 		return newHashJoin(e, j, rs)
 	case plan.MergeJoin:
@@ -38,9 +38,9 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 // cost term models. The primary join predicate — which may be an expensive
 // function over both sides (Query 5) — is evaluated per pair.
 //
-// Inner rows are valid only until the next rescan (their slabs are recycled
-// through rescan, see slabPool); Next and NextBatch copy every pair they
-// keep, so the join's own output follows the usual never-recycled contract.
+// Inner rows are valid only until the next rescan (the join's own slabPool,
+// rewound there and released at Close); Next and NextBatch copy every pair
+// they keep, so the join's output lives as long as its own rowAlloc says.
 type nlJoinIter struct {
 	e        *Env
 	node     *plan.Join
@@ -64,7 +64,7 @@ type nlJoinIter struct {
 }
 
 func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
-	outer, err := buildIn(e, j.Outer, rs)
+	outer, err := buildIn(e, j.Outer, e.below(rs))
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func (n *nlJoinIter) rescanInner() error {
 			return err
 		}
 	}
-	n.rescan.used = 0
+	n.rescan.rewind()
 	inner, err := buildIn(n.e, n.node.Inner, &n.rescan)
 	if err != nil {
 		return err
@@ -258,6 +258,7 @@ func (n *nlJoinIter) Close() error {
 		cerr = n.inner.Close()
 		n.inner = nil
 	}
+	n.rescan.release()
 	return errors.Join(cerr, n.outer.Close())
 }
 
@@ -320,7 +321,7 @@ func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if outIdx < 0 {
 		return nil, fmt.Errorf("exec: outer key %v not in outer schema", outerKey)
 	}
-	outer, err := buildIn(e, j.Outer, rs)
+	outer, err := buildIn(e, j.Outer, e.below(rs))
 	if err != nil {
 		return nil, err
 	}
@@ -451,11 +452,11 @@ func newHashJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if j.Primary != nil && j.Primary.IsExpensive() {
 		return nil, fmt.Errorf("exec: hash join cannot use an expensive primary predicate")
 	}
-	outer, err := buildIn(e, j.Outer, rs)
+	outer, err := buildIn(e, j.Outer, e.below(rs))
 	if err != nil {
 		return nil, err
 	}
-	inner, err := buildIn(e, j.Inner, rs)
+	inner, err := buildIn(e, j.Inner, e.below(rs))
 	if err != nil {
 		return nil, err
 	}
@@ -471,6 +472,7 @@ func (h *hashJoinIter) Open() error {
 		return err
 	}
 	h.table, h.cur = joinTable{idx: h.inIdx}, -1
+	h.table.reserve(cardHint(h.node.Inner.Card()))
 	if bs := h.e.batchSize(); bs > 1 {
 		if err := h.buildBatched(bs); err != nil {
 			return err
@@ -604,6 +606,7 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 }
 
 func (h *hashJoinIter) Close() error {
+	h.table, h.cur = joinTable{}, -1
 	return errors.Join(h.outer.Close(), h.inner.Close())
 }
 
@@ -635,47 +638,26 @@ func newMergeJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	return &mergeJoinIter{e: e, node: j, outIdx: oi, inIdx: ii, alloc: rowAlloc{pool: rs}}, nil
 }
 
+// drain builds n over rs and collects every row it produces.
 func drain(e *Env, n plan.Node, rs *slabPool) ([]expr.Row, error) {
 	it, err := buildIn(e, n, rs)
 	if err != nil {
 		return nil, err
 	}
-	if err := it.Open(); err != nil {
-		return nil, errors.Join(err, it.Close())
+	rows, _, err := collect(e, it, n.Card(), true)
+	if err := errors.Join(err, it.Close()); err != nil {
+		return nil, err
 	}
-	var rows []expr.Row
-	if bs := e.batchSize(); bs > 1 {
-		buf := getRowBuf(bs)
-		defer putRowBuf(buf)
-		for {
-			m, berr := nextBatch(it, buf)
-			if berr != nil {
-				return nil, errors.Join(berr, it.Close())
-			}
-			if m == 0 {
-				return rows, it.Close()
-			}
-			rows = append(rows, buf[:m]...)
-		}
-	}
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, errors.Join(err, it.Close())
-		}
-		if !ok {
-			return rows, it.Close()
-		}
-		rows = append(rows, row)
-	}
+	return rows, nil
 }
 
 func (m *mergeJoinIter) Open() error {
 	var err error
-	if m.orows, err = drain(m.e, m.node.Outer, m.alloc.pool); err != nil {
+	in := m.e.below(m.alloc.pool)
+	if m.orows, err = drain(m.e, m.node.Outer, in); err != nil {
 		return err
 	}
-	if m.irows, err = drain(m.e, m.node.Inner, m.alloc.pool); err != nil {
+	if m.irows, err = drain(m.e, m.node.Inner, in); err != nil {
 		return err
 	}
 	sortSide := func(rows []expr.Row, idx int) {
@@ -791,4 +773,9 @@ func (m *mergeJoinIter) seek() (bool, error) {
 	}
 }
 
-func (m *mergeJoinIter) Close() error { return nil }
+// Close drops the drained sides: once the pool they were carved from is
+// rewound or released, no closed operator holds row headers into it.
+func (m *mergeJoinIter) Close() error {
+	m.orows, m.irows, m.group = nil, nil, nil
+	return nil
+}

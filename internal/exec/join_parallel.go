@@ -27,17 +27,18 @@ type parallelHashJoinIter struct {
 	parts  []joinTable
 	tasks  chan []expr.Row
 	fan    fanIn
+	pool   *slabPool // the probe workers' rowAlloc pool (nil: fresh slabs)
 }
 
-func newParallelHashJoin(e *Env, j *plan.Join) (Iterator, error) {
+func newParallelHashJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if j.Primary != nil && j.Primary.IsExpensive() {
 		return nil, fmt.Errorf("exec: hash join cannot use an expensive primary predicate")
 	}
-	outer, err := Build(e, j.Outer)
+	outer, err := buildIn(e, j.Outer, e.below(rs))
 	if err != nil {
 		return nil, err
 	}
-	inner, err := Build(e, j.Inner)
+	inner, err := buildIn(e, j.Inner, e.below(rs))
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +46,7 @@ func newParallelHashJoin(e *Env, j *plan.Join) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &parallelHashJoinIter{e: e, node: j, outer: outer, inner: inner, outIdx: oi, inIdx: ii}, nil
+	return &parallelHashJoinIter{e: e, node: j, outer: outer, inner: inner, outIdx: oi, inIdx: ii, pool: rs}, nil
 }
 
 func (h *parallelHashJoinIter) Open() error {
@@ -57,6 +58,7 @@ func (h *parallelHashJoinIter) Open() error {
 	build := make([]chan []expr.Row, w)
 	for i := range build {
 		h.parts[i].idx = h.inIdx
+		h.parts[i].reserve(cardHint(h.node.Inner.Card()) / w)
 		build[i] = make(chan []expr.Row, 2)
 	}
 	var bwg sync.WaitGroup
@@ -202,7 +204,7 @@ func (h *parallelHashJoinIter) probeWorker() {
 	defer h.fan.wg.Done()
 	w := len(h.parts)
 	bs := h.e.exchangeBatch()
-	var alloc rowAlloc
+	alloc := rowAlloc{pool: h.pool}
 	for batch := range h.tasks {
 		out := getRowBuf(bs)[:0]
 		for _, row := range batch {
@@ -244,5 +246,6 @@ func (h *parallelHashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 
 func (h *parallelHashJoinIter) Close() error {
 	h.fan.shutdown()
+	h.parts = nil
 	return errors.Join(h.outer.Close(), h.inner.Close())
 }

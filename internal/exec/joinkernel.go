@@ -60,13 +60,27 @@ func (t *joinTable) slot(key int64) *intSlot {
 	}
 }
 
-// grow doubles the integer table (or creates it) and re-seats every chain.
-func (t *joinTable) grow() {
-	old := t.slots
-	n := 2 * len(old)
-	if n < joinTableMinSlots {
-		n = joinTableMinSlots
+// reserve sizes an empty table for n rows with integer keys, so that a build
+// of about that many never doubles (doubling is two thirds of a build's
+// bytes). Callers pass a cardHint: the table grows past it like any other.
+func (t *joinTable) reserve(n int) {
+	if n <= 0 {
+		return
 	}
+	t.rows, t.next = make([]expr.Row, 0, n), make([]int32, 0, n)
+	slots := joinTableMinSlots
+	for slots < 2*n {
+		slots *= 2
+	}
+	t.resize(slots)
+}
+
+// grow doubles the integer table (or creates it).
+func (t *joinTable) grow() { t.resize(max(2*len(t.slots), joinTableMinSlots)) }
+
+// resize gives the integer table n slots and re-seats every chain.
+func (t *joinTable) resize(n int) {
+	old := t.slots
 	t.slots = make([]intSlot, n)
 	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	for _, sl := range old {

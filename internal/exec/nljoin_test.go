@@ -13,46 +13,59 @@ import (
 
 // drainSnapshot runs root the way Run does, but copies every output row the
 // moment it is produced and compares the retained rows with those copies
-// once the tree is drained and closed: a row whose slab was recycled after
-// it was handed out (the nested loop's rescan-scoped inner rows leaking into
-// a result) no longer matches its snapshot.
+// once the tree is closed and the query's slabs are released: a row whose
+// slab was recycled after it was handed out (a nested loop's rescan-scoped
+// inner rows, or any row below the result-producing operator, leaking into a
+// result) no longer matches its snapshot.
 func drainSnapshot(t *testing.T, env *Env, root plan.Node) ([]expr.Row, Stats) {
 	t.Helper()
 	env.begin()
+	if env.Transfer {
+		if err := env.runTransferPrepass(root); err != nil {
+			t.Fatal(err)
+		}
+	}
 	it, err := Build(env, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := it.Open(); err != nil {
+	var snap []expr.Row
+	rows, _, err := collect(env, &snapshotIter{Iterator: it, snap: &snap}, root.Card(), true)
+	if err != nil {
 		t.Fatal(err)
-	}
-	var rows, snap []expr.Row
-	buf := make([]expr.Row, env.batchSize())
-	for {
-		n := 0
-		if len(buf) > 1 {
-			n, err = nextBatch(it, buf)
-		} else if row, ok, nerr := it.Next(); ok {
-			buf[0], n = row, 1
-		} else {
-			err = nerr
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		for _, row := range buf[:n] {
-			rows = append(rows, row)
-			snap = append(snap, append(expr.Row(nil), row...))
-		}
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, "rows retained past Close vs. as produced", rows, snap)
-	return rows, env.finish(len(rows))
+	stats := env.finish(len(rows))
+	env.slabs.release()
+	sameRows(t, "rows retained past release vs. as produced", rows, snap)
+	return rows, stats
+}
+
+// snapshotIter deep-copies every row its input hands up.
+type snapshotIter struct {
+	Iterator
+	snap *[]expr.Row
+}
+
+func (s *snapshotIter) Next() (expr.Row, bool, error) {
+	row, ok, err := s.Iterator.Next()
+	if ok {
+		*s.snap = append(*s.snap, append(expr.Row(nil), row...))
+	}
+	return row, ok, err
+}
+
+func (s *snapshotIter) NextBatch(dst []expr.Row) (int, error) {
+	n, err := nextBatch(s.Iterator, dst)
+	if err != nil {
+		return 0, err
+	}
+	for _, row := range dst[:n] {
+		*s.snap = append(*s.snap, append(expr.Row(nil), row...))
+	}
+	return n, nil
 }
 
 // TestNLJoinMatrix runs a nested loop with an expensive primary over every

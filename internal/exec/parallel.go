@@ -183,11 +183,12 @@ type parallelScanIter struct {
 	// concurrency-safe, so workers share one view).
 	heap   *storage.HeapFile
 	fan    fanIn
+	pool   *slabPool // the partitions' rowAlloc pool (nil: fresh slabs)
 	probes []tableProbe
 	tc     *opCounters
 }
 
-func newParallelSeqScan(e *Env, s *plan.SeqScan) (Iterator, error) {
+func newParallelSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (Iterator, error) {
 	tab, err := e.Cat.Table(s.Table)
 	if err != nil {
 		return nil, err
@@ -195,7 +196,7 @@ func newParallelSeqScan(e *Env, s *plan.SeqScan) (Iterator, error) {
 	if tab.Heap == nil || tab.Codec == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", s.Table)
 	}
-	it := &parallelScanIter{e: e, tab: tab}
+	it := &parallelScanIter{e: e, tab: tab, pool: rs}
 	if e.prof != nil {
 		it.tc = e.nodeProf(s)
 	}
@@ -242,7 +243,7 @@ func (s *parallelScanIter) scanPartition(lo, hi int) {
 	defer it.Close()
 	bs := s.e.exchangeBatch()
 	width := len(s.tab.Columns)
-	var alloc rowAlloc
+	alloc := rowAlloc{pool: s.pool}
 	var memo catalog.DecodeMemo
 	buf := getRowBuf(bs)[:0]
 	count := 0

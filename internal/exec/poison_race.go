@@ -1,0 +1,7 @@
+//go:build race
+
+package exec
+
+// slabPoison: under the race detector every slabPool poisons what it
+// invalidates (see poisonSlabs), so the whole -race suite checks row lifetimes.
+const slabPoison = true

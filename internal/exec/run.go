@@ -51,6 +51,9 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 		}
 	}
 	e.begin()
+	// Every return below comes after it.Close() has joined the tree's
+	// goroutines (or before any exist); only result rows outlive this.
+	defer e.slabs.release()
 	if e.prof != nil {
 		// Pre-register every plan node's counters so the profile and
 		// NodeRows cover the whole tree — including subtrees the data flow
@@ -88,7 +91,8 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := pump(e, it, res)
+	rows, n, err := collect(e, it, root.Card(), !e.CountOnly)
+	res.Rows = rows
 	cerr := it.Close()
 	if errors.Is(err, ErrBudgetExceeded) {
 		// The abort is the measurement (the paper's "did not finish"); a
@@ -102,7 +106,7 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 	if err := errors.Join(err, cerr); err != nil {
 		return nil, err
 	}
-	res.Stats = e.finish(rows)
+	res.Stats = e.finish(n)
 	res.NodeRows = collectTrace(e)
 	if e.prof != nil {
 		res.Profile = assembleProfile(e, root)
@@ -110,45 +114,50 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 	return res, nil
 }
 
-// pump opens the iterator and drains it into res, returning the number of
-// rows produced. The caller owns closing the iterator. With batching on
-// (Env.BatchSize != 1) it drives the tree through the NextBatch fast path;
-// BatchSize 1 runs the exact legacy tuple-at-a-time loop.
-func pump(e *Env, it Iterator, res *Result) (int, error) {
+// collect opens it and pulls it dry, returning the number of rows it
+// produced and, when keep is set, the rows themselves — also on an error,
+// up to where it struck. The caller owns closing the iterator. With batching
+// on (Env.BatchSize != 1) it drives the tree through the NextBatch fast
+// path; BatchSize 1 runs the exact legacy tuple-at-a-time loop. card, the
+// plan's estimate for it, sizes the first allocation (cardHint).
+func collect(e *Env, it Iterator, card float64, keep bool) ([]expr.Row, int, error) {
 	if err := it.Open(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	rows := 0
-	if bs := e.batchSize(); bs > 1 {
-		buf := getRowBuf(bs)
-		defer putRowBuf(buf)
-		for {
-			n, err := nextBatch(it, buf)
-			if err != nil {
-				return rows, err
-			}
-			if n == 0 {
-				return rows, nil
-			}
-			rows += n
-			if !e.CountOnly {
-				res.Rows = append(res.Rows, buf[:n]...)
-			}
+	var rows []expr.Row
+	buf := getRowBuf(e.batchSize())
+	defer putRowBuf(buf)
+	for count := 0; ; {
+		var n int
+		var err error
+		if len(buf) > 1 {
+			n, err = nextBatch(it, buf)
+		} else if row, ok, nerr := it.Next(); ok {
+			buf[0], n = row, 1
+		} else {
+			err = nerr
 		}
-	}
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return rows, err
+		if err != nil || n == 0 {
+			return rows, count, err
 		}
-		if !ok {
-			return rows, nil
-		}
-		rows++
-		if !e.CountOnly {
-			res.Rows = append(res.Rows, row)
+		count += n
+		if keep {
+			if rows == nil {
+				rows = make([]expr.Row, 0, max(n, cardHint(card)))
+			}
+			rows = append(rows, buf[:n]...)
 		}
 	}
+}
+
+// cardHint turns a cardinality estimate into an initial capacity. An
+// estimate is a hint, never a bound: past 1<<16 entries (1.5 MiB of row
+// headers) the holder doubles like any slice, however wrong the plan was.
+func cardHint(card float64) int {
+	if !(card > 0) {
+		return 0
+	}
+	return int(min(card, 1<<16))
 }
 
 // MatchingTIDs scans a base table and returns the tuple ids of rows

@@ -38,8 +38,8 @@ type topkIter struct {
 	tc     *opCounters // nil unless profiling
 }
 
-func newTopK(e *Env, t *plan.TopK) (Iterator, error) {
-	in, err := Build(e, t.Input)
+func newTopK(e *Env, t *plan.TopK, rs *slabPool) (Iterator, error) {
+	in, err := buildIn(e, t.Input, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -249,12 +249,12 @@ type limitIter struct {
 	tc   *opCounters // nil unless profiling
 }
 
-func newLimit(e *Env, l *plan.Limit) (Iterator, error) {
+func newLimit(e *Env, l *plan.Limit, rs *slabPool) (Iterator, error) {
 	restore := e.buildSerial
 	if l.Ordered {
 		e.buildSerial = true
 	}
-	in, err := Build(e, l.Input)
+	in, err := buildIn(e, l.Input, rs)
 	e.buildSerial = restore
 	if err != nil {
 		return nil, err

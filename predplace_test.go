@@ -523,3 +523,61 @@ func TestExecDeleteWithExpensivePredicate(t *testing.T) {
 		t.Fatalf("rank ordering not applied to DELETE: %d invocations", f.Calls())
 	}
 }
+
+// TestArenaCorrelatedIn is internal/exec's TestArenaMatrix for the one plan
+// shape only the facade can build: a correlated IN, compiled to a subquery
+// UDF, filtering rows that live in the query's recycled slabs (the filter
+// sits under a join). The rows a query returned must still read as returned
+// after later queries have carved their rows out of the same slabs — under
+// the race detector the executor poisons every slab it releases — and must
+// be the rows of the tuple-at-a-time serial run.
+func TestArenaCorrelatedIn(t *testing.T) {
+	db := openBench(t, 1, 3, 10)
+	const sql = `SELECT * FROM t3, t10 WHERE t3.ua1 = t10.ua1 AND t10.ua1 < 400 AND t10.ua1 IN
+		(SELECT ua1 FROM t3 WHERE t3.a100 >= t10.a100)`
+	canon := func(rows [][]Value) []string {
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			cells := make([]string, len(row))
+			for k, v := range row {
+				cells[k] = v.String()
+			}
+			out[i] = strings.Join(cells, "|")
+		}
+		sort.Strings(out)
+		return out
+	}
+	db.SetBatchSize(1)
+	base, err := db.Query(sql, PushDown) // the subquery filter sits on t10's scan, under the join
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canon(base.Rows)
+	if len(want) == 0 || !strings.Contains(base.Plan, "in_t3_") {
+		t.Fatalf("want a non-empty result through the subquery predicate, got %d rows:\n%s", len(want), base.Plan)
+	}
+	for _, caching := range []bool{false, true} {
+		for _, p := range []int{1, 4} {
+			for _, bs := range []int{1, 7, 256} {
+				db.SetCaching(caching)
+				db.SetParallelism(p)
+				db.SetBatchSize(bs)
+				res, err := db.Query(sql, PushDown)
+				if err != nil {
+					t.Fatal(err)
+				}
+				asReturned := canon(res.Rows)
+				if _, err := db.Query("SELECT * FROM t3, t10 WHERE t3.a10 = t10.a10", PushDown); err != nil {
+					t.Fatal(err)
+				}
+				got := canon(res.Rows)
+				for i := range want {
+					if len(got) != len(want) || got[i] != asReturned[i] || got[i] != want[i] {
+						t.Fatalf("caching=%v P=%d BS=%d: row %d reads %q, was returned as %q, tuple-at-a-time serial %q (%d rows, want %d)",
+							caching, p, bs, i, got[i], asReturned[i], want[i], len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
