@@ -90,6 +90,9 @@ func buildIKGraph(q *query.Query) (map[int][]ikEdge, error) {
 	}
 	type pair struct{ a, b int }
 	sel := map[pair]float64{}
+	// edges keeps the pairs in first-seen predicate order: adjacency order
+	// breaks rank ties in ikMerge, so it must not come from map iteration.
+	var edges []pair
 	for _, p := range q.Preds {
 		if !p.IsJoin() {
 			continue
@@ -104,6 +107,7 @@ func buildIKGraph(q *query.Query) (map[int][]ikEdge, error) {
 		k := pair{a, b}
 		if _, ok := sel[k]; !ok {
 			sel[k] = 1
+			edges = append(edges, k)
 		}
 		sel[k] *= p.Selectivity
 	}
@@ -111,9 +115,9 @@ func buildIKGraph(q *query.Query) (map[int][]ikEdge, error) {
 		return nil, fmt.Errorf("optimizer: query graph is not a tree (%d tables, %d edges)", n, len(sel))
 	}
 	adj := map[int][]ikEdge{}
-	for k, s := range sel {
-		adj[k.a] = append(adj[k.a], ikEdge{to: k.b, sel: s})
-		adj[k.b] = append(adj[k.b], ikEdge{to: k.a, sel: s})
+	for _, k := range edges {
+		adj[k.a] = append(adj[k.a], ikEdge{to: k.b, sel: sel[k]})
+		adj[k.b] = append(adj[k.b], ikEdge{to: k.a, sel: sel[k]})
 	}
 	// Connectivity check (tree with n-1 edges is a tree iff connected).
 	seen := map[int]bool{0: true}

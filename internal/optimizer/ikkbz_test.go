@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"predplace/internal/catalog"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
@@ -283,5 +284,46 @@ func TestTooManyTables(t *testing.T) {
 	}
 	if _, _, err := New(cat, Options{Algorithm: LDLIKKBZ}).Plan(q); err == nil {
 		t.Fatal("a 33-table query planned")
+	}
+}
+
+// TestIKKBZDeterministic: equal-rank subtrees are merged in adjacency order,
+// which buildIKGraph takes from q.Preds — never from map iteration — so
+// repeated plannings of a statement with a rank tie yield one plan.
+func TestIKKBZDeterministic(t *testing.T) {
+	db := benchDB(t, 1, 2, 3)
+	chain := func() (*query.Query, *catalog.Catalog) {
+		return mkQuery(t, db, []string{"t2", "t1", "t3"}, []*query.Predicate{
+			jp("t2", "ua1", "t1", "ua1"),
+			jp("t1", "ua1", "t3", "ua1"),
+		}), db.Cat
+	}
+	wide := wideCatalog(t, 4)
+	star := func() (*query.Query, *catalog.Catalog) {
+		q, err := query.NewQuery([]string{"w0", "w1", "w2", "w3"}, []*query.Predicate{
+			jp("w0", "k", "w3", "k"),
+			jp("w0", "k", "w1", "k"),
+			jp("w0", "k", "w2", "k"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, wide
+	}
+	for name, mk := range map[string]func() (*query.Query, *catalog.Catalog){"chain": chain, "star": star} {
+		var first string
+		for i := 0; i < 300; i++ {
+			q, cat := mk()
+			root, _, err := New(cat, Options{Algorithm: LDLIKKBZ}).Plan(q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := plan.Render(root)
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: planning %d chose\n%s\nplanning 0 chose\n%s", name, i, got, first)
+			}
+		}
 	}
 }
