@@ -125,13 +125,10 @@ type Env struct {
 	// transfer holds the prepass's filters and counters for the running
 	// query (nil when Transfer is off or the plan has no transferable join).
 	transfer *transferState
-	// buildSerial forces serial operators while building an ordered Limit's
-	// subtree: parallel scans and filters do not preserve row order, and the
-	// Limit's early termination is only correct on an order-preserving
-	// chain. Set and restored around the recursive child build (which runs
-	// single-threaded before execution starts; nested-loop runtime rebuilds
-	// only read it, and ordered chains contain no joins).
-	buildSerial bool
+	// ordered holds the plan nodes Build found must run as serial operators
+	// (orderedNodes); nil when execution is serial anyway. Written once,
+	// before execution starts; nested-loop rebuilds only read it.
+	ordered map[plan.Node]bool
 	// slabs owns every row the query carves below its result-producing
 	// operator (rowAlloc); Run releases it on every exit, once the iterator
 	// tree is closed and its goroutines joined.
@@ -195,7 +192,6 @@ func (e *Env) begin() {
 	e.bloomAdds.Store(0)
 	e.bloomProbes.Store(0)
 	e.transfer = nil
-	e.buildSerial = false
 	e.slabs.release() // a no-op after Run; callers that drive Build themselves may not have
 	e.trace = map[plan.Node]*int64{}
 	if e.Profile {

@@ -32,7 +32,61 @@ type Iterator interface {
 // them on — carves fresh slabs; a join copies what it emits, so everything
 // below a join carves from the query's pool, or from the pool of the
 // nested-loop inner subtree it sits in.
-func Build(e *Env, n plan.Node) (Iterator, error) { return buildIn(e, n, nil) }
+func Build(e *Env, n plan.Node) (Iterator, error) {
+	e.ordered = nil
+	if e.workers() > 1 {
+		e.ordered = orderedNodes(n)
+	}
+	return buildIn(e, n, nil)
+}
+
+// orderedNodes returns the nodes of root that must be built from serial
+// operators because a consumer relies on the order they deliver — parallel
+// scans, filters and hash joins do not keep their input's order. Those are
+// the chains under an ordered Limit and under each merge-join side the plan
+// marks as arriving sorted: through filters and along the outer side of
+// hash and nested-loop joins (which pass the outer's order on), down to the
+// index scan or merge join that makes the order.
+func orderedNodes(root plan.Node) map[plan.Node]bool {
+	var set map[plan.Node]bool
+	mark := func(n plan.Node) {
+		for {
+			if set == nil {
+				set = map[plan.Node]bool{}
+			}
+			set[n] = true
+			switch t := n.(type) {
+			case *plan.Filter:
+				n = t.Input
+			case *plan.Join:
+				if t.Method == plan.MergeJoin {
+					return
+				}
+				n = t.Outer
+			default:
+				return
+			}
+		}
+	}
+	plan.Walk(root, func(n plan.Node) {
+		switch t := n.(type) {
+		case *plan.Limit:
+			if t.Ordered {
+				mark(t.Input)
+			}
+		case *plan.Join:
+			if t.Method == plan.MergeJoin {
+				if !t.SortOuter {
+					mark(t.Outer)
+				}
+				if !t.SortInner {
+					mark(t.Inner)
+				}
+			}
+		}
+	})
+	return set
+}
 
 // buildIn builds n with its output rows carved from rs (nil: fresh slabs).
 func buildIn(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
@@ -52,14 +106,14 @@ func buildIn(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		if e.workers() > 1 && !e.buildSerial {
+		if e.workers() > 1 && !e.ordered[t] {
 			return newParallelSeqScan(e, t, rs)
 		}
 		return newSeqScan(e, t, rs)
 	case *plan.IndexScan:
 		return newIndexScan(e, t, rs)
 	case *plan.Filter:
-		parallel := e.workers() > 1 && !e.buildSerial && t.Pred.IsExpensive()
+		parallel := e.workers() > 1 && !e.ordered[t] && t.Pred.IsExpensive()
 		in, err := buildIn(e, t.Input, rs)
 		if err != nil {
 			return nil, err

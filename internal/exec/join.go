@@ -22,7 +22,7 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	case plan.IndexNestLoop:
 		return newIndexNLJoin(e, j, rs)
 	case plan.HashJoin:
-		if e.workers() > 1 {
+		if e.workers() > 1 && !e.ordered[j] {
 			return newParallelHashJoin(e, j, rs)
 		}
 		return newHashJoin(e, j, rs)

@@ -154,3 +154,37 @@ func TestParallelCloseEarly(t *testing.T) {
 	}
 	env.Parallelism = 1
 }
+
+// TestParallelKeepsOrderMergeJoinReliesOn: a merge-join side the plan marks
+// as arriving sorted is built from serial operators under Parallelism > 1 —
+// a parallel filter or hash join between the index scan that makes the
+// order and the merge join that consumes it would lose matches.
+func TestParallelKeepsOrderMergeJoinReliesOn(t *testing.T) {
+	db, env := newEnv(t, []int{2, 3, 9}, false)
+	f, _ := db.Cat.Func("costly1")
+	sorted := func(table string) *plan.IndexScan {
+		return &plan.IndexScan{Table: table, Col: "a1", ColRefs: scanNode(t, db.Cat, table).ColRefs}
+	}
+	q, _ := query.NewQuery([]string{"t9"}, []*query.Predicate{{
+		Kind: query.KindFunc, Func: f, Args: []query.ColRef{{Table: "t9", Col: "u10"}},
+	}})
+	query.Analyze(db.Cat, q)
+	// Outer: an expensive filter over t9 in a1 order. Inner: a hash join
+	// whose outer side carries t3's a1 order.
+	outer := &plan.Filter{Input: sorted("t9"), Pred: q.Preds[0]}
+	inner := equiJoin(t, db.Cat, plan.HashJoin, sorted("t3"), scanNode(t, db.Cat, "t2"),
+		query.ColRef{Table: "t3", Col: "ua1"}, query.ColRef{Table: "t2", Col: "ua1"})
+	root := equiJoin(t, db.Cat, plan.MergeJoin, outer, inner,
+		query.ColRef{Table: "t9", Col: "a1"}, query.ColRef{Table: "t3", Col: "a1"})
+	root.SortOuter, root.SortInner = false, false
+	for i := 0; i < 20; i++ {
+		serial, par := runSerialAndParallel(t, env, root)
+		if len(serial.Rows) == 0 {
+			t.Fatal("the join is empty; the test proves nothing")
+		}
+		sameRowMultiset(t, par.Rows, serial.Rows)
+		if got, want := par.Stats.Charged(), serial.Stats.Charged(); got != want {
+			t.Fatalf("parallel charged = %v, serial = %v", got, want)
+		}
+	}
+}

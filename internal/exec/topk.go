@@ -238,7 +238,7 @@ func (t *topkIter) Close() error {
 }
 
 // limitIter implements plan.Limit: pass through k rows, then stop pulling.
-// For an ordered limit the child subtree was built serial (Env.buildSerial),
+// For an ordered limit the child subtree was built serial (orderedNodes),
 // so the index scan's ascending key order survives to the root and the k
 // rows delivered are exactly the ORDER BY's first k.
 type limitIter struct {
@@ -250,12 +250,7 @@ type limitIter struct {
 }
 
 func newLimit(e *Env, l *plan.Limit, rs *slabPool) (Iterator, error) {
-	restore := e.buildSerial
-	if l.Ordered {
-		e.buildSerial = true
-	}
 	in, err := buildIn(e, l.Input, rs)
-	e.buildSerial = restore
 	if err != nil {
 		return nil, err
 	}
