@@ -1,8 +1,8 @@
 package predplace_test
 
 // Micro-benchmarks isolating the batch executor's hot paths — scan, cheap
-// filter, expensive filter, hash join — at BatchSize 1 (the legacy
-// tuple-at-a-time executor) versus the tuned default. Each sub-benchmark
+// filter, expensive filter, hash join — at BatchSize 1 (one row per call)
+// versus the tuned default. Each sub-benchmark
 // reports allocs/op; the batch rows should show the slab-decode and
 // batched-evaluation savings (EXPERIMENTS.md records the numbers).
 //
@@ -45,8 +45,8 @@ func benchBatchSizes(b *testing.B, sql string, algo predplace.Algorithm) {
 }
 
 // BenchmarkBatchScan isolates the sequential-scan path: no predicates, so
-// the work is page access + tuple decode (slab rows + string memoization in
-// batch mode vs two allocations per row in tuple mode).
+// the work is page access + tuple decode into slab rows, amortized over the
+// batch width.
 func BenchmarkBatchScan(b *testing.B) {
 	benchBatchSizes(b, "SELECT * FROM t10", predplace.PushDown)
 }

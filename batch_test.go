@@ -1,11 +1,10 @@
 package predplace_test
 
-// Randomized batch-execution invariant tests: for random queries, plans,
-// and batch widths, the batched executor must be indistinguishable from the
-// legacy tuple-at-a-time executor — identical rows (same order for serial
-// execution), identical charged cost, and with caching on identical
-// function-invocation counts (the batched predicate-cache protocol is
-// as-if-sequential). These run under -race in check.sh, so they also vet
+// Randomized batch-width invariant tests: for random queries, plans, and
+// batch widths, execution must be indistinguishable from the run at width 1
+// (one row per call) — identical rows (same order for serial execution),
+// identical charged cost, and with caching on identical function-invocation
+// counts (the batched predicate-cache protocol is as-if-sequential). These run under -race in check.sh, so they also vet
 // the pooled-buffer and parallel fan-in plumbing for data races.
 
 import (
@@ -63,7 +62,7 @@ func TestRandomizedBatchAgreement(t *testing.T) {
 				t.Fatalf("batch(%d) %v on %q: %v", width, algo, sql, err)
 			}
 
-			// Serial batched execution must reproduce the legacy run exactly:
+			// Serial batched execution must reproduce the width-1 run exactly:
 			// rows in the same order, same charged cost, same invocations.
 			tupleRows, batchRows := orderedRows(tuple), orderedRows(batch)
 			if len(tupleRows) != len(batchRows) {

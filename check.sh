@@ -40,11 +40,23 @@ echo "==> row-memory gates (arena lifetime matrix, release on every exit, alloca
 go test -race -count=1 -run 'TestArena|TestFiguresAllocBudget' ./internal/exec
 go test -count=1 -run '^TestFiguresAllocBudget$' ./internal/exec
 
+echo "==> executor gates (recorded answers at every width, mixed-width pulls, deterministic IKKBZ)"
+# Also part of the full test run below. A failure of the first command means
+# an operator's rows, order, charged cost or invocation counts depend on the
+# batch width (testdata/executor.golden holds the width-1 answers) or on the
+# width changing between calls on one instance.
+go test -race -count=1 -timeout 30m -run '^(TestExecutorGolden|TestOperatorsWidthSchedule)$' . ./internal/exec
+# A failure here means LDL-IKKBZ breaks a rank tie by map iteration order
+# again, and the golden above will flake with it.
+go test -count=1 -run 'TestIKKBZDeterministic' ./internal/optimizer
+
 echo "==> go build ./..."
 go build ./...
 
 echo "==> go test -race ./..."
-go test -race ./...
+# The root package replays testdata/executor.golden (8 400 queries, several
+# minutes under the detector): past the default 10 m on a loaded machine.
+go test -race -timeout 30m ./...
 
 echo "==> benchmark module (cd bench && go vet . && go test .)"
 # bench/ is a module of its own (so ./... above never compiles it) and calls
@@ -61,10 +73,10 @@ echo "==> parallel-executor gate (ppbench -parallel)"
 go run ./cmd/ppbench -parallel -workers 4 -iters 3 -json -scale 0.02
 
 echo "==> batch-executor gate (ppbench -batch)"
-# Runs Queries 1-5 tuple-at-a-time (BatchSize 1, the legacy executor),
-# batched serial, and batched parallel on one database; exits nonzero if the
-# batched executors' result sets, row order (serial modes), or charged cost
-# diverge from tuple-at-a-time.
+# Runs Queries 1-5 at BatchSize 1 (one row per call), at the default width
+# serially, and at the default width in parallel on one database; exits
+# nonzero if result sets, row order (serial modes), or charged cost differ
+# from the width-1 run.
 go run ./cmd/ppbench -batch -workers 4 -iters 3 -json -scale 0.02
 
 echo "==> fault/timeout gate (ppbench -faults)"

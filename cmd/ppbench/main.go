@@ -101,7 +101,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	parallel := flag.Bool("parallel", false, "run the serial-vs-parallel execution bench instead of the figures")
-	batch := flag.Bool("batch", false, "run the tuple-vs-batch-vs-parallel execution bench instead of the figures")
+	batch := flag.Bool("batch", false, "run the width-invariance bench (BatchSize 1 = one row per call, vs default width, vs parallel) instead of the figures")
 	faults := flag.Bool("faults", false, "run the fault/timeout sweep instead of the figures")
 	profile := flag.Bool("profile", false, "run the per-operator profiling bench instead of the figures")
 	transfer := flag.Bool("transfer", false, "run the predicate-transfer off-vs-on bench instead of the figures")

@@ -57,47 +57,74 @@ func equiJoin(t *testing.T, cat *catalog.Catalog, m plan.JoinMethod, outer, inne
 	return j
 }
 
-// TestArenaMatrix is the lifetime gate of the one row-memory rule: over the
-// figure queries and the plan shapes that decide who carves fresh (a root
-// scan, a root join, TopK and Limit roots, an index nested loop) times the
-// executor grid, the rows a query returns are the rows it produced — after
-// Run released the query's slabs, poisoned them, and another query carved
-// its own rows out of them.
-func TestArenaMatrix(t *testing.T) {
-	poisonOn(t)
+// arenaShape is one plan shape of the row-memory and width-schedule
+// matrices: a figure query or a statement planned under Migration, or a
+// hand-built tree for the placements the planner does not pick at test scale.
+type arenaShape struct {
+	name string
+	db   *datagen.DB
+	root func(t *testing.T, caching, transfer bool) plan.Node
+}
+
+// arenaShapes are the figure queries and the plan shapes that decide who
+// carves fresh and who must not outlive a pool: a root scan, a root join,
+// TopK and Limit roots, an index nested loop at the root, inside a
+// nested-loop inner subtree (its pairs die at the parent's rescan) and under
+// a hash-join build.
+func arenaShapes(t *testing.T) []arenaShape {
 	db := figuresDB(t, 0.02)
 	small := figuresDB(t, 0.005) // Query 5's nested loop is quadratic in the scale
 	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
-	scribble := equiJoin(t, db.Cat, plan.HashJoin, scanNode(t, db.Cat, "t3"), scanNode(t, db.Cat, "t10"),
-		col("t3", "ua1"), col("t10", "ua1"))
-	stmts := []struct{ name, sql string }{
+	var shapes []arenaShape
+	for _, st := range []struct{ name, sql string }{
 		{"query1", sqlQuery1}, {"query2", sqlQuery2}, {"query3", sqlQuery3},
 		{"query4", sqlQuery4}, {"query5", sqlQuery5}, {"fig1", sqlFig1},
 		{"scan", `SELECT * FROM t6 WHERE t6.ua1 < 700`},
 		{"topk-scan", `SELECT * FROM t6 ORDER BY u10 LIMIT 25`},
 		{"limit-scan", `SELECT * FROM t6 WHERE costly1(t6.u20) ORDER BY a1 LIMIT 25`},
 		{"topk-join", `SELECT * FROM t3, t10 WHERE t3.ua1 = t10.ua1 AND costly1(t10.u20) ORDER BY t10.u10 LIMIT 25`},
-		{"indexnl", ""},
-	}
-	for _, st := range stmts {
-		db := db
+	} {
+		sdb := db
 		if st.name == "query5" {
-			db = small
+			sdb = small
 		}
-		t.Run(st.name, func(t *testing.T) {
+		shapes = append(shapes, arenaShape{st.name, sdb, func(t *testing.T, caching, transfer bool) plan.Node {
+			return planSQL(t, sdb.Cat, st.sql, optimizer.Options{
+				Algorithm: optimizer.Migration, Caching: caching, Transfer: transfer})
+		}})
+	}
+	scan := func(tab string) plan.Node { return scanNode(t, db.Cat, tab) }
+	indexNL := func() *plan.Join {
+		return equiJoin(t, db.Cat, plan.IndexNestLoop, scan("t1"), scan("t3"), col("t1", "a1"), col("t3", "a1"))
+	}
+	few := &plan.Filter{Input: scan("t2"), Pred: &query.Predicate{
+		Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t2", "ua1"), Value: expr.I(12)}}
+	hand := func(name string, root plan.Node) {
+		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }})
+	}
+	hand("indexnl", indexNL())
+	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")))
+	hand("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")))
+	return shapes
+}
+
+// TestArenaMatrix is the lifetime gate of the one row-memory rule: over the
+// arenaShapes times the executor grid, the rows a query returns are the rows
+// it produced — after Run released the query's slabs, poisoned them, and
+// another query carved its own rows out of them.
+func TestArenaMatrix(t *testing.T) {
+	poisonOn(t)
+	for _, sh := range arenaShapes(t) {
+		db := sh.db
+		scribble := equiJoin(t, db.Cat, plan.HashJoin, scanNode(t, db.Cat, "t3"), scanNode(t, db.Cat, "t10"),
+			query.ColRef{Table: "t3", Col: "ua1"}, query.ColRef{Table: "t10", Col: "ua1"})
+		t.Run(sh.name, func(t *testing.T) {
 			for knobs := 0; knobs < 8; knobs++ {
 				transfer, caching, profile := knobs&1 != 0, knobs&2 != 0, knobs&4 != 0
-				var root plan.Node
-				if st.sql != "" {
-					root = planSQL(t, db.Cat, st.sql, optimizer.Options{
-						Algorithm: optimizer.Migration, Caching: caching, Transfer: transfer})
-				} else {
-					root = equiJoin(t, db.Cat, plan.IndexNestLoop, scanNode(t, db.Cat, "t1"), scanNode(t, db.Cat, "t3"),
-						col("t1", "a1"), col("t3", "a1"))
-				}
+				root := sh.root(t, caching, transfer)
 				for _, p := range []int{1, 4} {
 					for _, bs := range []int{1, 7, 256} {
-						name := fmt.Sprintf("%s transfer=%v caching=%v profile=%v P=%d BS=%d", st.name, transfer, caching, profile, p, bs)
+						name := fmt.Sprintf("%s transfer=%v caching=%v profile=%v P=%d BS=%d", sh.name, transfer, caching, profile, p, bs)
 						env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(caching, 0),
 							Parallelism: p, BatchSize: bs, Transfer: transfer, Profile: profile}
 						want, _ := drainSnapshot(t, env, root)
@@ -109,8 +136,7 @@ func TestArenaMatrix(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						noPoison(t, name, res.Rows)
-						_, ordered := root.(*plan.Limit)
-						if _, topk := root.(*plan.TopK); p == 1 || topk || ordered {
+						if p == 1 || deliversInOrder(root) {
 							sameRows(t, name, res.Rows, want)
 						} else {
 							sameRowMultiset(t, res.Rows, want)
@@ -120,6 +146,16 @@ func TestArenaMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// deliversInOrder reports whether root's row order is specified even under
+// parallel execution: a TopK or an ordered Limit root.
+func deliversInOrder(root plan.Node) bool {
+	switch root.(type) {
+	case *plan.TopK, *plan.Limit:
+		return true
+	}
+	return false
 }
 
 // TestArenaNulls pins the "callers overwrite every slot" contract of

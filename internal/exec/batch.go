@@ -1,13 +1,12 @@
 package exec
 
-// Batch-at-a-time execution: the optional NextBatch fast path of the
-// Volcano contract, plus the allocation discipline (slab row allocation,
-// pooled batch buffers) that makes the batched hot paths allocation-free
-// per tuple. Tuple-at-a-time Next remains the semantic ground truth: a
-// batched operator must produce exactly the rows, order, and charged cost
-// of its Next loop, because batching only amortizes per-row interface
-// calls, lock acquisitions, and allocations — the paper's charged cost is
-// per-tuple and independent of batch boundaries.
+// The allocation discipline under the operator contract (Iterator, iter.go):
+// slab row allocation and pooled batch buffers keep the hot paths free of
+// per-tuple allocation. The paper's charged cost is per tuple and independent
+// of where batch boundaries fall, so the batch width is not a mode: every
+// operator has one loop, BatchSize 1 runs it one row per call, and
+// testdata/executor.golden — recorded from the tuple-at-a-time executor this
+// one replaced — is the ground truth every width must reproduce.
 
 import (
 	"sync"
@@ -21,41 +20,6 @@ import (
 // shard lock per predicate-cache shard, one channel hop per exchange
 // message), small enough that a batch of 100-byte tuples stays cache-warm.
 const DefaultBatchSize = 256
-
-// BatchIterator is the optional batch fast path of the iterator contract.
-//
-// NextBatch fills dst with up to len(dst) rows and returns how many were
-// produced. n == 0 with a nil error signals exhaustion (the analog of
-// Next's ok=false); errors imply n == 0 — an erroring call produces no
-// rows. Implementations must not retain dst (or any reslice of it) across
-// calls; rows written into dst are owned by the caller. Open/Close
-// semantics are unchanged from Iterator.
-type BatchIterator interface {
-	Iterator
-	NextBatch(dst []expr.Row) (int, error)
-}
-
-// nextBatch fills dst from it, taking the batch fast path when the
-// operator implements it and falling back to per-tuple Next calls
-// otherwise, so every operator composes with batched consumers unmodified.
-func nextBatch(it Iterator, dst []expr.Row) (int, error) {
-	if b, ok := it.(BatchIterator); ok {
-		return b.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		row, ok, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = row
-		n++
-	}
-	return n, nil
-}
 
 // slabValues is the size in values of one row slab (128 KiB).
 const slabValues = 4096
@@ -152,8 +116,7 @@ func (a *rowAlloc) next(width int) expr.Row {
 	return row
 }
 
-// concat returns r followed by s as one carved row — the slab counterpart
-// of Row.Concat for join outputs.
+// concat returns r followed by s as one carved row: a join's output pair.
 func (a *rowAlloc) concat(r, s expr.Row) expr.Row {
 	out := a.next(len(r) + len(s))
 	copy(out, r)

@@ -70,12 +70,11 @@ type Env struct {
 	// the classic serial Volcano tree — the default, which reproduces the
 	// paper's figures byte-for-byte.
 	Parallelism int
-	// BatchSize sets the rows-per-batch width of the vectorized NextBatch
-	// fast path: 0 uses DefaultBatchSize, 1 disables batching entirely
-	// (exact legacy tuple-at-a-time execution), larger values batch that
-	// many rows per call. Charged cost is per-tuple and batched operators
-	// preserve serial evaluation order, so results and charged cost are
-	// identical at every setting.
+	// BatchSize is the width of the batches operators hand up: 0 uses
+	// DefaultBatchSize, 1 is one row per NextBatch call (through the same
+	// code as any other width), larger values that many rows per call.
+	// Charged cost is per-tuple and operators preserve serial evaluation
+	// order, so results and charged cost are identical at every setting.
 	BatchSize int
 	// Profile enables per-operator runtime profiling (EXPLAIN ANALYZE v2):
 	// every operator is wrapped in an instrumented iterator measuring wall
@@ -149,28 +148,19 @@ func (e *Env) workers() int {
 	return 1
 }
 
-// batchSize returns the effective NextBatch width (1 = tuple-at-a-time).
+// batchSize returns the effective NextBatch width.
 func (e *Env) batchSize() int {
 	if e.BatchSize == 0 {
 		return DefaultBatchSize
 	}
-	if e.BatchSize < 1 {
-		return 1
-	}
-	return e.BatchSize
+	return max(e.BatchSize, 1)
 }
 
 // exchangeBatch is the rows-per-message width of parallel operators'
-// channels. Batched configurations reuse the batch width so one exchange
-// hop moves one full batch; with batching off it falls back to the classic
-// parallelBatch grouping (channel sends were always batched — per-row
-// sends would drown the pipeline in synchronization).
-func (e *Env) exchangeBatch() int {
-	if bs := e.batchSize(); bs > 1 {
-		return bs
-	}
-	return parallelBatch
-}
+// channels: one exchange hop moves one full batch, and never fewer than
+// parallelBatch rows — per-row sends would drown the pipeline in
+// synchronization.
+func (e *Env) exchangeBatch() int { return max(e.batchSize(), parallelBatch) }
 
 // begin resets the per-query state at query start: a fresh private I/O
 // tracker, fresh UDF counters, a cleared predicate cache. The query is

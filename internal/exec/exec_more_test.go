@@ -72,8 +72,8 @@ func TestNextBeforeOpenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := it.Next(); err == nil {
-		t.Fatal("Next before Open should error")
+	if _, _, err := next(it); err == nil {
+		t.Fatal("NextBatch before Open should error")
 	}
 }
 
@@ -180,7 +180,7 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 			}
 			n := 0
 			for {
-				_, ok, err := it.Next()
+				_, ok, err := next(it)
 				if err != nil {
 					errs <- err
 					return

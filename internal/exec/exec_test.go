@@ -251,7 +251,7 @@ func testJoinMethod(t *testing.T, method plan.JoinMethod, indexCol string) {
 	for _, a := range r1 {
 		for _, b := range r3 {
 			if !a[i1].IsNull() && a[i1].Equal(b[i3]) {
-				want = append(want, a.Concat(b))
+				want = append(want, append(a.Clone(), b...))
 			}
 		}
 	}

@@ -10,14 +10,34 @@ import (
 	"predplace/internal/storage"
 )
 
-// Iterator is the Volcano operator interface.
+// Iterator is the operator contract: every operator hands rows up a batch
+// at a time, and a batch may be one row wide.
 type Iterator interface {
-	// Open prepares the iterator for Next calls.
+	// Open prepares the iterator for NextBatch calls.
 	Open() error
-	// Next produces the next row; ok=false signals exhaustion.
-	Next() (row expr.Row, ok bool, err error)
+	// NextBatch fills dst with up to len(dst) rows and returns how many it
+	// produced. n == 0 with a nil error signals exhaustion, except that an
+	// empty dst returns (0, nil) without consuming input; errors imply
+	// n == 0 — an erroring call produces no rows. Implementations must not
+	// retain dst (or any reslice of it) across calls; rows written into dst
+	// are owned by the caller.
+	NextBatch(dst []expr.Row) (int, error)
 	// Close releases resources. Safe to call more than once.
 	Close() error
+}
+
+// next pulls exactly one row from it. It is how the two consumers that must
+// not read ahead pull: the outer side of a nested-loop or index-nested-loop
+// join, whose page accesses interleave with the inner side's in the query's
+// cold-pool ledger — fetching outer rows early would change what the inner
+// side finds resident, and so the charged cost.
+func next(it Iterator) (expr.Row, bool, error) {
+	var one [1]expr.Row
+	n, err := it.NextBatch(one[:])
+	if err != nil || n == 0 {
+		return nil, false, err
+	}
+	return one[0], true, nil
 }
 
 // Build compiles a physical plan into an iterator tree. When the Env is
@@ -48,12 +68,9 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 // hash and nested-loop joins (which pass the outer's order on), down to the
 // index scan or merge join that makes the order.
 func orderedNodes(root plan.Node) map[plan.Node]bool {
-	var set map[plan.Node]bool
+	set := map[plan.Node]bool{}
 	mark := func(n plan.Node) {
 		for {
-			if set == nil {
-				set = map[plan.Node]bool{}
-			}
 			set[n] = true
 			switch t := n.(type) {
 			case *plan.Filter:
@@ -185,43 +202,9 @@ func (s *seqScanIter) Open() error {
 	return nil
 }
 
-func (s *seqScanIter) Next() (expr.Row, bool, error) {
-	if s.it == nil {
-		return nil, false, fmt.Errorf("exec: Next before Open on SeqScan(%s)", s.tab.Name)
-	}
-	for {
-		rec, _, ok, err := s.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		s.count++
-		if s.count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				return nil, false, err
-			}
-		}
-		if len(s.probes) > 0 {
-			keep, err := s.e.probeRecord(s.tab.Codec, rec, s.probes, s.tc)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		row, err := s.tab.Codec.Decode(rec)
-		if err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-}
-
-// NextBatch is the vectorized scan: records are referenced in place on the
-// pinned page (no per-record copy) and decoded straight into slab-carved
-// rows — one slab allocation per ~slabValues values instead of two
-// allocations per row. Page I/O, scan order, and budget-check cadence are
-// identical to the Next path.
+// NextBatch references records in place on the pinned page (no per-record
+// copy) and decodes them straight into slab-carved rows, checking the budget
+// every 1024 records scanned.
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.it == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
@@ -348,39 +331,11 @@ func (s *indexScanIter) nextTID() (storage.TID, bool) {
 	return tid, true
 }
 
-func (s *indexScanIter) Next() (expr.Row, bool, error) {
-	for {
-		tid, ok := s.nextTID()
-		if !ok {
-			return nil, false, nil
-		}
-		s.count++
-		if s.count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				return nil, false, err
-			}
-		}
-		rec, err := s.heap.Get(tid)
-		if err != nil {
-			return nil, false, err
-		}
-		row, err := s.tab.Codec.Decode(rec)
-		if err != nil {
-			return nil, false, err
-		}
-		// Index fetches already paid the random I/O, so received filters are
-		// probed on the decoded row; pruning saves the operators above.
-		if len(s.probes) > 0 && !s.e.probeRow(row, s.probes, s.tc) {
-			continue
-		}
-		return row, true, nil
-	}
-}
-
-// NextBatch fetches matching heap tuples in batch, decoding each record in
-// place under its page pin (HeapFile.View) into slab-carved rows instead
-// of copying record bytes out. Fetch order, page I/O, and budget cadence
-// match the Next path.
+// NextBatch fetches matching heap tuples, decoding each record in place
+// under its page pin (HeapFile.View) into slab-carved rows instead of
+// copying record bytes out. Index fetches already paid the random I/O, so
+// received filters are probed on the decoded row; pruning saves the
+// operators above.
 func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
 	width := len(s.tab.Columns)
 	var row expr.Row
@@ -423,35 +378,13 @@ type filterIter struct {
 	in    Iterator
 	pred  *compiledPred
 	count int
-	// batch state: input buffer, per-row verdicts, predicate scratch
+	// input buffer, per-row verdicts, predicate scratch
 	buf  []expr.Row
 	keep []bool
 	sc   predScratch
 }
 
 func (f *filterIter) Open() error { return f.in.Open() }
-
-func (f *filterIter) Next() (expr.Row, bool, error) {
-	for {
-		row, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.count++
-		if f.count%32 == 0 {
-			if err := f.e.checkAbort(); err != nil {
-				return nil, false, err
-			}
-		}
-		pass, err := f.pred.holds(f.e, row, &f.sc)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return row, true, nil
-		}
-	}
-}
 
 // NextBatch pulls a batch from the input and evaluates the predicate over
 // the whole batch (holdsBatch), compacting survivors into dst. Looping
@@ -466,7 +399,7 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 		f.keep = make([]bool, want)
 	}
 	for {
-		m, err := nextBatch(f.in, f.buf[:want])
+		m, err := f.in.NextBatch(f.buf[:want])
 		if err != nil {
 			return 0, err
 		}
@@ -500,19 +433,8 @@ type countIter struct {
 
 func (c *countIter) Open() error { return c.in.Open() }
 
-func (c *countIter) Next() (expr.Row, bool, error) {
-	row, ok, err := c.in.Next()
-	if ok {
-		*c.rows++
-	}
-	return row, ok, err
-}
-
-// NextBatch forwards the batch fast path through the EXPLAIN ANALYZE
-// counter — without this, the tracing wrapper Run installs around every
-// operator would degrade the whole tree to tuple-at-a-time.
 func (c *countIter) NextBatch(dst []expr.Row) (int, error) {
-	n, err := nextBatch(c.in, dst)
+	n, err := c.in.NextBatch(dst)
 	if err != nil {
 		return 0, err
 	}

@@ -32,15 +32,16 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	return nil, fmt.Errorf("exec: unknown join method %v", j.Method)
 }
 
-// nlJoinIter is the tuple-at-a-time nested-loop join: the inner subtree is
-// re-opened (and physically re-read through the buffer pool) once per outer
-// tuple, exactly the access pattern the paper's |S|-pages-per-outer-tuple
-// cost term models. The primary join predicate — which may be an expensive
-// function over both sides (Query 5) — is evaluated per pair.
+// nlJoinIter is the nested-loop join: the inner subtree is re-opened (and
+// physically re-read through the buffer pool) once per outer tuple, exactly
+// the access pattern the paper's |S|-pages-per-outer-tuple cost term models.
+// The primary join predicate — which may be an expensive function over both
+// sides (Query 5) — is evaluated per pair. The outer side is pulled one row
+// at a time (next): its page accesses interleave with the inner's.
 //
 // Inner rows are valid only until the next rescan (the join's own slabPool,
-// rewound there and released at Close); Next and NextBatch copy every pair
-// they keep, so the join's output lives as long as its own rowAlloc says.
+// rewound there and released at Close); NextBatch copies every pair it
+// keeps, so the join's output lives as long as its own rowAlloc says.
 type nlJoinIter struct {
 	e        *Env
 	node     *plan.Join
@@ -50,13 +51,11 @@ type nlJoinIter struct {
 	outerRow expr.Row
 	haveOut  bool
 	count    int
-	// batch state: candidate-pair scratch (reused — survivors are copied to
-	// slab rows), inner batch buffer, verdicts, predicate scratch
+	// candidate-pair scratch (reused — survivors are copied to slab rows),
+	// inner batch buffer, verdicts, predicate scratch
 	pairBuf []expr.Value
 	pairs   []expr.Row
 	ibuf    []expr.Row
-	ipos    int
-	ilen    int
 	keep    []bool
 	sc      predScratch
 	alloc   rowAlloc
@@ -104,84 +103,36 @@ func (n *nlJoinIter) rescanInner() error {
 	// safe), so a mid-query Open fault cannot strand pinned pages or exchange
 	// goroutines.
 	n.inner = inner
-	n.ipos, n.ilen = 0, 0
 	return inner.Open()
 }
 
-func (n *nlJoinIter) Next() (expr.Row, bool, error) {
-	for {
-		if !n.haveOut {
-			row, ok, err := n.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			n.outerRow = row
-			n.haveOut = true
-			if err := n.rescanInner(); err != nil {
-				return nil, false, err
-			}
-		}
-		for {
-			irow, ok, err := n.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				n.haveOut = false
-				break
-			}
-			n.count++
-			if n.count%64 == 0 {
-				if err := n.e.checkAbort(); err != nil {
-					return nil, false, err
-				}
-			}
-			out := n.outerRow.Concat(irow)
-			if n.primary != nil {
-				pass, err := n.primary.holds(n.e, out, &n.sc)
-				if err != nil {
-					return nil, false, err
-				}
-				if !pass {
-					continue
-				}
-			}
-			return out, true, nil
-		}
-	}
-}
-
-// NextBatch vectorizes the nested loop's hottest flaw: the Next path
-// concatenates every candidate pair before the primary predicate sees it,
-// allocating a row per pair even though most pairs fail. Here candidate
-// pairs are assembled in a reusable scratch block, the primary is evaluated
-// over the whole batch (batched cache traffic included), and only the
-// survivors are materialized into slab rows. Pair order, page I/O, and
-// charged cost match the Next path; the inner subtree is drained through
-// its own batch fast path.
+// NextBatch assembles candidate pairs in a reusable scratch block, evaluates
+// the primary over the whole block (batched cache traffic included), and
+// materializes only the survivors into slab rows — most pairs fail, and a
+// failed pair costs no row. It pulls no more inner rows than the pairs it
+// still owes, so an operator above that must not read ahead (next) sees none
+// here either. The budget is checked every 64 pairs.
 func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	k := len(dst)
 	if k == 0 {
 		return 0, nil
 	}
 	w := len(n.node.Outer.Cols()) + len(n.node.Inner.Cols())
-	if len(n.pairBuf) < k*w {
+	if len(n.pairs) < k {
 		n.pairBuf = make([]expr.Value, k*w)
 		n.pairs = make([]expr.Row, k)
 		for i := range n.pairs {
 			n.pairs[i] = expr.Row(n.pairBuf[i*w : (i+1)*w : (i+1)*w])
 		}
+		n.ibuf = make([]expr.Row, k)
 		n.keep = make([]bool, k)
-	}
-	if cap(n.ibuf) < n.e.batchSize() {
-		n.ibuf = make([]expr.Row, n.e.batchSize())
 	}
 	for {
 		// Gather up to k candidate pairs into the scratch block.
 		cand := 0
 		for cand < k {
 			if !n.haveOut {
-				row, ok, err := n.outer.Next()
+				row, ok, err := next(n.outer)
 				if err != nil {
 					return 0, err
 				}
@@ -194,55 +145,49 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 					return 0, err
 				}
 			}
-			if n.ipos >= n.ilen {
-				m, err := nextBatch(n.inner, n.ibuf[:cap(n.ibuf)])
-				if err != nil {
-					return 0, err
-				}
-				if m == 0 {
-					n.haveOut = false
-					continue
-				}
-				n.ipos, n.ilen = 0, m
+			m, err := n.inner.NextBatch(n.ibuf[:k-cand])
+			if err != nil {
+				return 0, err
 			}
-			irow := n.ibuf[n.ipos]
-			n.ipos++
-			n.count++
-			if n.count%64 == 0 {
-				if err := n.e.checkAbort(); err != nil {
-					return 0, err
-				}
+			if m == 0 {
+				n.haveOut = false
+				continue
 			}
-			pair := n.pairs[cand]
-			copy(pair, n.outerRow)
-			copy(pair[len(n.outerRow):], irow)
-			cand++
+			for _, irow := range n.ibuf[:m] {
+				n.count++
+				if n.count%64 == 0 {
+					if err := n.e.checkAbort(); err != nil {
+						return 0, err
+					}
+				}
+				pair := n.pairs[cand]
+				copy(pair, n.outerRow)
+				copy(pair[len(n.outerRow):], irow)
+				cand++
+			}
 		}
 		if cand == 0 {
 			return 0, nil
 		}
-		out := 0
-		if n.primary != nil {
+		keep := n.keep[:cand]
+		if n.primary == nil {
+			for i := range keep {
+				keep[i] = true
+			}
+		} else {
 			// The gather loop above already ran the join's every-64-pairs
 			// budget cadence; holdsBatch's own ticking on this throwaway
 			// counter only adds extra (harmless) abort checks.
 			tick := 0
-			if err := n.primary.holdsBatch(n.e, n.pairs[:cand], n.keep[:cand], &tick, &n.sc); err != nil {
+			if err := n.primary.holdsBatch(n.e, n.pairs[:cand], keep, &tick, &n.sc); err != nil {
 				return 0, err
 			}
-			for i := 0; i < cand; i++ {
-				if n.keep[i] {
-					orow := n.alloc.next(w)
-					copy(orow, n.pairs[i])
-					dst[out] = orow
-					out++
-				}
-			}
-		} else {
-			for i := 0; i < cand; i++ {
-				orow := n.alloc.next(w)
-				copy(orow, n.pairs[i])
-				dst[out] = orow
+		}
+		out := 0
+		for i, pass := range keep {
+			if pass {
+				dst[out] = n.alloc.next(w)
+				copy(dst[out], n.pairs[i])
 				out++
 			}
 		}
@@ -264,7 +209,8 @@ func (n *nlJoinIter) Close() error {
 
 // indexNLJoinIter probes the inner base table's B-tree with each outer
 // tuple's join value, fetches matching tuples, and applies the inner-side
-// residual filters to each fetched match.
+// residual filters to each fetched match. The outer side is pulled one row
+// at a time (next): its page accesses interleave with the probes'.
 type indexNLJoinIter struct {
 	e     *Env
 	node  *plan.Join
@@ -284,11 +230,13 @@ type indexNLJoinIter struct {
 	baseRows     *int64
 	residualRows []*int64
 	outerRow     expr.Row
-	matches      []expr.Row
+	matches      []expr.Row // outerRow's surviving inner rows, emitted from pos
 	pos          int
-	haveOut      bool
 	count        int
 	sc           predScratch
+	memo         catalog.DecodeMemo
+	inner        rowAlloc // fetched inner rows: the query's, like a scan's
+	alloc        rowAlloc // output pairs
 }
 
 func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
@@ -337,6 +285,7 @@ func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	it := &indexNLJoinIter{
 		e: e, node: j, outer: outer, tab: tab,
 		outKeyIdx: outIdx, residual: residual,
+		inner: rowAlloc{pool: e.below(rs)}, alloc: rowAlloc{pool: rs},
 	}
 	if e.prof != nil {
 		// Attribute the inner chain to its plan nodes: residual[i] was
@@ -365,62 +314,73 @@ func (n *indexNLJoinIter) Open() error {
 	return n.outer.Open()
 }
 
-func (n *indexNLJoinIter) Next() (expr.Row, bool, error) {
-	for {
-		if !n.haveOut {
-			row, ok, err := n.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			n.outerRow, n.haveOut, n.pos = row, true, 0
-			n.matches = n.matches[:0]
-			key := row[n.outKeyIdx]
-			if key.Kind == expr.TInt { // NULL or non-int keys match nothing
-				for _, tid := range n.tree.Probe(key.I) {
-					rec, err := n.heap.Get(tid)
-					if err != nil {
-						return nil, false, err
-					}
-					irow, err := n.tab.Codec.Decode(rec)
-					if err != nil {
-						return nil, false, err
-					}
-					if n.baseRows != nil {
-						*n.baseRows++
-					}
-					keep := true
-					for ri, f := range n.residual {
-						pass, err := f.holds(n.e, irow, &n.sc)
-						if err != nil {
-							return nil, false, err
-						}
-						if !pass {
-							keep = false
-							break
-						}
-						if n.residualRows != nil {
-							*n.residualRows[ri]++
-						}
-					}
-					if keep {
-						n.matches = append(n.matches, irow)
-					}
-				}
-			}
-			n.count++
-			if n.count%64 == 0 {
-				if err := n.e.checkAbort(); err != nil {
-					return nil, false, err
-				}
-			}
-		}
+// NextBatch emits the current outer row's pending matches, then pulls the
+// next outer row and probes for its matches. The budget is checked every 64
+// outer rows.
+func (n *indexNLJoinIter) NextBatch(dst []expr.Row) (int, error) {
+	out := 0
+	for out < len(dst) {
 		if n.pos < len(n.matches) {
-			irow := n.matches[n.pos]
+			dst[out] = n.alloc.concat(n.outerRow, n.matches[n.pos])
 			n.pos++
-			return n.outerRow.Concat(irow), true, nil
+			out++
+			continue
 		}
-		n.haveOut = false
+		row, ok, err := next(n.outer)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		n.outerRow, n.pos = row, 0
+		if err := n.probe(row[n.outKeyIdx]); err != nil {
+			return 0, err
+		}
+		n.count++
+		if n.count%64 == 0 {
+			if err := n.e.checkAbort(); err != nil {
+				return 0, err
+			}
+		}
 	}
+	return out, nil
+}
+
+// probe refills matches with the inner rows under key that pass every
+// residual filter. NULL and non-int keys match nothing.
+func (n *indexNLJoinIter) probe(key expr.Value) error {
+	n.matches = n.matches[:0]
+	if key.Kind != expr.TInt {
+		return nil
+	}
+	width := len(n.tab.Columns)
+	var irow expr.Row
+	decode := func(rec []byte) error { return n.tab.Codec.DecodeIntoMemo(rec, irow, &n.memo) }
+fetch:
+	for _, tid := range n.tree.Probe(key.I) {
+		irow = n.inner.next(width)
+		if err := n.heap.View(tid, decode); err != nil {
+			return err
+		}
+		if n.baseRows != nil {
+			*n.baseRows++
+		}
+		for ri, f := range n.residual {
+			pass, err := f.holds(n.e, irow, &n.sc)
+			if err != nil {
+				return err
+			}
+			if !pass {
+				continue fetch
+			}
+			if n.residualRows != nil {
+				*n.residualRows[ri]++
+			}
+		}
+		n.matches = append(n.matches, irow)
+	}
+	return nil
 }
 
 func (n *indexNLJoinIter) Close() error { return n.outer.Close() }
@@ -430,18 +390,17 @@ func (n *indexNLJoinIter) Close() error { return n.outer.Close() }
 // partition traffic is charged synthetically per tuple on both sides so the
 // measured cost matches the linear model's constants.
 type hashJoinIter struct {
-	e       *Env
-	node    *plan.Join
-	outer   Iterator
-	inner   Iterator
-	outIdx  int
-	inIdx   int
-	table   joinTable
-	outRow  expr.Row
-	cur     int32 // next inner match of outRow in table, -1 when none is left
-	haveOut bool
-	count   int
-	// batch state: current outer batch, output row slab
+	e      *Env
+	node   *plan.Join
+	outer  Iterator
+	inner  Iterator
+	outIdx int
+	inIdx  int
+	table  joinTable
+	outRow expr.Row
+	cur    int32 // next inner match of outRow in table, -1 when none is left
+	count  int
+	// current outer batch, output row slab
 	obuf  []expr.Row
 	opos  int
 	olen  int
@@ -473,11 +432,7 @@ func (h *hashJoinIter) Open() error {
 	}
 	h.table, h.cur = joinTable{idx: h.inIdx}, -1
 	h.table.reserve(cardHint(h.node.Inner.Card()))
-	if bs := h.e.batchSize(); bs > 1 {
-		if err := h.buildBatched(bs); err != nil {
-			return err
-		}
-	} else if err := h.buildTupleAtATime(); err != nil {
+	if err := h.build(); err != nil {
 		return err
 	}
 	if err := h.inner.Close(); err != nil {
@@ -486,37 +441,13 @@ func (h *hashJoinIter) Open() error {
 	return h.outer.Open()
 }
 
-// buildTupleAtATime is the legacy build loop (BatchSize 1).
-func (h *hashJoinIter) buildTupleAtATime() error {
-	for {
-		row, ok, err := h.inner.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		h.e.ChargeSpillTuple()
-		if row[h.inIdx].IsNull() {
-			continue
-		}
-		h.table.add(row)
-		h.count++
-		if h.count%1024 == 0 {
-			if err := h.e.checkAbort(); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// buildBatched drains the inner input batch-at-a-time. Spill charges,
-// skipped NULL keys, and budget cadence match the legacy loop.
-func (h *hashJoinIter) buildBatched(bs int) error {
-	buf := getRowBuf(bs)
+// build drains the inner input into the table, charging spill per tuple
+// (NULL keys included) and checking the budget every 1024 rows kept.
+func (h *hashJoinIter) build() error {
+	buf := getRowBuf(h.e.batchSize())
 	defer putRowBuf(buf)
 	for {
-		m, err := nextBatch(h.inner, buf)
+		m, err := h.inner.NextBatch(buf)
 		if err != nil {
 			return err
 		}
@@ -539,40 +470,11 @@ func (h *hashJoinIter) buildBatched(bs int) error {
 	}
 }
 
-func (h *hashJoinIter) Next() (expr.Row, bool, error) {
-	for {
-		if !h.haveOut {
-			row, ok, err := h.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			h.e.ChargeSpillTuple()
-			h.outRow, h.haveOut = row, true
-			h.cur = h.table.first(row[h.outIdx])
-			h.count++
-			if h.count%1024 == 0 {
-				if err := h.e.checkAbort(); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-		if h.cur >= 0 {
-			irow := h.table.rows[h.cur]
-			h.cur = h.table.next[h.cur]
-			return h.outRow.Concat(irow), true, nil
-		}
-		h.haveOut = false
-	}
-}
-
-// NextBatch probes the hash table with a batch of outer rows at a time and
-// carves output rows from a value slab instead of one Concat allocation per
-// match. Spill charges, probe order, and budget cadence match the Next path
-// exactly.
+// NextBatch probes the table with as many outer rows at a time as the
+// caller asked for pairs — so a caller pulling one row reads no outer row
+// ahead — and carves output rows from a value slab. Spill is charged per
+// outer row probed; the budget is checked every 1024.
 func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
-	if cap(h.obuf) < h.e.batchSize() {
-		h.obuf = make([]expr.Row, h.e.batchSize())
-	}
 	n := 0
 	for n < len(dst) {
 		if h.cur >= 0 {
@@ -582,7 +484,10 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 			continue
 		}
 		if h.opos >= h.olen {
-			m, err := nextBatch(h.outer, h.obuf[:h.e.batchSize()])
+			if cap(h.obuf) < len(dst) {
+				h.obuf = make([]expr.Row, len(dst))
+			}
+			m, err := h.outer.NextBatch(h.obuf[:len(dst)])
 			if err != nil {
 				return 0, err
 			}
@@ -674,19 +579,8 @@ func (m *mergeJoinIter) Open() error {
 	return m.e.checkAbort()
 }
 
-func (m *mergeJoinIter) Next() (expr.Row, bool, error) {
-	if !m.opened {
-		return nil, false, fmt.Errorf("exec: Next before Open on MergeJoin")
-	}
-	ok, err := m.seek()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return m.emit(), true, nil
-}
-
-// NextBatch emits whole runs of an inner group per seek. Pair order, the
-// per-group budget check, and the slab-carved rows are the Next path's.
+// NextBatch emits whole runs of an inner group per seek; the budget is
+// checked once per group found.
 func (m *mergeJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if !m.opened {
 		return 0, fmt.Errorf("exec: NextBatch before Open on MergeJoin")
@@ -700,20 +594,12 @@ func (m *mergeJoinIter) NextBatch(dst []expr.Row) (int, error) {
 		if !ok {
 			break
 		}
-		for n < len(dst) && m.gpos < len(m.group) {
-			dst[n] = m.emit()
-			n++
+		for ; n < len(dst) && m.gpos < len(m.group); n++ {
+			dst[n] = m.alloc.concat(m.orows[m.oi], m.group[m.gpos])
+			m.gpos++
 		}
 	}
 	return n, nil
-}
-
-// emit returns the pair seek stopped on — the current outer row with the
-// group's next inner row — carved from the output slab, and steps past it.
-func (m *mergeJoinIter) emit() expr.Row {
-	out := m.alloc.concat(m.orows[m.oi], m.group[m.gpos])
-	m.gpos++
-	return out
 }
 
 // seek positions the merge on the next matching pair (m.orows[m.oi] with

@@ -119,7 +119,7 @@ func (h *parallelHashJoinIter) routeBuild(build []chan []expr.Row, w int) error 
 	defer putRowBuf(buf)
 	count := 0
 	for {
-		m, err := nextBatch(h.inner, buf)
+		m, err := h.inner.NextBatch(buf)
 		if err != nil {
 			recycle()
 			return err
@@ -167,7 +167,7 @@ func (h *parallelHashJoinIter) routeProbe() {
 	count := 0
 	for {
 		buf := getRowBuf(bs)
-		m, err := nextBatch(h.outer, buf)
+		m, err := h.outer.NextBatch(buf)
 		if err != nil {
 			putRowBuf(buf)
 			h.fan.send(rowBatch{err: err})
@@ -198,8 +198,7 @@ func (h *parallelHashJoinIter) routeProbe() {
 }
 
 // probeWorker probes the read-only partition tables with each outer row in
-// its batches; output rows are carved from a per-worker value slab instead
-// of one Concat allocation per match.
+// its batches; output rows are carved from a per-worker value slab.
 func (h *parallelHashJoinIter) probeWorker() {
 	defer h.fan.wg.Done()
 	w := len(h.parts)
@@ -229,19 +228,12 @@ func (h *parallelHashJoinIter) probeWorker() {
 	}
 }
 
-func (h *parallelHashJoinIter) Next() (expr.Row, bool, error) {
-	if h.fan.out == nil {
-		return nil, false, fmt.Errorf("exec: Next before Open on parallel HashJoin")
-	}
-	return h.fan.next()
-}
-
-// NextBatch forwards the fan-in's batch path to batched consumers.
+// NextBatch drains the probe workers' fan-in.
 func (h *parallelHashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if h.fan.out == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on parallel HashJoin")
 	}
-	return h.fan.nextBatch(dst)
+	return h.fan.pull(dst)
 }
 
 func (h *parallelHashJoinIter) Close() error {

@@ -194,7 +194,7 @@ func TestMergeJoinMatrix(t *testing.T) {
 			sameRowMultiset(t, res.Rows, base.Rows)
 		}
 		if got, want := res.Stats.Charged(), base.Stats.Charged(); got != want {
-			t.Fatalf("P=%d BS=%d: charged %v, tuple-at-a-time serial %v", m.parallelism, m.batchSize, got, want)
+			t.Fatalf("P=%d BS=%d: charged %v, width-1 serial %v", m.parallelism, m.batchSize, got, want)
 		}
 	}
 	env.Parallelism, env.BatchSize = 1, 0

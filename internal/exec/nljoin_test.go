@@ -49,16 +49,8 @@ type snapshotIter struct {
 	snap *[]expr.Row
 }
 
-func (s *snapshotIter) Next() (expr.Row, bool, error) {
-	row, ok, err := s.Iterator.Next()
-	if ok {
-		*s.snap = append(*s.snap, append(expr.Row(nil), row...))
-	}
-	return row, ok, err
-}
-
 func (s *snapshotIter) NextBatch(dst []expr.Row) (int, error) {
-	n, err := nextBatch(s.Iterator, dst)
+	n, err := s.Iterator.NextBatch(dst)
 	if err != nil {
 		return 0, err
 	}
@@ -70,7 +62,7 @@ func (s *snapshotIter) NextBatch(dst []expr.Row) (int, error) {
 
 // TestNLJoinMatrix runs a nested loop with an expensive primary over every
 // shape of rescanned inner subtree, across the executor grid, with caching
-// on and off. Every configuration must reproduce the tuple-at-a-time serial
+// on and off. Every configuration must reproduce the width-1 serial
 // run: the same rows (in the same order when serial), the same charged
 // cost, the same invocation and cache counts.
 func TestNLJoinMatrix(t *testing.T) {
@@ -133,14 +125,14 @@ func TestNLJoinMatrix(t *testing.T) {
 						sameRowMultiset(t, rows, base)
 					}
 					if got, want := stats.Charged(), baseStats.Charged(); got != want {
-						t.Fatalf("%s: charged %v, tuple-at-a-time serial %v", name, got, want)
+						t.Fatalf("%s: charged %v, width-1 serial %v", name, got, want)
 					}
 					if got, want := stats.Invocations[f.Name], baseStats.Invocations[f.Name]; got != want {
-						t.Fatalf("%s: %d invocations, tuple-at-a-time serial %d", name, got, want)
+						t.Fatalf("%s: %d invocations, width-1 serial %d", name, got, want)
 					}
 					if stats.CacheHits != baseStats.CacheHits || stats.CacheMisses != baseStats.CacheMisses ||
 						stats.CacheEntries != baseStats.CacheEntries {
-						t.Fatalf("%s: cache %d/%d/%d, tuple-at-a-time serial %d/%d/%d", name,
+						t.Fatalf("%s: cache %d/%d/%d, width-1 serial %d/%d/%d", name,
 							stats.CacheHits, stats.CacheMisses, stats.CacheEntries,
 							baseStats.CacheHits, baseStats.CacheMisses, baseStats.CacheEntries)
 					}

@@ -33,7 +33,7 @@ type rowBatch struct {
 }
 
 // fanIn is the consumer side shared by all parallel operators: workers send
-// rowBatches into out; the single consumer drains them via next. shutdown
+// rowBatches into out; the single consumer drains them via pull. shutdown
 // tears the pipeline down without leaking goroutines.
 type fanIn struct {
 	out     chan rowBatch
@@ -74,24 +74,11 @@ func (f *fanIn) send(b rowBatch) bool {
 	}
 }
 
-// next yields the next row produced by the workers (order unspecified).
-func (f *fanIn) next() (expr.Row, bool, error) {
-	for {
-		if f.pos < len(f.cur) {
-			row := f.cur[f.pos]
-			f.pos++
-			return row, true, nil
-		}
-		if !f.refill(true) {
-			return nil, false, f.err
-		}
-	}
-}
-
-// nextBatch copies up to len(dst) rows out of the workers' fan-in. Once at
-// least one row is buffered it refills without blocking, so a partially
-// filled batch flows downstream instead of stalling on slow workers.
-func (f *fanIn) nextBatch(dst []expr.Row) (int, error) {
+// pull copies up to len(dst) rows out of the workers' fan-in (order
+// unspecified). Once at least one row is buffered it refills without
+// blocking, so a partially filled batch flows downstream instead of stalling
+// on slow workers.
+func (f *fanIn) pull(dst []expr.Row) (int, error) {
 	n := 0
 	for n < len(dst) {
 		if f.pos < len(f.cur) {
@@ -300,21 +287,12 @@ func (s *parallelScanIter) scanPartition(lo, hi int) {
 	}
 }
 
-func (s *parallelScanIter) Next() (expr.Row, bool, error) {
-	if s.fan.out == nil {
-		return nil, false, fmt.Errorf("exec: Next before Open on SeqScan(%s)", s.tab.Name)
-	}
-	return s.fan.next()
-}
-
-// NextBatch drains whole exchange messages per call instead of one row per
-// call, amortizing the channel hop that made parallel scans slower than
-// serial ones at tuple granularity.
+// NextBatch drains the partitions' exchange messages.
 func (s *parallelScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.fan.out == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
 	}
-	return s.fan.nextBatch(dst)
+	return s.fan.pull(dst)
 }
 
 func (s *parallelScanIter) Close() error {
@@ -356,16 +334,15 @@ func (f *parallelFilterIter) Open() error {
 	return nil
 }
 
-// route drains the input batch-at-a-time (one NextBatch call per task
-// batch instead of one Next call per row) and hands pooled batches to the
-// worker pool.
+// route drains the input one NextBatch call per task batch and hands pooled
+// batches to the worker pool.
 func (f *parallelFilterIter) route() {
 	defer f.fan.wg.Done()
 	defer close(f.tasks)
 	bs := f.e.exchangeBatch()
 	for {
 		buf := getRowBuf(bs)
-		m, err := nextBatch(f.in, buf)
+		m, err := f.in.NextBatch(buf)
 		if err != nil {
 			putRowBuf(buf)
 			f.fan.send(rowBatch{err: err})
@@ -419,19 +396,12 @@ func (f *parallelFilterIter) evalWorker() {
 	}
 }
 
-func (f *parallelFilterIter) Next() (expr.Row, bool, error) {
-	if f.fan.out == nil {
-		return nil, false, fmt.Errorf("exec: Next before Open on parallel Filter")
-	}
-	return f.fan.next()
-}
-
-// NextBatch forwards the fan-in's batch path to batched consumers.
+// NextBatch drains the workers' fan-in.
 func (f *parallelFilterIter) NextBatch(dst []expr.Row) (int, error) {
 	if f.fan.out == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on parallel Filter")
 	}
-	return f.fan.nextBatch(dst)
+	return f.fan.pull(dst)
 }
 
 func (f *parallelFilterIter) Close() error {

@@ -142,8 +142,8 @@ func TestParallelCloseEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, ok, err := it.Next(); err != nil || !ok {
-			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
+		if _, ok, err := next(it); err != nil || !ok {
+			t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
 		}
 	}
 	if err := it.Close(); err != nil {

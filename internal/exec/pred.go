@@ -99,8 +99,7 @@ func (cp *compiledPred) holds(e *Env, row expr.Row, sc *predScratch) (bool, erro
 }
 
 // budgetEvery is the input-row cadence of filter abort checks — budget and
-// cancellation alike (matching the legacy tuple-at-a-time filter's
-// every-32-rows check).
+// cancellation alike.
 const budgetEvery = 32
 
 // predScratch holds the reusable buffers of batched predicate evaluation,

@@ -2,7 +2,7 @@ package exec
 
 // Per-operator runtime profiling (EXPLAIN ANALYZE v2). With Env.Profile on,
 // Build wraps every plan node's iterator in a profIter that measures wall
-// time and attributes physical I/O around each Open/Next/NextBatch call, and
+// time and attributes physical I/O around each Open/NextBatch/Close call, and
 // compiled predicates count evaluations, invocations, and cache traffic into
 // the plan node they belong to. The collected counters are assembled into an
 // OpProfile tree mirroring the plan, pairing the optimizer's per-node
@@ -117,24 +117,10 @@ func (p *profIter) Open() error {
 	return err
 }
 
-func (p *profIter) Next() (expr.Row, bool, error) {
-	t0 := time.Now()
-	io0 := p.e.ioStats()
-	row, ok, err := p.in.Next()
-	p.c.addIO(p.e.ioStats().Sub(io0))
-	p.c.wallNs.Add(int64(time.Since(t0)))
-	if ok {
-		*p.rows++
-	}
-	return row, ok, err
-}
-
-// NextBatch forwards the batch fast path through the profiler — like
-// countIter, the wrapper must not degrade the tree to tuple-at-a-time.
 func (p *profIter) NextBatch(dst []expr.Row) (int, error) {
 	t0 := time.Now()
 	io0 := p.e.ioStats()
-	n, err := nextBatch(p.in, dst)
+	n, err := p.in.NextBatch(dst)
 	p.c.addIO(p.e.ioStats().Sub(io0))
 	p.c.wallNs.Add(int64(time.Since(t0)))
 	if err != nil {

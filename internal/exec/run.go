@@ -116,9 +116,7 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 
 // collect opens it and pulls it dry, returning the number of rows it
 // produced and, when keep is set, the rows themselves — also on an error,
-// up to where it struck. The caller owns closing the iterator. With batching
-// on (Env.BatchSize != 1) it drives the tree through the NextBatch fast
-// path; BatchSize 1 runs the exact legacy tuple-at-a-time loop. card, the
+// up to where it struck. The caller owns closing the iterator. card, the
 // plan's estimate for it, sizes the first allocation (cardHint).
 func collect(e *Env, it Iterator, card float64, keep bool) ([]expr.Row, int, error) {
 	if err := it.Open(); err != nil {
@@ -128,15 +126,7 @@ func collect(e *Env, it Iterator, card float64, keep bool) ([]expr.Row, int, err
 	buf := getRowBuf(e.batchSize())
 	defer putRowBuf(buf)
 	for count := 0; ; {
-		var n int
-		var err error
-		if len(buf) > 1 {
-			n, err = nextBatch(it, buf)
-		} else if row, ok, nerr := it.Next(); ok {
-			buf[0], n = row, 1
-		} else {
-			err = nerr
-		}
+		n, err := it.NextBatch(buf)
 		if err != nil || n == 0 {
 			return rows, count, err
 		}

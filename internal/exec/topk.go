@@ -20,8 +20,8 @@ import (
 // topkIter implements plan.TopK. The heap is a worst-at-root max-heap over
 // the output ordering (heap[0] is the current k-th row): a new row is
 // admitted only when it beats the current boundary, displacing it. The
-// first Next/NextBatch call drains the input into the heap; emission is a
-// copy out of the sorted pooled storage — the batch path allocates nothing.
+// first NextBatch call drains the input into the heap; emission is a copy
+// out of the sorted pooled storage and allocates nothing.
 type topkIter struct {
 	e      *Env
 	node   *plan.TopK
@@ -31,10 +31,8 @@ type topkIter struct {
 	// heap is pooled storage holding ≤ k rows; after fill it is heapsorted
 	// into output order and emitted from pos.
 	heap   []expr.Row
-	buf    []expr.Row // pooled input batch buffer (batched fill only)
 	pos    int
 	filled bool
-	count  int
 	tc     *opCounters // nil unless profiling
 }
 
@@ -135,9 +133,10 @@ func (t *topkIter) offer(row expr.Row) {
 	}
 }
 
-// fill drains the input into the heap (batched or tuple-at-a-time to match
-// the configured executor mode), then heapsorts the survivors in place into
-// output order. Runs once; Next/NextBatch afterwards only copy out.
+// fill drains the input into the heap, checking the budget whenever the
+// input row count crosses a multiple of 1024, then heapsorts the survivors
+// in place into output order. Runs once; NextBatch afterwards only copies
+// out.
 func (t *topkIter) fill() error {
 	if t.filled {
 		return nil
@@ -146,41 +145,23 @@ func (t *topkIter) fill() error {
 	if t.heap == nil {
 		t.heap = getRowBuf(min(int(t.node.K), DefaultBatchSize))[:0]
 	}
-	if bs := t.e.batchSize(); bs > 1 {
-		if t.buf == nil {
-			t.buf = getRowBuf(bs)
+	buf := getRowBuf(t.e.batchSize())
+	defer putRowBuf(buf)
+	for count := 0; ; {
+		n, err := t.in.NextBatch(buf)
+		if err != nil {
+			return err
 		}
-		for {
-			n, err := nextBatch(t.in, t.buf)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			t.count += n
+		if n == 0 {
+			break
+		}
+		count += n
+		if count/1024 != (count-n)/1024 {
 			if err := t.e.checkAbort(); err != nil {
 				return err
 			}
-			for i := 0; i < n; i++ {
-				t.offer(t.buf[i])
-			}
 		}
-	} else {
-		for {
-			row, ok, err := t.in.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			t.count++
-			if t.count%1024 == 0 {
-				if err := t.e.checkAbort(); err != nil {
-					return err
-				}
-			}
+		for _, row := range buf[:n] {
 			t.offer(row)
 		}
 	}
@@ -195,28 +176,19 @@ func (t *topkIter) fill() error {
 
 func (t *topkIter) Open() error {
 	t.filled = false
-	t.pos, t.count = 0, 0
+	t.pos = 0
 	if t.heap != nil {
 		t.heap = t.heap[:0]
 	}
 	return t.in.Open()
 }
 
-func (t *topkIter) Next() (expr.Row, bool, error) {
-	if err := t.fill(); err != nil {
-		return nil, false, err
-	}
-	if t.pos >= len(t.heap) {
-		return nil, false, nil
-	}
-	row := t.heap[t.pos]
-	t.pos++
-	return row, true, nil
-}
-
 // NextBatch copies the next run of sorted survivors into dst — no
 // allocation, no comparison; all the work happened in fill.
 func (t *topkIter) NextBatch(dst []expr.Row) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
+	}
 	if err := t.fill(); err != nil {
 		return 0, err
 	}
@@ -226,10 +198,6 @@ func (t *topkIter) NextBatch(dst []expr.Row) (int, error) {
 }
 
 func (t *topkIter) Close() error {
-	if t.buf != nil {
-		putRowBuf(t.buf)
-		t.buf = nil
-	}
 	if t.heap != nil {
 		putRowBuf(t.heap)
 		t.heap = nil
@@ -274,19 +242,6 @@ func (l *limitIter) shortCircuit() {
 	l.cut = true
 }
 
-func (l *limitIter) Next() (expr.Row, bool, error) {
-	if l.seen >= l.k {
-		l.shortCircuit()
-		return nil, false, nil
-	}
-	row, ok, err := l.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
-}
-
 // NextBatch clamps the requested batch to the rows still owed, so the child
 // never overproduces past the limit by more than the last partial batch.
 func (l *limitIter) NextBatch(dst []expr.Row) (int, error) {
@@ -295,11 +250,7 @@ func (l *limitIter) NextBatch(dst []expr.Row) (int, error) {
 		l.shortCircuit()
 		return 0, nil
 	}
-	want := int64(len(dst))
-	if want > rem {
-		want = rem
-	}
-	n, err := nextBatch(l.in, dst[:want])
+	n, err := l.in.NextBatch(dst[:min(int64(len(dst)), rem)])
 	if err != nil {
 		return 0, err
 	}

@@ -179,14 +179,6 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Concat returns a new row holding r followed by s.
-func (r Row) Concat(s Row) Row {
-	out := make(Row, 0, len(r)+len(s))
-	out = append(out, r...)
-	out = append(out, s...)
-	return out
-}
-
 // CmpOp is a comparison operator in a simple predicate.
 type CmpOp uint8
 

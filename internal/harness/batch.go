@@ -1,13 +1,13 @@
 package harness
 
-// The batch-execution benchmark: each benchmark query runs three times on
-// the same database — tuple-at-a-time (BatchSize 1, the legacy executor),
-// batched serial (default BatchSize), and batched parallel — comparing wall
-// time, allocation counts, result sets, and charged cost. With caching off
-// the charged cost must match bit for bit across all three modes (batching
-// only amortizes per-row overheads; the paper's cost accounting is
-// per-tuple), and the batched serial executor must reproduce the legacy
-// row order exactly, so the comparison doubles as a correctness gate in CI.
+// The batch-width benchmark: each benchmark query runs three times on the
+// same database — tuple-at-a-time (BatchSize 1: one row per call), batched
+// serial (default BatchSize), and batched parallel — comparing wall time,
+// allocation counts, result sets, and charged cost. With caching off the
+// charged cost must match bit for bit across all three (a wider batch only
+// amortizes per-row overheads; the paper's cost accounting is per-tuple),
+// and the batched serial run must reproduce the width-1 row order exactly,
+// so the comparison is a width-invariance gate in CI.
 
 import (
 	"encoding/json"
@@ -61,9 +61,8 @@ func (h *Harness) measure(sql string, iters int) (*predplace.Result, float64, ui
 	return res, bestMs, bestAllocs, nil
 }
 
-// exactRows renders a result set order-sensitively: the serial batched
-// executor must reproduce the legacy executor's row order, not just its
-// multiset.
+// exactRows renders a result set order-sensitively: the serial batched run
+// must reproduce the width-1 run's row order, not just its multiset.
 func exactRows(res *predplace.Result) []string {
 	out := make([]string, 0, len(res.Rows))
 	for _, row := range res.Rows {
@@ -91,7 +90,7 @@ type BatchQueryResult struct {
 	Rows            int     `json:"rows"`
 	// RowsEqual: all three modes produced the same result multiset.
 	RowsEqual bool `json:"rows_equal"`
-	// OrderEqual: the batched serial run reproduced the legacy row order
+	// OrderEqual: the batched serial run reproduced the width-1 row order
 	// exactly (parallel runs are exempt — they do not preserve order).
 	OrderEqual bool `json:"order_equal"`
 	// ChargedEqual: all three modes charged exactly the same cost.

@@ -7,11 +7,11 @@ import (
 )
 
 // batchContractPathFragment restricts batchcontract to the exec package,
-// where the BatchIterator contract and its implementations live.
+// where the Iterator contract and its implementations live.
 var batchContractPathFragment = "internal/exec"
 
-// BatchContractAnalyzer enforces the exec.BatchIterator implementation
-// contract (see the BatchIterator doc comment):
+// BatchContractAnalyzer enforces the exec.Iterator implementation contract
+// (see NextBatch's doc comment there):
 //
 //  1. A NextBatch method must not retain its dst buffer: assigning dst (or
 //     any reslice of it) to a field keeps a caller-owned buffer alive past
@@ -146,7 +146,7 @@ func checkBatchReturn(pass *Pass, ret *ast.ReturnStmt) {
 }
 
 // checkBatchCallSites enforces rule 4: assignments that blank the error
-// result of a NextBatch/nextBatch call.
+// result of a NextBatch call.
 func checkBatchCallSites(pass *Pass, fd *ast.FuncDecl) {
 	if fd.Body == nil {
 		return
@@ -168,14 +168,9 @@ func checkBatchCallSites(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// isNextBatchCall reports whether the call target is named NextBatch (the
-// interface method) or nextBatch (the adapter helper).
+// isNextBatchCall reports whether the call target is a method named
+// NextBatch.
 func isNextBatchCall(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "nextBatch"
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "NextBatch" || fun.Sel.Name == "nextBatch"
-	}
-	return false
+	fun, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && fun.Sel.Name == "NextBatch"
 }

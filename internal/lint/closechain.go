@@ -6,11 +6,12 @@ import (
 )
 
 // CloseChainAnalyzer enforces the executor's resource contract: any struct
-// type implementing the Volcano iterator shape (Open() error, Next(...), and
-// Close() error) whose fields store child iterators must call Close on every
-// such field somewhere inside its own Close method. A skipped child leaks
-// heap-file cursors and — worse for the paper's methodology — lets a child's
-// buffered I/O accounting escape the charged-cost measurement.
+// type implementing the operator contract (Open() error, NextBatch([]Row)
+// (int, error), and Close() error) whose fields store child iterators must
+// call Close on every such field somewhere inside its own Close method. A
+// skipped child leaks heap-file cursors and — worse for the paper's
+// methodology — lets a child's buffered I/O accounting escape the
+// charged-cost measurement.
 //
 // Child-iterator fields are fields whose type (interface or concrete,
 // including slices of either) itself exposes the iterator shape.
@@ -22,20 +23,9 @@ var CloseChainAnalyzer = &Analyzer{
 
 func runCloseChain(pass *Pass) error {
 	pkg := pass.Pkg
-	scope := pkg.Types.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok || !isIteratorShape(named) {
-			continue
-		}
+	for _, named := range iteratorTypes(pkg) {
+		name := named.Obj().Name()
+		st := named.Underlying().(*types.Struct)
 		// Collect child-iterator fields.
 		var children []*types.Var
 		for i := 0; i < st.NumFields(); i++ {
@@ -66,9 +56,31 @@ func runCloseChain(pass *Pass) error {
 	return nil
 }
 
+// iteratorTypes returns the package's struct types that carry the operator
+// contract — the types closechain examines, so a test can tell a clean run
+// from one that recognised nothing.
+func iteratorTypes(pkg *Package) []*types.Named {
+	var out []*types.Named
+	scope := pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		if _, ok := named.Underlying().(*types.Struct); ok && isIteratorShape(named) {
+			out = append(out, named)
+		}
+	}
+	return out
+}
+
 // isIteratorShape reports whether t's method set (through a pointer, for
-// concrete types) carries the Volcano contract: Open() error, a Next method,
-// and Close() error.
+// concrete types) carries the operator contract: Open() error, NextBatch
+// over one slice returning (int, error), and Close() error.
 func isIteratorShape(t types.Type) bool {
 	ms := types.NewMethodSet(t)
 	if _, isIface := t.Underlying().(*types.Interface); !isIface {
@@ -86,8 +98,12 @@ func isIteratorShape(t types.Type) bool {
 		switch fn.Name() {
 		case "Open":
 			open = sig.Params().Len() == 0 && sig.Results().Len() == 1 && isErrorType(sig.Results().At(0).Type())
-		case "Next":
-			next = true
+		case "NextBatch":
+			if sig.Params().Len() == 1 && sig.Results().Len() == 2 {
+				_, slice := sig.Params().At(0).Type().Underlying().(*types.Slice)
+				count, _ := sig.Results().At(0).Type().Underlying().(*types.Basic)
+				next = slice && count != nil && count.Kind() == types.Int && isErrorType(sig.Results().At(1).Type())
+			}
 		case "Close":
 			close_ = sig.Params().Len() == 0 && sig.Results().Len() == 1 && isErrorType(sig.Results().At(0).Type())
 		}

@@ -23,7 +23,7 @@
 //   - ctxabort:         internal/exec loops that charge cost (Charge*) must
 //     also observe the abort check (checkAbort), or
 //     cancellation cannot interrupt them.
-//   - profileclean:     exec Next/NextBatch methods must not allocate per
+//   - profileclean:     exec NextBatch methods must not allocate per
 //     call outside the grow-once idiom, keeping the
 //     profiling-off hot path allocation-free.
 //

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -104,9 +105,9 @@ func eq(a, b float64) bool { return a == b }
 			src: `package exec
 type child struct{}
 
-func (c *child) Open() error                { return nil }
-func (c *child) Next() (int, bool, error)   { return 0, false, nil }
-func (c *child) Close() error               { return nil }
+func (c *child) Open() error                    { return nil }
+func (c *child) NextBatch([]int) (int, error)   { return 0, nil }
+func (c *child) Close() error                   { return nil }
 
 type badJoin struct {
 	left  *child
@@ -114,9 +115,9 @@ type badJoin struct {
 	count int
 }
 
-func (j *badJoin) Open() error              { return nil }
-func (j *badJoin) Next() (int, bool, error) { return 0, false, nil }
-func (j *badJoin) Close() error             { return j.left.Close() }
+func (j *badJoin) Open() error                  { return nil }
+func (j *badJoin) NextBatch([]int) (int, error) { return 0, nil }
+func (j *badJoin) Close() error                 { return j.left.Close() }
 `,
 			want:    1,
 			wantSub: `child iterator field "right"`,
@@ -128,17 +129,17 @@ func (j *badJoin) Close() error             { return j.left.Close() }
 			src: `package exec
 type child struct{}
 
-func (c *child) Open() error                { return nil }
-func (c *child) Next() (int, bool, error)   { return 0, false, nil }
-func (c *child) Close() error               { return nil }
+func (c *child) Open() error                    { return nil }
+func (c *child) NextBatch([]int) (int, error)   { return 0, nil }
+func (c *child) Close() error                   { return nil }
 
 type goodJoin struct {
 	left *child
 	kids []*child
 }
 
-func (j *goodJoin) Open() error              { return nil }
-func (j *goodJoin) Next() (int, bool, error) { return 0, false, nil }
+func (j *goodJoin) Open() error                  { return nil }
+func (j *goodJoin) NextBatch([]int) (int, error) { return 0, nil }
 func (j *goodJoin) Close() error {
 	err := j.left.Close()
 	for _, k := range j.kids {
@@ -499,16 +500,16 @@ func build(e *env, rows []int) {
 			want: 0,
 		},
 		{
-			name:     "profileclean flags per-call allocation in Next",
+			name:     "profileclean flags per-call make in NextBatch",
 			analyzer: "profileclean",
 			path:     "example.com/internal/exec",
 			src: `package exec
 
 type badIter struct{ vals []int }
 
-func (b *badIter) Next() ([]int, bool, error) {
-	row := make([]int, 4)
-	return row, true, nil
+func (b *badIter) NextBatch(dst [][]int) (int, error) {
+	dst[0] = make([]int, 4)
+	return 1, nil
 }
 `,
 			want:    1,
@@ -566,7 +567,7 @@ func alloc(n int) []int { return make([]int, n) }
 
 type it struct{}
 
-func (i *it) Next() []int { return make([]int, 8) }
+func (i *it) NextBatch(dst []int) (int, error) { return len(make([]int, 8)), nil }
 `,
 			want: 0,
 		},
@@ -621,21 +622,79 @@ func TestSuiteRegistry(t *testing.T) {
 	}
 }
 
+var repoOnce struct {
+	sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// repoPackages loads and type-checks the repository once for the tests that
+// run analyzers over the real source.
+func repoPackages(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole repository; skipped in -short")
+	}
+	repoOnce.Do(func() {
+		var root string
+		if root, repoOnce.err = FindModuleRoot("."); repoOnce.err == nil {
+			repoOnce.pkgs, repoOnce.err = LoadRepo(root)
+		}
+	})
+	if repoOnce.err != nil {
+		t.Fatal(repoOnce.err)
+	}
+	return repoOnce.pkgs
+}
+
+// TestCloseChainSeesTheExecutor: closechain recognises an operator by its
+// method set, so a change to the operator contract could leave it examining
+// no type at all and still reporting a clean run. Over the real executor it
+// must recognise every operator type — and still fire on one of them once
+// its Close skips a child.
+func TestCloseChainSeesTheExecutor(t *testing.T) {
+	var exec *Package
+	for _, p := range repoPackages(t) {
+		if p.Path == "predplace/internal/exec" {
+			exec = p
+		}
+	}
+	if exec == nil {
+		t.Fatal("predplace/internal/exec not loaded")
+	}
+	var names []string
+	for _, named := range iteratorTypes(exec) {
+		names = append(names, named.Obj().Name())
+	}
+	if len(names) < 14 {
+		t.Fatalf("closechain recognised %d operator types in internal/exec, want at least 14: %v", len(names), names)
+	}
+	if diags := runOn(t, "closechain", exec); len(diags) != 0 {
+		t.Fatalf("internal/exec is not closechain-clean:\n%s", renderDiags(diags))
+	}
+	bad := fixturePkg(t, "example.com/internal/exec", `package exec
+type Iterator interface {
+	Open() error
+	NextBatch(dst []int) (int, error)
+	Close() error
+}
+
+type join struct{ outer, inner Iterator }
+
+func (j *join) Open() error                      { return nil }
+func (j *join) NextBatch(dst []int) (int, error) { return 0, nil }
+func (j *join) Close() error                     { return j.outer.Close() }
+`)
+	if diags := runOn(t, "closechain", bad); len(diags) != 1 || !strings.Contains(diags[0].Message, `"inner"`) {
+		t.Fatalf("a Close that skips its inner child: got\n%s", renderDiags(diags))
+	}
+}
+
 // TestLoadRepoAndSelfLint is the dogfood test: the repository's own source
 // must load, type-check, and come out clean under the full suite (real
 // violations are fixed or carry a written pplint:ignore justification).
 func TestLoadRepoAndSelfLint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole repository; skipped in -short")
-	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadRepo(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := repoPackages(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages", len(pkgs))
 	}

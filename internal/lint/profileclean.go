@@ -6,14 +6,14 @@ import (
 )
 
 // profileCleanPathFragments restricts profileclean to the executor, whose
-// row-at-a-time contract the check protects.
+// operator contract the check protects.
 var profileCleanPathFragments = []string{"internal/exec"}
 
 // ProfileCleanAnalyzer guards the executor's allocation-free hot path: with
-// profiling off, Next and NextBatch must not allocate per call, or the
-// default path's allocation counts — which the batch benchmark gates on —
-// silently regress. The check is syntactic: inside an iterator method named
-// Next or NextBatch, a make, new, or slice/map composite literal is flagged
+// profiling off, NextBatch must not allocate per call, or the default path's
+// allocation counts — which the batch benchmark gates on — silently
+// regress. The check is syntactic: inside an iterator method named
+// NextBatch, a make, new, or slice/map composite literal is flagged
 // unless it sits under an if statement whose condition reads cap, len, or a
 // nil comparison (the grow-once idiom: allocate only when a reused buffer is
 // too small, never on the steady state). Allocation that is genuinely per
@@ -22,7 +22,7 @@ var profileCleanPathFragments = []string{"internal/exec"}
 // wraps every operator when profiling is on.
 var ProfileCleanAnalyzer = &Analyzer{
 	Name: "profileclean",
-	Doc:  "flags per-call allocation in exec Next/NextBatch outside the grow-once idiom",
+	Doc:  "flags per-call allocation in exec NextBatch outside the grow-once idiom",
 	Run:  runProfileClean,
 }
 
@@ -40,7 +40,7 @@ func runProfileClean(pass *Pass) error {
 			if !ok || fn.Recv == nil || fn.Body == nil {
 				continue
 			}
-			if fn.Name.Name != "Next" && fn.Name.Name != "NextBatch" {
+			if fn.Name.Name != "NextBatch" {
 				continue
 			}
 			checkHotPathAllocs(pass, fn)

@@ -14,15 +14,21 @@ type sessionStreamIter struct {
 	pos  int
 }
 
-// Next reuses the iterator's row buffer, growing it only when a wider row
-// arrives.
-func (s *sessionStreamIter) Next() (row, bool, error) {
+// sessionRowIter hands up one response row per call.
+type sessionRowIter struct {
+	buf []int64
+	pos int
+}
+
+// NextBatch reuses the iterator's row buffer, growing it only when a wider
+// row arrives.
+func (s *sessionRowIter) NextBatch(dst []row) (int, error) {
 	if cap(s.buf) < 8 {
 		s.buf = make([]int64, 8)
 	}
 	s.buf = s.buf[:8]
 	s.pos++
-	return nil, false, nil
+	return 0, nil
 }
 
 // NextBatch builds the column mask once and keeps it across calls.

@@ -2,7 +2,7 @@
 
 // Package corpus18 holds the fixed twins of profileclean_bad_topk.go: the
 // heap storage grows once under a capacity guard (or comes from the row
-// pool at fill time) and is resliced on reuse, so Next/NextBatch stay
+// pool at fill time) and is resliced on reuse, so NextBatch stays
 // allocation-free per call.
 package corpus18
 
@@ -14,14 +14,20 @@ type heapIter struct {
 	pos  int
 }
 
-// Next reuses the heap backing, growing it only when too small.
-func (h *heapIter) Next() (row, bool, error) {
+// heapFillIter admits rows into the heap.
+type heapFillIter struct {
+	heap []row
+	pos  int
+}
+
+// NextBatch reuses the heap backing, growing it only when too small.
+func (h *heapFillIter) NextBatch(dst []row) (int, error) {
 	if cap(h.heap) < 64 {
 		h.heap = make([]row, 0, 64)
 	}
 	h.heap = h.heap[:0]
 	h.pos++
-	return nil, false, nil
+	return 0, nil
 }
 
 // NextBatch grows the emission scratch under the same guard and reslices

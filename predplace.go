@@ -98,12 +98,12 @@ type Config struct {
 	// every figure reproduction runs serially); < 0 uses GOMAXPROCS.
 	// Charged cost with caching off is identical at any setting.
 	Parallelism int
-	// BatchSize sets the rows-per-batch width of the executor's vectorized
-	// NextBatch fast path. 0 uses the tuned default (exec.DefaultBatchSize);
-	// 1 disables batching entirely, running the exact legacy tuple-at-a-time
-	// loops; > 1 sets the batch width. Results, row order, and charged cost
-	// are identical at every setting — batching only amortizes per-row
-	// interface calls, lock acquisitions, and allocations.
+	// BatchSize sets how many rows the executor's operators hand up per
+	// NextBatch call. 0 uses the tuned default (exec.DefaultBatchSize); 1 is
+	// one row per call, through the same code; > 1 sets the batch width.
+	// Results, row order, and charged cost are identical at every setting —
+	// a wider batch only amortizes per-row interface calls, lock
+	// acquisitions, and allocations.
 	BatchSize int
 	// Timeout bounds each query's wall-clock execution time (0 = none).
 	// A timed-out query unwinds through the executor's ordinary error path
@@ -353,7 +353,7 @@ func (d *DB) Parallelism() int {
 const DefaultBatchSize = exec.DefaultBatchSize
 
 // SetBatchSize changes the executor's batch width for subsequent queries
-// (0 = tuned default, 1 = legacy tuple-at-a-time, > 1 = that many rows per
+// (0 = tuned default, 1 = one row per call, > 1 = that many rows per
 // batch). Results and charged cost are identical at every setting.
 func (d *DB) SetBatchSize(n int) {
 	d.mu.Lock()

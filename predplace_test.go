@@ -530,7 +530,7 @@ func TestExecDeleteWithExpensivePredicate(t *testing.T) {
 // sits under a join). The rows a query returned must still read as returned
 // after later queries have carved their rows out of the same slabs — under
 // the race detector the executor poisons every slab it releases — and must
-// be the rows of the tuple-at-a-time serial run.
+// be the rows of the width-1 serial run.
 func TestArenaCorrelatedIn(t *testing.T) {
 	db := openBench(t, 1, 3, 10)
 	const sql = `SELECT * FROM t3, t10 WHERE t3.ua1 = t10.ua1 AND t10.ua1 < 400 AND t10.ua1 IN
@@ -573,7 +573,7 @@ func TestArenaCorrelatedIn(t *testing.T) {
 				got := canon(res.Rows)
 				for i := range want {
 					if len(got) != len(want) || got[i] != asReturned[i] || got[i] != want[i] {
-						t.Fatalf("caching=%v P=%d BS=%d: row %d reads %q, was returned as %q, tuple-at-a-time serial %q (%d rows, want %d)",
+						t.Fatalf("caching=%v P=%d BS=%d: row %d reads %q, was returned as %q, width-1 serial %q (%d rows, want %d)",
 							caching, p, bs, i, got[i], asReturned[i], want[i], len(got), len(want))
 					}
 				}
