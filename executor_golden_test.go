@@ -7,8 +7,10 @@ package predplace_test
 // was recorded from the tuple-at-a-time executor before that executor was
 // deleted (CHANGES.md names the commit), so it is the reference the batch
 // width is checked against: TestExecutorGolden replays every leg at each
-// width and requires all four fields unchanged — width is not a mode. An
-// executor change that is meant to alter an answer regenerates the file with
+// width and requires all four fields unchanged — width is not a mode — and
+// in parallel holds them to the Parallelism row of the knob lattice
+// (lattice_test.go), whose other rows anchor on the same file. An executor
+// change that is meant to alter an answer regenerates the file with
 //
 //	go test -run TestExecutorGolden -update .
 //
@@ -23,6 +25,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"predplace"
@@ -33,9 +36,6 @@ import (
 var updateExecutorGolden = flag.Bool("update", false, "rewrite testdata/executor.golden from the executor at BatchSize 1")
 
 const executorGolden = "testdata/executor.golden"
-
-// goldenWidths are the batch widths every leg is replayed at.
-var goldenWidths = []int{1, 2, 7, 64, 256, 257}
 
 type goldenStmt struct {
 	name, sql string
@@ -119,13 +119,6 @@ func digestRows(rows []string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// multisetDigest is digestRows of the rows in sorted order.
-func multisetDigest(res *predplace.Result) string {
-	rows := encodedRows(res)
-	sort.Strings(rows)
-	return digestRows(rows)
-}
-
 // chargedBits renders Stats.Charged() exactly.
 func chargedBits(res *predplace.Result) string {
 	return fmt.Sprintf("charged=%016x", math.Float64bits(res.Stats.Charged()))
@@ -142,7 +135,13 @@ func answerOf(res *predplace.Result) string {
 		digestRows(encodedRows(res)), chargedBits(res), strings.Join(inv, ","), res.DNF)
 }
 
-func TestExecutorGolden(t *testing.T) {
+// goldenDBs opens the two scale-0.01 databases the golden legs and the knob
+// lattice run on: a roomy pool sharded for three workers, and the 6-page
+// pool of the tight statements. Every planned tree is held to plan.Validate
+// (PPLINT_VALIDATE is read at Open). The pair is shared by the package's
+// tests unless fresh is set; each sets every knob it depends on.
+func goldenDBs(t *testing.T, fresh bool) (roomy, tight *predplace.DB) {
+	t.Helper()
 	open := func(poolPages, parallelism int) *predplace.DB {
 		db, err := predplace.Open(predplace.Config{Scale: 0.01, Parallelism: parallelism, PoolPages: poolPages})
 		if err != nil {
@@ -154,20 +153,45 @@ func TestExecutorGolden(t *testing.T) {
 		}
 		return db
 	}
-	roomy, tight := open(0, 3), open(6, 1)
+	t.Setenv("PPLINT_VALIDATE", "1")
+	if fresh {
+		return open(0, 3), open(6, 1)
+	}
+	sharedGoldenDBs.once.Do(func() { sharedGoldenDBs.roomy, sharedGoldenDBs.tight = open(0, 3), open(6, 1) })
+	return sharedGoldenDBs.roomy, sharedGoldenDBs.tight
+}
+
+var sharedGoldenDBs struct {
+	once         sync.Once
+	roomy, tight *predplace.DB
+}
+
+// readGolden parses testdata/executor.golden into leg → answer.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(executorGolden)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	want := map[string]string{}
+	for _, ln := range strings.Split(string(data), "\n") {
+		if key, answer, ok := strings.Cut(ln, "\t"); ok && !strings.HasPrefix(ln, "#") {
+			want[key] = answer
+		}
+	}
+	return want
+}
+
+func TestExecutorGolden(t *testing.T) {
+	roomy, tight := goldenDBs(t, false)
+	basePoint().applyTo(roomy)
+	basePoint().applyTo(tight)
 	stmts := goldenStmts()
+	widths, parallel := knob("BatchSize"), knob("Parallelism")
 
 	want := map[string]string{}
 	if !*updateExecutorGolden {
-		data, err := os.ReadFile(executorGolden)
-		if err != nil {
-			t.Fatalf("%v (generate it with -update)", err)
-		}
-		for _, ln := range strings.Split(string(data), "\n") {
-			if key, answer, ok := strings.Cut(ln, "\t"); ok && !strings.HasPrefix(ln, "#") {
-				want[key] = answer
-			}
-		}
+		want = readGolden(t)
 	}
 
 	var out strings.Builder
@@ -197,7 +221,7 @@ func TestExecutorGolden(t *testing.T) {
 					continue
 				}
 				var serial *predplace.Result
-				for _, w := range goldenWidths {
+				for _, w := range append([]int{widths.base}, widths.values...) {
 					db.SetBatchSize(w)
 					res, err := db.Query(s.sql, algo)
 					if err != nil {
@@ -211,22 +235,18 @@ func TestExecutorGolden(t *testing.T) {
 				if caching || s.anyRows || s.tight {
 					continue
 				}
-				multiset := multisetDigest(serial)
-				// Parallel runs keep the multiset and — with caching off —
-				// the charged cost, not the order.
-				serialCharged := strings.Fields(want[key])[2]
-				db.SetParallelism(3)
-				for _, w := range []int{1, 256} {
-					db.SetBatchSize(w)
-					res, err := db.Query(s.sql, algo)
-					if err != nil {
-						t.Fatalf("%s width %d parallel: %v", key, w, err)
-					}
-					if got := multisetDigest(res); got != multiset {
-						t.Errorf("%s width %d parallel: row multiset differs from serial\nquery: %s", key, w, s.sql)
-					}
-					if got := chargedBits(res); got != serialCharged {
-						t.Errorf("%s width %d parallel: %s, serial %s\nquery: %s", key, w, got, serialCharged, s.sql)
+				// Parallel runs keep what the Parallelism row says they keep of
+				// the serial run just checked against the file.
+				base := basePoint().with("Algorithm", int(algo)).with("TopK", btoi(s.topk)).with("Transfer", btoi(s.transfer))
+				for _, p := range parallel.values {
+					db.SetParallelism(p)
+					for _, w := range []int{1, 256} {
+						db.SetBatchSize(w)
+						res, err := db.Query(s.sql, algo)
+						if err != nil {
+							t.Fatalf("%s width %d parallel: %v", key, w, err)
+						}
+						parallel.holds(t, s, base, base.with("Parallelism", p).with("BatchSize", w), serial, res)
 					}
 				}
 			}

@@ -28,12 +28,14 @@ func TestFaultSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
-	b, err := h.RunFaultBench(4, seeds)
+	runs, err := h.FaultSweep(4, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Pass {
-		t.Fatalf("fault sweep violated the failure contract:\n%s", b.String())
+	for _, r := range runs {
+		if !r.OK {
+			t.Errorf("failure contract violated: %+v", r)
+		}
 	}
 }
 
@@ -152,7 +154,7 @@ func TestFaultTransferPrepass(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("no page reads observed")
 	}
-	baseRows := canonRows(base)
+	baseRows := harness.CanonRows(base, false)
 	baseCharged := base.Stats.Charged()
 
 	for _, p := range []int{1, 4} {
@@ -169,7 +171,7 @@ func TestFaultTransferPrepass(t *testing.T) {
 				t.Fatalf("P=%d failN=%d: error does not wrap the injected fault: %v", p, n, err)
 			}
 			if err == nil {
-				got := canonRows(res)
+				got := harness.CanonRows(res, false)
 				if len(got) != len(baseRows) {
 					t.Fatalf("P=%d failN=%d: clean run returned %d rows, baseline %d", p, n, len(got), len(baseRows))
 				}

@@ -13,19 +13,31 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
 	"predplace"
 )
 
+// benchQueries is the figure-query workload the sweep runs.
+var benchQueries = []struct {
+	name string
+	sql  string
+}{
+	{"query1", Query1},
+	{"query2", Query2},
+	{"query3", Query3},
+	{"query4", Query4},
+	{"query5", Query5},
+}
+
 // faultConfigs are the executor configurations the sweep crosses faults
 // with: serial and parallel, tuple-at-a-time (BatchSize 1) and batched
-// (BatchSize 0 = tuned default). Parallelism 0 stands for the bench's
+// (BatchSize 0 = tuned default). Parallelism 0 stands for the sweep's
 // worker fan-out.
 var faultConfigs = []struct {
 	name        string
@@ -40,28 +52,17 @@ var faultConfigs = []struct {
 
 // FaultRun is one query execution under injected faults or a deadline.
 type FaultRun struct {
-	Query     string `json:"query"`
-	Config    string `json:"config"`
-	Seed      int64  `json:"seed"`
-	FailReadN int64  `json:"fail_read_n,omitempty"`
+	Query     string
+	Config    string
+	Seed      int64
+	FailReadN int64
 	// Outcome is "clean", "fault", "dnf", or "timeout".
-	Outcome string `json:"outcome"`
-	Err     string `json:"err,omitempty"`
+	Outcome string
+	Err     string
 	// OK is false when the run violated the failure contract (wrong rows,
-	// unexpected error class, or a leak).
-	OK     bool   `json:"ok"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// FaultBench is the whole sweep's outcome.
-type FaultBench struct {
-	Scale   float64    `json:"scale"`
-	Workers int        `json:"workers"`
-	Seeds   int        `json:"seeds"`
-	Runs    []FaultRun `json:"runs"`
-	// Pass is true when every run ended in an acceptable outcome with no
-	// leaked frames or goroutines.
-	Pass bool `json:"pass"`
+	// unexpected error class, or a leak); Detail says how.
+	OK     bool
+	Detail string
 }
 
 // faultTimeout is the deadline of the sweep's timeout leg — short enough
@@ -70,13 +71,14 @@ type FaultBench struct {
 // deadline always fires).
 const faultTimeout = 2 * time.Millisecond
 
-// RunFaultBench sweeps Queries 1–5 under injected read faults and a
-// deadline. For each query it first measures the fault-free read count and
-// result set (the baseline), then for each seed derives a read index to
-// fail and runs the query under every executor configuration, and finally
-// runs one timeout leg per configuration. workers is the parallel fan-out;
-// seeds is the number of per-query fault sites tried.
-func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
+// FaultSweep runs Queries 1–5 under injected read faults and a deadline and
+// returns every run; the sweep passed when each run is OK. For each query
+// it first measures the fault-free read count and result set (the
+// baseline), then for each seed derives a read index to fail and runs the
+// query under every executor configuration, and finally runs one timeout
+// leg per configuration. workers is the parallel fan-out; seeds is the
+// number of per-query fault sites tried.
+func (h *Harness) FaultSweep(workers, seeds int) ([]FaultRun, error) {
 	if workers < 2 {
 		workers = 2
 	}
@@ -90,7 +92,7 @@ func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
 	defer h.DB.SetParallelism(1)
 	defer h.DB.SetBatchSize(0)
 
-	bench := &FaultBench{Scale: h.Scale, Workers: workers, Seeds: seeds, Pass: true}
+	var runs []FaultRun
 	for _, q := range benchQueries {
 		// Fault-free baseline: a zero FaultConfig injects nothing but counts
 		// I/Os, sizing the fault sites against the query's real read count.
@@ -113,31 +115,23 @@ func (h *Harness) RunFaultBench(workers, seeds int) (*FaultBench, error) {
 		if reads == 0 {
 			return nil, fmt.Errorf("%s baseline: no page reads observed", q.name)
 		}
-		baseRows := canonicalRows(base)
+		baseRows := CanonRows(base, false)
 
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			// The fault site is drawn deterministically per (query, seed), so
 			// a failing sweep is reproducible from its report alone.
 			failN := 1 + rand.New(rand.NewSource(seed*7919)).Int63n(reads)
 			for _, cfg := range faultConfigs {
-				run := h.faultRun(q.name, q.sql, cfg.name, seed, failN,
-					resolveWorkers(cfg.parallelism, workers), cfg.batchSize, baseRows)
-				if !run.OK {
-					bench.Pass = false
-				}
-				bench.Runs = append(bench.Runs, run)
+				runs = append(runs, h.faultRun(q.name, q.sql, cfg.name, seed, failN,
+					resolveWorkers(cfg.parallelism, workers), cfg.batchSize, baseRows))
 			}
 		}
 		for _, cfg := range faultConfigs {
-			run := h.timeoutRun(q.name, q.sql, cfg.name,
-				resolveWorkers(cfg.parallelism, workers), cfg.batchSize, baseRows)
-			if !run.OK {
-				bench.Pass = false
-			}
-			bench.Runs = append(bench.Runs, run)
+			runs = append(runs, h.timeoutRun(q.name, q.sql, cfg.name,
+				resolveWorkers(cfg.parallelism, workers), cfg.batchSize, baseRows))
 		}
 	}
-	return bench, nil
+	return runs, nil
 }
 
 // resolveWorkers maps a faultConfigs parallelism entry to a fan-out.
@@ -191,7 +185,7 @@ func (h *Harness) timeoutRun(name, sql, cfg string, workers, batchSize int,
 	switch {
 	case err == nil && !res.DNF:
 		run.Outcome = "clean"
-		run.OK = equalStrings(canonicalRows(res), baseRows)
+		run.OK = slices.Equal(CanonRows(res, false), baseRows)
 		if !run.OK {
 			run.Detail = "clean finish with wrong rows"
 		}
@@ -224,7 +218,7 @@ func classifyFaultOutcome(run *FaultRun, res *predplace.Result, err error, baseR
 		run.OK = true
 	case err == nil:
 		run.Outcome = "clean"
-		run.OK = equalStrings(canonicalRows(res), baseRows)
+		run.OK = slices.Equal(CanonRows(res, false), baseRows)
 		if !run.OK {
 			run.Detail = "clean finish with rows differing from fault-free baseline"
 		}
@@ -238,35 +232,4 @@ func classifyFaultOutcome(run *FaultRun, res *predplace.Result, err error, baseR
 		run.Err = err.Error()
 		run.Detail = "error does not wrap the injected fault"
 	}
-}
-
-// JSON renders the sweep as indented JSON (BENCH_faults.json).
-func (b *FaultBench) JSON() ([]byte, error) {
-	return json.MarshalIndent(b, "", "  ")
-}
-
-// String renders the sweep as an aligned table.
-func (b *FaultBench) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "fault/timeout sweep: scale=%.3g workers=%d seeds=%d (Migration, caching off)\n",
-		b.Scale, b.Workers, b.Seeds)
-	fmt.Fprintf(&sb, "%-8s %-16s %5s %10s %-8s %7s\n",
-		"query", "config", "seed", "fail-read", "outcome", "verdict")
-	for _, r := range b.Runs {
-		verdict := "OK"
-		if !r.OK {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(&sb, "%-8s %-16s %5d %10d %-8s %7s\n",
-			r.Query, r.Config, r.Seed, r.FailReadN, r.Outcome, verdict)
-		if r.Detail != "" {
-			fmt.Fprintf(&sb, "    %s\n", r.Detail)
-		}
-	}
-	if b.Pass {
-		sb.WriteString("PASS: every run ended in an accepted outcome with no leaks\n")
-	} else {
-		sb.WriteString("FAIL: failure contract violated\n")
-	}
-	return sb.String()
 }

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"predplace"
@@ -179,44 +180,84 @@ var fourAlgos = []predplace.Algorithm{
 	predplace.PushDown, predplace.PullUp, predplace.PullRank, predplace.Migration,
 }
 
-// RunAll executes every experiment in paper order.
-func (h *Harness) RunAll() ([]*Report, error) {
-	runners := []func() (*Report, error){
-		h.Table1, h.Table2,
-		h.Fig1PlanTrees,
-		h.Fig3Query1, h.Fig4Query2, h.Fig5Query3,
-		h.Fig6PlanTrees, h.Fig8Query4, h.Fig9Query5,
-		h.Fig10Spectrum,
-		h.PlanTime5Way, h.CachingAblation, h.Ablations, h.ScaleStability, h.ComplexSuite,
+// experiments is the one registry, in run order: the paper's tables and
+// figures, then the extension experiments. Run, ExperimentIDs, `ppbench
+// -list` and its usage text, and the package's tests all read it.
+var experiments = []struct {
+	id  string
+	run func(*Harness) (*Report, error)
+}{
+	{"table1", (*Harness).Table1},
+	{"table2", (*Harness).Table2},
+	{"fig1", (*Harness).Fig1PlanTrees},
+	{"fig3", (*Harness).Fig3Query1},
+	{"fig4", (*Harness).Fig4Query2},
+	{"fig5", (*Harness).Fig5Query3},
+	{"fig6", (*Harness).Fig6PlanTrees},
+	{"fig8", (*Harness).Fig8Query4},
+	{"fig9", (*Harness).Fig9Query5},
+	{"fig10", (*Harness).Fig10Spectrum},
+	{"plantime", (*Harness).PlanTime5Way},
+	{"caching", (*Harness).CachingAblation},
+	{"ablations", (*Harness).Ablations},
+	{"scaling", (*Harness).ScaleStability},
+	{"complex", (*Harness).ComplexSuite},
+	{"topk", (*Harness).TopKSweep},
+	{"transfer", (*Harness).TransferPlacement},
+	{"esterror", (*Harness).EstimateError},
+}
+
+// ExperimentIDs lists the experiment ids in run order.
+func ExperimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// Run executes one experiment by id, or every experiment in order for "all".
+func (h *Harness) Run(id string) ([]*Report, error) {
 	var out []*Report
-	for _, run := range runners {
-		r, err := run()
+	for _, e := range experiments {
+		if id != "all" && id != e.id {
+			continue
+		}
+		r, err := e.run(h)
 		if err != nil {
-			return out, err
+			return out, fmt.Errorf("%s: %w", e.id, err)
 		}
 		out = append(out, r)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (have: all %s)", id, strings.Join(ExperimentIDs(), " "))
 	}
 	return out, nil
 }
 
-// Experiments maps experiment ids to runners.
-func (h *Harness) Experiments() map[string]func() (*Report, error) {
-	return map[string]func() (*Report, error){
-		"table1":    h.Table1,
-		"table2":    h.Table2,
-		"fig1":      h.Fig1PlanTrees,
-		"fig3":      h.Fig3Query1,
-		"fig4":      h.Fig4Query2,
-		"fig5":      h.Fig5Query3,
-		"fig6":      h.Fig6PlanTrees,
-		"fig8":      h.Fig8Query4,
-		"fig9":      h.Fig9Query5,
-		"fig10":     h.Fig10Spectrum,
-		"plantime":  h.PlanTime5Way,
-		"caching":   h.CachingAblation,
-		"ablations": h.Ablations,
-		"scaling":   h.ScaleStability,
-		"complex":   h.ComplexSuite,
+// CanonRows renders a result's rows for comparison across runs. Cells are
+// aligned by column name, because a different join order delivers the same
+// SELECT * columns in a different order; each cell is its self-delimiting
+// key encoding, so (3,5) and (5,3) under the same two names stay distinct.
+// Rows keep their delivered order when ordered is set (serial execution and
+// ORDER BY output are deterministic) and are sorted otherwise.
+func CanonRows(res *predplace.Result, ordered bool) []string {
+	byName := make([]int, len(res.Cols))
+	for i := range byName {
+		byName[i] = i
 	}
+	sort.SliceStable(byName, func(a, b int) bool { return res.Cols[byName[a]] < res.Cols[byName[b]] })
+	out := make([]string, len(res.Rows))
+	var buf []byte
+	for i, row := range res.Rows {
+		buf = buf[:0]
+		for _, c := range byName {
+			buf = row[c].AppendKey(buf)
+		}
+		out[i] = string(buf)
+	}
+	if !ordered {
+		sort.Strings(out)
+	}
+	return out
 }

@@ -1,104 +1,10 @@
 package predplace_test
 
-// Serial-vs-parallel cross-checks: the parallel executor must return the
-// same result sets as the serial one, and — with predicate caching off —
-// charge bit-for-bit the same cost (the engine's accounting is
-// parallelism-invariant). Run with -race to exercise the synchronization.
-
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"predplace"
 )
-
-func TestParallelMatchesSerialRandomized(t *testing.T) {
-	t.Setenv("PPLINT_VALIDATE", "1")
-	db, err := predplace.Open(predplace.Config{
-		Scale: 0.01, Tables: []int{1, 2, 3}, Parallelism: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetCaching(false)
-	rng := rand.New(rand.NewSource(20260806))
-	algos := []predplace.Algorithm{predplace.PushDown, predplace.Migration, predplace.PullUp}
-	for trial := 0; trial < 12; trial++ {
-		sql := genQuery(rng)
-		algo := algos[trial%len(algos)]
-		t.Run(fmt.Sprintf("q%02d", trial), func(t *testing.T) {
-			db.SetParallelism(1)
-			serial, err := db.Query(sql, algo)
-			if err != nil {
-				t.Fatalf("serial %v on %q: %v", algo, sql, err)
-			}
-			db.SetParallelism(4)
-			par, err := db.Query(sql, algo)
-			if err != nil {
-				t.Fatalf("parallel %v on %q: %v", algo, sql, err)
-			}
-			db.SetParallelism(1)
-
-			sRows, pRows := canonRows(serial), canonRows(par)
-			if len(sRows) != len(pRows) {
-				t.Fatalf("parallel returned %d rows, serial %d\nquery: %s",
-					len(pRows), len(sRows), sql)
-			}
-			for i := range sRows {
-				if sRows[i] != pRows[i] {
-					t.Fatalf("parallel row %d differs from serial\nquery: %s", i, sql)
-				}
-			}
-			if s, p := serial.Stats.Charged(), par.Stats.Charged(); s != p {
-				t.Fatalf("charged cost diverged: serial %v, parallel %v\nquery: %s", s, p, sql)
-			}
-			for fn, sCalls := range serial.Stats.Invocations {
-				if pCalls := par.Stats.Invocations[fn]; pCalls != sCalls {
-					t.Fatalf("%s invocations: serial %d, parallel %d\nquery: %s",
-						fn, sCalls, pCalls, sql)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelWithCachingSameRows checks result correctness with caching ON.
-// Charged cost may then legitimately differ (concurrent misses on one
-// binding can each invoke the function), but the answer must not.
-func TestParallelWithCachingSameRows(t *testing.T) {
-	db, err := predplace.Open(predplace.Config{
-		Scale: 0.01, Tables: []int{1, 2, 3}, Parallelism: 4, Caching: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
-		sql := genQuery(rng)
-		db.SetParallelism(1)
-		serial, err := db.Query(sql, predplace.Migration)
-		if err != nil {
-			t.Fatalf("serial on %q: %v", sql, err)
-		}
-		db.SetParallelism(4)
-		par, err := db.Query(sql, predplace.Migration)
-		if err != nil {
-			t.Fatalf("parallel on %q: %v", sql, err)
-		}
-		db.SetParallelism(1)
-		sRows, pRows := canonRows(serial), canonRows(par)
-		if len(sRows) != len(pRows) {
-			t.Fatalf("caching-on parallel returned %d rows, serial %d\nquery: %s",
-				len(pRows), len(sRows), sql)
-		}
-		for i := range sRows {
-			if sRows[i] != pRows[i] {
-				t.Fatalf("caching-on parallel row %d differs\nquery: %s", i, sql)
-			}
-		}
-	}
-}
 
 // TestParallelismKnobDefaultsSerial pins the facade contract: Parallelism 0
 // and 1 both mean the serial executor, and a negative value resolves to the

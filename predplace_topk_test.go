@@ -1,10 +1,10 @@
 package predplace_test
 
-// Top-k-aware execution tests: TopK on must return byte-identical rows to
-// the facade sort at a charged cost no higher than the baseline, across
-// placement algorithms × parallelism × batch width × predicate transfer;
-// injected read faults mid-heap-fill must abort cleanly with nothing pinned
-// and nothing charged for the failed I/O.
+// Top-k-aware execution tests: the knob's default, the plan shapes it
+// produces, and injected read faults mid-heap-fill, which must abort cleanly
+// with nothing pinned and nothing charged for the failed I/O. That TopK on
+// returns the facade sort's rows at no higher a charged cost at every point
+// is the TopK row of the knob lattice (lattice_test.go).
 
 import (
 	"errors"
@@ -15,77 +15,11 @@ import (
 	"predplace/internal/harness"
 )
 
-// topkRows renders a result's rows in delivered order (via orderedRows in
-// batch_test.go). ORDER BY output is deterministic — equal keys tie-break on
-// the full projected row in every mode — so tests compare the exact
-// sequence, not a canonicalized multiset.
+// topkRows renders a result's rows in delivered order. ORDER BY output is
+// deterministic — equal keys tie-break on the full projected row in every
+// mode — so tests compare the exact sequence, not a multiset.
 func topkRows(res *predplace.Result) string {
-	return strings.Join(orderedRows(res), "\n")
-}
-
-var topkAgreementQueries = []string{
-	// Bounded-heap path: the ORDER BY key (ua1) is unique but unindexed.
-	"SELECT * FROM t1 WHERE costly100(t1.u20) ORDER BY t1.ua1 LIMIT 7",
-	// Ordered-scan path: a1 is unique and indexed, so the plan becomes an
-	// early-terminating Limit over an index-order scan.
-	"SELECT * FROM t1 WHERE costly100(t1.u20) ORDER BY t1.a1 LIMIT 10",
-	// Descending ORDER BY always takes the heap (B-trees iterate ascending),
-	// with equal keys broken by the projected row.
-	"SELECT t1.u10, t1.a1 FROM t1 WHERE t1.u10 < 5 ORDER BY t1.u10 DESC LIMIT 9",
-	// Joins always take the heap; the transfer leg prunes both scans first.
-	"SELECT * FROM t1, t3 WHERE t1.ua1 = t3.ua1 AND costly100(t3.u20) ORDER BY t1.ua1 LIMIT 5",
-}
-
-// TestRandomizedTopKAgreement: for every query and every configuration in
-// PushDown/Migration × Transfer {off,on} × Parallelism {1,4} × BatchSize
-// {1,256}, the TopK-on run must deliver exactly the TopK-off rows and charge
-// no more than the TopK-off baseline (strictly less on the ordered-scan
-// path; identical on the heap path, which wraps the same plan).
-func TestRandomizedTopKAgreement(t *testing.T) {
-	db, err := predplace.Open(predplace.Config{Scale: 0.02, Tables: []int{1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		db.SetTopK(false)
-		db.SetTransfer(false)
-		db.SetParallelism(1)
-		db.SetBatchSize(0)
-	}()
-	for _, sql := range topkAgreementQueries {
-		for _, algo := range []predplace.Algorithm{predplace.PushDown, predplace.Migration} {
-			for _, transfer := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					for _, bs := range []int{1, 256} {
-						db.SetTransfer(transfer)
-						db.SetParallelism(par)
-						db.SetBatchSize(bs)
-						db.SetTopK(false)
-						off, err := db.Query(sql, algo)
-						if err != nil {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d topk off: %v", sql, algo, transfer, par, bs, err)
-						}
-						db.SetTopK(true)
-						on, err := db.Query(sql, algo)
-						if err != nil {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d topk on: %v", sql, algo, transfer, par, bs, err)
-						}
-						if got, want := topkRows(on), topkRows(off); got != want {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d: rows diverge\ntopk on:\n%s\ntopk off:\n%s",
-								sql, algo, transfer, par, bs, got, want)
-						}
-						if onC, offC := on.Stats.Charged(), off.Stats.Charged(); onC > offC+1e-6 {
-							t.Fatalf("%s %v transfer=%v P=%d BS=%d: topk on charged %v > baseline %v",
-								sql, algo, transfer, par, bs, onC, offC)
-						}
-						if len(on.Rows) != len(off.Rows) {
-							t.Fatalf("%s %v: row counts diverge: %d vs %d", sql, algo, len(on.Rows), len(off.Rows))
-						}
-					}
-				}
-			}
-		}
-	}
+	return strings.Join(harness.CanonRows(res, true), "\n")
 }
 
 // TestTopKDefaultOffByteIdentical: a database that toggled TopK on and back

@@ -1,18 +1,22 @@
 package predplace_test
 
 // The multi-session stress test: N goroutines run a mixed query workload
-// on one DB while another goroutine churns the execution knobs, and every
-// result must equal its serial baseline — rows and charged cost both. This
+// through one Server (every session admitted) while another goroutine
+// churns the execution knobs, and every result must equal its serial
+// baseline — rows and charged cost both — with the plan cache hit. This
 // is the engine's isolation contract under the race detector (check.sh
 // runs the package with -race): per-query I/O accounting, UDF counters,
 // predicate-cache scope, and knob snapshots never let one session's
 // activity leak into another's measurement.
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"predplace"
+	"predplace/internal/harness"
 )
 
 var sessionQueries = []string{
@@ -31,6 +35,10 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		sessions, iters = 4, 4
 	}
+	// Every session gets a slot: this is execution under concurrency, not
+	// shedding (TestServerShedsWithoutQueue, TestServerTenantQuota).
+	srv := predplace.NewServer(db, predplace.ServerConfig{MaxConcurrent: sessions})
+	hits0, _, _, _ := db.PlanCacheStats()
 
 	for _, caching := range []bool{false, true} {
 		// Serial baselines under this leg's caching setting, default knobs.
@@ -48,7 +56,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("caching=%v baseline %q: %v", caching, sql, err)
 			}
-			base[i] = baseline{rows: canonRows(res), charged: res.Stats.Charged()}
+			base[i] = baseline{rows: harness.CanonRows(res, false), charged: res.Stats.Charged()}
 		}
 
 		// Knob churn: batching and profiling never change results or charged
@@ -83,7 +91,8 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
 					qi := (offset + i) % len(sessionQueries)
-					res, err := db.Query(sessionQueries[qi], predplace.Migration)
+					res, err := srv.Query(context.Background(), fmt.Sprintf("session-%d", offset),
+						sessionQueries[qi], predplace.Migration)
 					if err != nil {
 						errs <- err
 						return
@@ -93,7 +102,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 							caching, offset, sessionQueries[qi], got, base[qi].charged)
 						return
 					}
-					got := canonRows(res)
+					got := harness.CanonRows(res, false)
 					want := base[qi].rows
 					if len(got) != len(want) {
 						t.Errorf("caching=%v session %d %q: %d rows, serial %d",
@@ -124,6 +133,11 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 			t.Fatalf("caching=%v: %d frames pinned after the stress", caching, got)
 		}
 	}
+	// Four statements run sessions × iters times each leg: all but the first
+	// execution of each should skip parse, bind and optimize.
+	if hits, _, _, _ := db.PlanCacheStats(); hits == hits0 {
+		t.Fatal("the plan cache never hit")
+	}
 }
 
 // TestConcurrentPreparedExec executes one PreparedStatement from many
@@ -143,7 +157,7 @@ func TestConcurrentPreparedExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRows, baseCharged := canonRows(base), base.Stats.Charged()
+	baseRows, baseCharged := harness.CanonRows(base, false), base.Stats.Charged()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -160,7 +174,7 @@ func TestConcurrentPreparedExec(t *testing.T) {
 					t.Errorf("charged %v, want %v", res.Stats.Charged(), baseCharged)
 					return
 				}
-				got := canonRows(res)
+				got := harness.CanonRows(res, false)
 				for k := range got {
 					if got[k] != baseRows[k] {
 						t.Errorf("row %d differs across concurrent Exec", k)
