@@ -59,6 +59,13 @@ echo "==> knob lattice (one contract row per execution knob, every setter a row 
 # checks by internal/harness's tests inside `go test -race ./...`.
 go test -race -count=1 -run '^(TestKnobLattice|TestKnobCoverage)$' .
 
+echo "==> ORDER BY / LIMIT gate (the plan root against the in-test reference sort)"
+# Also part of the full test run below; named here so that a broken sort
+# order, a LIMIT that over-pulls (charges for rows it cuts off) or a plan
+# under a Limit root that depends on the worker count fails under this
+# heading, not somewhere inside `go test ./...`.
+go test -race -count=1 -run '^(TestRandomizedTopKAgreement|TestOrderBy.*|TestTopKOrderedIndexPlan|TestFaultTopKMidFill)$' .
+
 echo "==> go build ./..."
 go build ./...
 

@@ -20,7 +20,6 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "database scale factor")
 	caching := flag.Bool("caching", false, "plan with predicate caching enabled")
 	transfer := flag.Bool("transfer", false, "plan and run with predicate transfer (Bloom pre-filtering) enabled")
-	topk := flag.Bool("topk", false, "plan and run with top-k execution (bounded-heap ORDER BY/LIMIT) enabled")
 	run := flag.Bool("run", false, "also execute each plan and report charged costs")
 	analyze := flag.Bool("analyze", false, "execute each plan and annotate nodes with est/actual rows (EXPLAIN ANALYZE)")
 	jsonOut := flag.Bool("json", false, "with -analyze, also print each per-operator profile tree as JSON")
@@ -31,7 +30,7 @@ func main() {
 	}
 	sql := flag.Arg(0)
 
-	db, err := predplace.Open(predplace.Config{Scale: *scale, Caching: *caching, Transfer: *transfer, TopK: *topk})
+	db, err := predplace.Open(predplace.Config{Scale: *scale, Caching: *caching, Transfer: *transfer})
 	if err != nil {
 		fatal(err)
 	}

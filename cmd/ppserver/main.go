@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ppserver [-addr :8080] [-scale 0.05] [-tables 1,2,3] [-caching]
-//	         [-transfer] [-topk] [-parallelism N] [-budget F]
+//	         [-transfer] [-parallelism N] [-budget F]
 //	         [-max-concurrent N] [-max-queue N] [-queue-wait D]
 //	         [-plan-cache N] [-quota tenant=F,...]
 //
@@ -41,7 +41,6 @@ func main() {
 	tables := flag.String("tables", "", "comma-separated benchmark tables to load (empty = all)")
 	caching := flag.Bool("caching", false, "enable predicate caching")
 	transfer := flag.Bool("transfer", false, "enable predicate transfer")
-	topk := flag.Bool("topk", false, "enable top-k execution")
 	parallelism := flag.Int("parallelism", 1, "intra-query worker fan-out (<0 = GOMAXPROCS)")
 	budget := flag.Float64("budget", 0, "per-query charged-cost budget (0 = unlimited)")
 	maxConc := flag.Int("max-concurrent", 0, "queries executing at once (0 = GOMAXPROCS)")
@@ -58,7 +57,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "building benchmark database at scale %.3f…\n", *scale)
 	db, err := predplace.Open(predplace.Config{
 		Scale: *scale, Tables: tabs,
-		Caching: *caching, Transfer: *transfer, TopK: *topk,
+		Caching: *caching, Transfer: *transfer,
 		Parallelism: *parallelism, Budget: *budget,
 		PlanCacheSize: *planCache,
 	})

@@ -5,7 +5,6 @@
 //	\algo pushdown|pullup|pullrank|migration|ldl|ldl-ikkbz|exhaustive|robust|naive
 //	\caching on|off
 //	\transfer on|off
-//	\topk on|off
 //	\feedback on|off
 //	\tables   \funcs   \help   \q
 //
@@ -29,12 +28,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock deadline (e.g. 5s; 0 = none)")
 	profile := flag.Bool("profile", false, "profile every query and print the per-operator tree as JSON")
 	transfer := flag.Bool("transfer", false, "start with predicate transfer (Bloom pre-filtering) enabled")
-	topk := flag.Bool("topk", false, "start with top-k execution (bounded-heap ORDER BY/LIMIT) enabled")
 	feedback := flag.Bool("feedback", false, "start with feedback-driven statistics enabled")
 	flag.Parse()
 
 	fmt.Fprintf(os.Stderr, "loading benchmark database at scale %.3f…\n", *scale)
-	db, err := predplace.Open(predplace.Config{Scale: *scale, Caching: *caching, Timeout: *timeout, Profile: *profile, Transfer: *transfer, TopK: *topk, Feedback: *feedback})
+	db, err := predplace.Open(predplace.Config{Scale: *scale, Caching: *caching, Timeout: *timeout, Profile: *profile, Transfer: *transfer, Feedback: *feedback})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ppsql:", err)
 		os.Exit(1)

@@ -39,10 +39,9 @@ const executorGolden = "testdata/executor.golden"
 
 type goldenStmt struct {
 	name, sql string
-	topk      bool // run with top-k execution on
 	transfer  bool // run with predicate transfer on
-	// anyRows marks a LIMIT without ORDER BY: which rows a parallel run
-	// delivers is unspecified, so the leg is replayed serially only.
+	// anyRows marks a LIMIT without ORDER BY: which rows it keeps is decided
+	// by the plan beneath the Limit root (built serial at any worker count).
 	anyRows bool
 	// tight runs the statement against a 6-page buffer pool, where the
 	// order of page accesses — a nested loop's outer against its inner, an
@@ -55,8 +54,8 @@ type goldenStmt struct {
 }
 
 // goldenStmts are 40 seeded genQuery statements, Queries 1–5, four ORDER
-// BY / LIMIT shapes under top-k execution, Queries 3–5 under transfer, and
-// eight nested-loop and index-nested-loop shapes under a tight pool.
+// BY / LIMIT shapes, Queries 3–5 under transfer, and eight nested-loop and
+// index-nested-loop shapes under a tight pool.
 func goldenStmts() []goldenStmt {
 	var out []goldenStmt
 	rng := rand.New(rand.NewSource(20261002))
@@ -68,13 +67,13 @@ func goldenStmts() []goldenStmt {
 		out = append(out, goldenStmt{name: fmt.Sprintf("query%d", i+1), sql: sql})
 	}
 	out = append(out,
-		goldenStmt{name: "limit-ordered-scan", topk: true,
+		goldenStmt{name: "limit-ordered-scan",
 			sql: "SELECT * FROM t1 WHERE costly100(t1.u20) ORDER BY t1.a1 LIMIT 10"},
-		goldenStmt{name: "topk-join", topk: true,
+		goldenStmt{name: "topk-join",
 			sql: "SELECT * FROM t1, t3 WHERE t1.ua1 = t3.ua1 AND costly100(t3.u20) ORDER BY t1.ua1 LIMIT 5"},
-		goldenStmt{name: "limit-join", topk: true, anyRows: true,
+		goldenStmt{name: "limit-join", anyRows: true,
 			sql: "SELECT * FROM t1, t3 WHERE t1.ua1 = t3.ua1 AND costly100(t3.u20) LIMIT 5"},
-		goldenStmt{name: "limit-scan", topk: true, anyRows: true,
+		goldenStmt{name: "limit-scan", anyRows: true,
 			sql: "SELECT * FROM t1 WHERE t1.u10 < 5 LIMIT 9"},
 	)
 	for i, sql := range figures[2:] {
@@ -203,7 +202,6 @@ func TestExecutorGolden(t *testing.T) {
 		if s.tight {
 			db = tight
 		}
-		db.SetTopK(s.topk)
 		db.SetTransfer(s.transfer)
 		for _, algo := range predplace.Algorithms() {
 			for _, caching := range []bool{false, true} {
@@ -232,12 +230,12 @@ func TestExecutorGolden(t *testing.T) {
 					}
 					serial = res
 				}
-				if caching || s.anyRows || s.tight {
+				if caching || s.tight {
 					continue
 				}
 				// Parallel runs keep what the Parallelism row says they keep of
 				// the serial run just checked against the file.
-				base := basePoint().with("Algorithm", int(algo)).with("TopK", btoi(s.topk)).with("Transfer", btoi(s.transfer))
+				base := basePoint().with("Algorithm", int(algo)).with("Transfer", btoi(s.transfer))
 				for _, p := range parallel.values {
 					db.SetParallelism(p)
 					for _, w := range []int{1, 256} {

@@ -62,6 +62,23 @@ func TestFeedbackLoopRepairsPlan(t *testing.T) {
 	}
 }
 
+// TestFeedbackSkipsCutOffStream: a Limit root that stopped pulling left its subtree mid-stream, like a
+// DNF, and is not harvested; the same statement under a LIMIT it never reaches ran to the end, and is.
+func TestFeedbackSkipsCutOffStream(t *testing.T) {
+	db, err := predplace.Open(predplace.Config{Scale: 0.005, Tables: []int{1}, Feedback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []string{"3", "1000"} {
+		if _, err := db.Query("SELECT * FROM t1 WHERE costly10(t1.u10) LIMIT "+limit, predplace.Migration); err != nil {
+			t.Fatal(err)
+		}
+		if stats := db.FeedbackStats(); (stats.Observations > 0) != (limit == "1000") {
+			t.Fatalf("LIMIT %s: harvest must skip exactly the stream the LIMIT cut off: %+v", limit, stats)
+		}
+	}
+}
+
 // TestFeedbackOffIsInert pins the default: with Config.Feedback unset, running
 // queries accumulates no observations and never touches the catalog version.
 func TestFeedbackOffIsInert(t *testing.T) {

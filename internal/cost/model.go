@@ -273,13 +273,13 @@ func (m *Model) annotate(n plan.Node, priced []plan.Node) (streamInfo, error) {
 		if err != nil {
 			return streamInfo{}, err
 		}
-		// The heap consumes the whole input (n·log₂(k+1) comparisons) but
-		// releases at most k rows upstream — the post-LIMIT cardinality that
-		// gives pulled-up expensive predicates their ≤ k-invocations bound.
-		k := float64(t.K)
+		// The heap consumes the whole input (n·log₂(held+1) comparisons) but
+		// holds and releases at most k rows — all of them when there is no
+		// bound, which prices the full sort.
+		held := t.Held(in.card)
 		info := streamInfo{
-			card: math.Min(in.card, k),
-			cost: in.cost + in.card*math.Log2(k+1)*TopKCmpPerTuple,
+			card: held,
+			cost: in.cost + in.card*math.Log2(held+1)*TopKCmpPerTuple,
 		}
 		t.EstCard, t.EstCost = info.card, info.cost
 		return info, nil

@@ -55,7 +55,7 @@ func planSQL(t testing.TB, cat *catalog.Catalog, sql string, opts optimizer.Opti
 		t.Fatal(err)
 	}
 	if bound.OrderBy != nil && bound.Limit > 0 {
-		opts.TopK = &optimizer.TopKSpec{Key: *bound.OrderBy, Desc: bound.Desc, K: bound.Limit}
+		opts.TopK = &optimizer.TopKSpec{Key: bound.OrderBy, Desc: bound.Desc, K: bound.Limit}
 	}
 	root, _, err := optimizer.New(cat, opts).Plan(bound.Query)
 	if err != nil {

@@ -370,14 +370,9 @@ type Stats struct {
 	// CacheEntries is the number of cached bindings at query end (the
 	// paper's §5.1 hash tables are per-query, so this is their peak size).
 	CacheEntries int
-	// Rows is the number of rows the executor produced. This is an executor
-	// measurement, not the size of the delivered result set: with top-k
-	// planning off, the SQL facade's LIMIT truncates Result.Rows after
-	// execution without touching this count (Rows is the full pre-LIMIT
-	// cardinality), while with a TopK/Limit plan root the executor itself
-	// stops at the LIMIT bound and Rows is that post-limit count (≤ k) —
-	// fewer rows were genuinely produced, which is the point of early
-	// termination. COUNT(*) replaces it with the single aggregate row.
+	// Rows is the number of rows the plan root produced — under a TopK or
+	// Limit root, the rows left after the LIMIT. COUNT(*) replaces it with
+	// the single aggregate row.
 	Rows int
 	// Transfer summarizes the predicate-transfer stage (nil unless
 	// Env.Transfer was on and the plan had a transferable join).

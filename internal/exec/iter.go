@@ -63,10 +63,12 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 // orderedNodes returns the nodes of root that must be built from serial
 // operators because a consumer relies on the order they deliver — parallel
 // scans, filters and hash joins do not keep their input's order. Those are
-// the chains under an ordered Limit and under each merge-join side the plan
-// marks as arriving sorted: through filters and along the outer side of
-// hash and nested-loop joins (which pass the outer's order on), down to the
-// index scan or merge join that makes the order.
+// the whole plan under a Limit root — which rows the limit keeps, and what
+// the ones it cuts off would have charged, must not depend on the worker
+// count — and the chain under each merge-join side the plan marks as
+// arriving sorted: through filters and along the outer side of hash and
+// nested-loop joins (which pass the outer's order on), down to the index
+// scan or merge join that makes the order.
 func orderedNodes(root plan.Node) map[plan.Node]bool {
 	set := map[plan.Node]bool{}
 	mark := func(n plan.Node) {
@@ -88,9 +90,7 @@ func orderedNodes(root plan.Node) map[plan.Node]bool {
 	plan.Walk(root, func(n plan.Node) {
 		switch t := n.(type) {
 		case *plan.Limit:
-			if t.Ordered {
-				mark(t.Input)
-			}
+			plan.Walk(t.Input, func(n plan.Node) { set[n] = true })
 		case *plan.Join:
 			if t.Method == plan.MergeJoin {
 				if !t.SortOuter {

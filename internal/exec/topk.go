@@ -1,14 +1,13 @@
 package exec
 
-// The top-k operators. topkIter is a bounded heap: it consumes its whole
+// The ORDER BY / LIMIT operators. topkIter is a heap: it consumes its whole
 // input but holds at most k rows, then emits them in (key, tie) order —
-// n·log k comparisons instead of the facade's full n·log n sort, and only k
-// rows ever flow upstream. limitIter is pure early termination: it stops
-// pulling from its child after k rows, so the subtree below never produces
-// — or pays for — the rows the limit cuts off. Neither operator charges
-// anything itself (the heap lives in memory, exactly like the facade sort
-// it replaces); their effect on charged cost is entirely in what the
-// subtree below no longer does.
+// n·log k comparisons, and only k rows ever flow upstream; with no bound it
+// holds every row and is the sort. limitIter is pure early termination: it
+// stops pulling from its child after k rows, so the subtree below never
+// produces — or pays for — the rows the limit cuts off. Neither operator
+// charges anything itself (the heap lives in memory); their effect on
+// charged cost is entirely in what the subtree below no longer does.
 
 import (
 	"fmt"
@@ -61,10 +60,9 @@ func newTopK(e *Env, t *plan.TopK, rs *slabPool) (Iterator, error) {
 }
 
 // less is the output ordering: key first (flipped under Desc), then the tie
-// columns ascending regardless of direction — the same comparator the
-// facade sort uses, so TopK-on results are byte-identical to TopK-off even
-// when equal keys arrive in a parallel operator's nondeterministic order
-// (rows equal under this comparator are identical after projection).
+// columns ascending regardless of direction. Rows equal under it are
+// identical after projection, so the result is the same sequence even when
+// equal keys arrive in a parallel operator's nondeterministic order.
 func (t *topkIter) less(a, b expr.Row) bool {
 	c := a[t.keyIdx].Compare(b[t.keyIdx])
 	if c != 0 {
@@ -111,10 +109,11 @@ func (t *topkIter) siftDown(i, n int) {
 	}
 }
 
-// offer admits a row into the bounded heap: appended while under k, and
-// past k only by displacing the current boundary row when it beats it.
+// offer admits a row into the heap: appended while under k (always, with no
+// bound), and past k only by displacing the current boundary row when it
+// beats it.
 func (t *topkIter) offer(row expr.Row) {
-	if len(t.heap) < int(t.node.K) {
+	if t.node.K < 0 || len(t.heap) < int(t.node.K) {
 		t.heap = append(t.heap, row)
 		t.siftUp(len(t.heap) - 1)
 		if t.tc != nil {
@@ -143,7 +142,7 @@ func (t *topkIter) fill() error {
 	}
 	t.filled = true
 	if t.heap == nil {
-		t.heap = getRowBuf(min(int(t.node.K), DefaultBatchSize))[:0]
+		t.heap = getRowBuf(0)
 	}
 	buf := getRowBuf(t.e.batchSize())
 	defer putRowBuf(buf)
@@ -198,16 +197,18 @@ func (t *topkIter) NextBatch(dst []expr.Row) (int, error) {
 }
 
 func (t *topkIter) Close() error {
-	if t.heap != nil {
+	// A heap that outgrew a batch buffer is a whole sort's rows: the pool
+	// would keep them alive, so it goes to the collector instead.
+	if cap(t.heap) <= DefaultBatchSize {
 		putRowBuf(t.heap)
-		t.heap = nil
 	}
+	t.heap = nil
 	return t.in.Close()
 }
 
 // limitIter implements plan.Limit: pass through k rows, then stop pulling.
-// For an ordered limit the child subtree was built serial (orderedNodes),
-// so the index scan's ascending key order survives to the root and the k
+// The child subtree was built serial (orderedNodes), so under an ordered
+// limit the index scan's ascending key order survives to the root and the k
 // rows delivered are exactly the ORDER BY's first k.
 type limitIter struct {
 	in   Iterator
@@ -242,15 +243,16 @@ func (l *limitIter) shortCircuit() {
 	l.cut = true
 }
 
-// NextBatch clamps the requested batch to the rows still owed, so the child
-// never overproduces past the limit by more than the last partial batch.
+// NextBatch hands up one row per call, whatever the width: an operator asked
+// for one row reads no input ahead of it (a hash join asked for n pairs
+// pulls n outer rows, and the first may yield them all), so what the limit
+// cuts off is never produced or charged, and is the same at every width.
 func (l *limitIter) NextBatch(dst []expr.Row) (int, error) {
-	rem := l.k - l.seen
-	if rem <= 0 {
+	if l.seen >= l.k {
 		l.shortCircuit()
 		return 0, nil
 	}
-	n, err := l.in.NextBatch(dst[:min(int64(len(dst)), rem)])
+	n, err := l.in.NextBatch(dst[:min(len(dst), 1)])
 	if err != nil {
 		return 0, err
 	}

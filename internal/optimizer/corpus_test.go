@@ -256,7 +256,7 @@ func bindCorpus(tb testing.TB, db *datagen.DB, sql string) (*query.Query, *TopKS
 	if bound.OrderBy == nil || bound.Limit < 1 {
 		return bound.Query, nil
 	}
-	spec := &TopKSpec{Key: *bound.OrderBy, Desc: bound.Desc, K: bound.Limit}
+	spec := &TopKSpec{Key: bound.OrderBy, Desc: bound.Desc, K: bound.Limit}
 	if !bound.Star {
 		spec.Tie = bound.Projection
 	}

@@ -107,12 +107,10 @@ type Options struct {
 	// selectivities and probe/build work is charged, so placement and join
 	// ordering are decided under transfer-adjusted estimates.
 	Transfer bool
-	// TopK, when non-nil, asks the optimizer to plan the query's ORDER BY +
-	// LIMIT instead of leaving them to the facade: the chosen plan is wrapped
-	// in a bounded-heap TopK root — or an early-terminating Limit when a
-	// retained plan already delivers rows in the ORDER BY order — and the
-	// cost model's post-LIMIT cardinalities price the ≤ k-invocations pullup
-	// incentive for predicates above the top-k boundary.
+	// TopK, when non-nil, is the statement's ORDER BY and/or LIMIT: the
+	// chosen plan is wrapped in a TopK root (a bounded heap; the sort when
+	// there is no LIMIT) — or in an early-terminating Limit, when there is
+	// no ORDER BY or a retained plan already delivers rows in its order.
 	TopK *TopKSpec
 	// Feedback overlays promoted feedback observations (observed
 	// selectivities from past executions) onto the analyzed query before
@@ -144,9 +142,8 @@ type Info struct {
 	// TransferPrepassCost is the estimated prepass cost included in EstCost.
 	TransferClasses     int
 	TransferPrepassCost float64
-	// TopKKind reports the planned top-k root: "topk" (bounded heap over the
-	// full input), "limit" (order-satisfying early termination), or ""
-	// (top-k planning off or inapplicable).
+	// TopKKind reports the planned root: "topk" (heap over the full input),
+	// "limit" (early termination), or "" (no ORDER BY or LIMIT).
 	TopKKind string
 	// RobustE and RobustWorst report the Robust algorithm's error-interval
 	// half-width and the chosen plan's worst-case cost over that interval
@@ -240,8 +237,8 @@ func (o *Optimizer) Plan(q *query.Query) (plan.Node, *Info, error) {
 			// planSystemR's finalize already chose and wrapped the root.
 		default:
 			// The LDL and exhaustive planners pick their root by unwrapped
-			// cost; wrap it here so every algorithm executes ORDER BY + LIMIT
-			// inside the plan when top-k planning is on.
+			// cost, as every algorithm does under a LIMIT without ORDER BY;
+			// wrap it here so every plan's root orders and truncates.
 			root, err = o.chooseTopK([]plan.Node{root}, info)
 			if err != nil {
 				return nil, nil, err

@@ -66,7 +66,7 @@ func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info
 	if n == 1 {
 		info.PlansRetained = len(base[0])
 		finalists := []*subplan{cheapest(base[0])}
-		if o.opts.TopK != nil {
+		if o.opts.TopK.indexOrder() {
 			// Keep every access path alive for finalize: a full index scan
 			// on the ORDER BY key loses on unwrapped cost but can win once
 			// an early-terminating Limit prices it.
@@ -120,11 +120,11 @@ func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info
 }
 
 // finalize applies the Predicate Migration post-pass (when selected) to every
-// retained final plan and returns the cheapest. With top-k planning on, it is
-// also the wrap site: wrapping happens after migration (Flatten cannot stream
-// a TopK/Limit root), with the baseline best plan first so ties keep the plan
-// the facade sort would have executed, and other finalists considered only
-// when their output order satisfies the ORDER BY.
+// retained final plan and returns the cheapest. For a statement with ORDER BY
+// it is also the wrap site: wrapping happens after migration (Flatten cannot
+// stream a TopK/Limit root), with the baseline best plan first so ties keep
+// the plan the statement gets without the clause, and other finalists
+// considered only when their output order satisfies the ORDER BY.
 func (o *Optimizer) finalize(q *query.Query, finalists []*subplan, info *Info) (plan.Node, error) {
 	if len(finalists) == 0 {
 		return nil, fmt.Errorf("optimizer: no plan found")
@@ -133,7 +133,7 @@ func (o *Optimizer) finalize(q *query.Query, finalists []*subplan, info *Info) (
 	var baseline plan.Node
 	if o.opts.Algorithm != Migration {
 		baseline = cheapest(finalists).root
-		if o.opts.TopK == nil {
+		if o.opts.TopK.unordered() {
 			return baseline, nil
 		}
 		for _, sp := range finalists {
@@ -152,7 +152,7 @@ func (o *Optimizer) finalize(q *query.Query, finalists []*subplan, info *Info) (
 				baseline, bestCost = migrated, migrated.Cost()
 			}
 		}
-		if o.opts.TopK == nil {
+		if o.opts.TopK.unordered() {
 			return baseline, nil
 		}
 	}
@@ -319,9 +319,9 @@ func (o *Optimizer) accessPathsPlace(q *query.Query, i int, withExpensive bool) 
 	// to a SeqScan (a random fetch per tuple), but under an ordered Limit
 	// only the first k survivors' fetches are ever paid — finalize prices
 	// that when it wraps the retained roots.
-	if spec := o.opts.TopK; spec != nil && !spec.Desc && spec.Key.Table == t && tab.HasIndex(spec.Key.Col) {
+	if spec := o.opts.TopK; spec.indexOrder() && spec.Key.Table == t && tab.HasIndex(spec.Key.Col) {
 		is := &plan.IndexScan{Table: t, Col: spec.Key.Col, ColRefs: cols}
-		sp, err := build(is, spec.Key, cheap)
+		sp, err := build(is, *spec.Key, cheap)
 		if err != nil {
 			return nil, err
 		}

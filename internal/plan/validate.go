@@ -29,8 +29,9 @@ const validateTol = 1e-9
 //   - a Join's output columns are exactly outer-then-inner concatenation;
 //   - nested-loop joins have a (filtered) base table inner, and
 //     IndexNestLoop additionally an index column and an equality primary;
-//   - TopK/Limit appear only as the plan root, with K ≥ 1, order/tie columns
-//     bound by the input schema, and output cardinality at most min(input, K).
+//   - TopK/Limit appear only as the plan root — a TopK with K ≥ 1 or no bound
+//     (K < 0, the sort), a Limit with K ≥ 0 — with order/tie columns bound by
+//     the input schema and output cardinality at most min(input, K).
 //     A TopK costs at least its input (the heap adds comparisons); a Limit
 //     is the one sanctioned break in cost cumulativity — early termination
 //     means the subtree below it is only partially paid, so its cost may be
@@ -115,8 +116,8 @@ func validate(n Node, path string, applied map[*query.Predicate]bool) error {
 		if t.Input == nil {
 			return fmt.Errorf("plan: %s: TopK has nil input", path)
 		}
-		if t.K < 1 {
-			return fmt.Errorf("plan: %s: TopK with k=%d", path, t.K)
+		if t.K == 0 {
+			return fmt.Errorf("plan: %s: TopK with k=0", path)
 		}
 		if err := checkColBound(t.Key, t.Input.Cols(), path, "TopK key"); err != nil {
 			return err
@@ -126,7 +127,7 @@ func validate(n Node, path string, applied map[*query.Predicate]bool) error {
 				return err
 			}
 		}
-		if limit := math.Min(t.Input.Card(), float64(t.K)); t.Card() > limit*(1+validateTol)+validateTol {
+		if limit := t.Held(t.Input.Card()); t.Card() > limit*(1+validateTol)+validateTol {
 			return fmt.Errorf("plan: %s: TopK outputs %.3f tuples, at most min(input=%.3f, k=%d) allowed",
 				path, t.Card(), t.Input.Card(), t.K)
 		}
@@ -143,7 +144,7 @@ func validate(n Node, path string, applied map[*query.Predicate]bool) error {
 		if t.Input == nil {
 			return fmt.Errorf("plan: %s: Limit has nil input", path)
 		}
-		if t.K < 1 {
+		if t.K < 0 {
 			return fmt.Errorf("plan: %s: Limit with k=%d", path, t.K)
 		}
 		if t.Ordered {

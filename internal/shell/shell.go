@@ -74,10 +74,6 @@ func (s *Session) Execute(line string, w io.Writer) bool {
 		on := strings.HasSuffix(line, "on")
 		s.DB.SetTransfer(on)
 		say(w, "predicate transfer:", on)
-	case strings.HasPrefix(line, `\topk`):
-		on := strings.HasSuffix(line, "on")
-		s.DB.SetTopK(on)
-		say(w, "top-k execution:", on)
 	case strings.HasPrefix(line, `\feedback`):
 		on := strings.HasSuffix(line, "on")
 		s.DB.SetFeedback(on)
@@ -126,7 +122,6 @@ func (s *Session) cmdHelp(w io.Writer) {
   \algo <name>      switch placement algorithm
   \caching on|off   toggle predicate caching
   \transfer on|off  toggle predicate transfer (Bloom pre-filtering)
-  \topk on|off      toggle top-k execution (bounded-heap ORDER BY/LIMIT)
   \feedback on|off  toggle feedback-driven statistics (observed selectivities)
   \tables           list relations
   \funcs            list registered functions

@@ -95,24 +95,6 @@ func TestTransferToggle(t *testing.T) {
 	}
 }
 
-func TestTopKToggle(t *testing.T) {
-	s := newSession(t)
-	out, _ := run(t, s, `\topk on`)
-	if !strings.Contains(out, "true") {
-		t.Fatalf("topk on: %q", out)
-	}
-	if !s.DB.TopK() {
-		t.Fatal("top-k execution not enabled on DB")
-	}
-	out, _ = run(t, s, `\topk off`)
-	if !strings.Contains(out, "false") {
-		t.Fatalf("topk off: %q", out)
-	}
-	if s.DB.TopK() {
-		t.Fatal("top-k execution not disabled on DB")
-	}
-}
-
 func TestRunQuery(t *testing.T) {
 	s := newSession(t)
 	out, _ := run(t, s, "SELECT * FROM t1 WHERE t1.ua1 < 3")

@@ -9,12 +9,15 @@ package predplace_test
 // with it moved, and the row's contract says what may differ.
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -28,8 +31,7 @@ type contract int
 const (
 	free               contract = iota // may differ
 	identical                          // bit for bit
-	atMost                             // variant ≤ baseline
-	atMostSameShape                    // … when both ran the same plan shape
+	atMostSameShape                    // variant ≤ baseline when both ran the same plan shape
 	atMostNetSameShape                 // … each net of the transfer overhead it reports
 )
 
@@ -94,9 +96,8 @@ func onOff(set func(*predplace.DB, bool)) func(*predplace.DB, int) {
 //	  charge never above transfer-off when the plan shape is equal
 //	  ........................................... Transfer; charged table:
 //	  harness TransferPlacement (`ppbench -exp transfer`)
-//	TestRandomizedTopKAgreement, ppbench -topk: same rows in order (heap,
-//	  index-order, DESC, join; transfer × P × width), charged ≤ top-k off
-//	  ........................................... TopK; ≥ 2× flagship and
+//	ppbench -topk: the facade sort's rows in order, charged no higher
+//	  ........................................... orderLimit; ≥ 2× flagship and
 //	  k-sweep: harness TopKSweep (`ppbench -exp topk`)
 //	TestRandomizedFeedbackAgreement: harvesting keeps the multiset, the
 //	  rerun after harvest charges no more ....... Feedback; e-sweep and loop:
@@ -125,9 +126,6 @@ var knobRows = []knobRow{
 	{knob: "Transfer", values: []int{1},
 		apply:   onOff((*predplace.DB).SetTransfer),
 		charged: atMostNetSameShape, inv: atMostSameShape},
-	{knob: "TopK", values: []int{1},
-		apply:   onOff((*predplace.DB).SetTopK),
-		ordered: true, charged: atMost, inv: atMost},
 	// Feedback runs twice with harvesting on: the first run plans on the
 	// declared statistics and harvests, the second plans on what it saw and
 	// charges no more. Promotions stay in the catalog, hence pinned and
@@ -254,8 +252,8 @@ func (p point) String() string {
 // tests named that the golden file lacks.
 func latticeCorpus() []goldenStmt {
 	return append(append(goldenStmts(), seedStmts()...),
-		goldenStmt{name: "topk-heap", topk: true, sql: "SELECT * FROM t1 WHERE costly100(t1.u20) ORDER BY t1.ua1 LIMIT 7"},
-		goldenStmt{name: "topk-desc", topk: true, sql: "SELECT t1.u10, t1.a1 FROM t1 WHERE t1.u10 < 5 ORDER BY t1.u10 DESC LIMIT 9"},
+		goldenStmt{name: "topk-heap", sql: "SELECT * FROM t1 WHERE costly100(t1.u20) ORDER BY t1.ua1 LIMIT 7"},
+		goldenStmt{name: "topk-desc", sql: "SELECT t1.u10, t1.a1 FROM t1 WHERE t1.u10 < 5 ORDER BY t1.u10 DESC LIMIT 9"},
 		goldenStmt{name: "empty-range-inl", sql: "SELECT * FROM t3, t10 WHERE t3.a10 = t10.a10 AND t10.a100 > 50 AND costly100(t3.ua1)"},
 		goldenStmt{name: "fig1", sql: harness.Fig1Query},
 		goldenStmt{name: "count", sql: "SELECT COUNT(*) FROM t2 WHERE costly100(t2.u20)"},
@@ -325,17 +323,18 @@ func planShape(p string) string {
 
 // samplePoint draws the point a row's knob is moved at. The home point is
 // where testdata/executor.golden was recorded — width 1, serial, the
-// statement's own top-k and transfer setting — under a drawn algorithm and
-// caching bit; away from home every unpinned knob is drawn. Tight-pool and
-// LIMIT-without-ORDER-BY statements stay serial (see goldenStmt).
+// statement's own transfer setting — under a drawn algorithm and caching
+// bit; away from home every unpinned knob is drawn. Tight-pool statements
+// stay serial (see goldenStmt).
 func samplePoint(rng *rand.Rand, moved knobRow, s goldenStmt, home bool) point {
 	p := basePoint()
 	for _, k := range knobRows {
+		if k.knob == "Algorithm" && !home {
+			rng.Intn(2) // the TopK knob's bit, drawn still: every row's points (and Feedback's promotions along them) stay put
+		}
 		switch {
 		case k.knob == moved.knob || k.pinned:
-		case k.knob == "Parallelism" && (s.tight || s.anyRows):
-		case home && k.knob == "TopK":
-			p[k.knob] = btoi(s.topk)
+		case k.knob == "Parallelism" && s.tight:
 		case home && k.knob == "Transfer":
 			p[k.knob] = btoi(s.transfer)
 		case home && k.knob != "Caching" && k.knob != "Algorithm":
@@ -362,9 +361,9 @@ func latticeSeed(knob, stmt string) int64 {
 }
 
 // runAt executes s at p and checks what holds of every run: profiling on ⇔
-// a profile is returned, and a run at a point the golden file speaks for —
-// serial, the statement's own top-k and transfer setting; any width,
-// profiled or not — gives the recorded answer.
+// a profile is returned, Stats.Rows counts the rows delivered, and a run at
+// a point the golden file speaks for — serial, the statement's own transfer
+// setting; any width, profiled or not — gives the recorded answer.
 func (k knobRow) runAt(t *testing.T, db *predplace.DB, golden map[string]string, s goldenStmt, p point) *predplace.Result {
 	t.Helper()
 	p.applyTo(db)
@@ -375,8 +374,11 @@ func (k knobRow) runAt(t *testing.T, db *predplace.DB, golden map[string]string,
 	if (res.Profile != nil) != (p["Profile"] == 1) {
 		t.Errorf("Profile=%d but Result.Profile set is %v\n%s", p["Profile"], res.Profile != nil, k.where(s, p))
 	}
+	if res.Stats.Rows != len(res.Rows) {
+		t.Errorf("Stats.Rows = %d, %d rows delivered\n%s", res.Stats.Rows, len(res.Rows), k.where(s, p))
+	}
 	want, ok := golden[fmt.Sprintf("%s/%v/caching=%v", s.name, p.algo(), p["Caching"] == 1)]
-	if ok && p["Parallelism"] == 1 && p["TopK"] == btoi(s.topk) && p["Transfer"] == btoi(s.transfer) {
+	if ok && p["Parallelism"] == 1 && p["Transfer"] == btoi(s.transfer) {
 		if got := answerOf(res); got != want {
 			t.Errorf("answer differs from %s:\n got %s\nwant %s\n%s", executorGolden, got, want, k.where(s, p))
 		}
@@ -415,8 +417,6 @@ func (k knobRow) holds(t *testing.T, s goldenStmt, base, at point, want, got *pr
 		switch c {
 		case identical:
 			return math.Float64bits(w) != math.Float64bits(g)
-		case atMost:
-			return g > w+1e-6
 		case atMostSameShape, atMostNetSameShape:
 			return sameShape && g > w+1e-6
 		}
@@ -463,9 +463,10 @@ func (k knobRow) run(t *testing.T, stmts []goldenStmt) {
 		golden = readGolden(t)
 	}
 	for _, s := range stmts {
-		// Which rows a LIMIT without ORDER BY keeps is defined only for one
-		// plan run serially, so only order-keeping knobs apply.
-		if s.anyRows && !k.ordered || s.tight && k.knob == "Parallelism" {
+		// Which rows a LIMIT without ORDER BY keeps is decided by the plan
+		// under the Limit root: rows whose knob may change that plan (Caching,
+		// Transfer, Algorithm, Feedback) do not apply. It is built serial.
+		if s.anyRows && !k.ordered && k.knob != "Parallelism" || s.tight && k.knob == "Parallelism" {
 			continue
 		}
 		db := roomy
@@ -505,6 +506,75 @@ func TestKnobLattice(t *testing.T) {
 	for _, k := range knobRows {
 		t.Run(k.knob, func(t *testing.T) { k.run(t, corpus) })
 	}
+	t.Run("TopK", func(t *testing.T) { orderLimit(t, corpus) })
+}
+
+// clauseRE splits a whitespace-normalized statement into its text without
+// ORDER BY/LIMIT [1], the two clauses [2] [5], the key [3], DESC [4], bound [6].
+var clauseRE = regexp.MustCompile(`^(.*?)( ORDER BY (\S+)( DESC)?)?( LIMIT (\d+))?$`)
+
+// drawnClauses: a statement without ORDER BY or LIMIT is checked under each, KEY drawn from its output.
+var drawnClauses = []string{" ORDER BY KEY LIMIT 7", " ORDER BY KEY DESC LIMIT 9", " ORDER BY KEY LIMIT 1000",
+	" ORDER BY KEY LIMIT 0", " ORDER BY KEY", " ORDER BY KEY DESC", " LIMIT 5", " LIMIT 0"}
+
+// orderLimit holds ORDER BY and LIMIT to their reference, the facade sort the
+// plan root replaced. Per statement, at two drawn points: the statement
+// without the clauses runs serially, the test sorts its rows by (key, full
+// projected row ascending) and truncates them — with no ORDER BY the serial
+// prefix is the reference — and the statement with its clauses (having none,
+// with each of drawnClauses) must deliver exactly those rows and charge no
+// more. No knob moves; the test floor pins the subtests as TopK/<stmt>.
+func orderLimit(t *testing.T, stmts []goldenStmt) {
+	k := knobRow{knob: "TopK"}
+	roomy, tight := goldenDBs(t, false)
+	for _, s := range stmts {
+		db := roomy
+		if s.tight {
+			db = tight
+		}
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(latticeSeed(k.knob, s.name)))
+			written := clauseRE.FindStringSubmatch(strings.Join(strings.Fields(s.sql), " "))
+			bare, clauses := s, []string{written[2] + written[5]}
+			bare.sql = written[1]
+			if clauses[0] == "" && !strings.Contains(s.sql, "COUNT(*)") { // the aggregate ignores both clauses
+				clauses = drawnClauses
+			}
+			for range 2 {
+				p := samplePoint(rng, k, s, false)
+				want := k.runAt(t, db, nil, bare, p.with("Parallelism", 1))
+				for _, clause := range clauses {
+					full := bare
+					full.sql += strings.ReplaceAll(clause, "KEY", want.Cols[rng.Intn(len(want.Cols))])
+					got := k.runAt(t, db, nil, full, p)
+					m := clauseRE.FindStringSubmatch(full.sql)
+					ref := slices.Clone(want.Rows)
+					if key, dir := slices.Index(want.Cols, m[3]), map[string]int{"": 1, " DESC": -1}[m[4]]; key >= 0 {
+						slices.SortFunc(ref, func(a, b []predplace.Value) int {
+							return cmp.Or(dir*a[key].Compare(b[key]), slices.CompareFunc(a, b, predplace.Value.Compare))
+						})
+					}
+					if n, err := strconv.Atoi(m[6]); err == nil && n < len(ref) {
+						ref = ref[:n]
+					}
+					if !slices.Equal(encodedRows(got), encodedRows(&predplace.Result{Rows: ref})) {
+						t.Errorf("rows differ from the reference sort: %d rows, reference %d\n%s", len(got.Rows), len(ref), k.where(full, p))
+					}
+					// ORDER BY alone shows its sort; LIMIT alone sits on the bare statement's plan.
+					head, beneath, _ := strings.Cut(got.Plan, "\n")
+					if m[2] != "" && m[5] == "" && !strings.HasPrefix(head, "Sort by "+m[3]) || m[2] == "" && m[5] != "" &&
+						(!strings.HasPrefix(head, "Limit "+m[6]+" ") || strings.ReplaceAll("\n"+beneath, "\n  ", "\n") != "\n"+want.Plan) {
+						t.Errorf("plan root:\n%swithout the clauses:\n%s%s", got.Plan, want.Plan, k.where(full, p))
+					}
+					if gc, wc := got.Stats.Charged(), want.Stats.Charged(); !p.racy() && gc > wc+1e-6 {
+						t.Errorf("charged %v, %v without the clauses\n%s", gc, wc, k.where(full, p))
+					}
+				}
+			}
+		})
+	}
+	basePoint().applyTo(roomy)
+	basePoint().applyTo(tight)
 }
 
 // TestKnobCoverage: every Set* method of *predplace.DB is a lattice row or a
@@ -537,16 +607,22 @@ func TestKnobCoverage(t *testing.T) {
 
 // The nine test names the lattice replaced stay as entry points, because the
 // repository's test floor pins them and their qNN subtests by name: each
-// runs its row over the seeded chains alone. TestKnobLattice runs every row
+// runs its row (orderLimit, for TopK) over the seeded chains. TestKnobLattice runs every row
 // over the whole corpus and is the gate.
 func TestRandomizedBatchAgreement(t *testing.T)        { knob("BatchSize").run(t, seedStmts()) }
 func TestParallelMatchesSerialRandomized(t *testing.T) { knob("Parallelism").run(t, seedStmts()) }
 func TestParallelWithCachingSameRows(t *testing.T)     { knob("Parallelism").run(t, seedStmts()) }
 func TestProfileMatrixInvariance(t *testing.T)         { knob("Profile").run(t, seedStmts()) }
 func TestRandomizedTransferAgreement(t *testing.T)     { knob("Transfer").run(t, seedStmts()) }
-func TestRandomizedTopKAgreement(t *testing.T)         { knob("TopK").run(t, seedStmts()) }
 func TestRandomizedFeedbackAgreement(t *testing.T)     { knob("Feedback").run(t, seedStmts()) }
 func TestRandomizedAlgorithmAgreement(t *testing.T)    { knob("Algorithm").run(t, seedStmts()) }
 func TestRandomizedCachingNeverIncreasesInvocations(t *testing.T) {
 	knob("Caching").run(t, seedStmts())
+}
+
+// TestRandomizedTopKAgreement adds the corpus statements written with a LIMIT
+// (index order, projected tie columns, LIMIT without ORDER BY).
+func TestRandomizedTopKAgreement(t *testing.T) {
+	written := slices.DeleteFunc(latticeCorpus(), func(s goldenStmt) bool { return !strings.Contains(s.sql, " LIMIT ") })
+	orderLimit(t, append(seedStmts(), written...))
 }

@@ -154,22 +154,7 @@ func OpenFile(path string, cfg Config) (*DB, error) {
 	// Restoration I/O is not part of any measured query.
 	inner.Disk.Accountant().Reset()
 	inner.Pool.ResetCounters()
-	planEntries := cfg.PlanCacheSize
-	if planEntries == 0 {
-		planEntries = DefaultPlanCacheSize
-	}
-	return &DB{
-		inner: inner,
-		k: knobs{
-			caching: cfg.Caching, cacheScope: pcacheScope(cfg),
-			cacheMax: cfg.CacheMaxEntries, budget: cfg.Budget,
-			parallelism: workers, batchSize: cfg.BatchSize,
-			timeout: cfg.Timeout, profile: cfg.Profile,
-			transfer: cfg.Transfer, topk: cfg.TopK,
-		},
-		validate: os.Getenv("PPLINT_VALIDATE") == "1",
-		plans:    newPlanCache(planEntries),
-	}, nil
+	return newDB(inner, cfg, workers), nil
 }
 
 // rebuildIndexes scans the heap and reconstructs each index column's B-tree.

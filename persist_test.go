@@ -39,6 +39,15 @@ func TestSaveAndOpenFile(t *testing.T) {
 		t.Fatalf("invocations differ: %d vs %d",
 			after.Stats.Invocations["costly100"], before.Stats.Invocations["costly100"])
 	}
+
+	// A restored handle takes every Config field Open takes.
+	tuned, err := OpenFile(path, Config{Feedback: true, RobustE: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := tuned.Explain(sql, Robust); err != nil || !tuned.Feedback() || !strings.Contains(plan, "robust interval=[sel/8, sel×8]") {
+		t.Fatalf("OpenFile dropped Config.Feedback (%v) or RobustE (err %v):\n%s", tuned.Feedback(), err, plan)
+	}
 }
 
 func TestSaveRestoresIndexes(t *testing.T) {

@@ -17,8 +17,9 @@ const DefaultPlanCacheSize = 64
 // planKey identifies one cached plan. Two lookups share an entry only when
 // they would plan identically: same normalized SQL text, same placement
 // algorithm, the same settings of every knob the optimizer consults
-// (caching, transfer, top-k), and the same catalog version (schema,
-// statistics, and data as of planning). Execution-only knobs — budget,
+// (caching, transfer, feedback, Robust's e), and the same catalog version
+// (schema, statistics, and data as of planning). ORDER BY and LIMIT are part
+// of the SQL text, not knobs. Execution-only knobs — budget,
 // parallelism, batch size, timeout, profiling — are deliberately absent:
 // they never change the chosen plan, and keying on them would fragment the
 // cache.
@@ -27,7 +28,6 @@ type planKey struct {
 	algo     Algorithm
 	caching  bool
 	transfer bool
-	topk     bool
 	// feedback and robustE are planning-affecting: the feedback overlay
 	// changes the selectivities the optimizer sees, and the Robust
 	// algorithm's plan depends on its error-interval half-width.

@@ -129,16 +129,6 @@ type Config struct {
 	// cardinalities. Off by default — every figure reproduction runs without
 	// it.
 	Transfer bool
-	// TopK enables top-k-aware execution: a query with ORDER BY and LIMIT
-	// plans a bounded-heap TopK root (n·log k comparisons, only k rows flow
-	// upstream) — or, when an ascending index scan on a unique ORDER BY key
-	// already delivers the order, an early-terminating Limit that stops
-	// pulling after k rows, so the pages and predicate invocations the limit
-	// cuts off are never paid. Results are identical with it on or off
-	// (equal-key ties break on the full projected row either way); charged
-	// cost can only shrink. Off by default — byte-identical planning and
-	// execution, with ORDER BY/LIMIT applied in the facade as before.
-	TopK bool
 	// PlanCacheSize bounds the shared LRU plan cache (0 = the
 	// DefaultPlanCacheSize of 64 entries; negative disables plan caching).
 	// Cached plans are keyed on normalized SQL, algorithm, the
@@ -188,7 +178,6 @@ type knobs struct {
 	timeout     time.Duration
 	profile     bool
 	transfer    bool
-	topk        bool
 	feedback    bool
 	fbThreshold float64
 	robustE     float64
@@ -243,6 +232,12 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newDB(inner, cfg, workers), nil
+}
+
+// newDB wraps a loaded database in a handle configured from cfg; workers is
+// cfg.Parallelism resolved (the buffer pool was sharded for it).
+func newDB(inner *datagen.DB, cfg Config, workers int) *DB {
 	planEntries := cfg.PlanCacheSize
 	if planEntries == 0 {
 		planEntries = DefaultPlanCacheSize
@@ -254,14 +249,14 @@ func Open(cfg Config) (*DB, error) {
 			cacheMax: cfg.CacheMaxEntries, budget: cfg.Budget,
 			parallelism: workers, batchSize: cfg.BatchSize,
 			timeout: cfg.Timeout, profile: cfg.Profile,
-			transfer: cfg.Transfer, topk: cfg.TopK,
+			transfer:    cfg.Transfer,
 			feedback:    cfg.Feedback,
 			fbThreshold: resolveThreshold(cfg.FeedbackThreshold),
 			robustE:     resolveRobustE(cfg.RobustE),
 		},
 		validate: os.Getenv("PPLINT_VALIDATE") == "1",
 		plans:    newPlanCache(planEntries),
-	}, nil
+	}
 }
 
 // snapshot copies the current knobs under the DB mutex; the statement runs
@@ -404,22 +399,6 @@ func (d *DB) Transfer() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.k.transfer
-}
-
-// SetTopK toggles top-k-aware execution for subsequent queries (see
-// Config.TopK). Top-k planning never changes results — only how much of the
-// pre-LIMIT input is materialized, sorted, and paid for.
-func (d *DB) SetTopK(on bool) {
-	d.mu.Lock()
-	d.k.topk = on
-	d.mu.Unlock()
-}
-
-// TopK reports whether top-k-aware execution is currently enabled.
-func (d *DB) TopK() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.k.topk
 }
 
 // DefaultFeedbackThreshold is the ×err factor above which harvested
@@ -674,21 +653,15 @@ type OpProfile = exec.OpProfile
 type Result struct {
 	// Cols names the output columns.
 	Cols []string
-	// Rows holds the output (nil for EXPLAIN or DNF). With top-k execution
-	// off (the default), LIMIT truncates this slice only: Stats.Rows keeps
-	// the executor's pre-LIMIT row count (the measurement), so len(Rows) ≤
-	// Stats.Rows under a LIMIT. With Config.TopK on and a TopK/Limit plan
-	// root, the executor itself stops at the limit and Stats.Rows is the
-	// post-limit count — see Stats.Rows.
+	// Rows holds the output (nil for EXPLAIN or DNF), ordered and truncated
+	// by the plan root when the statement has ORDER BY or LIMIT.
 	Rows [][]Value
 	// Plan is the chosen plan rendered as a tree.
 	Plan string
 	// EstCost is the optimizer's estimate for the chosen plan.
 	EstCost float64
 	// Stats reports execution resource usage (zero for EXPLAIN). Stats.Rows
-	// counts rows the executor produced: the full pre-LIMIT cardinality
-	// with top-k execution off, the ≤ LIMIT post-limit count when a
-	// TopK/Limit plan root terminated early.
+	// is len(Rows), except that COUNT(*) reports its one aggregate row.
 	Stats Stats
 	// Info reports planning diagnostics.
 	Info PlanInfo
@@ -742,7 +715,7 @@ type PreparedStatement struct {
 
 // Prepare parses, binds, and optimizes sql under the given algorithm,
 // consulting the shared plan cache. The planning-affecting knobs (caching,
-// transfer, top-k) are snapshotted at this call.
+// transfer, feedback) are snapshotted at this call.
 func (d *DB) Prepare(sql string, algo Algorithm) (*PreparedStatement, error) {
 	return d.prepare(sql, algo, d.snapshot())
 }
@@ -771,7 +744,7 @@ func (p *PreparedStatement) ExecContext(ctx context.Context) (*Result, error) {
 func (d *DB) prepare(sql string, algo Algorithm, k knobs) (*PreparedStatement, error) {
 	key := planKey{
 		sql: normalizeSQL(sql), algo: algo,
-		caching: k.caching, transfer: k.transfer, topk: k.topk,
+		caching: k.caching, transfer: k.transfer,
 		feedback: k.feedback, robustE: k.robustE,
 		catVer: d.inner.Cat.Version(),
 	}
@@ -828,9 +801,10 @@ func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k knobs) (*
 	}
 	// Harvest observed selectivities and measured function costs into the
 	// catalog's feedback store, then promote the batch when any observation
-	// is off by more than the threshold. A DNF query stopped mid-stream, so
-	// its per-operator ratios are truncation artifacts, not selectivities.
-	if k.feedback && out.Profile != nil && !out.DNF {
+	// is off by more than the threshold. A DNF query stopped mid-stream, and
+	// so did the plan under a Limit root that cut it off: their per-operator
+	// ratios are truncation artifacts, not selectivities.
+	if k.feedback && out.Profile != nil && !out.DNF && out.Profile.ShortCircuit == 0 {
 		fb := d.inner.Cat.Feedback()
 		harvestFeedback(fb, root, out.Profile)
 		if fb.MaxPendingErr() > k.fbThreshold {
@@ -842,39 +816,23 @@ func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k knobs) (*
 		res.Plan = analyzedPlan(root, out) + robustSummary(info)
 		return res, nil
 	}
-	res.Cols, res.Rows = project(root, bound, out)
-	if err := finishResult(bound, res, planHasTopK(root)); err != nil {
-		return nil, err
-	}
+	project(root, bound, out, res)
 	return res, nil
-}
-
-// planHasTopK reports whether the plan root already applies the query's
-// ORDER BY and LIMIT (top-k planning wrapped it), so finishResult must not
-// re-sort or re-truncate.
-func planHasTopK(root plan.Node) bool {
-	switch root.(type) {
-	case *plan.TopK, *plan.Limit:
-		return true
-	}
-	return false
 }
 
 // analyzedPlan renders the EXPLAIN ANALYZE tree: each node carries the
 // optimizer's row estimate, the measured row count, and the estimation-error
 // factor; a summary line totals the profile underneath.
 func analyzedPlan(root plan.Node, out *exec.Result) string {
-	topkProf := map[plan.Node]*exec.OpProfile{}
-	if out.Profile != nil {
-		zipTopKProfile(root, out.Profile, topkProf)
-	}
 	rendered := plan.RenderWith(root, func(n plan.Node) string {
 		rows, ok := out.NodeRows[n]
 		if !ok {
 			return " actual=n/a"
 		}
 		s := fmt.Sprintf(" est=%.0f actual=%d (%s)", n.Card(), rows, errFactorString(n.Card(), rows))
-		if p := topkProf[n]; p != nil {
+		// TopK and Limit are root-only, and the profile tree's root is the
+		// plan's: heap traffic and the short-circuit annotate that line.
+		if p := out.Profile; p != nil && n == root {
 			if p.HeapPushed > 0 || p.HeapEvicted > 0 {
 				s += fmt.Sprintf(" heap(pushed=%d evicted=%d)", p.HeapPushed, p.HeapEvicted)
 			}
@@ -891,27 +849,6 @@ func analyzedPlan(root plan.Node, out *exec.Result) string {
 		rendered += transferSummary(t)
 	}
 	return rendered
-}
-
-// zipTopKProfile pairs the plan's TopK/Limit nodes with their OpProfile
-// entries by walking the two trees in lockstep (the profile tree mirrors the
-// plan node for node), so EXPLAIN ANALYZE can annotate heap traffic and
-// short-circuits on the right lines.
-func zipTopKProfile(n plan.Node, p *exec.OpProfile, m map[plan.Node]*exec.OpProfile) {
-	if p == nil {
-		return
-	}
-	switch n.(type) {
-	case *plan.TopK, *plan.Limit:
-		m[n] = p
-	}
-	children := n.Children()
-	if len(children) != len(p.Children) {
-		return
-	}
-	for i, c := range children {
-		zipTopKProfile(c, p.Children[i], m)
-	}
 }
 
 // transferSummary is the predicate-transfer line under an EXPLAIN ANALYZE
@@ -963,62 +900,6 @@ func maxErrString(f float64) string {
 		return "×inf"
 	}
 	return fmt.Sprintf("×%.2f", f)
-}
-
-// finishResult applies the post-plan result shaping: COUNT(*), ORDER BY,
-// and LIMIT. These operate on the result set (the optimizer's plan space is
-// the paper's — conjunctive filtering and joins); ORDER BY on large results
-// is an in-memory sort. An ORDER BY column that is not among the projected
-// output columns is an error: silently returning unsorted rows — or sorting
-// by a column position taken from the un-projected plan row layout — is a
-// wrong answer, not a degraded one. With topkPlanned set, the plan root
-// already emitted the ORDER BY's first LIMIT rows in order (and top-k
-// planning only engages when the ORDER BY column is projected), so the
-// facade passes the rows through untouched.
-func finishResult(bound *sqlparse.Bound, res *Result, topkPlanned bool) error {
-	if bound.CountStar {
-		res.Cols = []string{"count"}
-		res.Rows = [][]Value{{Int(int64(res.Stats.Rows))}}
-		res.Stats.Rows = 1 // one aggregate row is the result
-		return nil
-	}
-	if topkPlanned {
-		return nil
-	}
-	if bound.OrderBy != nil {
-		idx := -1
-		for i, c := range res.Cols {
-			if c == bound.OrderBy.String() {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("predplace: ORDER BY column %s is not in the select list", bound.OrderBy)
-		}
-		slices.SortStableFunc(res.Rows, func(ra, rb []Value) int {
-			if c := ra[idx].Compare(rb[idx]); c != 0 {
-				if bound.Desc {
-					return -c
-				}
-				return c
-			}
-			// Deterministic tie-break: equal keys order by the full projected
-			// row, ascending regardless of Desc. Parallel operators do not
-			// preserve input order, and a bare stable sort would expose their
-			// arrival order in the result — equal-key rows must compare the
-			// same way on every run, in every executor mode.
-			for i := range ra {
-				if c := ra[i].Compare(rb[i]); c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-	}
-	if bound.Limit >= 0 && int64(len(res.Rows)) > bound.Limit {
-		res.Rows = res.Rows[:bound.Limit]
-	}
-	return nil
 }
 
 // Explain returns the plan chosen by the given algorithm without executing.
@@ -1079,9 +960,13 @@ func (d *DB) plan(sql string, algo Algorithm, k knobs) (plan.Node, *sqlparse.Bou
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	spec, err := topkSpec(bound)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	opt := optimizer.New(d.inner.Cat, optimizer.Options{
 		Algorithm: algo, Caching: k.caching, Transfer: k.transfer,
-		TopK:     topkSpec(bound, k.topk),
+		TopK:     spec,
 		Feedback: k.feedback, RobustE: k.robustE,
 	})
 	root, info, err := opt.Plan(bound.Query)
@@ -1099,51 +984,52 @@ func (d *DB) plan(sql string, algo Algorithm, k knobs) (plan.Node, *sqlparse.Bou
 	return root, bound, info, nil
 }
 
-// topkSpec lifts a bound ORDER BY + LIMIT into the optimizer's top-k
-// specification. Nil — leaving ORDER BY/LIMIT to the facade exactly as with
-// TopK off — when the knob is off, the query has no ORDER BY or no positive
-// LIMIT, it is a COUNT(*) (the aggregate consumes every row; nothing to
-// bound), or the ORDER BY column is not among the projected columns (the
-// facade rejects that query, and the rejection must survive the knob).
-func topkSpec(bound *sqlparse.Bound, topk bool) *optimizer.TopKSpec {
-	if !topk || bound.CountStar || bound.OrderBy == nil || bound.Limit < 1 {
-		return nil
+// topkSpec lifts a bound ORDER BY and/or LIMIT into the optimizer's
+// specification: the plan root is the one place a statement is ordered and
+// truncated. Nil when the statement has neither, or is a COUNT(*) (the
+// aggregate consumes every row; there is nothing to order or bound). An
+// ORDER BY column that is not among the projected output columns is an
+// error, raised here so that nothing executes first: sorting by a column the
+// result does not carry is a wrong answer, not a degraded one.
+func topkSpec(bound *sqlparse.Bound) (*optimizer.TopKSpec, error) {
+	if bound.CountStar || (bound.OrderBy == nil && bound.Limit < 0) {
+		return nil, nil
 	}
-	spec := &optimizer.TopKSpec{Key: *bound.OrderBy, Desc: bound.Desc, K: bound.Limit}
-	if !bound.Star && len(bound.Projection) > 0 {
-		found := false
-		for _, ref := range bound.Projection {
-			if ref == *bound.OrderBy {
-				found = true
-			}
+	spec := &optimizer.TopKSpec{Key: bound.OrderBy, Desc: bound.Desc, K: bound.Limit}
+	if bound.OrderBy != nil && !bound.Star && len(bound.Projection) > 0 {
+		if !slices.Contains(bound.Projection, *bound.OrderBy) {
+			return nil, fmt.Errorf("predplace: ORDER BY column %s is not in the select list", bound.OrderBy)
 		}
-		if !found {
-			return nil
-		}
-		// Tie-break on the projected columns in projection order: the heap's
-		// comparator then matches the facade sort's, and rows it cannot
-		// distinguish are identical after projection.
+		// Tie-break on the projected columns in projection order: rows the
+		// heap cannot distinguish are identical after projection.
 		spec.Tie = bound.Projection
 	}
-	return spec
+	return spec, nil
 }
 
-// project applies the SELECT list to executor output.
-func project(root plan.Node, bound *sqlparse.Bound, out *exec.Result) ([]string, [][]Value) {
+// project shapes executor output into res: COUNT(*)'s one aggregate row, or
+// the SELECT list applied to every row.
+func project(root plan.Node, bound *sqlparse.Bound, out *exec.Result, res *Result) {
+	if bound.CountStar {
+		res.Cols = []string{"count"}
+		res.Rows = [][]Value{{Int(int64(out.Stats.Rows))}}
+		res.Stats.Rows = 1 // one aggregate row is the result
+		return
+	}
+	res.Rows = make([][]Value, len(out.Rows))
 	if bound.Star || len(bound.Projection) == 0 {
-		rows := make([][]Value, len(out.Rows))
+		res.Cols = out.Cols
 		for i, r := range out.Rows {
-			rows[i] = r
+			res.Rows[i] = r
 		}
-		return out.Cols, rows
+		return
 	}
 	idx := make([]int, len(bound.Projection))
-	names := make([]string, len(bound.Projection))
+	res.Cols = make([]string, len(bound.Projection))
 	for i, ref := range bound.Projection {
 		idx[i] = plan.ColIndex(root, ref)
-		names[i] = ref.String()
+		res.Cols[i] = ref.String()
 	}
-	rows := make([][]Value, len(out.Rows))
 	for i, r := range out.Rows {
 		pr := make([]Value, len(idx))
 		for k, j := range idx {
@@ -1151,9 +1037,8 @@ func project(root plan.Node, bound *sqlparse.Bound, out *exec.Result) ([]string,
 				pr[k] = r[j]
 			}
 		}
-		rows[i] = pr
+		res.Rows[i] = pr
 	}
-	return names, rows
 }
 
 // compileSubquery lowers an IN-subquery into an expensive predicate whose

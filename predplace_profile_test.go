@@ -2,7 +2,6 @@ package predplace
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -108,55 +107,23 @@ func TestResultProfileJSON(t *testing.T) {
 }
 
 // TestOrderByUnprojectedColumn: ORDER BY naming a column outside the SELECT
-// list must fail loudly. The executor used to fall back to the un-projected
-// plan row layout — an index that means a different column after projection —
-// and, when that index landed out of range, silently skipped sorting.
+// list must fail loudly, and at plan time — from Prepare, Explain and EXPLAIN
+// as from Query — so that nothing is executed and charged first.
 func TestOrderByUnprojectedColumn(t *testing.T) {
 	db := openBench(t, 1)
-	_, err := db.Query("SELECT t1.ua1 FROM t1 WHERE t1.ua1 < 20 ORDER BY t1.u10", PushDown)
-	if err == nil {
-		t.Fatal("ORDER BY on unprojected column should fail, not silently skip sorting")
-	}
-	if !strings.Contains(err.Error(), "ORDER BY") {
-		t.Fatalf("error should name the ORDER BY problem: %v", err)
+	const bad = "SELECT t1.ua1 FROM t1 WHERE t1.ua1 < 20 ORDER BY t1.u10"
+	const want = "predplace: ORDER BY column t1.u10 is not in the select list"
+	_, queryErr := db.Query(bad, PushDown)
+	_, prepareErr := db.Prepare(bad, PushDown)
+	_, explainErr := db.Explain(bad, PushDown)
+	_, stmtErr := db.Query("EXPLAIN "+bad, PushDown)
+	for entry, err := range map[string]error{"Query": queryErr, "Prepare": prepareErr, "Explain": explainErr, "EXPLAIN": stmtErr} {
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: ORDER BY on unprojected column should fail with %q, not silently skip sorting: %v", entry, want, err)
+		}
 	}
 	// The same column ordered within a star projection still works.
 	if _, err := db.Query("SELECT * FROM t1 WHERE t1.ua1 < 20 ORDER BY t1.u10", PushDown); err != nil {
 		t.Fatalf("star projection covers every column: %v", err)
-	}
-}
-
-// TestStatsRowsPreLimit pins the documented contract: with top-k execution
-// off, Stats.Rows is the executor's pre-LIMIT count and LIMIT truncates only
-// Result.Rows; with TopK on, the plan root is a TopK/Limit operator, so
-// Stats.Rows counts what the root actually emitted — at most LIMIT rows.
-func TestStatsRowsPreLimit(t *testing.T) {
-	db := openBench(t, 1)
-	const sql = "SELECT * FROM t1 WHERE t1.ua1 < 20 ORDER BY t1.ua1 LIMIT 5"
-	res, err := db.Query(sql, PushDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("LIMIT not applied: %d rows", len(res.Rows))
-	}
-	if res.Stats.Rows != 20 {
-		t.Fatalf("Stats.Rows = %d, want pre-LIMIT 20", res.Stats.Rows)
-	}
-
-	db.SetTopK(true)
-	defer db.SetTopK(false)
-	on, err := db.Query(sql, PushDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(on.Rows) != 5 {
-		t.Fatalf("LIMIT not applied with TopK on: %d rows", len(on.Rows))
-	}
-	if on.Stats.Rows != 5 {
-		t.Fatalf("TopK on: Stats.Rows = %d, want post-limit 5", on.Stats.Rows)
-	}
-	if !reflect.DeepEqual(on.Rows, res.Rows) {
-		t.Fatalf("rows diverge across modes:\n%v\nvs\n%v", on.Rows, res.Rows)
 	}
 }

@@ -1,6 +1,7 @@
 package predplace
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -429,12 +430,7 @@ func TestOrderByAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci := -1
-	for i, c := range res.Cols {
-		if c == "t1.ua1" {
-			ci = i
-		}
-	}
+	ci := slices.Index(res.Cols, "t1.ua1")
 	if ci < 0 || len(res.Rows) != 3 || res.Rows[0][ci].I != 0 || res.Rows[2][ci].I != 2 {
 		t.Fatalf("asc order/limit wrong: %v", res.Rows)
 	}

@@ -1,13 +1,12 @@
 package predplace_test
 
-// Top-k-aware execution tests: the knob's default, the plan shapes it
-// produces, and injected read faults mid-heap-fill, which must abort cleanly
-// with nothing pinned and nothing charged for the failed I/O. That TopK on
-// returns the facade sort's rows at no higher a charged cost at every point
-// is the TopK row of the knob lattice (lattice_test.go).
+// ORDER BY / LIMIT plan-root tests: the plan shapes, and injected read faults
+// mid-heap-fill, which must abort cleanly with nothing pinned and nothing
+// charged for the failed I/O. Rows and charged cost: orderLimit (lattice_test.go).
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,57 +14,12 @@ import (
 	"predplace/internal/harness"
 )
 
-// topkRows renders a result's rows in delivered order. ORDER BY output is
-// deterministic — equal keys tie-break on the full projected row in every
-// mode — so tests compare the exact sequence, not a multiset.
-func topkRows(res *predplace.Result) string {
-	return strings.Join(harness.CanonRows(res, true), "\n")
-}
-
-// TestTopKDefaultOffByteIdentical: a database that toggled TopK on and back
-// off must plan and execute exactly like one that never touched the knob —
-// rows, charged cost, and EXPLAIN output all byte-identical.
-func TestTopKDefaultOffByteIdentical(t *testing.T) {
-	fresh, err := predplace.Open(predplace.Config{Scale: 0.02, Tables: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	toggled, err := predplace.Open(predplace.Config{Scale: 0.02, Tables: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	toggled.SetTopK(true)
-	toggled.SetTopK(false)
-	sql := "SELECT * FROM t1 WHERE costly100(t1.u20) ORDER BY t1.a1 LIMIT 10"
-	a, err := fresh.Query(sql, predplace.Migration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := toggled.Query(sql, predplace.Migration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topkRows(a) != topkRows(b) {
-		t.Fatal("rows differ after toggling TopK off")
-	}
-	if a.Stats.Charged() != b.Stats.Charged() {
-		t.Fatalf("charged differs after toggling TopK off: %v vs %v", a.Stats.Charged(), b.Stats.Charged())
-	}
-	if a.Plan != b.Plan {
-		t.Fatalf("plan differs after toggling TopK off:\n%s\nvs\n%s", a.Plan, b.Plan)
-	}
-	if strings.Contains(a.Plan, "TopK") || strings.Contains(a.Plan, "Limit") {
-		t.Fatalf("TopK-off plan contains a top-k node:\n%s", a.Plan)
-	}
-}
-
-// TestTopKOrderedIndexPlan pins the acceptance plan shape: with TopK on, an
-// ORDER BY on the unique indexed key plus LIMIT plans an early-terminating
-// Limit over an index-order scan — no sort anywhere — and EXPLAIN ANALYZE
-// marks the short-circuit; the heap path renders its TopK root with heap
-// counters.
+// TestTopKOrderedIndexPlan pins the plan shapes: an ORDER BY on the unique
+// indexed key plus LIMIT plans an early-terminating Limit over an index-order
+// scan — no sort anywhere — and EXPLAIN ANALYZE marks the short-circuit; the
+// heap path renders its TopK root with heap counters.
 func TestTopKOrderedIndexPlan(t *testing.T) {
-	db, err := predplace.Open(predplace.Config{Scale: 0.02, Tables: []int{1}, TopK: true})
+	db, err := predplace.Open(predplace.Config{Scale: 0.02, Tables: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +59,7 @@ func TestTopKOrderedIndexPlan(t *testing.T) {
 // charged cost (failed I/O is never charged), and teardown must leave zero
 // pinned frames with the goroutine baseline restored.
 func TestFaultTopKMidFill(t *testing.T) {
-	db, err := predplace.Open(predplace.Config{Scale: 0.01, Tables: []int{1}, TopK: true})
+	db, err := predplace.Open(predplace.Config{Scale: 0.01, Tables: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +82,8 @@ func TestFaultTopKMidFill(t *testing.T) {
 		if reads == 0 {
 			t.Fatal("no page reads observed")
 		}
-		baseRows := topkRows(base)
+		// Equal keys tie-break on the full projected row: the sequence is exact.
+		baseRows := harness.CanonRows(base, true)
 		baseCharged := base.Stats.Charged()
 
 		for _, p := range []int{1, 4} {
@@ -145,7 +100,7 @@ func TestFaultTopKMidFill(t *testing.T) {
 					t.Fatalf("%s P=%d failN=%d: error does not wrap the injected fault: %v", sql, p, n, err)
 				}
 				if err == nil {
-					if got := topkRows(res); got != baseRows {
+					if !slices.Equal(harness.CanonRows(res, true), baseRows) {
 						t.Fatalf("%s P=%d failN=%d: clean run rows differ from baseline", sql, p, n)
 					}
 					if c := res.Stats.Charged(); c > baseCharged+1e-6 || c < baseCharged-1e-6 {
