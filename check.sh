@@ -66,6 +66,13 @@ echo "==> ORDER BY / LIMIT gate (the plan root against the in-test reference sor
 # heading, not somewhere inside `go test ./...`.
 go test -race -count=1 -run '^(TestRandomizedTopKAgreement|TestOrderBy.*|TestTopKOrderedIndexPlan|TestFaultTopKMidFill)$' .
 
+echo "==> exchange gate (parallel = serial, no worker left behind, no row outliving its slab under a worker pipeline)"
+# Also part of the full test run below; named here so that a parallel/serial
+# mismatch, a worker or a pinned page left behind by an abort, a budget DNF,
+# a cancellation or an early Close, or a row a worker's copy of a segment
+# keeps past its slab fails under this heading.
+go test -race -count=1 -run '^(TestParallel.*|TestBudgetAbortTeardownMatrix|TestCancelTeardownMatrix|TestDeadlineTeardownMatrix|TestArenaMatrix|TestArenaReleased)$' ./internal/exec
+
 echo "==> go build ./..."
 go build ./...
 

@@ -4,17 +4,15 @@ package cost
 // derives each table's received-filter selectivity from the query's join-key
 // equivalence classes, so the DP, the rank calculations, and PushDown vs
 // Migration decisions all see the post-transfer cardinalities. The estimate
-// mirrors the executor's prepass: classes from equality join predicates,
-// per-table local selectivities from the predicates the prepass actually
-// applies (cheap comparisons always, expensive functions only when the
-// cache makes their prepass evaluation pay for itself).
+// describes the executor's prepass from the same two derivations it runs on:
+// the classes of query.JoinKeyClasses, and per-table local selectivities
+// from the predicates Predicate.TransferLocal says the prepass applies.
 
 import (
 	"math"
 	"sort"
 
 	"predplace/internal/catalog"
-	"predplace/internal/expr"
 	"predplace/internal/query"
 )
 
@@ -51,82 +49,23 @@ type TransferInfo struct {
 // cacheable expensive selections participate in the prepass, exporting
 // their selectivity into the filters their table seeds.
 func ComputeTransfer(cat *catalog.Catalog, q *query.Query, caching bool) (*TransferInfo, error) {
-	// Union-find over "table.col" keys, seeded by equality join predicates.
-	parent := map[string]string{}
-	refs := map[string]query.ColRef{}
-	key := func(r query.ColRef) string {
-		k := r.Table + "." + r.Col
-		refs[k] = r
-		return k
-	}
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	for _, p := range q.Preds {
-		if p.Kind == query.KindJoinCmp && p.Op == expr.OpEQ && len(p.Tables) == 2 {
-			ra, rb := find(key(p.Left)), find(key(p.Right))
-			if ra != rb {
-				if rb < ra {
-					ra, rb = rb, ra
-				}
-				parent[rb] = ra
-			}
-		}
-	}
-	groups := map[string][]string{}
-	for k := range parent {
-		r := find(k)
-		groups[r] = append(groups[r], k)
-	}
-
-	// Per-table local selectivity, matching what the prepass applies.
+	// Per-table local selectivity of the predicates the prepass applies.
 	localSel := func(t string) float64 {
 		sel := 1.0
 		for _, p := range q.SelectionsOn(t) {
-			include := false
-			switch p.Kind {
-			case query.KindSelCmp:
-				include = true
-			case query.KindFunc:
-				include = caching && p.Func != nil && p.Func.Cacheable
-			default: // join predicates are not local selections
-			}
-			if include && p.Selectivity > 0 && p.Selectivity < 1 {
+			if p.TransferLocal(caching) && p.Selectivity > 0 && p.Selectivity < 1 {
 				sel *= p.Selectivity
 			}
 		}
 		return sel
 	}
 
-	// Classes and tables are visited in sorted order: the products and the
-	// sum below are floating-point, and map order would move their last bit
-	// from one planning of the same query to the next.
-	roots := make([]string, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Strings(roots)
-
+	// Classes, members and tables are visited in sorted order: the products
+	// and the sum below are floating-point, and map order would move their
+	// last bit from one planning of the same query to the next.
 	info := &TransferInfo{Sel: map[string]float64{}, Recv: map[string][]string{}}
 	classTables := map[string]int{} // table → number of classes it is in
-	for _, r := range roots {
-		members := groups[r]
-		sort.Strings(members)
-		tabs := map[string]bool{}
-		for _, m := range members {
-			tabs[refs[m].Table] = true
-		}
-		if len(tabs) < 2 {
-			continue
-		}
+	for _, members := range query.JoinKeyClasses(q.Preds) {
 		info.Classes++
 		// Surviving distinct values per member: min(distinct, card×localSel).
 		type member struct {
@@ -135,8 +74,7 @@ func ComputeTransfer(cat *catalog.Catalog, q *query.Query, caching bool) (*Trans
 			sd       float64
 		}
 		ms := make([]member, 0, len(members))
-		for _, k := range members {
-			ref := refs[k]
+		for _, ref := range members {
 			tab, err := cat.Table(ref.Table)
 			if err != nil {
 				return nil, err

@@ -40,9 +40,9 @@ type rowAlloc struct {
 // released when Run returns) or one nested-loop inner subtree's (rewound at
 // every rescan, released at Close). Slabs come from slabFree and go back to
 // it neither reallocated nor re-zeroed; get takes the mutex once per slab,
-// so scan partitions, partition builders and probe workers share a pool.
-// rewind and release take no lock: their callers have closed the operators
-// carving from the pool, which joins the goroutines those started.
+// so the workers of an exchange share a pool. rewind and release take no
+// lock: their callers have closed the operators carving from the pool, which
+// joins the goroutines those started.
 type slabPool struct {
 	mu    sync.Mutex
 	slabs []*[slabValues]expr.Value
@@ -125,10 +125,9 @@ func (a *rowAlloc) concat(r, s expr.Row) expr.Row {
 }
 
 // rowBufPool recycles the []expr.Row batch buffers operators shuttle rows
-// through (collect buffers, exchange messages, worker task batches). Only
-// the slice headers are pooled — the rows belong to their rowAlloc's
-// lifetime — so a buffer may be recycled as soon as its rows have been
-// handed off.
+// through (collect buffers, exchange messages). Only the slice headers are
+// pooled — the rows belong to their rowAlloc's lifetime — so a buffer may be
+// recycled as soon as its rows have been handed off.
 var rowBufPool = sync.Pool{
 	New: func() interface{} {
 		buf := make([]expr.Row, DefaultBatchSize)

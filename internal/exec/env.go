@@ -4,13 +4,13 @@
 // reports the paper's measurement: charged cost = physical page I/Os +
 // synthetic spill I/Os + Σ (invocations × per-call cost).
 //
-// With Env.Parallelism > 1 the engine adds intra-query parallelism: heap
-// scans are range-partitioned across workers (an exchange operator),
-// expensive filters evaluate predicates on a bounded worker pool, and hash
-// joins build and probe hash-partitioned tables in parallel. Charged-cost
-// accounting is parallelism-invariant: page I/O, spill, and invocation
-// counters are atomic and tuple-exact, so with predicate caching off a
-// parallel run charges bit-for-bit what the serial run charges.
+// With Env.Parallelism > 1 the engine adds intra-query parallelism as one
+// operator, the exchange (parallel.go): it runs a serial segment of the plan
+// — heap scan, filters, hash-join probes — once per worker, each copy over
+// its own share of the input. Charged-cost accounting is parallelism-
+// invariant: page I/O, spill, and invocation counters are atomic and
+// tuple-exact, so with predicate caching off a parallel run charges
+// bit-for-bit what the serial run charges.
 package exec
 
 import (
@@ -40,7 +40,7 @@ var ErrBudgetExceeded = errors.New("exec: charged-cost budget exceeded")
 var ErrCanceled = errors.New("exec: query canceled")
 
 // Env is the execution context of one query. Run one query at a time per
-// Env; within a query, the engine's own parallel operators may consume the
+// Env; within a query, the workers of the engine's own exchanges consume the
 // Env from multiple goroutines (its accounting is concurrency-safe). All
 // per-query mutable state — I/O accounting, synthetic charges, UDF
 // invocation counters, predicate-cache contents — lives here, so any number
@@ -65,10 +65,9 @@ type Env struct {
 	Budget float64
 	// CountOnly discards result rows, keeping only the count.
 	CountOnly bool
-	// Parallelism caps the worker fan-out of parallel operators (exchange
-	// scans, parallel filters, partitioned hash joins). 0 or 1 executes
-	// the classic serial Volcano tree — the default, which reproduces the
-	// paper's figures byte-for-byte.
+	// Parallelism is the worker count of every exchange Build plants. 0 or 1
+	// executes the classic serial Volcano tree — the default, which
+	// reproduces the paper's figures byte-for-byte.
 	Parallelism int
 	// BatchSize is the width of the batches operators hand up: 0 uses
 	// DefaultBatchSize, 1 is one row per NextBatch call (through the same
@@ -134,7 +133,7 @@ type Env struct {
 	slabs slabPool
 
 	traceMu sync.Mutex
-	trace   map[plan.Node]*int64
+	trace   map[plan.Node]*atomic.Int64
 	// prof holds per-node runtime counters; non-nil only while Profile is
 	// on, so the default path never consults or allocates it per row.
 	prof map[plan.Node]*opCounters
@@ -156,8 +155,8 @@ func (e *Env) batchSize() int {
 	return max(e.BatchSize, 1)
 }
 
-// exchangeBatch is the rows-per-message width of parallel operators'
-// channels: one exchange hop moves one full batch, and never fewer than
+// exchangeBatch is the rows-per-message width of an exchange's channel: one
+// hop moves up to one full batch, and the message is sized for at least
 // parallelBatch rows — per-row sends would drown the pipeline in
 // synchronization.
 func (e *Env) exchangeBatch() int { return max(e.batchSize(), parallelBatch) }
@@ -183,7 +182,7 @@ func (e *Env) begin() {
 	e.bloomProbes.Store(0)
 	e.transfer = nil
 	e.slabs.release() // a no-op after Run; callers that drive Build themselves may not have
-	e.trace = map[plan.Node]*int64{}
+	e.trace = map[plan.Node]*atomic.Int64{}
 	if e.Profile {
 		e.prof = map[plan.Node]*opCounters{}
 	} else {
@@ -330,12 +329,12 @@ func (e *Env) checkAbort() error {
 // creating it on first use. Safe for concurrent Build calls (nested-loop
 // joins rebuild their inner subtree mid-query, possibly from a parallel
 // operator's worker goroutine).
-func (e *Env) nodeCounter(n plan.Node) *int64 {
+func (e *Env) nodeCounter(n plan.Node) *atomic.Int64 {
 	e.traceMu.Lock()
 	defer e.traceMu.Unlock()
 	counter, ok := e.trace[n]
 	if !ok {
-		counter = new(int64)
+		counter = new(atomic.Int64)
 		e.trace[n] = counter
 	}
 	return counter

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"predplace/internal/btree"
 	"predplace/internal/catalog"
@@ -57,12 +58,16 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 	if e.workers() > 1 {
 		e.ordered = orderedNodes(n)
 	}
-	return buildIn(e, n, nil)
+	it, err := buildIn(e, n, nil)
+	if p, ok := it.(*profIter); ok {
+		p.root = true
+	}
+	return it, err
 }
 
 // orderedNodes returns the nodes of root that must be built from serial
-// operators because a consumer relies on the order they deliver — parallel
-// scans, filters and hash joins do not keep their input's order. Those are
+// operators because a consumer relies on the order they deliver — an
+// exchange does not keep its segment's order. Those are
 // the whole plan under a Limit root — which rows the limit keeps, and what
 // the ones it cuts off would have charged, must not depend on the worker
 // count — and the chain under each merge-join side the plan marks as
@@ -105,45 +110,47 @@ func orderedNodes(root plan.Node) map[plan.Node]bool {
 	return set
 }
 
-// buildIn builds n with its output rows carved from rs (nil: fresh slabs).
+// buildIn builds n with its output rows carved from rs (nil: fresh slabs):
+// the serial operator, or where n heads a segment an exchange over copies
+// of it.
 func buildIn(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
-	it, err := build(e, n, rs)
+	mk := build
+	if e.segment(n) {
+		mk = newExchange
+	}
+	it, err := mk(e, n, rs)
 	if err != nil {
 		return nil, err
 	}
+	return e.traced(n, it), nil
+}
+
+// traced wraps n's operator in the node's row counter — with profiling on,
+// in its profiler.
+func (e *Env) traced(n plan.Node, it Iterator) Iterator {
 	if e.prof != nil {
-		return &profIter{e: e, in: it, rows: e.nodeCounter(n), c: e.nodeProf(n)}, nil
+		return &profIter{e: e, in: it, rows: e.nodeCounter(n), c: e.nodeProf(n)}
 	}
 	if e.trace != nil {
-		return &countIter{in: it, rows: e.nodeCounter(n)}, nil
+		return &countIter{in: it, rows: e.nodeCounter(n)}
 	}
-	return it, nil
+	return it
 }
 
 func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		if e.workers() > 1 && !e.ordered[t] {
-			return newParallelSeqScan(e, t, rs)
-		}
 		return newSeqScan(e, t, rs)
 	case *plan.IndexScan:
 		return newIndexScan(e, t, rs)
 	case *plan.Filter:
-		parallel := e.workers() > 1 && !e.ordered[t] && t.Pred.IsExpensive()
 		in, err := buildIn(e, t.Input, rs)
 		if err != nil {
 			return nil, err
 		}
-		cp, err := compilePred(e, t.Pred, t.Input.Cols())
+		cp, err := compileFilter(e, t)
 		if err != nil {
 			return nil, err
-		}
-		if e.prof != nil {
-			cp.prof = e.nodeProf(t)
-		}
-		if parallel {
-			return newParallelFilter(e, in, cp), nil
 		}
 		return &filterIter{e: e, in: in, pred: cp}, nil
 	case *plan.Join:
@@ -166,22 +173,27 @@ func (e *Env) below(rs *slabPool) *slabPool {
 	return rs
 }
 
-// seqScanIter reads a heap file front to back. With predicate transfer on,
+// seqScanIter reads a heap file front to back — as a part of an exchange,
+// its contiguous share of the file's pages. With predicate transfer on,
 // received Bloom filters are probed on the raw record (decoding only the
 // join-key columns) before the full-row decode, so pruned rows cost one
 // partial decode and a probe — never a row allocation.
 type seqScanIter struct {
-	e      *Env
-	tab    *catalog.Table
-	it     *storage.HeapIter
-	count  int
-	alloc  rowAlloc
-	memo   catalog.DecodeMemo
-	probes []tableProbe
-	tc     *opCounters
+	e   *Env
+	tab *catalog.Table
+	// The scan is part `part` of `parts` (0 of 1 when serial); xchg is the
+	// exchange whose shutdown it watches for, nil outside one.
+	part, parts int
+	xchg        *fanIn
+	it          *storage.HeapIter
+	count       int
+	alloc       rowAlloc
+	memo        catalog.DecodeMemo
+	probes      []tableProbe
+	tc          *opCounters
 }
 
-func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (Iterator, error) {
+func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
 	tab, err := e.Cat.Table(s.Table)
 	if err != nil {
 		return nil, err
@@ -189,22 +201,27 @@ func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (Iterator, error) {
 	if tab.Heap == nil || tab.Codec == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", s.Table)
 	}
-	it := &seqScanIter{e: e, tab: tab, alloc: rowAlloc{pool: rs}}
+	it := &seqScanIter{e: e, tab: tab, parts: 1, alloc: rowAlloc{pool: rs}}
 	if e.prof != nil {
 		it.tc = e.nodeProf(s)
 	}
 	return it, nil
 }
 
+// Open positions the scan on its share of the pages: every page is in
+// exactly one part, so the parts together read what the serial scan reads.
+// The probe list and its filters are immutable after the transfer prepass,
+// so parts share them without locks.
 func (s *seqScanIter) Open() error {
-	s.it = s.e.heap(s.tab).Scan()
+	n := s.tab.Heap.NumPages()
+	s.it = s.e.heap(s.tab).ScanRange(n*s.part/s.parts, n*(s.part+1)/s.parts)
 	s.probes = s.e.transferProbes(s.tab.Name)
 	return nil
 }
 
 // NextBatch references records in place on the pinned page (no per-record
-// copy) and decodes them straight into slab-carved rows, checking the budget
-// every 1024 records scanned.
+// copy) and decodes them straight into slab-carved rows, checking the
+// budget — and for its exchange's shutdown — every 1024 records scanned.
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.it == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
@@ -223,6 +240,9 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 		if s.count%1024 == 0 {
 			if err := s.e.checkAbort(); err != nil {
 				return 0, err
+			}
+			if s.xchg.stopping() {
+				return 0, errExchangeStopped
 			}
 		}
 		if len(s.probes) > 0 {
@@ -372,6 +392,19 @@ func (s *indexScanIter) Close() error {
 	return nil
 }
 
+// compileFilter resolves f's predicate against its input's columns; with
+// profiling on the predicate counts into f's node.
+func compileFilter(e *Env, f *plan.Filter) (*compiledPred, error) {
+	cp, err := compilePred(e, f.Pred, f.Input.Cols())
+	if err != nil {
+		return nil, err
+	}
+	if e.prof != nil {
+		cp.prof = e.nodeProf(f)
+	}
+	return cp, nil
+}
+
 // filterIter applies one predicate, dropping rows that fail it.
 type filterIter struct {
 	e     *Env
@@ -425,10 +458,11 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 func (f *filterIter) Close() error { return f.in.Close() }
 
 // countIter counts the rows an operator produces (accumulating across
-// nested-loop rescans) for EXPLAIN ANALYZE.
+// nested-loop rescans, and across the workers' copies inside a segment) for
+// EXPLAIN ANALYZE.
 type countIter struct {
 	in   Iterator
-	rows *int64
+	rows *atomic.Int64
 }
 
 func (c *countIter) Open() error { return c.in.Open() }
@@ -438,7 +472,7 @@ func (c *countIter) NextBatch(dst []expr.Row) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	*c.rows += int64(n)
+	c.rows.Add(int64(n))
 	return n, nil
 }
 

@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"predplace/internal/btree"
 	"predplace/internal/catalog"
@@ -22,10 +24,15 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	case plan.IndexNestLoop:
 		return newIndexNLJoin(e, j, rs)
 	case plan.HashJoin:
-		if e.workers() > 1 && !e.ordered[j] {
-			return newParallelHashJoin(e, j, rs)
+		outer, err := buildIn(e, j.Outer, e.below(rs))
+		if err != nil {
+			return nil, err
 		}
-		return newHashJoin(e, j, rs)
+		b, err := newHashBuild(e, j, rs)
+		if err != nil {
+			return nil, err
+		}
+		return b.probe(outer, rs), nil
 	case plan.MergeJoin:
 		return newMergeJoin(e, j, rs)
 	}
@@ -227,8 +234,8 @@ type indexNLJoinIter struct {
 	// probes fetch (the base scan's output), residualRows[i] counts rows
 	// surviving residual[i] (that filter node's output). Nil when profiling
 	// is off — the default path is untouched.
-	baseRows     *int64
-	residualRows []*int64
+	baseRows     *atomic.Int64
+	residualRows []*atomic.Int64
 	outerRow     expr.Row
 	matches      []expr.Row // outerRow's surviving inner rows, emitted from pos
 	pos          int
@@ -294,7 +301,7 @@ func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 		// the chain, surviving it is the base node's output; otherwise every
 		// fetched heap row is.
 		if base, predNodes, ok := plan.BaseTableNodes(j.Inner); ok {
-			it.residualRows = make([]*int64, len(residual))
+			it.residualRows = make([]*atomic.Int64, len(residual))
 			for i := range residual {
 				node := predNodes[len(predNodes)-1-i]
 				it.residualRows[i] = e.nodeCounter(node)
@@ -364,7 +371,7 @@ fetch:
 			return err
 		}
 		if n.baseRows != nil {
-			*n.baseRows++
+			n.baseRows.Add(1)
 		}
 		for ri, f := range n.residual {
 			pass, err := f.holds(n.e, irow, &n.sc)
@@ -375,7 +382,7 @@ fetch:
 				continue fetch
 			}
 			if n.residualRows != nil {
-				*n.residualRows[ri]++
+				n.residualRows[ri].Add(1)
 			}
 		}
 		n.matches = append(n.matches, irow)
@@ -385,35 +392,26 @@ fetch:
 
 func (n *indexNLJoinIter) Close() error { return n.outer.Close() }
 
-// hashJoinIter builds an in-memory joinTable on the inner input keyed by
-// the join column, then streams the outer input probing it. Grace-hash
-// partition traffic is charged synthetically per tuple on both sides so the
-// measured cost matches the linear model's constants.
-type hashJoinIter struct {
+// hashBuild is the build side of a hash join: the inner input drained into
+// one in-memory joinTable keyed by the join column, once, by whichever
+// probe opens first. The serial join has one probe; inside a segment every
+// worker's probe shares the build, and the finished table is only read.
+type hashBuild struct {
 	e      *Env
 	node   *plan.Join
-	outer  Iterator
 	inner  Iterator
 	outIdx int
 	inIdx  int
+	once   sync.Once
+	err    error
 	table  joinTable
-	outRow expr.Row
-	cur    int32 // next inner match of outRow in table, -1 when none is left
-	count  int
-	// current outer batch, output row slab
-	obuf  []expr.Row
-	opos  int
-	olen  int
-	alloc rowAlloc
 }
 
-func newHashJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
+// newHashBuild builds j's inner input — with the ordinary buildIn, so it may
+// plant an exchange of its own — carving from the pool j's inputs share.
+func newHashBuild(e *Env, j *plan.Join, rs *slabPool) (*hashBuild, error) {
 	if j.Primary != nil && j.Primary.IsExpensive() {
 		return nil, fmt.Errorf("exec: hash join cannot use an expensive primary predicate")
-	}
-	outer, err := buildIn(e, j.Outer, e.below(rs))
-	if err != nil {
-		return nil, err
 	}
 	inner, err := buildIn(e, j.Inner, e.below(rs))
 	if err != nil {
@@ -423,46 +421,46 @@ func newHashJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{e: e, node: j, outer: outer, inner: inner, outIdx: oi, inIdx: ii, alloc: rowAlloc{pool: rs}}, nil
+	return &hashBuild{e: e, node: j, inner: inner, outIdx: oi, inIdx: ii}, nil
 }
 
-func (h *hashJoinIter) Open() error {
-	if err := h.inner.Open(); err != nil {
-		return err
-	}
-	h.table, h.cur = joinTable{idx: h.inIdx}, -1
-	h.table.reserve(cardHint(h.node.Inner.Card()))
-	if err := h.build(); err != nil {
-		return err
-	}
-	if err := h.inner.Close(); err != nil {
-		return err
-	}
-	return h.outer.Open()
+// probe returns a probe of b over outer, its output pairs carved from rs.
+func (b *hashBuild) probe(outer Iterator, rs *slabPool) *hashJoinIter {
+	return &hashJoinIter{e: b.e, outer: outer, build: b, alloc: rowAlloc{pool: rs}}
 }
 
-// build drains the inner input into the table, charging spill per tuple
+// open builds the table on the first call; every call returns how that went.
+func (b *hashBuild) open() error {
+	b.once.Do(func() { b.err = b.fill() })
+	return b.err
+}
+
+// fill drains the inner input into the table, charging spill per tuple
 // (NULL keys included) and checking the budget every 1024 rows kept.
-func (h *hashJoinIter) build() error {
-	buf := getRowBuf(h.e.batchSize())
+func (b *hashBuild) fill() error {
+	if err := b.inner.Open(); err != nil {
+		return err
+	}
+	b.table = joinTable{idx: b.inIdx}
+	b.table.reserve(cardHint(b.node.Inner.Card()))
+	buf := getRowBuf(b.e.batchSize())
 	defer putRowBuf(buf)
 	for {
-		m, err := h.inner.NextBatch(buf)
+		m, err := b.inner.NextBatch(buf)
 		if err != nil {
 			return err
 		}
 		if m == 0 {
-			return nil
+			return b.inner.Close()
 		}
 		for _, row := range buf[:m] {
-			h.e.ChargeSpillTuple()
-			if row[h.inIdx].IsNull() {
+			b.e.ChargeSpillTuple()
+			if row[b.inIdx].IsNull() {
 				continue
 			}
-			h.table.add(row)
-			h.count++
-			if h.count%1024 == 0 {
-				if err := h.e.checkAbort(); err != nil {
+			b.table.add(row)
+			if len(b.table.rows)%1024 == 0 {
+				if err := b.e.checkAbort(); err != nil {
 					return err
 				}
 			}
@@ -470,16 +468,51 @@ func (h *hashJoinIter) build() error {
 	}
 }
 
+// close drops the table and closes the inner input; every probe calls it.
+func (b *hashBuild) close() error {
+	b.table = joinTable{}
+	return b.inner.Close()
+}
+
+// hashJoinIter is the probe side of a hash join: it streams the outer input
+// against its hashBuild's table. Grace-hash partition traffic is charged
+// synthetically per tuple on both sides so the measured cost matches the
+// linear model's constants.
+type hashJoinIter struct {
+	e      *Env
+	outer  Iterator
+	build  *hashBuild
+	outRow expr.Row
+	cur    int32 // next inner match of outRow in the table, -1 when none is left
+	count  int
+	// current outer batch, output row slab
+	obuf  []expr.Row
+	opos  int
+	olen  int
+	alloc rowAlloc
+}
+
+// Open builds the table (or finds it built) before the outer input opens.
+// The budget cadence carries on from the rows the build kept.
+func (h *hashJoinIter) Open() error {
+	if err := h.build.open(); err != nil {
+		return err
+	}
+	h.cur, h.count = -1, len(h.build.table.rows)
+	return h.outer.Open()
+}
+
 // NextBatch probes the table with as many outer rows at a time as the
 // caller asked for pairs — so a caller pulling one row reads no outer row
 // ahead — and carves output rows from a value slab. Spill is charged per
 // outer row probed; the budget is checked every 1024.
 func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
+	t, outIdx := &h.build.table, h.build.outIdx
 	n := 0
 	for n < len(dst) {
 		if h.cur >= 0 {
-			dst[n] = h.alloc.concat(h.outRow, h.table.rows[h.cur])
-			h.cur = h.table.next[h.cur]
+			dst[n] = h.alloc.concat(h.outRow, t.rows[h.cur])
+			h.cur = t.next[h.cur]
 			n++
 			continue
 		}
@@ -505,14 +538,14 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 				return 0, err
 			}
 		}
-		h.outRow, h.cur = row, h.table.first(row[h.outIdx])
+		h.outRow, h.cur = row, t.first(row[outIdx])
 	}
 	return n, nil
 }
 
 func (h *hashJoinIter) Close() error {
-	h.table, h.cur = joinTable{}, -1
-	return errors.Join(h.outer.Close(), h.inner.Close())
+	h.cur = -1
+	return errors.Join(h.outer.Close(), h.build.close())
 }
 
 // mergeJoinIter materializes both inputs, sorts whichever sides the plan

@@ -142,13 +142,6 @@ func (t *joinTable) first(key expr.Value) int32 {
 	return -1
 }
 
-// hashPartition maps a join key to one of w partitions. Build and probe must
-// agree on this mapping; equal keys hash equally, and an integer key goes
-// through the mixer as it is.
-func hashPartition(key expr.Value, w int) int {
-	return int(bloomHash(key) % uint64(w))
-}
-
 // keyPos is one sort record: a row's integer key and its input position.
 type keyPos struct {
 	key int64

@@ -1,40 +1,40 @@
 package exec
 
-// Intra-query parallel operators (Env.Parallelism > 1): an exchange that
-// range-partitions a heap scan across workers, and a filter that evaluates
-// an expensive predicate on a bounded worker pool. Both deliver rows to the
-// consumer through a fan-in channel in batches; row order is not preserved
-// (the serial Volcano tree, the default, is untouched). Charged cost is
-// parallelism-invariant: every page is read once per scan pass and every
-// row is evaluated exactly once, on atomic counters — only wall-clock time
-// changes. With predicate caching ON, concurrent misses on one binding may
-// invoke the function more than once (each invocation is still counted);
-// see DESIGN.md §11.
+// Intra-query parallelism (Env.Parallelism > 1) is one operator: the
+// exchange. It runs W copies of a serial segment of the plan — the heap
+// scan, filter and hash-join probe loops every serial plan runs, each copy
+// on its own goroutine over its own share of the input — and delivers their
+// rows to the consumer through a fan-in channel in messages; row order is
+// not preserved (the serial Volcano tree, the default, is untouched).
+// Charged cost is parallelism-invariant: every page is read once per scan
+// pass and every row is evaluated exactly once, on atomic counters — only
+// wall-clock time changes. With predicate caching ON, concurrent misses on
+// one binding may invoke the function more than once (each invocation is
+// still counted); see DESIGN.md §11.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
-	"predplace/internal/catalog"
 	"predplace/internal/expr"
 	"predplace/internal/plan"
-	"predplace/internal/storage"
 )
 
 // parallelBatch is the number of rows grouped per channel send, amortizing
 // synchronization across the pipeline.
 const parallelBatch = 64
 
-// rowBatch is one channel message from a parallel worker: rows, or a
+// rowBatch is one channel message from an exchange worker: rows, or a
 // terminal error.
 type rowBatch struct {
 	rows []expr.Row
 	err  error
 }
 
-// fanIn is the consumer side shared by all parallel operators: workers send
-// rowBatches into out; the single consumer drains them via pull. shutdown
-// tears the pipeline down without leaking goroutines.
+// fanIn is the consumer side of an exchange: workers send rowBatches into
+// out; the single consumer drains them via pull. shutdown tears the pipeline
+// down without leaking goroutines.
 type fanIn struct {
 	out     chan rowBatch
 	stop    chan struct{}
@@ -70,6 +70,22 @@ func (f *fanIn) send(b rowBatch) bool {
 	case f.out <- b:
 		return true
 	case <-f.stop:
+		return false
+	}
+}
+
+// stopping reports whether the consumer has shut the exchange down. The
+// parts of a segment ask where they check for cancellation, so a worker
+// whose filter rejects every row — and so never reaches send — still stops
+// mid-partition. A nil fanIn (an operator outside any exchange) never stops.
+func (f *fanIn) stopping() bool {
+	if f == nil {
+		return false
+	}
+	select {
+	case <-f.stop:
+		return true
+	default:
 		return false
 	}
 }
@@ -156,255 +172,220 @@ func (f *fanIn) shutdown() {
 	f.done = true
 }
 
-// parallelScanIter is the exchange operator over a heap scan: the file's
-// pages are split into one contiguous range per worker, each worker scans
-// and decodes its range independently, and decoded rows fan in to the
-// consumer. Every page is still read exactly once, so physical I/O matches
-// the serial scan (the sequential/random split may shift — the charged
-// total does not).
-type parallelScanIter struct {
-	e   *Env
-	tab *catalog.Table
-	// heap is the table's heap viewed through the query's I/O tracker,
-	// resolved once before the workers spawn (the tracker is sharded and
-	// concurrency-safe, so workers share one view).
-	heap   *storage.HeapFile
-	fan    fanIn
-	pool   *slabPool // the partitions' rowAlloc pool (nil: fresh slabs)
-	probes []tableProbe
-	tc     *opCounters
+// errExchangeStopped unwinds a worker's segment once the consumer has shut
+// the exchange down; shutdown discards it with the rest of what is in flight.
+var errExchangeStopped = errors.New("exec: exchange stopped")
+
+// segment reports whether n heads a segment, the one place the worker count
+// chooses an operator: buildIn plants an exchange there, and the exchange
+// keeps in its workers every input that is a segment in its own right. A
+// segment is a heap scan, split by pages; a hash join, its table built once
+// and probed by every worker; an expensive filter; or any filter over a
+// segment — none of it under a consumer that relies on row order
+// (orderedNodes).
+func (e *Env) segment(n plan.Node) bool {
+	if e.workers() == 1 || e.ordered[n] {
+		return false
+	}
+	switch t := n.(type) {
+	case *plan.SeqScan:
+		return true
+	case *plan.Join:
+		return t.Method == plan.HashJoin
+	case *plan.Filter:
+		return t.Pred.IsExpensive() || e.segment(t.Input)
+	}
+	return false
 }
 
-func newParallelSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (Iterator, error) {
-	tab, err := e.Cat.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	if tab.Heap == nil || tab.Codec == nil {
-		return nil, fmt.Errorf("exec: table %s has no storage", s.Table)
-	}
-	it := &parallelScanIter{e: e, tab: tab, pool: rs}
-	if e.prof != nil {
-		it.tc = e.nodeProf(s)
-	}
-	return it, nil
-}
-
-func (s *parallelScanIter) Open() error {
-	// Resolved once before the workers spawn; the probe list and its
-	// filters are immutable after the transfer prepass, so workers share
-	// them without locks.
-	s.probes = s.e.transferProbes(s.tab.Name)
-	s.heap = s.e.heap(s.tab)
-	n := s.tab.Heap.NumPages()
-	w := s.e.workers()
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	s.fan.init(w * 2)
-	base, extra := n/w, n%w
-	start := 0
-	for i := 0; i < w; i++ {
-		size := base
-		if i < extra {
-			size++
-		}
-		lo, hi := start, start+size
-		start = hi
-		s.fan.wg.Add(1)
-		go s.scanPartition(lo, hi)
-	}
-	s.fan.goCloser()
-	return nil
-}
-
-// scanPartition scans pages [lo, hi), decoding rows straight from pinned
-// page memory into per-worker slab rows and batching them to the consumer
-// in exchangeBatch-sized messages (pooled buffers).
-func (s *parallelScanIter) scanPartition(lo, hi int) {
-	defer s.fan.wg.Done()
-	it := s.heap.ScanRange(lo, hi)
-	defer it.Close()
-	bs := s.e.exchangeBatch()
-	width := len(s.tab.Columns)
-	alloc := rowAlloc{pool: s.pool}
-	var memo catalog.DecodeMemo
-	buf := getRowBuf(bs)[:0]
-	count := 0
-	for {
-		rec, _, ok, err := it.NextRef()
-		if err != nil {
-			putRowBuf(buf)
-			s.fan.send(rowBatch{err: err})
-			return
-		}
-		if !ok {
-			break
-		}
-		count++
-		if count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				putRowBuf(buf)
-				s.fan.send(rowBatch{err: err})
-				return
-			}
-		}
-		if len(s.probes) > 0 {
-			keep, err := s.e.probeRecord(s.tab.Codec, rec, s.probes, s.tc)
-			if err != nil {
-				putRowBuf(buf)
-				s.fan.send(rowBatch{err: err})
-				return
-			}
-			if !keep {
-				continue
-			}
-		}
-		row := alloc.next(width)
-		if err := s.tab.Codec.DecodeIntoMemo(rec, row, &memo); err != nil {
-			putRowBuf(buf)
-			s.fan.send(rowBatch{err: err})
-			return
-		}
-		buf = append(buf, row)
-		if len(buf) == bs {
-			if !s.fan.send(rowBatch{rows: buf}) {
-				putRowBuf(buf)
-				return
-			}
-			buf = getRowBuf(bs)[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if !s.fan.send(rowBatch{rows: buf}) {
-			putRowBuf(buf)
-		}
-	} else {
-		putRowBuf(buf)
-	}
-}
-
-// NextBatch drains the partitions' exchange messages.
-func (s *parallelScanIter) NextBatch(dst []expr.Row) (int, error) {
-	if s.fan.out == nil {
-		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
-	}
-	return s.fan.pull(dst)
-}
-
-func (s *parallelScanIter) Close() error {
-	s.fan.shutdown()
-	return nil
-}
-
-// parallelFilterIter evaluates one expensive predicate on a bounded worker
-// pool: a router drains the input into batches and the workers evaluate the
-// predicate concurrently, so costly invocations overlap. Each input row is
-// evaluated exactly once, keeping invocation counts (and charged cost, with
-// caching off) identical to the serial filter.
-type parallelFilterIter struct {
+// exchangeIter is Volcano's exchange: parts holds one serial copy of the
+// segment per worker, each driven by one goroutine that fills exchangeBatch-
+// row messages for the consumer's fanIn. The copies share what the segment
+// has one of — a hash join's build side (hashBuild), an input that pages
+// cannot split (sharedSource), the compiled predicates, the slab pool — and
+// own the rest, so no operator loop knows whether it runs in a worker.
+type exchangeIter struct {
 	e     *Env
-	in    Iterator
-	pred  *compiledPred
-	tasks chan []expr.Row
+	parts []Iterator
 	fan   fanIn
 }
 
-func newParallelFilter(e *Env, in Iterator, cp *compiledPred) Iterator {
-	return &parallelFilterIter{e: e, in: in, pred: cp}
+func newExchange(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
+	x := &exchangeIter{e: e, parts: make([]Iterator, e.workers())}
+	part, err := x.compile(n, rs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range x.parts {
+		x.parts[i] = part(i)
+	}
+	return x, nil
 }
 
-func (f *parallelFilterIter) Open() error {
-	if err := f.in.Open(); err != nil {
-		return err
+// compile builds what the workers' copies of segment node n share and
+// returns the maker of worker i's copy. The head's copies are bare: the
+// exchange itself is what buildIn counts and times for the head, once, on
+// the consumer's side.
+func (x *exchangeIter) compile(n plan.Node, rs *slabPool) (func(i int) Iterator, error) {
+	e := x.e
+	switch t := n.(type) {
+	case *plan.SeqScan:
+		scan, err := newSeqScan(e, t, rs)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) Iterator {
+			s := *scan
+			s.part, s.parts, s.xchg = i, len(x.parts), &x.fan
+			return &s
+		}, nil
+	case *plan.Filter:
+		in, err := x.input(t.Input, rs)
+		if err != nil {
+			return nil, err
+		}
+		cp, err := compileFilter(e, t)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) Iterator { return &filterIter{e: e, in: in(i), pred: cp} }, nil
+	case *plan.Join:
+		outer, err := x.input(t.Outer, e.below(rs))
+		if err != nil {
+			return nil, err
+		}
+		b, err := newHashBuild(e, t, rs)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) Iterator { return b.probe(outer(i), rs) }, nil
 	}
-	w := f.e.workers()
-	f.fan.init(w)
-	f.tasks = make(chan []expr.Row, w)
-	f.fan.wg.Add(1)
-	go f.route()
-	for i := 0; i < w; i++ {
-		f.fan.wg.Add(1)
-		go f.evalWorker()
+	return nil, fmt.Errorf("exec: plan node %T cannot head a segment", n)
+}
+
+// input compiles the input m of a segment node: counted copies of m in the
+// workers when m is a segment itself, otherwise the one serial iterator
+// they all pull from.
+func (x *exchangeIter) input(m plan.Node, rs *slabPool) (func(i int) Iterator, error) {
+	if !x.e.segment(m) {
+		in, err := buildIn(x.e, m, rs)
+		if err != nil {
+			return nil, err
+		}
+		src := &sharedSource{in: in, xchg: &x.fan}
+		return func(int) Iterator { return src }, nil
 	}
-	f.fan.goCloser()
+	part, err := x.compile(m, rs)
+	if err != nil {
+		return nil, err
+	}
+	return func(i int) Iterator { return x.e.traced(m, part(i)) }, nil
+}
+
+// Open starts one goroutine per part, and the closer.
+func (x *exchangeIter) Open() error {
+	x.fan.init(2 * len(x.parts))
+	for _, p := range x.parts {
+		x.fan.wg.Add(1)
+		go x.work(p)
+	}
+	x.fan.goCloser()
 	return nil
 }
 
-// route drains the input one NextBatch call per task batch and hands pooled
-// batches to the worker pool.
-func (f *parallelFilterIter) route() {
-	defer f.fan.wg.Done()
-	defer close(f.tasks)
-	bs := f.e.exchangeBatch()
-	for {
-		buf := getRowBuf(bs)
-		m, err := f.in.NextBatch(buf)
-		if err != nil {
-			putRowBuf(buf)
-			f.fan.send(rowBatch{err: err})
-			return
-		}
-		if m == 0 {
-			putRowBuf(buf)
-			return
-		}
-		select {
-		case f.tasks <- buf[:m]:
-		case <-f.fan.stop:
-			putRowBuf(buf)
-			return
-		}
+// work opens p and pulls it dry. A message goes out once it is more than
+// half full, not after every NextBatch: under a selective filter that would
+// be a channel hop for a handful of rows, while asking for the last few
+// slots of a message would run the segment at that width.
+func (x *exchangeIter) work(p Iterator) {
+	defer x.fan.wg.Done()
+	if err := p.Open(); err != nil {
+		x.fan.send(rowBatch{err: err})
+		return
 	}
-}
-
-// evalWorker applies the predicate to whole batches (one holdsBatch — and
-// thus one predicate-cache shard-lock round — per batch), compacting
-// passing rows in place and forwarding them. Each input row is still
-// evaluated exactly once.
-func (f *parallelFilterIter) evalWorker() {
-	defer f.fan.wg.Done()
-	count := 0
-	var keep []bool
-	var sc predScratch
-	for batch := range f.tasks {
-		if cap(keep) < len(batch) {
-			keep = make([]bool, len(batch))
-		}
-		if err := f.pred.holdsBatch(f.e, batch, keep[:len(batch)], &count, &sc); err != nil {
-			putRowBuf(batch)
-			f.fan.send(rowBatch{err: err})
-			return
-		}
-		out := batch[:0]
-		for i, row := range batch {
-			if keep[i] {
-				out = append(out, row)
-			}
-		}
-		if len(out) > 0 {
-			if !f.fan.send(rowBatch{rows: out}) {
-				putRowBuf(batch)
+	bs := x.e.exchangeBatch()
+	for more := true; more; {
+		buf := getRowBuf(bs)
+		n := 0
+		for more && n <= bs/2 {
+			m, err := p.NextBatch(buf[n:])
+			if err != nil {
+				putRowBuf(buf)
+				x.fan.send(rowBatch{err: err})
 				return
 			}
-		} else {
-			putRowBuf(batch)
+			n += m
+			more = m > 0
+		}
+		if n == 0 || !x.fan.send(rowBatch{rows: buf[:n]}) {
+			putRowBuf(buf)
+			return
 		}
 	}
 }
 
-// NextBatch drains the workers' fan-in.
-func (f *parallelFilterIter) NextBatch(dst []expr.Row) (int, error) {
-	if f.fan.out == nil {
-		return 0, fmt.Errorf("exec: NextBatch before Open on parallel Filter")
+// NextBatch drains the workers' messages.
+func (x *exchangeIter) NextBatch(dst []expr.Row) (int, error) {
+	if x.fan.out == nil {
+		return 0, fmt.Errorf("exec: NextBatch before Open on an exchange")
 	}
-	return f.fan.pull(dst)
+	return x.fan.pull(dst)
 }
 
-func (f *parallelFilterIter) Close() error {
-	f.fan.shutdown()
-	return f.in.Close()
+// Close joins the workers, then closes their parts from this goroutine.
+func (x *exchangeIter) Close() error {
+	x.fan.shutdown()
+	var err error
+	for _, p := range x.parts {
+		err = errors.Join(err, p.Close())
+	}
+	return err
+}
+
+// sharedSource is a segment's input that pages cannot split — an index
+// scan, a nested-loop, index-nested-loop or merge join, a chain
+// orderedNodes keeps serial: one serial iterator every worker's copy of the
+// segment pulls from, a batch at a time, under a mutex. The first Open opens
+// it; exhaustion and errors stick, so each worker sees them.
+type sharedSource struct {
+	mu     sync.Mutex
+	in     Iterator
+	xchg   *fanIn
+	opened bool
+	done   bool
+	err    error
+}
+
+func (s *sharedSource) Open() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.opened {
+		s.opened = true
+		s.err = s.in.Open()
+	}
+	return s.err
+}
+
+func (s *sharedSource) NextBatch(dst []expr.Row) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.xchg.stopping() {
+		return 0, errExchangeStopped
+	}
+	if s.done || s.err != nil || len(dst) == 0 {
+		return 0, s.err
+	}
+	n, err := s.in.NextBatch(dst)
+	if err != nil {
+		s.err = err
+		return 0, err
+	}
+	s.done = n == 0
+	return n, nil
+}
+
+func (s *sharedSource) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.in.Close()
 }

@@ -1,9 +1,14 @@
 package exec
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"predplace/internal/datagen"
 	"predplace/internal/expr"
+	"predplace/internal/pcache"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
@@ -153,6 +158,64 @@ func TestParallelCloseEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Parallelism = 1
+
+	// A worker whose filter rejects every row never has a message to send,
+	// so it must notice the shutdown inside its scan. The predicate passes
+	// the first messages' worth of rows and then holds every worker at a
+	// gate, which opens only once Close has signalled the stop: what runs
+	// after that is bounded by the scan's 1024-record cadence, not by the
+	// table.
+	big, err := datagen.Build(datagen.Config{Scale: 0.3, Tables: []int{10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env = &Env{Cat: big.Cat, Pool: big.Pool, Cache: pcache.NewManager(false, 0), Parallelism: 4}
+	t10, _ := big.Cat.Table("t10")
+	var calls atomic.Int64
+	gate := make(chan struct{})
+	passing := int64(env.Parallelism * env.exchangeBatch())
+	f := &expr.FuncDef{Name: "firstrows", Arity: 1, Cost: 1, Selectivity: 1, Eval: func([]expr.Value) expr.Value {
+		if calls.Add(1) <= passing {
+			return expr.B(true)
+		}
+		<-gate
+		return expr.B(false)
+	}}
+	root := &plan.Filter{Input: scanNode(t, big.Cat, "t10"), Pred: &query.Predicate{
+		Kind: query.KindFunc, Func: f, Args: []query.ColRef{{Table: "t10", Col: "u10"}}, CostPerTuple: 1}}
+	baseline := runtime.NumGoroutine()
+	env.begin()
+	if it, err = Build(env, root); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := it.NextBatch(make([]expr.Row, 1)); n != 1 || err != nil {
+		t.Fatalf("first NextBatch: n=%d err=%v", n, err)
+	}
+	x := it.(*countIter).in.(*exchangeIter)
+	go func() {
+		for !x.fan.stopping() {
+			runtime.Gosched()
+		}
+		close(gate)
+	}()
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ran, read := calls.Load(), env.ioStats().Total()
+	if bound := passing + int64(env.Parallelism)*(1024+int64(env.exchangeBatch())); ran > bound || ran >= t10.Card {
+		t.Fatalf("%d invocations after an early Close, want at most %d of the table's %d", ran, bound, t10.Card)
+	}
+	if pages := int64(t10.Heap.NumPages()); read >= pages {
+		t.Fatalf("%d page reads after an early Close, the table has %d", read, pages)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if calls.Load() != ran || env.ioStats().Total() != read {
+		t.Fatalf("workers ran on after Close: invocations %d -> %d, reads %d -> %d", ran, calls.Load(), read, env.ioStats().Total())
+	}
+	waitTeardown(t, env, baseline)
 }
 
 // TestParallelKeepsOrderMergeJoinReliesOn: a merge-join side the plan marks

@@ -25,8 +25,8 @@ import (
 )
 
 // opCounters accumulates one plan node's runtime counters. All fields are
-// atomics because parallel operators (worker-pool filters, partitioned hash
-// joins) update a node's counters from several goroutines at once.
+// atomics because inside an exchange's segment every worker's copy of the
+// node updates them, from several goroutines at once.
 type opCounters struct {
 	opens   atomic.Int64
 	batches atomic.Int64
@@ -96,48 +96,75 @@ func (c *opCounters) io() storage.IOStats {
 // wall time and physical-I/O deltas around each call.
 //
 // Timings and I/O are inclusive: a parent's window spans its children's work,
-// matching the cumulative semantics of the optimizer's per-node EstCost.
-// Under parallelism the attribution of a page to one node is best-effort
-// (workers overlap), but the root's window covers the whole query, so totals
-// are exact.
+// matching the cumulative semantics of the optimizer's per-node EstCost. An
+// exchange is measured here like any operator, once, on its consumer's side
+// (the wall time is what the consumer waited); its workers keep reading
+// between the consumer's calls, so the attribution of a page to one node is
+// best-effort under parallelism. Inside a segment every worker's copy of a
+// node has a wrapper of its own adding to the node's counters: rows and
+// predicate counts stay exact, Opens and Batches count every copy's calls,
+// and wall time and I/O are sums over workers whose windows overlap — they
+// can exceed the root's. The root's own windows are contiguous (between its
+// calls nothing but the query's workers runs, and what they read is the
+// root's too), so its I/O is the query's, exactly.
 type profIter struct {
 	e    *Env
 	in   Iterator
-	rows *int64
+	rows *atomic.Int64
 	c    *opCounters
+	// root marks the wrapper Build returns; once it has been called, last is
+	// where its previous I/O window ended and its next one starts.
+	root   bool
+	called bool
+	last   storage.IOStats
+}
+
+// ioStart opens an I/O window.
+func (p *profIter) ioStart() storage.IOStats {
+	if p.root && p.called {
+		return p.last
+	}
+	return p.e.ioStats()
+}
+
+// ioEnd closes the window ioStart opened at io0.
+func (p *profIter) ioEnd(io0 storage.IOStats) {
+	now := p.e.ioStats()
+	p.c.addIO(now.Sub(io0))
+	p.last, p.called = now, true
 }
 
 func (p *profIter) Open() error {
 	p.c.opens.Add(1)
 	t0 := time.Now()
-	io0 := p.e.ioStats()
+	io0 := p.ioStart()
 	err := p.in.Open()
-	p.c.addIO(p.e.ioStats().Sub(io0))
+	p.ioEnd(io0)
 	p.c.wallNs.Add(int64(time.Since(t0)))
 	return err
 }
 
 func (p *profIter) NextBatch(dst []expr.Row) (int, error) {
 	t0 := time.Now()
-	io0 := p.e.ioStats()
+	io0 := p.ioStart()
 	n, err := p.in.NextBatch(dst)
-	p.c.addIO(p.e.ioStats().Sub(io0))
+	p.ioEnd(io0)
 	p.c.wallNs.Add(int64(time.Since(t0)))
 	if err != nil {
 		return 0, err
 	}
 	if n > 0 {
 		p.c.batches.Add(1)
-		*p.rows += int64(n)
+		p.rows.Add(int64(n))
 	}
 	return n, nil
 }
 
 func (p *profIter) Close() error {
 	t0 := time.Now()
-	io0 := p.e.ioStats()
+	io0 := p.ioStart()
 	err := p.in.Close()
-	p.c.addIO(p.e.ioStats().Sub(io0))
+	p.ioEnd(io0)
 	p.c.wallNs.Add(int64(time.Since(t0)))
 	return err
 }
@@ -236,7 +263,7 @@ func estSel(n plan.Node) float64 {
 // trace and profiling counters (Run pre-registers every plan node, so every
 // node has both).
 func assembleProfile(e *Env, n plan.Node) *OpProfile {
-	rows := *e.nodeCounter(n)
+	rows := e.nodeCounter(n).Load()
 	c := e.nodeProf(n)
 	p := &OpProfile{
 		Op:             n.Describe(),

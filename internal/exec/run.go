@@ -35,7 +35,7 @@ type Result struct {
 func collectTrace(e *Env) map[plan.Node]int64 {
 	out := make(map[plan.Node]int64, len(e.trace))
 	for n, c := range e.trace {
-		out[n] = *c
+		out[n] = c.Load()
 	}
 	return out
 }

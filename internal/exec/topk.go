@@ -62,7 +62,7 @@ func newTopK(e *Env, t *plan.TopK, rs *slabPool) (Iterator, error) {
 // less is the output ordering: key first (flipped under Desc), then the tie
 // columns ascending regardless of direction. Rows equal under it are
 // identical after projection, so the result is the same sequence even when
-// equal keys arrive in a parallel operator's nondeterministic order.
+// equal keys arrive in an exchange's nondeterministic order.
 func (t *topkIter) less(a, b expr.Row) bool {
 	c := a[t.keyIdx].Compare(b[t.keyIdx])
 	if c != 0 {

@@ -118,7 +118,6 @@ type transferState struct {
 func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 	var preds []*query.Predicate
 	seenPred := map[*query.Predicate]bool{}
-	baseTables := map[string]bool{}
 	addPred := func(p *query.Predicate) {
 		if p != nil && !seenPred[p] {
 			seenPred[p] = true
@@ -127,10 +126,7 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 	}
 	plan.Walk(root, func(n plan.Node) {
 		switch t := n.(type) {
-		case *plan.SeqScan:
-			baseTables[t.Table] = true
 		case *plan.IndexScan:
-			baseTables[t.Table] = true
 			addPred(t.Matched)
 		case *plan.Filter:
 			addPred(t.Pred)
@@ -138,62 +134,10 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 			addPred(t.Primary)
 		}
 	})
-
-	// Union-find over "table.col" keys, seeded by the equality join edges.
-	parent := map[string]string{}
-	refs := map[string]query.ColRef{}
-	key := func(r query.ColRef) string {
-		k := r.Table + "." + r.Col
-		refs[k] = r
-		return k
-	}
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if rb < ra { // smaller key roots, for deterministic class identity
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-	}
-	for _, p := range preds {
-		if p.Kind == query.KindJoinCmp && p.Op == expr.OpEQ && len(p.Tables) == 2 &&
-			baseTables[p.Left.Table] && baseTables[p.Right.Table] {
-			union(key(p.Left), key(p.Right))
-		}
-	}
-
-	groups := map[string][]string{}
-	for k := range parent {
-		r := find(k)
-		groups[r] = append(groups[r], k)
-	}
-	roots := make([]string, 0, len(groups))
-	for r, members := range groups {
-		tabs := map[string]bool{}
-		for _, m := range members {
-			tabs[refs[m].Table] = true
-		}
-		if len(tabs) >= 2 {
-			roots = append(roots, r)
-		}
-	}
-	if len(roots) == 0 {
+	classes := query.JoinKeyClasses(preds)
+	if len(classes) == 0 {
 		return nil, nil
 	}
-	sort.Strings(roots)
 
 	ts := &transferState{tables: map[string]*transferTable{}}
 	table := func(name string) (*transferTable, error) {
@@ -208,12 +152,10 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 		ts.tables[name] = t
 		return t, nil
 	}
-	for i, r := range roots {
-		members := groups[r]
-		sort.Strings(members)
-		c := &transferClass{id: i, cols: map[string][]int{}, names: members}
-		for _, m := range members {
-			ref := refs[m]
+	for i, members := range classes {
+		c := &transferClass{id: i, cols: map[string][]int{}}
+		for _, ref := range members {
+			c.names = append(c.names, ref.String())
 			t, err := table(ref.Table)
 			if err != nil {
 				return nil, err
@@ -225,27 +167,23 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 		ts.classes = append(ts.classes, c)
 	}
 
-	// Local predicates: cheap comparisons always; expensive cacheable
-	// functions only when the cache will keep their main-plan cost at zero.
+	// Local predicates (Predicate.TransferLocal): cheap comparisons on the
+	// partially decoded record, cacheable functions through the cache.
 	for _, p := range preds {
-		if len(p.Tables) != 1 {
+		if len(p.Tables) != 1 || !p.TransferLocal(e.Cache.Enabled()) {
 			continue
 		}
 		t := ts.tables[p.Tables[0]]
 		if t == nil {
 			continue
 		}
-		switch p.Kind {
-		case query.KindSelCmp:
+		if p.Kind == query.KindSelCmp {
 			idx := t.tab.ColIndex(p.Left.Col)
 			if idx < 0 {
 				continue
 			}
 			t.cheap = append(t.cheap, cheapPred{colIdx: idx, op: p.Op, val: p.Value})
-		case query.KindFunc:
-			if p.Func == nil || !e.Cache.Enabled() || !p.Func.Cacheable {
-				continue
-			}
+		} else {
 			cols := make([]query.ColRef, len(t.tab.Columns))
 			for i, c := range t.tab.Columns {
 				cols[i] = query.ColRef{Table: t.tab.Name, Col: c.Name}
@@ -258,8 +196,6 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 			for _, idx := range cp.argIdx {
 				t.costlyCols = append(t.costlyCols, idx)
 			}
-		default: // single-table join predicates cannot occur
-			continue
 		}
 		if s := p.Selectivity; s > 0 && s < 1 {
 			t.est *= s

@@ -2,6 +2,8 @@ package query
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"predplace/internal/catalog"
@@ -312,4 +314,29 @@ func TestHistogramSelectivityUsed(t *testing.T) {
 		t.Fatalf("histogram not used: selectivity = %v, want ~0.9", s)
 	}
 	tab.Columns[ci].Hist = nil
+}
+
+// TestJoinKeyClasses: transitive closure over equality joins only, classes of
+// one table dropped, members and classes in table.col order whatever the
+// order of the predicates.
+func TestJoinKeyClasses(t *testing.T) {
+	eq := func(op expr.CmpOp, l, r ColRef) *Predicate {
+		p := &Predicate{Kind: KindJoinCmp, Op: op, Left: l, Right: r}
+		p.Tables = referencedTables(p)
+		return p
+	}
+	preds := []*Predicate{
+		eq(expr.OpEQ, ColRef{"t3", "x"}, ColRef{"t10", "x"}),
+		eq(expr.OpEQ, ColRef{"t2", "k"}, ColRef{"t1", "k"}),
+		eq(expr.OpLT, ColRef{"t2", "k"}, ColRef{"t3", "x"}), // not an equality
+		eq(expr.OpEQ, ColRef{"t9", "a"}, ColRef{"t9", "b"}), // one table
+		eq(expr.OpEQ, ColRef{"t1", "k"}, ColRef{"t4", "k"}),
+	}
+	want := [][]ColRef{{{"t1", "k"}, {"t2", "k"}, {"t4", "k"}}, {{"t10", "x"}, {"t3", "x"}}}
+	for i := 0; i < 2; i++ {
+		if got := JoinKeyClasses(preds); !reflect.DeepEqual(got, want) {
+			t.Fatalf("classes = %v, want %v", got, want)
+		}
+		slices.Reverse(preds)
+	}
 }

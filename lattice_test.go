@@ -605,13 +605,12 @@ func TestKnobCoverage(t *testing.T) {
 	}
 }
 
-// The nine test names the lattice replaced stay as entry points, because the
+// The eight test names the lattice replaced stay as entry points, because the
 // repository's test floor pins them and their qNN subtests by name: each
 // runs its row (orderLimit, for TopK) over the seeded chains. TestKnobLattice runs every row
 // over the whole corpus and is the gate.
 func TestRandomizedBatchAgreement(t *testing.T)        { knob("BatchSize").run(t, seedStmts()) }
 func TestParallelMatchesSerialRandomized(t *testing.T) { knob("Parallelism").run(t, seedStmts()) }
-func TestParallelWithCachingSameRows(t *testing.T)     { knob("Parallelism").run(t, seedStmts()) }
 func TestProfileMatrixInvariance(t *testing.T)         { knob("Profile").run(t, seedStmts()) }
 func TestRandomizedTransferAgreement(t *testing.T)     { knob("Transfer").run(t, seedStmts()) }
 func TestRandomizedFeedbackAgreement(t *testing.T)     { knob("Feedback").run(t, seedStmts()) }
