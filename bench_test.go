@@ -9,6 +9,12 @@ package predplace_test
 // Run: go test -bench=. -benchmem
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -168,6 +174,58 @@ func BenchmarkAblations(b *testing.B) {
 		}
 		if !rep.Passed() {
 			b.Fatalf("ablation shape failed:\n%s", rep)
+		}
+	}
+}
+
+// BenchmarkRequestPath drives Server.Handler() with server_mix's seven
+// request classes in their 100/60/14/16/4/3/3 shares (bench/servermix.go) at
+// its scale, constants from a 16-value hot set, with no network in between:
+// the CPU profile of the request path (go test -run '^$' -bench RequestPath
+// -cpuprofile …) without the benchmark's client in it.
+func BenchmarkRequestPath(b *testing.B) {
+	db, err := predplace.Open(predplace.Config{Scale: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	card := int64(1000) // t1's cardinality at this scale
+	classes := []struct {
+		share  int
+		sql    string
+		lo, hi int64
+	}{
+		{100, "SELECT * FROM t10 WHERE t10.a1 = %d", 0, 10 * card},
+		{60, "SELECT * FROM t10 WHERE t10.a10 = %d", 0, card},
+		{14, "SELECT * FROM t5, t10 WHERE t5.a1 = t10.a1 AND t5.a100 = %d", 0, 5 * card / 100},
+		{16, "SELECT * FROM t10 WHERE t10.a1 < %d AND costly1(t10.u100)", card / 10, card / 2},
+		{4, "SELECT * FROM t10 WHERE t10.u10 < %d ORDER BY t10.a1 LIMIT 10", card / 2, card},
+		{3, harness.Query1, 0, 0},
+		{3, harness.Query4, 0, 0},
+	}
+	rng := rand.New(rand.NewSource(8))
+	var bodies [][]byte
+	for _, c := range classes {
+		for i := 0; i < c.share; i++ {
+			sql := c.sql
+			if c.hi > 0 {
+				sql = fmt.Sprintf(c.sql, c.lo+(c.hi-c.lo)*int64(rng.Intn(16))/16)
+			}
+			body, err := json.Marshal(predplace.QueryRequest{SQL: sql})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	rng.Shuffle(len(bodies), func(i, j int) { bodies[i], bodies[j] = bodies[j], bodies[i] })
+	h := predplace.NewServer(db, predplace.ServerConfig{}).Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(bodies[i%len(bodies)])))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
 		}
 	}
 }

@@ -32,8 +32,9 @@ go test -count=1 -run '^(TestPlanCorpus|TestCorpusPlansCarryFullAnnotations|Test
 
 echo "==> row-memory gates (arena lifetime matrix, release on every exit, allocation budget)"
 # Also part of the full test run below; named here so that a row that outlives
-# its slab (the race build poisons every slab a pool rewinds or releases), a
-# Run exit that keeps slabs, or a figure query that allocates more than half
+# its slab (the race build poisons every slab a pool rewinds or releases; the
+# matrix covers every root shape of the result-row rule), a Run exit that
+# keeps slabs, or a figure query that allocates more than half
 # of what it did before the query arena fails under this heading. The budget
 # test skips itself under -race (sync.Pool drops puts at random under the
 # detector), so it gets a run of its own without.
@@ -72,6 +73,14 @@ echo "==> exchange gate (parallel = serial, no worker left behind, no row outliv
 # a cancellation or an early Close, or a row a worker's copy of a segment
 # keeps past its slab fails under this heading.
 go test -race -count=1 -run '^(TestParallel.*|TestBudgetAbortTeardownMatrix|TestCancelTeardownMatrix|TestDeadlineTeardownMatrix|TestArenaMatrix|TestArenaReleased)$' ./internal/exec
+
+echo "==> request-path gates (response bytes, request-body bound, point-lookup allocation budget, server admission)"
+# Also part of the full test run below; named here so that a POST /query body
+# that differs by one byte from json.Encoder's over QueryResponse, an
+# unbounded request body, or a point lookup that goes back to allocating a
+# slab per result row fails under this heading. No -race: the budget test
+# skips itself under the detector, like TestFiguresAllocBudget.
+go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestServer.*)$' .
 
 echo "==> go build ./..."
 go build ./...

@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"predplace/internal/expr"
@@ -96,8 +98,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "bad request body: "+err.Error())
 		return
 	}
 	if strings.TrimSpace(req.SQL) == "" {
@@ -126,42 +132,111 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := &QueryResponse{
-		Cols:    res.Cols,
-		Rows:    jsonRows(res.Rows),
-		RowN:    len(res.Rows),
-		Charged: res.Stats.Charged(),
-		DNF:     res.DNF,
-		Elapsed: time.Since(start).String(),
+	buf := respBufs.Get().(*[]byte)
+	*buf, err = appendQueryResponse((*buf)[:0], res, time.Since(start).String())
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	if res.Explained {
-		resp.Plan = res.Plan
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.WriteHeader(http.StatusOK)
+	//pplint:ignore errdrop response already committed; a failed write means the client hung up
+	w.Write(*buf)
+	if cap(*buf) <= maxPooledResponse {
+		respBufs.Put(buf)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// jsonRows converts result values to JSON natural types.
-func jsonRows(rows [][]Value) [][]any {
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		jr := make([]any, len(r))
-		for j, v := range r {
-			switch {
-			case v.IsNull():
-				jr[j] = nil
-			case v.Kind == expr.TString:
-				jr[j] = v.S
-			default:
-				jr[j] = v.I
-			}
+const (
+	// maxRequestBytes bounds the POST /query body; a larger one answers 413.
+	maxRequestBytes = 1 << 20
+	// maxPooledResponse is the largest response buffer respBufs takes back:
+	// one huge result must not stay pinned under every later point lookup.
+	maxPooledResponse = 1 << 20
+)
+
+// respBufs recycles the buffers POST /query success bodies are encoded into.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendQueryResponse appends the POST /query success body for res: byte for
+// byte what json.Encoder with SetIndent("", "  ") writes for its
+// QueryResponse (TestQueryResponseBytes), without boxing a value, reflecting
+// over a row or re-scanning the body to indent it.
+func appendQueryResponse(b []byte, res *Result, elapsed string) ([]byte, error) {
+	charged, err := json.Marshal(res.Stats.Charged())
+	str := func(s string) {
+		if err == nil {
+			b, err = appendJSONString(b, s)
 		}
-		out[i] = jr
 	}
-	return out
+	item := func(i int, indent string) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, indent...)
+	}
+	b = append(b, '{')
+	if len(res.Cols) > 0 {
+		b = append(b, "\n  \"cols\": ["...)
+		for i, c := range res.Cols {
+			item(i, "\n    ")
+			str(c)
+		}
+		b = append(b, "\n  ],"...)
+	}
+	if len(res.Rows) > 0 {
+		b = append(b, "\n  \"rows\": ["...)
+		for i, row := range res.Rows {
+			item(i, "\n    [")
+			for j, v := range row {
+				item(j, "\n      ")
+				switch {
+				case v.IsNull():
+					b = append(b, "null"...)
+				case v.Kind == expr.TString:
+					str(v.S)
+				default:
+					b = strconv.AppendInt(b, v.I, 10)
+				}
+			}
+			if len(row) > 0 {
+				b = append(b, "\n    "...)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, "\n  ],"...)
+	}
+	b = append(b, "\n  \"row_count\": "...)
+	b = strconv.AppendInt(b, int64(len(res.Rows)), 10)
+	b = append(append(b, ",\n  \"charged\": "...), charged...)
+	if res.DNF {
+		b = append(b, ",\n  \"dnf\": true"...)
+	}
+	if res.Explained && res.Plan != "" {
+		b = append(b, ",\n  \"plan\": "...)
+		str(res.Plan)
+	}
+	b = append(b, ",\n  \"elapsed\": "...)
+	str(elapsed)
+	return append(b, "\n}\n"...), err
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII with nothing
+// json.Encoder escapes — quote, backslash and the HTML three — is quoted as
+// it stands; any other string goes through encoding/json.
+func appendJSONString(b []byte, s string) ([]byte, error) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, err := json.Marshal(s)
+			return append(b, enc...), err
+		}
+	}
+	return append(append(append(b, '"'), s...), '"'), nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -68,9 +68,9 @@ type arenaShape struct {
 
 // arenaShapes are the figure queries and the plan shapes that decide who
 // carves fresh and who must not outlive a pool: a root scan, a root join,
-// TopK and Limit roots, an index nested loop at the root, inside a
-// nested-loop inner subtree (its pairs die at the parent's rescan) and under
-// a hash-join build.
+// TopK and Limit roots, a filter at the root over each operator that makes
+// rows, an index nested loop at the root, inside a nested-loop inner subtree
+// (its pairs die at the parent's rescan) and under a hash-join build.
 func arenaShapes(t *testing.T) []arenaShape {
 	db := figuresDB(t, 0.02)
 	small := figuresDB(t, 0.005) // Query 5's nested loop is quadratic in the scale
@@ -102,6 +102,34 @@ func arenaShapes(t *testing.T) []arenaShape {
 	hand := func(name string, root plan.Node) {
 		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }})
 	}
+	// The root shapes of the result-row rule: who reads the query's pool and
+	// copies out what it keeps (a filter, a bounded TopK), who hands fresh
+	// slabs down (a Limit, the sort), at every operator that can be below.
+	lt := func(c query.ColRef, v int64) *query.Predicate {
+		return &query.Predicate{Kind: query.KindSelCmp, Op: expr.OpLT, Left: c, Value: expr.I(v)}
+	}
+	costly1, err := db.Cat.Func("costly1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	udf := func(c query.ColRef) *query.Predicate {
+		return &query.Predicate{Kind: query.KindFunc, Func: costly1, Args: []query.ColRef{c}}
+	}
+	over := func(in plan.Node, p *query.Predicate) *plan.Filter { return &plan.Filter{Input: in, Pred: p} }
+	t6 := func() plan.Node { return over(scan("t6"), lt(col("t6", "ua1"), 700)) }
+	hand("filter-scan", over(scan("t6"), udf(col("t6", "u20"))))
+	hi := expr.I(40)
+	hand("filter-filter-indexscan", over(over(&plan.IndexScan{Table: "t6", Col: "a10", Hi: &hi,
+		ColRefs: scan("t6").Cols()}, lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))))
+	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NestLoop} {
+		outer := over(scan("t2"), lt(col("t2", "a1"), 60))
+		hand("filter-"+m.String(), over(equiJoin(t, db.Cat, m, outer, scan("t3"), col("t2", "a1"), col("t3", "a1")),
+			lt(col("t3", "a10"), 16)))
+	}
+	hand("filter-indexnl", over(indexNL(), lt(col("t3", "u10"), 5)))
+	hand("topk-filter", &plan.TopK{Input: t6(), K: 25, Key: col("t6", "ua1"), Desc: true})
+	hand("limit-filter", &plan.Limit{Input: t6(), K: 25})
+	hand("sort-filter", &plan.TopK{Input: t6(), K: -1, Key: col("t6", "ua1")})
 	hand("indexnl", indexNL())
 	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")))
 	hand("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")))
@@ -110,8 +138,9 @@ func arenaShapes(t *testing.T) []arenaShape {
 
 // TestArenaMatrix is the lifetime gate of the one row-memory rule: over the
 // arenaShapes times the executor grid, the rows a query returns are the rows
-// it produced — after Run released the query's slabs, poisoned them, and
-// another query carved its own rows out of them.
+// it produced — after Run released the query's slabs (every one it took:
+// arenaIdle), poisoned them, and another query carved its own rows out of
+// them.
 func TestArenaMatrix(t *testing.T) {
 	poisonOn(t)
 	for _, sh := range arenaShapes(t) {
@@ -135,6 +164,7 @@ func TestArenaMatrix(t *testing.T) {
 						if _, err := Run(&Env{Cat: db.Cat, Pool: db.Pool, CountOnly: true, Parallelism: p}, scribble); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
+						arenaIdle(t, name, env)
 						noPoison(t, name, res.Rows)
 						if p == 1 || deliversInOrder(root) {
 							sameRows(t, name, res.Rows, want)
@@ -311,7 +341,7 @@ const figuresAllocParent = 17409776 // bytes
 // a warmed round allocates its result rows and header slices and little
 // else — at most half of what the parent allocated.
 func TestFiguresAllocBudget(t *testing.T) {
-	if slabPoison {
+	if SlabPoison {
 		t.Skip("under the race detector sync.Pool drops a quarter of its puts at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -25,15 +25,16 @@ const DefaultBatchSize = 256
 const slabValues = 4096
 
 // rowAlloc carves rows out of contiguous value slabs: one slab amortizes
-// across slabValues/width rows instead of one allocation per row. The one
-// lifetime rule (DESIGN.md §12): a row belongs to the query unless it is a
-// result row. With a pool the slabs are the pool's, and the rows die when it
-// rewinds or releases; without one (the operator build names as feeding
-// Result.Rows or a TopK heap) every slab is fresh, zeroed and never
-// recycled, and becomes garbage when its rows do.
+// across many rows instead of one allocation per row. The one lifetime rule
+// (DESIGN.md §12): a result row is made by the last operator that can drop
+// it. With a pool the slabs are the pool's, and the rows die when it rewinds
+// or releases; without one (the operator build names as making result rows)
+// every slab is fresh, zeroed and never recycled, so it grows with the rows
+// made: four rows wide at first, doubling up to slabValues.
 type rowAlloc struct {
 	slab []expr.Value
 	pool *slabPool
+	size int // the last fresh slab's, in values; unused with a pool
 }
 
 // slabPool owns the row slabs of one lifetime: a query's (Env.slabs,
@@ -61,16 +62,12 @@ var (
 // invalidate with poisonValue, so a row retained past its lifetime reads as
 // garbage instead of as a plausible later row. On under the race detector;
 // tests may switch it on.
-var poisonSlabs = slabPoison
+var poisonSlabs = SlabPoison
 
 var poisonValue = expr.Value{Kind: 0xEE}
 
-// get returns a slab of at least n values: fresh when there is no pool or
-// the row is wider than a slab, otherwise the pool's next.
-func (p *slabPool) get(n int) []expr.Value {
-	if p == nil || n > slabValues {
-		return make([]expr.Value, max(n, slabValues))
-	}
+// get returns the pool's next slab.
+func (p *slabPool) get() []expr.Value {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.used == len(p.slabs) {
@@ -105,18 +102,25 @@ func (p *slabPool) release() {
 }
 
 // next returns a row of the given width carved from the current slab,
-// starting another slab when the current one is exhausted. The row holds
-// whatever its slab last held; callers overwrite every slot.
+// starting another slab when the current one is exhausted (a fresh one of
+// its own for a row wider than a pool's slab). The row holds whatever its
+// slab last held; callers overwrite every slot.
 func (a *rowAlloc) next(width int) expr.Row {
 	if len(a.slab) < width {
-		a.slab = a.pool.get(width)
+		if a.pool != nil && width <= slabValues {
+			a.slab = a.pool.get()
+		} else {
+			a.size = max(width, min(max(2*a.size, 4*width), slabValues))
+			a.slab = make([]expr.Value, a.size)
+		}
 	}
 	row := expr.Row(a.slab[:width:width])
 	a.slab = a.slab[width:]
 	return row
 }
 
-// concat returns r followed by s as one carved row: a join's output pair.
+// concat returns r followed by s as one carved row: a join's output pair,
+// or with no s a copy of r that outlives the pool r is in.
 func (a *rowAlloc) concat(r, s expr.Row) expr.Row {
 	out := a.next(len(r) + len(s))
 	copy(out, r)

@@ -48,11 +48,12 @@ func next(it Iterator) (expr.Row, bool, error) {
 // wall time and attributes physical I/O per operator.
 //
 // Build also decides, from the plan alone, where each operator's rows live
-// (DESIGN.md §12). The root's rows escape into Result.Rows, so the first
-// operator under it that makes rows — filters, TopK and Limit only pass
-// them on — carves fresh slabs; a join copies what it emits, so everything
-// below a join carves from the query's pool, or from the pool of the
-// nested-loop inner subtree it sits in.
+// (DESIGN.md §12). The root's rows escape into Result.Rows, and a result row
+// is made by the last operator that can drop it: a filter and a bounded TopK
+// read the query's pool and copy out what they keep; a Limit and the sort
+// pass rows on, and a root join or scan makes them. A join copies what it
+// emits, so everything below a join carves from the query's pool, or from
+// the pool of the nested-loop inner subtree it sits in.
 func Build(e *Env, n plan.Node) (Iterator, error) {
 	e.ordered = nil
 	if e.workers() > 1 {
@@ -144,15 +145,14 @@ func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	case *plan.IndexScan:
 		return newIndexScan(e, t, rs)
 	case *plan.Filter:
-		in, err := buildIn(e, t.Input, rs)
+		f, err := compileFilter(e, t, rs)
 		if err != nil {
 			return nil, err
 		}
-		cp, err := compileFilter(e, t)
-		if err != nil {
+		if f.in, err = buildIn(e, t.Input, e.below(rs)); err != nil {
 			return nil, err
 		}
-		return &filterIter{e: e, in: in, pred: cp}, nil
+		return &f, nil
 	case *plan.Join:
 		return buildJoin(e, t, rs)
 	case *plan.TopK:
@@ -163,9 +163,10 @@ func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
 }
 
-// below returns the pool a join whose output carves from rs hands to its
-// inputs: rs itself inside a nested-loop inner subtree, the query's pool
-// under the join that feeds the result.
+// below returns the pool an operator that copies what it emits — a join, a
+// filter or bounded TopK making result rows — hands to its inputs: rs itself
+// inside a nested-loop inner subtree, the query's pool under the operator
+// that feeds the result.
 func (e *Env) below(rs *slabPool) *slabPool {
 	if rs == nil {
 		return &e.slabs
@@ -392,17 +393,21 @@ func (s *indexScanIter) Close() error {
 	return nil
 }
 
-// compileFilter resolves f's predicate against its input's columns; with
-// profiling on the predicate counts into f's node.
-func compileFilter(e *Env, f *plan.Filter) (*compiledPred, error) {
+// compileFilter is the Filter build rule, for build and the exchange alike:
+// f's operator but for its input, which carves from e.below(rs). The
+// predicate is resolved against the input's columns; with profiling on it
+// counts into f's node. A filter making result rows (rs == nil) is the last
+// operator that can drop them, so it reads the query's pool and copies out
+// what it keeps: a chain of filters copies once, at its top.
+func compileFilter(e *Env, f *plan.Filter, rs *slabPool) (filterIter, error) {
 	cp, err := compilePred(e, f.Pred, f.Input.Cols())
 	if err != nil {
-		return nil, err
+		return filterIter{}, err
 	}
 	if e.prof != nil {
 		cp.prof = e.nodeProf(f)
 	}
-	return cp, nil
+	return filterIter{e: e, pred: cp, copies: rs == nil}, nil
 }
 
 // filterIter applies one predicate, dropping rows that fail it.
@@ -411,6 +416,9 @@ type filterIter struct {
 	in    Iterator
 	pred  *compiledPred
 	count int
+	// copies: the input's rows are the query's; the kept ones go to out.
+	copies bool
+	out    rowAlloc
 	// input buffer, per-row verdicts, predicate scratch
 	buf  []expr.Row
 	keep []bool
@@ -446,6 +454,9 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 		for i := 0; i < m; i++ {
 			if f.keep[i] {
 				dst[n] = f.buf[i]
+				if f.copies {
+					dst[n] = f.out.concat(f.buf[i], nil)
+				}
 				n++
 			}
 		}

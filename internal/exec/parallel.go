@@ -240,15 +240,19 @@ func (x *exchangeIter) compile(n plan.Node, rs *slabPool) (func(i int) Iterator,
 			return &s
 		}, nil
 	case *plan.Filter:
-		in, err := x.input(t.Input, rs)
+		filter, err := compileFilter(e, t, rs)
 		if err != nil {
 			return nil, err
 		}
-		cp, err := compileFilter(e, t)
+		in, err := x.input(t.Input, e.below(rs))
 		if err != nil {
 			return nil, err
 		}
-		return func(i int) Iterator { return &filterIter{e: e, in: in(i), pred: cp} }, nil
+		return func(i int) Iterator {
+			f := filter
+			f.in = in(i)
+			return &f
+		}, nil
 	case *plan.Join:
 		outer, err := x.input(t.Outer, e.below(rs))
 		if err != nil {

@@ -2,4 +2,5 @@
 
 package exec
 
-const slabPoison = false
+// SlabPoison is true only under the race detector (poison_race.go).
+const SlabPoison = false

@@ -2,6 +2,6 @@
 
 package exec
 
-// slabPoison: under the race detector every slabPool poisons what it
+// SlabPoison: under the race detector every slabPool poisons what it
 // invalidates (see poisonSlabs), so the whole -race suite checks row lifetimes.
-const slabPoison = true
+const SlabPoison = true

@@ -19,8 +19,8 @@ import (
 // topkIter implements plan.TopK. The heap is a worst-at-root max-heap over
 // the output ordering (heap[0] is the current k-th row): a new row is
 // admitted only when it beats the current boundary, displacing it. The
-// first NextBatch call drains the input into the heap; emission is a copy
-// out of the sorted pooled storage and allocates nothing.
+// first NextBatch call drains the input into the heap; emission hands out the
+// sorted pooled storage in runs.
 type topkIter struct {
 	e      *Env
 	node   *plan.TopK
@@ -32,10 +32,19 @@ type topkIter struct {
 	heap   []expr.Row
 	pos    int
 	filled bool
+	// copies: the heap's rows are the query's, copied into out at emit.
+	copies bool
+	out    rowAlloc
 	tc     *opCounters // nil unless profiling
 }
 
 func newTopK(e *Env, t *plan.TopK, rs *slabPool) (Iterator, error) {
+	// A bounded heap making result rows is the last operator that can drop
+	// them: it reads the query's pool and copies the k survivors out at emit.
+	copies := rs == nil && t.K >= 0
+	if copies {
+		rs = e.below(rs)
+	}
 	in, err := buildIn(e, t.Input, rs)
 	if err != nil {
 		return nil, err
@@ -52,7 +61,7 @@ func newTopK(e *Env, t *plan.TopK, rs *slabPool) (Iterator, error) {
 		}
 		tieIdx = append(tieIdx, i)
 	}
-	it := &topkIter{e: e, node: t, in: in, keyIdx: keyIdx, tieIdx: tieIdx}
+	it := &topkIter{e: e, node: t, in: in, keyIdx: keyIdx, tieIdx: tieIdx, copies: copies}
 	if e.prof != nil {
 		it.tc = e.nodeProf(t)
 	}
@@ -182,8 +191,8 @@ func (t *topkIter) Open() error {
 	return t.in.Open()
 }
 
-// NextBatch copies the next run of sorted survivors into dst — no
-// allocation, no comparison; all the work happened in fill.
+// NextBatch hands the next run of sorted survivors to dst — no comparison;
+// all the work happened in fill.
 func (t *topkIter) NextBatch(dst []expr.Row) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
@@ -193,6 +202,9 @@ func (t *topkIter) NextBatch(dst []expr.Row) (int, error) {
 	}
 	n := copy(dst, t.heap[t.pos:])
 	t.pos += n
+	for i := 0; t.copies && i < n; i++ {
+		dst[i] = t.out.concat(dst[i], nil)
+	}
 	return n, nil
 }
 

@@ -48,7 +48,9 @@ type trackFrame struct {
 }
 
 // NewIOTracker creates a tracker simulating a cold private pool with the
-// same capacity and shard layout as pool.
+// same capacity and shard layout as pool. The frame maps grow with the pages
+// the query touches: sized to the pool they would be most of what a point
+// lookup allocates.
 func NewIOTracker(pool *BufferPool) *IOTracker {
 	capacity, shards := pool.Capacity(), pool.Shards()
 	t := &IOTracker{shards: make([]trackShard, shards)}
@@ -60,7 +62,7 @@ func NewIOTracker(pool *BufferPool) *IOTracker {
 		}
 		t.shards[i] = trackShard{
 			capacity: cap,
-			frames:   make(map[frameKey]*trackFrame, cap),
+			frames:   make(map[frameKey]*trackFrame),
 			lru:      list.New(),
 		}
 	}

@@ -44,16 +44,26 @@ func normalizeSQL(sql string) string {
 	return strings.Join(strings.Fields(sql), " ")
 }
 
-// planEntry is one cached prepared plan. The plan tree, bound statement,
-// and planner info are all immutable after planning (the executor keys its
-// per-query mutable state by node pointer inside its own Env), so any
-// number of concurrent executions may share one entry.
+// planEntry is one prepared plan, cached or not. The plan tree, bound
+// statement, and planner info are all immutable after planning (the executor
+// keys its per-query mutable state by node pointer inside its own Env), so
+// any number of concurrent executions may share one entry — and the plan's
+// text, which is rendered when the first of them asks for it, not at Prepare.
 type planEntry struct {
 	key   planKey
 	root  plan.Node
 	bound *sqlparse.Bound
 	info  *optimizer.Info
 	elem  *list.Element
+
+	render   sync.Once
+	rendered string
+}
+
+// text is the plan as EXPLAIN prints it and Result.Plan carries it.
+func (e *planEntry) text() string {
+	e.render.Do(func() { e.rendered = plan.Render(e.root) + robustSummary(e.info) })
+	return e.rendered
 }
 
 // planCache is an LRU cache of prepared plans shared by every session on

@@ -705,12 +705,9 @@ func (d *DB) QueryContext(ctx context.Context, sql string, algo Algorithm) (*Res
 // statistics changes after Prepare do not re-plan it (Query/QueryContext,
 // whose cache is catalog-versioned, pick up such changes automatically).
 type PreparedStatement struct {
-	db    *DB
-	sql   string
-	algo  Algorithm
-	root  plan.Node
-	bound *sqlparse.Bound
-	info  *optimizer.Info
+	db   *DB
+	sql  string
+	plan *planEntry
 }
 
 // Prepare parses, binds, and optimizes sql under the given algorithm,
@@ -724,7 +721,7 @@ func (d *DB) Prepare(sql string, algo Algorithm) (*PreparedStatement, error) {
 func (p *PreparedStatement) SQL() string { return p.sql }
 
 // Plan renders the prepared plan tree.
-func (p *PreparedStatement) Plan() string { return plan.Render(p.root) }
+func (p *PreparedStatement) Plan() string { return plan.Render(p.plan.root) }
 
 // Exec executes the prepared statement; execution knobs (budget,
 // parallelism, batching, timeout, profiling) are snapshotted per call.
@@ -750,29 +747,28 @@ func (d *DB) prepare(sql string, algo Algorithm, k knobs) (*PreparedStatement, e
 	}
 	if d.plans != nil {
 		if e, ok := d.plans.get(key); ok {
-			return &PreparedStatement{db: d, sql: sql, algo: algo,
-				root: e.root, bound: e.bound, info: e.info}, nil
+			return &PreparedStatement{db: d, sql: sql, plan: e}, nil
 		}
 	}
 	root, bound, info, err := d.plan(sql, algo, k)
 	if err != nil {
 		return nil, err
 	}
+	e := &planEntry{key: key, root: root, bound: bound, info: info}
 	if d.plans != nil {
-		d.plans.put(&planEntry{key: key, root: root, bound: bound, info: info})
+		d.plans.put(e)
 	}
-	return &PreparedStatement{db: d, sql: sql, algo: algo,
-		root: root, bound: bound, info: info}, nil
+	return &PreparedStatement{db: d, sql: sql, plan: e}, nil
 }
 
 // execPrepared executes a prepared statement under the knob snapshot k.
 func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k knobs) (*Result, error) {
-	root, bound, info := p.root, p.bound, p.info
+	root, bound, info := p.plan.root, p.plan.bound, p.plan.info
 	// EstCost comes from the planner's Info, not the root node: with
 	// transfer on it includes the prepass's estimated cost (identical to
 	// root.Cost() otherwise).
 	res := &Result{
-		Plan:    plan.Render(root) + robustSummary(info),
+		Plan:    p.plan.text(),
 		EstCost: info.EstCost,
 		Info:    *info,
 	}
@@ -908,7 +904,7 @@ func (d *DB) Explain(sql string, algo Algorithm) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return plan.Render(p.root) + robustSummary(p.info), nil
+	return p.plan.text(), nil
 }
 
 // robustSummary is the EXPLAIN line describing the Robust algorithm's
@@ -1030,8 +1026,10 @@ func project(root plan.Node, bound *sqlparse.Bound, out *exec.Result, res *Resul
 		idx[i] = plan.ColIndex(root, ref)
 		res.Cols[i] = ref.String()
 	}
+	// Every projected row is carved from one backing array.
+	vals := make([]Value, len(out.Rows)*len(idx))
 	for i, r := range out.Rows {
-		pr := make([]Value, len(idx))
+		pr := vals[i*len(idx) : (i+1)*len(idx) : (i+1)*len(idx)]
 		for k, j := range idx {
 			if j >= 0 {
 				pr[k] = r[j]
