@@ -2,7 +2,8 @@
 # check.sh — the repository's full verification gate. Tier-1 CI runs
 # `go build ./... && go test ./...`; this script is the stricter local/CI
 # superset: vet, the project's own static analyzers (pplint), the build,
-# and the full test suite under the race detector.
+# and the full test suite under the race detector. It writes no files unless
+# the fuzz smoke finds a crasher.
 set -e
 
 echo "==> gofmt -l ."
@@ -40,6 +41,20 @@ echo "==> row-memory gates (arena lifetime matrix, release on every exit, alloca
 # detector), so it gets a run of its own without.
 go test -race -count=1 -run 'TestArena|TestFiguresAllocBudget' ./internal/exec
 go test -count=1 -run '^TestFiguresAllocBudget$' ./internal/exec
+
+echo "==> decode gate (who decodes late, thin rows never read unfinished, the codec under fuzz)"
+# Also part of the full test run below; named here so that a scan Build lets
+# decode late when its consumer reads whole rows (or the reverse) or sits
+# across an exchange from it, a thin row's undecoded column read before the
+# row is kept (the poison makes it a sentinel in the result), a
+# fetched-then-rejected row that keeps its slot, a radix sort that reorders
+# equal keys, or a decode entry point that indexes past a short record fails
+# under this heading. The fuzz smoke is
+# bounded; a crasher it finds is written under internal/catalog/testdata/fuzz
+# and becomes a committed seed.
+go test -race -count=1 -run '^(TestArenaMatrix|TestThinScanStaysInItsSegment|TestRejectedFetchCarvesNothing|TestSortRowsByKeyMatchesReference)$' ./internal/exec
+go test -count=1 -run '^(FuzzRowCodec|TestDecode.*)$' ./internal/catalog
+go test -run '^$' -fuzz '^FuzzRowCodec$' -fuzztime 10s ./internal/catalog
 
 echo "==> executor gates (recorded answers at every width, mixed-width pulls, deterministic IKKBZ)"
 # Also part of the full test run below. A failure of the first command means
@@ -95,7 +110,7 @@ echo "==> benchmark module (cd bench && go vet . && go test .)"
 # internal/ packages directly; a signature change there must fail this gate.
 (cd bench && go vet . && go test .)
 
-echo "==> bench smoke (go test -bench Fig3 -benchtime 1x)"
-go test -run '^$' -bench Fig3 -benchtime 1x .
+echo "==> bench smoke (go test -bench 'Fig3|RequestPath|MergeJoinSort' -benchtime 1x)"
+go test -run '^$' -bench 'Fig3|RequestPath|MergeJoinSort' -benchtime 1x . ./internal/exec
 
 echo "OK"

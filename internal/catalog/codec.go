@@ -15,6 +15,7 @@ import (
 type RowCodec struct {
 	cols   []Column
 	layout []colLayout
+	all    []int // every column index, in order: DecodeCols' set for a whole row
 	width  int
 }
 
@@ -28,8 +29,10 @@ type colLayout struct {
 // NewRowCodec builds a codec for the given columns.
 func NewRowCodec(cols []Column) (*RowCodec, error) {
 	layout := make([]colLayout, len(cols))
+	all := make([]int, len(cols))
 	w := 0
 	for i, c := range cols {
+		all[i] = i
 		layout[i] = colLayout{off: w, len: 8, kind: c.Type}
 		switch c.Type {
 		case expr.TInt, expr.TBool:
@@ -43,11 +46,15 @@ func NewRowCodec(cols []Column) (*RowCodec, error) {
 		}
 		w += 1 + layout[i].len
 	}
-	return &RowCodec{cols: append([]Column(nil), cols...), layout: layout, width: w}, nil
+	return &RowCodec{cols: append([]Column(nil), cols...), layout: layout, all: all, width: w}, nil
 }
 
 // Width returns the fixed encoded record width in bytes.
 func (rc *RowCodec) Width() int { return rc.width }
+
+// AllCols returns every column index in schema order — DecodeCols' set for a
+// whole row. The slice is shared: callers must not modify it.
+func (rc *RowCodec) AllCols() []int { return rc.all }
 
 // Encode serializes row (which must match the schema arity) into a record.
 // Every field is written in place into the one zeroed record buffer, so a
@@ -114,12 +121,22 @@ func (rc *RowCodec) DecodeInto(rec []byte, row expr.Row) error {
 	return rc.DecodeIntoMemo(rec, row, nil)
 }
 
-// DecodeIntoMemo is DecodeInto with string-value memoization: when a string
-// column's raw field equals the previous record's — one comparison, padding
-// included, before any trimming — the prior string is reused instead of
-// allocating a copy. Every slot of row is overwritten, NULLs included: rows
+// DecodeIntoMemo is DecodeInto with string-value memoization: DecodeCols over
+// every column. Every slot of row is overwritten, NULLs included: rows
 // carved from recycled slabs hold a previous query's values until then.
 func (rc *RowCodec) DecodeIntoMemo(rec []byte, row expr.Row, memo *DecodeMemo) error {
+	return rc.DecodeCols(rec, row, rc.all, memo)
+}
+
+// DecodeCols is the codec's one decode routine: it deserializes the columns
+// of rec that cols lists into their slots of row — which has one slot per
+// column of the schema — and leaves every other slot as it was. A scan
+// decodes the columns a row's fate depends on, and whoever keeps the row
+// decodes the rest from the same record (DESIGN.md §12); DecodeIntoMemo is
+// the call with every column. With a memo, a string column whose raw field
+// equals the previous record's — one comparison, padding included, before
+// any trimming — reuses the prior string instead of allocating a copy.
+func (rc *RowCodec) DecodeCols(rec []byte, row expr.Row, cols []int, memo *DecodeMemo) error {
 	if len(rec) != rc.width {
 		return fmt.Errorf("catalog: record length %d, want %d", len(rec), rc.width)
 	}
@@ -128,7 +145,10 @@ func (rc *RowCodec) DecodeIntoMemo(rec []byte, row expr.Row, memo *DecodeMemo) e
 	}
 	layout := rc.layout
 	row = row[:len(layout)] // one bounds check for the loop, not one per column
-	for i := range layout {
+	for _, i := range cols {
+		if uint(i) >= uint(len(layout)) {
+			return fmt.Errorf("catalog: column index %d out of range", i)
+		}
 		l := &layout[i]
 		field := rec[l.off+1 : l.off+1+l.len]
 		switch {
@@ -165,7 +185,7 @@ func trimNUL(field []byte) string {
 
 // DecodeCol extracts a single column's value from a record without decoding
 // the whole row (used by index builds and key probes). It indexes the
-// compiled layout, and rejects a short or long record as DecodeIntoMemo does.
+// compiled layout, and rejects a short or long record as DecodeCols does.
 func (rc *RowCodec) DecodeCol(rec []byte, idx int) (expr.Value, error) {
 	if idx < 0 || idx >= len(rc.layout) {
 		return expr.Null, fmt.Errorf("catalog: column index %d out of range", idx)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -64,13 +66,49 @@ type arenaShape struct {
 	name string
 	db   *datagen.DB
 	root func(t *testing.T, caching, transfer bool) plan.Node
+	// thin, for a hand-built shape (hand), is what Build must derive for its
+	// heap scans at every worker count (thinSummary): which decode late and
+	// which columns they keep; "" says every scan of the shape decodes whole
+	// rows.
+	hand bool
+	thin string
+}
+
+// thinSummary renders what Build derives for root's heap scans at the given
+// worker count as "table:col,col ..." in table order.
+func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int) string {
+	t.Helper()
+	env := &Env{Cat: cat, Parallelism: workers}
+	if workers > 1 {
+		env.ordered = orderedNodes(root)
+	}
+	var out []string
+	for scan, th := range env.thinScans(root) {
+		tab, err := env.Cat.Table(scan.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cols []string
+		for _, k := range th.need {
+			cols = append(cols, tab.Columns[k].Name)
+		}
+		out = append(out, scan.Table+":"+strings.Join(cols, ","))
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
 }
 
 // arenaShapes are the figure queries and the plan shapes that decide who
 // carves fresh and who must not outlive a pool: a root scan, a root join,
 // TopK and Limit roots, a filter at the root over each operator that makes
 // rows, an index nested loop at the root, inside a nested-loop inner subtree
-// (its pairs die at the parent's rescan) and under a hash-join build.
+// (its pairs die at the parent's rescan) and under a hash-join build — and
+// with them who decodes late: one shape per consumer of thin rows (a hash
+// join's probe side — in its exchange, and kept serial under a Limit — and
+// the filter chain under a root filter) and per consumer that must find
+// whole rows (a root scan, a TopK, Limit or sort root, a nested loop's two
+// inputs, an index nested loop's outer, a hash join's build side, both sides
+// of a merge join).
 func arenaShapes(t *testing.T) []arenaShape {
 	db := figuresDB(t, 0.02)
 	small := figuresDB(t, 0.005) // Query 5's nested loop is quadratic in the scale
@@ -88,7 +126,7 @@ func arenaShapes(t *testing.T) []arenaShape {
 		if st.name == "query5" {
 			sdb = small
 		}
-		shapes = append(shapes, arenaShape{st.name, sdb, func(t *testing.T, caching, transfer bool) plan.Node {
+		shapes = append(shapes, arenaShape{name: st.name, db: sdb, root: func(t *testing.T, caching, transfer bool) plan.Node {
 			return planSQL(t, sdb.Cat, st.sql, optimizer.Options{
 				Algorithm: optimizer.Migration, Caching: caching, Transfer: transfer})
 		}})
@@ -99,8 +137,8 @@ func arenaShapes(t *testing.T) []arenaShape {
 	}
 	few := &plan.Filter{Input: scan("t2"), Pred: &query.Predicate{
 		Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t2", "ua1"), Value: expr.I(12)}}
-	hand := func(name string, root plan.Node) {
-		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }})
+	hand := func(name string, root plan.Node, thin string) {
+		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }, true, thin})
 	}
 	// The root shapes of the result-row rule: who reads the query's pool and
 	// copies out what it keeps (a filter, a bounded TopK), who hands fresh
@@ -117,22 +155,36 @@ func arenaShapes(t *testing.T) []arenaShape {
 	}
 	over := func(in plan.Node, p *query.Predicate) *plan.Filter { return &plan.Filter{Input: in, Pred: p} }
 	t6 := func() plan.Node { return over(scan("t6"), lt(col("t6", "ua1"), 700)) }
-	hand("filter-scan", over(scan("t6"), udf(col("t6", "u20"))))
+	hand("root-scan", scan("t6"), "")
+	hand("filter-scan", over(scan("t6"), udf(col("t6", "u20"))), "t6:u20")
+	hand("filter-filter-scan", over(over(scan("t6"), lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))), "t6:ua1,u20")
 	hi := expr.I(40)
 	hand("filter-filter-indexscan", over(over(&plan.IndexScan{Table: "t6", Col: "a10", Hi: &hi,
-		ColRefs: scan("t6").Cols()}, lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))))
-	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NestLoop} {
+		ColRefs: scan("t6").Cols()}, lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))), "")
+	for _, m := range []struct {
+		method plan.JoinMethod
+		thin   string
+	}{{plan.HashJoin, "t2:a1"}, {plan.MergeJoin, ""}, {plan.NestLoop, ""}} {
 		outer := over(scan("t2"), lt(col("t2", "a1"), 60))
-		hand("filter-"+m.String(), over(equiJoin(t, db.Cat, m, outer, scan("t3"), col("t2", "a1"), col("t3", "a1")),
-			lt(col("t3", "a10"), 16)))
+		hand("filter-"+m.method.String(), over(equiJoin(t, db.Cat, m.method, outer, scan("t3"), col("t2", "a1"), col("t3", "a1")),
+			lt(col("t3", "a10"), 16)), m.thin)
 	}
-	hand("filter-indexnl", over(indexNL(), lt(col("t3", "u10"), 5)))
-	hand("topk-filter", &plan.TopK{Input: t6(), K: 25, Key: col("t6", "ua1"), Desc: true})
-	hand("limit-filter", &plan.Limit{Input: t6(), K: 25})
-	hand("sort-filter", &plan.TopK{Input: t6(), K: -1, Key: col("t6", "ua1")})
-	hand("indexnl", indexNL())
-	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")))
-	hand("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")))
+	// The probe side decodes late on the key and the predicate under it; the
+	// build side, filtered or not, whole: its table may be shared.
+	hand("hash-probe-build-filtered", equiJoin(t, db.Cat, plan.HashJoin,
+		over(scan("t3"), lt(col("t3", "u10"), 8)), over(scan("t2"), lt(col("t2", "a1"), 600)),
+		col("t3", "a1"), col("t2", "a1")), "t3:a1,u10")
+	hand("filter-indexnl", over(indexNL(), lt(col("t3", "u10"), 5)), "")
+	hand("topk-filter", &plan.TopK{Input: t6(), K: 25, Key: col("t6", "ua1"), Desc: true}, "")
+	hand("limit-filter", &plan.Limit{Input: t6(), K: 25}, "")
+	// A hash join orderedNodes keeps serial at every worker count: its probe
+	// chain must stay serial with it, for the scan's batches to reach it.
+	hand("limit-hashjoin", &plan.Limit{K: 40, Input: equiJoin(t, db.Cat, plan.HashJoin,
+		over(scan("t3"), lt(col("t3", "u10"), 8)), scan("t2"), col("t3", "a1"), col("t2", "a1"))}, "t3:a1,u10")
+	hand("sort-filter", &plan.TopK{Input: t6(), K: -1, Key: col("t6", "ua1")}, "")
+	hand("indexnl", indexNL(), "")
+	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")), "")
+	hand("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")), "t2:ua1")
 	return shapes
 }
 
@@ -151,7 +203,10 @@ func TestArenaMatrix(t *testing.T) {
 			for knobs := 0; knobs < 8; knobs++ {
 				transfer, caching, profile := knobs&1 != 0, knobs&2 != 0, knobs&4 != 0
 				root := sh.root(t, caching, transfer)
-				for _, p := range []int{1, 4} {
+				for _, p := range []int{1, 2, 4} {
+					if got := thinSummary(t, db.Cat, root, p); sh.hand && got != sh.thin {
+						t.Fatalf("%s P=%d: Build has %q decode late, want %q", sh.name, p, got, sh.thin)
+					}
 					for _, bs := range []int{1, 7, 256} {
 						name := fmt.Sprintf("%s transfer=%v caching=%v profile=%v P=%d BS=%d", sh.name, transfer, caching, profile, p, bs)
 						env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(caching, 0),
@@ -165,6 +220,9 @@ func TestArenaMatrix(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						arenaIdle(t, name, env)
+						if sh.hand && len(res.Rows) == 0 {
+							t.Fatalf("%s: the shape delivers no rows, so nothing of them is checked", name)
+						}
 						noPoison(t, name, res.Rows)
 						if p == 1 || deliversInOrder(root) {
 							sameRows(t, name, res.Rows, want)
@@ -175,6 +233,43 @@ func TestArenaMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestThinScanStaysInItsSegment: a thin row is good until its scan's next
+// NextBatch, so a scan decodes late only where its batches reach their
+// consumer directly. orderedNodes marks a hash join together with its probe
+// chain; were any one of them serial and the others not — an exchange or a
+// shared source between the scan and the join — Build must leave the scan
+// whole, and so must a filter whose predicate names no columns.
+func TestThinScanStaysInItsSegment(t *testing.T) {
+	db := figuresDB(t, 0.005)
+	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
+	scan := scanNode(t, db.Cat, "t3")
+	pred := &query.Predicate{Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t3", "u10"), Value: expr.I(8)}
+	filter := &plan.Filter{Input: scan, Pred: pred}
+	join := equiJoin(t, db.Cat, plan.HashJoin, filter, scanNode(t, db.Cat, "t2"), col("t3", "a1"), col("t2", "a1"))
+	root := &plan.Filter{Input: filter, Pred: pred}
+	for _, consumer := range []plan.Node{join, root} {
+		env := &Env{Cat: db.Cat, Parallelism: 4}
+		if got := env.thinScans(consumer); got[scan] == nil {
+			t.Fatalf("%s: its scan decodes whole rows with nothing kept serial", consumer.Describe())
+		}
+		for _, serial := range []plan.Node{consumer, filter, scan} {
+			env.ordered = map[plan.Node]bool{serial: true}
+			// A cheap filter is a segment only over one: with the scan serial
+			// the root filter's whole chain is, and may decode late.
+			want := consumer == root && serial == scan
+			if got := env.thinScans(consumer); (got != nil) != want {
+				t.Fatalf("%s with only %s serial: scan decodes late = %v, want %v", consumer.Describe(), serial.Describe(), got != nil, want)
+			}
+		}
+		env.ordered = nil
+		pred.Kind = 0
+		if got := env.thinScans(consumer); got != nil {
+			t.Fatalf("%s over a predicate of unknown kind: scan still decodes late", consumer.Describe())
+		}
+		pred.Kind = query.KindSelCmp
 	}
 }
 
@@ -371,4 +466,86 @@ func TestFiguresAllocBudget(t *testing.T) {
 	if 2*got > figuresAllocParent {
 		t.Fatalf("one warmed round of Queries 1-4 allocates %d bytes, more than half the parent's %d", got, figuresAllocParent)
 	}
+}
+
+// carved returns how many values the allocators that share p, and nobody
+// else, have carved from it.
+func carved(p *slabPool, as ...*rowAlloc) int {
+	n := p.used * slabValues
+	for _, a := range as {
+		n -= len(a.slab)
+	}
+	return n
+}
+
+// TestRejectedFetchCarvesNothing: a fetched row that is then rejected — by an
+// index nested loop's residual filter, by a transfer probe on an index scan —
+// leaves its slot to the next fetch, so what an operator carves is what it
+// emits (and at most the one row it holds ready).
+func TestRejectedFetchCarvesNothing(t *testing.T) {
+	db := figuresDB(t, 0.02)
+	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
+	t3 := scanNode(t, db.Cat, "t3")
+	width := len(t3.ColRefs)
+	pred := func(v int64) *query.Predicate {
+		return &query.Predicate{Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t3", "u10"), Value: expr.I(v)}
+	}
+	// Index nested loop: every fetch rejected, then two in five kept.
+	for _, bound := range []int64{0, 4} {
+		env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0)}
+		env.begin()
+		j := equiJoin(t, db.Cat, plan.IndexNestLoop, scanNode(t, db.Cat, "t1"),
+			&plan.Filter{Input: t3, Pred: pred(bound)}, col("t1", "a1"), col("t3", "a1"))
+		var own slabPool
+		it, err := newIndexNLJoin(env, j, &own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n, err := collect(env, it, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inl := it.(*indexNLJoinIter)
+		outer := inl.outer.(*countIter).in.(*seqScanIter)
+		t1, _ := db.Cat.Table("t1")
+		got := carved(&own, &inl.inner, &outer.alloc, &inl.alloc) - (int(t1.Card)+2*n)*width // less the outer's rows and the pairs
+		if most := (n + 1) * width; got > most || (bound == 0 && n != 0) || (bound != 0 && n == 0) {
+			t.Fatalf("u10 < %d: %d pairs out, %d values carved for fetched rows, want at most %d", bound, n, got, most)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		own.release()
+		env.slabs.release()
+	}
+	// Index scan under transfer: t6 restricted to the few a1 values t1 has.
+	env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), Transfer: true}
+	env.begin()
+	hi := expr.I(1 << 40)
+	ix := &plan.IndexScan{Table: "t6", Col: "a10", Hi: &hi, ColRefs: scanNode(t, db.Cat, "t6").Cols()}
+	few := &plan.Filter{Input: scanNode(t, db.Cat, "t1"), Pred: &query.Predicate{
+		Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t1", "ua1"), Value: expr.I(20)}}
+	root := equiJoin(t, db.Cat, plan.HashJoin, ix, few, col("t6", "ua1"), col("t1", "ua1"))
+	if err := env.runTransferPrepass(root); err != nil {
+		t.Fatal(err)
+	}
+	var own slabPool
+	it, err := newIndexScan(env, ix, &own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n, err := collect(env, it, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := it.(*indexScanIter)
+	tab, _ := db.Cat.Table("t6")
+	if len(s.probes) == 0 || n == 0 || int64(n) >= tab.Card/2 {
+		t.Fatalf("the transfer probe let %d of t6's %d rows through: not the case under test", n, tab.Card)
+	}
+	if got, most := carved(&own, &s.alloc), (n+1)*len(ix.ColRefs); got > most {
+		t.Fatalf("index scan emitted %d rows and carved %d values, want at most %d", n, got, most)
+	}
+	own.release()
+	env.slabs.release()
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"predplace/internal/catalog"
 	"predplace/internal/expr"
 )
 
@@ -126,6 +127,55 @@ func (a *rowAlloc) concat(r, s expr.Row) expr.Row {
 	copy(out, r)
 	copy(out[len(r):], s)
 	return out
+}
+
+// thinScan is what Build derives for a heap scan whose rows' fate is decided
+// on a few of their columns (DESIGN.md §12: a column is decoded by the first
+// operator that needs it). The scan decodes need — what the filters above it
+// and the key of the join side it feeds read — into the carved row, and into
+// slot mark, a column nobody reads before the row is kept, it puts the row's
+// place on its page (thinKind). The operator that copies the row out anyway
+// decodes the record from there instead (finisher.emit), once, and only for
+// a row it keeps; a dropped row never pays for the other columns.
+//
+// pages[id] is the pinned page id itself, for as long as a row on it may
+// still be emitted: the consumer takes in every batch before it asks for the
+// next, so it has emitted or dropped a page's rows by the time the scan
+// unpins the page, and the scan ends its batches where its pages end. One
+// thinScan serves every part of its scan under an exchange: a part writes
+// pages[id] for the pages of its own share, before any row on them leaves it.
+type thinScan struct {
+	codec *catalog.RowCodec
+	need  []int
+	mark  int      // a column outside need
+	pages [][]byte // by page id, sized by Build; a scan that finds the file longer decodes whole rows
+}
+
+// thinKind is the kind of a thin row's mark slot, whose I is then page id
+// << 16 | the record's offset on the page. No decoded value has it, so a row
+// the scan decoded whole, or one completed since, is told apart by the same
+// slot.
+const thinKind expr.Type = 0xED
+
+// finisher completes the thin rows one copying operator keeps. The memo is
+// its own, so the workers' copies of an operator do not share.
+type finisher struct {
+	t    *thinScan
+	memo catalog.DecodeMemo
+}
+
+// emit writes row into dst, which has row's width: decoded from row's record
+// when row is thin, copied otherwise — always, when the input is no thin
+// scan's.
+func (f *finisher) emit(dst, row expr.Row) error {
+	if f.t != nil {
+		if h := row[f.t.mark]; h.Kind == thinKind {
+			off := int(h.I & 0xFFFF)
+			return f.t.codec.DecodeIntoMemo(f.t.pages[h.I>>16][off:off+f.t.codec.Width()], dst, &f.memo)
+		}
+	}
+	copy(dst, row)
+	return nil
 }
 
 // rowBufPool recycles the []expr.Row batch buffers operators shuttle rows

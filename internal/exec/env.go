@@ -127,6 +127,12 @@ type Env struct {
 	// (orderedNodes); nil when execution is serial anyway. Written once,
 	// before execution starts; nested-loop rebuilds only read it.
 	ordered map[plan.Node]bool
+	// thin holds, for each heap scan Build found feeding an operator that
+	// decides a row's fate on a few columns and copies the survivors out, the
+	// columns the scan decodes and where the rest are found later (thinScan);
+	// a scan with no entry decodes whole rows. Written once by Build, like
+	// ordered.
+	thin map[*plan.SeqScan]*thinScan
 	// slabs owns every row the query carves below its result-producing
 	// operator (rowAlloc); Run releases it on every exit, once the iterator
 	// tree is closed and its goroutines joined.

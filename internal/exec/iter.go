@@ -8,6 +8,7 @@ import (
 	"predplace/internal/catalog"
 	"predplace/internal/expr"
 	"predplace/internal/plan"
+	"predplace/internal/query"
 	"predplace/internal/storage"
 )
 
@@ -54,11 +55,15 @@ func next(it Iterator) (expr.Row, bool, error) {
 // pass rows on, and a root join or scan makes them. A join copies what it
 // emits, so everything below a join carves from the query's pool, or from
 // the pool of the nested-loop inner subtree it sits in.
+//
+// The same rule one step down decides what a heap scan decodes: a column is
+// decoded by the first operator that needs it (thinScans).
 func Build(e *Env, n plan.Node) (Iterator, error) {
 	e.ordered = nil
 	if e.workers() > 1 {
 		e.ordered = orderedNodes(n)
 	}
+	e.thin = e.thinScans(n)
 	it, err := buildIn(e, n, nil)
 	if p, ok := it.(*profIter); ok {
 		p.root = true
@@ -109,6 +114,105 @@ func orderedNodes(root plan.Node) map[plan.Node]bool {
 		}
 	})
 	return set
+}
+
+// thinScans derives from the plan alone which heap scans decode late, and
+// which columns each must still decode itself. A scan qualifies when, through
+// nothing but filters, it feeds an operator that copies out the rows it
+// keeps and drops the others having read only a few columns: the probe side
+// of a hash join (the join key) and the root filter's copy-out (the chain's
+// own predicates). What such a scan decodes is what those filters, and that
+// key, read. Every other scan decodes whole rows, as its consumer reads or
+// keeps them whole: a root scan, the input of a TopK, Limit or sort root,
+// both inputs of a nested-loop join, the outer of an index-nested-loop join,
+// a hash join's build side — its table may be shared by an exchange's
+// probes, which must find rows nobody still writes — and both sides of a
+// merge join, which completes its survivors long after the scan, in key
+// order, when neither the row nor its record is in any cache: late decoding
+// measured slower there than decoding at the scan (DESIGN.md §12).
+func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
+	var out map[*plan.SeqScan]*thinScan
+	// feed registers the scan under the filter chain at n for consumer by,
+	// which drops rows on keys (positions in n's columns, which a filter chain
+	// passes on as the scan's).
+	feed := func(by, n plan.Node, keys ...int) {
+		scan, _ := plan.Base(n).(*plan.SeqScan)
+		if scan == nil {
+			return
+		}
+		tab, err := e.Cat.Table(scan.Table)
+		if err != nil || tab.Heap == nil || tab.Codec == nil || len(scan.ColRefs) != len(tab.Columns) {
+			return // newSeqScan reports it
+		}
+		// A thin row is good until its scan's next NextBatch, so every batch
+		// must reach the consumer directly: no exchange, which gathers several
+		// into a message, and no shared source, which hands the next to
+		// another worker, may come between the two. Either the consumer and
+		// the whole chain run in one segment, or none of them heads one.
+		seg := e.segment(by)
+		if e.segment(scan) != seg {
+			return
+		}
+		var buf [4]query.ColRef
+		for f, ok := n.(*plan.Filter); ok; f, ok = f.Input.(*plan.Filter) {
+			refs := f.Pred.Cols(buf[:0])
+			if len(refs) == 0 || e.segment(f) != seg {
+				return // a predicate of no known columns may read any
+			}
+			for _, ref := range refs {
+				keys = append(keys, plan.ColIndex(scan, ref))
+			}
+		}
+		needed := make([]bool, len(scan.ColRefs))
+		for _, k := range keys {
+			if k < 0 || k >= len(needed) {
+				return // compilePred reports it
+			}
+			needed[k] = true
+		}
+		t := &thinScan{codec: tab.Codec, mark: -1}
+		for k, on := range needed {
+			if on {
+				t.need = append(t.need, k)
+			}
+		}
+		if len(t.need) == 0 {
+			return
+		}
+		// The mark is the column left out that lies nearest the first one
+		// decoded, after it if possible: mostly the same cache line.
+		for k := len(needed) - 1; k >= 0; k-- {
+			if !needed[k] && (t.mark < 0 || k > t.need[0]) {
+				t.mark = k
+			}
+		}
+		if t.mark < 0 {
+			return
+		}
+		t.pages = make([][]byte, tab.Heap.NumPages())
+		if out == nil {
+			out = map[*plan.SeqScan]*thinScan{}
+		}
+		out[scan] = t
+	}
+	if f, ok := root.(*plan.Filter); ok {
+		feed(f, f)
+	}
+	plan.Walk(root, func(n plan.Node) {
+		if j, ok := n.(*plan.Join); ok && j.Method == plan.HashJoin {
+			if oi, _, err := joinKeyIdx(j.Primary, j.Outer, j.Inner); err == nil { // else the join's constructor reports it
+				feed(j, j.Outer, oi)
+			}
+		}
+	})
+	return out
+}
+
+// finisherFor returns what completes the rows input n delivers: the
+// thinScan of the heap scan under n's filter chain, if Build found one.
+func (e *Env) finisherFor(n plan.Node) finisher {
+	scan, _ := plan.Base(n).(*plan.SeqScan)
+	return finisher{t: e.thin[scan]}
 }
 
 // buildIn builds n with its output rows carved from rs (nil: fresh slabs):
@@ -177,8 +281,12 @@ func (e *Env) below(rs *slabPool) *slabPool {
 // seqScanIter reads a heap file front to back — as a part of an exchange,
 // its contiguous share of the file's pages. With predicate transfer on,
 // received Bloom filters are probed on the raw record (decoding only the
-// join-key columns) before the full-row decode, so pruned rows cost one
-// partial decode and a probe — never a row allocation.
+// join-key columns) before any decode into a row, so pruned rows cost one
+// partial decode and a probe — never a row allocation. A scan Build marked
+// thin decodes only the columns its rows' fate depends on (thinScan); its
+// consumer takes in each batch before asking for the next, so the rows of a
+// batch — like the page they lie on — are good only until the next call,
+// which the operators Build allows between the two (filters) never outlast.
 type seqScanIter struct {
 	e   *Env
 	tab *catalog.Table
@@ -187,11 +295,22 @@ type seqScanIter struct {
 	part, parts int
 	xchg        *fanIn
 	it          *storage.HeapIter
-	count       int
-	alloc       rowAlloc
-	memo        catalog.DecodeMemo
-	probes      []tableProbe
-	tc          *opCounters
+	// The page being walked: pg pinned, its bytes in src, and the next slot.
+	pg           *storage.Page
+	id           storage.PageID
+	src          []byte
+	slot, nslots int
+	count        int
+	alloc        rowAlloc
+	// cols is what the scan decodes: every column, or a thin scan's need.
+	cols []int
+	thin *thinScan
+	// ring is the one slab a thin scan carves every batch from: by the next
+	// call its rows are dead, emitted or dropped.
+	ring   []expr.Value
+	memo   catalog.DecodeMemo
+	probes []tableProbe
+	tc     *opCounters
 }
 
 func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
@@ -203,6 +322,9 @@ func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
 		return nil, fmt.Errorf("exec: table %s has no storage", s.Table)
 	}
 	it := &seqScanIter{e: e, tab: tab, parts: 1, alloc: rowAlloc{pool: rs}}
+	if rs != nil { // a thin scan's ring is a slab of the rows' pool
+		it.thin = e.thin[s]
+	}
 	if e.prof != nil {
 		it.tc = e.nodeProf(s)
 	}
@@ -216,27 +338,72 @@ func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
 func (s *seqScanIter) Open() error {
 	n := s.tab.Heap.NumPages()
 	s.it = s.e.heap(s.tab).ScanRange(n*s.part/s.parts, n*(s.part+1)/s.parts)
+	s.pg, s.slot, s.nslots, s.ring = nil, 0, 0, nil
+	s.cols = s.tab.Codec.AllCols()
+	if s.thin != nil && n > len(s.thin.pages) {
+		s.thin = nil // the file grew since Build sized pages: these rows are whole
+	}
+	if s.thin != nil {
+		s.cols = s.thin.need
+	}
 	s.probes = s.e.transferProbes(s.tab.Name)
 	return nil
 }
 
-// NextBatch references records in place on the pinned page (no per-record
-// copy) and decodes them straight into slab-carved rows, checking the
-// budget — and for its exchange's shutdown — every 1024 records scanned.
+// NextBatch walks the pinned page's slots (one storage call per page, no
+// per-record copy) and decodes records straight into slab-carved rows,
+// checking the budget — and for its exchange's shutdown — every 1024 records
+// scanned. It is one loop parameterised by the column set: every column, or
+// under thin the needed ones, with the row's place on its page left in the
+// mark slot for whoever keeps the row.
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.it == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
 	}
-	width := len(s.tab.Columns)
+	codec, width := s.tab.Codec, len(s.tab.Columns)
+	if s.thin != nil && width <= slabValues {
+		if s.ring == nil {
+			s.ring = s.alloc.pool.get()
+		}
+		if poisonSlabs {
+			for i := range s.ring {
+				s.ring[i] = poisonValue
+			}
+		}
+		s.alloc.slab = s.ring
+		dst = dst[:min(len(dst), len(s.ring)/width)]
+	}
 	n := 0
 	for n < len(dst) {
-		rec, _, ok, err := s.it.NextRef()
-		if err != nil {
-			return 0, err
+		if s.slot >= s.nslots {
+			if s.thin != nil && s.pg != nil {
+				if n > 0 {
+					break // these rows are emitted from the page: it stays pinned until they are
+				}
+				if poisonSlabs {
+					s.thin.pages[s.id] = nil
+				}
+			}
+			pg, id, ok, err := s.it.NextPage()
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				s.pg, s.slot, s.nslots = nil, 0, 0
+				break
+			}
+			s.pg, s.id, s.src, s.slot, s.nslots = pg, id, pg.Data(), 0, pg.NumSlots()
+			if s.thin != nil {
+				s.thin.pages[id] = s.src
+			}
+			continue
 		}
-		if !ok {
-			break
+		off, length, live := s.pg.Extent(storage.SlotID(s.slot))
+		s.slot++
+		if !live {
+			continue
 		}
+		rec := s.src[off : off+length]
 		s.count++
 		if s.count%1024 == 0 {
 			if err := s.e.checkAbort(); err != nil {
@@ -247,7 +414,7 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			}
 		}
 		if len(s.probes) > 0 {
-			keep, err := s.e.probeRecord(s.tab.Codec, rec, s.probes, s.tc)
+			keep, err := s.e.probeRecord(codec, rec, s.probes, s.tc)
 			if err != nil {
 				return 0, err
 			}
@@ -256,7 +423,15 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			}
 		}
 		row := s.alloc.next(width)
-		if err := s.tab.Codec.DecodeIntoMemo(rec, row, &s.memo); err != nil {
+		if s.thin != nil {
+			if poisonSlabs {
+				for c := range row {
+					row[c] = poisonValue
+				}
+			}
+			row[s.thin.mark] = expr.Value{Kind: thinKind, I: int64(s.id)<<16 | int64(off)}
+		}
+		if err := codec.DecodeCols(rec, row, s.cols, &s.memo); err != nil {
 			return 0, err
 		}
 		dst[n] = row
@@ -290,6 +465,7 @@ type indexScanIter struct {
 	rng    *btree.Iter
 	count  int
 	alloc  rowAlloc
+	spare  expr.Row // carved for a fetch a transfer probe then pruned: the next fetch's row
 	memo   catalog.DecodeMemo
 	probes []tableProbe
 	tc     *opCounters
@@ -356,11 +532,10 @@ func (s *indexScanIter) nextTID() (storage.TID, bool) {
 // under its page pin (HeapFile.View) into slab-carved rows instead of
 // copying record bytes out. Index fetches already paid the random I/O, so
 // received filters are probed on the decoded row; pruning saves the
-// operators above.
+// operators above, and the pruned fetch's row is the next fetch's.
 func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
 	width := len(s.tab.Columns)
-	var row expr.Row
-	decode := func(rec []byte) error { return s.tab.Codec.DecodeIntoMemo(rec, row, &s.memo) }
+	decode := func(rec []byte) error { return s.tab.Codec.DecodeIntoMemo(rec, s.spare, &s.memo) }
 	n := 0
 	for n < len(dst) {
 		tid, ok := s.nextTID()
@@ -373,14 +548,16 @@ func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
 				return 0, err
 			}
 		}
-		row = s.alloc.next(width)
+		if s.spare == nil {
+			s.spare = s.alloc.next(width)
+		}
 		if err := s.heap.View(tid, decode); err != nil {
 			return 0, err
 		}
-		if len(s.probes) > 0 && !s.e.probeRow(row, s.probes, s.tc) {
+		if len(s.probes) > 0 && !s.e.probeRow(s.spare, s.probes, s.tc) {
 			continue
 		}
-		dst[n] = row
+		dst[n], s.spare = s.spare, nil
 		n++
 	}
 	return n, nil
@@ -390,6 +567,7 @@ func (s *indexScanIter) Close() error {
 	s.tids = nil
 	s.rng = nil
 	s.pos = 0
+	s.spare = nil
 	return nil
 }
 
@@ -398,7 +576,8 @@ func (s *indexScanIter) Close() error {
 // predicate is resolved against the input's columns; with profiling on it
 // counts into f's node. A filter making result rows (rs == nil) is the last
 // operator that can drop them, so it reads the query's pool and copies out
-// what it keeps: a chain of filters copies once, at its top.
+// what it keeps — decoding first what a thin scan under the chain left out —
+// so a chain of filters copies once, at its top.
 func compileFilter(e *Env, f *plan.Filter, rs *slabPool) (filterIter, error) {
 	cp, err := compilePred(e, f.Pred, f.Input.Cols())
 	if err != nil {
@@ -407,7 +586,11 @@ func compileFilter(e *Env, f *plan.Filter, rs *slabPool) (filterIter, error) {
 	if e.prof != nil {
 		cp.prof = e.nodeProf(f)
 	}
-	return filterIter{e: e, pred: cp, copies: rs == nil}, nil
+	fi := filterIter{e: e, pred: cp, copies: rs == nil}
+	if fi.copies {
+		fi.fin = e.finisherFor(f)
+	}
+	return fi, nil
 }
 
 // filterIter applies one predicate, dropping rows that fail it.
@@ -416,9 +599,11 @@ type filterIter struct {
 	in    Iterator
 	pred  *compiledPred
 	count int
-	// copies: the input's rows are the query's; the kept ones go to out.
+	// copies: the input's rows are the query's; the kept ones go to out,
+	// through fin: decoded there if a thin scan made them.
 	copies bool
 	out    rowAlloc
+	fin    finisher
 	// input buffer, per-row verdicts, predicate scratch
 	buf  []expr.Row
 	keep []bool
@@ -455,7 +640,10 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 			if f.keep[i] {
 				dst[n] = f.buf[i]
 				if f.copies {
-					dst[n] = f.out.concat(f.buf[i], nil)
+					dst[n] = f.out.next(len(f.buf[i]))
+					if err := f.fin.emit(dst[n], f.buf[i]); err != nil {
+						return 0, err
+					}
 				}
 				n++
 			}

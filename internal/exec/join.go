@@ -243,6 +243,7 @@ type indexNLJoinIter struct {
 	sc           predScratch
 	memo         catalog.DecodeMemo
 	inner        rowAlloc // fetched inner rows: the query's, like a scan's
+	spare        expr.Row // carved for a fetch a residual filter then rejected: the next fetch's row
 	alloc        rowAlloc // output pairs
 }
 
@@ -362,11 +363,12 @@ func (n *indexNLJoinIter) probe(key expr.Value) error {
 		return nil
 	}
 	width := len(n.tab.Columns)
-	var irow expr.Row
-	decode := func(rec []byte) error { return n.tab.Codec.DecodeIntoMemo(rec, irow, &n.memo) }
+	decode := func(rec []byte) error { return n.tab.Codec.DecodeIntoMemo(rec, n.spare, &n.memo) }
 fetch:
 	for _, tid := range n.tree.Probe(key.I) {
-		irow = n.inner.next(width)
+		if n.spare == nil {
+			n.spare = n.inner.next(width)
+		}
 		if err := n.heap.View(tid, decode); err != nil {
 			return err
 		}
@@ -374,7 +376,7 @@ fetch:
 			n.baseRows.Add(1)
 		}
 		for ri, f := range n.residual {
-			pass, err := f.holds(n.e, irow, &n.sc)
+			pass, err := f.holds(n.e, n.spare, &n.sc)
 			if err != nil {
 				return err
 			}
@@ -385,12 +387,15 @@ fetch:
 				n.residualRows[ri].Add(1)
 			}
 		}
-		n.matches = append(n.matches, irow)
+		n.matches, n.spare = append(n.matches, n.spare), nil
 	}
 	return nil
 }
 
-func (n *indexNLJoinIter) Close() error { return n.outer.Close() }
+func (n *indexNLJoinIter) Close() error {
+	n.spare = nil
+	return n.outer.Close()
+}
 
 // hashBuild is the build side of a hash join: the inner input drained into
 // one in-memory joinTable keyed by the join column, once, by whichever
@@ -426,7 +431,7 @@ func newHashBuild(e *Env, j *plan.Join, rs *slabPool) (*hashBuild, error) {
 
 // probe returns a probe of b over outer, its output pairs carved from rs.
 func (b *hashBuild) probe(outer Iterator, rs *slabPool) *hashJoinIter {
-	return &hashJoinIter{e: b.e, outer: outer, build: b, alloc: rowAlloc{pool: rs}}
+	return &hashJoinIter{e: b.e, outer: outer, build: b, alloc: rowAlloc{pool: rs}, fin: b.e.finisherFor(b.node.Outer)}
 }
 
 // open builds the table on the first call; every call returns how that went.
@@ -490,6 +495,7 @@ type hashJoinIter struct {
 	opos  int
 	olen  int
 	alloc rowAlloc
+	fin   finisher // of the outer rows: a thin one is decoded into its first pair
 }
 
 // Open builds the table (or finds it built) before the outer input opens.
@@ -511,7 +517,15 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	n := 0
 	for n < len(dst) {
 		if h.cur >= 0 {
-			dst[n] = h.alloc.concat(h.outRow, t.rows[h.cur])
+			w := len(h.outRow)
+			pair := h.alloc.next(w + len(t.rows[h.cur]))
+			if err := h.fin.emit(pair[:w], h.outRow); err != nil {
+				return 0, err
+			}
+			copy(pair[w:], t.rows[h.cur])
+			// The next match of this outer row copies it from here: whole,
+			// and as warm as memory gets.
+			dst[n], h.outRow = pair, pair[:w:w]
 			h.cur = t.next[h.cur]
 			n++
 			continue
@@ -682,10 +696,6 @@ func (m *mergeJoinIter) seek() (bool, error) {
 		m.gpos = 0
 		// The next outer with the same key must see this group again.
 		m.ii = start
-		// Advance past the group only when the outer key changes; handled by
-		// the reuse branch above. To avoid rescanning forever, remember that
-		// groups are re-found by key comparison: reset ii to start is safe
-		// because the outer only moves forward.
 		if err := m.e.checkAbort(); err != nil {
 			return false, err
 		}

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"predplace/internal/expr"
 )
@@ -148,28 +149,68 @@ type keyPos struct {
 	pos int32
 }
 
+// sortBufPool recycles sortRowsByKey's records and radix scratch.
+var sortBufPool = sync.Pool{New: func() interface{} { return new([]keyPos) }}
+
+// radixMin is the input size below which the records are comparison-sorted:
+// a radix pass costs two sweeps of a 256-entry histogram whatever the size.
+const radixMin = 64
+
 // sortRowsByKey sorts rows by column idx ascending under Value.Compare,
 // keeping rows of equal key in their input order. When every key is an
-// integer it sorts (key, position) records — position as the tie-break is
-// what makes an unstable sort of the records a stable sort of the rows —
+// integer it sorts (key, position) records — by least-significant-digit
+// radix passes over the bytes in which the keys differ from the smallest,
+// each pass stable, so equal keys stay in input order with no tie-break —
 // and then moves each row header once, following the permutation's cycles;
 // otherwise (NULLs, strings, mixed kinds) it stable-sorts the headers with
 // the general comparator.
 func sortRowsByKey(rows []expr.Row, idx int) {
-	recs := make([]keyPos, len(rows))
+	n := len(rows)
+	if n < 2 {
+		return
+	}
+	bufp := sortBufPool.Get().(*[]keyPos)
+	defer sortBufPool.Put(bufp)
+	if cap(*bufp) < 2*n {
+		*bufp = make([]keyPos, 2*n)
+	}
+	recs, scratch := (*bufp)[:n], (*bufp)[n:2*n]
+	// One sweep both fills the records and finds out whether they can be
+	// used: the rows lie all over the query's slabs, and reading a key from
+	// each costs more than the radix passes do.
+	lo, hi := rows[0][idx].I, rows[0][idx].I
 	for i, r := range rows {
 		if r[idx].Kind != expr.TInt {
 			slices.SortStableFunc(rows, func(a, b expr.Row) int { return a[idx].Compare(b[idx]) })
 			return
 		}
-		recs[i] = keyPos{r[idx].I, int32(i)}
+		k := r[idx].I
+		recs[i] = keyPos{k, int32(i)}
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	slices.SortFunc(recs, func(a, b keyPos) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+	if n < radixMin {
+		slices.SortStableFunc(recs, func(a, b keyPos) int { return cmp.Compare(a.key, b.key) })
+	} else {
+		// key - lo as an unsigned number orders as key does and is below
+		// 2^(8·passes): wrap-around makes that hold across the int64 range.
+		span := uint64(hi) - uint64(lo)
+		for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
+			var count [256]int
+			for _, r := range recs {
+				count[(uint64(r.key)-uint64(lo))>>shift&0xFF]++
+			}
+			at := 0
+			for d, c := range count {
+				count[d], at = at, at+c
+			}
+			for _, r := range recs {
+				d := (uint64(r.key) - uint64(lo)) >> shift & 0xFF
+				scratch[count[d]] = r
+				count[d]++
+			}
+			recs, scratch = scratch, recs
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	}
 	// recs[d].pos is now the input position of the row that belongs at d.
 	for i := range recs {
 		if int(recs[i].pos) == i {

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"predplace/internal/expr"
@@ -107,15 +109,19 @@ func TestJoinTableMatchesReference(t *testing.T) {
 }
 
 // checkSortRowsByKey compares sortRowsByKey with a naive stable insertion
-// sort under Value.Compare; the position column makes any reordering of
-// equal keys visible.
+// sort under Value.Compare (past 2000 rows, the library's stable sort); the
+// position column makes any reordering of equal keys visible.
 func checkSortRowsByKey(t *testing.T, name string, keys []expr.Value) {
 	t.Helper()
 	want := keyedRows(keys)
-	for i := 1; i < len(want); i++ {
-		for j := i; j > 0 && want[j][0].Compare(want[j-1][0]) < 0; j-- {
-			want[j], want[j-1] = want[j-1], want[j]
+	if len(want) <= 2000 {
+		for i := 1; i < len(want); i++ {
+			for j := i; j > 0 && want[j][0].Compare(want[j-1][0]) < 0; j-- {
+				want[j], want[j-1] = want[j-1], want[j]
+			}
 		}
+	} else { // quadratic no longer: the library's stable sort under the same order
+		slices.SortStableFunc(want, func(a, b expr.Row) int { return a[0].Compare(b[0]) })
 	}
 	got := keyedRows(keys)
 	sortRowsByKey(got, 0)
@@ -142,6 +148,37 @@ func TestSortRowsByKeyMatchesReference(t *testing.T) {
 		checkSortRowsByKey(t, c.name, c.keys)
 	}
 	rng := rand.New(rand.NewSource(34))
+	// The radix path: sizes either side of radixMin and one well past it, on
+	// key shapes that decide how many byte passes run and what each sees.
+	shapes := []struct {
+		name string
+		key  func(i, n int) int64
+	}{
+		{"negative", func(i, n int) int64 { return -1 - rng.Int63n(1000) }},
+		{"around zero", func(i, n int) int64 { return rng.Int63n(2001) - 1000 }},
+		{"full int64 span", func(i, n int) int64 {
+			switch i % 3 {
+			case 0:
+				return math.MinInt64 + rng.Int63n(3)
+			case 1:
+				return math.MaxInt64 - rng.Int63n(3)
+			}
+			return int64(rng.Uint64())
+		}},
+		{"all equal", func(i, n int) int64 { return 42 }},
+		{"already sorted", func(i, n int) int64 { return int64(i/2) - 17 }},
+		{"reverse sorted", func(i, n int) int64 { return int64((n-i)/2) << 20 }},
+		{"one byte apart in the top byte", func(i, n int) int64 { return rng.Int63n(4) << 56 }},
+	}
+	for _, n := range []int{0, 1, 2, radixMin - 1, radixMin, radixMin + 1, 10000} {
+		for _, sh := range shapes {
+			keys := make([]expr.Value, n)
+			for i := range keys {
+				keys[i] = I(sh.key(i, n))
+			}
+			checkSortRowsByKey(t, fmt.Sprintf("%s n=%d", sh.name, n), keys)
+		}
+	}
 	for trial := 0; trial < 30; trial++ {
 		domain := int64(1 + rng.Intn(300))
 		keys := make([]expr.Value, rng.Intn(2000))

@@ -29,7 +29,8 @@ type compiledPred struct {
 	prof *opCounters
 }
 
-// compilePred resolves p's column references against cols.
+// compilePred resolves p's column references — p.Cols, the one list of them
+// — against cols.
 func compilePred(e *Env, p *query.Predicate, cols []query.ColRef) (*compiledPred, error) {
 	find := func(ref query.ColRef) (int, error) {
 		for i, c := range cols {
@@ -40,31 +41,23 @@ func compilePred(e *Env, p *query.Predicate, cols []query.ColRef) (*compiledPred
 		return -1, fmt.Errorf("exec: column %s not in operator schema %v", ref, cols)
 	}
 	cp := &compiledPred{pred: p, op: p.Op, rightIdx: -1}
+	var buf [4]query.ColRef
+	refs := p.Cols(buf[:0])
+	idx := make([]int, len(refs))
+	for k, ref := range refs {
+		i, err := find(ref)
+		if err != nil {
+			return nil, err
+		}
+		idx[k] = i
+	}
 	switch p.Kind {
 	case query.KindSelCmp:
-		i, err := find(p.Left)
-		if err != nil {
-			return nil, err
-		}
-		cp.leftIdx, cp.constVal = i, p.Value
+		cp.leftIdx, cp.constVal = idx[0], p.Value
 	case query.KindJoinCmp:
-		l, err := find(p.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := find(p.Right)
-		if err != nil {
-			return nil, err
-		}
-		cp.leftIdx, cp.rightIdx = l, r
+		cp.leftIdx, cp.rightIdx = idx[0], idx[1]
 	case query.KindFunc:
-		for _, a := range p.Args {
-			i, err := find(a)
-			if err != nil {
-				return nil, err
-			}
-			cp.argIdx = append(cp.argIdx, i)
-		}
+		cp.argIdx = idx
 		if e.Cache.Enabled() && p.Func.Cacheable {
 			cp.owner = e.Cache.Owner(p.ID, p.Func.Name)
 		}

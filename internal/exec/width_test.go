@@ -68,7 +68,10 @@ func pullSchedule(t *testing.T, what string, env *Env, root plan.Node) *Result {
 // every arenaShape, made a root of its own so that each operator type takes
 // the schedule (the empty dst included) directly, must deliver under the
 // schedule what a straight Run delivers: the same rows (in order when
-// serial), the same charged cost, the same per-node row counts.
+// serial), the same charged cost, the same per-node row counts — at every
+// width the operators below the root run at (what a hash build, a merge
+// join's sides, a TopK fill and an exchange's workers pull with): a thin
+// scan's batches end where its pages do, so no two widths cut alike.
 func TestOperatorsWidthSchedule(t *testing.T) {
 	for _, sh := range arenaShapes(t) {
 		t.Run(sh.name, func(t *testing.T) {
@@ -77,10 +80,11 @@ func TestOperatorsWidthSchedule(t *testing.T) {
 				var subtrees []plan.Node
 				plan.Walk(sh.root(t, caching, transfer), func(n plan.Node) { subtrees = append(subtrees, n) })
 				for i, root := range subtrees {
-					for _, p := range []int{1, 4} {
-						what := fmt.Sprintf("%s subtree %d (%s) transfer=%v caching=%v P=%d", sh.name, i, root.Describe(), transfer, caching, p)
+					for j, bs := range []int{1, 2, 7, 64, 256, 257} {
+						p := []int{1, 4}[(i+j)%2]
+						what := fmt.Sprintf("%s subtree %d (%s) transfer=%v caching=%v P=%d BS=%d", sh.name, i, root.Describe(), transfer, caching, p, bs)
 						env := &Env{Cat: sh.db.Cat, Pool: sh.db.Pool, Cache: pcache.NewManager(caching, 0),
-							Parallelism: p, Transfer: transfer}
+							Parallelism: p, BatchSize: bs, Transfer: transfer}
 						want, err := Run(env, root)
 						if err != nil {
 							t.Fatalf("%s: %v", what, err)

@@ -295,26 +295,41 @@ func TopFilters(n Node) ([]*Filter, Node) {
 	}
 }
 
+// Base returns the base-table scan n is, or is a chain of Filter nodes over
+// — a *SeqScan or an *IndexScan — and nil if the subtree is anything else
+// (e.g. a join). It allocates nothing; BaseTable and BaseTableNodes report
+// what lies along this descent.
+func Base(n Node) Node {
+	for {
+		switch t := n.(type) {
+		case *Filter:
+			n = t.Input
+		case *SeqScan, *IndexScan:
+			return n
+		default:
+			return nil
+		}
+	}
+}
+
 // BaseTable descends through Filter nodes to find the underlying base-table
 // scan; ok is false if the subtree is not a filtered base scan (e.g. a join).
 // The index-nested-loop executor uses this to drive probes on the inner.
 func BaseTable(n Node) (table string, filters []*query.Predicate, ok bool) {
-	for {
-		switch t := n.(type) {
-		case *Filter:
-			filters = append(filters, t.Pred)
-			n = t.Input
-		case *SeqScan:
-			return t.Table, filters, true
-		case *IndexScan:
-			if t.Matched != nil {
-				filters = append(filters, t.Matched)
-			}
-			return t.Table, filters, true
-		default:
-			return "", nil, false
-		}
+	base := Base(n)
+	if base == nil {
+		return "", nil, false
 	}
+	for f, more := n.(*Filter); more; f, more = f.Input.(*Filter) {
+		filters = append(filters, f.Pred)
+	}
+	if ix, indexed := base.(*IndexScan); indexed {
+		if ix.Matched != nil {
+			filters = append(filters, ix.Matched)
+		}
+		return ix.Table, filters, true
+	}
+	return base.(*SeqScan).Table, filters, true
 }
 
 // BaseTableNodes descends exactly like BaseTable but reports plan nodes: the
@@ -324,22 +339,16 @@ func BaseTable(n Node) (table string, filters []*query.Predicate, ok bool) {
 // attribute an index-nested-loop's probe-driven inner chain — whose nodes
 // are never built as iterators — back to the plan tree.
 func BaseTableNodes(n Node) (base Node, predNodes []Node, ok bool) {
-	for {
-		switch t := n.(type) {
-		case *Filter:
-			predNodes = append(predNodes, t)
-			n = t.Input
-		case *SeqScan:
-			return t, predNodes, true
-		case *IndexScan:
-			if t.Matched != nil {
-				predNodes = append(predNodes, t)
-			}
-			return t, predNodes, true
-		default:
-			return nil, nil, false
-		}
+	if base = Base(n); base == nil {
+		return nil, nil, false
 	}
+	for f, more := n.(*Filter); more; f, more = f.Input.(*Filter) {
+		predNodes = append(predNodes, f)
+	}
+	if ix, indexed := base.(*IndexScan); indexed && ix.Matched != nil {
+		predNodes = append(predNodes, ix)
+	}
+	return base, predNodes, true
 }
 
 // Walk visits every node of the subtree pre-order (parents before children,

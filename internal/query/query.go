@@ -92,6 +92,24 @@ func (p *Predicate) CoveredBy(set map[string]bool) bool {
 	return true
 }
 
+// Cols appends to dst the columns the predicate reads of its input row —
+// Left, then Right, of a comparison; the Args of a function — and returns
+// the extended slice; for an unknown kind, dst as it came. It is the one
+// statement of what a predicate needs: the executor resolves these to row
+// positions (compilePred) and a scan that decodes late decodes these ahead
+// of it (thinScans).
+func (p *Predicate) Cols(dst []ColRef) []ColRef {
+	switch p.Kind {
+	case KindSelCmp:
+		return append(dst, p.Left)
+	case KindJoinCmp:
+		return append(dst, p.Left, p.Right)
+	case KindFunc:
+		return append(dst, p.Args...)
+	}
+	return dst
+}
+
 // String renders the predicate as SQL-ish text.
 func (p *Predicate) String() string {
 	switch p.Kind {

@@ -182,24 +182,14 @@ func (it *HeapIter) Next() (rec []byte, tid TID, ok bool, err error) {
 
 // NextRef returns the next live record without copying: the returned slice
 // aliases the iterator's pinned page and is valid only until the next
-// NextRef/Next/Close call. Batched scans decode straight from page memory
-// through it, skipping the per-record copy Next performs.
+// NextRef/Next/NextPage/Close call. Batched scans decode straight from page
+// memory through it, skipping the per-record copy Next performs.
 func (it *HeapIter) NextRef() (rec []byte, tid TID, ok bool, err error) {
-	if it.done {
-		return nil, TID{}, false, nil
-	}
 	for {
 		if it.cur == nil {
-			if int(it.page) >= it.n {
-				it.done = true
-				return nil, TID{}, false, nil
+			if _, _, ok, err := it.NextPage(); !ok {
+				return nil, TID{}, false, err
 			}
-			pg, ferr := it.h.fetch(it.page)
-			if ferr != nil {
-				it.done = true
-				return nil, TID{}, false, ferr
-			}
-			it.cur, it.curPage, it.slot = pg, it.page, 0
 		}
 		for int(it.slot) < it.cur.NumSlots() {
 			rec, live := it.cur.Get(it.slot)
@@ -209,6 +199,32 @@ func (it *HeapIter) NextRef() (rec []byte, tid TID, ok bool, err error) {
 				return rec, TID{Page: it.curPage, Slot: s}, true, nil
 			}
 		}
+		it.release()
+	}
+}
+
+// NextPage pins the scan's next page and returns it, unpinning the one
+// before (whatever NextRef had left of it unread is skipped): the scan loop
+// that walks a page's slots itself pays one call per page, not one per
+// record. The page is valid only until the next NextPage/NextRef/Close
+// call; ok=false means the scan is exhausted or the fetch failed.
+func (it *HeapIter) NextPage() (pg *Page, id PageID, ok bool, err error) {
+	it.release()
+	if it.done || int(it.page) >= it.n {
+		it.done = true
+		return nil, 0, false, nil
+	}
+	if pg, err = it.h.fetch(it.page); err != nil {
+		it.done = true
+		return nil, 0, false, err
+	}
+	it.cur, it.curPage, it.slot = pg, it.page, 0
+	return pg, it.page, true, nil
+}
+
+// release unpins the current page, if any, and steps past it.
+func (it *HeapIter) release() {
+	if it.cur != nil {
 		it.h.unpin(it.curPage, false)
 		it.cur = nil
 		it.page++
@@ -217,10 +233,7 @@ func (it *HeapIter) NextRef() (rec []byte, tid TID, ok bool, err error) {
 
 // Close releases the iterator's pinned page, if any.
 func (it *HeapIter) Close() {
-	if it.cur != nil {
-		it.h.unpin(it.curPage, false)
-		it.cur = nil
-	}
+	it.release()
 	it.done = true
 }
 

@@ -240,3 +240,90 @@ func TestHeapIterCloseMidway(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHeapIterNextPage: walking each page's slots through NextPage and
+// Extent — over a copy of the page's bytes, as a scan that outlives the pin
+// does — visits the records NextRef visits, dead slots skipped, with the
+// same page reads in the same order and one page pinned at a time; and the
+// two interleave: NextRef after NextPage walks that page from its first
+// slot, NextPage after NextRef leaves the rest of the page unread.
+func TestHeapIterNextPage(t *testing.T) {
+	d, bp := newTestPool(2)
+	h := NewHeapFile(bp)
+	var tids []TID
+	for i := 0; i < 400; i++ {
+		tid, err := h.Insert([]byte(fmt.Sprintf("%06d-padpadpadpadpadpadpadpadpadpadpadpadpadpadpadpad", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids = append(tids, tid)
+	}
+	for i := 0; i < len(tids); i += 7 {
+		if err := h.Delete(tids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bp.EvictUnpinned(); err != nil {
+		t.Fatal(err)
+	}
+	reads := func(walk func(emit func(rec []byte, tid TID))) (recs []string, ios IOStats) {
+		before := d.Accountant().Stats()
+		walk(func(rec []byte, tid TID) { recs = append(recs, fmt.Sprint(tid, string(rec))) })
+		after := d.Accountant().Stats()
+		if err := bp.EvictUnpinned(); err != nil { // also: nothing is left pinned
+			t.Fatal(err)
+		}
+		return recs, IOStats{SeqReads: after.SeqReads - before.SeqReads, RandReads: after.RandReads - before.RandReads}
+	}
+	byRef, refIO := reads(func(emit func([]byte, TID)) {
+		it := h.Scan()
+		defer it.Close()
+		for {
+			rec, tid, ok, err := it.NextRef()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return
+			}
+			emit(rec, tid)
+		}
+	})
+	byPage, pageIO := reads(func(emit func([]byte, TID)) {
+		it := h.Scan()
+		defer it.Close()
+		var kept []byte
+		for {
+			pg, id, ok, err := it.NextPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return
+			}
+			kept = append(kept[:0], pg.Data()...)
+			for s := 0; s < pg.NumSlots(); s++ {
+				if off, n, live := pg.Extent(SlotID(s)); live {
+					emit(kept[off:off+n], TID{Page: id, Slot: SlotID(s)})
+				}
+			}
+		}
+	})
+	if len(byRef) != len(tids)-(len(tids)+6)/7 || fmt.Sprint(byPage) != fmt.Sprint(byRef) {
+		t.Fatalf("NextPage walk saw %d records, NextRef %d of %d live", len(byPage), len(byRef), len(tids)-(len(tids)+6)/7)
+	}
+	if pageIO != refIO || refIO.SeqReads+refIO.RandReads != int64(h.NumPages()) {
+		t.Fatalf("NextPage walk read %+v, NextRef %+v, the file has %d pages", pageIO, refIO, h.NumPages())
+	}
+	it := h.Scan()
+	defer it.Close()
+	if _, _, ok, err := it.NextRef(); !ok || err != nil { // page 0, slot 0 is dead: this is slot 1
+		t.Fatal(ok, err)
+	}
+	if _, id, ok, err := it.NextPage(); !ok || err != nil || id != 1 {
+		t.Fatalf("NextPage after NextRef on page 0: page %d, %v, %v", id, ok, err)
+	}
+	if _, tid, ok, err := it.NextRef(); !ok || err != nil || tid.Page != 1 || tid.Slot > 1 {
+		t.Fatalf("NextRef after NextPage: %v, %v, %v; want the first live record of page 1", tid, ok, err)
+	}
+}

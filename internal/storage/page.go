@@ -111,14 +111,22 @@ func (p *Page) Insert(rec []byte) (SlotID, error) {
 // out of range or dead. The returned slice aliases page memory and must not
 // be retained across page eviction; callers copy when needed.
 func (p *Page) Get(i SlotID) ([]byte, bool) {
-	if int(i) >= int(p.numSlots()) {
-		return nil, false
-	}
-	off, length := p.slot(i)
-	if length == 0 {
+	off, length, ok := p.Extent(i)
+	if !ok {
 		return nil, false
 	}
 	return p.data[off : off+length], true
+}
+
+// Extent returns where in Data the record of slot i lies, or ok=false if
+// the slot is out of range or dead: what a reader of a copy of the page
+// needs to find the record Get would return.
+func (p *Page) Extent(i SlotID) (off, length int, ok bool) {
+	if int(i) >= int(p.numSlots()) {
+		return 0, 0, false
+	}
+	o, l := p.slot(i)
+	return int(o), int(l), l != 0
 }
 
 // Delete marks slot i dead. Space is not reclaimed (no compaction); the
