@@ -49,10 +49,12 @@ echo "==> decode gate (who decodes late, thin rows never read unfinished, the co
 # row is kept (the poison makes it a sentinel in the result), a
 # fetched-then-rejected row that keeps its slot, a radix sort that reorders
 # equal keys, or a decode entry point that indexes past a short record fails
-# under this heading. The fuzz smoke is
-# bounded; a crasher it finds is written under internal/catalog/testdata/fuzz
-# and becomes a committed seed.
-go test -race -count=1 -run '^(TestArenaMatrix|TestThinScanStaysInItsSegment|TestRejectedFetchCarvesNothing|TestSortRowsByKeyMatchesReference)$' ./internal/exec
+# under this heading, and so does a nested loop whose in-place primary, thin
+# rescanned inner or once-made survivor pair changes its rows, charged cost,
+# invocations or cache counts at any width or worker count (TestNLJoinMatrix).
+# The fuzz smoke is bounded; a crasher it finds is written under
+# internal/catalog/testdata/fuzz and becomes a committed seed.
+go test -race -count=1 -run '^(TestArenaMatrix|TestThinScanStaysInItsSegment|TestRejectedFetchCarvesNothing|TestSortRowsByKeyMatchesReference|TestNLJoinMatrix)$' ./internal/exec
 go test -count=1 -run '^(FuzzRowCodec|TestDecode.*)$' ./internal/catalog
 go test -run '^$' -fuzz '^FuzzRowCodec$' -fuzztime 10s ./internal/catalog
 
@@ -110,7 +112,7 @@ echo "==> benchmark module (cd bench && go vet . && go test .)"
 # internal/ packages directly; a signature change there must fail this gate.
 (cd bench && go vet . && go test .)
 
-echo "==> bench smoke (go test -bench 'Fig3|RequestPath|MergeJoinSort' -benchtime 1x)"
-go test -run '^$' -bench 'Fig3|RequestPath|MergeJoinSort' -benchtime 1x . ./internal/exec
+echo "==> bench smoke (go test -bench 'Fig3|RequestPath|MergeJoinSort|NLJoinRescan' -benchtime 1x)"
+go test -run '^$' -bench 'Fig3|RequestPath|MergeJoinSort|NLJoinRescan' -benchtime 1x . ./internal/exec
 
 echo "OK"

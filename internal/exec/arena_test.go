@@ -45,8 +45,14 @@ func noPoison(t *testing.T, what string, rows []expr.Row) {
 // equiJoin is outer ⋈ inner on one column of each, by the given method.
 func equiJoin(t *testing.T, cat *catalog.Catalog, m plan.JoinMethod, outer, inner plan.Node, l, r query.ColRef) *plan.Join {
 	t.Helper()
+	return joinOn(t, cat, m, outer, inner, l, expr.OpEQ, r)
+}
+
+// joinOn is outer ⋈ inner on l op r, by the given method.
+func joinOn(t *testing.T, cat *catalog.Catalog, m plan.JoinMethod, outer, inner plan.Node, l query.ColRef, op expr.CmpOp, r query.ColRef) *plan.Join {
+	t.Helper()
 	q, err := query.NewQuery([]string{l.Table, r.Table}, []*query.Predicate{
-		{Kind: query.KindJoinCmp, Op: expr.OpEQ, Left: l, Right: r}})
+		{Kind: query.KindJoinCmp, Op: op, Left: l, Right: r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +110,12 @@ func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int
 // rows, an index nested loop at the root, inside a nested-loop inner subtree
 // (its pairs die at the parent's rescan) and under a hash-join build — and
 // with them who decodes late: one shape per consumer of thin rows (a hash
-// join's probe side — in its exchange, and kept serial under a Limit — and
-// the filter chain under a root filter) and per consumer that must find
-// whole rows (a root scan, a TopK, Limit or sort root, a nested loop's two
-// inputs, an index nested loop's outer, a hash join's build side, both sides
-// of a merge join).
+// join's probe side — in its exchange, and kept serial under a Limit — a
+// nested loop's rescanned inner under an equality and a cheap theta
+// primary, and the filter chain under a root filter) and per consumer that
+// must find whole rows (a root scan, a TopK, Limit or sort root, a nested
+// loop's outer, a cross product's inner, an index nested loop's outer, a
+// hash join's build side, both sides of a merge join).
 func arenaShapes(t *testing.T) []arenaShape {
 	db := figuresDB(t, 0.02)
 	small := figuresDB(t, 0.005) // Query 5's nested loop is quadratic in the scale
@@ -164,7 +171,7 @@ func arenaShapes(t *testing.T) []arenaShape {
 	for _, m := range []struct {
 		method plan.JoinMethod
 		thin   string
-	}{{plan.HashJoin, "t2:a1"}, {plan.MergeJoin, ""}, {plan.NestLoop, ""}} {
+	}{{plan.HashJoin, "t2:a1"}, {plan.MergeJoin, ""}, {plan.NestLoop, "t3:a1"}} {
 		outer := over(scan("t2"), lt(col("t2", "a1"), 60))
 		hand("filter-"+m.method.String(), over(equiJoin(t, db.Cat, m.method, outer, scan("t3"), col("t2", "a1"), col("t3", "a1")),
 			lt(col("t3", "a10"), 16)), m.thin)
@@ -184,6 +191,20 @@ func arenaShapes(t *testing.T) []arenaShape {
 	hand("sort-filter", &plan.TopK{Input: t6(), K: -1, Key: col("t6", "ua1")}, "")
 	hand("indexnl", indexNL(), "")
 	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")), "")
+	// A nested loop's rescanned inner decodes late on what its primary reads
+	// of it, and what the inner's filter chain reads; the outer stays whole.
+	// Through a join it does not reach (the hash join's probe side decodes
+	// late for that join, as anywhere), and a cross product, whose every pair
+	// survives, keeps its inner whole.
+	hand("nl-inner-filters", equiJoin(t, db.Cat, plan.NestLoop, few,
+		over(over(scan("t3"), lt(col("t3", "u10"), 50)), lt(col("t3", "ua1"), 500)), col("t2", "a1"), col("t3", "a1")), "t3:a1,ua1,u10")
+	hand("nl-inner-hashjoin", equiJoin(t, db.Cat, plan.NestLoop, few,
+		equiJoin(t, db.Cat, plan.HashJoin, scan("t3"), over(scan("t1"), lt(col("t1", "ua1"), 100)), col("t3", "a1"), col("t1", "a1")),
+		col("t2", "a10"), col("t3", "a10")), "t3:a1")
+	hand("nl-cheap-cmp", joinOn(t, db.Cat, plan.NestLoop, few, scan("t3"), col("t2", "ua1"), expr.OpGT, col("t3", "ua1")), "t3:ua1")
+	cross := &plan.Join{Method: plan.NestLoop, Outer: few, Inner: over(scan("t3"), lt(col("t3", "u10"), 5))}
+	cross.ColRefs = plan.ConcatCols(cross.Outer, cross.Inner)
+	hand("nl-cross", cross, "")
 	hand("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")), "t2:ua1")
 	return shapes
 }

@@ -105,8 +105,9 @@ type Env struct {
 	tracker *storage.IOTracker
 	// funcCalls counts this query's UDF invocations per function — the state
 	// that used to live (shared, racy across sessions) on the catalog's
-	// FuncDef objects. Guarded by funcMu; per-function counters are atomics
-	// so parallel workers bump them without re-entering the map lock.
+	// FuncDef objects. Guarded by funcMu; per-function counters are atomics,
+	// each resolved once per compiled predicate, so an invocation takes no
+	// lock and no map lookup.
 	funcMu    sync.Mutex
 	funcCalls map[*expr.FuncDef]*atomic.Int64
 	// syntheticIO accumulates bulk synthetic charges (external-sort spill);
@@ -225,12 +226,13 @@ func (e *Env) ioStats() storage.IOStats {
 	return e.trk().Stats()
 }
 
-// invoke evaluates f on args, counting the invocation in the query's own
-// counters (never the catalog's shared FuncDef state) and routing any real
-// I/O the function performs — subquery predicates reading pages — into the
-// query's private tracker.
-func (e *Env) invoke(f *expr.FuncDef, args []expr.Value) (expr.Value, error) {
-	e.funcCount(f).Add(1)
+// invoke evaluates f on args, counting the invocation in calls — the
+// query's own counter for f (funcCount, resolved by compilePred), never the
+// catalog's shared FuncDef state — and routing any real I/O the function
+// performs — subquery predicates reading pages — into the query's private
+// tracker.
+func (e *Env) invoke(f *expr.FuncDef, calls *atomic.Int64, args []expr.Value) (expr.Value, error) {
+	calls.Add(1)
 	if f.EvalIO != nil {
 		return f.EvalIO(e.tracker, args)
 	}

@@ -72,14 +72,17 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 }
 
 // orderedNodes returns the nodes of root that must be built from serial
-// operators because a consumer relies on the order they deliver — an
-// exchange does not keep its segment's order. Those are
-// the whole plan under a Limit root — which rows the limit keeps, and what
-// the ones it cuts off would have charged, must not depend on the worker
-// count — and the chain under each merge-join side the plan marks as
-// arriving sorted: through filters and along the outer side of hash and
-// nested-loop joins (which pass the outer's order on), down to the index
-// scan or merge join that makes the order.
+// operators, for one of two reasons. A consumer relies on the order they
+// deliver — an exchange does not keep its segment's order: the whole plan
+// under a Limit root — which rows the limit keeps, and what the ones it
+// cuts off would have charged, must not depend on the worker count — and
+// the chain under each merge-join side the plan marks as arriving sorted:
+// through filters and along the outer side of hash and nested-loop joins
+// (which pass the outer's order on), down to the index scan or merge join
+// that makes the order. Or they are a nested loop's whole inner subtree,
+// rebuilt per outer row: an exchange in it would start its workers per
+// outer row, and built serial its scan decodes late for the join
+// (thinScans) alike at every worker count.
 func orderedNodes(root plan.Node) map[plan.Node]bool {
 	set := map[plan.Node]bool{}
 	mark := func(n plan.Node) {
@@ -98,18 +101,23 @@ func orderedNodes(root plan.Node) map[plan.Node]bool {
 			}
 		}
 	}
+	all := func(n plan.Node) { plan.Walk(n, func(n plan.Node) { set[n] = true }) }
 	plan.Walk(root, func(n plan.Node) {
 		switch t := n.(type) {
 		case *plan.Limit:
-			plan.Walk(t.Input, func(n plan.Node) { set[n] = true })
+			all(t.Input)
 		case *plan.Join:
-			if t.Method == plan.MergeJoin {
+			switch t.Method {
+			case plan.MergeJoin:
 				if !t.SortOuter {
 					mark(t.Outer)
 				}
 				if !t.SortInner {
 					mark(t.Inner)
 				}
+			case plan.NestLoop:
+				all(t.Inner)
+			case plan.HashJoin, plan.IndexNestLoop: // pass on what is asked of their outer
 			}
 		}
 	})
@@ -120,16 +128,18 @@ func orderedNodes(root plan.Node) map[plan.Node]bool {
 // which columns each must still decode itself. A scan qualifies when, through
 // nothing but filters, it feeds an operator that copies out the rows it
 // keeps and drops the others having read only a few columns: the probe side
-// of a hash join (the join key) and the root filter's copy-out (the chain's
+// of a hash join (the join key), the inner of a nested loop with a primary
+// (the primary's inner columns) and the root filter's copy-out (the chain's
 // own predicates). What such a scan decodes is what those filters, and that
 // key, read. Every other scan decodes whole rows, as its consumer reads or
 // keeps them whole: a root scan, the input of a TopK, Limit or sort root,
-// both inputs of a nested-loop join, the outer of an index-nested-loop join,
-// a hash join's build side — its table may be shared by an exchange's
-// probes, which must find rows nobody still writes — and both sides of a
-// merge join, which completes its survivors long after the scan, in key
-// order, when neither the row nor its record is in any cache: late decoding
-// measured slower there than decoding at the scan (DESIGN.md §12).
+// the outer of a nested-loop or index-nested-loop join, a cross product's
+// inner — every pair survives — a hash join's build side — its table may be
+// shared by an exchange's probes, which must find rows nobody still writes —
+// and both sides of a merge join, which completes its survivors long after
+// the scan, in key order, when neither the row nor its record is in any
+// cache: late decoding measured slower there than decoding at the scan
+// (DESIGN.md §12).
 func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 	var out map[*plan.SeqScan]*thinScan
 	// feed registers the scan under the filter chain at n for consumer by,
@@ -199,10 +209,28 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 		feed(f, f)
 	}
 	plan.Walk(root, func(n plan.Node) {
-		if j, ok := n.(*plan.Join); ok && j.Method == plan.HashJoin {
+		j, ok := n.(*plan.Join)
+		if !ok {
+			return
+		}
+		switch j.Method {
+		case plan.HashJoin:
 			if oi, _, err := joinKeyIdx(j.Primary, j.Outer, j.Inner); err == nil { // else the join's constructor reports it
 				feed(j, j.Outer, oi)
 			}
+		case plan.NestLoop:
+			if j.Primary == nil {
+				return
+			}
+			var buf [4]query.ColRef
+			var keys []int
+			for _, ref := range j.Primary.Cols(buf[:0]) {
+				if k := plan.ColIndex(j.Inner, ref); k >= 0 {
+					keys = append(keys, k)
+				}
+			}
+			feed(j, j.Inner, keys...)
+		case plan.MergeJoin, plan.IndexNestLoop: // their inputs decode whole
 		}
 	})
 	return out
@@ -363,10 +391,13 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	codec, width := s.tab.Codec, len(s.tab.Columns)
 	if s.thin != nil && width <= slabValues {
 		if s.ring == nil {
-			s.ring = s.alloc.pool.get()
+			s.ring, s.alloc.slab = s.alloc.pool.get(), nil
 		}
 		if poisonSlabs {
-			for i := range s.ring {
+			// Only what the last batch carved (all of a new ring) died: a
+			// nested loop's inner, rescanned per outer row and pulled a row at
+			// a time, would otherwise poison a whole slab per row.
+			for i := range s.ring[:len(s.ring)-len(s.alloc.slab)] {
 				s.ring[i] = poisonValue
 			}
 		}
@@ -632,7 +663,7 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 		if m == 0 {
 			return 0, nil
 		}
-		if err := f.pred.holdsBatch(f.e, f.buf[:m], f.keep[:m], &f.count, &f.sc); err != nil {
+		if err := f.pred.holdsBatch(f.e, nil, f.buf[:m], f.keep[:m], &f.count, &f.sc); err != nil {
 			return 0, err
 		}
 		n := 0

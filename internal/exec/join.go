@@ -43,12 +43,16 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 // physically re-read through the buffer pool) once per outer tuple, exactly
 // the access pattern the paper's |S|-pages-per-outer-tuple cost term models.
 // The primary join predicate — which may be an expensive function over both
-// sides (Query 5) — is evaluated per pair. The outer side is pulled one row
-// at a time (next): its page accesses interleave with the inner's.
+// sides (Query 5) — is evaluated per pair, in place: over the outer row and
+// a batch of inner rows, the pairs themselves never made (holdsBatch). The
+// outer side is pulled one row at a time (next): its page accesses
+// interleave with the inner's.
 //
 // Inner rows are valid only until the next rescan (the join's own slabPool,
-// rewound there and released at Close); NextBatch copies every pair it
-// keeps, so the join's output lives as long as its own rowAlloc says.
+// rewound there and released at Close), and those of a thin inner scan only
+// until its next batch; NextBatch makes each pair it keeps once, straight
+// into its output — completing the inner half through fin — before it pulls
+// more, so the join's output lives as long as its own rowAlloc says.
 type nlJoinIter struct {
 	e        *Env
 	node     *plan.Join
@@ -58,15 +62,13 @@ type nlJoinIter struct {
 	outerRow expr.Row
 	haveOut  bool
 	count    int
-	// candidate-pair scratch (reused — survivors are copied to slab rows),
 	// inner batch buffer, verdicts, predicate scratch
-	pairBuf []expr.Value
-	pairs   []expr.Row
-	ibuf    []expr.Row
-	keep    []bool
-	sc      predScratch
-	alloc   rowAlloc
-	rescan  slabPool
+	ibuf   []expr.Row
+	keep   []bool
+	sc     predScratch
+	alloc  rowAlloc
+	fin    finisher // of the inner rows: a thin one is decoded into its pair
+	rescan slabPool
 }
 
 func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
@@ -74,7 +76,7 @@ func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &nlJoinIter{e: e, node: j, outer: outer, alloc: rowAlloc{pool: rs}}
+	it := &nlJoinIter{e: e, node: j, outer: outer, alloc: rowAlloc{pool: rs}, fin: e.finisherFor(j.Inner)}
 	if j.Primary != nil {
 		cp, err := compilePred(e, j.Primary, joinCols(j))
 		if err != nil {
@@ -113,95 +115,77 @@ func (n *nlJoinIter) rescanInner() error {
 	return inner.Open()
 }
 
-// NextBatch assembles candidate pairs in a reusable scratch block, evaluates
-// the primary over the whole block (batched cache traffic included), and
-// materializes only the survivors into slab rows — most pairs fail, and a
-// failed pair costs no row. It pulls no more inner rows than the pairs it
-// still owes, so an operator above that must not read ahead (next) sees none
-// here either. The budget is checked every 64 pairs.
+// NextBatch evaluates the primary over the current outer row and a batch of
+// inner rows (batched cache traffic included) and makes a pair only for a
+// survivor, once, straight into dst — most pairs fail, and a failed pair
+// costs neither a row nor a copy. Each inner batch is taken in whole before
+// the next is pulled, and no more inner rows are pulled than the pairs still
+// owed, so an operator above that must not read ahead (next) sees none here
+// either. The budget is checked every 64 pairs.
 func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	k := len(dst)
-	if k == 0 {
-		return 0, nil
-	}
-	w := len(n.node.Outer.Cols()) + len(n.node.Inner.Cols())
-	if len(n.pairs) < k {
-		n.pairBuf = make([]expr.Value, k*w)
-		n.pairs = make([]expr.Row, k)
-		for i := range n.pairs {
-			n.pairs[i] = expr.Row(n.pairBuf[i*w : (i+1)*w : (i+1)*w])
-		}
+	if len(n.ibuf) < k {
 		n.ibuf = make([]expr.Row, k)
 		n.keep = make([]bool, k)
 	}
-	for {
-		// Gather up to k candidate pairs into the scratch block.
-		cand := 0
-		for cand < k {
-			if !n.haveOut {
-				row, ok, err := next(n.outer)
-				if err != nil {
-					return 0, err
-				}
-				if !ok {
-					break
-				}
-				n.outerRow = row
-				n.haveOut = true
-				if err := n.rescanInner(); err != nil {
-					return 0, err
-				}
-			}
-			m, err := n.inner.NextBatch(n.ibuf[:k-cand])
+	out := 0
+	for out < k {
+		if !n.haveOut {
+			row, ok, err := next(n.outer)
 			if err != nil {
 				return 0, err
 			}
-			if m == 0 {
-				n.haveOut = false
-				continue
+			if !ok {
+				break
 			}
-			for _, irow := range n.ibuf[:m] {
-				n.count++
-				if n.count%64 == 0 {
-					if err := n.e.checkAbort(); err != nil {
-						return 0, err
-					}
-				}
-				pair := n.pairs[cand]
-				copy(pair, n.outerRow)
-				copy(pair[len(n.outerRow):], irow)
-				cand++
+			n.outerRow, n.haveOut = row, true
+			if err := n.rescanInner(); err != nil {
+				return 0, err
 			}
 		}
-		if cand == 0 {
-			return 0, nil
+		m, err := n.inner.NextBatch(n.ibuf[:k-out])
+		if err != nil {
+			return 0, err
 		}
-		keep := n.keep[:cand]
+		if m == 0 {
+			n.haveOut = false
+			continue
+		}
+		if before := n.count; (before+m)/64 != before/64 {
+			if err := n.e.checkAbort(); err != nil {
+				return 0, err
+			}
+		}
+		n.count += m
+		inner, keep := n.ibuf[:m], n.keep[:m]
 		if n.primary == nil {
 			for i := range keep {
 				keep[i] = true
 			}
 		} else {
-			// The gather loop above already ran the join's every-64-pairs
-			// budget cadence; holdsBatch's own ticking on this throwaway
-			// counter only adds extra (harmless) abort checks.
+			// The join keeps its every-64-pairs budget cadence above;
+			// holdsBatch's own ticking on this throwaway counter only adds
+			// extra (harmless) abort checks.
 			tick := 0
-			if err := n.primary.holdsBatch(n.e, n.pairs[:cand], keep, &tick, &n.sc); err != nil {
+			if err := n.primary.holdsBatch(n.e, n.outerRow, inner, keep, &tick, &n.sc); err != nil {
 				return 0, err
 			}
 		}
-		out := 0
-		for i, pass := range keep {
-			if pass {
-				dst[out] = n.alloc.next(w)
-				copy(dst[out], n.pairs[i])
-				out++
+		w := len(n.outerRow)
+		for i, irow := range inner {
+			if !keep[i] {
+				continue
 			}
-		}
-		if out > 0 {
-			return out, nil
+			pair := n.alloc.next(w + len(irow))
+			copy(pair, n.outerRow)
+			if err := n.fin.emit(pair[w:], irow); err != nil {
+				return 0, err
+			}
+			dst[out] = pair
+			out++
 		}
 	}
+	return out, nil
 }
 
 func (n *nlJoinIter) Close() error {

@@ -61,10 +61,11 @@ func (s *snapshotIter) NextBatch(dst []expr.Row) (int, error) {
 }
 
 // TestNLJoinMatrix runs a nested loop with an expensive primary over every
-// shape of rescanned inner subtree, across the executor grid, with caching
-// on and off. Every configuration must reproduce the width-1 serial
-// run: the same rows (in the same order when serial), the same charged
-// cost, the same invocation and cache counts.
+// shape of rescanned inner subtree — a scan and a filter chain over one
+// decoding late for the primary — and with a cheap theta primary, across the
+// executor grid, with caching on and off. Every configuration must reproduce
+// the width-1 serial run: the same rows (in the same order when serial), the
+// same charged cost, the same invocation and cache counts.
 func TestNLJoinMatrix(t *testing.T) {
 	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1, 2, 3}})
 	if err != nil {
@@ -82,6 +83,7 @@ func TestNLJoinMatrix(t *testing.T) {
 		below("t1", 30), below("t2", 300), below("t2", 200), below("t3", 2),
 		{Kind: query.KindJoinCmp, Op: expr.OpEQ, Left: col("t2", "ua1"), Right: col("t3", "ua1")},
 		{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t1", "u10"), col("t2", "u10")}},
+		{Kind: query.KindJoinCmp, Op: expr.OpGT, Left: col("t1", "ua1"), Right: col("t2", "ua1")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,20 +96,31 @@ func TestNLJoinMatrix(t *testing.T) {
 			ExpensivePrimary: primary != nil && primary.IsExpensive(),
 			SortOuter:        true, SortInner: true, ColRefs: plan.ConcatCols(outer, inner)}
 	}
+	// thin is what decodes late (thinSummary): the inner scan, on the
+	// primary's inner columns and its filter chain's, or a hash join's probe.
 	inners := []struct {
-		name string
-		node plan.Node
+		name    string
+		node    plan.Node
+		primary *query.Predicate
+		thin    string
 	}{
-		{"scan", scan("t2")},
-		{"filter", filter(scan("t2"), q.Preds[1])},
-		{"hashjoin", join(plan.HashJoin, scan("t2"), scan("t3"), q.Preds[4])},
-		{"mergejoin", join(plan.MergeJoin, scan("t2"), scan("t3"), q.Preds[4])},
+		{"scan", scan("t2"), q.Preds[5], "t2:u10"},
+		{"filter", filter(scan("t2"), q.Preds[1]), q.Preds[5], "t2:ua1,u10"},
+		{"thin-inner", filter(filter(scan("t2"), q.Preds[1]), q.Preds[2]), q.Preds[5], "t2:ua1,u10"},
+		{"cheap-primary", filter(scan("t2"), q.Preds[1]), q.Preds[6], "t2:ua1"},
+		{"hashjoin", join(plan.HashJoin, scan("t2"), scan("t3"), q.Preds[4]), q.Preds[5], "t2:ua1"},
+		{"mergejoin", join(plan.MergeJoin, scan("t2"), scan("t3"), q.Preds[4]), q.Preds[5], ""},
 		// A nested loop inside the inner: its own output and outer rows are
 		// carved from the enclosing join's recycled slabs.
-		{"nestloop", join(plan.NestLoop, filter(scan("t3"), q.Preds[3]), filter(scan("t2"), q.Preds[2]), nil)},
+		{"nestloop", join(plan.NestLoop, filter(scan("t3"), q.Preds[3]), filter(scan("t2"), q.Preds[2]), nil), q.Preds[5], ""},
 	}
 	for _, in := range inners {
-		root := join(plan.NestLoop, filter(scan("t1"), q.Preds[0]), in.node, q.Preds[5])
+		root := join(plan.NestLoop, filter(scan("t1"), q.Preds[0]), in.node, in.primary)
+		for _, p := range []int{1, 4} {
+			if got := thinSummary(t, db.Cat, root, p); got != in.thin {
+				t.Fatalf("%s P=%d: Build has %q decode late, want %q", in.name, p, got, in.thin)
+			}
+		}
 		for _, caching := range []bool{false, true} {
 			env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(caching, 0), BatchSize: 1}
 			base, baseStats := drainSnapshot(t, env, root)
@@ -144,7 +157,8 @@ func TestNLJoinMatrix(t *testing.T) {
 
 // BenchmarkNLJoinRescan is Query 5's hot loop at scale 0.02: a nested loop
 // whose expensive primary is cached, rescanning t7 (1 400 rows) once per
-// outer tuple — 120 of them, the outer stream Query 5's plan delivers.
+// outer tuple — 120 of them, the outer stream Query 5's plan delivers — run
+// serial and at Parallelism 2, where the rebuilt inner is serial too.
 func BenchmarkNLJoinRescan(b *testing.B) {
 	db, env := newEnv(b, []int{3, 7}, true)
 	env.CountOnly = true
@@ -164,13 +178,17 @@ func BenchmarkNLJoinRescan(b *testing.B) {
 	inner := scanNode(b, db.Cat, "t7")
 	root := &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, Primary: q.Preds[1],
 		ExpensivePrimary: true, ColRefs: plan.ConcatCols(outer, inner)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(env, root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += res.Stats.Rows
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			env.Parallelism = p
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(env, root)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += res.Stats.Rows
+			}
+		})
 	}
 }

@@ -181,8 +181,8 @@ var errExchangeStopped = errors.New("exec: exchange stopped")
 // keeps in its workers every input that is a segment in its own right. A
 // segment is a heap scan, split by pages; a hash join, its table built once
 // and probed by every worker; an expensive filter; or any filter over a
-// segment — none of it under a consumer that relies on row order
-// (orderedNodes).
+// segment — none of it under a consumer that relies on row order, nor in a
+// nested loop's rebuilt inner (orderedNodes).
 func (e *Env) segment(n plan.Node) bool {
 	if e.workers() == 1 || e.ordered[n] {
 		return false

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"predplace/internal/expr"
 	"predplace/internal/pcache"
@@ -23,6 +24,9 @@ type compiledPred struct {
 	// off, or a non-cacheable function)
 	argIdx []int
 	owner  string
+	// calls is the query's invocation counter of a function predicate's
+	// function, resolved once here instead of once per call (Env.invoke).
+	calls *atomic.Int64
 	// prof, when profiling is on, receives this predicate's evaluation,
 	// invocation, and cache counters, attributed to the plan node the
 	// predicate executes at. Nil on the default path (no per-row overhead).
@@ -57,7 +61,7 @@ func compilePred(e *Env, p *query.Predicate, cols []query.ColRef) (*compiledPred
 	case query.KindJoinCmp:
 		cp.leftIdx, cp.rightIdx = idx[0], idx[1]
 	case query.KindFunc:
-		cp.argIdx = idx
+		cp.argIdx, cp.calls = idx, e.funcCount(p.Func)
 		if e.Cache.Enabled() && p.Func.Cacheable {
 			cp.owner = e.Cache.Owner(p.ID, p.Func.Name)
 		}
@@ -87,8 +91,17 @@ func (cp *compiledPred) holds(e *Env, row expr.Row, sc *predScratch) (bool, erro
 	sc.row[0] = row
 	var keep [1]bool
 	tick := 0
-	err := cp.holdsBatch(e, sc.row[:], keep[:], &tick, sc)
+	err := cp.holdsBatch(e, nil, sc.row[:], keep[:], &tick, sc)
 	return keep[0], err
+}
+
+// at is column i of the pair (outer, row) without making it: outer's
+// columns first, then row's. With no outer it is row[i].
+func at(outer, row expr.Row, i int) expr.Value {
+	if i < len(outer) {
+		return outer[i]
+	}
+	return row[i-len(outer)]
 }
 
 // budgetEvery is the input-row cadence of filter abort checks — budget and
@@ -109,12 +122,14 @@ type predScratch struct {
 }
 
 // holdsBatch evaluates the predicate over a whole batch, writing keep[i]
-// for each row. Results, invocation counts, and cache statistics are those
-// of evaluating the rows one by one in order, at any batch width; count
-// carries the every-32-rows budget-check cadence across batches. Cached
-// function predicates batch their cache traffic through GetBatch/PutBatch,
-// taking each shard lock once per batch instead of twice per row.
-func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
+// for each row — a filter's rows (outer nil), or a nested loop's pairs of
+// the one outer row with each of rows, read in place (at) and never made.
+// Results, invocation counts, and cache statistics are those of evaluating
+// the rows one by one in order, at any batch width; count carries the
+// every-32-rows budget-check cadence across batches. Cached function
+// predicates batch their cache traffic through GetBatch/PutBatch, taking
+// each shard lock once per batch instead of twice per row.
+func (cp *compiledPred) holdsBatch(e *Env, outer expr.Row, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
 	p := cp.pred
 	tick := func() error {
 		*count++
@@ -132,7 +147,7 @@ func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *
 			if err := tick(); err != nil {
 				return err
 			}
-			b, known := cp.op.Apply(row[cp.leftIdx], cp.constVal).Bool()
+			b, known := cp.op.Apply(at(outer, row, cp.leftIdx), cp.constVal).Bool()
 			keep[i] = known && b
 		}
 		return nil
@@ -144,7 +159,7 @@ func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *
 			if err := tick(); err != nil {
 				return err
 			}
-			b, known := cp.op.Apply(row[cp.leftIdx], row[cp.rightIdx]).Bool()
+			b, known := cp.op.Apply(at(outer, row, cp.leftIdx), at(outer, row, cp.rightIdx)).Bool()
 			keep[i] = known && b
 		}
 		return nil
@@ -157,7 +172,7 @@ func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *
 				step = 1
 			}
 			for i := 0; i < len(rows); i += step {
-				if err := cp.holdsBatchCached(e, rows[i:i+step], keep[i:i+step], count, sc); err != nil {
+				if err := cp.holdsBatchCached(e, outer, rows[i:i+step], keep[i:i+step], count, sc); err != nil {
 					return err
 				}
 			}
@@ -176,12 +191,12 @@ func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *
 				return err
 			}
 			for k, idx := range cp.argIdx {
-				args[k] = row[idx]
+				args[k] = at(outer, row, idx)
 			}
 			if cp.prof != nil {
 				cp.noteInvocation()
 			}
-			v, err := e.invoke(p.Func, args)
+			v, err := e.invoke(p.Func, cp.calls, args)
 			if err != nil {
 				return err
 			}
@@ -198,7 +213,8 @@ func (cp *compiledPred) holdsBatch(e *Env, rows []expr.Row, keep []bool, count *
 // function only for first-occurrence misses (duplicates within the batch
 // reuse the earlier result, exactly as sequential execution would have hit
 // the just-stored entry), then publish the new results with one PutBatch.
-func (cp *compiledPred) holdsBatchCached(e *Env, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
+// Under a nested loop the rows are pairs with outer, as in holdsBatch.
+func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
 	p := cp.pred
 	n := len(rows)
 	// Encode all bindings into one buffer; offsets first, slices after, so
@@ -207,7 +223,7 @@ func (cp *compiledPred) holdsBatchCached(e *Env, rows []expr.Row, keep []bool, c
 	sc.keyOff = append(sc.keyOff[:0], 0)
 	for _, row := range rows {
 		for _, idx := range cp.argIdx {
-			sc.keyBuf = row[idx].AppendKey(sc.keyBuf)
+			sc.keyBuf = at(outer, row, idx).AppendKey(sc.keyBuf)
 		}
 		sc.keyOff = append(sc.keyOff, len(sc.keyBuf))
 	}
@@ -240,13 +256,13 @@ func (cp *compiledPred) holdsBatchCached(e *Env, rows []expr.Row, keep []bool, c
 		switch entries[i].State {
 		case pcache.BatchMiss:
 			for k, idx := range cp.argIdx {
-				args[k] = rows[i][idx]
+				args[k] = at(outer, rows[i], idx)
 			}
 			if cp.prof != nil {
 				cp.prof.cacheMisses.Add(1)
 				cp.noteInvocation()
 			}
-			v, err := e.invoke(p.Func, args)
+			v, err := e.invoke(p.Func, cp.calls, args)
 			if err != nil {
 				return err
 			}
