@@ -58,6 +58,21 @@ go test -race -count=1 -run '^(TestArenaMatrix|TestThinScanStaysInItsSegment|Tes
 go test -count=1 -run '^(FuzzRowCodec|TestDecode.*)$' ./internal/catalog
 go test -run '^$' -fuzz '^FuzzRowCodec$' -fuzztime 10s ./internal/catalog
 
+echo "==> predicate-cache gate (one hash per binding, as-if-sequential batches, three-valued IN)"
+# Also part of the full test run below; named here so that a cache table that
+# loses or misplaces a binding (the backward-shift delete, the bounded FIFO
+# ring), a batch that reports a hit, duplicate, count or eviction a row-at-a-
+# time Lookup/Store loop would not, a GetBatch that allocates, an IN / NOT IN
+# subquery that leaves SQL's three-valued logic or decodes every column of
+# every record it scans, or a nested loop whose cached primary changes its
+# rows, charged cost, invocations or cache counts fails under this heading.
+# The fuzz smoke is bounded; a crasher it finds is written under
+# internal/pcache/testdata/fuzz and becomes a committed seed.
+go test -race -count=1 ./internal/pcache
+go test -race -count=1 -run '^TestInSubquery' .
+go test -count=1 -run '^TestNLJoinMatrix$' ./internal/exec
+go test -run '^$' -fuzz '^FuzzBatchMatchesSequential$' -fuzztime 10s ./internal/pcache
+
 echo "==> executor gates (recorded answers at every width, mixed-width pulls, deterministic IKKBZ)"
 # Also part of the full test run below. A failure of the first command means
 # an operator's rows, order, charged cost or invocation counts depend on the
@@ -112,7 +127,7 @@ echo "==> benchmark module (cd bench && go vet . && go test .)"
 # internal/ packages directly; a signature change there must fail this gate.
 (cd bench && go vet . && go test .)
 
-echo "==> bench smoke (go test -bench 'Fig3|RequestPath|MergeJoinSort|NLJoinRescan' -benchtime 1x)"
-go test -run '^$' -bench 'Fig3|RequestPath|MergeJoinSort|NLJoinRescan' -benchtime 1x . ./internal/exec
+echo "==> bench smoke (go test -bench 'Fig3|Fig9Query5|RequestPath|MergeJoinSort|NLJoinRescan|PcacheGetBatch' -benchtime 1x)"
+go test -run '^$' -bench 'Fig3|Fig9Query5|RequestPath|MergeJoinSort|NLJoinRescan|PcacheGetBatch' -benchtime 1x . ./internal/exec ./internal/pcache
 
 echo "OK"

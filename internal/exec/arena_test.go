@@ -73,11 +73,11 @@ type arenaShape struct {
 	db   *datagen.DB
 	root func(t *testing.T, caching, transfer bool) plan.Node
 	// thin, for a hand-built shape (hand), is what Build must derive for its
-	// heap scans at every worker count (thinSummary): which decode late and
-	// which columns they keep; "" says every scan of the shape decodes whole
-	// rows.
-	hand bool
-	thin string
+	// heap scans serially (thinSummary), and parThin at Parallelism 2 and 4:
+	// which decode late and which columns they keep; "" says every scan of
+	// the shape decodes whole rows.
+	hand          bool
+	thin, parThin string
 }
 
 // thinSummary renders what Build derives for root's heap scans at the given
@@ -112,10 +112,12 @@ func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int
 // with them who decodes late: one shape per consumer of thin rows (a hash
 // join's probe side — in its exchange, and kept serial under a Limit — a
 // nested loop's rescanned inner under an equality and a cheap theta
-// primary, and the filter chain under a root filter) and per consumer that
-// must find whole rows (a root scan, a TopK, Limit or sort root, a nested
-// loop's outer, a cross product's inner, an index nested loop's outer, a
-// hash join's build side, both sides of a merge join).
+// primary, an index nested loop's outer — serial, as its scan heads an
+// exchange at Parallelism > 1 unless a nested loop's inner keeps it serial —
+// and the filter chain under a root filter) and per consumer that must find
+// whole rows (a root scan, a TopK, Limit or sort root, a nested loop's
+// outer, a cross product's inner, a hash join's build side, both sides of a
+// merge join).
 func arenaShapes(t *testing.T) []arenaShape {
 	db := figuresDB(t, 0.02)
 	small := figuresDB(t, 0.005) // Query 5's nested loop is quadratic in the scale
@@ -144,9 +146,10 @@ func arenaShapes(t *testing.T) []arenaShape {
 	}
 	few := &plan.Filter{Input: scan("t2"), Pred: &query.Predicate{
 		Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t2", "ua1"), Value: expr.I(12)}}
-	hand := func(name string, root plan.Node, thin string) {
-		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }, true, thin})
+	handP := func(name string, root plan.Node, thin, parThin string) {
+		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }, true, thin, parThin})
 	}
+	hand := func(name string, root plan.Node, thin string) { handP(name, root, thin, thin) }
 	// The root shapes of the result-row rule: who reads the query's pool and
 	// copies out what it keeps (a filter, a bounded TopK), who hands fresh
 	// slabs down (a Limit, the sort), at every operator that can be below.
@@ -181,7 +184,7 @@ func arenaShapes(t *testing.T) []arenaShape {
 	hand("hash-probe-build-filtered", equiJoin(t, db.Cat, plan.HashJoin,
 		over(scan("t3"), lt(col("t3", "u10"), 8)), over(scan("t2"), lt(col("t2", "a1"), 600)),
 		col("t3", "a1"), col("t2", "a1")), "t3:a1,u10")
-	hand("filter-indexnl", over(indexNL(), lt(col("t3", "u10"), 5)), "")
+	handP("filter-indexnl", over(indexNL(), lt(col("t3", "u10"), 5)), "t1:a1", "")
 	hand("topk-filter", &plan.TopK{Input: t6(), K: 25, Key: col("t6", "ua1"), Desc: true}, "")
 	hand("limit-filter", &plan.Limit{Input: t6(), K: 25}, "")
 	// A hash join orderedNodes keeps serial at every worker count: its probe
@@ -189,8 +192,8 @@ func arenaShapes(t *testing.T) []arenaShape {
 	hand("limit-hashjoin", &plan.Limit{K: 40, Input: equiJoin(t, db.Cat, plan.HashJoin,
 		over(scan("t3"), lt(col("t3", "u10"), 8)), scan("t2"), col("t3", "a1"), col("t2", "a1"))}, "t3:a1,u10")
 	hand("sort-filter", &plan.TopK{Input: t6(), K: -1, Key: col("t6", "ua1")}, "")
-	hand("indexnl", indexNL(), "")
-	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")), "")
+	handP("indexnl", indexNL(), "t1:a1", "")
+	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")), "t1:a1")
 	// A nested loop's rescanned inner decodes late on what its primary reads
 	// of it, and what the inner's filter chain reads; the outer stays whole.
 	// Through a join it does not reach (the hash join's probe side decodes
@@ -205,7 +208,7 @@ func arenaShapes(t *testing.T) []arenaShape {
 	cross := &plan.Join{Method: plan.NestLoop, Outer: few, Inner: over(scan("t3"), lt(col("t3", "u10"), 5))}
 	cross.ColRefs = plan.ConcatCols(cross.Outer, cross.Inner)
 	hand("nl-cross", cross, "")
-	hand("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")), "t2:ua1")
+	handP("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")), "t1:a1 t2:ua1", "t2:ua1")
 	return shapes
 }
 
@@ -225,8 +228,12 @@ func TestArenaMatrix(t *testing.T) {
 				transfer, caching, profile := knobs&1 != 0, knobs&2 != 0, knobs&4 != 0
 				root := sh.root(t, caching, transfer)
 				for _, p := range []int{1, 2, 4} {
-					if got := thinSummary(t, db.Cat, root, p); sh.hand && got != sh.thin {
-						t.Fatalf("%s P=%d: Build has %q decode late, want %q", sh.name, p, got, sh.thin)
+					thin := sh.thin
+					if p > 1 {
+						thin = sh.parThin
+					}
+					if got := thinSummary(t, db.Cat, root, p); sh.hand && got != thin {
+						t.Fatalf("%s P=%d: Build has %q decode late, want %q", sh.name, p, got, thin)
 					}
 					for _, bs := range []int{1, 7, 256} {
 						name := fmt.Sprintf("%s transfer=%v caching=%v profile=%v P=%d BS=%d", sh.name, transfer, caching, profile, p, bs)

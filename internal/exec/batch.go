@@ -138,23 +138,24 @@ func (a *rowAlloc) concat(r, s expr.Row) expr.Row {
 // decodes the record from there instead (finisher.emit), once, and only for
 // a row it keeps; a dropped row never pays for the other columns.
 //
-// pages[id] is the pinned page id itself, for as long as a row on it may
-// still be emitted: the consumer takes in every batch before it asks for the
-// next, so it has emitted or dropped a page's rows by the time the scan
-// unpins the page, and the scan ends its batches where its pages end. One
-// thinScan serves every part of its scan under an exchange: a part writes
-// pages[id] for the pages of its own share, before any row on them leaves it.
+// pages[part] is the page the scan's part is on, pinned, for as long as a
+// row on it may still be emitted: the consumer takes in every batch before
+// it asks for the next, so it has emitted or dropped a page's rows by the
+// time the scan unpins the page, and the scan ends its batches where its
+// pages end. One thinScan serves every part of its scan under an exchange:
+// each part writes its own slot, before any row on the page leaves it, and
+// its consumer runs in the part's own worker.
 type thinScan struct {
 	codec *catalog.RowCodec
 	need  []int
 	mark  int      // a column outside need
-	pages [][]byte // by page id, sized by Build; a scan that finds the file longer decodes whole rows
+	pages [][]byte // by part: one serially, a worker's each under an exchange
 }
 
-// thinKind is the kind of a thin row's mark slot, whose I is then page id
-// << 16 | the record's offset on the page. No decoded value has it, so a row
-// the scan decoded whole, or one completed since, is told apart by the same
-// slot.
+// thinKind is the kind of a thin row's mark slot, whose I is then the scan
+// part << 16 | the record's offset on the part's page. No decoded value has
+// it, so a row the scan decoded whole, or one completed since, is told apart
+// by the same slot.
 const thinKind expr.Type = 0xED
 
 // finisher completes the thin rows one copying operator keeps. The memo is

@@ -129,12 +129,13 @@ func orderedNodes(root plan.Node) map[plan.Node]bool {
 // nothing but filters, it feeds an operator that copies out the rows it
 // keeps and drops the others having read only a few columns: the probe side
 // of a hash join (the join key), the inner of a nested loop with a primary
-// (the primary's inner columns) and the root filter's copy-out (the chain's
-// own predicates). What such a scan decodes is what those filters, and that
-// key, read. Every other scan decodes whole rows, as its consumer reads or
-// keeps them whole: a root scan, the input of a TopK, Limit or sort root,
-// the outer of a nested-loop or index-nested-loop join, a cross product's
-// inner — every pair survives — a hash join's build side — its table may be
+// (the primary's inner columns), the outer of an index nested loop (the key
+// it probes with) and the root filter's copy-out (the chain's own
+// predicates). What such a scan decodes is what those filters, and that key,
+// read. Every other scan decodes whole rows, as its consumer reads or keeps
+// them whole: a root scan, the input of a TopK, Limit or sort root, the
+// outer of a nested-loop join, a cross product's inner — every pair
+// survives — a hash join's build side — its table may be
 // shared by an exchange's probes, which must find rows nobody still writes —
 // and both sides of a merge join, which completes its survivors long after
 // the scan, in key order, when neither the row nor its record is in any
@@ -199,7 +200,11 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 		if t.mark < 0 {
 			return
 		}
-		t.pages = make([][]byte, tab.Heap.NumPages())
+		parts := 1
+		if seg {
+			parts = e.workers() // the exchange runs a part of the scan per worker
+		}
+		t.pages = make([][]byte, parts)
 		if out == nil {
 			out = map[*plan.SeqScan]*thinScan{}
 		}
@@ -230,7 +235,13 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 				}
 			}
 			feed(j, j.Inner, keys...)
-		case plan.MergeJoin, plan.IndexNestLoop: // their inputs decode whole
+		case plan.IndexNestLoop:
+			if table, _, ok := plan.BaseTable(j.Inner); ok {
+				if oi, err := indexNLOuterKey(j, table); err == nil { // else the join's constructor reports it
+					feed(j, j.Outer, oi)
+				}
+			}
+		case plan.MergeJoin: // its inputs decode whole
 		}
 	})
 	return out
@@ -325,7 +336,6 @@ type seqScanIter struct {
 	it          *storage.HeapIter
 	// The page being walked: pg pinned, its bytes in src, and the next slot.
 	pg           *storage.Page
-	id           storage.PageID
 	src          []byte
 	slot, nslots int
 	count        int
@@ -368,9 +378,6 @@ func (s *seqScanIter) Open() error {
 	s.it = s.e.heap(s.tab).ScanRange(n*s.part/s.parts, n*(s.part+1)/s.parts)
 	s.pg, s.slot, s.nslots, s.ring = nil, 0, 0, nil
 	s.cols = s.tab.Codec.AllCols()
-	if s.thin != nil && n > len(s.thin.pages) {
-		s.thin = nil // the file grew since Build sized pages: these rows are whole
-	}
 	if s.thin != nil {
 		s.cols = s.thin.need
 	}
@@ -412,10 +419,10 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 					break // these rows are emitted from the page: it stays pinned until they are
 				}
 				if poisonSlabs {
-					s.thin.pages[s.id] = nil
+					s.thin.pages[s.part] = nil
 				}
 			}
-			pg, id, ok, err := s.it.NextPage()
+			pg, _, ok, err := s.it.NextPage()
 			if err != nil {
 				return 0, err
 			}
@@ -423,9 +430,9 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 				s.pg, s.slot, s.nslots = nil, 0, 0
 				break
 			}
-			s.pg, s.id, s.src, s.slot, s.nslots = pg, id, pg.Data(), 0, pg.NumSlots()
+			s.pg, s.src, s.slot, s.nslots = pg, pg.Data(), 0, pg.NumSlots()
 			if s.thin != nil {
-				s.thin.pages[id] = s.src
+				s.thin.pages[s.part] = s.src
 			}
 			continue
 		}
@@ -460,7 +467,7 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 					row[c] = poisonValue
 				}
 			}
-			row[s.thin.mark] = expr.Value{Kind: thinKind, I: int64(s.id)<<16 | int64(off)}
+			row[s.thin.mark] = expr.Value{Kind: thinKind, I: int64(s.part)<<16 | int64(off)}
 		}
 		if err := codec.DecodeCols(rec, row, s.cols, &s.memo); err != nil {
 			return 0, err

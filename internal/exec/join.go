@@ -201,7 +201,11 @@ func (n *nlJoinIter) Close() error {
 // indexNLJoinIter probes the inner base table's B-tree with each outer
 // tuple's join value, fetches matching tuples, and applies the inner-side
 // residual filters to each fetched match. The outer side is pulled one row
-// at a time (next): its page accesses interleave with the probes'.
+// at a time (next): its page accesses interleave with the probes'. An outer
+// row is finished — decoded, when a thin scan made it — into its first pair,
+// and its later matches copy it from there; one with no match is never
+// finished, and it is good until the outer's next row is pulled, which is
+// only once its last pair is made.
 type indexNLJoinIter struct {
 	e     *Env
 	node  *plan.Join
@@ -229,6 +233,7 @@ type indexNLJoinIter struct {
 	inner        rowAlloc // fetched inner rows: the query's, like a scan's
 	spare        expr.Row // carved for a fetch a residual filter then rejected: the next fetch's row
 	alloc        rowAlloc // output pairs
+	fin          finisher // of the outer rows: a thin one is decoded into its first pair
 }
 
 func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
@@ -243,23 +248,9 @@ func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	if !tab.HasIndex(j.InnerIndexCol) {
 		return nil, fmt.Errorf("exec: no index on %s.%s", table, j.InnerIndexCol)
 	}
-	if j.Primary == nil || j.Primary.Kind != query.KindJoinCmp || j.Primary.Op != expr.OpEQ {
-		return nil, fmt.Errorf("exec: index-nested-loop requires an equality primary predicate")
-	}
-	// Which side of the primary is the outer key?
-	var outerKey query.ColRef
-	innerRef := query.ColRef{Table: table, Col: j.InnerIndexCol}
-	switch {
-	case j.Primary.Right == innerRef:
-		outerKey = j.Primary.Left
-	case j.Primary.Left == innerRef:
-		outerKey = j.Primary.Right
-	default:
-		return nil, fmt.Errorf("exec: primary %v does not match index column %s", j.Primary, innerRef)
-	}
-	outIdx := plan.ColIndex(j.Outer, outerKey)
-	if outIdx < 0 {
-		return nil, fmt.Errorf("exec: outer key %v not in outer schema", outerKey)
+	outIdx, err := indexNLOuterKey(j, table)
+	if err != nil {
+		return nil, err
 	}
 	outer, err := buildIn(e, j.Outer, e.below(rs))
 	if err != nil {
@@ -277,7 +268,7 @@ func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	it := &indexNLJoinIter{
 		e: e, node: j, outer: outer, tab: tab,
 		outKeyIdx: outIdx, residual: residual,
-		inner: rowAlloc{pool: e.below(rs)}, alloc: rowAlloc{pool: rs},
+		inner: rowAlloc{pool: e.below(rs)}, alloc: rowAlloc{pool: rs}, fin: e.finisherFor(j.Outer),
 	}
 	if e.prof != nil {
 		// Attribute the inner chain to its plan nodes: residual[i] was
@@ -300,6 +291,30 @@ func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	return it, nil
 }
 
+// indexNLOuterKey returns the position in j's outer columns of the value
+// the index nested loop j probes table's index with: the outer side of its
+// equality primary.
+func indexNLOuterKey(j *plan.Join, table string) (int, error) {
+	if j.Primary == nil || j.Primary.Kind != query.KindJoinCmp || j.Primary.Op != expr.OpEQ {
+		return 0, fmt.Errorf("exec: index-nested-loop requires an equality primary predicate")
+	}
+	var outerKey query.ColRef
+	innerRef := query.ColRef{Table: table, Col: j.InnerIndexCol}
+	switch {
+	case j.Primary.Right == innerRef:
+		outerKey = j.Primary.Left
+	case j.Primary.Left == innerRef:
+		outerKey = j.Primary.Right
+	default:
+		return 0, fmt.Errorf("exec: primary %v does not match index column %s", j.Primary, innerRef)
+	}
+	outIdx := plan.ColIndex(j.Outer, outerKey)
+	if outIdx < 0 {
+		return 0, fmt.Errorf("exec: outer key %v not in outer schema", outerKey)
+	}
+	return outIdx, nil
+}
+
 func (n *indexNLJoinIter) Open() error {
 	n.tree = n.e.index(n.tab.Indexes[n.node.InnerIndexCol])
 	n.heap = n.e.heap(n.tab)
@@ -313,7 +328,13 @@ func (n *indexNLJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	out := 0
 	for out < len(dst) {
 		if n.pos < len(n.matches) {
-			dst[out] = n.alloc.concat(n.outerRow, n.matches[n.pos])
+			w, match := len(n.outerRow), n.matches[n.pos]
+			pair := n.alloc.next(w + len(match))
+			if err := n.fin.emit(pair[:w], n.outerRow); err != nil {
+				return 0, err
+			}
+			copy(pair[w:], match)
+			dst[out], n.outerRow = pair, pair[:w:w]
 			n.pos++
 			out++
 			continue

@@ -6,6 +6,7 @@
 package pcache
 
 import (
+	"hash/maphash"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,17 @@ const (
 
 // stripes is the number of lock shards per unbounded cache table. Parallel
 // workers evaluating the same predicate hash their bindings across shards,
-// so lookups and stores rarely contend on one mutex.
-const stripes = 16
+// so lookups and stores rarely contend on one mutex. A binding's shard is
+// the top stripeBits of its hash; its slot in the shard, the low bits.
+const (
+	stripeBits = 4
+	stripes    = 1 << stripeBits
+)
+
+// seed keys the binding hash. A binding is hashed once per call, with
+// maphash (8 bytes at a time), and that one hash picks its shard, probes
+// the shard's table and finds its in-batch duplicates.
+var seed = maphash.MakeSeed()
 
 // Manager holds one cache per predicate (or per function, depending on
 // Scope) for the duration of a query. Caches are dropped between queries,
@@ -59,14 +69,69 @@ type cache struct {
 	shards []cacheShard
 }
 
+// tri is a cached predicate outcome: true, false or NULL. The zero value
+// marks an empty slot.
+type tri uint8
+
+const (
+	triEmpty tri = iota
+	triFalse
+	triTrue
+	triNull
+)
+
+// triOf is the predicate's tri-state outcome of v: NULL and non-boolean
+// values are unknown, as Value.Bool reads them.
+func triOf(v expr.Value) tri {
+	b, known := v.Bool()
+	switch {
+	case !known:
+		return triNull
+	case b:
+		return triTrue
+	}
+	return triFalse
+}
+
+// value is r as the predicate's result.
+func (r tri) value() expr.Value {
+	switch r {
+	case triTrue:
+		return expr.B(true)
+	case triFalse:
+		return expr.B(false)
+	default:
+		return expr.Null
+	}
+}
+
+// slot is one entry of a shard's table.
+type slot struct {
+	hash uint64
+	key  string
+	res  tri
+}
+
+// fifoKey names a bounded table's binding in its eviction queue.
+type fifoKey struct {
+	hash uint64
+	key  string
+}
+
+// cacheShard is an open-addressed table probed linearly from a binding's
+// hash, compared by hash and then by key bytes. Its length is a power of two
+// and at most three quarters of it is full; a removal shifts the probe run
+// after it back, so there are no tombstones.
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]expr.Value
-	// order and head form a FIFO queue of keys for bounded tables
-	// (max > 0); unbounded tables skip order tracking entirely.
-	order []string
-	head  int
-	max   int
+	mu    sync.Mutex
+	slots []slot
+	n     int // occupied slots
+	// fifo holds a bounded table's (max > 0) bindings in insertion order; once
+	// the table is full it is a ring whose fifo[head] is the next victim.
+	// Unbounded tables keep no queue.
+	fifo []fifoKey
+	head int
+	max  int
 }
 
 // NewManager creates a predicate-scoped cache manager. maxEntriesPerPred of
@@ -94,24 +159,98 @@ func newCache(maxEntries int) *cache {
 	}
 	c := &cache{shards: make([]cacheShard, n)}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{m: make(map[string]expr.Value), max: maxEntries}
+		c.shards[i].max = maxEntries
 	}
 	return c
 }
 
-// shardIdx hashes a binding key to one of the cache's lock shards (FNV-1a).
-// Generic over the key's representation so the batched paths hash their raw
-// encodings in place (converting a []byte to string for an argument copies).
-func shardIdx[K string | []byte](c *cache, key K) int {
-	if len(c.shards) == 1 {
-		return 0
+// shardOf is the index of the shard of the binding with hash h.
+func (c *cache) shardOf(h uint64) int { return int(h >> (64 - stripeBits) & uint64(len(c.shards)-1)) }
+
+// find returns the slot holding key, or the empty slot its probe ended on
+// (none in a table not yet allocated). Generic over the key's
+// representation so the batched paths compare their raw encodings in place
+// (converting a []byte to string for an argument copies). Small enough to
+// inline into GetBatch's loop.
+func find[K string | []byte](slots []slot, h uint64, key K) (uint64, bool) {
+	if len(slots) == 0 {
+		return 0, false
 	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+	mask := uint64(len(slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &slots[i]
+		if s.res == triEmpty {
+			return i, false
+		}
+		if s.hash == h && s.key == string(key) {
+			return i, true
+		}
 	}
-	return int(h % uint64(len(c.shards)))
+}
+
+// store records one binding in the shard; the caller holds the shard lock.
+// Updating a binding neither evicts nor moves it in the FIFO; a new binding
+// in a full bounded table first evicts the oldest.
+func store[K string | []byte](s *cacheShard, h uint64, key K, r tri) {
+	if i, ok := find(s.slots, h, key); ok {
+		s.slots[i].res = r
+		return
+	}
+	k := string(key)
+	if s.max > 0 {
+		if s.n == s.max {
+			victim := &s.fifo[s.head]
+			s.remove(victim.hash, victim.key)
+			*victim = fifoKey{h, k}
+			s.head = (s.head + 1) % s.max
+		} else {
+			s.fifo = append(s.fifo, fifoKey{h, k})
+		}
+	}
+	if 4*(s.n+1) > 3*len(s.slots) {
+		s.grow()
+	}
+	i, _ := find(s.slots, h, k)
+	s.slots[i] = slot{hash: h, key: k, res: r}
+	s.n++
+}
+
+// grow doubles the table (from 8 slots), re-placing each entry by its stored
+// hash: no key is hashed again.
+func (s *cacheShard) grow() {
+	old := s.slots
+	s.slots = make([]slot, max(8, 2*len(old)))
+	mask := uint64(len(s.slots) - 1)
+	for _, e := range old {
+		if e.res == triEmpty {
+			continue
+		}
+		i := e.hash & mask
+		for s.slots[i].res != triEmpty {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = e
+	}
+}
+
+// remove deletes key from the shard by backward shift: each later entry of
+// the probe run whose home slot does not lie between the hole and itself
+// moves into the hole, so every remaining entry stays reachable from its
+// home without tombstones.
+func (s *cacheShard) remove(h uint64, key string) {
+	i, ok := find(s.slots, h, key)
+	if !ok {
+		return
+	}
+	mask := uint64(len(s.slots) - 1)
+	for j := (i + 1) & mask; s.slots[j].res != triEmpty; j = (j + 1) & mask {
+		if (j-s.slots[j].hash)&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = slot{}
+	s.n--
 }
 
 // Scope returns the manager's caching granularity.
@@ -166,21 +305,22 @@ func (m *Manager) Lookup(owner string, key string) (expr.Value, bool) {
 	if !m.Enabled() {
 		return expr.Null, false
 	}
-	c := m.table(owner, false)
-	if c == nil {
+	r := triEmpty
+	if c := m.table(owner, false); c != nil {
+		h := maphash.String(seed, key)
+		s := &c.shards[c.shardOf(h)]
+		s.mu.Lock()
+		if i, ok := find(s.slots, h, key); ok {
+			r = s.slots[i].res
+		}
+		s.mu.Unlock()
+	}
+	if r == triEmpty {
 		m.misses.Add(1)
 		return expr.Null, false
 	}
-	s := &c.shards[shardIdx(c, key)]
-	s.mu.Lock()
-	v, ok := s.m[key]
-	s.mu.Unlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	return v, ok
+	m.hits.Add(1)
+	return r.value(), true
 }
 
 // Store records the predicate's result for a binding. When the table is
@@ -190,31 +330,11 @@ func (m *Manager) Store(owner string, key string, v expr.Value) {
 		return
 	}
 	c := m.table(owner, true)
-	s := &c.shards[shardIdx(c, key)]
+	h := maphash.String(seed, key)
+	s := &c.shards[c.shardOf(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.store(key, v)
-}
-
-// store records one binding in the shard; the caller holds the shard lock.
-func (s *cacheShard) store(key string, v expr.Value) {
-	if _, exists := s.m[key]; exists {
-		s.m[key] = v
-		return
-	}
-	if s.max > 0 {
-		if len(s.m) >= s.max {
-			victim := s.order[s.head]
-			s.order[s.head] = "" // release the string for GC
-			s.head++
-			delete(s.m, victim)
-			if s.head == len(s.order) {
-				s.order, s.head = s.order[:0], 0
-			}
-		}
-		s.order = append(s.order, key)
-	}
-	s.m[key] = v
+	store(s, h, key, triOf(v))
 }
 
 // Batch lookup states: the outcome of one binding in a GetBatch call.
@@ -241,6 +361,13 @@ type BatchEntry struct {
 	// Dup is the index of the earlier miss sharing this binding
 	// (BatchDup only; -1 otherwise).
 	Dup int32
+	// hash is the binding's hash, computed once by GetBatch and used again
+	// by PutBatch.
+	hash uint64
+	// link threads the batch into one index-ordered list per shard, then,
+	// once the walk has passed the entry, a miss into its duplicate bucket's
+	// chain; bucket heads that chain (both -1 at the end).
+	link, bucket int32
 }
 
 // Batchable reports whether the batched lookup path may be used: only
@@ -252,112 +379,108 @@ type BatchEntry struct {
 // the sequential per-row protocol.
 func (m *Manager) Batchable() bool { return m.Enabled() && m.maxEntries == 0 }
 
-// bucket hashes each selected binding once and threads the batch into one
-// index-ordered list per shard through entries[i].Dup: head[s]-1 is shard s's
-// first index (0 = none), each Dup the shard's next index, -1 at the end.
-// Equal bindings share a shard, so walking a list sees duplicates in batch
-// order. With missesOnly, only BatchMiss entries (whose Dup is -1) are linked.
-func (c *cache) bucket(keys [][]byte, entries []BatchEntry, missesOnly bool) (head [stripes]int32) {
-	var tail [stripes]int32
-	for i, key := range keys {
-		if missesOnly && entries[i].State != BatchMiss {
-			continue
-		}
-		si := shardIdx(c, key)
-		if head[si] == 0 {
-			head[si] = int32(i) + 1
-		} else {
-			entries[tail[si]].Dup = int32(i)
-		}
-		tail[si] = int32(i)
-		entries[i].Dup = -1
-	}
-	return head
-}
-
 // GetBatch looks up a batch of bindings, hashing each binding once and
 // taking each shard lock at most once per call instead of once per row.
 // Semantics are as-if-sequential: out[i] reports what the i'th Lookup of a
 // tuple-at-a-time loop would have seen, assuming each miss is stored before
 // the next lookup — duplicates of an earlier miss therefore report BatchDup
 // (counted as hits). Keys are raw binding encodings; GetBatch does not
-// retain them.
+// retain them, and allocates nothing.
+//
+// The batch is its own scratch space. Each shard's entries are walked in
+// index order, and equal bindings share a shard, so the first occurrence of
+// a missing binding is met before its duplicates. The misses found so far
+// form a chained hash table over out itself: one bucket per binding, bucket
+// b's chain starting at out[b].bucket.
 func (m *Manager) GetBatch(owner string, keys [][]byte, out []BatchEntry) {
 	var c *cache
 	if m.Enabled() {
 		c = m.table(owner, false)
 	}
-	var hits, misses int64
-	// pending maps a missed binding to its first index, for duplicate
-	// detection. Allocated lazily: batches with no misses never touch it,
-	// and the batch's last key can have no later duplicate.
-	var pending map[string]int32
-	miss := func(i int32, key []byte) {
-		if j, ok := pending[string(key)]; ok {
-			out[i] = BatchEntry{State: BatchDup, Dup: j}
-			hits++
-			return
+	out = out[:len(keys)]
+	var head, tail [stripes]int32 // per shard: first entry + 1 (0 = none, as all are with no table), last entry
+	for i, key := range keys {
+		h := maphash.Bytes(seed, key)
+		e := &out[i]
+		e.hash, e.link, e.bucket = h, -1, -1
+		if c == nil {
+			continue
 		}
-		if int(i)+1 < len(keys) {
-			if pending == nil {
-				pending = make(map[string]int32, 8)
-			}
-			pending[string(key)] = i
+		si := c.shardOf(h)
+		if head[si] == 0 {
+			head[si] = int32(i) + 1
+		} else {
+			out[tail[si]].link = int32(i)
 		}
-		out[i] = BatchEntry{State: BatchMiss, Dup: -1}
-		misses++
+		tail[si] = int32(i)
 	}
+	// dup settles entry i, absent from the table: a duplicate of an earlier
+	// miss (true), or a miss that joins its bucket's chain.
+	dup := func(i int32) bool {
+		e := &out[i]
+		b := &out[uint64(uint32(e.hash))*uint64(len(out))>>32].bucket
+		for j := *b; j >= 0; j = out[j].link {
+			if out[j].hash == e.hash && string(keys[j]) == string(keys[i]) {
+				e.State, e.Dup = BatchDup, j
+				return true
+			}
+		}
+		e.State, e.Dup, e.link, *b = BatchMiss, -1, *b, i
+		return false
+	}
+	var hits, misses int64
 	if c == nil {
-		for i, key := range keys {
-			miss(int32(i), key)
-		}
-	} else {
-		head := c.bucket(keys, out, false)
-		for si := range c.shards {
-			if head[si] == 0 {
-				continue
+		for i := range keys {
+			if dup(int32(i)) {
+				hits++
+			} else {
+				misses++
 			}
-			s := &c.shards[si]
-			s.mu.Lock()
-			for i := head[si] - 1; i >= 0; {
-				next := out[i].Dup
-				if v, ok := s.m[string(keys[i])]; ok {
-					out[i] = BatchEntry{Val: v, State: BatchHit, Dup: -1}
-					hits++
-				} else {
-					miss(i, keys[i])
-				}
-				i = next
-			}
-			s.mu.Unlock()
 		}
+	}
+	for si, first := range head {
+		if first == 0 {
+			continue
+		}
+		s := &c.shards[si]
+		s.mu.Lock()
+		for i := first - 1; i >= 0; {
+			e := &out[i]
+			next := e.link // a miss's link moves to its bucket's chain
+			if j, ok := find(s.slots, e.hash, keys[i]); ok {
+				e.Val, e.State, e.Dup = s.slots[j].res.value(), BatchHit, -1
+				hits++
+			} else if dup(i) {
+				hits++
+			} else {
+				misses++
+			}
+			i = next
+		}
+		s.mu.Unlock()
 	}
 	m.hits.Add(hits)
 	m.misses.Add(misses)
 }
 
 // PutBatch stores the results of a GetBatch's misses (entries whose State
-// is BatchMiss, with Val filled in by the caller), hashing each stored
-// binding once and taking each shard lock at most once. Hits and duplicates
-// are skipped; entries are left as they were found.
+// is BatchMiss, with Val filled in by the caller) in batch order, under the
+// hashes GetBatch computed. Every miss was one invocation of the predicate,
+// which dwarfs taking its shard's lock. Hits and duplicates are skipped;
+// entries are left as they were found.
 func (m *Manager) PutBatch(owner string, keys [][]byte, entries []BatchEntry) {
 	if !m.Enabled() {
 		return
 	}
 	c := m.table(owner, true)
-	head := c.bucket(keys, entries, true)
-	for si := range c.shards {
-		if head[si] == 0 {
+	for i := range entries {
+		e := &entries[i]
+		if e.State != BatchMiss {
 			continue
 		}
-		s := &c.shards[si]
+		s := &c.shards[c.shardOf(e.hash)]
 		s.mu.Lock()
-		for i := head[si] - 1; i >= 0; {
-			next := entries[i].Dup
-			entries[i].Dup = -1
-			s.store(string(keys[i]), entries[i].Val)
-			i = next
-		}
+		store(s, e.hash, keys[i], triOf(e.Val))
 		s.mu.Unlock()
 	}
 }
@@ -373,7 +496,7 @@ func (m *Manager) Stats() (hits, misses int64, entries int) {
 		for i := range c.shards {
 			s := &c.shards[i]
 			s.mu.Lock()
-			entries += len(s.m)
+			entries += s.n
 			s.mu.Unlock()
 		}
 	}

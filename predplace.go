@@ -1096,10 +1096,27 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 		Cacheable:   true,
 		RealWork:    true,
 	}
+	// A scanned row is read only through the columns the comparisons and the
+	// output name: each invocation decodes those, and no other, into one row.
+	need := []int{outIdx}
+	for _, lc := range locals {
+		need = append(need, lc.colIdx)
+	}
+	for _, cc := range corrs {
+		need = append(need, cc.colIdx)
+	}
+	slices.Sort(need)
+	need = slices.Compact(need)
+	holds := func(v expr.Value) bool { b, known := v.Bool(); return known && b }
+	// EvalIO is SQL's three-valued x IN (set): TRUE when a qualifying row's
+	// output equals x; otherwise NULL when x is NULL or a qualifying output is,
+	// as long as the set is not empty; FALSE over the empty set, whatever x
+	// is. NOT IN negates it, NULL staying NULL.
 	f.EvalIO = func(tr *storage.IOTracker, vals []expr.Value) (expr.Value, error) {
-		if vals[0].IsNull() {
-			return expr.Null, nil
-		}
+		x := vals[0]
+		row := make(expr.Row, len(tab.Columns))
+		var memo catalog.DecodeMemo
+		unknown := false
 		// The scan reads through the shared buffer pool; the executor passes
 		// the running query's I/O tracker, so the subquery's page traffic is
 		// charged to that query alone. A scan or decode failure propagates
@@ -1107,36 +1124,39 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 		// silently-wrong answer would be worse than the fault itself.
 		it := tab.Heap.WithTracker(tr).Scan()
 		defer it.Close()
+	scan:
 		for {
-			rec, _, ok, err := it.Next()
+			rec, _, ok, err := it.NextRef() // page memory: DecodeCols copies what it keeps
 			if err != nil {
 				return expr.Null, fmt.Errorf("predplace: subquery scan of %s: %w", subTable, err)
 			}
 			if !ok {
 				break
 			}
-			row, err := tab.Codec.Decode(rec)
-			if err != nil {
+			if err := tab.Codec.DecodeCols(rec, row, need, &memo); err != nil {
 				return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", subTable, err)
 			}
-			match := true
 			for _, lc := range locals {
-				if b, known := lc.op.Apply(row[lc.colIdx], lc.value).Bool(); !known || !b {
-					match = false
-					break
+				if !holds(lc.op.Apply(row[lc.colIdx], lc.value)) {
+					continue scan
 				}
 			}
-			if match {
-				for _, cc := range corrs {
-					if b, known := cc.op.Apply(row[cc.colIdx], vals[cc.argIdx]).Bool(); !known || !b {
-						match = false
-						break
-					}
+			for _, cc := range corrs {
+				if !holds(cc.op.Apply(row[cc.colIdx], vals[cc.argIdx])) {
+					continue scan
 				}
 			}
-			if match && row[outIdx].Equal(vals[0]) {
+			switch y := row[outIdx]; {
+			case x.IsNull():
+				return expr.Null, nil // nothing equals x, and the set is not empty
+			case y.IsNull():
+				unknown = true
+			case y.Equal(x):
 				return expr.B(!not), nil
 			}
+		}
+		if unknown {
+			return expr.Null, nil
 		}
 		return expr.B(not), nil
 	}

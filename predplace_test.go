@@ -1,11 +1,16 @@
 package predplace
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"predplace/internal/expr"
+	"predplace/internal/query"
+	"predplace/internal/sqlparse"
 )
 
 func openBench(t *testing.T, tables ...int) *DB {
@@ -233,6 +238,116 @@ func TestInSubqueryCorrelated(t *testing.T) {
 	}
 	if res.Stats.IO.Total() == 0 {
 		t.Fatal("subquery evaluation should cost real I/O")
+	}
+}
+
+// TestInSubqueryNulls holds IN and NOT IN over a subquery to SQL's
+// three-valued logic, with the predicate cache on and off: a match is TRUE
+// for IN and FALSE for NOT IN; no match beside a NULL output, or a NULL x
+// over a non-empty set, is NULL (the row is dropped either way); the empty
+// set is FALSE for IN and TRUE for NOT IN, whatever x is.
+func TestInSubqueryNulls(t *testing.T) {
+	for _, caching := range []bool{false, true} {
+		db, err := Open(Config{Caching: caching})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range []struct {
+			name string
+			cols []ColumnSpec
+			rows [][]interface{}
+		}{
+			// The plain case: s holds a NULL, so nothing is NOT IN it.
+			{"r", []ColumnSpec{{Name: "x"}}, [][]interface{}{{1}, {2}}},
+			{"s", []ColumnSpec{{Name: "y"}}, [][]interface{}{{1}, {nil}}},
+			// Correlated on g: group 1 holds a NULL, group 2 does not, group 3
+			// is empty.
+			{"a", []ColumnSpec{{Name: "x"}, {Name: "g"}}, [][]interface{}{
+				{1, 1}, {2, 1}, {2, 2}, {4, 2}, {nil, 2}, {nil, 3}, {5, 3}}},
+			{"b", []ColumnSpec{{Name: "y"}, {Name: "g"}}, [][]interface{}{
+				{1, 1}, {nil, 1}, {2, 2}, {3, 2}}},
+		} {
+			if err := db.CreateTable(tab.name, tab.cols); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range tab.rows {
+				if err := db.Insert(tab.name, row...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Analyze(tab.name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct{ sql, want string }{
+			{"SELECT * FROM r WHERE r.x IN (SELECT y FROM s)", "1"},
+			{"SELECT * FROM r WHERE r.x NOT IN (SELECT y FROM s)", ""},
+			{"SELECT * FROM a WHERE a.x IN (SELECT y FROM b WHERE b.g = a.g)", "1,1 2,2"},
+			{"SELECT * FROM a WHERE a.x NOT IN (SELECT y FROM b WHERE b.g = a.g)", "4,2 5,3 NULL,3"},
+		} {
+			res, err := db.Query(c.sql, PushDown)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, row := range res.Rows {
+				cells := make([]string, len(row))
+				for i, v := range row {
+					cells[i] = v.String()
+				}
+				got = append(got, strings.Join(cells, ","))
+			}
+			sort.Strings(got)
+			if g := strings.Join(got, " "); g != c.want {
+				t.Errorf("caching=%v %s: rows %q, want %q", caching, c.sql, g, c.want)
+			}
+		}
+	}
+}
+
+// TestInSubqueryAllocs: one invocation of a correlated IN scans the whole
+// subquery table, and decodes only the columns it compares into one row, so
+// what it allocates does not grow with the table (decoding every scanned
+// record into a fresh row was two allocations a record).
+func TestInSubqueryAllocs(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("r", []ColumnSpec{{Name: "x"}, {Name: "g"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("s", []ColumnSpec{{Name: "y"}, {Name: "g"}, {Name: "pad", String: true, Len: 80}}); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 1000
+	for i := 0; i < rows; i++ {
+		if err := db.Insert("s", i, i%10, "filler "+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt, err := sqlparse.Parse("SELECT * FROM r WHERE r.x IN (SELECT y FROM s WHERE s.g = r.g)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := stmt.Where[0].(*sqlparse.InPred)
+	f, err := db.compileSubquery(in.Sub, in.Not, []query.ColRef{{Table: "r", Col: "x"}, {Table: "r", Col: "g"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []Value{expr.I(-1), expr.I(3)} // no match: the scan runs to the end
+	var evalErr error
+	allocs := testing.AllocsPerRun(20, func() {
+		var v Value
+		if v, evalErr = f.EvalIO(nil, args); evalErr == nil && v != expr.B(false) {
+			evalErr = fmt.Errorf("got %v, want false", v)
+		}
+	})
+	if evalErr != nil {
+		t.Fatal(evalErr)
+	}
+	if allocs > 16 {
+		t.Fatalf("one invocation over %d rows allocates %.0f times, want O(1)", rows, allocs)
 	}
 }
 
