@@ -73,6 +73,20 @@ go test -race -count=1 -run '^TestInSubquery' .
 go test -count=1 -run '^TestNLJoinMatrix$' ./internal/exec
 go test -run '^$' -fuzz '^FuzzBatchMatchesSequential$' -fuzztime 10s ./internal/pcache
 
+echo "==> record-test gate (a record a cheap comparison rejects is never a row; comparisons are typed)"
+# Also part of the full test run below; named here so that a filter a scan
+# absorbs whose EXPLAIN ANALYZE actual= or predicate evaluations drift from
+# what its own operator reported (recorded literals, every width and worker
+# count, profiling on and off), a rejected record that carves a row, a
+# comparison between two types that binds instead of failing, or a record
+# test that disagrees with op.Apply(DecodeCol(...)) or allocates fails under
+# this heading. The alloc tests run without -race; the fuzz smoke is bounded
+# and a crasher it finds is written under internal/catalog/testdata/fuzz.
+go test -race -count=1 -run '^(TestAbsorbedFilterCounts|TestRejectedFetchCarvesNothing)$' ./internal/exec
+go test -race -count=1 -run '^TestBindTypeMismatch$' .
+go test -count=1 -run '^(TestColTestAllocFree|FuzzColTest)$' ./internal/catalog
+go test -run '^$' -fuzz '^FuzzColTest$' -fuzztime 10s ./internal/catalog
+
 echo "==> executor gates (recorded answers at every width, mixed-width pulls, deterministic IKKBZ)"
 # Also part of the full test run below. A failure of the first command means
 # an operator's rows, order, charged cost or invocation counts depend on the
@@ -106,13 +120,15 @@ echo "==> exchange gate (parallel = serial, no worker left behind, no row outliv
 # keeps past its slab fails under this heading.
 go test -race -count=1 -run '^(TestParallel.*|TestBudgetAbortTeardownMatrix|TestCancelTeardownMatrix|TestDeadlineTeardownMatrix|TestArenaMatrix|TestArenaReleased)$' ./internal/exec
 
-echo "==> request-path gates (response bytes, request-body bound, point-lookup allocation budget, server admission)"
+echo "==> request-path gates (response bytes, request-body bound, point-lookup allocation budget, server admission, pool misses)"
 # Also part of the full test run below; named here so that a POST /query body
 # that differs by one byte from json.Encoder's over QueryResponse, an
-# unbounded request body, or a point lookup that goes back to allocating a
-# slab per result row fails under this heading. No -race: the budget test
-# skips itself under the detector, like TestFiguresAllocBudget.
+# unbounded request body, a point lookup that goes back to allocating a
+# slab per result row, or a buffer-pool miss that allocates fails under this
+# heading. No -race: the point-lookup budget skips itself under the
+# detector, like TestFiguresAllocBudget.
 go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestServer.*)$' .
+go test -count=1 -run '^TestFetchMissAllocFree$' ./internal/storage
 
 echo "==> go build ./..."
 go build ./...

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -187,13 +188,10 @@ func trimNUL(field []byte) string {
 // the whole row (used by index builds and key probes). It indexes the
 // compiled layout, and rejects a short or long record as DecodeCols does.
 func (rc *RowCodec) DecodeCol(rec []byte, idx int) (expr.Value, error) {
-	if idx < 0 || idx >= len(rc.layout) {
-		return expr.Null, fmt.Errorf("catalog: column index %d out of range", idx)
+	l, err := rc.colOf(rec, idx)
+	if err != nil {
+		return expr.Null, err
 	}
-	if len(rec) != rc.width {
-		return expr.Null, fmt.Errorf("catalog: record length %d, want %d", len(rec), rc.width)
-	}
-	l := rc.layout[idx]
 	field := rec[l.off+1 : l.off+1+l.len]
 	switch {
 	case rec[l.off] != 1:
@@ -204,4 +202,67 @@ func (rc *RowCodec) DecodeCol(rec []byte, idx int) (expr.Value, error) {
 		return expr.B(binary.LittleEndian.Uint64(field) != 0), nil
 	}
 	return expr.S(trimNUL(field)), nil
+}
+
+// colOf returns column idx's layout, or the error DecodeCol reports for a
+// column out of range or a record of the wrong length.
+func (rc *RowCodec) colOf(rec []byte, idx int) (*colLayout, error) {
+	if idx < 0 || idx >= len(rc.layout) {
+		return nil, fmt.Errorf("catalog: column index %d out of range", idx)
+	}
+	if len(rec) != rc.width {
+		return nil, fmt.Errorf("catalog: record length %d, want %d", len(rec), rc.width)
+	}
+	return &rc.layout[idx], nil
+}
+
+// ColTest is the comparison `column Col Op Val` on an encoded record: a
+// cheap selection a scan evaluates before any row exists (DESIGN.md §12).
+type ColTest struct {
+	Col int
+	Op  expr.CmpOp
+	Val expr.Value
+}
+
+// Test reports whether rec satisfies t under WHERE semantics — NULL and
+// false both reject — reading the field in place: an int field against an
+// int constant as its eight bytes, a string field against a string constant
+// as its NUL-trimmed bytes, neither allocating. Any other pair of kinds is
+// the reference, op.Apply(DecodeCol(rec, Col), Val), which it equals
+// everywhere, errors included (FuzzColTest).
+func (rc *RowCodec) Test(rec []byte, t ColTest) (bool, error) {
+	l, err := rc.colOf(rec, t.Col)
+	if err != nil {
+		return false, err
+	}
+	if rec[l.off] != 1 || t.Val.IsNull() {
+		return false, nil
+	}
+	field := rec[l.off+1 : l.off+1+l.len]
+	var c int
+	switch {
+	case l.kind == expr.TInt && t.Val.Kind == expr.TInt:
+		c = cmp.Compare(int64(binary.LittleEndian.Uint64(field)), t.Val.I)
+	case l.kind == expr.TString && t.Val.Kind == expr.TString:
+		end := len(field)
+		for end > 0 && field[end-1] == 0 {
+			end--
+		}
+		switch s := field[:end]; {
+		case string(s) == t.Val.S:
+		case string(s) < t.Val.S:
+			c = -1
+		default:
+			c = 1
+		}
+	default:
+		v, err := rc.DecodeCol(rec, t.Col)
+		if err != nil {
+			return false, err
+		}
+		holds, known := t.Op.Apply(v, t.Val).Bool()
+		return known && holds, nil
+	}
+	holds, _ := t.Op.Holds(c)
+	return holds, nil
 }

@@ -158,6 +158,45 @@ func TestDecodeColShortRecord(t *testing.T) {
 	}
 }
 
+// TestColTestAllocFree: the record test reads an int or a string field in
+// place, so a scan's cheap filter costs no allocation per record — over
+// NULL fields, the padded string with an embedded NUL, and every operator.
+func TestColTestAllocFree(t *testing.T) {
+	rc, err := NewRowCodec(mixedCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([][]byte, 200)
+	for i := range recs {
+		if recs[i], err = rc.Encode(mixedRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ct := range []ColTest{{Col: 0, Val: expr.I(40)}, {Col: 3, Val: expr.I(7 << 40)},
+		{Col: 2, Val: expr.S("name20")}, {Col: 4, Val: expr.S("a\x00b")}} {
+		kept := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			kept = 0
+			for op := expr.OpEQ; op <= expr.OpGE; op++ {
+				ct.Op = op
+				for _, rec := range recs {
+					if ok, err := rc.Test(rec, ct); err != nil {
+						t.Fatal(err)
+					} else if ok {
+						kept++
+					}
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%+v: %v allocations per %d tests, want none", ct, allocs, 6*len(recs))
+		}
+		if kept == 0 || kept == 6*len(recs) {
+			t.Fatalf("%+v: %d of %d tests hold, so the comparison is not exercised", ct, kept, 6*len(recs))
+		}
+	}
+}
+
 var decodeSink expr.Value
 
 func BenchmarkDecodeIntoMemo(b *testing.B) {

@@ -118,3 +118,33 @@ func FuzzRowCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzColTest holds the record test to its reference on arbitrary record
+// bytes, any column index (int, bool and string columns of mixedCols, and
+// out of range), any operator byte (unknown ones included) and a constant of
+// every kind — NULL, int, string, bool: Test is op.Apply(DecodeCol(rec, col),
+// val) under WHERE semantics, NULL and false both rejecting, and it fails
+// exactly where DecodeCol fails, with the same error. The seed corpus is
+// testdata/fuzz/FuzzColTest.
+func FuzzColTest(f *testing.F) {
+	rc, err := NewRowCodec(mixedCols())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, rec []byte, col int16, op, kind uint8, i int64, s string) {
+		val := []expr.Value{expr.Null, expr.I(i), expr.S(s), expr.B(i != 0)}[kind%4]
+		ct := ColTest{Col: int(col), Op: expr.CmpOp(op % 8), Val: val}
+		got, gotErr := rc.Test(rec, ct)
+		v, err := rc.DecodeCol(rec, ct.Col)
+		if (gotErr == nil) != (err == nil) || (err != nil && gotErr.Error() != err.Error()) {
+			t.Fatalf("Test(%+v) on %d bytes: error %v, DecodeCol's %v", ct, len(rec), gotErr, err)
+		}
+		if err != nil {
+			return
+		}
+		holds, known := ct.Op.Apply(v, val).Bool()
+		if want := known && holds; got != want {
+			t.Fatalf("Test(%+v) = %v, the reference %v (column value %#v)", ct, got, want, v)
+		}
+	})
+}

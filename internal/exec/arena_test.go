@@ -78,16 +78,36 @@ type arenaShape struct {
 	// the shape decodes whole rows.
 	hand          bool
 	thin, parThin string
+	// absorbs is the cheap filters Build compiles into the hand-built shape's
+	// scans as record tests, at every worker count (thinSummary).
+	absorbs string
 }
 
 // thinSummary renders what Build derives for root's heap scans at the given
-// worker count as "table:col,col ..." in table order.
-func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int) string {
+// worker count as "table:col,col ..." in table order, and the filters its
+// scans absorb as "table:pred;pred ..." (bottom first).
+func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int) (thin, absorbs string) {
 	t.Helper()
 	env := &Env{Cat: cat, Parallelism: workers}
 	if workers > 1 {
 		env.ordered = orderedNodes(root)
 	}
+	env.runs = env.recordRuns(root)
+	var runs []string
+	for n, r := range env.runs {
+		if n == r.scan {
+			var preds []string
+			for _, f := range r.filters {
+				preds = append(preds, f.Pred.String())
+			}
+			table, _, _ := plan.BaseTable(n)
+			if _, ok := n.(*plan.IndexScan); ok {
+				table += "(index)"
+			}
+			runs = append(runs, table+":"+strings.Join(preds, ";"))
+		}
+	}
+	sort.Strings(runs)
 	var out []string
 	for scan, th := range env.thinScans(root) {
 		tab, err := env.Cat.Table(scan.Table)
@@ -101,7 +121,7 @@ func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int
 		out = append(out, scan.Table+":"+strings.Join(cols, ","))
 	}
 	sort.Strings(out)
-	return strings.Join(out, " ")
+	return strings.Join(out, " "), strings.Join(runs, " ")
 }
 
 // arenaShapes are the figure queries and the plan shapes that decide who
@@ -117,7 +137,9 @@ func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int
 // and the filter chain under a root filter) and per consumer that must find
 // whole rows (a root scan, a TopK, Limit or sort root, a nested loop's
 // outer, a cross product's inner, a hash join's build side, both sides of a
-// merge join).
+// merge join) — and which cheap filters the scans absorb: thin and whole,
+// heap and index scans, at the root and under a hash probe, a hash build and
+// an index nested loop's outer.
 func arenaShapes(t *testing.T) []arenaShape {
 	db := figuresDB(t, 0.02)
 	small := figuresDB(t, 0.005) // Query 5's nested loop is quadratic in the scale
@@ -146,10 +168,10 @@ func arenaShapes(t *testing.T) []arenaShape {
 	}
 	few := &plan.Filter{Input: scan("t2"), Pred: &query.Predicate{
 		Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t2", "ua1"), Value: expr.I(12)}}
-	handP := func(name string, root plan.Node, thin, parThin string) {
-		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }, true, thin, parThin})
+	handP := func(name string, root plan.Node, thin, parThin, absorbs string) {
+		shapes = append(shapes, arenaShape{name, db, func(*testing.T, bool, bool) plan.Node { return root }, true, thin, parThin, absorbs})
 	}
-	hand := func(name string, root plan.Node, thin string) { handP(name, root, thin, thin) }
+	hand := func(name string, root plan.Node, thin, absorbs string) { handP(name, root, thin, thin, absorbs) }
 	// The root shapes of the result-row rule: who reads the query's pool and
 	// copies out what it keeps (a filter, a bounded TopK), who hands fresh
 	// slabs down (a Limit, the sort), at every operator that can be below.
@@ -165,50 +187,63 @@ func arenaShapes(t *testing.T) []arenaShape {
 	}
 	over := func(in plan.Node, p *query.Predicate) *plan.Filter { return &plan.Filter{Input: in, Pred: p} }
 	t6 := func() plan.Node { return over(scan("t6"), lt(col("t6", "ua1"), 700)) }
-	hand("root-scan", scan("t6"), "")
-	hand("filter-scan", over(scan("t6"), udf(col("t6", "u20"))), "t6:u20")
-	hand("filter-filter-scan", over(over(scan("t6"), lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))), "t6:ua1,u20")
+	hand("root-scan", scan("t6"), "", "")
+	hand("filter-scan", over(scan("t6"), udf(col("t6", "u20"))), "t6:u20", "")
+	// The scan tests the cheap filter on the record and decodes only what the
+	// costly one above it reads.
+	hand("filter-filter-scan", over(over(scan("t6"), lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))), "t6:u20", "t6:t6.ua1 < 5000")
 	hi := expr.I(40)
-	hand("filter-filter-indexscan", over(over(&plan.IndexScan{Table: "t6", Col: "a10", Hi: &hi,
-		ColRefs: scan("t6").Cols()}, lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))), "")
+	ix := func() plan.Node { return &plan.IndexScan{Table: "t6", Col: "a10", Hi: &hi, ColRefs: scan("t6").Cols()} }
+	hand("filter-filter-indexscan", over(over(ix(), lt(col("t6", "ua1"), 5000)), udf(col("t6", "u20"))), "", "t6(index):t6.ua1 < 5000")
+	// A run of cheap filters at the root: the scan makes the result rows,
+	// whole, from the records every test keeps — a heap scan and an index scan.
+	hand("absorbed-root", over(over(scan("t6"), lt(col("t6", "ua1"), 5000)), lt(col("t6", "u10"), 5)), "", "t6:t6.ua1 < 5000;t6.u10 < 5")
+	hand("absorbed-root-indexscan", over(ix(), lt(col("t6", "ua1"), 5000)), "", "t6(index):t6.ua1 < 5000")
 	for _, m := range []struct {
 		method plan.JoinMethod
 		thin   string
 	}{{plan.HashJoin, "t2:a1"}, {plan.MergeJoin, ""}, {plan.NestLoop, "t3:a1"}} {
 		outer := over(scan("t2"), lt(col("t2", "a1"), 60))
 		hand("filter-"+m.method.String(), over(equiJoin(t, db.Cat, m.method, outer, scan("t3"), col("t2", "a1"), col("t3", "a1")),
-			lt(col("t3", "a10"), 16)), m.thin)
+			lt(col("t3", "a10"), 16)), m.thin, "t2:t2.a1 < 60")
 	}
-	// The probe side decodes late on the key and the predicate under it; the
-	// build side, filtered or not, whole: its table may be shared.
+	// The probe side decodes late on the key alone, its filter tested on the
+	// record; the build side, filtered or not, whole: its table may be shared.
 	hand("hash-probe-build-filtered", equiJoin(t, db.Cat, plan.HashJoin,
 		over(scan("t3"), lt(col("t3", "u10"), 8)), over(scan("t2"), lt(col("t2", "a1"), 600)),
-		col("t3", "a1"), col("t2", "a1")), "t3:a1,u10")
-	handP("filter-indexnl", over(indexNL(), lt(col("t3", "u10"), 5)), "t1:a1", "")
-	hand("topk-filter", &plan.TopK{Input: t6(), K: 25, Key: col("t6", "ua1"), Desc: true}, "")
-	hand("limit-filter", &plan.Limit{Input: t6(), K: 25}, "")
+		col("t3", "a1"), col("t2", "a1")), "t3:a1", "t2:t2.a1 < 600 t3:t3.u10 < 8")
+	handP("filter-indexnl", over(indexNL(), lt(col("t3", "u10"), 5)), "t1:a1", "", "")
+	// An index nested loop's outer tests its filter on the record and decodes
+	// the probe key alone (serially; at P > 1 its scan heads an exchange and
+	// decodes whole, the filter still absorbed); the inner chain is the join's.
+	handP("absorbed-indexnl-outer", equiJoin(t, db.Cat, plan.IndexNestLoop, over(scan("t1"), lt(col("t1", "ua1"), 100)),
+		over(scan("t3"), lt(col("t3", "u10"), 5)), col("t1", "a1"), col("t3", "a1")), "t1:a1", "", "t1:t1.ua1 < 100")
+	hand("topk-filter", &plan.TopK{Input: t6(), K: 25, Key: col("t6", "ua1"), Desc: true}, "", "t6:t6.ua1 < 700")
+	hand("limit-filter", &plan.Limit{Input: t6(), K: 25}, "", "t6:t6.ua1 < 700")
 	// A hash join orderedNodes keeps serial at every worker count: its probe
 	// chain must stay serial with it, for the scan's batches to reach it.
 	hand("limit-hashjoin", &plan.Limit{K: 40, Input: equiJoin(t, db.Cat, plan.HashJoin,
-		over(scan("t3"), lt(col("t3", "u10"), 8)), scan("t2"), col("t3", "a1"), col("t2", "a1"))}, "t3:a1,u10")
-	hand("sort-filter", &plan.TopK{Input: t6(), K: -1, Key: col("t6", "ua1")}, "")
-	handP("indexnl", indexNL(), "t1:a1", "")
-	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")), "t1:a1")
+		over(scan("t3"), lt(col("t3", "u10"), 8)), scan("t2"), col("t3", "a1"), col("t2", "a1"))}, "t3:a1", "t3:t3.u10 < 8")
+	hand("sort-filter", &plan.TopK{Input: t6(), K: -1, Key: col("t6", "ua1")}, "", "t6:t6.ua1 < 700")
+	handP("indexnl", indexNL(), "t1:a1", "", "")
+	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")), "t1:a1", "t2:t2.ua1 < 12")
 	// A nested loop's rescanned inner decodes late on what its primary reads
-	// of it, and what the inner's filter chain reads; the outer stays whole.
-	// Through a join it does not reach (the hash join's probe side decodes
-	// late for that join, as anywhere), and a cross product, whose every pair
-	// survives, keeps its inner whole.
+	// of it, and what the inner's filter chain reads, but for the filters its
+	// scan tests on the record; the outer stays whole. Through a join it does
+	// not reach (the hash join's probe side decodes late for that join, as
+	// anywhere), and a cross product, whose every pair survives, keeps its
+	// inner whole.
 	hand("nl-inner-filters", equiJoin(t, db.Cat, plan.NestLoop, few,
-		over(over(scan("t3"), lt(col("t3", "u10"), 50)), lt(col("t3", "ua1"), 500)), col("t2", "a1"), col("t3", "a1")), "t3:a1,ua1,u10")
+		over(over(scan("t3"), lt(col("t3", "u10"), 50)), lt(col("t3", "ua1"), 500)), col("t2", "a1"), col("t3", "a1")),
+		"t3:a1", "t2:t2.ua1 < 12 t3:t3.u10 < 50;t3.ua1 < 500")
 	hand("nl-inner-hashjoin", equiJoin(t, db.Cat, plan.NestLoop, few,
 		equiJoin(t, db.Cat, plan.HashJoin, scan("t3"), over(scan("t1"), lt(col("t1", "ua1"), 100)), col("t3", "a1"), col("t1", "a1")),
-		col("t2", "a10"), col("t3", "a10")), "t3:a1")
-	hand("nl-cheap-cmp", joinOn(t, db.Cat, plan.NestLoop, few, scan("t3"), col("t2", "ua1"), expr.OpGT, col("t3", "ua1")), "t3:ua1")
+		col("t2", "a10"), col("t3", "a10")), "t3:a1", "t1:t1.ua1 < 100 t2:t2.ua1 < 12")
+	hand("nl-cheap-cmp", joinOn(t, db.Cat, plan.NestLoop, few, scan("t3"), col("t2", "ua1"), expr.OpGT, col("t3", "ua1")), "t3:ua1", "t2:t2.ua1 < 12")
 	cross := &plan.Join{Method: plan.NestLoop, Outer: few, Inner: over(scan("t3"), lt(col("t3", "u10"), 5))}
 	cross.ColRefs = plan.ConcatCols(cross.Outer, cross.Inner)
-	hand("nl-cross", cross, "")
-	handP("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")), "t1:a1 t2:ua1", "t2:ua1")
+	hand("nl-cross", cross, "", "t2:t2.ua1 < 12 t3:t3.u10 < 5")
+	handP("hash-build-indexnl", equiJoin(t, db.Cat, plan.HashJoin, scan("t2"), indexNL(), col("t2", "ua1"), col("t3", "ua1")), "t1:a1 t2:ua1", "t2:ua1", "")
 	return shapes
 }
 
@@ -232,8 +267,8 @@ func TestArenaMatrix(t *testing.T) {
 					if p > 1 {
 						thin = sh.parThin
 					}
-					if got := thinSummary(t, db.Cat, root, p); sh.hand && got != thin {
-						t.Fatalf("%s P=%d: Build has %q decode late, want %q", sh.name, p, got, thin)
+					if got, abs := thinSummary(t, db.Cat, root, p); sh.hand && (got != thin || abs != sh.absorbs) {
+						t.Fatalf("%s P=%d: Build has %q decode late and absorbs %q, want %q and %q", sh.name, p, got, abs, thin, sh.absorbs)
 					}
 					for _, bs := range []int{1, 7, 256} {
 						name := fmt.Sprintf("%s transfer=%v caching=%v profile=%v P=%d BS=%d", sh.name, transfer, caching, profile, p, bs)
@@ -507,9 +542,10 @@ func carved(p *slabPool, as ...*rowAlloc) int {
 }
 
 // TestRejectedFetchCarvesNothing: a fetched row that is then rejected — by an
-// index nested loop's residual filter, by a transfer probe on an index scan —
-// leaves its slot to the next fetch, so what an operator carves is what it
-// emits (and at most the one row it holds ready).
+// index nested loop's residual filter — leaves its slot to the next fetch,
+// and a record a transfer probe on an index scan or a filter a scan absorbed
+// rejects is never carved, so what an operator carves is what it emits (and
+// at most the one row it holds ready).
 func TestRejectedFetchCarvesNothing(t *testing.T) {
 	db := figuresDB(t, 0.02)
 	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
@@ -576,4 +612,42 @@ func TestRejectedFetchCarvesNothing(t *testing.T) {
 	}
 	own.release()
 	env.slabs.release()
+	// Heap and index scans under a cheap filter they absorb, whole-row: every
+	// value carved is an emitted row's.
+	t3Tab, err := db.Cat.Table("t3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []plan.Node{t3, &plan.IndexScan{Table: "t3", Col: "a10", Hi: &hi, ColRefs: t3.ColRefs}} {
+		env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0)}
+		env.begin()
+		root := &plan.Filter{Input: base, Pred: pred(3)}
+		env.runs = env.recordRuns(root)
+		var own slabPool
+		it, err := build(env, root, &own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n, err := collect(env, it, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var alloc *rowAlloc
+		switch s := it.(type) {
+		case *seqScanIter:
+			alloc = &s.alloc
+		case *indexScanIter:
+			alloc = &s.alloc
+		default:
+			t.Fatalf("%s: the filter was built as %T, not absorbed by its scan", root.Describe(), it)
+		}
+		if got := carved(&own, alloc); n == 0 || int64(n) >= t3Tab.Card/2 || got != n*width {
+			t.Fatalf("%s: %d rows kept, %d values carved, want %d", base.Describe(), n, got, n*width)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		own.release()
+		env.slabs.release()
+	}
 }

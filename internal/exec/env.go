@@ -128,6 +128,9 @@ type Env struct {
 	// (orderedNodes); nil when execution is serial anyway. Written once,
 	// before execution starts; nested-loop rebuilds only read it.
 	ordered map[plan.Node]bool
+	// runs holds, by scan and by filter, the cheap comparisons Build found the
+	// scans absorb (recordRuns); written once by Build, like ordered.
+	runs map[plan.Node]*recordRun
 	// thin holds, for each heap scan Build found feeding an operator that
 	// decides a row's fate on a few columns and copies the survivors out, the
 	// columns the scan decodes and where the rest are found later (thinScan);
@@ -188,6 +191,9 @@ func (e *Env) begin() {
 	e.bloomAdds.Store(0)
 	e.bloomProbes.Store(0)
 	e.transfer = nil
+	// The profile of a query that never reached Build (a prepass DNF) reads
+	// runs, so the last query's must not survive.
+	e.runs = nil
 	e.slabs.release() // a no-op after Run; callers that drive Build themselves may not have
 	e.trace = map[plan.Node]*atomic.Int64{}
 	if e.Profile {

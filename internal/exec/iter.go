@@ -56,13 +56,15 @@ func next(it Iterator) (expr.Row, bool, error) {
 // emits, so everything below a join carves from the query's pool, or from
 // the pool of the nested-loop inner subtree it sits in.
 //
-// The same rule one step down decides what a heap scan decodes: a column is
-// decoded by the first operator that needs it (thinScans).
+// The same rule one step down decides what a scan decodes: a record a cheap
+// comparison rejects is never a row (recordRuns), and a column is decoded by
+// the first operator that needs it (thinScans).
 func Build(e *Env, n plan.Node) (Iterator, error) {
 	e.ordered = nil
 	if e.workers() > 1 {
 		e.ordered = orderedNodes(n)
 	}
+	e.runs = e.recordRuns(n)
 	e.thin = e.thinScans(n)
 	it, err := buildIn(e, n, nil)
 	if p, ok := it.(*profIter); ok {
@@ -132,15 +134,16 @@ func orderedNodes(root plan.Node) map[plan.Node]bool {
 // (the primary's inner columns), the outer of an index nested loop (the key
 // it probes with) and the root filter's copy-out (the chain's own
 // predicates). What such a scan decodes is what those filters, and that key,
-// read. Every other scan decodes whole rows, as its consumer reads or keeps
-// them whole: a root scan, the input of a TopK, Limit or sort root, the
-// outer of a nested-loop join, a cross product's inner — every pair
-// survives — a hash join's build side — its table may be
-// shared by an exchange's probes, which must find rows nobody still writes —
-// and both sides of a merge join, which completes its survivors long after
-// the scan, in key order, when neither the row nor its record is in any
-// cache: late decoding measured slower there than decoding at the scan
-// (DESIGN.md §12).
+// read — but for the filters it absorbed (recordRuns): it tests those on the
+// record, and a column only they read is never decoded. Every other scan
+// decodes whole rows, as its consumer reads or keeps them whole: a root
+// scan, the input of a TopK, Limit or sort root, the outer of a nested-loop
+// join, a cross product's inner — every pair survives — a hash join's build
+// side — its table may be shared by an exchange's probes, which must find
+// rows nobody still writes — and both sides of a merge join, which completes
+// its survivors long after the scan, in key order, when neither the row nor
+// its record is in any cache: late decoding measured slower there than
+// decoding at the scan (DESIGN.md §12).
 func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 	var out map[*plan.SeqScan]*thinScan
 	// feed registers the scan under the filter chain at n for consumer by,
@@ -166,6 +169,9 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 		}
 		var buf [4]query.ColRef
 		for f, ok := n.(*plan.Filter); ok; f, ok = f.Input.(*plan.Filter) {
+			if e.runs[f] != nil {
+				continue // the scan tests it on the record
+			}
 			refs := f.Pred.Cols(buf[:0])
 			if len(refs) == 0 || e.segment(f) != seg {
 				return // a predicate of no known columns may read any
@@ -254,6 +260,176 @@ func (e *Env) finisherFor(n plan.Node) finisher {
 	return finisher{t: e.thin[scan]}
 }
 
+// recordRun is the bottom run of cheap comparisons directly over a scan —
+// `column op constant`, cost 0, each in the scan's segment — which Build
+// compiles into the scan as record tests instead of giving the filters
+// operators (DESIGN.md §12: a record a cheap comparison rejects is never a
+// row). The scan tests each record, after its transfer probes and before it
+// carves or decodes anything, and keeps what the filters' operators counted:
+// rows[k] is the actual= counter of level k — the scan's own rows (level 0),
+// then what filters[k-1] keeps; the top filter's rows are the scan's output,
+// counted by the wrapper buildIn puts round it. prof[k], under Profile, takes
+// tests[k]'s evaluations.
+type recordRun struct {
+	scan    plan.Node      // a *plan.SeqScan or *plan.IndexScan
+	filters []*plan.Filter // bottom first; filters[k] is tests[k]
+	tests   []catalog.ColTest
+	rows    []*atomic.Int64 // nil when the Env is not tracing
+	prof    []*opCounters   // nil unless profiling
+}
+
+// top is the run's highest filter, whose rows the scan emits.
+func (r *recordRun) top() *plan.Filter { return r.filters[len(r.filters)-1] }
+
+// recordRuns derives from the plan alone which filters the scans absorb:
+// over each heap or index scan, the bottom run of cheap comparisons of one of
+// its columns with a constant, in the scan's segment (Env.segment agrees on
+// them, so no exchange comes between). A run is keyed by its scan and by each
+// of its filters. An index nested loop's inner chain gets none: the join
+// probes it, and evaluates its filters itself.
+func (e *Env) recordRuns(root plan.Node) map[plan.Node]*recordRun {
+	var out map[plan.Node]*recordRun
+	var walk func(n plan.Node)
+	walk = func(n plan.Node) {
+		switch t := n.(type) {
+		case *plan.Join:
+			if t.Method == plan.IndexNestLoop {
+				walk(t.Outer)
+				return
+			}
+		case *plan.Filter:
+			chain, base := []*plan.Filter{t}, t.Input
+			for f, ok := base.(*plan.Filter); ok; f, ok = base.(*plan.Filter) {
+				chain, base = append(chain, f), f.Input
+			}
+			if r := e.recordRun(base, chain); r != nil {
+				if out == nil {
+					out = map[plan.Node]*recordRun{}
+				}
+				out[base] = r
+				for _, f := range r.filters {
+					out[f] = r
+				}
+			}
+			walk(base)
+			return
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(root)
+	return out
+}
+
+// recordRun compiles the run the scan under chain (top filter first)
+// absorbs, nil when it absorbs none.
+func (e *Env) recordRun(scan plan.Node, chain []*plan.Filter) *recordRun {
+	var table string
+	switch s := scan.(type) {
+	case *plan.SeqScan:
+		table = s.Table
+	case *plan.IndexScan:
+		table = s.Table
+	default:
+		return nil
+	}
+	tab, err := e.Cat.Table(table)
+	if err != nil || tab.Codec == nil || len(scan.Cols()) != len(tab.Columns) {
+		return nil // the scan's constructor reports it
+	}
+	r := &recordRun{scan: scan}
+	for i := len(chain) - 1; i >= 0; i-- {
+		f := chain[i]
+		p := f.Pred
+		if p.Kind != query.KindSelCmp || p.IsExpensive() || e.segment(f) != e.segment(scan) {
+			break
+		}
+		col := plan.ColIndex(scan, p.Left)
+		if col < 0 {
+			break // compilePred reports it
+		}
+		r.filters = append(r.filters, f)
+		r.tests = append(r.tests, catalog.ColTest{Col: col, Op: p.Op, Val: p.Value})
+	}
+	if len(r.filters) == 0 {
+		return nil
+	}
+	if e.trace != nil {
+		r.rows = []*atomic.Int64{e.nodeCounter(scan)}
+		for _, f := range r.filters[:len(r.filters)-1] {
+			r.rows = append(r.rows, e.nodeCounter(f))
+		}
+	}
+	if e.prof != nil {
+		for _, f := range r.filters {
+			r.prof = append(r.prof, e.nodeProf(f))
+		}
+	}
+	return r
+}
+
+// recordTests is one scan instance's use of its recordRun (an exchange part,
+// a nested loop's rescan each have their own): what reached each level since
+// Open, n[0] the scan's rows and n[k+1] what tests[k] kept, and what of that
+// the counters already have. A scan without a run has none to use.
+type recordTests struct {
+	run     *recordRun
+	n, sent []int
+}
+
+// open zeroes the tallies, allocating them on a first open only (a nested
+// loop reopens its inner scan once per outer block).
+func (rt *recordTests) open() {
+	if rt.run == nil {
+		return
+	}
+	if rt.n == nil {
+		levels := len(rt.run.tests) + 1
+		buf := make([]int, 2*levels)
+		rt.n, rt.sent = buf[:levels], buf[levels:]
+		return
+	}
+	clear(rt.n)
+	clear(rt.sent)
+}
+
+// pass reports whether rec survives every test, in order: the filters'
+// verdicts, with each filter's abort check every budgetEvery evaluations.
+func (rt *recordTests) pass(e *Env, codec *catalog.RowCodec, rec []byte) (bool, error) {
+	rt.n[0]++
+	for k, t := range rt.run.tests {
+		if rt.n[k]%budgetEvery == 0 {
+			if err := e.checkAbort(); err != nil {
+				return false, err
+			}
+		}
+		if ok, err := codec.Test(rec, t); !ok || err != nil {
+			return false, err
+		}
+		rt.n[k+1]++
+	}
+	return true, nil
+}
+
+// flush adds what reached each level since the last flush to the run's
+// counters: once per NextBatch, not once per record.
+func (rt *recordTests) flush() {
+	for k, v := range rt.n {
+		d := int64(v - rt.sent[k])
+		if d == 0 {
+			continue
+		}
+		rt.sent[k] = v
+		if k < len(rt.run.rows) {
+			rt.run.rows[k].Add(d)
+		}
+		if k < len(rt.run.prof) {
+			rt.run.prof[k].predEvals.Add(d)
+		}
+	}
+}
+
 // buildIn builds n with its output rows carved from rs (nil: fresh slabs):
 // the serial operator, or where n heads a segment an exchange over copies
 // of it.
@@ -288,6 +464,9 @@ func build(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	case *plan.IndexScan:
 		return newIndexScan(e, t, rs)
 	case *plan.Filter:
+		if r := e.runs[t]; r != nil { // t tops a run: its scan makes t's rows
+			return build(e, r.scan, rs)
+		}
 		f, err := compileFilter(e, t, rs)
 		if err != nil {
 			return nil, err
@@ -321,11 +500,13 @@ func (e *Env) below(rs *slabPool) *slabPool {
 // its contiguous share of the file's pages. With predicate transfer on,
 // received Bloom filters are probed on the raw record (decoding only the
 // join-key columns) before any decode into a row, so pruned rows cost one
-// partial decode and a probe — never a row allocation. A scan Build marked
-// thin decodes only the columns its rows' fate depends on (thinScan); its
-// consumer takes in each batch before asking for the next, so the rows of a
-// batch — like the page they lie on — are good only until the next call,
-// which the operators Build allows between the two (filters) never outlast.
+// partial decode and a probe — never a row allocation; the filters the scan
+// absorbed (recordRun) test the record next, at no higher price. A scan
+// Build marked thin decodes only the columns its rows' fate depends on
+// (thinScan); its consumer takes in each batch before asking for the next,
+// so the rows of a batch — like the page they lie on — are good only until
+// the next call, which the operators Build allows between the two (filters)
+// never outlast.
 type seqScanIter struct {
 	e   *Env
 	tab *catalog.Table
@@ -348,6 +529,7 @@ type seqScanIter struct {
 	ring   []expr.Value
 	memo   catalog.DecodeMemo
 	probes []tableProbe
+	rt     recordTests
 	tc     *opCounters
 }
 
@@ -359,7 +541,7 @@ func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
 	if tab.Heap == nil || tab.Codec == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", s.Table)
 	}
-	it := &seqScanIter{e: e, tab: tab, parts: 1, alloc: rowAlloc{pool: rs}}
+	it := &seqScanIter{e: e, tab: tab, parts: 1, alloc: rowAlloc{pool: rs}, rt: recordTests{run: e.runs[s]}}
 	if rs != nil { // a thin scan's ring is a slab of the rows' pool
 		it.thin = e.thin[s]
 	}
@@ -382,18 +564,22 @@ func (s *seqScanIter) Open() error {
 		s.cols = s.thin.need
 	}
 	s.probes = s.e.transferProbes(s.tab.Name)
+	s.rt.open()
 	return nil
 }
 
 // NextBatch walks the pinned page's slots (one storage call per page, no
-// per-record copy) and decodes records straight into slab-carved rows,
-// checking the budget — and for its exchange's shutdown — every 1024 records
-// scanned. It is one loop parameterised by the column set: every column, or
-// under thin the needed ones, with the row's place on its page left in the
-// mark slot for whoever keeps the row.
+// per-record copy) and decodes the records it keeps straight into
+// slab-carved rows, checking the budget — and for its exchange's shutdown —
+// every 1024 records scanned. It is one loop parameterised by the column
+// set: every column, or under thin the needed ones, with the row's place on
+// its page left in the mark slot for whoever keeps the row.
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.it == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
+	}
+	if s.rt.run != nil {
+		defer s.rt.flush()
 	}
 	codec, width := s.tab.Codec, len(s.tab.Columns)
 	if s.thin != nil && width <= slabValues {
@@ -460,6 +646,15 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 				continue
 			}
 		}
+		if s.rt.run != nil {
+			keep, err := s.rt.pass(s.e, codec, rec)
+			if err != nil {
+				return 0, err
+			}
+			if !keep {
+				continue
+			}
+		}
 		row := s.alloc.next(width)
 		if s.thin != nil {
 			if poisonSlabs {
@@ -503,9 +698,10 @@ type indexScanIter struct {
 	rng    *btree.Iter
 	count  int
 	alloc  rowAlloc
-	spare  expr.Row // carved for a fetch a transfer probe then pruned: the next fetch's row
+	row    expr.Row // the fetch's row, carved only for a record take keeps
 	memo   catalog.DecodeMemo
 	probes []tableProbe
+	rt     recordTests
 	tc     *opCounters
 }
 
@@ -517,7 +713,7 @@ func newIndexScan(e *Env, s *plan.IndexScan, rs *slabPool) (Iterator, error) {
 	if !tab.HasIndex(s.Col) {
 		return nil, fmt.Errorf("exec: no index on %s.%s", s.Table, s.Col)
 	}
-	it := &indexScanIter{e: e, node: s, tab: tab, alloc: rowAlloc{pool: rs}}
+	it := &indexScanIter{e: e, node: s, tab: tab, alloc: rowAlloc{pool: rs}, rt: recordTests{run: e.runs[s]}}
 	if e.prof != nil {
 		it.tc = e.nodeProf(s)
 	}
@@ -531,6 +727,7 @@ func (s *indexScanIter) Open() error {
 	s.pos, s.count = 0, 0
 	s.rng = nil
 	s.probes = s.e.transferProbes(s.tab.Name)
+	s.rt.open()
 	switch {
 	case s.node.Eq != nil:
 		if s.node.Eq.Kind != expr.TInt {
@@ -566,14 +763,14 @@ func (s *indexScanIter) nextTID() (storage.TID, bool) {
 	return tid, true
 }
 
-// NextBatch fetches matching heap tuples, decoding each record in place
-// under its page pin (HeapFile.View) into slab-carved rows instead of
-// copying record bytes out. Index fetches already paid the random I/O, so
-// received filters are probed on the decoded row; pruning saves the
-// operators above, and the pruned fetch's row is the next fetch's.
+// NextBatch fetches matching heap tuples and looks at each record in place
+// under its page pin (HeapFile.View, take): a fetch its received filters or
+// its record tests reject carves no row, and one they keep is decoded
+// straight into a slab-carved row.
 func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
-	width := len(s.tab.Columns)
-	decode := func(rec []byte) error { return s.tab.Codec.DecodeIntoMemo(rec, s.spare, &s.memo) }
+	if s.rt.run != nil {
+		defer s.rt.flush()
+	}
 	n := 0
 	for n < len(dst) {
 		tid, ok := s.nextTID()
@@ -586,26 +783,45 @@ func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
 				return 0, err
 			}
 		}
-		if s.spare == nil {
-			s.spare = s.alloc.next(width)
-		}
-		if err := s.heap.View(tid, decode); err != nil {
+		if err := s.heap.View(tid, s.take); err != nil {
 			return 0, err
 		}
-		if len(s.probes) > 0 && !s.e.probeRow(s.spare, s.probes, s.tc) {
+		if s.row == nil {
 			continue
 		}
-		dst[n], s.spare = s.spare, nil
+		dst[n], s.row = s.row, nil
 		n++
 	}
 	return n, nil
+}
+
+// take probes rec with the received filters, then runs the record tests, and
+// decodes a record both keep into s.row.
+func (s *indexScanIter) take(rec []byte) error {
+	codec := s.tab.Codec
+	if len(s.probes) > 0 {
+		if keep, err := s.e.probeRecord(codec, rec, s.probes, s.tc); !keep || err != nil {
+			return err
+		}
+	}
+	if s.rt.run != nil {
+		if keep, err := s.rt.pass(s.e, codec, rec); !keep || err != nil {
+			return err
+		}
+	}
+	row := s.alloc.next(len(s.tab.Columns))
+	if err := codec.DecodeIntoMemo(rec, row, &s.memo); err != nil {
+		return err
+	}
+	s.row = row
+	return nil
 }
 
 func (s *indexScanIter) Close() error {
 	s.tids = nil
 	s.rng = nil
 	s.pos = 0
-	s.spare = nil
+	s.row = nil
 	return nil
 }
 

@@ -240,6 +240,9 @@ func (x *exchangeIter) compile(n plan.Node, rs *slabPool) (func(i int) Iterator,
 			return &s
 		}, nil
 	case *plan.Filter:
+		if r := e.runs[t]; r != nil { // the scan's parts test t's run
+			return x.compile(r.scan, rs)
+		}
 		filter, err := compileFilter(e, t, rs)
 		if err != nil {
 			return nil, err

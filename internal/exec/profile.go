@@ -265,6 +265,13 @@ func estSel(n plan.Node) float64 {
 func assembleProfile(e *Env, n plan.Node) *OpProfile {
 	rows := e.nodeCounter(n).Load()
 	c := e.nodeProf(n)
+	// One wrapper timed a scan and the filters it absorbed, as their top
+	// filter: each reports that window, so the filters' self time is zero and
+	// the scan's is all of it.
+	timed := c
+	if r := e.runs[n]; r != nil {
+		timed = e.nodeProf(r.top())
+	}
 	p := &OpProfile{
 		Op:             n.Describe(),
 		EstRows:        n.Card(),
@@ -272,10 +279,10 @@ func assembleProfile(e *Env, n plan.Node) *OpProfile {
 		EstSel:         estSel(n),
 		ActRows:        rows,
 		ErrFactor:      errFactor(n.Card(), rows),
-		Opens:          c.opens.Load(),
-		Batches:        c.batches.Load(),
-		WallNs:         c.wallNs.Load(),
-		IO:             c.io(),
+		Opens:          timed.opens.Load(),
+		Batches:        timed.batches.Load(),
+		WallNs:         timed.wallNs.Load(),
+		IO:             timed.io(),
 		PredEvals:      c.predEvals.Load(),
 		Invocations:    c.invocations.Load(),
 		CacheHits:      c.cacheHits.Load(),

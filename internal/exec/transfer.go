@@ -63,14 +63,6 @@ type transferSlot struct {
 	hs     []uint64
 }
 
-// cheapPred is a zero-cost single-table comparison the prepass applies
-// directly to partially decoded records.
-type cheapPred struct {
-	colIdx int
-	op     expr.CmpOp
-	val    expr.Value
-}
-
 // tableProbe is one received filter a main-plan scan consults for a table.
 type tableProbe struct {
 	colIdx int
@@ -81,7 +73,9 @@ type tableProbe struct {
 type transferTable struct {
 	tab   *catalog.Table
 	slots []transferSlot
-	cheap []cheapPred
+	// cheap holds the zero-cost single-table comparisons, tested on the raw
+	// record as a scan tests the filters it absorbed.
+	cheap []catalog.ColTest
 	// costly holds cacheable expensive single-table predicates, evaluated in
 	// the prepass only when the predicate cache is on (the invocations warm
 	// the same cache entries the main plan will hit, so the work is paid
@@ -182,7 +176,7 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 			if idx < 0 {
 				continue
 			}
-			t.cheap = append(t.cheap, cheapPred{colIdx: idx, op: p.Op, val: p.Value})
+			t.cheap = append(t.cheap, catalog.ColTest{Col: idx, Op: p.Op, Val: p.Value})
 		} else {
 			cols := make([]query.ColRef, len(t.tab.Columns))
 			for i, c := range t.tab.Columns {
@@ -390,13 +384,12 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 			}
 		}
 		pass := true
-		for _, cp := range t.cheap {
-			v, err := t.tab.Codec.DecodeCol(rec, cp.colIdx)
+		for _, ct := range t.cheap {
+			ok, err := t.tab.Codec.Test(rec, ct)
 			if err != nil {
 				return err
 			}
-			b, known := cp.op.Apply(v, cp.val).Bool()
-			if !known || !b {
+			if !ok {
 				pass = false
 				break
 			}
@@ -532,38 +525,6 @@ func (e *Env) probeRecord(codec *catalog.RowCodec, rec []byte, probes []tablePro
 		}
 	}
 	return keep, nil
-}
-
-// probeRow is the decoded-row variant used by index scans, whose rows are
-// already fetched and decoded — pruning saves the downstream operators, not
-// the decode.
-func (e *Env) probeRow(row expr.Row, probes []tableProbe, tc *opCounters) bool {
-	keep := true
-	tested := 0
-	for i := range probes {
-		p := &probes[i]
-		v := row[p.colIdx]
-		if v.IsNull() {
-			keep = false
-			break
-		}
-		tested++
-		if !e.testFilter(p.class, bloomHash(v)) {
-			keep = false
-			break
-		}
-	}
-	e.ChargeBloomProbe(tested)
-	if tc != nil {
-		tc.transferProbes.Add(int64(tested))
-	}
-	if !keep {
-		e.transfer.pruned.Add(1)
-		if tc != nil {
-			tc.transferPruned.Add(1)
-		}
-	}
-	return keep
 }
 
 // stats summarizes the transfer stage for Stats/EXPLAIN ANALYZE.

@@ -80,8 +80,8 @@ func (v Value) Bool() (bool, bool) {
 }
 
 // Compare orders two values. NULLs sort first; values of different types
-// compare by type tag (the planner never produces mixed-type comparisons for
-// well-typed queries, but sorting must be total).
+// compare by type tag (the binder refuses a comparison between two types,
+// but sorting must be total).
 func (v Value) Compare(o Value) int {
 	if v.Kind != o.Kind {
 		return int(v.Kind) - int(o.Kind)
@@ -216,22 +216,30 @@ func (op CmpOp) Apply(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	c := a.Compare(b)
-	switch op {
-	case OpEQ:
-		return B(c == 0)
-	case OpNE:
-		return B(c != 0)
-	case OpLT:
-		return B(c < 0)
-	case OpLE:
-		return B(c <= 0)
-	case OpGT:
-		return B(c > 0)
-	case OpGE:
-		return B(c >= 0)
+	if holds, ok := op.Holds(a.Compare(b)); ok {
+		return B(holds)
 	}
 	return Null
+}
+
+// Holds reports whether two operands that compared as c (the sign of
+// Compare) satisfy op; ok is false for an unknown operator.
+func (op CmpOp) Holds(c int) (holds, ok bool) {
+	switch op {
+	case OpEQ:
+		return c == 0, true
+	case OpNE:
+		return c != 0, true
+	case OpLT:
+		return c < 0, true
+	case OpLE:
+		return c <= 0, true
+	case OpGT:
+		return c > 0, true
+	case OpGE:
+		return c >= 0, true
+	}
+	return false, false
 }
 
 // Flip returns the operator with operands swapped: a op b == b op.Flip() a.

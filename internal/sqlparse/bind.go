@@ -124,6 +124,45 @@ func (b *Binder) Bind(stmt *SelectStmt) (*Bound, error) {
 	return out, nil
 }
 
+// TypeMismatchError is a comparison whose two sides are of different types:
+// a column and a column, or a column and a constant, named as written. Such
+// a comparison has no SQL meaning, so it is refused when the statement is
+// bound; a NULL constant compares with any type.
+type TypeMismatchError struct {
+	Left, Right         string
+	LeftType, RightType expr.Type
+}
+
+func (e *TypeMismatchError) Error() string {
+	return fmt.Sprintf("sqlparse: cannot compare %s (%s) with %s (%s)", e.Left, e.LeftType, e.Right, e.RightType)
+}
+
+// colType is the declared type of a resolved column.
+func (b *Binder) colType(ref query.ColRef) (expr.Type, error) {
+	tab, err := b.Cat.Table(ref.Table)
+	if err != nil {
+		return 0, err
+	}
+	return tab.Columns[tab.ColIndex(ref.Col)].Type, nil
+}
+
+// constOf returns o's value, and a TypeMismatchError unless the column col
+// compared with it is of its type (a NULL is of any).
+func (b *Binder) constOf(col query.ColRef, o Operand) (expr.Value, error) {
+	v := operandValue(o)
+	if v.IsNull() {
+		return v, nil
+	}
+	lt, err := b.colType(col)
+	if err != nil {
+		return v, err
+	}
+	if lt != v.Kind {
+		return v, &TypeMismatchError{Left: col.String(), LeftType: lt, Right: v.String(), RightType: v.Kind}
+	}
+	return v, nil
+}
+
 func operandValue(o Operand) expr.Value {
 	switch {
 	case o.IsString:
@@ -175,19 +214,38 @@ func (b *Binder) bindPred(w PredExpr, resolve func(ColExpr) (query.ColRef, error
 			if l.Table == r.Table {
 				return nil, fmt.Errorf("sqlparse: same-table column comparisons are unsupported (%s vs %s)", l, r)
 			}
+			lt, err := b.colType(l)
+			if err != nil {
+				return nil, err
+			}
+			rt, err := b.colType(r)
+			if err != nil {
+				return nil, err
+			}
+			if lt != rt {
+				return nil, &TypeMismatchError{Left: l.String(), LeftType: lt, Right: r.String(), RightType: rt}
+			}
 			return &query.Predicate{Kind: query.KindJoinCmp, Op: op, Left: l, Right: r}, nil
 		case t.Left.IsCol:
 			l, err := resolve(t.Left.Col)
 			if err != nil {
 				return nil, err
 			}
-			return &query.Predicate{Kind: query.KindSelCmp, Op: op, Left: l, Value: operandValue(t.Right)}, nil
+			v, err := b.constOf(l, t.Right)
+			if err != nil {
+				return nil, err
+			}
+			return &query.Predicate{Kind: query.KindSelCmp, Op: op, Left: l, Value: v}, nil
 		case t.Right.IsCol:
 			r, err := resolve(t.Right.Col)
 			if err != nil {
 				return nil, err
 			}
-			return &query.Predicate{Kind: query.KindSelCmp, Op: op.Flip(), Left: r, Value: operandValue(t.Left)}, nil
+			v, err := b.constOf(r, t.Left)
+			if err != nil {
+				return nil, err
+			}
+			return &query.Predicate{Kind: query.KindSelCmp, Op: op.Flip(), Left: r, Value: v}, nil
 		default:
 			return nil, fmt.Errorf("sqlparse: constant comparison has no table")
 		}

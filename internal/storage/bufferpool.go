@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -12,7 +11,7 @@ import (
 // never evicted.
 //
 // The pool is divided into independent shards selected by a hash of the
-// (file, page) key, each with its own lock, frame map, and LRU list, so
+// (file, page) key, each with its own lock, frame table, and LRU ring, so
 // parallel workers fetching different pages rarely contend. A single-shard
 // pool (the default, see NewBufferPool) behaves exactly like the classic
 // global-LRU pool. Concurrent misses on the same page are deduplicated:
@@ -24,12 +23,24 @@ type BufferPool struct {
 	shards   []poolShard
 }
 
+// poolShard is one lock's share of the pool. A miss allocates nothing once
+// the shard is full: it reuses the frame of the page it evicts, finds frames
+// through an open-addressed table that never grows, orders them on an
+// intrusive LRU ring, and keeps the read in flight on the frame itself.
 type poolShard struct {
 	mu       sync.Mutex
 	capacity int
-	frames   map[frameKey]*frame
-	lru      *list.List // front = most recently used; holds *frame
-	inflight map[frameKey]*inflightRead
+	// table holds the resident frames by key (linear probing from keySlot, at
+	// most half full, deletion by backward shift); n counts them, frames
+	// whose read is in flight included.
+	table []*frame
+	n     int
+	// lru is the sentinel of the ring of resident frames: lru.next is the
+	// most recently used, lru.prev the eviction candidate.
+	lru frame
+	// landed is broadcast whenever an in-flight read ends, for the
+	// goroutines waiting on one.
+	landed sync.Cond
 
 	hits   int64
 	misses int64
@@ -40,19 +51,17 @@ type frameKey struct {
 	page PageID
 }
 
+// frame is one resident page. While its read is in flight (loading) it is
+// pinned by its reader and by every goroutine waiting on that read, which
+// err then tells how it ended.
 type frame struct {
-	key   frameKey
-	pg    *Page
-	pins  int
-	dirty bool
-	elem  *list.Element
-}
-
-// inflightRead is a pending physical read shared by every goroutine that
-// missed on the same page while it was being loaded (singleflight).
-type inflightRead struct {
-	done chan struct{}
-	err  error
+	key        frameKey
+	pg         *Page
+	pins       int
+	dirty      bool
+	loading    bool
+	err        error
+	prev, next *frame
 }
 
 // NewBufferPool creates a single-shard pool of the given capacity (in
@@ -78,16 +87,18 @@ func NewShardedBufferPool(disk *Disk, capacity, shards int) *BufferPool {
 	bp := &BufferPool{disk: disk, capacity: capacity, shards: make([]poolShard, shards)}
 	base, extra := capacity/shards, capacity%shards
 	for i := range bp.shards {
-		cap := base
+		s := &bp.shards[i]
+		s.capacity = base
 		if i < extra {
-			cap++
+			s.capacity++
 		}
-		bp.shards[i] = poolShard{
-			capacity: cap,
-			frames:   make(map[frameKey]*frame, cap),
-			lru:      list.New(),
-			inflight: make(map[frameKey]*inflightRead),
+		size := 2
+		for size < 2*s.capacity {
+			size *= 2
 		}
+		s.table = make([]*frame, size)
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		s.landed.L = &s.mu
 	}
 	return bp
 }
@@ -104,12 +115,71 @@ func pageShard(key frameKey, n int) int {
 	if n == 1 {
 		return 0
 	}
+	return int(keyHash(key) % uint64(n))
+}
+
+// keyHash mixes a page key with splitmix64's finalizer.
+func keyHash(key frameKey) uint64 {
 	x := uint64(key.file)<<32 | uint64(key.page)
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(n))
+	return x ^ x>>31
+}
+
+// keySlot is key's home slot in the shard's table: the hash's high half,
+// which the shard choice (its low bits, modulo the shard count) leaves alone.
+func (s *poolShard) keySlot(key frameKey) int {
+	return int(keyHash(key)>>32) & (len(s.table) - 1)
+}
+
+// find returns key's frame, nil if it is not resident, and the slot it is
+// in — or, when absent, the free slot an insert of key takes.
+func (s *poolShard) find(key frameKey) (*frame, int) {
+	mask := len(s.table) - 1
+	for i := s.keySlot(key); ; i = (i + 1) & mask {
+		if fr := s.table[i]; fr == nil || fr.key == key {
+			return fr, i
+		}
+	}
+}
+
+// insert makes fr, whose key is not resident, resident and most recently
+// used.
+func (s *poolShard) insert(fr *frame) {
+	_, i := s.find(fr.key)
+	s.table[i] = fr
+	s.n++
+	fr.prev, fr.next = &s.lru, s.lru.next
+	fr.next.prev, s.lru.next = fr, fr
+}
+
+// remove takes the resident frame fr out of the table and the ring, closing
+// the gap it leaves in its probe run by shifting later entries back.
+func (s *poolShard) remove(fr *frame) {
+	cur, i := s.find(fr.key)
+	if cur != fr {
+		return
+	}
+	mask := len(s.table) - 1
+	for j := (i + 1) & mask; s.table[j] != nil; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home slot lies
+		// after i on the way to j.
+		if (j-s.keySlot(s.table[j].key))&mask >= (j-i)&mask {
+			s.table[i], i = s.table[j], j
+		}
+	}
+	s.table[i] = nil
+	s.n--
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
+}
+
+// touch makes the resident frame fr the most recently used.
+func (s *poolShard) touch(fr *frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = &s.lru, s.lru.next
+	fr.next.prev, s.lru.next = fr, fr
 }
 
 // Capacity returns the total pool size in pages.
@@ -126,7 +196,7 @@ func (bp *BufferPool) PinnedFrames() int {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		for _, fr := range s.frames {
+		for fr := s.lru.next; fr != &s.lru; fr = fr.next {
 			if fr.pins > 0 {
 				n++
 			}
@@ -161,81 +231,81 @@ func (bp *BufferPool) ResetCounters() {
 }
 
 // Fetch pins page p of file f, reading it from disk on a miss. Concurrent
-// misses on the same page issue a single physical read.
+// misses on the same page issue a single physical read: the first registers
+// the frame and reads, the others pin the frame and wait for the read to
+// land. Once the shard is full a miss allocates nothing.
 func (bp *BufferPool) Fetch(f FileID, p PageID) (*Page, error) {
 	key := frameKey{f, p}
 	s := bp.shardFor(key)
-	for {
-		s.mu.Lock()
-		if fr, ok := s.frames[key]; ok {
-			fr.pins++
-			s.hits++
-			s.lru.MoveToFront(fr.elem)
-			pg := fr.pg
-			s.mu.Unlock()
-			return pg, nil
-		}
-		if fl, ok := s.inflight[key]; ok {
+	s.mu.Lock()
+	if fr, _ := s.find(key); fr != nil {
+		fr.pins++
+		for fr.loading {
 			// Another goroutine is reading this page; share its read.
-			s.mu.Unlock()
-			<-fl.done
-			if fl.err != nil {
-				return nil, fl.err
-			}
-			continue // the frame is now resident (or re-elect a reader)
+			s.landed.Wait()
 		}
-		s.misses++
-		if err := s.evictLocked(bp.disk); err != nil {
+		if err := fr.err; err != nil {
+			fr.pins--
 			s.mu.Unlock()
 			return nil, err
 		}
-		fl := &inflightRead{done: make(chan struct{})}
-		s.inflight[key] = fl
+		s.hits++
+		s.touch(fr)
+		pg := fr.pg
 		s.mu.Unlock()
-
-		pg, err := bp.disk.ReadPage(f, p)
-
-		s.mu.Lock()
-		delete(s.inflight, key)
-		if err == nil {
-			fr := &frame{key: key, pg: pg, pins: 1}
-			fr.elem = s.lru.PushFront(fr)
-			s.frames[key] = fr
-		}
-		fl.err = err
-		close(fl.done)
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 		return pg, nil
 	}
+	s.misses++
+	fr, err := s.evictLocked(bp.disk)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	if fr == nil {
+		fr = new(frame)
+	}
+	*fr = frame{key: key, pins: 1, loading: true}
+	s.insert(fr)
+	s.mu.Unlock()
+
+	pg, err := bp.disk.ReadPage(f, p)
+
+	s.mu.Lock()
+	fr.pg, fr.err, fr.loading = pg, err, false
+	if err != nil {
+		// The waiters take the error; the next miss elects a new reader.
+		fr.pins--
+		s.remove(fr)
+	}
+	s.landed.Broadcast()
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return pg, nil
 }
 
 // evictLocked makes room for one more frame in the shard, writing back a
-// dirty victim. Caller holds the shard lock.
-func (s *poolShard) evictLocked(disk *Disk) error {
-	for len(s.frames) >= s.capacity {
-		var victim *frame
-		for e := s.lru.Back(); e != nil; e = e.Prev() {
-			fr := e.Value.(*frame)
-			if fr.pins == 0 {
-				victim = fr
-				break
-			}
+// dirty victim, and returns the victim's frame for reuse (nil when there was
+// room). Caller holds the shard lock.
+func (s *poolShard) evictLocked(disk *Disk) (*frame, error) {
+	var victim *frame
+	for s.n >= s.capacity {
+		victim = s.lru.prev
+		for victim != &s.lru && victim.pins > 0 {
+			victim = victim.prev
 		}
-		if victim == nil {
-			return fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", s.capacity)
+		if victim == &s.lru {
+			return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", s.capacity)
 		}
 		if victim.dirty {
 			if err := disk.WritePage(victim.key.file, victim.key.page); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		s.lru.Remove(victim.elem)
-		delete(s.frames, victim.key)
+		s.remove(victim)
 	}
-	return nil
+	return victim, nil
 }
 
 // Unpin releases one pin on page p of file f; dirty marks the page modified.
@@ -244,8 +314,8 @@ func (bp *BufferPool) Unpin(f FileID, p PageID, dirty bool) {
 	s := bp.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fr, ok := s.frames[key]
-	if !ok || fr.pins == 0 {
+	fr, _ := s.find(key)
+	if fr == nil || fr.pins == 0 {
 		return
 	}
 	fr.pins--
@@ -265,37 +335,25 @@ func (bp *BufferPool) NewPage(f FileID) (PageID, *Page, error) {
 	s := bp.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.evictLocked(bp.disk); err != nil {
+	fr, err := s.evictLocked(bp.disk)
+	if err != nil {
 		return 0, nil, err
+	}
+	if fr == nil {
+		fr = new(frame)
 	}
 	// The freshly allocated page is already in the disk's array; register a
 	// frame for it directly without charging a read (it was never on disk).
 	pg, _ := bp.disk.peek(f, pid)
-	fr := &frame{key: key, pg: pg, pins: 1, dirty: true}
-	fr.elem = s.lru.PushFront(fr)
-	s.frames[key] = fr
+	*fr = frame{key: key, pg: pg, pins: 1, dirty: true}
+	s.insert(fr)
 	return pid, pg, nil
 }
 
-// FlushAll writes back every dirty frame and clears the pool.
+// FlushAll writes back every dirty frame and clears the pool (a page whose
+// read is in flight stays, for its reader and waiters).
 func (bp *BufferPool) FlushAll() error {
-	for i := range bp.shards {
-		s := &bp.shards[i]
-		s.mu.Lock()
-		for key, fr := range s.frames {
-			if fr.dirty {
-				if err := bp.disk.WritePage(key.file, key.page); err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				fr.dirty = false
-			}
-		}
-		s.frames = make(map[frameKey]*frame, s.capacity)
-		s.lru.Init()
-		s.mu.Unlock()
-	}
-	return nil
+	return bp.drop(func(fr *frame) bool { return !fr.loading })
 }
 
 // EvictUnpinned writes back and drops every unpinned frame, leaving pinned
@@ -305,21 +363,26 @@ func (bp *BufferPool) FlushAll() error {
 // misses must not depend on what the phase happened to leave cached, or the
 // charged physical I/O would vary with executor mode and access order.
 func (bp *BufferPool) EvictUnpinned() error {
+	return bp.drop(func(fr *frame) bool { return fr.pins == 0 })
+}
+
+// drop writes back and removes every resident frame which says to.
+func (bp *BufferPool) drop(which func(*frame) bool) error {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		for key, fr := range s.frames {
-			if fr.pins > 0 {
-				continue
-			}
-			if fr.dirty {
-				if err := bp.disk.WritePage(key.file, key.page); err != nil {
-					s.mu.Unlock()
-					return err
+		for fr := s.lru.next; fr != &s.lru; {
+			next := fr.next
+			if which(fr) {
+				if fr.dirty {
+					if err := bp.disk.WritePage(fr.key.file, fr.key.page); err != nil {
+						s.mu.Unlock()
+						return err
+					}
 				}
+				s.remove(fr)
 			}
-			s.lru.Remove(fr.elem)
-			delete(s.frames, key)
+			fr = next
 		}
 		s.mu.Unlock()
 	}

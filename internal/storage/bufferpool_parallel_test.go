@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -54,6 +55,63 @@ func TestBufferPoolSingleflight(t *testing.T) {
 	if misses != 1 || hits != goroutines-1 {
 		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, goroutines-1)
 	}
+}
+
+// TestBufferPoolSingleflightFault: when the one shared read of a cold page
+// fails, its reader and every goroutine waiting on it get the error and drop
+// their pins; a goroutine arriving after the failure elects a new reader, so
+// the page is read successfully at most once, and nothing stays pinned.
+func TestBufferPoolSingleflightFault(t *testing.T) {
+	d, bp := newTestPool(4)
+	h := NewHeapFile(bp)
+	if _, err := h.Insert([]byte("singleflight-fault")); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	d.Accountant().Reset()
+	d.SetFaults(NewFaultInjector(FaultConfig{FailReadN: 1}))
+	defer d.SetFaults(nil)
+
+	const goroutines = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pg, err := bp.Fetch(h.FileID(), 0)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if _, ok := pg.Get(0); !ok {
+				errs <- fmt.Errorf("fetched page lost its record")
+			}
+			bp.Unpin(h.FileID(), 0, false)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if !errors.Is(err, ErrInjectedFault) {
+			t.Fatal(err)
+		}
+		failed++
+	}
+	st := d.Accountant().Stats()
+	if reads := st.SeqReads + st.RandReads; failed == 0 || reads > 1 || (reads == 1) != (failed < goroutines) {
+		t.Fatalf("%d of %d fetches failed, %d successful physical reads", failed, goroutines, reads)
+	}
+	if n := bp.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames left pinned", n)
+	}
+	if _, err := bp.Fetch(h.FileID(), 0); err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(h.FileID(), 0, false)
 }
 
 // TestShardedBufferPoolServesAllPages checks a sharded pool returns correct

@@ -478,6 +478,11 @@ var ErrInjectedFault = storage.ErrInjectedFault
 // context.DeadlineExceeded) is also reachable through errors.Is.
 var ErrCanceled = exec.ErrCanceled
 
+// TypeMismatchError is the bind error of a comparison between two types — in
+// WHERE, between an IN operand and its subquery's output, or inside the
+// subquery; match it with errors.As.
+type TypeMismatchError = sqlparse.TypeMismatchError
+
 // SetFaults installs a deterministic fault injector beneath the buffer pool
 // for subsequent queries: page reads and writes fail according to cfg
 // (the Nth I/O, a seeded probability per I/O, or both). Injected failures
@@ -1060,10 +1065,26 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 	if outIdx < 0 {
 		return nil, fmt.Errorf("predplace: no column %s in %s", sub.Columns[0].Col, subTable)
 	}
+	colType := func(ref query.ColRef) (expr.Type, error) {
+		t, err := d.inner.Cat.Table(ref.Table)
+		if err != nil {
+			return 0, err
+		}
+		return t.Columns[t.ColIndex(ref.Col)].Type, nil
+	}
+	lhsType, err := colType(args[0])
+	if err != nil {
+		return nil, err
+	}
+	if out := tab.Columns[outIdx]; out.Type != lhsType {
+		return nil, &sqlparse.TypeMismatchError{Left: args[0].String(), LeftType: lhsType,
+			Right: subTable + "." + out.Name, RightType: out.Type}
+	}
 
-	// Split subquery WHERE into local conjuncts and correlated equalities.
-	var locals []subLocal
-	var corrs []subCorr
+	// Compile the subquery's WHERE into record tests. tests[i] is correlated
+	// when argOf[i] >= 0: an invocation puts that argument in its Val.
+	var tests []catalog.ColTest
+	var argOf []int
 	argPos := map[query.ColRef]int{}
 	for i, a := range args {
 		argPos[a] = i
@@ -1082,9 +1103,11 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 		if left.IsCol && left.Col.Table != subTable && left.Col.Table != "" {
 			left, right, op = right, left, op.Flip()
 		}
-		if err := classifyCorr(left, right, op, tab, argPos, &corrs, &locals); err != nil {
+		test, ai, err := classifyCorr(left, right, op, tab, argPos, colType)
+		if err != nil {
 			return nil, err
 		}
+		tests, argOf = append(tests, test), append(argOf, ai)
 	}
 
 	name := fmt.Sprintf("in_%s_%d", subTable, d.subSeq.Add(1))
@@ -1096,26 +1119,20 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 		Cacheable:   true,
 		RealWork:    true,
 	}
-	// A scanned row is read only through the columns the comparisons and the
-	// output name: each invocation decodes those, and no other, into one row.
-	need := []int{outIdx}
-	for _, lc := range locals {
-		need = append(need, lc.colIdx)
-	}
-	for _, cc := range corrs {
-		need = append(need, cc.colIdx)
-	}
-	slices.Sort(need)
-	need = slices.Compact(need)
-	holds := func(v expr.Value) bool { b, known := v.Bool(); return known && b }
 	// EvalIO is SQL's three-valued x IN (set): TRUE when a qualifying row's
 	// output equals x; otherwise NULL when x is NULL or a qualifying output is,
 	// as long as the set is not empty; FALSE over the empty set, whatever x
-	// is. NOT IN negates it, NULL staying NULL.
+	// is. NOT IN negates it, NULL staying NULL. A record is tested where it
+	// lies, and only one that qualifies has its output column decoded.
 	f.EvalIO = func(tr *storage.IOTracker, vals []expr.Value) (expr.Value, error) {
 		x := vals[0]
-		row := make(expr.Row, len(tab.Columns))
-		var memo catalog.DecodeMemo
+		var buf [8]catalog.ColTest
+		bound := append(buf[:0], tests...)
+		for i, ai := range argOf {
+			if ai >= 0 {
+				bound[i].Val = vals[ai]
+			}
+		}
 		unknown := false
 		// The scan reads through the shared buffer pool; the executor passes
 		// the running query's I/O tracker, so the subquery's page traffic is
@@ -1126,27 +1143,27 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 		defer it.Close()
 	scan:
 		for {
-			rec, _, ok, err := it.NextRef() // page memory: DecodeCols copies what it keeps
+			rec, _, ok, err := it.NextRef() // page memory: read in place
 			if err != nil {
 				return expr.Null, fmt.Errorf("predplace: subquery scan of %s: %w", subTable, err)
 			}
 			if !ok {
 				break
 			}
-			if err := tab.Codec.DecodeCols(rec, row, need, &memo); err != nil {
+			for _, t := range bound {
+				pass, err := tab.Codec.Test(rec, t)
+				if err != nil {
+					return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", subTable, err)
+				}
+				if !pass {
+					continue scan
+				}
+			}
+			y, err := tab.Codec.DecodeCol(rec, outIdx)
+			if err != nil {
 				return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", subTable, err)
 			}
-			for _, lc := range locals {
-				if !holds(lc.op.Apply(row[lc.colIdx], lc.value)) {
-					continue scan
-				}
-			}
-			for _, cc := range corrs {
-				if !holds(cc.op.Apply(row[cc.colIdx], vals[cc.argIdx])) {
-					continue scan
-				}
-			}
-			switch y := row[outIdx]; {
+			switch {
 			case x.IsNull():
 				return expr.Null, nil // nothing equals x, and the set is not empty
 			case y.IsNull():
@@ -1166,41 +1183,44 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 	return f, nil
 }
 
-// subLocal is a subquery-local comparison against a constant.
-type subLocal struct {
-	colIdx int
-	op     expr.CmpOp
-	value  expr.Value
-}
-
-// subCorr compares a subquery column against a correlated outer binding.
-type subCorr struct {
-	colIdx int
-	op     expr.CmpOp
-	argIdx int // index into the predicate's argument list
-}
-
-func classifyCorr(colSide, otherSide sqlparse.Operand, op expr.CmpOp,
-	tab *catalog.Table, argPos map[query.ColRef]int,
-	corrs *[]subCorr, locals *[]subLocal) error {
+// classifyCorr compiles one comparison of an IN-subquery's WHERE, oriented
+// with the subquery column on the left, into a record test on tab: against a
+// constant (argument index -1), or — correlated — against the predicate's
+// argument it returns, which an invocation puts in the test's Val. The two
+// sides must be of one type; a NULL constant is of any.
+func classifyCorr(colSide, otherSide sqlparse.Operand, op expr.CmpOp, tab *catalog.Table,
+	argPos map[query.ColRef]int, colType func(query.ColRef) (expr.Type, error)) (catalog.ColTest, int, error) {
 	if !colSide.IsCol {
-		return fmt.Errorf("predplace: IN-subquery comparison needs a subquery column")
+		return catalog.ColTest{}, 0, fmt.Errorf("predplace: IN-subquery comparison needs a subquery column")
 	}
 	ci := tab.ColIndex(colSide.Col.Col)
 	if ci < 0 {
-		return fmt.Errorf("predplace: no column %s in %s", colSide.Col.Col, tab.Name)
+		return catalog.ColTest{}, 0, fmt.Errorf("predplace: no column %s in %s", colSide.Col.Col, tab.Name)
+	}
+	test, lt := catalog.ColTest{Col: ci, Op: op}, tab.Columns[ci].Type
+	mismatch := func(right string, rt expr.Type) error {
+		return &sqlparse.TypeMismatchError{Left: tab.Name + "." + colSide.Col.Col, LeftType: lt, Right: right, RightType: rt}
 	}
 	if otherSide.IsCol {
 		ref := query.ColRef{Table: otherSide.Col.Table, Col: otherSide.Col.Col}
 		ai, ok := argPos[ref]
 		if !ok {
-			return fmt.Errorf("predplace: unresolved correlated reference %s", ref)
+			return catalog.ColTest{}, 0, fmt.Errorf("predplace: unresolved correlated reference %s", ref)
 		}
-		*corrs = append(*corrs, subCorr{ci, op, ai})
-		return nil
+		typ, err := colType(ref)
+		if err != nil {
+			return catalog.ColTest{}, 0, err
+		}
+		if typ != lt {
+			return catalog.ColTest{}, 0, mismatch(ref.String(), typ)
+		}
+		return test, ai, nil
 	}
-	*locals = append(*locals, subLocal{ci, op, sqlOperandValue(otherSide)})
-	return nil
+	test.Val = sqlOperandValue(otherSide)
+	if !test.Val.IsNull() && test.Val.Kind != lt {
+		return catalog.ColTest{}, 0, mismatch(test.Val.String(), test.Val.Kind)
+	}
+	return test, -1, nil
 }
 
 func sqlCmpOp(s string) (expr.CmpOp, error) {

@@ -1,6 +1,7 @@
 package predplace
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"predplace/internal/datagen"
 	"predplace/internal/expr"
 	"predplace/internal/query"
 	"predplace/internal/sqlparse"
@@ -689,6 +691,59 @@ func TestArenaCorrelatedIn(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBindTypeMismatch: a comparison between two types is refused when the
+// statement is bound, naming both sides — a column with a string or boolean
+// constant (either way round), a join between an int and a string column, an
+// IN operand and its subquery's output, and the subquery's own local and
+// correlated comparisons. (Compare used to order mismatched kinds by their
+// type tag, so `t10.a1 < 'x'` kept every row.) A NULL constant compares with
+// any type, and well-typed comparisons of each kind still run.
+func TestBindTypeMismatch(t *testing.T) {
+	db := openBench(t, 1, 10)
+	for _, c := range []struct{ sql, left, right string }{
+		{"SELECT * FROM t10 WHERE t10.a1 < 'x'", "t10.a1", `"x"`},
+		{"SELECT * FROM t10 WHERE t10.a1 < TRUE", "t10.a1", "true"},
+		{"SELECT * FROM t10 WHERE 'x' > t10.a1", "t10.a1", `"x"`},
+		{"SELECT * FROM t10 WHERE t10.str = 7", "t10.str", "7"},
+		{"SELECT * FROM t1, t10 WHERE t1.a1 = t10.str", "t1.a1", "t10.str"},
+		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT str FROM t1)", "t10.a1", "t1.str"},
+		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.str < 3)", "t1.str", "3"},
+		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.str = t10.a10)", "t1.str", "t10.a10"},
+	} {
+		_, err := db.Query(c.sql, PushDown)
+		var mismatch *TypeMismatchError
+		if !errors.As(err, &mismatch) {
+			t.Fatalf("%s: error %v, want a TypeMismatchError", c.sql, err)
+		}
+		if mismatch.Left != c.left || mismatch.Right != c.right || mismatch.LeftType == mismatch.RightType {
+			t.Fatalf("%s: %+v, want %s against %s", c.sql, *mismatch, c.left, c.right)
+		}
+	}
+	filler := strings.Repeat("x", datagen.FillerLen)
+	for _, c := range []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT * FROM t10 WHERE t10.a1 < NULL", 0},
+		{"SELECT * FROM t10 WHERE t10.str = NULL", 0},
+		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.a10 = NULL)", 0},
+		{"SELECT * FROM t10 WHERE t10.str = '" + filler + "'", 2000},
+		{"SELECT * FROM t10 WHERE t10.str < 'x'", 0},
+		{"SELECT * FROM t10 WHERE t10.a1 < 7", 7},
+		{"SELECT * FROM t1, t10 WHERE t1.a1 = t10.a1 AND t10.a1 < 5", 5},
+		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.str = '" + filler + "' AND t1.a1 < 3)", 3},
+		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.a1 = t10.a1) AND t10.a1 < 5", 5},
+	} {
+		res, err := db.Query(c.sql, PushDown)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.Stats.Rows != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.sql, res.Stats.Rows, c.rows)
 		}
 	}
 }
