@@ -22,10 +22,11 @@ package optimizer
 // breaking ties.
 
 import (
+	"encoding/binary"
 	"math"
-	"strings"
 
 	"predplace/internal/cost"
+	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
@@ -77,45 +78,22 @@ func (o *Optimizer) WorstCase(q *query.Query, root plan.Node, e float64) (float6
 	return worst, o.model.Annotate(root)
 }
 
+// robustCandidate is one distinct plan Robust scores.
+type robustCandidate struct {
+	root  plan.Node
+	info  *Info
+	worst float64
+}
+
 // planRobust implements Algorithm Robust; see the file comment.
 func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 	e := o.opts.RobustE
 	if e <= 1 {
 		e = DefaultRobustE
 	}
-
-	type candidate struct {
-		root  plan.Node
-		info  *Info
-		worst float64
-	}
-	var cands []*candidate
-	seen := map[string]bool{}
-	generate := func(selScale float64) error {
-		defer perturbEstimates(q, selScale, 1)()
-		sub := *o
-		sub.opts.Algorithm = robustSpectrum[0]
-		base, err := sub.basePaths(q)
-		if err != nil {
-			return err
-		}
-		for _, a := range robustSpectrum {
-			sub.opts.Algorithm = a
-			root, info, err := sub.systemR(q, base)
-			if err != nil {
-				return err
-			}
-			if key := planShapeKey(root); !seen[key] {
-				seen[key] = true
-				cands = append(cands, &candidate{root: root, info: info})
-			}
-		}
-		return nil
-	}
-	for _, selScale := range []float64{1, e, 1 / e} {
-		if err := generate(selScale); err != nil {
-			return nil, nil, err
-		}
+	cands, err := o.robustCandidates(q, e)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	best := cands[0]
@@ -141,6 +119,41 @@ func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 	return best.root, info, nil
 }
 
+// robustCandidates runs the spectrum under the three selectivity scalings
+// and returns the distinct plans in first-appearance order, the predicates
+// back at their nominal estimates.
+func (o *Optimizer) robustCandidates(q *query.Query, e float64) ([]*robustCandidate, error) {
+	var cands []*robustCandidate
+	seen := map[string]bool{}
+	generate := func(selScale float64) error {
+		defer perturbEstimates(q, selScale, 1)()
+		sub := *o
+		sub.opts.Algorithm = robustSpectrum[0]
+		base, err := sub.basePaths(q)
+		if err != nil {
+			return err
+		}
+		for _, a := range robustSpectrum {
+			sub.opts.Algorithm = a
+			root, info, err := sub.systemR(q, base)
+			if err != nil {
+				return err
+			}
+			if key := planShapeKey(root); !seen[key] {
+				seen[key] = true
+				cands = append(cands, &robustCandidate{root: root, info: info})
+			}
+		}
+		return nil
+	}
+	for _, selScale := range []float64{1, e, 1 / e} {
+		if err := generate(selScale); err != nil {
+			return nil, err
+		}
+	}
+	return cands, nil
+}
+
 // clampSel keeps a perturbed selectivity a valid probability.
 func clampSel(s float64) float64 {
 	if s < 0 {
@@ -155,18 +168,67 @@ func clampSel(s float64) float64 {
 // planShapeKey reduces a plan to its operator structure, dropping the
 // per-node estimate annotations: two candidates planned under different
 // scenario selectivities are the same plan exactly when they run the same
-// operators in the same tree.
+// operators in the same tree. The key is built from what the operators do —
+// node kind, table, predicate IDs, join method, index column and bounds —
+// never from Describe, which prints the estimates of the scaling planned
+// under. What a planning fixes for every candidate (the transfer filters,
+// the ORDER BY key and bound) is left out.
 func planShapeKey(n plan.Node) string {
-	var b strings.Builder
-	var walk func(plan.Node, int)
-	walk = func(n plan.Node, depth int) {
-		b.WriteString(strings.Repeat(" ", depth))
-		b.WriteString(n.Describe())
-		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
+	var b []byte
+	pred := func(p *query.Predicate) {
+		if p == nil {
+			b = append(b, 0)
+			return
+		}
+		b = binary.AppendUvarint(b, uint64(p.ID)+1)
+	}
+	str := func(s string) { b = append(append(b, s...), 0) }
+	bound := func(v *expr.Value) {
+		if v == nil {
+			b = append(b, 0)
+			return
+		}
+		b = binary.AppendVarint(append(b, 1), v.I)
+	}
+	var walk func(plan.Node)
+	walk = func(n plan.Node) {
+		switch t := n.(type) {
+		case *plan.SeqScan:
+			b = append(b, 's')
+			str(t.Table)
+		case *plan.IndexScan:
+			b = append(b, 'i')
+			str(t.Table)
+			str(t.Col)
+			pred(t.Matched)
+			bound(t.Eq)
+			bound(t.Lo)
+			bound(t.Hi)
+		case *plan.Filter:
+			b = append(b, 'f')
+			pred(t.Pred)
+			walk(t.Input)
+		case *plan.Join:
+			b = append(b, 'j', byte(t.Method), boolByte(t.SortOuter), boolByte(t.SortInner))
+			pred(t.Primary)
+			str(t.InnerIndexCol)
+			walk(t.Outer)
+			walk(t.Inner)
+		case *plan.TopK:
+			b = append(b, 't')
+			walk(t.Input)
+		case *plan.Limit:
+			b = append(b, 'l', boolByte(t.Ordered))
+			walk(t.Input)
 		}
 	}
-	walk(n, 0)
-	return b.String()
+	walk(n)
+	return string(b)
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
