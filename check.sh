@@ -24,12 +24,17 @@ echo "==> pplint dataflow analyzers (pinbalance, chargeonce, atomicconsistency, 
 go run ./cmd/pplint -only pinbalance,chargeonce,atomicconsistency,lockbalance,suppress ./...
 go run ./cmd/pplint ./internal/lint
 
-echo "==> planner gates (plan-identity corpus, annotation property, allocation budget)"
+echo "==> planner gates (plan-identity corpus, annotation property, allocation budgets, scratch reuse under race)"
 # Also part of the full test run below; named here so that a planner change
 # which alters a plan (testdata/plans.golden), leaves a stale estimate or an
-# unfilled column list on a returned plan, or doubles planning allocations
-# fails under this heading, not somewhere inside `go test ./...`.
-go test -count=1 -run '^(TestPlanCorpus|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget)$' ./internal/optimizer
+# unfilled column list on a returned plan, lets a plan_only planning allocate
+# 10 % more, gives a losing DP candidate or a migration pass heap of its own,
+# or lets Robust score one operator tree twice fails under this heading, not
+# somewhere inside `go test ./...`. The allocation tests skip themselves
+# under -race (counts differ there); the race run covers the candidate
+# scratch and the migration state a planning reuses.
+go test -count=1 -run '^(TestPlanCorpus|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget|TestDPAllocatesForWhatItRetains|TestMigrationPassesRunInPlace|TestRobustCandidatesStructurallyDistinct)$' ./internal/optimizer
+go test -race -count=1 ./internal/optimizer
 
 echo "==> row-memory gates (arena lifetime matrix, release on every exit, allocation budget)"
 # Also part of the full test run below; named here so that a row that outlives

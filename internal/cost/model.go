@@ -332,7 +332,7 @@ func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, erro
 		// Probes run against the *base* inner table's index; inner-side
 		// filters apply to fetched matches. The inner subtree is never
 		// scanned, so its scan cost is not added.
-		table, filters, ok := plan.BaseTable(j.Inner)
+		table, ok := plan.ScanTable(j.Inner)
 		if !ok {
 			return streamInfo{}, fmt.Errorf("cost: index-nested-loop inner is not a base table")
 		}
@@ -343,21 +343,20 @@ func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, erro
 		matches := s * R * tab.card
 		cost = outer.cost + R*ProbeCost + matches*RandPageCost
 		outCard = matches
-		for _, f := range filters {
-			if f == j.Primary {
-				continue
+		plan.BaseFilters(j.Inner, func(f *query.Predicate) {
+			if f != j.Primary {
+				c, added := m.FilterStats(f, outCard)
+				outCard = c
+				cost += added
 			}
-			c, added := m.FilterStats(f, outCard)
-			outCard = c
-			cost += added
-		}
+		})
 
 	case plan.NestLoop:
 		// The inner (a possibly filtered base table) is rescanned once per
 		// outer tuple; the page count of the base table is constant
 		// regardless of predicate placement (§3.2), which is exactly why NL
 		// fits the linear cost model.
-		table, filters, ok := plan.BaseTable(j.Inner)
+		table, ok := plan.ScanTable(j.Inner)
 		if !ok {
 			return streamInfo{}, fmt.Errorf("cost: nested-loop inner is not a base table")
 		}
@@ -377,11 +376,11 @@ func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, erro
 			cost += passes * streamCard * float64(len(recv)) * BloomProbePerTuple
 			streamCard *= m.transferSel(table)
 		}
-		for _, f := range filters {
+		plan.BaseFilters(j.Inner, func(f *query.Predicate) {
 			inv := m.FilterInvocations(f, passes*streamCard)
 			cost += inv * f.CostPerTuple
 			streamCard *= f.Selectivity
-		}
+		})
 		pairs := R * streamCard
 		if j.Primary != nil && j.Primary.IsExpensive() {
 			inv := m.FilterInvocations(j.Primary, pairs)

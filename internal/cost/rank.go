@@ -74,7 +74,7 @@ func (m *Model) JoinInputStats(j *plan.Join) (outer, inner InputStats) {
 		// (Asked of the inner subtree: in a left-deep plan it is one table,
 		// while the outer grows with the plan.)
 		lv, rv := dl, dr
-		if plan.Tables(j.Inner)[j.Primary.Left.Table] {
+		if plan.HasTable(j.Inner, j.Primary.Left.Table) {
 			lv, rv = dr, dl
 		}
 		outer.Sel = math.Min(1, s*rv)
@@ -114,7 +114,7 @@ func (m *Model) JoinInputStats(j *plan.Join) (outer, inner InputStats) {
 // innerBasePages returns the page count of the nested-loop join's inner base
 // table (constant w.r.t. predicate placement).
 func (m *Model) innerBasePages(j *plan.Join) float64 {
-	table, _, ok := plan.BaseTable(j.Inner)
+	table, ok := plan.ScanTable(j.Inner)
 	if !ok {
 		return 0
 	}

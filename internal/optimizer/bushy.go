@@ -190,7 +190,7 @@ func (s *bushySearch) joins(set, rightSet, applied uint32, le, re bushyEntry) er
 		indexCol string
 	}
 	var methods []method
-	innerTable, innerIsBase := baseOnly(re.root)
+	innerTable, innerIsBase := plan.ScanTable(re.root)
 	for _, p := range conns {
 		if p.Kind == query.KindJoinCmp && p.Op == expr.OpEQ && !p.IsExpensive() {
 			methods = append(methods,
@@ -276,10 +276,4 @@ func connectingBetween(q *query.Query, left, right uint32) []*query.Predicate {
 		}
 	}
 	return out
-}
-
-// baseOnly reports whether the subtree is a (filtered) base-table scan.
-func baseOnly(n plan.Node) (string, bool) {
-	t, _, ok := plan.BaseTable(n)
-	return t, ok
 }

@@ -2,9 +2,7 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
 
-	"predplace/internal/cost"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 )
@@ -17,7 +15,9 @@ const ScanLevel = -1
 // orderedPlans builds the Pareto set (cheapest per output order) of
 // left-deep plans for a fixed table order with a fixed expensive-predicate
 // placement. Cheap selections sit at scans; cheap secondary join predicates
-// sit immediately above their join. Used by the LDL and Exhaustive planners.
+// sit immediately above their join. Candidates are priced on one scratch
+// and retained by the System R DP's prune rule. Used by the LDL and
+// Exhaustive planners.
 func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 	place map[*query.Predicate]int) ([]*subplan, error) {
 
@@ -58,19 +58,21 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 			cost: root.Cost(), card: root.Card()})
 	}
 
+	var c candidate
 	for step, idx := range order[1:] {
 		innerTable := q.Tables[idx]
 		innerPaths, err := o.accessPathsPlace(q, idx, false)
 		if err != nil {
 			return nil, err
 		}
+		after := afterOf(step)
 		var next []*subplan
 		for _, op := range cur {
 			methods := o.skel.shape(op.set, idx).methods()
 			for _, ip := range innerPaths {
 				innerRoot := chainFilters(ip.root, scanLevelOf(innerTable))
 				for _, md := range methods {
-					j := &plan.Join{
+					c.join = plan.Join{
 						Method:           md.m,
 						Outer:            op.root,
 						Inner:            innerRoot,
@@ -80,42 +82,35 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 					}
 					outOrder := op.order
 					if md.m == plan.MergeJoin {
-						j.SortOuter = op.order != md.outerRef
-						j.SortInner = ip.order != md.innerRef
+						c.join.SortOuter = op.order != md.outerRef
+						c.join.SortInner = ip.order != md.innerRef
 						outOrder = md.outerRef
 					}
-					above := append(o.orderByRank(md.secondaries, 1e18), afterOf(step)...)
-					root := chainFilters(j, above)
+					n := len(md.conns) + len(after)
+					c.reset(n, n)
+					above := md.appendSecondaries(c.take(n))
+					o.sortByRank(above, 1e18)
+					above = append(above, after...)
+					root := c.chain(&c.join, above)
 					if err := o.model.AnnotateAbove(root, op.root, ip.root); err != nil {
 						continue // invalid method/shape combination
 					}
-					next = append(next, &subplan{
-						root: root, set: op.set | ip.set, order: outOrder,
+					c.sp = subplan{
+						root: root, base: &c.join, chain: above,
+						set: op.set | ip.set, order: outOrder,
 						cost: root.Cost(), card: root.Card(),
-					})
+					}
+					next = o.prune(next, &c)
 				}
 			}
 		}
 		if len(next) == 0 {
 			return nil, fmt.Errorf("optimizer: no join method applicable at step %d", step)
 		}
-		// Pareto prune: cheapest per output order, deterministically sorted.
-		bestBy := map[query.ColRef]*subplan{}
-		for _, sp := range next {
-			if cur, ok := bestBy[sp.order]; !ok || sp.cost < cur.cost {
-				bestBy[sp.order] = sp
-			}
-		}
-		cur = cur[:0]
-		for _, sp := range bestBy {
-			cur = append(cur, sp)
-		}
-		sort.Slice(cur, func(a, b int) bool {
-			if !cost.ApproxEq(cur[a].cost, cur[b].cost) {
-				return cur[a].cost < cur[b].cost
-			}
-			return cur[a].order.String() < cur[b].order.String()
-		})
+		// prune kept the cheapest per output order (these plans bury nothing),
+		// in first-appearance order; settle sorts them deterministically.
+		o.settle(next)
+		cur = next
 	}
 	return cur, nil
 }

@@ -8,6 +8,7 @@ package optimizer
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"predplace/internal/plan"
 	"predplace/internal/query"
@@ -55,7 +56,7 @@ func Flatten(root plan.Node) (*FlatPlan, error) {
 		if _, isJoin := innerBase.(*plan.Join); isJoin {
 			return nil, fmt.Errorf("optimizer: plan is not left-deep")
 		}
-		innerTable, _, _ := plan.BaseTable(innerBase)
+		innerTable, _ := plan.ScanTable(innerBase)
 		step := &FlatStep{
 			Method:        t.Method,
 			Primary:       t.Primary,
@@ -70,7 +71,7 @@ func Flatten(root plan.Node) (*FlatPlan, error) {
 		f.Steps = append(f.Steps, step)
 		return f, nil
 	case *plan.SeqScan, *plan.IndexScan:
-		table, _, _ := plan.BaseTable(node)
+		table, _ := plan.ScanTable(node)
 		return &FlatPlan{
 			Base:        node,
 			BaseTable:   table,
@@ -103,8 +104,13 @@ func chainFilters(node plan.Node, preds []*query.Predicate) plan.Node {
 // leaves are shared). Cost annotations and join column lists are not filled;
 // run Annotate, and plan.FillCols on a tree that leaves the planner.
 func (f *FlatPlan) Tree() plan.Node {
-	cur := chainFilters(f.Base, f.BaseFilters)
-	for _, s := range f.Steps {
+	return f.treeFrom(chainFilters(f.Base, f.BaseFilters), 0)
+}
+
+// treeFrom builds the tree from step start up over cur, the outer input of
+// that step's join.
+func (f *FlatPlan) treeFrom(cur plan.Node, start int) plan.Node {
+	for _, s := range f.Steps[start:] {
 		inner := chainFilters(s.Inner, s.InnerFilters)
 		j := &plan.Join{
 			Method:           s.Method,
@@ -121,10 +127,9 @@ func (f *FlatPlan) Tree() plan.Node {
 	return cur
 }
 
-// signature encodes the plan's predicate placement for cycle detection:
-// each filter list as its length, then its predicate IDs.
-func (f *FlatPlan) signature() string {
-	var b []byte
+// appendSignature appends the plan's predicate placement, encoded for cycle
+// detection, to b: each filter list as its length, then its predicate IDs.
+func (f *FlatPlan) appendSignature(b []byte) []byte {
 	app := func(preds []*query.Predicate) {
 		b = binary.AppendUvarint(b, uint64(len(preds)))
 		for _, p := range preds {
@@ -136,7 +141,7 @@ func (f *FlatPlan) signature() string {
 		app(s.InnerFilters)
 		app(s.AfterFilters)
 	}
-	return string(b)
+	return b
 }
 
 // homeStep returns the smallest step index j such that predicate p can be
@@ -145,39 +150,44 @@ func (f *FlatPlan) signature() string {
 // table (p may sit below every join) and -2 with ok=false when p references
 // a table not in the plan.
 func (f *FlatPlan) homeStep(p *query.Predicate) (int, bool) {
-	pos := map[string]int{f.BaseTable: -1}
-	for i, s := range f.Steps {
-		pos[s.InnerTable] = i
-	}
 	home := -1
 	for _, t := range p.Tables {
-		j, ok := pos[t]
+		j, ok := f.stepOf(t)
 		if !ok {
 			return -2, false
 		}
-		if j > home {
-			home = j
-		}
+		home = max(home, j)
 	}
 	return home, true
 }
 
-// joinNodes returns the annotated tree's join nodes in step order; tree must
-// have been produced by f.Tree() (same shape).
-func joinNodes(root plan.Node) []*plan.Join {
-	var out []*plan.Join
-	_, node := plan.TopFilters(root)
-	for {
-		j, ok := node.(*plan.Join)
-		if !ok {
-			break
+// stepOf returns the step table t enters the plan at as an inner, or -1 for
+// the base table.
+func (f *FlatPlan) stepOf(t string) (int, bool) {
+	for i := len(f.Steps) - 1; i >= 0; i-- {
+		if f.Steps[i].InnerTable == t {
+			return i, true
 		}
-		out = append(out, j)
-		_, node = plan.TopFilters(j.Outer)
+	}
+	return -1, f.BaseTable == t
+}
+
+// joinNodes appends the annotated tree's join nodes to out in step order;
+// tree must have been produced by f.Tree() (same shape).
+func joinNodes(out []*plan.Join, root plan.Node) []*plan.Join {
+	first := len(out)
+	for n := root; n != nil; {
+		switch t := n.(type) {
+		case *plan.Filter:
+			n = t.Input
+		case *plan.Join:
+			out = append(out, t)
+			n = t.Outer
+		default:
+			n = nil
+		}
 	}
 	// Collected root-first; reverse to step order.
-	for i, k := 0, len(out)-1; i < k; i, k = i+1, k-1 {
-		out[i], out[k] = out[k], out[i]
-	}
+	slices.Reverse(out[first:])
 	return out
 }

@@ -152,7 +152,7 @@ func TestGroupModulesAscendingInvariant(t *testing.T) {
 		{{Sel: 0.2, Cost: 1}, {Sel: 1.5, Cost: 2}, {Sel: 0.3, Cost: 1}},
 	}
 	for ci, mods := range cases {
-		groups := groupModules(mods, 0)
+		groups := groupModules(nil, mods, 0)
 		for i := 1; i < len(groups); i++ {
 			if groups[i-1].mod.Rank() > groups[i].mod.Rank() {
 				t.Fatalf("case %d: group ranks not ascending", ci)
@@ -175,7 +175,7 @@ func TestGroupModulesAscendingInvariant(t *testing.T) {
 func TestGroupModulesPaperExample(t *testing.T) {
 	// §4.4: J1 (sel 1, cost 3) above J2 (sel 0.1, cost 3): out of rank
 	// order, so grouped; group rank = (0.1−1)/(3+3) = −0.15.
-	groups := groupModules([]cost.Module{{Sel: 1, Cost: 3}, {Sel: 0.1, Cost: 3}}, 0)
+	groups := groupModules(nil, []cost.Module{{Sel: 1, Cost: 3}, {Sel: 0.1, Cost: 3}}, 0)
 	if len(groups) != 1 {
 		t.Fatalf("expected 1 group, got %d", len(groups))
 	}

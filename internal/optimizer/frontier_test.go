@@ -189,7 +189,7 @@ func TestSignatureKeepsWideIDsApart(t *testing.T) {
 		for _, id := range after {
 			f.Steps[0].AfterFilters = append(f.Steps[0].AfterFilters, &query.Predicate{ID: id})
 		}
-		return f.signature()
+		return string(f.appendSignature(nil))
 	}
 	if sig([]int{5}, nil) == sig([]int{261}, nil) {
 		t.Error("predicate IDs 5 and 261 share a signature")

@@ -62,7 +62,7 @@ func newSkeleton(cat *catalog.Catalog, q *query.Query) (*skeleton, error) {
 		}
 		s.tabs = append(s.tabs, tab)
 	}
-	if n := len(expensiveOf(q.Preds)); n > 64 {
+	if n := len(appendExpensive(nil, q.Preds)); n > 64 {
 		return nil, &TooManyExpensiveError{Count: n}
 	}
 	nextBit := uint64(1)
@@ -90,8 +90,19 @@ type joinMethod struct {
 	indexCol string
 	// innerRef and outerRef are an equality primary's two sides.
 	innerRef, outerRef query.ColRef
-	// secondaries are the other connecting predicates, applied above the join.
-	secondaries []*query.Predicate
+	// conns are the shape's connecting predicates; those other than the
+	// primary are the secondaries, applied above the join.
+	conns []*query.Predicate
+}
+
+// appendSecondaries appends the method's secondaries to dst.
+func (md *joinMethod) appendSecondaries(dst []*query.Predicate) []*query.Predicate {
+	for _, p := range md.conns {
+		if p != md.primary {
+			dst = append(dst, p)
+		}
+	}
+	return dst
 }
 
 // joinShape is the estimate-independent part of joining an outer table set
@@ -103,6 +114,9 @@ type joinShape struct {
 	// eq lists hash, merge and (where the inner column is indexed) index
 	// nested-loop joins per cheap equality connecting predicate.
 	eq []joinMethod
+	// all is what methods last returned, eq and a nested loop on nl.
+	all []joinMethod
+	nl  *query.Predicate
 }
 
 // shape returns the memoized join shape of (outer table set, inner table).
@@ -118,12 +132,15 @@ func (s *skeleton) shape(outerSet uint32, innerIdx int) *joinShape {
 			sh.conns = append(sh.conns, p)
 		}
 	}
+	// Up to three methods per connecting predicate, and the slot methods puts
+	// the nested loop in.
+	sh.eq = make([]joinMethod, 0, 3*len(sh.conns)+1)
 	innerTable := s.q.Tables[innerIdx]
 	for _, p := range sh.conns {
 		if p.Kind != query.KindJoinCmp || p.Op != expr.OpEQ || p.IsExpensive() {
 			continue
 		}
-		md := joinMethod{m: plan.HashJoin, primary: p, secondaries: without(sh.conns, p)}
+		md := joinMethod{m: plan.HashJoin, primary: p, conns: sh.conns}
 		md.innerRef, md.outerRef = sides(p, innerTable)
 		sh.eq = append(sh.eq, md)
 		md.m = plan.MergeJoin
@@ -140,11 +157,17 @@ func (s *skeleton) shape(outerSet uint32, innerIdx int) *joinShape {
 // methods completes the shape under the current estimates: after the
 // equality methods comes a nested loop whose primary is the minimal-rank
 // connecting predicate (footnote 1 of the paper) — a cross product when
-// nothing connects — and ranks move with the selectivities.
+// nothing connects — and ranks move with the selectivities. The nested loop
+// is rebuilt, in the slot after eq, only when that primary changes, so the
+// list is valid until a call under estimates that change it; callers must
+// not modify it.
 func (sh *joinShape) methods() []joinMethod {
 	nl := minRankPred(sh.conns)
-	return append(sh.eq[:len(sh.eq):len(sh.eq)],
-		joinMethod{m: plan.NestLoop, primary: nl, secondaries: without(sh.conns, nl)})
+	if sh.all == nil || sh.nl != nl {
+		sh.all = append(sh.eq, joinMethod{m: plan.NestLoop, primary: nl, conns: sh.conns})
+		sh.nl = nl
+	}
+	return sh.all
 }
 
 // tableIndex returns the position of t in q.Tables.
@@ -178,13 +201,97 @@ func minRankPred(preds []*query.Predicate) *query.Predicate {
 	return best
 }
 
-// buildJoin constructs one candidate join of two priced subplans with the
+// candidate is the storage one enumeration prices its candidate joins on:
+// the join, the filters of any input chain rebuilt without hoisted
+// selections and of the chain above the join, and the predicate lists those
+// chains are built from. The subplan buildJoin returns lives here and is
+// valid until the next candidate is built; the prune rule copies out (keep)
+// the candidates it admits, so a losing candidate costs no heap.
+type candidate struct {
+	sp   subplan
+	join plan.Join
+	// filters holds, bottom first, the rebuilt outer chain (nOut filters),
+	// the rebuilt inner chain (nIn) and the chain above the join.
+	filters   []plan.Filter
+	nOut, nIn int
+	// preds is the slab take carves the predicate lists from.
+	preds []*query.Predicate
+	// owned is the storage behind each entry of the list prune is building,
+	// by index.
+	owned []*keptJoin
+}
+
+// reset empties the candidate for the next one: filters has room for
+// nFilters without moving (a filter's Input may point at the one below it)
+// and preds for nPreds.
+func (c *candidate) reset(nFilters, nPreds int) {
+	c.filters = slices.Grow(c.filters[:0], nFilters)
+	c.preds = slices.Grow(c.preds[:0], nPreds)
+	c.nOut, c.nIn = 0, 0
+}
+
+// take carves an empty list of capacity n from the predicate slab.
+func (c *candidate) take(n int) []*query.Predicate {
+	at := len(c.preds)
+	c.preds = c.preds[:at+n]
+	return c.preds[at : at : at+n]
+}
+
+// chain is chainFilters on the filter slab.
+func (c *candidate) chain(node plan.Node, preds []*query.Predicate) plan.Node {
+	for _, p := range preds {
+		c.filters = append(c.filters, plan.Filter{Input: node, Pred: p})
+		node = &c.filters[len(c.filters)-1]
+	}
+	return node
+}
+
+// keptJoin is the storage of a candidate copied out of its scratch: the
+// subplan, its join and its filters.
+type keptJoin struct {
+	sp      subplan
+	join    plan.Join
+	filters []plan.Filter
+}
+
+// keep copies the candidate out of the scratch, annotations included, into
+// k — a new keptJoin when k is nil, else one whose entry the candidate
+// replaces. What the copy points at below its own nodes (table entries,
+// access paths) is shared, never scratch.
+func (c *candidate) keep(k *keptJoin) *keptJoin {
+	if k == nil {
+		k = new(keptJoin)
+	}
+	chain := k.sp.chain[:0]
+	k.sp, k.join = c.sp, c.join
+	k.filters = append(k.filters[:0], c.filters...)
+	fs := k.filters
+	link := func(lo, hi int, below plan.Node) plan.Node {
+		for i := lo; i < hi; i++ {
+			fs[i].Input = below
+			below = &fs[i]
+		}
+		return below
+	}
+	if c.nOut > 0 {
+		k.join.Outer = link(0, c.nOut, fs[0].Input)
+	}
+	if c.nIn > 0 {
+		k.join.Inner = link(c.nOut, c.nOut+c.nIn, fs[c.nOut].Input)
+	}
+	k.sp.base = &k.join
+	k.sp.root = link(c.nOut+c.nIn, len(fs), &k.join)
+	k.sp.chain = append(chain, c.sp.chain...)
+	return k
+}
+
+// buildJoin prices one candidate join of two priced subplans on c with the
 // algorithm's pullup policy and returns its subplan (nil when the
-// combination is invalid). It prices only the nodes it adds: the join, any
-// input filter chain it rebuilds without hoisted selections, and the filters
-// above the join.
-func (o *Optimizer) buildJoin(outer, inner *subplan, md joinMethod) (*subplan, error) {
-	j := &plan.Join{
+// combination is invalid), valid until c's next candidate. It prices only
+// the nodes it adds: the join, any input filter chain it rebuilds without
+// hoisted selections, and the filters above the join.
+func (o *Optimizer) buildJoin(c *candidate, outer, inner *subplan, md joinMethod) (*subplan, error) {
+	c.join = plan.Join{
 		Method:           md.m,
 		Outer:            outer.root,
 		Inner:            inner.root,
@@ -192,6 +299,7 @@ func (o *Optimizer) buildJoin(outer, inner *subplan, md joinMethod) (*subplan, e
 		InnerIndexCol:    md.indexCol,
 		ExpensivePrimary: md.primary != nil && md.primary.IsExpensive(),
 	}
+	j := &c.join
 	order := outer.order // hash and nested-loop joins preserve the outer stream's order
 	if md.m == plan.MergeJoin {
 		j.SortOuter = outer.order != md.outerRef
@@ -204,15 +312,21 @@ func (o *Optimizer) buildJoin(outer, inner *subplan, md joinMethod) (*subplan, e
 	if err := o.model.AnnotateAbove(j, outer.root, inner.root); err != nil {
 		return nil, nil //nolint:nilerr // invalid method/shape combination: skip candidate
 	}
-	hoistOut, hoistIn := o.chooseHoists(j, outer, inner)
+	// Each chain is at most split into hoisted and kept, and the chain above
+	// holds the secondaries and what is hoisted.
+	nOut, nIn := len(outer.chain), len(inner.chain)
+	c.reset(nOut+nIn+len(md.conns), len(md.conns)+3*(nOut+nIn))
+	hoistOut, hoistIn := o.chooseHoists(j, outer, inner, c.take(nOut), c.take(nIn))
 	keepOut, keepIn := outer.chain, inner.chain
 	if len(hoistOut) > 0 {
-		keepOut = subtract(keepOut, hoistOut)
-		j.Outer = chainFilters(outer.base, keepOut)
+		keepOut = appendSubtract(c.take(nOut), keepOut, hoistOut)
+		j.Outer = c.chain(outer.base, keepOut)
+		c.nOut = len(keepOut)
 	}
 	if len(hoistIn) > 0 {
-		keepIn = subtract(keepIn, hoistIn)
-		j.Inner = chainFilters(inner.base, keepIn)
+		keepIn = appendSubtract(c.take(nIn), keepIn, hoistIn)
+		j.Inner = c.chain(inner.base, keepIn)
+		c.nIn = len(keepIn)
 	}
 	if len(hoistOut)+len(hoistIn) > 0 {
 		if err := o.model.AnnotateAbove(j, outer.root, outer.base, inner.root, inner.base); err != nil {
@@ -222,10 +336,10 @@ func (o *Optimizer) buildJoin(outer, inner *subplan, md joinMethod) (*subplan, e
 
 	// Everything above the join: secondaries plus hoisted selections, in
 	// ascending rank order (bottom first).
-	above := make([]*query.Predicate, 0, len(md.secondaries)+len(hoistOut)+len(hoistIn))
-	above = append(append(append(above, md.secondaries...), hoistOut...), hoistIn...)
+	above := md.appendSecondaries(c.take(len(md.conns) + len(hoistOut) + len(hoistIn)))
+	above = append(append(above, hoistOut...), hoistIn...)
 	o.sortByRank(above, j.EstCard)
-	root := chainFilters(j, above)
+	root := c.chain(j, above)
 	if err := o.model.AnnotateAbove(root, j); err != nil {
 		return nil, err
 	}
@@ -236,21 +350,23 @@ func (o *Optimizer) buildJoin(outer, inner *subplan, md joinMethod) (*subplan, e
 			buried |= o.skel.buriedBit[p.ID] // zero for cheap predicates
 		}
 	}
-	return &subplan{
+	c.sp = subplan{
 		root: root, base: j, chain: above,
 		set: outer.set | inner.set, order: order,
 		cost: root.Cost(), card: root.Card(), buried: buried,
-	}, nil
+	}
+	return &c.sp, nil
 }
 
 // chooseHoists decides which expensive selections to pull above the join,
-// per the configured algorithm. Inner pullup is decided first (§5.2).
-func (o *Optimizer) chooseHoists(j *plan.Join, outer, inner *subplan) (hoistOut, hoistIn []*query.Predicate) {
+// per the configured algorithm, appending them to hoistOut and hoistIn.
+// Inner pullup is decided first (§5.2).
+func (o *Optimizer) chooseHoists(j *plan.Join, outer, inner *subplan, hoistOut, hoistIn []*query.Predicate) ([]*query.Predicate, []*query.Predicate) {
 	switch o.opts.Algorithm {
 	case NaivePushDown, PushDown:
-		return nil, nil
+		return hoistOut, hoistIn
 	case PullUp:
-		return expensiveOf(outer.chain), expensiveOf(inner.chain)
+		return appendExpensive(hoistOut, outer.chain), appendExpensive(hoistIn, inner.chain)
 	default: // PullRank, Migration
 		os, is := o.model.JoinInputStats(j)
 		innerRank := is.Rank()
@@ -269,28 +385,22 @@ func (o *Optimizer) chooseHoists(j *plan.Join, outer, inner *subplan) (hoistOut,
 	}
 }
 
-func expensiveOf(preds []*query.Predicate) []*query.Predicate {
-	var out []*query.Predicate
+// appendExpensive appends the expensive predicates of preds to dst.
+func appendExpensive(dst, preds []*query.Predicate) []*query.Predicate {
 	for _, p := range preds {
 		if p.IsExpensive() {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
-// subtract returns preds minus remove, preserving order.
-func subtract(preds, remove []*query.Predicate) []*query.Predicate {
-	var out []*query.Predicate
+// appendSubtract appends preds minus remove to dst, preserving order.
+func appendSubtract(dst, preds, remove []*query.Predicate) []*query.Predicate {
 	for _, p := range preds {
 		if !slices.Contains(remove, p) {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
-}
-
-// without returns preds minus the one predicate drop, preserving order.
-func without(preds []*query.Predicate, drop *query.Predicate) []*query.Predicate {
-	return subtract(preds, []*query.Predicate{drop})
+	return dst
 }

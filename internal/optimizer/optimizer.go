@@ -163,6 +163,9 @@ type Optimizer struct {
 	opts  Options
 	// skel is the query under planning's estimate-independent skeleton.
 	skel *skeleton
+	// mig is the Predicate Migration pass's reused state, shared with the
+	// copies Robust plans its spectrum through.
+	mig *migration
 }
 
 // New creates an optimizer.
@@ -170,7 +173,7 @@ func New(cat *catalog.Catalog, opts Options) *Optimizer {
 	if opts.MaxMigrationPasses == 0 {
 		opts.MaxMigrationPasses = 24
 	}
-	return &Optimizer{cat: cat, model: cost.NewModel(cat, opts.Caching), opts: opts}
+	return &Optimizer{cat: cat, model: cost.NewModel(cat, opts.Caching), opts: opts, mig: &migration{}}
 }
 
 // Model exposes the optimizer's cost model (used by the harness to report

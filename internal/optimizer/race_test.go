@@ -1,0 +1,6 @@
+//go:build race
+
+package optimizer
+
+// raceEnabled reports a race-detector build, where allocation counts differ.
+const raceEnabled = true

@@ -1,10 +1,11 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"predplace/internal/cost"
 	"predplace/internal/expr"
@@ -81,12 +82,15 @@ func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info
 	for i := range q.Tables {
 		table[1<<uint(i)] = base[i]
 	}
-	var cands []*subplan
+	var (
+		c    candidate
+		kept []*subplan // the entry under construction; the table gets a copy
+	)
 	for mask := uint32(1); mask <= full; mask++ {
 		if bits.OnesCount32(mask) < 2 {
 			continue
 		}
-		cands = cands[:0]
+		kept = kept[:0]
 		for i := 0; i < n; i++ {
 			bit := uint32(1) << uint(i)
 			if mask&bit == 0 {
@@ -97,20 +101,19 @@ func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info
 			for _, op := range table[outerMask] {
 				for _, ip := range base[i] {
 					for _, md := range methods {
-						sp, err := o.buildJoin(op, ip, md)
+						sp, err := o.buildJoin(&c, op, ip, md)
 						if err != nil {
 							return nil, nil, err
 						}
 						if sp != nil {
-							cands = append(cands, sp)
+							kept = o.prune(kept, &c)
 						}
 					}
 				}
 			}
 		}
-		kept, unpr := o.prune(cands)
-		table[mask] = kept
-		info.UnpruneableRetained += unpr
+		table[mask] = slices.Clone(kept)
+		info.UnpruneableRetained += o.settle(table[mask])
 	}
 	for _, sps := range table {
 		info.PlansRetained += len(sps)
@@ -175,54 +178,85 @@ func cheapest(sps []*subplan) *subplan {
 	return best
 }
 
-// prune keeps, per (order, buried-signature) bucket, only the cheapest plan
-// (the first of equals). Plans with a non-empty buried set survive pruning
-// they would otherwise lose (the unpruneable retention of §4.4); unpr counts
-// them.
-func (o *Optimizer) prune(cands []*subplan) (kept []*subplan, unpr int) {
-	// bucket is the part of the buried set that keys retention: all of it
-	// under Migration, none of it otherwise. Buckets are few; a scan finds one.
-	bucket := func(sp *subplan) uint64 {
-		if o.opts.Algorithm == Migration && !o.opts.DisableUnpruneable {
-			return sp.buried
-		}
-		return 0
-	}
-next:
-	for _, sp := range cands {
-		for i, cur := range kept {
-			if cur.order == sp.order && bucket(cur) == bucket(sp) {
-				if sp.cost < cur.cost {
-					kept[i] = sp
-				}
-				continue next
+// prune applies the DP's retention rule to c's candidate as it is built,
+// in generation order: per (order, bucket) the first of equals is kept and
+// a strictly cheaper candidate replaces it. A bucket is the order column
+// plus, under Migration, the buried set, so plans with a non-empty buried
+// set survive pruning they would otherwise lose (the unpruneable retention
+// of §4.4). A candidate that enters a bucket is copied out of the scratch,
+// one that replaces an entry is copied into that entry's storage (nothing
+// else refers to a list under construction), and a losing one leaves
+// nothing behind. Each list prune builds must start empty and be built
+// from one candidate.
+func (o *Optimizer) prune(kept []*subplan, c *candidate) []*subplan {
+	c.owned = c.owned[:len(kept)]
+	sp := &c.sp
+	for i, cur := range kept {
+		if cur.order == sp.order && o.bucket(cur) == o.bucket(sp) {
+			if sp.cost < cur.cost {
+				c.keep(c.owned[i])
 			}
+			return kept
 		}
-		kept = append(kept, sp)
 	}
-	// Count plans that survive only due to their buried signature.
+	k := c.keep(nil)
+	c.owned = append(c.owned, k)
+	return append(kept, &k.sp)
+}
+
+// bucket is the part of the buried set that keys retention: all of it under
+// Migration, none of it otherwise.
+func (o *Optimizer) bucket(sp *subplan) uint64 {
+	if o.opts.Algorithm == Migration && !o.opts.DisableUnpruneable {
+		return sp.buried
+	}
+	return 0
+}
+
+// settle puts what prune kept in its deterministic order — cost, then order
+// column, then buried signature, so equal-cost ties always resolve the same
+// way and plans are reproducible run to run — and returns how many entries
+// survive only due to their buried signature.
+func (o *Optimizer) settle(kept []*subplan) (unpr int) {
 	for _, sp := range kept {
 		for _, other := range kept {
-			if bucket(sp) != 0 && other.order == sp.order && other.cost < sp.cost {
+			if o.bucket(sp) != 0 && other.order == sp.order && other.cost < sp.cost {
 				unpr++
 				break
 			}
 		}
 	}
-	// Deterministic order: cost, then order column, then buried signature —
-	// equal-cost ties always resolve the same way, so plans are reproducible
-	// run to run.
-	sort.Slice(kept, func(i, j int) bool {
-		if !cost.ApproxEq(kept[i].cost, kept[j].cost) {
-			return kept[i].cost < kept[j].cost
+	slices.SortFunc(kept, func(a, b *subplan) int {
+		if !cost.ApproxEq(a.cost, b.cost) {
+			return cmp.Compare(a.cost, b.cost)
 		}
-		oi, oj := kept[i].order.String(), kept[j].order.String()
-		if oi != oj {
-			return oi < oj
+		if c := compareCols(a.order, b.order); c != 0 {
+			return c
 		}
-		return kept[i].buried < kept[j].buried
+		return cmp.Compare(a.buried, b.buried)
 	})
-	return kept, unpr
+	return unpr
+}
+
+// compareCols orders two columns as their String forms ("table.col") would
+// compare, without building them.
+func compareCols(a, b query.ColRef) int {
+	at := func(c query.ColRef, i int) byte {
+		switch {
+		case i < len(c.Table):
+			return c.Table[i]
+		case i == len(c.Table):
+			return '.'
+		}
+		return c.Col[i-len(c.Table)-1]
+	}
+	na, nb := len(a.Table)+1+len(a.Col), len(b.Table)+1+len(b.Col)
+	for i := 0; i < na && i < nb; i++ {
+		if x, y := at(a, i), at(b, i); x != y {
+			return cmp.Compare(x, y)
+		}
+	}
+	return cmp.Compare(na, nb)
 }
 
 // accessPathsPlace generates base subplans for table index i: a sequential

@@ -316,20 +316,44 @@ func Base(n Node) Node {
 // scan; ok is false if the subtree is not a filtered base scan (e.g. a join).
 // The index-nested-loop executor uses this to drive probes on the inner.
 func BaseTable(n Node) (table string, filters []*query.Predicate, ok bool) {
-	base := Base(n)
-	if base == nil {
+	if table, ok = ScanTable(n); !ok {
 		return "", nil, false
 	}
-	for f, more := n.(*Filter); more; f, more = f.Input.(*Filter) {
-		filters = append(filters, f.Pred)
+	BaseFilters(n, func(p *query.Predicate) { filters = append(filters, p) })
+	return table, filters, true
+}
+
+// ScanTable is BaseTable's table alone: the table of the base-table scan n
+// is, or is a chain of Filter nodes over.
+func ScanTable(n Node) (string, bool) {
+	switch base := Base(n).(type) {
+	case *SeqScan:
+		return base.Table, true
+	case *IndexScan:
+		return base.Table, true
 	}
-	if ix, indexed := base.(*IndexScan); indexed {
-		if ix.Matched != nil {
-			filters = append(filters, ix.Matched)
+	return "", false
+}
+
+// BaseFilters calls visit with each of BaseTable's filters of a (filtered)
+// base-table scan, in BaseTable's order — the Filter chain outermost first,
+// then an index scan's Matched predicate — without collecting them: the
+// cost model walks a nested loop's inner with it once per candidate join.
+func BaseFilters(n Node, visit func(*query.Predicate)) {
+	for {
+		switch t := n.(type) {
+		case *Filter:
+			visit(t.Pred)
+			n = t.Input
+		case *IndexScan:
+			if t.Matched != nil {
+				visit(t.Matched)
+			}
+			return
+		default:
+			return
 		}
-		return ix.Table, filters, true
 	}
-	return base.(*SeqScan).Table, filters, true
 }
 
 // BaseTableNodes descends exactly like BaseTable but reports plan nodes: the
@@ -358,6 +382,27 @@ func Walk(n Node, visit func(Node)) {
 	for _, c := range n.Children() {
 		Walk(c, visit)
 	}
+}
+
+// HasTable reports whether the subtree scans table t, as Tables(n)[t] would,
+// without building the set.
+func HasTable(n Node, t string) bool {
+	switch x := n.(type) {
+	case *SeqScan:
+		return x.Table == t
+	case *IndexScan:
+		return x.Table == t
+	case *Filter:
+		return HasTable(x.Input, t)
+	case *Join:
+		return HasTable(x.Outer, t) || HasTable(x.Inner, t)
+	}
+	for _, c := range n.Children() {
+		if HasTable(c, t) {
+			return true
+		}
+	}
+	return false
 }
 
 // Tables returns the set of base tables referenced by the subtree.

@@ -122,6 +122,11 @@ func TestTablesAndCollectFilters(t *testing.T) {
 	if !tabs["r"] || !tabs["s"] || len(tabs) != 2 {
 		t.Fatalf("Tables = %v", tabs)
 	}
+	for _, tb := range []string{"r", "s", "x"} {
+		if HasTable(j, tb) != tabs[tb] {
+			t.Errorf("HasTable(%q) = %v, Tables says %v", tb, HasTable(j, tb), tabs[tb])
+		}
+	}
 	fs := CollectFilters(j)
 	if len(fs) != 1 {
 		t.Fatalf("CollectFilters = %d", len(fs))
