@@ -16,13 +16,21 @@ go vet ./...
 echo "==> go run ./cmd/pplint ./..."
 go run ./cmd/pplint ./...
 
-echo "==> pplint dataflow analyzers (pinbalance, chargeonce, atomicconsistency, lockbalance, suppress)"
+echo "==> pplint atomicconsistency + suppress audit, and the lint package self-clean"
 # The full run above already includes these; this explicit pass pins the
-# CFG/dataflow analyzers and the suppression audit as a named gate (and is
-# what CI should quote on failure). The second invocation self-cleans the
-# lint package: the analyzers must pass over their own implementation.
-go run ./cmd/pplint -only pinbalance,chargeonce,atomicconsistency,lockbalance,suppress ./...
+# atomic-access check and the suppression audit as a named gate. The second
+# invocation self-cleans the lint package: the analyzers must pass over their
+# own implementation.
+go run ./cmd/pplint -only atomicconsistency,suppress ./...
 go run ./cmd/pplint ./internal/lint
+
+echo "==> storage accounting gate (pins released, shard locks released, each transfer charged once, failed I/O never)"
+# Also part of the full test run below; named here so that a buffer-pool
+# path that leaves a frame pinned or its shard locked (a bounded wait names
+# the test within seconds), a physical read or write charged twice, or a
+# failed one charged at all, fails under this heading. DESIGN.md §15 lists
+# the mutations each of these tests catches.
+go test -race -count=1 -run '^(TestFaultWriteNth|TestFaultNotCharged|TestBufferPoolAllPinnedError|TestBufferPoolSingleflightFault|TestFaultScanUnpinsOnError)$' ./internal/storage
 
 echo "==> planner gates (plan-identity corpus, annotation property, allocation budgets, scratch reuse under race)"
 # Also part of the full test run below; named here so that a planner change

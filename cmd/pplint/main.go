@@ -1,16 +1,20 @@
 // Command pplint runs the repository's static-analysis suite (internal/lint)
 // over every package of the module: the per-statement matchers (float
 // equality, Close chains, dropped errors, enum switches, plan/exec
-// contracts) plus the CFG/dataflow analyzers (pin balance, charge-once
-// accounting, atomic consistency, lock balance) and the suppression audit.
+// contracts, abort checks, allocation-free batches, atomic consistency) and
+// the suppression audit.
 //
 // Usage:
 //
 //	go run ./cmd/pplint ./...
 //	go run ./cmd/pplint -skip errdrop ./...
-//	go run ./cmd/pplint -only pinbalance,lockbalance ./internal/...
+//	go run ./cmd/pplint -only ctxabort,profileclean ./internal/...
+//	go run ./cmd/pplint ./internal/exec
 //	go run ./cmd/pplint -json ./... | jq .
 //	go run ./cmd/pplint -list
+//
+// A package pattern selects as `go list` does: `./internal/exec` is that one
+// package, `./internal/...` every package under internal.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/usage failure.
 // Diagnostics print as file:line:col: [analyzer] message, or as a JSON array
@@ -39,8 +43,6 @@ func run(args []string) int {
 	var (
 		only    = fs.String("only", "", "comma-separated analyzers to run (default: all)")
 		skip    = fs.String("skip", "", "comma-separated analyzers to skip")
-		enable  = fs.String("enable", "", "alias for -only (kept for compatibility)")
-		disable = fs.String("disable", "", "alias for -skip (kept for compatibility)")
 		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 		list    = fs.Bool("list", false, "list available analyzers and exit")
 	)
@@ -58,17 +60,7 @@ func run(args []string) int {
 		return 0
 	}
 
-	onlyList, err := mergeFilter("-only/-enable", *only, *enable)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pplint:", err)
-		return 2
-	}
-	skipList, err := mergeFilter("-skip/-disable", *skip, *disable)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pplint:", err)
-		return 2
-	}
-	analyzers, err := selectAnalyzers(onlyList, skipList)
+	analyzers, err := selectAnalyzers(*only, *skip)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pplint:", err)
 		return 2
@@ -148,19 +140,6 @@ func writeJSON(w *os.File, diags []lint.Diagnostic) error {
 	return enc.Encode(out)
 }
 
-// mergeFilter combines a primary flag with its compatibility alias; setting
-// both to different lists is ambiguous and rejected.
-func mergeFilter(label, primary, alias string) (string, error) {
-	switch {
-	case primary == "":
-		return alias, nil
-	case alias == "" || alias == primary:
-		return primary, nil
-	default:
-		return "", fmt.Errorf("conflicting %s values %q and %q", label, primary, alias)
-	}
-}
-
 // selectAnalyzers applies -only/-skip to the registry.
 func selectAnalyzers(only, skip string) ([]*lint.Analyzer, error) {
 	chosen := lint.Analyzers()
@@ -196,40 +175,47 @@ func selectAnalyzers(only, skip string) ([]*lint.Analyzer, error) {
 	return chosen, nil
 }
 
-// filterPackages keeps packages whose directory falls under any of the
-// argument patterns (a `...` suffix means the whole subtree; no args or
-// `./...` means everything).
+// filterPackages keeps the packages any argument pattern matches (no
+// arguments keep every package).
 func filterPackages(pkgs []*lint.Package, patterns []string) []*lint.Package {
 	if len(patterns) == 0 {
 		return pkgs
 	}
-	var prefixes []string
-	for _, p := range patterns {
-		p = strings.TrimSuffix(p, "...")
-		p = strings.TrimSuffix(p, "/")
-		p = strings.TrimPrefix(p, "./")
-		if p == "" || p == "." {
-			return pkgs
-		}
-		prefixes = append(prefixes, p)
-	}
 	var out []*lint.Package
 	for _, pkg := range pkgs {
-		for _, pre := range prefixes {
-			// Match against the import-path tail below the module.
-			tail := pkg.Path
-			if i := strings.Index(tail, "/"); i >= 0 {
-				tail = tail[i+1:]
-			} else {
-				tail = "."
-			}
-			if tail == pre || strings.HasPrefix(tail, pre+"/") || strings.HasPrefix(tail, pre) {
+		// Match against the import-path tail below the module.
+		tail := "."
+		if _, rest, ok := strings.Cut(pkg.Path, "/"); ok {
+			tail = rest
+		}
+		for _, p := range patterns {
+			if matchPattern(tail, p) {
 				out = append(out, pkg)
 				break
 			}
 		}
 	}
 	return out
+}
+
+// matchPattern reports whether the package whose import path below the
+// module is tail ("." for the module root) matches pattern, as `go list`
+// reads it: `X/...` is X and every package under it, any other pattern
+// exactly one package.
+func matchPattern(tail, pattern string) bool {
+	dir, tree := strings.CutSuffix(strings.TrimSuffix(pattern, "/"), "...")
+	dir = strings.TrimPrefix(strings.TrimSuffix(dir, "/"), "./")
+	if dir == "" {
+		dir = "."
+	}
+	switch {
+	case !tree:
+		return tail == dir
+	case dir == ".":
+		return true
+	default:
+		return tail == dir || strings.HasPrefix(tail, dir+"/")
+	}
 }
 
 // splitList splits a comma-separated flag value.

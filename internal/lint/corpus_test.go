@@ -16,7 +16,7 @@ import (
 
 // The corpus harness: every file under testdata/corpus is a standalone
 // package exercising one analyzer, chosen by the filename prefix up to the
-// first underscore ("pinbalance_loops.go" runs pinbalance; "suppress_*"
+// first underscore ("ctxabort_bad_topk.go" runs ctxabort; "suppress_*"
 // files run the whole suite so the directive audit sees real findings).
 //
 // Expectations are `// want "substring"` comments: each line carrying wants
@@ -26,7 +26,8 @@ import (
 // meta-test pins that every new analyzer has both.
 
 // corpusPathDirective overrides the type-check import path of a corpus file
-// so path-scoped analyzers (lockbalance) see the package they target.
+// so path-scoped analyzers (ctxabort, profileclean) see the package they
+// target.
 const corpusPathDirective = "//corpus:path "
 
 var wantRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
@@ -53,8 +54,8 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusCoversSuite is the meta-test: each CFG-based analyzer (and the
-// suppression audit) must have at least one seeded-violation file that
+// TestCorpusCoversSuite is the meta-test: each corpus-tested analyzer (and
+// the suppression audit) must have at least one seeded-violation file that
 // produces findings and one fixed twin that is silent.
 func TestCorpusCoversSuite(t *testing.T) {
 	dir := filepath.Join("testdata", "corpus")
@@ -82,7 +83,7 @@ func TestCorpusCoversSuite(t *testing.T) {
 			kinds[analyzer]["good"] = true
 		}
 	}
-	for _, want := range []string{"pinbalance", "chargeonce", "atomicconsistency", "lockbalance", "suppress", "ctxabort", "profileclean"} {
+	for _, want := range []string{"atomicconsistency", "suppress", "ctxabort", "profileclean"} {
 		if !kinds[want]["bad"] || !kinds[want]["good"] {
 			t.Errorf("corpus lacks %s_bad*/%s_good* pair (have %v)", want, want, kinds[want])
 		}

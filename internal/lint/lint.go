@@ -26,23 +26,12 @@
 //   - profileclean:     exec NextBatch methods must not allocate per
 //     call outside the grow-once idiom, keeping the
 //     profiling-off hot path allocation-free.
-//
-// Four analyzers (pplint v2) are built on a per-function control-flow graph
-// and forward-dataflow solver (cfg.go, dataflow.go) and prove "on all paths"
-// properties the per-statement matchers above cannot:
-//
-//   - pinbalance:        every BufferPool.Fetch/Pin/NewPage is matched by
-//     Unpin on every path out of the function (or the pin
-//     escapes); static twin of the PinnedFrames audit.
-//   - chargeonce:        each storage charge site is dominated by the fault-
-//     injector check and each transfer is charged exactly
-//     once; failed I/O is never charged.
 //   - atomicconsistency: a field updated via sync/atomic is never accessed
 //     plainly elsewhere, and typed atomic values are
 //     never copied.
-//   - lockbalance:       Lock/Unlock paired on all paths (with defer
-//     modeling) in internal/pcache and internal/storage,
-//     plus re-lock-while-held detection.
+//
+// Pin balance, lock balance and charge-once accounting in internal/storage
+// are runtime invariants, held by that package's tests (DESIGN.md §15).
 //
 // A diagnostic can be suppressed with a `//pplint:ignore <analyzer> <reason>`
 // comment on the flagged line or the line directly above it. The suppress
@@ -114,10 +103,7 @@ func Analyzers() []*Analyzer {
 		BatchContractAnalyzer,
 		CtxAbortAnalyzer,
 		ProfileCleanAnalyzer,
-		PinBalanceAnalyzer,
-		ChargeOnceAnalyzer,
 		AtomicConsistencyAnalyzer,
-		LockBalanceAnalyzer,
 		SuppressAuditAnalyzer,
 	}
 }

@@ -601,8 +601,8 @@ func renderDiags(diags []Diagnostic) string {
 
 func TestSuiteRegistry(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 13 {
-		t.Fatalf("suite has %d analyzers, want 13", len(all))
+	if len(all) != 10 {
+		t.Fatalf("suite has %d analyzers, want 10", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

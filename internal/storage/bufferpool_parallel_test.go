@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -41,7 +42,7 @@ func TestBufferPoolSingleflight(t *testing.T) {
 			bp.Unpin(h.FileID(), 0, false)
 		}()
 	}
-	wg.Wait()
+	finishes(t, "concurrent fetches of one page", wg.Wait)
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -58,9 +59,9 @@ func TestBufferPoolSingleflight(t *testing.T) {
 }
 
 // TestBufferPoolSingleflightFault: when the one shared read of a cold page
-// fails, its reader and every goroutine waiting on it get the error and drop
-// their pins; a goroutine arriving after the failure elects a new reader, so
-// the page is read successfully at most once, and nothing stays pinned.
+// fails, its reader and every goroutine waiting on it get the error, drop
+// their pins and leave the shard unlocked; the failed read is not charged,
+// and the next fetch elects a new reader that succeeds.
 func TestBufferPoolSingleflightFault(t *testing.T) {
 	d, bp := newTestPool(4)
 	h := NewHeapFile(bp)
@@ -71,10 +72,17 @@ func TestBufferPoolSingleflightFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Accountant().Reset()
-	d.SetFaults(NewFaultInjector(FaultConfig{FailReadN: 1}))
+	fi := NewFaultInjector(FaultConfig{FailReadN: 1})
+	d.SetFaults(fi)
 	defer d.SetFaults(nil)
 
+	// Holding the injector's lock stalls the one physical read inside its
+	// fault check, so every other goroutine finds the read in flight and
+	// waits on it.
 	const goroutines = 32
+	key := frameKey{h.FileID(), 0}
+	s := bp.shardFor(key)
+	fi.mu.Lock()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for i := 0; i < goroutines; i++ {
@@ -92,7 +100,24 @@ func TestBufferPoolSingleflightFault(t *testing.T) {
 			bp.Unpin(h.FileID(), 0, false)
 		}()
 	}
-	wg.Wait()
+	var pinned int
+	var errAfter error
+	finishes(t, "fetches sharing a failed read", func() {
+		for pins := 0; pins < goroutines; {
+			s.mu.Lock()
+			if fr, _ := s.find(key); fr != nil {
+				pins = fr.pins
+			}
+			s.mu.Unlock()
+			runtime.Gosched()
+		}
+		fi.mu.Unlock()
+		wg.Wait()
+		pinned = bp.PinnedFrames()
+		if _, errAfter = bp.Fetch(h.FileID(), 0); errAfter == nil {
+			bp.Unpin(h.FileID(), 0, false)
+		}
+	})
 	close(errs)
 	failed := 0
 	for err := range errs {
@@ -101,17 +126,15 @@ func TestBufferPoolSingleflightFault(t *testing.T) {
 		}
 		failed++
 	}
-	st := d.Accountant().Stats()
-	if reads := st.SeqReads + st.RandReads; failed == 0 || reads > 1 || (reads == 1) != (failed < goroutines) {
-		t.Fatalf("%d of %d fetches failed, %d successful physical reads", failed, goroutines, reads)
+	if failed != goroutines {
+		t.Fatalf("%d of %d fetches sharing the failed read failed", failed, goroutines)
 	}
-	if n := bp.PinnedFrames(); n != 0 {
-		t.Fatalf("%d frames left pinned", n)
+	if pinned != 0 || errAfter != nil {
+		t.Fatalf("after the failed read: %d frames pinned, next fetch %v", pinned, errAfter)
 	}
-	if _, err := bp.Fetch(h.FileID(), 0); err != nil {
-		t.Fatal(err)
+	if st := d.Accountant().Stats(); st.SeqReads+st.RandReads != 1 {
+		t.Fatalf("one failed and one successful read charged %d reads, want 1", st.SeqReads+st.RandReads)
 	}
-	bp.Unpin(h.FileID(), 0, false)
 }
 
 // TestShardedBufferPoolServesAllPages checks a sharded pool returns correct

@@ -69,7 +69,7 @@ func TestFaultNthReadDeterministic(t *testing.T) {
 // TestFaultNotCharged asserts a failed I/O never reaches the accountant:
 // the page did not transfer, so it must not count toward charged cost.
 func TestFaultNotCharged(t *testing.T) {
-	d, _, h := buildFaultHeap(t, 8)
+	d, bp, h := buildFaultHeap(t, 8)
 	d.SetFaults(NewFaultInjector(FaultConfig{FailReadN: 1}))
 	if _, err := scanAll(h); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("want ErrInjectedFault, got %v", err)
@@ -77,6 +77,20 @@ func TestFaultNotCharged(t *testing.T) {
 	d.SetFaults(nil)
 	if got := d.Accountant().Stats().Total(); got != 0 {
 		t.Fatalf("failed read was charged: accountant total = %d, want 0", got)
+	}
+	// Nor is a failed write-back: dirty one page and fail its write.
+	if _, err := h.Insert([]byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
+	d.Accountant().Reset()
+	d.SetFaults(NewFaultInjector(FaultConfig{FailWriteN: 1}))
+	err := bp.FlushAll()
+	d.SetFaults(nil)
+	if !errors.Is(err, ErrInjectedFault) {
+		t.Fatalf("want ErrInjectedFault from flush, got %v", err)
+	}
+	if got := d.Accountant().Stats().Total(); got != 0 {
+		t.Fatalf("failed write was charged: accountant total = %d, want 0", got)
 	}
 }
 
@@ -139,9 +153,34 @@ func TestFaultWriteNth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	acct.Reset()
 	d.SetFaults(NewFaultInjector(FaultConfig{FailWriteN: 1}))
 	if err := bp.FlushAll(); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("want ErrInjectedFault from flush, got %v", err)
 	}
 	d.SetFaults(nil)
+	if w := acct.Stats().Writes; w != 0 {
+		t.Fatalf("the failed flush charged %d writes, want 0", w)
+	}
+	// The frames the failed flush left dirty, the failed one among them, are
+	// each written back once by the next flush — which must find the shard
+	// unlocked.
+	dirty := 0
+	s := &bp.shards[0]
+	for fr := s.lru.next; fr != &s.lru; fr = fr.next {
+		if fr.dirty {
+			dirty++
+		}
+	}
+	if dirty == 0 {
+		t.Fatal("the failed flush left no dirty frame")
+	}
+	var err error
+	finishes(t, "FlushAll after a failed write-back", func() { err = bp.FlushAll() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := acct.Stats().Writes; w != int64(dirty) || s.n != 0 {
+		t.Fatalf("the second flush charged %d writes for %d dirty frames and left %d resident; want one each and none", w, dirty, s.n)
+	}
 }

@@ -3,12 +3,32 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
 func newTestPool(capacity int) (*Disk, *BufferPool) {
 	d := NewDisk(nil)
 	return d, NewBufferPool(d, capacity)
+}
+
+// finishes runs fn and stops the test binary, naming the test, if fn has not
+// returned within five seconds. A pool call that returns with its shard still
+// locked blocks the next call on that shard for good, in this test and in
+// every later one that takes the same path; a panic reports it at once
+// instead of at go test's own timeout.
+func finishes(t *testing.T, what string, fn func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		panic(fmt.Sprintf("%s: %s did not return within 5s: a shard lock is still held", t.Name(), what))
+	}
 }
 
 func TestHeapFileInsertGet(t *testing.T) {
@@ -155,7 +175,10 @@ func TestBufferPoolHitMiss(t *testing.T) {
 
 func TestBufferPoolEviction(t *testing.T) {
 	d, bp := newTestPool(3)
-	h := NewHeapFile(bp)
+	// The inserts go through a tracked view: the tracker simulates the same
+	// cold pool, so it must charge exactly the write-backs the pool does.
+	tr := NewIOTracker(bp)
+	h := NewHeapFile(bp).WithTracker(tr)
 	rec := make([]byte, 1000)
 	for i := 0; i < 100; i++ {
 		if _, err := h.Insert(rec); err != nil {
@@ -169,6 +192,13 @@ func TestBufferPoolEviction(t *testing.T) {
 	// Dirty pages must have been written back during eviction.
 	if d.Accountant().Stats().Writes == 0 {
 		t.Fatal("expected writebacks of dirty evicted pages")
+	}
+	if err := bp.EvictUnpinned(); err != nil {
+		t.Fatal(err)
+	}
+	tr.EvictUnpinned()
+	if got, want := tr.Stats(), d.Accountant().Stats(); got != want {
+		t.Fatalf("the tracker charged %+v, the pool %+v", got, want)
 	}
 	// All data still intact.
 	it := h.Scan()
@@ -196,13 +226,26 @@ func TestBufferPoolAllPinnedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pool of 1, page pinned: allocating another must fail.
-	if _, _, err := bp.NewPage(f); err == nil {
-		t.Fatal("expected pool-exhausted error")
+	// Pool of 1, page pinned: allocating another page, or fetching one that
+	// is not resident (the failed NewPage allocated it on disk), must fail
+	// and leave the shard unlocked for the calls after the unpin.
+	var errNew, errFetch, errRefetch, errRealloc error
+	finishes(t, "NewPage, Fetch, Unpin, Fetch and NewPage on a full pool", func() {
+		_, _, errNew = bp.NewPage(f)
+		_, errFetch = bp.Fetch(f, pid1+1)
+		bp.Unpin(f, pid1, false)
+		if _, errRefetch = bp.Fetch(f, pid1+1); errRefetch == nil {
+			bp.Unpin(f, pid1+1, false)
+		}
+		_, _, errRealloc = bp.NewPage(f)
+	})
+	for what, err := range map[string]error{"NewPage": errNew, "Fetch of a page not resident": errFetch} {
+		if err == nil || !strings.Contains(err.Error(), "exhausted") {
+			t.Errorf("%s with every frame pinned: %v, want the pool-exhausted error", what, err)
+		}
 	}
-	bp.Unpin(f, pid1, false)
-	if _, _, err := bp.NewPage(f); err != nil {
-		t.Fatalf("after unpin allocation should succeed: %v", err)
+	if errRefetch != nil || errRealloc != nil {
+		t.Fatalf("after unpin: Fetch %v, NewPage %v; both should succeed", errRefetch, errRealloc)
 	}
 }
 

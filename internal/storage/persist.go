@@ -62,13 +62,15 @@ func ReadDisk(r io.Reader, acct *Accountant) (*Disk, error) {
 		}
 		id := FileID(binary.LittleEndian.Uint32(fh[0:4]))
 		nPages := binary.LittleEndian.Uint32(fh[4:8])
-		pages := make([]*Page, nPages)
+		// The slice grows with the pages actually read: the count comes from
+		// the file, and a forged one must not size an allocation.
+		var pages []*Page
 		for p := uint32(0); p < nPages; p++ {
 			pg := NewPage()
 			if _, err := io.ReadFull(br, pg.Data()); err != nil {
 				return nil, fmt.Errorf("storage: truncated page: %w", err)
 			}
-			pages[p] = pg
+			pages = append(pages, pg)
 		}
 		d.files[id] = pages
 	}

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,22 @@ func TestReadDiskErrors(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-100]
 	if _, err := ReadDisk(bytes.NewReader(trunc), nil); err == nil {
 		t.Fatal("truncated payload should fail")
+	}
+	// A 20-byte image whose one file declares 2^28 pages: the count comes
+	// from the file, so it must not size an allocation.
+	var forged bytes.Buffer
+	empty := NewDisk(nil)
+	empty.CreateFile()
+	if err := empty.Serialize(&forged); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(forged.Bytes()[forged.Len()-4:], 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadDisk(bytes.NewReader(forged.Bytes()), nil)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+		t.Fatalf("forged page count: err %v after allocating %d bytes, want an error and < 1 MiB", err, n)
 	}
 	// OpenHeapFile on a missing file id.
 	if _, err := OpenHeapFile(bp, 999); err == nil {

@@ -96,9 +96,13 @@ func OpenFile(path string, cfg Config) (*DB, error) {
 	if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
 		return nil, fmt.Errorf("predplace: truncated snapshot: %w", err)
 	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	mlen := binary.LittleEndian.Uint64(lenBuf[:])
-	if mlen > 1<<30 {
-		return nil, fmt.Errorf("predplace: implausible manifest size %d", mlen)
+	if rest := uint64(st.Size()) - uint64(len(lenBuf)); mlen > rest {
+		return nil, fmt.Errorf("predplace: manifest of %d bytes in a snapshot with %d bytes left", mlen, rest)
 	}
 	manifest := make([]byte, mlen)
 	if _, err := io.ReadFull(f, manifest); err != nil {

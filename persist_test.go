@@ -1,10 +1,16 @@
 package predplace
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"predplace/internal/storage"
 )
 
 func TestSaveAndOpenFile(t *testing.T) {
@@ -122,5 +128,39 @@ func TestOpenFileErrors(t *testing.T) {
 	os.WriteFile(bad, []byte("not a snapshot"), 0o644)
 	if _, err := OpenFile(bad, Config{}); err == nil {
 		t.Fatal("garbage file should error")
+	}
+
+	// Two forged lengths, each read from the file before anything checks
+	// it: a manifest longer than the file, and a disk image whose one file
+	// declares 2^28 pages. Each must fail without allocating what it claims.
+	var manifest, disk bytes.Buffer
+	if err := gob.NewEncoder(&manifest).Encode(&snapshot{}); err != nil {
+		t.Fatal(err)
+	}
+	empty := storage.NewDisk(nil)
+	empty.CreateFile()
+	if err := empty.Serialize(&disk); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(disk.Bytes()[disk.Len()-4:], 1<<28)
+	snapshotOf := func(mlen int) []byte {
+		img := binary.LittleEndian.AppendUint64(nil, uint64(mlen))
+		return append(append(img, manifest.Bytes()...), disk.Bytes()...)
+	}
+	for name, img := range map[string][]byte{
+		"manifest longer than the file": snapshotOf(16 << 20),
+		"forged page count":             snapshotOf(manifest.Len()),
+	} {
+		path := filepath.Join(dir, "forged.ppdb")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OpenFile(path, Config{})
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+			t.Errorf("%s: err %v after allocating %d bytes, want an error and < 1 MiB", name, err, n)
+		}
 	}
 }
