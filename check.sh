@@ -32,16 +32,20 @@ echo "==> storage accounting gate (pins released, shard locks released, each tra
 # the mutations each of these tests catches.
 go test -race -count=1 -run '^(TestFaultWriteNth|TestFaultNotCharged|TestBufferPoolAllPinnedError|TestBufferPoolSingleflightFault|TestFaultScanUnpinsOnError)$' ./internal/storage
 
-echo "==> planner gates (plan-identity corpus, annotation property, allocation budgets, scratch reuse under race)"
+echo "==> planner gates (plan-identity corpus, annotation property, allocation budgets, scratch reuse and Robust's scalings under race)"
 # Also part of the full test run below; named here so that a planner change
 # which alters a plan (testdata/plans.golden), leaves a stale estimate or an
 # unfilled column list on a returned plan, lets a plan_only planning allocate
 # 10 % more, gives a losing DP candidate or a migration pass heap of its own,
-# or lets Robust score one operator tree twice fails under this heading, not
-# somewhere inside `go test ./...`. The allocation tests skip themselves
-# under -race (counts differ there); the race run covers the candidate
-# scratch and the migration state a planning reuses.
-go test -count=1 -run '^(TestPlanCorpus|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget|TestDPAllocatesForWhatItRetains|TestMigrationPassesRunInPlace|TestRobustCandidatesStructurallyDistinct)$' ./internal/optimizer
+# lets Robust score one operator tree twice, write a predicate's estimates,
+# or plan differently when its three scalings' goroutines share one
+# processor (the Robust legs of the corpus at GOMAXPROCS=1) fails under this
+# heading, not somewhere inside `go test ./...`. The allocation tests skip
+# themselves under -race (counts differ there); the race runs cover the
+# candidate scratch and the migration state a planning reuses, the skeleton
+# Robust's scalings share, and two Robust plannings of one query at once.
+go test -count=1 -run '^(TestPlanCorpus|TestPlanCorpusRobustSerial|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget|TestDPAllocatesForWhatItRetains|TestMigrationPassesRunInPlace|TestRobustCandidatesStructurallyDistinct|TestRobustLeavesPredicatesUntouched)$' ./internal/optimizer
+go test -race -count=1 -run '^(TestRobustConcurrentPlannings|TestPlanCorpusRobustSerial)$' ./internal/optimizer
 go test -race -count=1 ./internal/optimizer
 
 echo "==> row-memory gates (arena lifetime matrix, release on every exit, allocation budget)"
@@ -133,14 +137,16 @@ echo "==> exchange gate (parallel = serial, no worker left behind, no row outliv
 # keeps past its slab fails under this heading.
 go test -race -count=1 -run '^(TestParallel.*|TestBudgetAbortTeardownMatrix|TestCancelTeardownMatrix|TestDeadlineTeardownMatrix|TestArenaMatrix|TestArenaReleased)$' ./internal/exec
 
-echo "==> request-path gates (response bytes, request-body bound, point-lookup allocation budget, server admission, pool misses)"
+echo "==> request-path gates (response bytes, request-body bound, point-lookup allocation budgets, server admission, pool misses)"
 # Also part of the full test run below; named here so that a POST /query body
 # that differs by one byte from json.Encoder's over QueryResponse, an
 # unbounded request body, a point lookup that goes back to allocating a
-# slab per result row, or a buffer-pool miss that allocates fails under this
-# heading. No -race: the point-lookup budget skips itself under the
-# detector, like TestFiguresAllocBudget.
-go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestServer.*)$' .
+# slab per result row, a row trace without profiling, a predicate cache
+# without caching or tracker frames for pool shards it never touches, or a
+# buffer-pool miss that allocates fails under this heading. No -race: the
+# point-lookup budgets skip themselves under the detector, like
+# TestFiguresAllocBudget.
+go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestPointLookupAllocCount|TestServer.*)$' .
 go test -count=1 -run '^TestFetchMissAllocFree$' ./internal/storage
 
 echo "==> go build ./..."

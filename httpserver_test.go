@@ -324,3 +324,50 @@ func TestPointLookupAllocBudget(t *testing.T) {
 		t.Fatalf("a filter over a scan allocates %d B, more than half the parent's %d", bytes, rangeUDFParent)
 	}
 }
+
+// TestPointLookupAllocCount holds the allocations of a warm point lookup
+// through DB.Query — an index probe for one row (a1 is unique) and for ten
+// (a10) — to a few above what it makes once a query without profiling keeps
+// no row trace and one without caching builds no predicate cache (47 and 73
+// allocations before, 38 and 64 since), and once the I/O tracker sets up only
+// the pool shards a query touches: the one-row probe on a four-shard pool
+// (Parallelism 4) touches one of them (45 allocations before, 39 since).
+// Bringing back any one of the three trips it. Allocation counts differ under
+// the race detector, which this test leaves alone.
+func TestPointLookupAllocCount(t *testing.T) {
+	if exec.SlabPoison {
+		t.Skip("under the race detector sync.Pool drops a quarter of its puts at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		parallelism int
+		sql         string
+		budget      uint64
+	}{
+		{1, "SELECT * FROM t10 WHERE t10.a1 = 77", 40},
+		{1, "SELECT * FROM t10 WHERE t10.a10 = 77", 66},
+		{4, "SELECT * FROM t10 WHERE t10.a1 = 77", 41},
+	} {
+		db, err := Open(Config{Scale: 0.1, Tables: []int{10}, Parallelism: c.parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		if _, err := db.Query(c.sql, Migration); err != nil { // plan cached, slabs on the free list
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := db.Query(c.sql, Migration); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("P=%d %s: %d allocs per call (budget %d)", c.parallelism, c.sql, allocs, c.budget)
+		if allocs > c.budget {
+			t.Errorf("P=%d %s: %d allocs per call, budget %d", c.parallelism, c.sql, allocs, c.budget)
+		}
+	}
+}

@@ -21,11 +21,12 @@ func TestInputStatsRankAndModule(t *testing.T) {
 }
 
 func TestJoinSelNilIsCrossProduct(t *testing.T) {
-	if JoinSel(nil) != 1 {
+	m := &Model{}
+	if m.JoinSel(nil) != 1 {
 		t.Fatal("nil primary must mean selectivity 1 (cross product)")
 	}
 	p := &query.Predicate{Selectivity: 0.25}
-	if JoinSel(p) != 0.25 {
+	if m.JoinSel(p) != 0.25 {
 		t.Fatal("JoinSel should return the predicate's selectivity")
 	}
 }

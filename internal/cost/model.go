@@ -67,6 +67,12 @@ type Model struct {
 	Transfer *TransferInfo
 	// stats holds the statistics of the tables bound for one planning.
 	stats []tableStats
+	// scaled marks a copy made by Scaled: it reads every predicate's
+	// selectivity times selScale, clamped to a probability, and its per-tuple
+	// cost times costScale. The base model reads both as the predicate
+	// carries them.
+	scaled              bool
+	selScale, costScale float64
 }
 
 // tableStats is what pricing reads of a base table.
@@ -132,6 +138,46 @@ func NewModel(cat *catalog.Catalog, caching bool) *Model {
 	return &Model{Cat: cat, Caching: caching}
 }
 
+// Scaled returns a copy of m that prices every predicate as if its
+// selectivity were selScale times the estimate, clamped to [0, 1] (also at
+// ×1), and its per-tuple cost costScale times the estimate — an estimate-error
+// scenario that leaves the predicates themselves untouched, so any number of
+// scaled copies price one query at once. The copy shares m's bound tables and
+// transfer state; rebinding m while a copy is in use is the caller's error.
+func (m *Model) Scaled(selScale, costScale float64) *Model {
+	c := *m
+	c.scaled, c.selScale, c.costScale = true, selScale, costScale
+	return &c
+}
+
+// Sel returns p's selectivity as the model prices it.
+func (m *Model) Sel(p *query.Predicate) float64 {
+	if !m.scaled {
+		return p.Selectivity
+	}
+	switch s := p.Selectivity * m.selScale; {
+	case s < 0:
+		return 0
+	case s > 1:
+		return 1
+	default:
+		return s
+	}
+}
+
+// PerTuple returns p's per-tuple cost as the model prices it.
+func (m *Model) PerTuple(p *query.Predicate) float64 {
+	if !m.scaled {
+		return p.CostPerTuple
+	}
+	return p.CostPerTuple * m.costScale
+}
+
+// Rank is p's rank, (selectivity − 1)/cost, as the model prices it.
+func (m *Model) Rank(p *query.Predicate) float64 {
+	return query.Rank(m.Sel(p), m.PerTuple(p))
+}
+
 // distinctOf returns the distinct-value statistic of a base column, or 0 if
 // unknown.
 func (m *Model) distinctOf(ref query.ColRef) float64 {
@@ -171,8 +217,8 @@ func (m *Model) FilterInvocations(p *query.Predicate, inputCard float64) float64
 // FilterStats returns the output cardinality and the added cost of applying
 // predicate p to a stream of inputCard tuples.
 func (m *Model) FilterStats(p *query.Predicate, inputCard float64) (outCard, addedCost float64) {
-	outCard = inputCard * p.Selectivity
-	addedCost = m.FilterInvocations(p, inputCard) * p.CostPerTuple
+	outCard = inputCard * m.Sel(p)
+	addedCost = m.FilterInvocations(p, inputCard) * m.PerTuple(p)
 	return outCard, addedCost
 }
 
@@ -195,9 +241,9 @@ func (m *Model) Annotate(n plan.Node) error {
 // each priced subtree's stored Card()/Cost() as its stream: the System R DP
 // prices a candidate in time proportional to the nodes it adds over
 // subplans it has already priced. The caller vouches that every priced node
-// was annotated under the model's current predicate estimates and transfer
-// state; anything that changes those (Robust's perturbations, a migration
-// that moves filters) must go back through Annotate.
+// was annotated by this model — the same scale, predicate estimates and
+// transfer state; anything else (a tree priced on another scaled copy, a
+// migration that moves filters) must go back through Annotate.
 func (m *Model) AnnotateAbove(n plan.Node, priced ...plan.Node) error {
 	_, err := m.annotate(n, priced)
 	return err
@@ -234,7 +280,7 @@ func (m *Model) annotate(n plan.Node, priced []plan.Node) (streamInfo, error) {
 		}
 		card := tab.card
 		if t.Matched != nil {
-			card *= t.Matched.Selectivity
+			card *= m.Sel(t.Matched)
 		}
 		// One probe plus a random heap fetch per matching tuple; full-index
 		// scans (no bounds) walk all leaves plus fetch every tuple.
@@ -305,11 +351,11 @@ func (m *Model) annotate(n plan.Node, priced []plan.Node) (streamInfo, error) {
 }
 
 // JoinSel returns the tuple-based total selectivity s of a join predicate.
-func JoinSel(p *query.Predicate) float64 {
+func (m *Model) JoinSel(p *query.Predicate) float64 {
 	if p == nil {
 		return 1 // cross product
 	}
-	return p.Selectivity
+	return m.Sel(p)
 }
 
 func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, error) {
@@ -321,7 +367,7 @@ func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, erro
 	if err != nil {
 		return streamInfo{}, err
 	}
-	s := JoinSel(j.Primary)
+	s := m.JoinSel(j.Primary)
 	R, S := outer.card, inner.card
 
 	var cost float64
@@ -378,13 +424,13 @@ func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, erro
 		}
 		plan.BaseFilters(j.Inner, func(f *query.Predicate) {
 			inv := m.FilterInvocations(f, passes*streamCard)
-			cost += inv * f.CostPerTuple
-			streamCard *= f.Selectivity
+			cost += inv * m.PerTuple(f)
+			streamCard *= m.Sel(f)
 		})
 		pairs := R * streamCard
 		if j.Primary != nil && j.Primary.IsExpensive() {
 			inv := m.FilterInvocations(j.Primary, pairs)
-			cost += inv * j.Primary.CostPerTuple
+			cost += inv * m.PerTuple(j.Primary)
 		}
 		outCard = s * R * streamCard
 
@@ -392,7 +438,7 @@ func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, erro
 		cost = outer.cost + inner.cost + S*HashSpillPerTuple + R*HashSpillPerTuple
 		if j.Primary != nil && j.Primary.IsExpensive() {
 			pairs := R * S
-			cost += m.FilterInvocations(j.Primary, pairs) * j.Primary.CostPerTuple
+			cost += m.FilterInvocations(j.Primary, pairs) * m.PerTuple(j.Primary)
 		}
 		outCard = s * R * S
 
@@ -406,7 +452,7 @@ func (m *Model) annotateJoin(j *plan.Join, priced []plan.Node) (streamInfo, erro
 		}
 		if j.Primary != nil && j.Primary.IsExpensive() {
 			pairs := R * S
-			cost += m.FilterInvocations(j.Primary, pairs) * j.Primary.CostPerTuple
+			cost += m.FilterInvocations(j.Primary, pairs) * m.PerTuple(j.Primary)
 		}
 		outCard = s * R * S
 

@@ -67,7 +67,7 @@ func (m *Model) JoinInputStats(j *plan.Join) (outer, inner InputStats) {
 	inner.Sel = out / S
 	if m.Caching && j.Primary != nil && j.Primary.Kind == query.KindJoinCmp {
 		// Value-based selectivity: s · number_of_values(other.col), ≤ 1.
-		s := j.Primary.Selectivity
+		s := m.Sel(j.Primary)
 		dl := math.Min(m.distinctOf(j.Primary.Left), R)
 		dr := math.Min(m.distinctOf(j.Primary.Right), S)
 		// Left/Right orientation: whichever side belongs to the outer stream.
@@ -83,7 +83,7 @@ func (m *Model) JoinInputStats(j *plan.Join) (outer, inner InputStats) {
 
 	var cp float64 // expensive primary per-pair cost
 	if j.Primary != nil && j.Primary.IsExpensive() {
-		cp = j.Primary.CostPerTuple
+		cp = m.PerTuple(j.Primary)
 	}
 
 	switch j.Method {
@@ -130,10 +130,10 @@ func (m *Model) innerBasePages(j *plan.Join) float64 {
 // cacheable predicate shrinks when the stream has fewer distinct bindings
 // than tuples.
 func (m *Model) SelectionModule(p *query.Predicate, streamCard float64) Module {
-	cost := p.CostPerTuple
+	cost := m.PerTuple(p)
 	if m.Caching && streamCard > 0 {
 		inv := m.FilterInvocations(p, streamCard)
-		cost = p.CostPerTuple * inv / streamCard
+		cost = m.PerTuple(p) * inv / streamCard
 	}
-	return Module{Sel: p.Selectivity, Cost: cost}
+	return Module{Sel: m.Sel(p), Cost: cost}
 }

@@ -18,17 +18,18 @@ import (
 // stacked under an expensive one, and order_limit's filtered index scan under
 // a Limit, at Parallelism 1 and 3 × BatchSize 1, 7 and 256, with Profile off
 // and on. shape names the nodes pre-order; rows and evals are their counts in
-// that order (a count in brackets is of a node the executor never builds, the
-// index nested loop's probed inner: it is "n/a" without Profile, which
-// registers every node). The numbers were recorded before scans absorbed
-// filters, when every filter was an operator of its own.
+// that order under Profile, which registers every node (the index nested
+// loop's probed inner too, which the executor never builds). Without Profile
+// a run keeps no row trace, and every node reads "n/a". The numbers were
+// recorded before scans absorbed filters, when every filter was an operator
+// of its own.
 func TestAbsorbedFilterCounts(t *testing.T) {
 	db := figuresDB(t, 0.02)
 	for _, st := range []struct{ name, sql, shape, rows, evals string }{
 		{"range_udf", `SELECT * FROM t10 WHERE t10.a1 < 300 AND costly1(t10.u100)`,
 			"Filter* Filter SeqScan", "200 300 2000", "300 2000 0"},
 		{"index_nl", `SELECT * FROM t1, t10 WHERE t1.a1 = t10.a1 AND t1.a10 = 3`,
-			"IndexNestLoop Filter SeqScan SeqScan", "10 10 200 [10]", "0 200 0 0"},
+			"IndexNestLoop Filter SeqScan SeqScan", "10 10 200 10", "0 200 0 0"},
 		{"root-cheap", `SELECT * FROM t10 WHERE t10.u10 < 3`,
 			"Filter SeqScan", "30 2000", "2000 0"},
 		{"stacked-cheap", `SELECT * FROM t10 WHERE t10.a10 < 150 AND t10.u100 < 9 AND costly1(t10.u20)`,
@@ -90,20 +91,13 @@ func absorbedSelfTime(t *testing.T, name string, env *Env, root plan.Node, prof 
 	}
 }
 
-// nodeRowsWant is want, the counts under Profile, as a run without Profile
-// reports them: a count in brackets is of a node only Profile registers.
+// nodeRowsWant is want, the counts under Profile, as a run reports them:
+// without Profile there are none.
 func nodeRowsWant(want string, profile bool) string {
-	f := strings.Fields(want)
-	for i, c := range f {
-		if strings.HasPrefix(c, "[") {
-			if profile {
-				f[i] = strings.Trim(c, "[]")
-			} else {
-				f[i] = "n/a"
-			}
-		}
+	if profile {
+		return want
 	}
-	return strings.Join(f, " ")
+	return strings.TrimSpace(strings.Repeat("n/a ", len(strings.Fields(want))))
 }
 
 // nodeCounts renders root's nodes pre-order — their kinds, the rows each

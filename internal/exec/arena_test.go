@@ -570,7 +570,7 @@ func TestRejectedFetchCarvesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		inl := it.(*indexNLJoinIter)
-		outer := inl.outer.(*countIter).in.(*seqScanIter)
+		outer := inl.outer.(*seqScanIter)
 		t1, _ := db.Cat.Table("t1")
 		got := carved(&own, &inl.inner, &outer.alloc, &inl.alloc) - (int(t1.Card)+2*n)*width // less the outer's rows and the pairs
 		if most := (n + 1) * width; got > most || (bound == 0 && n != 0) || (bound != 0 && n == 0) {

@@ -142,11 +142,11 @@ type Env struct {
 	// tree is closed and its goroutines joined.
 	slabs slabPool
 
-	traceMu sync.Mutex
-	trace   map[plan.Node]*atomic.Int64
-	// prof holds per-node runtime counters; non-nil only while Profile is
-	// on, so the default path never consults or allocates it per row.
-	prof map[plan.Node]*opCounters
+	// prof holds per-node runtime counters, the rows each node produced
+	// (Result.NodeRows) among them; non-nil only while Profile is on, so the
+	// default path never consults or allocates it.
+	profMu sync.Mutex
+	prof   map[plan.Node]*opCounters
 }
 
 // workers returns the effective parallel fan-out (1 = serial).
@@ -195,7 +195,6 @@ func (e *Env) begin() {
 	// runs, so the last query's must not survive.
 	e.runs = nil
 	e.slabs.release() // a no-op after Run; callers that drive Build themselves may not have
-	e.trace = map[plan.Node]*atomic.Int64{}
 	if e.Profile {
 		e.prof = map[plan.Node]*opCounters{}
 	} else {
@@ -339,27 +338,13 @@ func (e *Env) checkAbort() error {
 	return nil
 }
 
-// nodeCounter returns the per-node row counter for EXPLAIN ANALYZE,
-// creating it on first use. Safe for concurrent Build calls (nested-loop
-// joins rebuild their inner subtree mid-query, possibly from a parallel
-// operator's worker goroutine).
-func (e *Env) nodeCounter(n plan.Node) *atomic.Int64 {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	counter, ok := e.trace[n]
-	if !ok {
-		counter = new(atomic.Int64)
-		e.trace[n] = counter
-	}
-	return counter
-}
-
 // nodeProf returns the per-node profiling counters, creating them on first
-// use. Only called while profiling is on (e.prof non-nil); safe for
-// concurrent Build calls, like nodeCounter.
+// use. Only called while profiling is on; safe for concurrent Build calls
+// (nested-loop joins rebuild their inner subtree mid-query, possibly from a
+// parallel operator's worker goroutine).
 func (e *Env) nodeProf(n plan.Node) *opCounters {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
+	e.profMu.Lock()
+	defer e.profMu.Unlock()
 	c, ok := e.prof[n]
 	if !ok {
 		c = &opCounters{}

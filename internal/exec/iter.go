@@ -274,7 +274,7 @@ type recordRun struct {
 	scan    plan.Node      // a *plan.SeqScan or *plan.IndexScan
 	filters []*plan.Filter // bottom first; filters[k] is tests[k]
 	tests   []catalog.ColTest
-	rows    []*atomic.Int64 // nil when the Env is not tracing
+	rows    []*atomic.Int64 // nil unless profiling
 	prof    []*opCounters   // nil unless profiling
 }
 
@@ -355,13 +355,11 @@ func (e *Env) recordRun(scan plan.Node, chain []*plan.Filter) *recordRun {
 	if len(r.filters) == 0 {
 		return nil
 	}
-	if e.trace != nil {
-		r.rows = []*atomic.Int64{e.nodeCounter(scan)}
-		for _, f := range r.filters[:len(r.filters)-1] {
-			r.rows = append(r.rows, e.nodeCounter(f))
-		}
-	}
 	if e.prof != nil {
+		r.rows = []*atomic.Int64{&e.nodeProf(scan).rows}
+		for _, f := range r.filters[:len(r.filters)-1] {
+			r.rows = append(r.rows, &e.nodeProf(f).rows)
+		}
 		for _, f := range r.filters {
 			r.prof = append(r.prof, e.nodeProf(f))
 		}
@@ -445,14 +443,10 @@ func buildIn(e *Env, n plan.Node, rs *slabPool) (Iterator, error) {
 	return e.traced(n, it), nil
 }
 
-// traced wraps n's operator in the node's row counter — with profiling on,
-// in its profiler.
+// traced wraps n's operator in its profiler when profiling is on.
 func (e *Env) traced(n plan.Node, it Iterator) Iterator {
 	if e.prof != nil {
-		return &profIter{e: e, in: it, rows: e.nodeCounter(n), c: e.nodeProf(n)}
-	}
-	if e.trace != nil {
-		return &countIter{in: it, rows: e.nodeCounter(n)}
+		return &profIter{e: e, in: it, c: e.nodeProf(n)}
 	}
 	return it
 }
@@ -909,24 +903,3 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 }
 
 func (f *filterIter) Close() error { return f.in.Close() }
-
-// countIter counts the rows an operator produces (accumulating across
-// nested-loop rescans, and across the workers' copies inside a segment) for
-// EXPLAIN ANALYZE.
-type countIter struct {
-	in   Iterator
-	rows *atomic.Int64
-}
-
-func (c *countIter) Open() error { return c.in.Open() }
-
-func (c *countIter) NextBatch(dst []expr.Row) (int, error) {
-	n, err := c.in.NextBatch(dst)
-	if err != nil {
-		return 0, err
-	}
-	c.rows.Add(int64(n))
-	return n, nil
-}
-
-func (c *countIter) Close() error { return c.in.Close() }

@@ -279,12 +279,11 @@ func newIndexNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 		if base, predNodes, ok := plan.BaseTableNodes(j.Inner); ok {
 			it.residualRows = make([]*atomic.Int64, len(residual))
 			for i := range residual {
-				node := predNodes[len(predNodes)-1-i]
-				it.residualRows[i] = e.nodeCounter(node)
-				residual[i].prof = e.nodeProf(node)
+				c := e.nodeProf(predNodes[len(predNodes)-1-i])
+				it.residualRows[i], residual[i].prof = &c.rows, c
 			}
 			if len(predNodes) == 0 || predNodes[len(predNodes)-1] != base {
-				it.baseRows = e.nodeCounter(base)
+				it.baseRows = &e.nodeProf(base).rows
 			}
 		}
 	}

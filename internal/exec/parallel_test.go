@@ -194,7 +194,7 @@ func TestParallelCloseEarly(t *testing.T) {
 	if n, err := it.NextBatch(make([]expr.Row, 1)); n != 1 || err != nil {
 		t.Fatalf("first NextBatch: n=%d err=%v", n, err)
 	}
-	x := it.(*countIter).in.(*exchangeIter)
+	x := it.(*exchangeIter)
 	go func() {
 		for !x.fan.stopping() {
 			runtime.Gosched()

@@ -28,6 +28,7 @@ import (
 // atomics because inside an exchange's segment every worker's copy of the
 // node updates them, from several goroutines at once.
 type opCounters struct {
+	rows    atomic.Int64 // rows produced: Result.NodeRows
 	opens   atomic.Int64
 	batches atomic.Int64
 	wallNs  atomic.Int64
@@ -91,9 +92,9 @@ func (c *opCounters) io() storage.IOStats {
 }
 
 // profIter is the instrumented tracing wrapper Build installs around every
-// operator when profiling is on. It keeps the plain row-count trace (NodeRows
-// stays authoritative for actual cardinalities) and additionally measures
-// wall time and physical-I/O deltas around each call.
+// operator when profiling is on. It keeps the row-count trace (NodeRows,
+// authoritative for actual cardinalities) and measures wall time and
+// physical-I/O deltas around each call.
 //
 // Timings and I/O are inclusive: a parent's window spans its children's work,
 // matching the cumulative semantics of the optimizer's per-node EstCost. An
@@ -108,10 +109,9 @@ func (c *opCounters) io() storage.IOStats {
 // calls nothing but the query's workers runs, and what they read is the
 // root's too), so its I/O is the query's, exactly.
 type profIter struct {
-	e    *Env
-	in   Iterator
-	rows *atomic.Int64
-	c    *opCounters
+	e  *Env
+	in Iterator
+	c  *opCounters
 	// root marks the wrapper Build returns; once it has been called, last is
 	// where its previous I/O window ended and its next one starts.
 	root   bool
@@ -155,7 +155,7 @@ func (p *profIter) NextBatch(dst []expr.Row) (int, error) {
 	}
 	if n > 0 {
 		p.c.batches.Add(1)
-		p.rows.Add(int64(n))
+		p.c.rows.Add(int64(n))
 	}
 	return n, nil
 }
@@ -260,11 +260,11 @@ func estSel(n plan.Node) float64 {
 }
 
 // assembleProfile builds the OpProfile tree for a finished query from the
-// trace and profiling counters (Run pre-registers every plan node, so every
-// node has both).
+// profiling counters (Run pre-registers every plan node, so every node has
+// them).
 func assembleProfile(e *Env, n plan.Node) *OpProfile {
-	rows := e.nodeCounter(n).Load()
 	c := e.nodeProf(n)
+	rows := c.rows.Load()
 	// One wrapper timed a scan and the filters it absorbed, as their top
 	// filter: each reports that window, so the filters' self time is zero and
 	// the scan's is all of it.

@@ -23,19 +23,23 @@ type Result struct {
 	DNF bool
 	// NodeRows maps plan nodes to the number of rows they actually produced
 	// (accumulated across nested-loop rescans) — EXPLAIN ANALYZE's data.
-	// With Env.Profile on every plan node has an entry (nodes the data flow
-	// never reached report 0); with it off, only nodes the executor built.
+	// Only Env.Profile keeps the trace: then every plan node has an entry
+	// (nodes the data flow never reached report 0); without it NodeRows is
+	// nil.
 	NodeRows map[plan.Node]int64
 	// Profile is the per-operator runtime profile tree (nil unless
 	// Env.Profile was on).
 	Profile *OpProfile
 }
 
-// collectTrace snapshots the per-node row counters.
+// collectTrace snapshots the per-node row counters (nil unless profiling).
 func collectTrace(e *Env) map[plan.Node]int64 {
-	out := make(map[plan.Node]int64, len(e.trace))
-	for n, c := range e.trace {
-		out[n] = c.Load()
+	if e.prof == nil {
+		return nil
+	}
+	out := make(map[plan.Node]int64, len(e.prof))
+	for n, c := range e.prof {
+		out[n] = c.rows.Load()
 	}
 	return out
 }
@@ -61,7 +65,6 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 		// inner chain of an index nested loop). An unreached node truthfully
 		// reports 0 rows instead of being absent ("actual=n/a").
 		plan.Walk(root, func(n plan.Node) {
-			e.nodeCounter(n)
 			e.nodeProf(n)
 		})
 	}

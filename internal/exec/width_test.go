@@ -68,8 +68,9 @@ func pullSchedule(t *testing.T, what string, env *Env, root plan.Node) *Result {
 // every arenaShape, made a root of its own so that each operator type takes
 // the schedule (the empty dst included) directly, must deliver under the
 // schedule what a straight Run delivers: the same rows (in order when
-// serial), the same charged cost, the same per-node row counts — at every
-// width the operators below the root run at (what a hash build, a merge
+// serial), the same charged cost, the same per-node row counts (kept under
+// Profile, which every other batch width turns on) — at every width the
+// operators below the root run at (what a hash build, a merge
 // join's sides, a TopK fill and an exchange's workers pull with): a thin
 // scan's batches end where its pages do, so no two widths cut alike.
 func TestOperatorsWidthSchedule(t *testing.T) {
@@ -84,7 +85,7 @@ func TestOperatorsWidthSchedule(t *testing.T) {
 						p := []int{1, 4}[(i+j)%2]
 						what := fmt.Sprintf("%s subtree %d (%s) transfer=%v caching=%v P=%d BS=%d", sh.name, i, root.Describe(), transfer, caching, p, bs)
 						env := &Env{Cat: sh.db.Cat, Pool: sh.db.Pool, Cache: pcache.NewManager(caching, 0),
-							Parallelism: p, BatchSize: bs, Transfer: transfer}
+							Parallelism: p, BatchSize: bs, Transfer: transfer, Profile: j%2 == 0}
 						want, err := Run(env, root)
 						if err != nil {
 							t.Fatalf("%s: %v", what, err)

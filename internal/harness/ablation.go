@@ -112,11 +112,11 @@ func (h *Harness) planWithOptions(sql string, opts optimizer.Options) (float64, 
 // worstCase plans one SQL text with explicit optimizer options and scores the
 // plan over Robust's error box of half-width e.
 func (h *Harness) worstCase(sql string, opts optimizer.Options, e float64) (float64, error) {
-	opt, q, root, _, err := h.planDirect(sql, opts)
+	opt, _, root, _, err := h.planDirect(sql, opts)
 	if err != nil {
 		return 0, err
 	}
-	return opt.WorstCase(q, root, e)
+	return opt.WorstCase(root, e)
 }
 
 // planDirect binds one SQL text and plans it with the optimizer itself, past

@@ -668,7 +668,7 @@ func TestCloseChainSeesTheExecutor(t *testing.T) {
 	}
 	for _, name := range []string{
 		"seqScanIter", "indexScanIter", "filterIter", "nlJoinIter", "indexNLJoinIter", "hashJoinIter",
-		"mergeJoinIter", "topkIter", "limitIter", "exchangeIter", "sharedSource", "countIter", "profIter",
+		"mergeJoinIter", "topkIter", "limitIter", "exchangeIter", "sharedSource", "profIter",
 	} {
 		if !seen[name] {
 			t.Errorf("closechain does not recognise internal/exec's %s as an operator type (it sees %v)", name, seen)

@@ -205,7 +205,7 @@ func (s *bushySearch) joins(set, rightSet, applied uint32, le, re bushyEntry) er
 		}
 	}
 	if innerIsBase {
-		methods = append(methods, method{m: plan.NestLoop, primary: minRankPred(conns)})
+		methods = append(methods, method{m: plan.NestLoop, primary: minRankPred(s.o.model, conns)})
 	}
 	// Cross products of composites are skipped: hash/merge need an equality
 	// predicate and NL needs a base inner; a left-deep shape covers those.

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -267,28 +268,44 @@ func bindCorpus(tb testing.TB, db *datagen.DB, sql string) (*query.Query, *TopKS
 // and what the property tests inspect.
 type corpusEntry struct {
 	name string
-	sql  string
 	opt  *Optimizer
-	q    *query.Query
 	root plan.Node
 	info *Info
 	err  error
 }
 
-// forEachCorpusEntry plans every (statement, leg) with a freshly bound query
-// and a fresh optimizer, in a fixed order.
-func forEachCorpusEntry(tb testing.TB, visit func(e corpusEntry)) {
+// forEachCorpusEntry plans every (statement, leg) — every leg whose opts
+// keep accepts, when keep is non-nil — with a freshly bound query and a fresh
+// optimizer, in a fixed order.
+func forEachCorpusEntry(tb testing.TB, keep func(Options) bool, visit func(e corpusEntry)) {
 	tb.Helper()
 	db := corpusDB(tb)
 	for _, s := range append(corpusStmts(), corpusTopK...) {
 		q0, topk := bindCorpus(tb, db, s.sql)
 		for _, leg := range corpusLegs(s, len(q0.Tables), topk) {
+			if keep != nil && !keep(leg.opts) {
+				continue
+			}
 			q, _ := bindCorpus(tb, db, s.sql)
 			opt := New(db.Cat, leg.opts)
 			root, info, err := opt.Plan(q)
-			visit(corpusEntry{name: s.name + "/" + leg.name, sql: s.sql, opt: opt, q: q, root: root, info: info, err: err})
+			visit(corpusEntry{name: s.name + "/" + leg.name, opt: opt, root: root, info: info, err: err})
 		}
 	}
+}
+
+// writeCorpusEntry writes one entry as testdata/plans.golden records it.
+func writeCorpusEntry(b *strings.Builder, e corpusEntry) {
+	fmt.Fprintf(b, "== %s\n", e.name)
+	if e.err != nil {
+		fmt.Fprintf(b, "error: %v\n", e.err)
+		return
+	}
+	fmt.Fprintf(b, "est cost=%x card=%x\n", e.info.EstCost, e.info.EstCard)
+	fmt.Fprintf(b, "info retained=%d unpruneable=%d passes=%d robust_candidates=%d robust_worst=%x topk=%q\n",
+		e.info.PlansRetained, e.info.UnpruneableRetained, e.info.MigrationPasses,
+		e.info.RobustCandidates, e.info.RobustWorst, e.info.TopKKind)
+	b.WriteString(plan.Render(e.root))
 }
 
 func TestPlanCorpus(t *testing.T) {
@@ -298,21 +315,12 @@ func TestPlanCorpus(t *testing.T) {
 	for _, s := range append(corpusStmts(), corpusTopK...) {
 		stmtSQL[s.name] = strings.Join(strings.Fields(s.sql), " ")
 	}
-	forEachCorpusEntry(t, func(e corpusEntry) {
+	forEachCorpusEntry(t, nil, func(e corpusEntry) {
 		if stmt := e.name[:strings.Index(e.name, "/")]; stmt != lastStmt {
 			fmt.Fprintf(&b, "# %s: %s\n", stmt, stmtSQL[stmt])
 			lastStmt = stmt
 		}
-		fmt.Fprintf(&b, "== %s\n", e.name)
-		if e.err != nil {
-			fmt.Fprintf(&b, "error: %v\n", e.err)
-			return
-		}
-		fmt.Fprintf(&b, "est cost=%x card=%x\n", e.info.EstCost, e.info.EstCard)
-		fmt.Fprintf(&b, "info retained=%d unpruneable=%d passes=%d robust_candidates=%d robust_worst=%x topk=%q\n",
-			e.info.PlansRetained, e.info.UnpruneableRetained, e.info.MigrationPasses,
-			e.info.RobustCandidates, e.info.RobustWorst, e.info.TopKKind)
-		b.WriteString(plan.Render(e.root))
+		writeCorpusEntry(&b, e)
 	})
 	got := b.String()
 	if *updateCorpus {
@@ -344,4 +352,46 @@ func TestPlanCorpus(t *testing.T) {
 		}
 	}
 	t.Fatalf("plan corpus differs from %s in length: got %d lines, want %d", corpusGolden, len(gl), len(wl))
+}
+
+// TestPlanCorpusRobustSerial plans the Robust legs of the corpus on one
+// processor, where the goroutines of its three estimate scalings run one after
+// another in whatever order the scheduler picks: every entry must read as
+// testdata/plans.golden records it, so no scaling's plans depend on when its
+// goroutine runs.
+func TestPlanCorpusRobustSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	data, err := os.ReadFile(corpusGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden's entries by name, each from its "== " line to the next
+	// entry or statement header.
+	golden := map[string]string{}
+	name := ""
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		switch {
+		case strings.HasPrefix(line, "== "):
+			name = strings.TrimSpace(line[3:])
+		case strings.HasPrefix(line, "# "):
+			name = ""
+		}
+		if name != "" {
+			golden[name] += line
+		}
+	}
+	legs := 0
+	forEachCorpusEntry(t, func(o Options) bool { return o.Algorithm == Robust }, func(e corpusEntry) {
+		legs++
+		var b strings.Builder
+		writeCorpusEntry(&b, e)
+		if want, ok := golden[e.name]; !ok {
+			t.Errorf("%s: not in %s", e.name, corpusGolden)
+		} else if got := b.String(); got != want {
+			t.Errorf("%s at GOMAXPROCS=1:\n got:\n%s\nwant:\n%s", e.name, got, want)
+		}
+	})
+	if legs == 0 {
+		t.Fatal("the corpus has no Robust legs")
+	}
 }

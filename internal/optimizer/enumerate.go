@@ -68,10 +68,12 @@ func (o *Optimizer) orderedPlans(q *query.Query, order []int,
 		after := afterOf(step)
 		var next []*subplan
 		for _, op := range cur {
-			methods := o.skel.shape(op.set, idx).methods()
+			sh := o.skel.shape(op.set, idx)
+			nl := sh.nestLoop(o.model)
 			for _, ip := range innerPaths {
 				innerRoot := chainFilters(ip.root, scanLevelOf(innerTable))
-				for _, md := range methods {
+				for k := 0; k <= len(sh.eq); k++ {
+					md := sh.method(k, &nl)
 					c.join = plan.Join{
 						Method:           md.m,
 						Outer:            op.root,

@@ -18,11 +18,9 @@ import (
 // join column lists only on the plan it returns, so whatever Plan hands back
 // must be indistinguishable from a tree annotated from scratch. For every
 // corpus entry a full Model.Annotate leaves every node's estimates
-// bit-identical, plan.Validate passes (column lists on every join, TopK/Limit
-// roots and the LDL family included), and the query's predicates carry their
-// nominal estimates (Robust perturbs the shared predicates while it plans).
+// bit-identical and plan.Validate passes (column lists on every join,
+// TopK/Limit roots and the LDL family included).
 func TestCorpusPlansCarryFullAnnotations(t *testing.T) {
-	db := corpusDB(t)
 	type est struct{ card, cost uint64 }
 	estimates := func(root plan.Node) []est {
 		var out []est
@@ -31,7 +29,7 @@ func TestCorpusPlansCarryFullAnnotations(t *testing.T) {
 		})
 		return out
 	}
-	forEachCorpusEntry(t, func(e corpusEntry) {
+	forEachCorpusEntry(t, nil, func(e corpusEntry) {
 		if e.err != nil {
 			t.Errorf("%s: Plan: %v", e.name, e.err)
 			return
@@ -51,23 +49,12 @@ func TestCorpusPlansCarryFullAnnotations(t *testing.T) {
 		if err := plan.Validate(e.root); err != nil {
 			t.Errorf("%s: %v", e.name, err)
 		}
-		nominal, _ := bindCorpus(t, db, e.sql)
-		if err := query.Analyze(db.Cat, nominal); err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range e.q.Preds {
-			if want := nominal.Preds[i]; math.Float64bits(p.Selectivity) != math.Float64bits(want.Selectivity) ||
-				math.Float64bits(p.CostPerTuple) != math.Float64bits(want.CostPerTuple) {
-				t.Errorf("%s: predicate %s left with sel=%v cost=%v, nominal sel=%v cost=%v",
-					e.name, p, p.Selectivity, p.CostPerTuple, want.Selectivity, want.CostPerTuple)
-			}
-		}
 	})
 }
 
 // wideCatalog is a synthetic schema of n one-column tables w0 … w(n-1) plus a
-// function whose declared selectivity exceeds 1 — something every Robust
-// perturbation clamps, so a perturbation that is not undone shows.
+// function whose declared selectivity exceeds 1 — something every scaled
+// model clamps, so a scaled estimate that reaches a predicate shows.
 func wideCatalog(t *testing.T, n int) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
@@ -87,32 +74,52 @@ func wideCatalog(t *testing.T, n int) *catalog.Catalog {
 	return cat
 }
 
-// TestRobustRestoresEstimatesOnError covers the error return: a 13-way join
-// fails inside Robust's first enumeration, after the predicates were
-// perturbed.
-func TestRobustRestoresEstimatesOnError(t *testing.T) {
-	cat := wideCatalog(t, 13)
+// TestScaledModelClampsWithoutWriting: Robust's estimate scalings live in
+// the cost model. A scaled copy reads a selectivity times its scale clamped
+// to a probability — dup's declared 1.25 reads 1 even at ×1 — and a per-tuple
+// cost times its scale, and prices a filter with what it reads; the base
+// model reads both raw, and neither writes the predicate.
+func TestScaledModelClampsWithoutWriting(t *testing.T) {
+	cat := wideCatalog(t, 1)
 	dup, err := cat.Func("dup")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tables []string
-	preds := []*query.Predicate{{Kind: query.KindFunc, Func: dup, Args: []query.ColRef{{Table: "w0", Col: "k"}}}}
-	for i := 0; i < 13; i++ {
-		tables = append(tables, fmt.Sprintf("w%d", i))
-		if i > 0 {
-			preds = append(preds, jp(tables[i-1], "k", tables[i], "k"))
-		}
-	}
-	q, err := query.NewQuery(tables, preds)
+	p := &query.Predicate{Kind: query.KindFunc, Func: dup, Args: []query.ColRef{{Table: "w0", Col: "k"}}}
+	q, err := query.NewQuery([]string{"w0"}, []*query.Predicate{p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := New(cat, Options{Algorithm: Robust}).Plan(q); err == nil {
-		t.Fatal("a 13-way join planned; the test needs Robust to fail after perturbing")
+	if err := query.Analyze(cat, q); err != nil {
+		t.Fatal(err)
 	}
-	if got := preds[0].Selectivity; math.Float64bits(got) != math.Float64bits(1.25) {
-		t.Fatalf("dup's selectivity is %v after the failed planning, want the nominal 1.25", got)
+	base := cost.NewModel(cat, false)
+	for _, c := range []struct {
+		name            string
+		m               *cost.Model
+		sel, cost, card float64
+	}{
+		{"base", base, 1.25, 5, 125},
+		{"×1", base.Scaled(1, 1), 1, 5, 100},
+		{"sel×4 cost÷4", base.Scaled(4, 0.25), 1, 1.25, 100},
+		{"sel÷4 cost×4", base.Scaled(0.25, 4), 0.3125, 20, 31.25},
+	} {
+		if got := c.m.Sel(p); got != c.sel {
+			t.Errorf("%s: selectivity reads %v, want %v", c.name, got, c.sel)
+		}
+		if got := c.m.PerTuple(p); got != c.cost {
+			t.Errorf("%s: per-tuple cost reads %v, want %v", c.name, got, c.cost)
+		}
+		f := &plan.Filter{Input: &plan.SeqScan{Table: "w0"}, Pred: p}
+		if err := c.m.Annotate(f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Card() != c.card {
+			t.Errorf("%s: filter over 100 rows estimates %v, want %v", c.name, f.Card(), c.card)
+		}
+	}
+	if p.Selectivity != 1.25 || p.CostPerTuple != 5 {
+		t.Errorf("pricing left dup at sel=%v cost=%v, want the declared 1.25 and 5", p.Selectivity, p.CostPerTuple)
 	}
 }
 

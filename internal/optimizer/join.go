@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"predplace/internal/catalog"
+	"predplace/internal/cost"
 	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/query"
@@ -15,8 +16,9 @@ import (
 // alone, before any estimate is consulted: which predicates connect which
 // tables, which join methods are legal, which predicates are expensive. It is
 // built once per Plan and shared by every enumeration the planning runs —
-// Robust's twelve System R runs perturb selectivities between runs, and none
-// of this moves with them.
+// Robust's twelve System R runs price under three estimate scalings, and none
+// of this moves with them. Once its shape memo is filled (fillShapes) it is
+// read-only, so enumerations may share it from several goroutines.
 type skeleton struct {
 	q    *query.Query
 	tabs []*catalog.Table // by q.Tables index
@@ -114,9 +116,20 @@ type joinShape struct {
 	// eq lists hash, merge and (where the inner column is indexed) index
 	// nested-loop joins per cheap equality connecting predicate.
 	eq []joinMethod
-	// all is what methods last returned, eq and a nested loop on nl.
-	all []joinMethod
-	nl  *query.Predicate
+}
+
+// fillShapes memoizes the join shape of every (outer table set, inner table)
+// pair of the query — every pair the System R DP visits — after which shape
+// only reads the memo. The caller keeps the query within the System R limit.
+func (s *skeleton) fillShapes() {
+	n := len(s.q.Tables)
+	for mask := uint32(1); mask < 1<<uint(n); mask++ {
+		for i := 0; i < n; i++ {
+			if outer := mask &^ (1 << uint(i)); outer != mask && outer != 0 {
+				s.shape(outer, i)
+			}
+		}
+	}
 }
 
 // shape returns the memoized join shape of (outer table set, inner table).
@@ -132,9 +145,8 @@ func (s *skeleton) shape(outerSet uint32, innerIdx int) *joinShape {
 			sh.conns = append(sh.conns, p)
 		}
 	}
-	// Up to three methods per connecting predicate, and the slot methods puts
-	// the nested loop in.
-	sh.eq = make([]joinMethod, 0, 3*len(sh.conns)+1)
+	// Up to three methods per connecting predicate.
+	sh.eq = make([]joinMethod, 0, 3*len(sh.conns))
 	innerTable := s.q.Tables[innerIdx]
 	for _, p := range sh.conns {
 		if p.Kind != query.KindJoinCmp || p.Op != expr.OpEQ || p.IsExpensive() {
@@ -154,20 +166,22 @@ func (s *skeleton) shape(outerSet uint32, innerIdx int) *joinShape {
 	return sh
 }
 
-// methods completes the shape under the current estimates: after the
-// equality methods comes a nested loop whose primary is the minimal-rank
+// nestLoop is the shape's last join method under m's estimates, after its
+// equality methods: a nested loop whose primary is the minimal-rank
 // connecting predicate (footnote 1 of the paper) — a cross product when
-// nothing connects — and ranks move with the selectivities. The nested loop
-// is rebuilt, in the slot after eq, only when that primary changes, so the
-// list is valid until a call under estimates that change it; callers must
-// not modify it.
-func (sh *joinShape) methods() []joinMethod {
-	nl := minRankPred(sh.conns)
-	if sh.all == nil || sh.nl != nl {
-		sh.all = append(sh.eq, joinMethod{m: plan.NestLoop, primary: nl, conns: sh.conns})
-		sh.nl = nl
+// nothing connects. Ranks move with the estimates, so each enumeration builds
+// its own and the shape stays as it is.
+func (sh *joinShape) nestLoop(m *cost.Model) joinMethod {
+	return joinMethod{m: plan.NestLoop, primary: minRankPred(m, sh.conns), conns: sh.conns}
+}
+
+// method returns the shape's k'th join method, 0 ≤ k ≤ len(sh.eq): an
+// equality method, or nl, the shape's nestLoop, at k = len(sh.eq).
+func (sh *joinShape) method(k int, nl *joinMethod) *joinMethod {
+	if k < len(sh.eq) {
+		return &sh.eq[k]
 	}
-	return sh.all
+	return nl
 }
 
 // tableIndex returns the position of t in q.Tables.
@@ -189,12 +203,12 @@ func sides(p *query.Predicate, innerTable string) (innerRef, outerRef query.ColR
 	return p.Right, p.Left
 }
 
-// minRankPred picks the minimal-rank predicate (nil if none).
-func minRankPred(preds []*query.Predicate) *query.Predicate {
+// minRankPred picks the predicate of minimal rank under m (nil if none).
+func minRankPred(m *cost.Model, preds []*query.Predicate) *query.Predicate {
 	var best *query.Predicate
 	bestRank := math.Inf(1)
 	for _, p := range preds {
-		if r := p.Rank(); best == nil || r < bestRank {
+		if r := m.Rank(p); best == nil || r < bestRank {
 			best, bestRank = p, r
 		}
 	}
@@ -290,7 +304,7 @@ func (c *candidate) keep(k *keptJoin) *keptJoin {
 // combination is invalid), valid until c's next candidate. It prices only
 // the nodes it adds: the join, any input filter chain it rebuilds without
 // hoisted selections, and the filters above the join.
-func (o *Optimizer) buildJoin(c *candidate, outer, inner *subplan, md joinMethod) (*subplan, error) {
+func (o *Optimizer) buildJoin(c *candidate, outer, inner *subplan, md *joinMethod) (*subplan, error) {
 	c.join = plan.Join{
 		Method:           md.m,
 		Outer:            outer.root,

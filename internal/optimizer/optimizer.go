@@ -164,7 +164,8 @@ type Optimizer struct {
 	// skel is the query under planning's estimate-independent skeleton.
 	skel *skeleton
 	// mig is the Predicate Migration pass's reused state, shared with the
-	// copies Robust plans its spectrum through.
+	// copy Robust plans its first scaling through (the other two, running
+	// beside it, have their own).
 	mig *migration
 }
 

@@ -12,18 +12,19 @@ package optimizer
 // spectrum under the interval's endpoint selectivities (every selectivity
 // ×e and ÷e): a join order or access path that only wins when the estimates
 // are wrong by a factor of e is exactly the alternative a robust choice must
-// have available. The twelve enumerations run over the planning's one
-// skeleton, and the four of a scaling over one set of access paths (the
-// spectrum agrees at base level); everything priced is priced anew per
-// scaling. The deduplicated candidates are then costed at the four
-// corners of the (selectivity ×e/÷e, expensive-cost ×e/÷e) error box by
-// perturbing the shared predicate annotations and re-annotating each tree;
-// the plan minimizing the maximum corner cost wins, with the nominal cost
-// breaking ties.
+// have available. A scaling prices on a scaled copy of the cost model and
+// never writes a predicate, so the three scalings run side by side, each on
+// its own goroutine: its four enumerations over one set of access paths (the
+// spectrum agrees at base level), all twelve over the planning's one
+// read-only skeleton. The deduplicated candidates are then costed at the
+// four corners of the (selectivity ×e/÷e, expensive-cost ×e/÷e) error box on
+// scaled models; the plan minimizing the maximum corner cost wins, with the
+// nominal cost breaking ties.
 
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 
 	"predplace/internal/cost"
 	"predplace/internal/expr"
@@ -37,40 +38,19 @@ const DefaultRobustE = 4.0
 
 // robustSpectrum is the set of placement algorithms whose System R runs seed
 // the candidate pool — the Figure 10 eagerness spectrum.
-var robustSpectrum = []Algorithm{PushDown, PullRank, Migration, PullUp}
+var robustSpectrum = [...]Algorithm{PushDown, PullRank, Migration, PullUp}
 
-// perturbEstimates multiplies every predicate's selectivity (clamped to a
-// probability) and per-tuple cost by the given factors and returns the
-// function that puts the nominal annotations back. The predicates are shared
-// with the caller's query, so every path out of a perturbation must run it.
-func perturbEstimates(q *query.Query, selScale, costScale float64) (restore func()) {
-	nominalSel := make([]float64, len(q.Preds))
-	nominalCost := make([]float64, len(q.Preds))
-	for i, p := range q.Preds {
-		nominalSel[i], nominalCost[i] = p.Selectivity, p.CostPerTuple
-		p.Selectivity = clampSel(p.Selectivity * selScale)
-		p.CostPerTuple *= costScale
-	}
-	return func() {
-		for i, p := range q.Preds {
-			p.Selectivity, p.CostPerTuple = nominalSel[i], nominalCost[i]
-		}
-	}
-}
-
-// WorstCase scores a plan for q over the error interval of half-width e: its
+// WorstCase scores a plan over the error interval of half-width e: its
 // largest cost at the four corners of the error box, where a corner scales
 // all selectivities by e or 1/e and all expensive per-tuple costs by e or
 // 1/e (cheap predicates, cost 0, stay free). Each corner moves every
 // estimate the tree's stored annotations were computed from, so each is a
-// full Annotate; the tree is left re-annotated at the nominal estimates.
-func (o *Optimizer) WorstCase(q *query.Query, root plan.Node, e float64) (float64, error) {
+// full Annotate on a scaled model; the tree is left re-annotated at the
+// nominal estimates.
+func (o *Optimizer) WorstCase(root plan.Node, e float64) (float64, error) {
 	worst := 0.0
 	for _, corner := range [4][2]float64{{e, e}, {e, 1 / e}, {1 / e, e}, {1 / e, 1 / e}} {
-		restore := perturbEstimates(q, corner[0], corner[1])
-		err := o.model.Annotate(root)
-		restore()
-		if err != nil {
+		if err := o.model.Scaled(corner[0], corner[1]).Annotate(root); err != nil {
 			return 0, err
 		}
 		worst = math.Max(worst, root.Cost())
@@ -99,7 +79,7 @@ func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 	best := cands[0]
 	for _, c := range cands {
 		var err error
-		if c.worst, err = o.WorstCase(q, c.root, e); err != nil {
+		if c.worst, err = o.WorstCase(c.root, e); err != nil {
 			return nil, nil, err
 		}
 		// Smallest worst case wins; the nominal cost breaks ties.
@@ -119,50 +99,75 @@ func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 	return best.root, info, nil
 }
 
-// robustCandidates runs the spectrum under the three selectivity scalings
-// and returns the distinct plans in first-appearance order, the predicates
-// back at their nominal estimates.
+// robustCandidates runs the spectrum under the three selectivity scalings,
+// one goroutine per scaling, and returns the distinct plans in (scaling,
+// algorithm) order. Every goroutine is joined before it returns; of several
+// failed scalings the first in scaling order reports.
 func (o *Optimizer) robustCandidates(q *query.Query, e float64) ([]*robustCandidate, error) {
+	if err := fitsSystemR(q); err != nil {
+		return nil, err
+	}
+	o.skel.fillShapes()
+	var (
+		runs [3]robustScaling
+		wg   sync.WaitGroup
+	)
+	for i, selScale := range [3]float64{1, e, 1 / e} {
+		sub := *o
+		sub.model = o.model.Scaled(selScale, 1)
+		if i > 0 {
+			sub.mig = &migration{} // the first scaling reuses the planning's
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i].err = runs[i].generate(&sub, q)
+		}()
+	}
+	wg.Wait()
+
 	var cands []*robustCandidate
 	seen := map[string]bool{}
-	generate := func(selScale float64) error {
-		defer perturbEstimates(q, selScale, 1)()
-		sub := *o
-		sub.opts.Algorithm = robustSpectrum[0]
-		base, err := sub.basePaths(q)
-		if err != nil {
-			return err
+	for i := range runs {
+		r := &runs[i]
+		if r.err != nil {
+			return nil, r.err
 		}
-		for _, a := range robustSpectrum {
-			sub.opts.Algorithm = a
-			root, info, err := sub.systemR(q, base)
-			if err != nil {
-				return err
+		for k, c := range r.cands {
+			if !seen[r.keys[k]] {
+				seen[r.keys[k]] = true
+				cands = append(cands, c)
 			}
-			if key := planShapeKey(root); !seen[key] {
-				seen[key] = true
-				cands = append(cands, &robustCandidate{root: root, info: info})
-			}
-		}
-		return nil
-	}
-	for _, selScale := range []float64{1, e, 1 / e} {
-		if err := generate(selScale); err != nil {
-			return nil, err
 		}
 	}
 	return cands, nil
 }
 
-// clampSel keeps a perturbed selectivity a valid probability.
-func clampSel(s float64) float64 {
-	if s < 0 {
-		return 0
+// robustScaling is one scaling's share of Robust's candidate generation: a
+// plan per spectrum algorithm, in spectrum order, with its shape key.
+type robustScaling struct {
+	cands [len(robustSpectrum)]*robustCandidate
+	keys  [len(robustSpectrum)]string
+	err   error
+}
+
+// generate plans the spectrum with sub, whose model is the scaling's.
+func (r *robustScaling) generate(sub *Optimizer, q *query.Query) error {
+	sub.opts.Algorithm = robustSpectrum[0]
+	base, err := sub.basePaths(q)
+	if err != nil {
+		return err
 	}
-	if s > 1 {
-		return 1
+	for i, a := range robustSpectrum {
+		sub.opts.Algorithm = a
+		root, info, err := sub.systemR(q, base)
+		if err != nil {
+			return err
+		}
+		r.cands[i] = &robustCandidate{root: root, info: info}
+		r.keys[i] = planShapeKey(root)
 	}
-	return s
+	return nil
 }
 
 // planShapeKey reduces a plan to its operator structure, dropping the
@@ -170,8 +175,8 @@ func clampSel(s float64) float64 {
 // scenario selectivities are the same plan exactly when they run the same
 // operators in the same tree. The key is built from what the operators do —
 // node kind, table, predicate IDs, join method, index column and bounds —
-// never from Describe, which prints the estimates of the scaling planned
-// under. What a planning fixes for every candidate (the transfer filters,
+// never from Describe, which prints the estimates of the scaling a tree was
+// priced under. What a planning fixes for every candidate (the transfer filters,
 // the ORDER BY key and bound) is left out.
 func planShapeKey(n plan.Node) string {
 	var b []byte

@@ -45,8 +45,8 @@ func (o *Optimizer) planSystemR(q *query.Query) (plan.Node, *Info, error) {
 // they do not depend on the placement algorithm, so one set can seed several
 // enumerations run under the same estimates.
 func (o *Optimizer) basePaths(q *query.Query) ([][]*subplan, error) {
-	if n := len(q.Tables); n > 12 {
-		return nil, fmt.Errorf("optimizer: %d-way join exceeds the System R enumerator's limit", n)
+	if err := fitsSystemR(q); err != nil {
+		return nil, err
 	}
 	base := make([][]*subplan, len(q.Tables))
 	for i := range q.Tables {
@@ -57,6 +57,15 @@ func (o *Optimizer) basePaths(q *query.Query) ([][]*subplan, error) {
 		base[i] = sps
 	}
 	return base, nil
+}
+
+// fitsSystemR reports a query too wide for the System R enumeration, whose
+// table holds an entry per subset of the tables.
+func fitsSystemR(q *query.Query) error {
+	if n := len(q.Tables); n > 12 {
+		return fmt.Errorf("optimizer: %d-way join exceeds the System R enumerator's limit", n)
+	}
+	return nil
 }
 
 // systemR is the enumeration over the given access paths.
@@ -97,11 +106,12 @@ func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info
 				continue
 			}
 			outerMask := mask &^ bit
-			methods := o.skel.shape(outerMask, i).methods()
+			sh := o.skel.shape(outerMask, i)
+			nl := sh.nestLoop(o.model)
 			for _, op := range table[outerMask] {
 				for _, ip := range base[i] {
-					for _, md := range methods {
-						sp, err := o.buildJoin(&c, op, ip, md)
+					for k := 0; k <= len(sh.eq); k++ {
+						sp, err := o.buildJoin(&c, op, ip, sh.method(k, &nl))
 						if err != nil {
 							return nil, nil, err
 						}

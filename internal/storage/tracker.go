@@ -36,8 +36,10 @@ type IOTracker struct {
 type trackShard struct {
 	mu       sync.Mutex
 	capacity int
-	frames   map[frameKey]*trackFrame
-	lru      *list.List // front = most recently used; holds *trackFrame
+	// frames and lru are made by the shard's first fetch or new page: a point
+	// lookup touches a shard or two of many.
+	frames map[frameKey]*trackFrame
+	lru    *list.List // front = most recently used; holds *trackFrame
 }
 
 type trackFrame struct {
@@ -48,22 +50,17 @@ type trackFrame struct {
 }
 
 // NewIOTracker creates a tracker simulating a cold private pool with the
-// same capacity and shard layout as pool. The frame maps grow with the pages
-// the query touches: sized to the pool they would be most of what a point
-// lookup allocates.
+// same capacity and shard layout as pool. A shard's frames are set up on its
+// first page and grow with the pages the query touches: sized to the pool
+// they would be most of what a point lookup allocates.
 func NewIOTracker(pool *BufferPool) *IOTracker {
 	capacity, shards := pool.Capacity(), pool.Shards()
 	t := &IOTracker{shards: make([]trackShard, shards)}
 	base, extra := capacity/shards, capacity%shards
 	for i := range t.shards {
-		cap := base
+		t.shards[i].capacity = base
 		if i < extra {
-			cap++
-		}
-		t.shards[i] = trackShard{
-			capacity: cap,
-			frames:   make(map[frameKey]*trackFrame),
-			lru:      list.New(),
+			t.shards[i].capacity++
 		}
 	}
 	return t
@@ -80,6 +77,18 @@ func (t *IOTracker) shardFor(key frameKey) *trackShard {
 	return &t.shards[pageShard(key, len(t.shards))]
 }
 
+// admit makes room for one more simulated frame and inserts key, pinned;
+// the caller holds the shard lock and found key absent.
+func (s *trackShard) admit(key frameKey, acct *Accountant, dirty bool) {
+	if s.frames == nil {
+		s.frames, s.lru = make(map[frameKey]*trackFrame), list.New()
+	}
+	s.evictToCapacity(acct)
+	fr := &trackFrame{key: key, pins: 1, dirty: dirty}
+	fr.elem = s.lru.PushFront(fr)
+	s.frames[key] = fr
+}
+
 // OnFetch records one successful BufferPool.Fetch of page p of file f: a hit
 // in the simulated private pool costs nothing; a miss evicts to capacity
 // (writing back simulated-dirty victims) and charges one read. Pins mirror
@@ -94,10 +103,7 @@ func (t *IOTracker) OnFetch(f FileID, p PageID) {
 		s.mu.Unlock()
 		return
 	}
-	s.evictToCapacity(&t.acct)
-	fr := &trackFrame{key: key, pins: 1}
-	fr.elem = s.lru.PushFront(fr)
-	s.frames[key] = fr
+	s.admit(key, &t.acct, false)
 	s.mu.Unlock()
 	t.acct.RecordRead(f, p)
 }
@@ -116,10 +122,7 @@ func (t *IOTracker) OnNewPage(f FileID, p PageID) {
 		s.lru.MoveToFront(fr.elem)
 		return
 	}
-	s.evictToCapacity(&t.acct)
-	fr := &trackFrame{key: key, pins: 1, dirty: true}
-	fr.elem = s.lru.PushFront(fr)
-	s.frames[key] = fr
+	s.admit(key, &t.acct, true)
 }
 
 // OnUnpin mirrors BufferPool.Unpin in the simulation.

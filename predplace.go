@@ -938,11 +938,15 @@ func execCtx(ctx context.Context, timeout time.Duration) (context.Context, conte
 // newEnv builds a fresh execution environment bound to ctx, configured
 // entirely from the knob snapshot k.
 func (d *DB) newEnv(ctx context.Context, k knobs) *exec.Env {
+	var cache *pcache.Manager // nil when caching is off: nothing to set up
+	if k.caching {
+		cache = pcache.NewManagerScoped(true, k.cacheMax, k.cacheScope)
+	}
 	return &exec.Env{
 		Ctx:         ctx,
 		Cat:         d.inner.Cat,
 		Pool:        d.inner.Pool,
-		Cache:       pcache.NewManagerScoped(k.caching, k.cacheMax, k.cacheScope),
+		Cache:       cache,
 		Budget:      k.budget,
 		Parallelism: k.parallelism,
 		BatchSize:   k.batchSize,
