@@ -30,7 +30,7 @@ echo "==> storage accounting gate (pins released, shard locks released, each tra
 # the test within seconds), a physical read or write charged twice, or a
 # failed one charged at all, fails under this heading. DESIGN.md §15 lists
 # the mutations each of these tests catches.
-go test -race -count=1 -run '^(TestFaultWriteNth|TestFaultNotCharged|TestBufferPoolAllPinnedError|TestBufferPoolSingleflightFault|TestFaultScanUnpinsOnError)$' ./internal/storage
+go test -race -count=1 -run '^(TestFaultWriteNth|TestFaultNotCharged|TestBufferPoolAllPinnedError|TestBufferPoolSingleflightFault|TestFaultScanUnpinsOnError|TestDeadSlotReleasesPin|TestBufferPoolEviction)$' ./internal/storage
 
 echo "==> planner gates (plan-identity corpus, annotation property, allocation budgets, scratch reuse and Robust's scalings under race)"
 # Also part of the full test run below; named here so that a planner change
@@ -82,12 +82,19 @@ echo "==> predicate-cache gate (one hash per binding, as-if-sequential batches, 
 # time Lookup/Store loop would not, a GetBatch that allocates, an IN / NOT IN
 # subquery that leaves SQL's three-valued logic or decodes every column of
 # every record it scans, or a nested loop whose cached primary changes its
-# rows, charged cost, invocations or cache counts fails under this heading.
+# rows, charged cost, invocations or cache counts fails under this heading —
+# against its own width-1 run (TestNLJoinMatrix) and against the same
+# predicate as a filter over the bare cross product, unbounded and bounded
+# (TestNLCachedPrimaryMatchesFilter), with an inner NULL kept apart from 0
+# (TestNLMemoNullAndZero) — and so does a Query 5 execution that allocates
+# more than 64 objects over what it did before the nested loop's sweep memo
+# (TestNLSweepMemoAllocs, no -race: counts differ under the detector).
 # The fuzz smoke is bounded; a crasher it finds is written under
 # internal/pcache/testdata/fuzz and becomes a committed seed.
 go test -race -count=1 ./internal/pcache
-go test -race -count=1 -run '^TestInSubquery' .
-go test -count=1 -run '^TestNLJoinMatrix$' ./internal/exec
+go test -race -count=1 -run '^(TestInSubquery.*|TestNLMemoNullAndZero)$' .
+go test -count=1 -run '^TestNLSweepMemoAllocs$' .
+go test -count=1 -run '^(TestNLJoinMatrix|TestNLCachedPrimaryMatchesFilter)$' ./internal/exec
 go test -run '^$' -fuzz '^FuzzBatchMatchesSequential$' -fuzztime 10s ./internal/pcache
 
 echo "==> record-test gate (a record a cheap comparison rejects is never a row; comparisons are typed)"
@@ -148,6 +155,15 @@ echo "==> request-path gates (response bytes, request-body bound, point-lookup a
 # TestFiguresAllocBudget.
 go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestPointLookupAllocCount|TestServer.*)$' .
 go test -count=1 -run '^TestFetchMissAllocFree$' ./internal/storage
+
+echo "==> mutation gate (every recorded mutation still caught, within 120 s)"
+# Each row of testdata/mutations.txt is a one-place change to a source file
+# and the tests that must catch it; TestMutations applies it through
+# `go test -overlay` (the tree is never written) and fails the row when none
+# of its tests fails, or when its old text is no longer in the file. A cold
+# build cache takes about 70 s on 2 vCPUs (40 s of it in the test binary,
+# which the -timeout budget bounds), a warm one about 35 s.
+go test -count=1 -timeout 120s -run '^TestMutations$' .
 
 echo "==> go build ./..."
 go build ./...

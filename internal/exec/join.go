@@ -44,9 +44,11 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 // the access pattern the paper's |S|-pages-per-outer-tuple cost term models.
 // The primary join predicate — which may be an expensive function over both
 // sides (Query 5) — is evaluated per pair, in place: over the outer row and
-// a batch of inner rows, the pairs themselves never made (holdsBatch). The
-// outer side is pulled one row at a time (next): its page accesses
-// interleave with the inner's.
+// a batch of inner rows, the pairs themselves never made (holdsBatch); a
+// cached one answers an inner value it has settled since the rescan from its
+// memo (sweepMemo) when that value alone names the binding. The outer side
+// is pulled one row at a time (next): its page accesses interleave with the
+// inner's.
 //
 // Inner rows are valid only until the next rescan (the join's own slabPool,
 // rewound there and released at Close), and those of a thin inner scan only
@@ -59,6 +61,7 @@ type nlJoinIter struct {
 	outer    Iterator
 	inner    Iterator
 	primary  *compiledPred // nil for cross product
+	memo     *sweepMemo    // of the primary's verdicts this sweep, or nil
 	outerRow expr.Row
 	haveOut  bool
 	count    int
@@ -78,14 +81,15 @@ func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	}
 	it := &nlJoinIter{e: e, node: j, outer: outer, alloc: rowAlloc{pool: rs}, fin: e.finisherFor(j.Inner)}
 	if j.Primary != nil {
-		cp, err := compilePred(e, j.Primary, joinCols(j))
+		cols := joinCols(j)
+		cp, err := compilePred(e, j.Primary, cols)
 		if err != nil {
 			return nil, err
 		}
 		if e.prof != nil {
 			cp.prof = e.nodeProf(j)
 		}
-		it.primary = cp
+		it.primary, it.memo = cp, newSweepMemo(e, cp, cols, len(j.Outer.Cols()))
 	}
 	return it, nil
 }
@@ -103,6 +107,9 @@ func (n *nlJoinIter) rescanInner() error {
 		}
 	}
 	n.rescan.rewind()
+	if n.memo != nil {
+		n.memo.reset()
+	}
 	inner, err := buildIn(n.e, n.node.Inner, &n.rescan)
 	if err != nil {
 		return err
@@ -167,7 +174,12 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 			// holdsBatch's own ticking on this throwaway counter only adds
 			// extra (harmless) abort checks.
 			tick := 0
-			if err := n.primary.holdsBatch(n.e, n.outerRow, inner, keep, &tick, &n.sc); err != nil {
+			if n.memo != nil {
+				err = n.memo.holds(n.e, n.primary, n.outerRow, inner, keep, &tick, &n.sc)
+			} else {
+				err = n.primary.holdsBatch(n.e, n.outerRow, inner, keep, &tick, &n.sc)
+			}
+			if err != nil {
 				return 0, err
 			}
 		}

@@ -193,3 +193,86 @@ func BenchmarkNLJoinRescan(b *testing.B) {
 		})
 	}
 }
+
+// TestNLCachedPrimaryMatchesFilter holds a nested loop's cached primary to an
+// oracle that is not its own evaluation: the same predicate as a filter over
+// the bare cross product, Filter(pred, NestLoop(outer, inner, nil)), run
+// serially at width 1. The filter evaluates the same bindings in the same
+// order, one row at a time, with no outer row and no sweep memo, so the
+// nested loop must match it in rows (in order), invocations, hits, misses and
+// entries — with unbounded tables, where the memo answers an inner value's
+// repeats, and with tables bounded to 1, 4 and 64 entries, where FIFO
+// eviction keeps the per-row protocol. The outer is an index scan, so its
+// order, and with it a bounded table's evictions, is the same at every worker
+// count; the inner columns repeat each value 10 and 20 times.
+func TestNLCachedPrimaryMatchesFilter(t *testing.T) {
+	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1, 2, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := db.Cat.Func("costly10join")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
+	q, err := query.NewQuery([]string{"t1", "t2", "t7"}, []*query.Predicate{
+		{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t1", "u20"), col("t7", "u20")}},
+		{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t2", "u10"), col("t1", "u10")}},
+		{Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t2", "ua1"), Value: expr.I(300)},
+		{Kind: query.KindSelCmp, Op: expr.OpGE, Left: col("t2", "u100"), Value: expr.I(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query.Analyze(db.Cat, q)
+	lo, hi := expr.I(0), expr.I(29)
+	outer := &plan.IndexScan{Table: "t1", Col: "a1", Lo: &lo, Hi: &hi, ColRefs: scanNode(t, db.Cat, "t1").ColRefs}
+	filter := func(in plan.Node, p *query.Predicate) plan.Node { return &plan.Filter{Input: in, Pred: p} }
+	nestLoop := func(inner plan.Node, primary *query.Predicate) *plan.Join {
+		return &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, Primary: primary,
+			ExpensivePrimary: primary != nil, ColRefs: plan.ConcatCols(outer, inner)}
+	}
+	for _, in := range []struct {
+		name    string
+		inner   plan.Node
+		primary *query.Predicate
+	}{
+		{"t7.u20", scanNode(t, db.Cat, "t7"), q.Preds[0]},
+		{"t2.u10-filtered", filter(filter(scanNode(t, db.Cat, "t2"), q.Preds[2]), q.Preds[3]), q.Preds[1]},
+	} {
+		root := nestLoop(in.inner, in.primary)
+		oracle := filter(nestLoop(in.inner, nil), in.primary)
+		for _, bound := range []int{0, 1, 4, 64} {
+			env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(true, bound), BatchSize: 1}
+			cp, err := compilePred(env, in.primary, root.ColRefs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memo := newSweepMemo(env, cp, root.ColRefs, len(outer.ColRefs)); (memo != nil) != (bound == 0) {
+				t.Fatalf("%s bound=%d: sweep memo %v, want one exactly when unbounded", in.name, bound, memo != nil)
+			}
+			want, wantStats := drainSnapshot(t, env, oracle)
+			if len(want) == 0 || bound == 0 && wantStats.CacheHits == 0 {
+				t.Fatalf("%s bound=%d: oracle kept %d rows with %d cache hits", in.name, bound, len(want), wantStats.CacheHits)
+			}
+			for _, p := range []int{1, 4} {
+				for _, bs := range []int{1, 7, 256} {
+					name := fmt.Sprintf("%s bound=%d P=%d BS=%d", in.name, bound, p, bs)
+					env.Parallelism, env.BatchSize = p, bs
+					rows, stats := drainSnapshot(t, env, root)
+					env.Parallelism, env.BatchSize = 1, 1
+					sameRows(t, name, rows, want)
+					if got, want := stats.Invocations[f.Name], wantStats.Invocations[f.Name]; got != want {
+						t.Fatalf("%s: %d invocations, filter oracle %d", name, got, want)
+					}
+					if stats.CacheHits != wantStats.CacheHits || stats.CacheMisses != wantStats.CacheMisses ||
+						stats.CacheEntries != wantStats.CacheEntries {
+						t.Fatalf("%s: cache hits/misses/entries %d/%d/%d, filter oracle %d/%d/%d", name,
+							stats.CacheHits, stats.CacheMisses, stats.CacheEntries,
+							wantStats.CacheHits, wantStats.CacheMisses, wantStats.CacheEntries)
+					}
+				}
+			}
+		}
+	}
+}

@@ -288,6 +288,149 @@ func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row
 	return nil
 }
 
+// sweepMemo is a nested loop's memo of its cached primary over one sweep of
+// the inner: within a sweep the outer half of every binding is the one outer
+// row, so the inner half alone names a binding, and an inner column with
+// repeats asks the cache the same question many times. The memo keeps the
+// verdict of each inner value the sweep has settled and answers its repeats
+// without a key encode, hash or shard lock.
+//
+// It is kept only over an unbounded table, which is monotone: a binding the
+// sweep has settled is stored and stays stored, so the per-row protocol would
+// have found it, and each answer from the memo is counted as that hit
+// (pcache.Manager.AddHits). Invocations, hits, misses, entries and charged
+// cost are therefore those of the per-row protocol. A bounded table evicts in
+// FIFO order and keeps the per-row protocol.
+type sweepMemo struct {
+	col int // the primary's one inner argument, as a position in the pair
+	// seen maps a settled inner value to memoKeep or memoReject; within a
+	// batch, a value first met there maps to its index in sub. null is the
+	// same for NULL, memoAbsent until the sweep meets one.
+	seen map[int64]int32
+	null int32
+	// Batch scratch: the first occurrences of the values the memo lacks,
+	// their verdicts, and each row's entry.
+	sub     []expr.Row
+	subKeep []bool
+	of      []int32
+}
+
+// Memo entries below zero; one at or above zero is a sub-batch index.
+const (
+	memoKeep int32 = -1 - iota
+	memoReject
+	memoAbsent
+)
+
+// newSweepMemo returns the memo of a nested loop whose primary cp reads pairs
+// of cols, the first outerWidth of them from the outer row — or nil when the
+// primary is not cached, its table is bounded, or the inner half of its
+// binding is not one int or bool column.
+func newSweepMemo(e *Env, cp *compiledPred, cols []query.ColRef, outerWidth int) *sweepMemo {
+	if cp.owner == "" || !e.Cache.Batchable() {
+		return nil
+	}
+	col := -1
+	for _, idx := range cp.argIdx {
+		if idx < outerWidth {
+			continue
+		}
+		if col >= 0 && col != idx {
+			return nil
+		}
+		col = idx
+	}
+	if col < 0 {
+		return nil
+	}
+	tab, err := e.Cat.Table(cols[col].Table)
+	if err != nil {
+		return nil
+	}
+	if c, err := tab.Column(cols[col].Col); err != nil || c.Type != expr.TInt && c.Type != expr.TBool {
+		return nil
+	}
+	return &sweepMemo{col: col, seen: map[int64]int32{}, null: memoAbsent}
+}
+
+// reset starts a sweep: the map is cleared, keeping its buckets.
+func (m *sweepMemo) reset() {
+	clear(m.seen)
+	m.null = memoAbsent
+}
+
+// memoKey is v's key in the memo: its integer (a bool's is 0 or 1), and
+// whether it is NULL, which has no integer of its own.
+func memoKey(v expr.Value) (int64, bool) { return v.I, v.Kind == expr.TNull }
+
+func (m *sweepMemo) get(v expr.Value) (int32, bool) {
+	k, null := memoKey(v)
+	if null {
+		return m.null, m.null != memoAbsent
+	}
+	r, ok := m.seen[k]
+	return r, ok
+}
+
+func (m *sweepMemo) put(v expr.Value, r int32) {
+	if k, null := memoKey(v); null {
+		m.null = r
+	} else {
+		m.seen[k] = r
+	}
+}
+
+// holds is holdsBatch for cp over the pairs of outer with rows. A row whose
+// inner value the memo holds takes its verdict; the first occurrence of each
+// value it lacks goes, in row order, through holdsBatchCached as one
+// sub-batch, and the rows after it with that value take its verdict.
+func (m *sweepMemo) holds(e *Env, cp *compiledPred, outer expr.Row, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
+	n := len(rows)
+	if cap(m.of) < n {
+		m.of, m.subKeep = make([]int32, n), make([]bool, n)
+	}
+	of := m.of[:n]
+	m.sub = m.sub[:0]
+	for i, row := range rows {
+		v := at(outer, row, m.col)
+		r, ok := m.get(v)
+		if !ok {
+			r = int32(len(m.sub))
+			m.sub = append(m.sub, row)
+			m.put(v, r)
+		}
+		of[i] = r
+	}
+	subKeep := m.subKeep[:len(m.sub)]
+	if len(m.sub) > 0 {
+		if err := cp.holdsBatchCached(e, outer, m.sub, subKeep, count, sc); err != nil {
+			return err
+		}
+		for j, row := range m.sub {
+			r := memoReject
+			if subKeep[j] {
+				r = memoKeep
+			}
+			m.put(at(outer, row, m.col), r)
+		}
+	}
+	for i, r := range of {
+		if r >= 0 {
+			keep[i] = subKeep[r]
+		} else {
+			keep[i] = r == memoKeep
+		}
+	}
+	if hits := n - len(m.sub); hits > 0 {
+		e.Cache.AddHits(hits)
+		if cp.prof != nil {
+			cp.prof.predEvals.Add(int64(hits))
+			cp.prof.cacheHits.Add(int64(hits))
+		}
+	}
+	return nil
+}
+
 // compilePreds compiles a slice of predicates against one schema.
 func compilePreds(e *Env, ps []*query.Predicate, cols []query.ColRef) ([]*compiledPred, error) {
 	out := make([]*compiledPred, 0, len(ps))

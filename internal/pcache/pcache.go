@@ -485,6 +485,12 @@ func (m *Manager) PutBatch(owner string, keys [][]byte, entries []BatchEntry) {
 	}
 }
 
+// AddHits counts n lookups a caller answered itself, from a memo of
+// bindings it has seen in the table, as the hits the table would have
+// returned. Only an unbounded table (Batchable) may be memoized: it is
+// monotone, so a binding seen there once is there still.
+func (m *Manager) AddHits(n int) { m.hits.Add(int64(n)) }
+
 // Stats returns (hits, misses, totalEntries).
 func (m *Manager) Stats() (hits, misses int64, entries int) {
 	if m == nil {

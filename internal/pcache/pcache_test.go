@@ -3,6 +3,7 @@ package pcache
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"predplace/internal/expr"
 )
@@ -77,6 +78,27 @@ func TestReset(t *testing.T) {
 	hits, misses, entries := m.Stats()
 	if hits != 0 || misses != 1 || entries != 0 {
 		t.Fatalf("counters after reset: %d %d %d", hits, misses, entries)
+	}
+}
+
+// TestLookupReleasesReadLock: every path of a lookup releases the manager's
+// lock — a found table too — or the next Reset, which takes it to write,
+// blocks for good. The wait is bounded, so a held lock fails here by name
+// instead of at go test's timeout.
+func TestLookupReleasesReadLock(t *testing.T) {
+	m := NewManager(true, 0)
+	m.Store("p:0", "k", expr.B(true))
+	m.Lookup("p:0", "k")
+	m.GetBatch("p:0", [][]byte{[]byte("k")}, make([]BatchEntry, 1))
+	done := make(chan struct{})
+	go func() {
+		m.Reset()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Reset did not return within 5s: a lookup kept the manager's read lock")
 	}
 }
 

@@ -217,6 +217,9 @@ func TestBufferPoolEviction(t *testing.T) {
 	if count != 100 {
 		t.Fatalf("scan found %d records, want 100", count)
 	}
+	if got, want := tr.Stats(), d.Accountant().Stats(); got != want {
+		t.Fatalf("after a cold scan the tracker charged %+v, the pool %+v", got, want)
+	}
 }
 
 func TestBufferPoolAllPinnedError(t *testing.T) {
@@ -368,5 +371,35 @@ func TestHeapIterNextPage(t *testing.T) {
 	}
 	if _, tid, ok, err := it.NextRef(); !ok || err != nil || tid.Page != 1 || tid.Slot > 1 {
 		t.Fatalf("NextRef after NextPage: %v, %v, %v; want the first live record of page 1", tid, ok, err)
+	}
+}
+
+// TestDeadSlotReleasesPin: reading or deleting a record that is not there —
+// a slot already deleted, or one past the page's last — fails and still
+// unpins the page it fetched, on every entry point.
+func TestDeadSlotReleasesPin(t *testing.T) {
+	_, bp := newTestPool(4)
+	h := NewHeapFile(bp)
+	tid, err := h.Insert([]byte("record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Delete(tid); err != nil {
+		t.Fatal(err)
+	}
+	past := TID{Page: tid.Page, Slot: tid.Slot + 1}
+	for _, dead := range []TID{tid, past} {
+		if err := h.Delete(dead); err == nil {
+			t.Fatalf("Delete(%s) of a dead slot succeeded", dead)
+		}
+		if err := h.View(dead, func([]byte) error { return nil }); err == nil {
+			t.Fatalf("View(%s) of a dead slot succeeded", dead)
+		}
+		if _, err := h.Get(dead); err == nil {
+			t.Fatalf("Get(%s) of a dead slot succeeded", dead)
+		}
+		if n := bp.PinnedFrames(); n != 0 {
+			t.Fatalf("%d frames pinned after failed calls on dead slot %s", n, dead)
+		}
 	}
 }
