@@ -32,19 +32,21 @@ echo "==> storage accounting gate (pins released, shard locks released, each tra
 # the mutations each of these tests catches.
 go test -race -count=1 -run '^(TestFaultWriteNth|TestFaultNotCharged|TestBufferPoolAllPinnedError|TestBufferPoolSingleflightFault|TestFaultScanUnpinsOnError|TestDeadSlotReleasesPin|TestBufferPoolEviction)$' ./internal/storage
 
-echo "==> planner gates (plan-identity corpus, annotation property, allocation budgets, scratch reuse and Robust's scalings under race)"
+echo "==> planner gates (plan-identity corpus, annotation property, allocation budgets, scratch reuse, Robust's reduced ÷e scaling and its scalings under race)"
 # Also part of the full test run below; named here so that a planner change
 # which alters a plan (testdata/plans.golden), leaves a stale estimate or an
 # unfilled column list on a returned plan, lets a plan_only planning allocate
 # 10 % more, gives a losing DP candidate or a migration pass heap of its own,
 # lets Robust score one operator tree twice, write a predicate's estimates,
-# or plan differently when its three scalings' goroutines share one
-# processor (the Robust legs of the corpus at GOMAXPROCS=1) fails under this
-# heading, not somewhere inside `go test ./...`. The allocation tests skip
+# choose other than the full four-algorithm spectrum at ÷e would (plan,
+# nominal cost or worst case, at six interval widths), or plan differently
+# when its scalings' goroutines share one processor (the Robust legs of the
+# corpus at GOMAXPROCS=1) fails under this heading, not somewhere inside
+# `go test ./...`. The allocation tests skip
 # themselves under -race (counts differ there); the race runs cover the
 # candidate scratch and the migration state a planning reuses, the skeleton
 # Robust's scalings share, and two Robust plannings of one query at once.
-go test -count=1 -run '^(TestPlanCorpus|TestPlanCorpusRobustSerial|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget|TestDPAllocatesForWhatItRetains|TestMigrationPassesRunInPlace|TestRobustCandidatesStructurallyDistinct|TestRobustLeavesPredicatesUntouched)$' ./internal/optimizer
+go test -count=1 -run '^(TestPlanCorpus|TestPlanCorpusRobustSerial|TestCorpusPlansCarryFullAnnotations|TestPlanAllocBudget|TestDPAllocatesForWhatItRetains|TestMigrationPassesRunInPlace|TestRobustCandidatesStructurallyDistinct|TestRobustLeavesPredicatesUntouched|TestRobustMatchesFullSpectrum)$' ./internal/optimizer
 go test -race -count=1 -run '^(TestRobustConcurrentPlannings|TestPlanCorpusRobustSerial)$' ./internal/optimizer
 go test -race -count=1 ./internal/optimizer
 
@@ -130,6 +132,16 @@ echo "==> knob lattice (one contract row per execution knob, every setter a row 
 # checks by internal/harness's tests inside `go test -race ./...`.
 go test -race -count=1 -run '^(TestKnobLattice|TestKnobCoverage)$' .
 
+echo "==> row oracle (the executor's rows against the statement's definition, under race)"
+# Also part of the full test run below; named here so that a result row that
+# the executor gets wrong at every knob setting alike — which the knob
+# lattice, comparing the executor with itself, cannot see — fails under this
+# heading: 200 generated statements at scale 0.01, each answered by a
+# reference evaluator that decodes records off the simulated disk and takes
+# the cross product, at Parallelism {1, 3} × BatchSize {1, 7, 256} ×
+# caching off/on.
+go test -race -count=1 -run '^TestRowOracle$' .
+
 echo "==> ORDER BY / LIMIT gate (the plan root against the in-test reference sort)"
 # Also part of the full test run below; named here so that a broken sort
 # order, a LIMIT that over-pulls (charges for rows it cuts off) or a plan
@@ -156,14 +168,16 @@ echo "==> request-path gates (response bytes, request-body bound, point-lookup a
 go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestPointLookupAllocCount|TestServer.*)$' .
 go test -count=1 -run '^TestFetchMissAllocFree$' ./internal/storage
 
-echo "==> mutation gate (every recorded mutation still caught, within 120 s)"
+echo "==> mutation gate (every recorded mutation still caught, race rows under -race, within 180 s)"
 # Each row of testdata/mutations.txt is a one-place change to a source file
 # and the tests that must catch it; TestMutations applies it through
 # `go test -overlay` (the tree is never written) and fails the row when none
-# of its tests fails, or when its old text is no longer in the file. A cold
-# build cache takes about 70 s on 2 vCPUs (40 s of it in the test binary,
-# which the -timeout budget bounds), a warm one about 35 s.
-go test -count=1 -timeout 120s -run '^TestMutations$' .
+# of its tests fails, or when its old text is no longer in the file. A row
+# marked -race builds its tests with the race detector. A cold build cache
+# takes about 130 s on 2 vCPUs (100 s of it in the test binary, which the
+# -timeout budget bounds; the race rows' race builds are most of the rise
+# from 70 s), a warm one about 60 s.
+go test -count=1 -timeout 180s -run '^TestMutations$' .
 
 echo "==> go build ./..."
 go build ./...

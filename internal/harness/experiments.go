@@ -406,7 +406,7 @@ func (h *Harness) Fig10Spectrum() (*Report, error) {
 // PlanTime5Way reproduces the §4.4 claim: even in the worst case where
 // unpruneable subplans defeat pruning, a 5-way join with expensive
 // predicates plans quickly (the paper: under 8 seconds on a SparcStation 10).
-// Robust — twelve such enumerations plus the error-box scoring — is reported
+// Robust — nine such enumerations plus the error-box scoring — is reported
 // beside Migration; its checks are on counts and scores, not on time.
 func (h *Harness) PlanTime5Way() (*Report, error) {
 	h.DB.SetCaching(false)
@@ -450,8 +450,8 @@ func (h *Harness) PlanTime5Way() (*Report, error) {
 			elapsed < 8*time.Second, "%v", elapsed),
 		check("unpruneable retention enlarges the plan space",
 			res.Info.PlansRetained > 0, "%d plans", res.Info.PlansRetained),
-		check("Robust scores between 1 and 12 distinct candidates (3 scalings × 4 spectrum algorithms)",
-			rob.Info.RobustCandidates >= 1 && rob.Info.RobustCandidates <= 12, "%d candidates", rob.Info.RobustCandidates),
+		check("Robust scores between 1 and 10 distinct candidates (4 spectrum algorithms at ×1 and ×e, PullRank and migrated at ÷e)",
+			rob.Info.RobustCandidates >= 1 && rob.Info.RobustCandidates <= 10, "%d candidates", rob.Info.RobustCandidates),
 		check("Robust's plan is no worse at its worst corner than Migration's plan at the same corners",
 			rob.Info.RobustWorst <= migWorst*(1+1e-9), "robust=%.0f migration=%.0f", rob.Info.RobustWorst, migWorst),
 	)

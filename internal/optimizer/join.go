@@ -16,7 +16,7 @@ import (
 // alone, before any estimate is consulted: which predicates connect which
 // tables, which join methods are legal, which predicates are expensive. It is
 // built once per Plan and shared by every enumeration the planning runs —
-// Robust's twelve System R runs price under three estimate scalings, and none
+// Robust's nine System R runs price under three estimate scalings, and none
 // of this moves with them. Once its shape memo is filled (fillShapes) it is
 // read-only, so enumerations may share it from several goroutines.
 type skeleton struct {

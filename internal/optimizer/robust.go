@@ -8,14 +8,24 @@ package optimizer
 //
 // Candidate generation reuses the System R planner under the placement
 // spectrum's algorithms (PushDown, PullRank, Migration, PullUp) — and,
-// because all of them share the same estimates, additionally re-plans the
-// spectrum under the interval's endpoint selectivities (every selectivity
-// ×e and ÷e): a join order or access path that only wins when the estimates
-// are wrong by a factor of e is exactly the alternative a robust choice must
-// have available. A scaling prices on a scaled copy of the cost model and
-// never writes a predicate, so the three scalings run side by side, each on
-// its own goroutine: its four enumerations over one set of access paths (the
-// spectrum agrees at base level), all twelve over the planning's one
+// because all of them share the same estimates, additionally re-plans under
+// the interval's endpoint selectivities (every selectivity ×e and ÷e): a join
+// order or access path that only wins when the estimates are wrong by a
+// factor of e is exactly the alternative a robust choice must have
+// available. ×1 and ×e plan the whole spectrum. ÷e plans one enumeration,
+// PullRank's DP, and takes two candidates from its finalists: the cheapest
+// (PullRank's plan) and the best migrated one (Migration's without
+// unpruneable retention). Under ÷e every selectivity shrinks and buried
+// predicates multiply: for the §4.4 query Migration with retention keeps 250
+// subplans there (141 unpruneable) and runs 600 migration passes, against
+// 124 and 110 at ×1. Yet held to all twelve runs over the plan corpus and
+// interval widths 1.25 to 16, neither that run nor ÷e's PushDown and PullUp
+// runs ever decides a plan (TestRobustMatchesFullSpectrum): nine
+// enumerations instead of twelve, the costliest one gone. A scaling prices
+// on a scaled copy of the cost model and never writes a predicate, so the
+// scalings run side by side: ×1 on the planning's goroutine, ×e then ÷e on
+// one other, each scaling's enumerations over one set of access paths (the
+// spectrum agrees at base level), all nine over the planning's one
 // read-only skeleton. The deduplicated candidates are then costed at the
 // four corners of the (selectivity ×e/÷e, expensive-cost ×e/÷e) error box on
 // scaled models; the plan minimizing the maximum corner cost wins, with the
@@ -24,7 +34,6 @@ package optimizer
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 
 	"predplace/internal/cost"
 	"predplace/internal/expr"
@@ -71,11 +80,16 @@ func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 	if e <= 1 {
 		e = DefaultRobustE
 	}
-	cands, err := o.robustCandidates(q, e)
+	cands, err := o.robustCandidates(q, e, (*robustScaling).pullRankAndMigrated)
 	if err != nil {
 		return nil, nil, err
 	}
+	return o.mostRobust(cands, e)
+}
 
+// mostRobust scores the candidates over the error interval of half-width e
+// and returns the one whose worst case is smallest.
+func (o *Optimizer) mostRobust(cands []*robustCandidate, e float64) (plan.Node, *Info, error) {
 	best := cands[0]
 	for _, c := range cands {
 		var err error
@@ -99,32 +113,42 @@ func (o *Optimizer) planRobust(q *query.Query) (plan.Node, *Info, error) {
 	return best.root, info, nil
 }
 
-// robustCandidates runs the spectrum under the three selectivity scalings,
-// one goroutine per scaling, and returns the distinct plans in (scaling,
-// algorithm) order. Every goroutine is joined before it returns; of several
-// failed scalings the first in scaling order reports.
-func (o *Optimizer) robustCandidates(q *query.Query, e float64) ([]*robustCandidate, error) {
+// robustCandidates plans the three selectivity scalings and returns the
+// distinct plans in (scaling, algorithm) order. ×1 and ×e plan the spectrum;
+// ÷e plans with divE, which a planning passes as pullRankAndMigrated (only
+// the test that holds the two equal passes spectrum). The planning's
+// goroutine runs ×1 with the planning's migration scratch; one goroutine runs
+// ×e and then ÷e with a scratch of its own, and is joined before this
+// returns; a panic there is raised again on the planning's goroutine, where
+// its caller can recover it. Of several failed scalings the first in scaling
+// order reports.
+func (o *Optimizer) robustCandidates(q *query.Query, e float64, divE func(*robustScaling, *Optimizer, *query.Query) error) ([]*robustCandidate, error) {
 	if err := fitsSystemR(q); err != nil {
 		return nil, err
 	}
 	o.skel.fillShapes()
-	var (
-		runs [3]robustScaling
-		wg   sync.WaitGroup
-	)
-	for i, selScale := range [3]float64{1, e, 1 / e} {
+	scaled := func(selScale float64, mig *migration) *Optimizer {
 		sub := *o
-		sub.model = o.model.Scaled(selScale, 1)
-		if i > 0 {
-			sub.mig = &migration{} // the first scaling reuses the planning's
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runs[i].err = runs[i].generate(&sub, q)
-		}()
+		sub.model, sub.mig = o.model.Scaled(selScale, 1), mig
+		return &sub
 	}
-	wg.Wait()
+	var (
+		runs     [3]robustScaling
+		panicked any
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		mig := &migration{}
+		runs[1].err = runs[1].spectrum(scaled(e, mig), q)
+		runs[2].err = divE(&runs[2], scaled(1/e, mig), q)
+	}()
+	runs[0].err = runs[0].spectrum(scaled(1, o.mig), q)
+	<-done
+	if panicked != nil {
+		panic(panicked)
+	}
 
 	var cands []*robustCandidate
 	seen := map[string]bool{}
@@ -133,7 +157,7 @@ func (o *Optimizer) robustCandidates(q *query.Query, e float64) ([]*robustCandid
 		if r.err != nil {
 			return nil, r.err
 		}
-		for k, c := range r.cands {
+		for k, c := range r.cands[:r.n] {
 			if !seen[r.keys[k]] {
 				seen[r.keys[k]] = true
 				cands = append(cands, c)
@@ -143,29 +167,65 @@ func (o *Optimizer) robustCandidates(q *query.Query, e float64) ([]*robustCandid
 	return cands, nil
 }
 
-// robustScaling is one scaling's share of Robust's candidate generation: a
-// plan per spectrum algorithm, in spectrum order, with its shape key.
+// robustScaling is one scaling's share of Robust's candidate generation: its
+// plans in algorithm order, each with its shape key.
 type robustScaling struct {
 	cands [len(robustSpectrum)]*robustCandidate
 	keys  [len(robustSpectrum)]string
+	n     int
 	err   error
 }
 
-// generate plans the spectrum with sub, whose model is the scaling's.
-func (r *robustScaling) generate(sub *Optimizer, q *query.Query) error {
+// add records the scaling's next plan.
+func (r *robustScaling) add(root plan.Node, info *Info) {
+	r.cands[r.n] = &robustCandidate{root: root, info: info}
+	r.keys[r.n] = planShapeKey(root)
+	r.n++
+}
+
+// spectrum plans each spectrum algorithm with sub, whose model is the
+// scaling's, over one set of access paths.
+func (r *robustScaling) spectrum(sub *Optimizer, q *query.Query) error {
 	sub.opts.Algorithm = robustSpectrum[0]
 	base, err := sub.basePaths(q)
 	if err != nil {
 		return err
 	}
-	for i, a := range robustSpectrum {
+	for _, a := range robustSpectrum {
 		sub.opts.Algorithm = a
 		root, info, err := sub.systemR(q, base)
 		if err != nil {
 			return err
 		}
-		r.cands[i] = &robustCandidate{root: root, info: info}
-		r.keys[i] = planShapeKey(root)
+		r.add(root, info)
+	}
+	return nil
+}
+
+// pullRankAndMigrated plans the ÷e scaling with one enumeration: the DP under
+// Migration's hoisting rule without unpruneable retention, which is exactly
+// PullRank's. Its finalists give two candidates — the cheapest, PullRank's
+// plan, finished as finalize finishes every non-Migration algorithm, and the
+// best migrated one, Migration's plan without retention. Why nothing else
+// at ÷e is needed is in the file comment.
+func (r *robustScaling) pullRankAndMigrated(sub *Optimizer, q *query.Query) error {
+	sub.opts.Algorithm, sub.opts.DisableUnpruneable = Migration, true
+	base, err := sub.basePaths(q)
+	if err != nil {
+		return err
+	}
+	finalists, dp, err := sub.enumerate(q, base)
+	if err != nil {
+		return err
+	}
+	for _, a := range [...]Algorithm{PullRank, Migration} {
+		sub.opts.Algorithm = a
+		info := *dp
+		root, err := sub.finalize(q, finalists, &info)
+		if err != nil {
+			return err
+		}
+		r.add(root, &info)
 	}
 	return nil
 }

@@ -37,13 +37,61 @@ func describeTree(n plan.Node) string {
 // predicate's estimates).
 func robustOptimizer(t *testing.T, cat *catalog.Catalog, q *query.Query) *Optimizer {
 	t.Helper()
-	opt := New(cat, Options{Algorithm: Robust})
+	return optimizerFor(t, cat, q, Options{Algorithm: Robust})
+}
+
+// optimizerFor is robustOptimizer under opts, the transfer estimate included.
+func optimizerFor(t *testing.T, cat *catalog.Catalog, q *query.Query, opts Options) *Optimizer {
+	t.Helper()
+	opt := New(cat, opts)
 	var err error
 	if opt.skel, err = newSkeleton(cat, q); err != nil {
 		t.Fatal(err)
 	}
 	opt.model.Bind(opt.skel.tabs)
+	if opts.Transfer {
+		if opt.model.Transfer, err = cost.ComputeTransfer(cat, q, opts.Caching); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return opt
+}
+
+// TestRobustMatchesFullSpectrum: the ÷e scaling plans one enumeration —
+// PullRank's DP, finished as PullRank and as Migration without unpruneable
+// retention — where ×1 and ×e plan the four-algorithm spectrum. Over every
+// corpus statement, caching and transfer on and off and interval widths from
+// 1.25 to 16, Robust chooses what it chooses when ÷e plans the spectrum too:
+// the same operators, the same nominal cost and the same worst case.
+func TestRobustMatchesFullSpectrum(t *testing.T) {
+	db := corpusDB(t)
+	for _, s := range append(corpusStmts(), corpusTopK...) {
+		q, topk := bindCorpus(t, db, s.sql)
+		for _, caching := range []bool{false, true} {
+			for _, transfer := range []bool{false, true} {
+				for _, e := range []float64{1.25, 1.5, 2, 4, 8, 16} {
+					opts := Options{Algorithm: Robust, Caching: caching, Transfer: transfer, TopK: topk, RobustE: e}
+					opt := optimizerFor(t, db.Cat, q, opts)
+					root, info, err := opt.planRobust(q)
+					if err != nil {
+						t.Fatalf("%s: %v", s.name, err)
+					}
+					got := fmt.Sprintf("cost=%x worst=%x\n%s", root.Cost(), info.RobustWorst, describeTree(root))
+					full, err := opt.robustCandidates(q, e, (*robustScaling).spectrum)
+					if err != nil {
+						t.Fatalf("%s: %v", s.name, err)
+					}
+					if root, info, err = opt.mostRobust(full, e); err != nil {
+						t.Fatalf("%s: %v", s.name, err)
+					}
+					if want := fmt.Sprintf("cost=%x worst=%x\n%s", root.Cost(), info.RobustWorst, describeTree(root)); got != want {
+						t.Errorf("%s, caching %v, transfer %v, e=%g: Robust chose\n%s\nthe full spectrum at ÷e chooses\n%s",
+							s.name, caching, transfer, e, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestRobustCandidatesStructurallyDistinct: Robust scores each plan once. One
@@ -53,7 +101,7 @@ func TestRobustCandidatesStructurallyDistinct(t *testing.T) {
 	db := corpusDB(t)
 	for _, s := range corpusStmts() {
 		q, _ := bindCorpus(t, db, s.sql)
-		cands, err := robustOptimizer(t, db.Cat, q).robustCandidates(q, DefaultRobustE)
+		cands, err := robustOptimizer(t, db.Cat, q).robustCandidates(q, DefaultRobustE, (*robustScaling).pullRankAndMigrated)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}

@@ -68,8 +68,19 @@ func fitsSystemR(q *query.Query) error {
 	return nil
 }
 
-// systemR is the enumeration over the given access paths.
+// systemR is the enumeration over the given access paths and its finish.
 func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info, error) {
+	finalists, info, err := o.enumerate(q, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	root, err := o.finalize(q, finalists, info)
+	return root, info, err
+}
+
+// enumerate is the DP over the given access paths: it returns the plans
+// retained for the full table set, which finalize chooses among.
+func (o *Optimizer) enumerate(q *query.Query, base [][]*subplan) ([]*subplan, *Info, error) {
 	n := len(q.Tables)
 	info := &Info{}
 
@@ -82,8 +93,7 @@ func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info
 			// an early-terminating Limit prices it.
 			finalists = base[0]
 		}
-		root, err := o.finalize(q, finalists, info)
-		return root, info, err
+		return finalists, info, nil
 	}
 
 	full := uint32(1)<<uint(n) - 1
@@ -128,8 +138,7 @@ func (o *Optimizer) systemR(q *query.Query, base [][]*subplan) (plan.Node, *Info
 	for _, sps := range table {
 		info.PlansRetained += len(sps)
 	}
-	root, err := o.finalize(q, table[full], info)
-	return root, info, err
+	return table[full], info, nil
 }
 
 // finalize applies the Predicate Migration post-pass (when selected) to every

@@ -21,12 +21,14 @@ type mutation struct {
 	id, file, old, new, pkg string
 	tests                   []string
 	pr                      string
+	race                    bool // the tests catch it under the race detector
 }
 
 // readMutations parses testdata/mutations.txt: '#' lines and blank lines are
 // comments; every other line is seven tab-separated fields — id, file, old
 // text, new text (both Go string literals), package, comma-separated test
-// names, and the PR that recorded the mutation.
+// names, and the PR that recorded the mutation — and an optional eighth,
+// "-race", for a mutation only the race detector sees.
 func readMutations(t *testing.T) []mutation {
 	f, err := os.Open(filepath.Join("testdata", "mutations.txt"))
 	if err != nil {
@@ -41,10 +43,10 @@ func readMutations(t *testing.T) []mutation {
 			continue
 		}
 		fields := strings.Split(text, "\t")
-		if len(fields) != 7 {
-			t.Fatalf("mutations.txt:%d: %d tab-separated fields, want 7", line, len(fields))
+		if len(fields) != 7 && (len(fields) != 8 || fields[7] != "-race") {
+			t.Fatalf("mutations.txt:%d: %d tab-separated fields, want 7, or 8 ending in -race", line, len(fields))
 		}
-		m := mutation{id: fields[0], file: fields[1], pkg: fields[4], tests: strings.Split(fields[5], ","), pr: fields[6]}
+		m := mutation{id: fields[0], file: fields[1], pkg: fields[4], tests: strings.Split(fields[5], ","), pr: fields[6], race: len(fields) == 8}
 		if m.old, err = strconv.Unquote(fields[2]); err != nil {
 			t.Fatalf("mutations.txt:%d: old text: %v", line, err)
 		}
@@ -67,10 +69,11 @@ const mutationTimeout = 100 * time.Second
 // `go test -overlay` — the working tree is never written — and passes the
 // row only if one of its named tests fails. A row whose old text is not
 // found exactly once fails too, so a refactor that moves the code updates
-// the row instead of dropping it. Rows run two at a time; check.sh's
-// mutation gate runs this test on its own. It builds and runs test
-// binaries, so it is skipped under -short, and under the race detector,
-// where the gate has already run it.
+// the row instead of dropping it. A "-race" row builds its tests with the
+// race detector, whose report fails the test it happens in. Rows run two at
+// a time; check.sh's mutation gate runs this test on its own. It builds and
+// runs test binaries, so it is skipped under -short, and under the race
+// detector, where the gate has already run it.
 func TestMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a test binary per mutation")
@@ -118,15 +121,29 @@ func TestMutations(t *testing.T) {
 			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ctx, cancel := context.WithTimeout(context.Background(), mutationTimeout)
-			defer cancel()
-			cmd := exec.CommandContext(ctx, goBin, "test", "-overlay", overlayPath, "-count=1",
-				"-timeout", mutationTimeout.String(), "-run", "^("+strings.Join(m.tests, "|")+")$", m.pkg)
-			cmd.Dir = root
-			out, _ := cmd.CombinedOutput()
-			for _, name := range m.tests {
-				if strings.Contains(string(out), "--- FAIL: "+name+" ") {
-					return
+			args := []string{"test", "-overlay", overlayPath, "-count=1"}
+			if m.race {
+				args = append(args, "-race")
+			}
+			args = append(args, "-timeout", mutationTimeout.String(), "-run", "^("+strings.Join(m.tests, "|")+")$", m.pkg)
+			var out []byte
+			// The race a race row plants can end its test binary with an
+			// unrecoverable runtime error (concurrent map writes) before any
+			// test reports. Such a run has no verdict, so the row runs again,
+			// at most three times.
+			for attempt := 0; attempt < 3; attempt++ {
+				ctx, cancel := context.WithTimeout(context.Background(), mutationTimeout)
+				cmd := exec.CommandContext(ctx, goBin, args...)
+				cmd.Dir = root
+				out, _ = cmd.CombinedOutput()
+				cancel()
+				for _, name := range m.tests {
+					if strings.Contains(string(out), "--- FAIL: "+name+" ") {
+						return
+					}
+				}
+				if !m.race || !strings.Contains(string(out), "fatal error: ") {
+					break
 				}
 			}
 			t.Fatalf("%s (PR %s) survived: none of %v failed with %s changed\n%q\n->\n%q\n%s",
