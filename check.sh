@@ -87,16 +87,20 @@ echo "==> predicate-cache gate (one hash per binding, as-if-sequential batches, 
 # rows, charged cost, invocations or cache counts fails under this heading —
 # against its own width-1 run (TestNLJoinMatrix) and against the same
 # predicate as a filter over the bare cross product, unbounded and bounded
-# (TestNLCachedPrimaryMatchesFilter), with an inner NULL kept apart from 0
-# (TestNLMemoNullAndZero) — and so does a Query 5 execution that allocates
-# more than 64 objects over what it did before the nested loop's sweep memo
-# (TestNLSweepMemoAllocs, no -race: counts differ under the detector).
+# (TestNLCachedPrimaryMatchesFilter, whose inners include one under an
+# expensive filter and keys at the int64 extremes, colliding under the hash,
+# bool, and outgrowing the memo's first table), with an inner NULL kept apart
+# from 0 at every width (TestNLMemoNullAndZero), or a memo whose stamped table
+# loses, leaks or misreads a verdict (TestSweepMemoTable) — and so does a
+# Query 5 execution that allocates more than 64 objects over what it did
+# before the nested loop's sweep memo (TestNLSweepMemoAllocs, no -race:
+# counts differ under the detector).
 # The fuzz smoke is bounded; a crasher it finds is written under
 # internal/pcache/testdata/fuzz and becomes a committed seed.
 go test -race -count=1 ./internal/pcache
 go test -race -count=1 -run '^(TestInSubquery.*|TestNLMemoNullAndZero)$' .
 go test -count=1 -run '^TestNLSweepMemoAllocs$' .
-go test -count=1 -run '^(TestNLJoinMatrix|TestNLCachedPrimaryMatchesFilter)$' ./internal/exec
+go test -count=1 -run '^(TestNLJoinMatrix|TestNLCachedPrimaryMatchesFilter|TestSweepMemoTable)$' ./internal/exec
 go test -run '^$' -fuzz '^FuzzBatchMatchesSequential$' -fuzztime 10s ./internal/pcache
 
 echo "==> record-test gate (a record a cheap comparison rejects is never a row; comparisons are typed)"
@@ -152,8 +156,9 @@ go test -race -count=1 -run '^(TestRandomizedTopKAgreement|TestOrderBy.*|TestTop
 echo "==> exchange gate (parallel = serial, no worker left behind, no row outliving its slab under a worker pipeline)"
 # Also part of the full test run below; named here so that a parallel/serial
 # mismatch, a worker or a pinned page left behind by an abort, a budget DNF,
-# a cancellation or an early Close, or a row a worker's copy of a segment
-# keeps past its slab fails under this heading.
+# a cancellation or an early Close, a worker's panic that is not raised again
+# on the caller's goroutine (TestParallelWorkerPanicReachesCaller), or a row a
+# worker's copy of a segment keeps past its slab fails under this heading.
 go test -race -count=1 -run '^(TestParallel.*|TestBudgetAbortTeardownMatrix|TestCancelTeardownMatrix|TestDeadlineTeardownMatrix|TestArenaMatrix|TestArenaReleased)$' ./internal/exec
 
 echo "==> request-path gates (response bytes, request-body bound, point-lookup allocation budgets, server admission, pool misses)"
@@ -173,10 +178,10 @@ echo "==> mutation gate (every recorded mutation still caught, race rows under -
 # and the tests that must catch it; TestMutations applies it through
 # `go test -overlay` (the tree is never written) and fails the row when none
 # of its tests fails, or when its old text is no longer in the file. A row
-# marked -race builds its tests with the race detector. A cold build cache
-# takes about 130 s on 2 vCPUs (100 s of it in the test binary, which the
-# -timeout budget bounds; the race rows' race builds are most of the rise
-# from 70 s), a warm one about 60 s.
+# marked -race builds its tests with the race detector. 55 rows: a cold build
+# cache takes about 120 s on 2 vCPUs (95 s of it in the test binary, which
+# the -timeout budget bounds; the race rows' race builds are most of it), a
+# warm one about 60 s.
 go test -count=1 -timeout 180s -run '^TestMutations$' .
 
 echo "==> go build ./..."

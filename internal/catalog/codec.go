@@ -204,6 +204,43 @@ func (rc *RowCodec) DecodeCol(rec []byte, idx int) (expr.Value, error) {
 	return expr.S(trimNUL(field)), nil
 }
 
+// IntField is an int or bool column's place in a record, compiled once
+// (RowCodec.IntField), for reading the column in place without a decode.
+type IntField struct {
+	off, width int
+	bool       bool
+}
+
+// IntField returns column idx's IntField; ok is false unless idx is an int
+// or bool column.
+func (rc *RowCodec) IntField(idx int) (f IntField, ok bool) {
+	if idx < 0 || idx >= len(rc.layout) {
+		return IntField{}, false
+	}
+	l := rc.layout[idx]
+	if l.kind != expr.TInt && l.kind != expr.TBool {
+		return IntField{}, false
+	}
+	return IntField{off: l.off, width: rc.width, bool: l.kind == expr.TBool}, true
+}
+
+// Read returns the field's integer in rec — a bool's as expr.B gives it, 0
+// or 1 — and whether it is NULL, when the integer is 0. ok is false for a
+// record of the wrong length, which DecodeCols reports.
+func (f IntField) Read(rec []byte) (v int64, null, ok bool) {
+	if len(rec) != f.width {
+		return 0, false, false
+	}
+	if rec[f.off] != 1 {
+		return 0, true, true
+	}
+	v = int64(binary.LittleEndian.Uint64(rec[f.off+1 : f.off+9]))
+	if f.bool && v != 0 {
+		v = 1
+	}
+	return v, false, true
+}
+
 // colOf returns column idx's layout, or the error DecodeCol reports for a
 // column out of range or a record of the wrong length.
 func (rc *RowCodec) colOf(rec []byte, idx int) (*colLayout, error) {

@@ -57,6 +57,11 @@ func FuzzRowCodec(f *testing.F) {
 				if _, err := rc.DecodeCol(rec, i); err == nil {
 					t.Fatalf("DecodeCol(%d) accepted the record DecodeInto rejected", i)
 				}
+				if fld, ok := rc.IntField(i); ok {
+					if _, _, ok := fld.Read(rec); ok {
+						t.Fatalf("IntField(%d).Read accepted the record DecodeInto rejected", i)
+					}
+				}
 			}
 			return
 		}
@@ -97,6 +102,21 @@ func FuzzRowCodec(f *testing.F) {
 			if v, err := rc.DecodeCol(rec, i); err != nil || v != want[i] {
 				t.Fatalf("DecodeCol(%d) = %#v, %v; DecodeInto has %#v", i, v, err, want[i])
 			}
+			// An int or bool column read in place is the decoded value's
+			// integer, with NULL apart (the sweep memo's key, DESIGN.md §12).
+			fld, ok := rc.IntField(i)
+			if isInt := mixedCols()[i].Type != expr.TString; ok != isInt {
+				t.Fatalf("IntField(%d) ok=%v for a %v column", i, ok, mixedCols()[i].Type)
+			}
+			if !ok {
+				continue
+			}
+			if v, null, ok := fld.Read(rec); !ok || null != want[i].IsNull() || v != want[i].I {
+				t.Fatalf("IntField(%d).Read = %d, null %v, ok %v; DecodeInto has %#v", i, v, null, ok, want[i])
+			}
+		}
+		if _, ok := rc.IntField(int(extra)); ok && (extra < 0 || int(extra) >= n) {
+			t.Fatalf("IntField(%d) of %d columns accepted", extra, n)
 		}
 		if got, err := rc.Decode(rec); err != nil {
 			t.Fatal(err)

@@ -137,6 +137,10 @@ type Env struct {
 	// a scan with no entry decodes whole rows. Written once by Build, like
 	// ordered.
 	thin map[*plan.SeqScan]*thinScan
+	// sweeps holds, for each nested loop whose inner is a bare heap scan, that
+	// scan, which drops the records the loop's sweep memo rejects
+	// (sweepScans); written once by Build, like ordered.
+	sweeps map[*plan.Join]*plan.SeqScan
 	// slabs owns every row the query carves below its result-producing
 	// operator (rowAlloc); Run releases it on every exit, once the iterator
 	// tree is closed and its goroutines joined.

@@ -57,8 +57,9 @@ func next(it Iterator) (expr.Row, bool, error) {
 // the pool of the nested-loop inner subtree it sits in.
 //
 // The same rule one step down decides what a scan decodes: a record a cheap
-// comparison rejects is never a row (recordRuns), and a column is decoded by
-// the first operator that needs it (thinScans).
+// comparison rejects is never a row (recordRuns), nor is one a nested loop's
+// memo has already rejected (sweepScans), and a column is decoded by the
+// first operator that needs it (thinScans).
 func Build(e *Env, n plan.Node) (Iterator, error) {
 	e.ordered = nil
 	if e.workers() > 1 {
@@ -66,6 +67,7 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 	}
 	e.runs = e.recordRuns(n)
 	e.thin = e.thinScans(n)
+	e.sweeps = e.sweepScans(n)
 	it, err := buildIn(e, n, nil)
 	if p, ok := it.(*profIter); ok {
 		p.root = true
@@ -248,6 +250,35 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 				}
 			}
 		case plan.MergeJoin: // its inputs decode whole
+		}
+	})
+	return out
+}
+
+// sweepScans derives from the plan alone which nested loops hand their sweep
+// memo to their inner scan (sweepMemo.rejects): those with a primary whose
+// inner is one heap scan, bare or under filters it absorbed (recordRuns),
+// heading no segment — the scan is then the operator the loop's inner rows
+// come from, and the loop builds it itself (nlJoinIter.buildInner). Any
+// operator between the two — a filter of its own, an index scan, an exchange
+// — would see records the memo dropped, so such a loop keeps the memo to its
+// own pairs.
+func (e *Env) sweepScans(root plan.Node) map[*plan.Join]*plan.SeqScan {
+	var out map[*plan.Join]*plan.SeqScan
+	plan.Walk(root, func(n plan.Node) {
+		j, ok := n.(*plan.Join)
+		if !ok || j.Method != plan.NestLoop || j.Primary == nil {
+			return
+		}
+		inner := j.Inner
+		if r := e.runs[inner]; r != nil && r.top() == inner {
+			inner = r.scan
+		}
+		if scan, ok := inner.(*plan.SeqScan); ok && !e.segment(scan) {
+			if out == nil {
+				out = map[*plan.Join]*plan.SeqScan{}
+			}
+			out[j] = scan
 		}
 	})
 	return out
@@ -524,7 +555,10 @@ type seqScanIter struct {
 	memo   catalog.DecodeMemo
 	probes []tableProbe
 	rt     recordTests
-	tc     *opCounters
+	// sweep is the memo of the nested loop whose bare inner this scan is
+	// (Env.sweeps), or nil: a record it rejects is dropped, not carved.
+	sweep *sweepMemo
+	tc    *opCounters
 }
 
 func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
@@ -648,6 +682,9 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			if !keep {
 				continue
 			}
+		}
+		if s.sweep != nil && s.sweep.rejects(rec) {
+			continue
 		}
 		row := s.alloc.next(width)
 		if s.thin != nil {

@@ -46,9 +46,10 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 // sides (Query 5) — is evaluated per pair, in place: over the outer row and
 // a batch of inner rows, the pairs themselves never made (holdsBatch); a
 // cached one answers an inner value it has settled since the rescan from its
-// memo (sweepMemo) when that value alone names the binding. The outer side
-// is pulled one row at a time (next): its page accesses interleave with the
-// inner's.
+// memo (sweepMemo) when that value alone names the binding, and a bare inner
+// scan drops the records the memo rejects before they are rows. The outer
+// side is pulled one row at a time (next): its page accesses interleave with
+// the inner's.
 //
 // Inner rows are valid only until the next rescan (the join's own slabPool,
 // rewound there and released at Close), and those of a thin inner scan only
@@ -56,15 +57,21 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 // into its output — completing the inner half through fin — before it pulls
 // more, so the join's output lives as long as its own rowAlloc says.
 type nlJoinIter struct {
-	e        *Env
-	node     *plan.Join
-	outer    Iterator
-	inner    Iterator
-	primary  *compiledPred // nil for cross product
-	memo     *sweepMemo    // of the primary's verdicts this sweep, or nil
-	outerRow expr.Row
-	haveOut  bool
-	count    int
+	e       *Env
+	node    *plan.Join
+	outer   Iterator
+	inner   Iterator
+	primary *compiledPred // nil for cross product
+	memo    *sweepMemo    // of the primary's verdicts this sweep, or nil
+	// scan, when the memo has one (Env.sweeps), is the bare inner heap scan
+	// the loop rebuilds itself and hands the memo to; innerRows, under
+	// Profile, is the inner node's actual= counter, which the records the
+	// scan drops join.
+	scan      *plan.SeqScan
+	innerRows *atomic.Int64
+	outerRow  expr.Row
+	haveOut   bool
+	count     int
 	// inner batch buffer, verdicts, predicate scratch
 	ibuf   []expr.Row
 	keep   []bool
@@ -90,6 +97,12 @@ func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 			cp.prof = e.nodeProf(j)
 		}
 		it.primary, it.memo = cp, newSweepMemo(e, cp, cols, len(j.Outer.Cols()))
+		if it.memo != nil {
+			it.scan = e.sweeps[j]
+		}
+		if it.scan != nil && e.prof != nil {
+			it.innerRows = &e.nodeProf(j.Inner).rows
+		}
 	}
 	return it, nil
 }
@@ -110,7 +123,7 @@ func (n *nlJoinIter) rescanInner() error {
 	if n.memo != nil {
 		n.memo.reset()
 	}
-	inner, err := buildIn(n.e, n.node.Inner, &n.rescan)
+	inner, err := n.buildInner()
 	if err != nil {
 		return err
 	}
@@ -122,13 +135,29 @@ func (n *nlJoinIter) rescanInner() error {
 	return inner.Open()
 }
 
+// buildInner builds the inner subtree over the rescan slabs: as buildIn
+// would, but a bare inner scan gets the memo.
+func (n *nlJoinIter) buildInner() (Iterator, error) {
+	if n.scan == nil {
+		return buildIn(n.e, n.node.Inner, &n.rescan)
+	}
+	s, err := newSeqScan(n.e, n.scan, &n.rescan)
+	if err != nil {
+		return nil, err
+	}
+	s.sweep = n.memo
+	return n.e.traced(n.node.Inner, s), nil
+}
+
 // NextBatch evaluates the primary over the current outer row and a batch of
 // inner rows (batched cache traffic included) and makes a pair only for a
 // survivor, once, straight into dst — most pairs fail, and a failed pair
 // costs neither a row nor a copy. Each inner batch is taken in whole before
 // the next is pulled, and no more inner rows are pulled than the pairs still
 // owed, so an operator above that must not read ahead (next) sees none here
-// either. The budget is checked every 64 pairs.
+// either. The budget is checked every 64 pairs, the records the inner scan
+// dropped among them: each is counted, as the memo hit it would have been,
+// right after the batch it was dropped from.
 func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	k := len(dst)
 	if len(n.ibuf) < k {
@@ -154,16 +183,27 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if m == 0 {
-			n.haveOut = false
-			continue
+		pairs := m
+		if n.scan != nil && n.memo.dropped > 0 {
+			d := n.memo.dropped
+			n.memo.dropped, pairs = 0, m+d
+			n.e.Cache.AddHits(d)
+			if p := n.primary.prof; p != nil {
+				p.predEvals.Add(int64(d))
+				p.cacheHits.Add(int64(d))
+				n.innerRows.Add(int64(d))
+			}
 		}
-		if before := n.count; (before+m)/64 != before/64 {
+		if before := n.count; (before+pairs)/64 != before/64 {
 			if err := n.e.checkAbort(); err != nil {
 				return 0, err
 			}
 		}
-		n.count += m
+		n.count += pairs
+		if m == 0 {
+			n.haveOut = false
+			continue
+		}
 		inner, keep := n.ibuf[:m], n.keep[:m]
 		if n.primary == nil {
 			for i := range keep {

@@ -49,12 +49,17 @@ type chainEnds struct{ head, tail int32 }
 // joinTableMinSlots is the slot count of the first integer table.
 const joinTableMinSlots = 64
 
+// fibHash is key's home slot in a power-of-two table of 2^(64-shift)
+// slots. Fibonacci hashing: the multiply by 2^64/φ spreads consecutive keys
+// (the usual join column) over the whole table and the top bits index it.
+func fibHash(key int64, shift uint) uint64 { return uint64(key) * fibMul >> shift }
+
+const fibMul = 0x9E3779B97F4A7C15
+
 // slot returns the slot holding key, or the empty slot where it belongs.
-// Fibonacci hashing: the multiply spreads consecutive keys (the usual join
-// column) over the whole table and the top bits index it.
 func (t *joinTable) slot(key int64) *intSlot {
 	mask := uint64(len(t.slots) - 1)
-	for s := uint64(key) * 0x9E3779B97F4A7C15 >> t.shift; ; s = (s + 1) & mask {
+	for s := fibHash(key, t.shift); ; s = (s + 1) & mask {
 		if sl := &t.slots[s]; sl.head == 0 || sl.key == key {
 			return sl
 		}

@@ -2,13 +2,16 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"predplace/internal/catalog"
 	"predplace/internal/datagen"
 	"predplace/internal/expr"
 	"predplace/internal/pcache"
 	"predplace/internal/plan"
 	"predplace/internal/query"
+	"predplace/internal/storage"
 )
 
 // drainSnapshot runs root the way Run does, but copies every output row the
@@ -199,27 +202,44 @@ func BenchmarkNLJoinRescan(b *testing.B) {
 // the bare cross product, Filter(pred, NestLoop(outer, inner, nil)), run
 // serially at width 1. The filter evaluates the same bindings in the same
 // order, one row at a time, with no outer row and no sweep memo, so the
-// nested loop must match it in rows (in order), invocations, hits, misses and
-// entries — with unbounded tables, where the memo answers an inner value's
-// repeats, and with tables bounded to 1, 4 and 64 entries, where FIFO
+// nested loop must match it in rows (in order), invocations of every
+// function, hits, misses and entries — with unbounded tables, where the memo
+// answers an inner value's repeats and a bare inner scan drops the records
+// it rejects, and with tables bounded to 1, 4 and 64 entries, where FIFO
 // eviction keeps the per-row protocol. The outer is an index scan, so its
 // order, and with it a bounded table's evictions, is the same at every worker
-// count; the inner columns repeat each value 10 and 20 times.
+// count. The inners: t7.u20 (each value 20 times), a t2.u10 whose cheap
+// filters the scan absorbs, a t2.u10 under an expensive filter (no scan may
+// drop a record that filter has not seen), and sweepMemoTable's int column of
+// extreme and colliding keys, its bool column, and a column whose distinct
+// values outgrow the memo's first table mid-sweep.
 func TestNLCachedPrimaryMatchesFilter(t *testing.T) {
 	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1, 2, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sweepMemoTable(t, db)
 	f, err := db.Cat.Func("costly10join")
 	if err != nil {
 		t.Fatal(err)
 	}
+	f1, err := db.Cat.Func("costly1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
-	q, err := query.NewQuery([]string{"t1", "t2", "t7"}, []*query.Predicate{
-		{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t1", "u20"), col("t7", "u20")}},
-		{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t2", "u10"), col("t1", "u10")}},
+	join := func(outer, inner query.ColRef) *query.Predicate {
+		return &query.Predicate{Kind: query.KindFunc, Func: f, Args: []query.ColRef{outer, inner}}
+	}
+	q, err := query.NewQuery([]string{"t1", "t2", "t7", "memo"}, []*query.Predicate{
+		join(col("t1", "u20"), col("t7", "u20")),
+		join(col("t2", "u10"), col("t1", "u10")),
 		{Kind: query.KindSelCmp, Op: expr.OpLT, Left: col("t2", "ua1"), Value: expr.I(300)},
 		{Kind: query.KindSelCmp, Op: expr.OpGE, Left: col("t2", "u100"), Value: expr.I(1)},
+		{Kind: query.KindFunc, Func: f1, Args: []query.ColRef{col("t2", "u100")}},
+		join(col("t1", "ua1"), col("memo", "k")),
+		join(col("t1", "ua1"), col("memo", "b")),
+		join(col("t1", "u20"), col("memo", "w")),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,13 +252,19 @@ func TestNLCachedPrimaryMatchesFilter(t *testing.T) {
 		return &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, Primary: primary,
 			ExpensivePrimary: primary != nil, ColRefs: plan.ConcatCols(outer, inner)}
 	}
+	memo := scanNode(t, db.Cat, "memo")
 	for _, in := range []struct {
 		name    string
 		inner   plan.Node
 		primary *query.Predicate
+		drops   bool // the inner scan drops what the memo rejects
 	}{
-		{"t7.u20", scanNode(t, db.Cat, "t7"), q.Preds[0]},
-		{"t2.u10-filtered", filter(filter(scanNode(t, db.Cat, "t2"), q.Preds[2]), q.Preds[3]), q.Preds[1]},
+		{"t7.u20", scanNode(t, db.Cat, "t7"), q.Preds[0], true},
+		{"t2.u10-filtered", filter(filter(scanNode(t, db.Cat, "t2"), q.Preds[2]), q.Preds[3]), q.Preds[1], true},
+		{"t2.u10-costly-filter", filter(filter(scanNode(t, db.Cat, "t2"), q.Preds[2]), q.Preds[4]), q.Preds[1], false},
+		{"memo.k", memo, q.Preds[5], true},
+		{"memo.b", memo, q.Preds[6], true},
+		{"memo.w", memo, q.Preds[7], true},
 	} {
 		root := nestLoop(in.inner, in.primary)
 		oracle := filter(nestLoop(in.inner, nil), in.primary)
@@ -248,8 +274,12 @@ func TestNLCachedPrimaryMatchesFilter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if memo := newSweepMemo(env, cp, root.ColRefs, len(outer.ColRefs)); (memo != nil) != (bound == 0) {
-				t.Fatalf("%s bound=%d: sweep memo %v, want one exactly when unbounded", in.name, bound, memo != nil)
+			m := newSweepMemo(env, cp, root.ColRefs, len(outer.ColRefs))
+			if (m != nil) != (bound == 0) {
+				t.Fatalf("%s bound=%d: sweep memo %v, want one exactly when unbounded", in.name, bound, m != nil)
+			}
+			if in.name == "memo.w" && m != nil && len(m.slots) != joinTableMinSlots {
+				t.Fatalf("memo.w: the memo starts with %d slots; the test wants it to grow mid-sweep", len(m.slots))
 			}
 			want, wantStats := drainSnapshot(t, env, oracle)
 			if len(want) == 0 || bound == 0 && wantStats.CacheHits == 0 {
@@ -261,9 +291,14 @@ func TestNLCachedPrimaryMatchesFilter(t *testing.T) {
 					env.Parallelism, env.BatchSize = p, bs
 					rows, stats := drainSnapshot(t, env, root)
 					env.Parallelism, env.BatchSize = 1, 1
+					if linked := env.sweeps[root] != nil; linked != in.drops {
+						t.Fatalf("%s: Build links the inner scan to the memo: %v, want %v", name, linked, in.drops)
+					}
 					sameRows(t, name, rows, want)
-					if got, want := stats.Invocations[f.Name], wantStats.Invocations[f.Name]; got != want {
-						t.Fatalf("%s: %d invocations, filter oracle %d", name, got, want)
+					for fn, n := range wantStats.Invocations {
+						if got := stats.Invocations[fn]; got != n {
+							t.Fatalf("%s: %d invocations of %s, filter oracle %d", name, got, fn, n)
+						}
 					}
 					if stats.CacheHits != wantStats.CacheHits || stats.CacheMisses != wantStats.CacheMisses ||
 						stats.CacheEntries != wantStats.CacheEntries {
@@ -274,5 +309,137 @@ func TestNLCachedPrimaryMatchesFilter(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sweepMemoTable adds table memo to db: 400 rows of an int column k cycling
+// through NULL, 0, math.MinInt64, math.MaxInt64 and keys that share one home
+// slot in the memo (collidingKeys), a bool column b cycling through NULL,
+// false and true, and a column w of 400 distinct values whose statistics are
+// left unknown, so the memo over it starts at its smallest table.
+func sweepMemoTable(t *testing.T, db *datagen.DB) {
+	t.Helper()
+	cols := []catalog.Column{{Name: "k", Type: expr.TInt}, {Name: "b", Type: expr.TBool}, {Name: "w", Type: expr.TInt}}
+	codec, err := catalog.NewRowCodec(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := &catalog.Table{Name: "memo", Columns: cols, Codec: codec, TupleBytes: codec.Width(), Heap: storage.NewHeapFile(db.Pool)}
+	keys := append([]expr.Value{expr.Null, expr.I(math.MinInt64), expr.I(math.MaxInt64)}, collidingKeys(12)...)
+	for i := 0; i < 400; i++ {
+		b := expr.Null
+		if i%3 > 0 {
+			b = expr.B(i%3 == 2)
+		}
+		rec, err := codec.Encode(expr.Row{keys[i%len(keys)], b, expr.I(int64(i * 7919))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Heap.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.Card = 400
+	if err := db.Cat.AddTable(tab); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// collidingKeys returns n keys, 0 first, that fibHash sends to one home slot
+// in every table: j times the inverse of fibMul, whose products with fibMul
+// are j.
+func collidingKeys(n int) []expr.Value {
+	inv := uint64(fibMul) // correct to 3 bits; each Newton step doubles that
+	for i := 0; i < 5; i++ {
+		inv *= 2 - fibMul*inv
+	}
+	keys := make([]expr.Value, n)
+	for j := range keys {
+		keys[j] = expr.I(int64(uint64(j) * inv))
+	}
+	return keys
+}
+
+// TestSweepMemoTable holds the sweep memo's stamped table to a map, over
+// three sweeps: keys sharing one home slot (collidingKeys), math.MinInt64 and
+// math.MaxInt64, 0 and NULL kept apart, every verdict kept through the
+// table's growth mid-sweep, and nothing of a sweep left in the next. The
+// record path, rejects on an int and on a bool column, agrees with get and
+// counts what it drops.
+func TestSweepMemoTable(t *testing.T) {
+	keys := append([]expr.Value{expr.Null, expr.I(math.MinInt64), expr.I(math.MaxInt64)}, collidingKeys(60)...)
+	cols := []catalog.Column{{Name: "k", Type: expr.TInt}, {Name: "b", Type: expr.TBool}}
+	codec, err := catalog.NewRowCodec(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kField, _ := codec.IntField(0)
+	bField, _ := codec.IntField(1)
+	m := &sweepMemo{field: kField, sweep: 1}
+	m.resize(joinTableMinSlots)
+	for _, k := range keys[3:] {
+		if fibHash(k.I, m.shift) != fibHash(0, m.shift) {
+			t.Fatalf("key %d's home slot is not 0's", k.I)
+		}
+	}
+	record := func(k, b expr.Value) []byte {
+		rec, err := codec.Encode(expr.Row{k, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	for sweep := 0; sweep < 3; sweep++ {
+		m.reset()
+		want := map[expr.Value]int32{}
+		for i, k := range keys {
+			if r, ok := m.get(k); ok {
+				t.Fatalf("sweep %d: %v has verdict %d before the sweep met it", sweep, k, r)
+			}
+			want[k] = memoKeep
+			if (i+sweep)%3 == 0 {
+				want[k] = memoReject
+			}
+			m.put(k, want[k])
+			for k, r := range want {
+				if got, ok := m.get(k); !ok || got != r {
+					t.Fatalf("sweep %d, %d keys in: %v has %d (%v), want %d", sweep, i+1, k, got, ok, r)
+				}
+			}
+		}
+		if sweep == 0 && len(m.slots) == joinTableMinSlots {
+			t.Fatalf("%d keys in a table of %d slots: it never grew", len(keys), len(m.slots))
+		}
+		m.dropped = 0
+		rejected := 0
+		for k, r := range want {
+			if got := m.rejects(record(k, expr.Null)); got != (r == memoReject) {
+				t.Fatalf("sweep %d: rejects(%v) = %v, verdict %d", sweep, k, got, r)
+			}
+			if r == memoReject {
+				rejected++
+			}
+		}
+		if m.dropped != rejected {
+			t.Fatalf("sweep %d: %d records dropped, %d rejected", sweep, m.dropped, rejected)
+		}
+	}
+	// A bool column: its values are the integers 0 and 1, NULL apart.
+	m = &sweepMemo{field: bField, sweep: 1}
+	m.resize(joinTableMinSlots)
+	m.reset()
+	m.put(expr.B(false), memoReject)
+	m.put(expr.B(true), memoKeep)
+	for _, c := range []struct {
+		b    expr.Value
+		drop bool
+	}{{expr.B(false), true}, {expr.B(true), false}, {expr.Null, false}} {
+		if got := m.rejects(record(expr.I(0), c.b)); got != c.drop {
+			t.Fatalf("bool column: rejects(%v) = %v, want %v", c.b, got, c.drop)
+		}
+	}
+	m.put(expr.Null, memoReject)
+	if !m.rejects(record(expr.I(0), expr.Null)) || m.rejects(record(expr.Null, expr.B(true))) {
+		t.Fatal("bool column: a NULL settled as reject is not dropped, or a true is")
 	}
 }

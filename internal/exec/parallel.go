@@ -26,10 +26,11 @@ import (
 const parallelBatch = 64
 
 // rowBatch is one channel message from an exchange worker: rows, or a
-// terminal error.
+// terminal error, or the value a worker's segment panicked with.
 type rowBatch struct {
-	rows []expr.Row
-	err  error
+	rows     []expr.Row
+	err      error
+	panicked any
 }
 
 // fanIn is the consumer side of an exchange: workers send rowBatches into
@@ -44,6 +45,9 @@ type fanIn struct {
 	pos     int
 	done    bool
 	err     error
+	// panicked is what a worker's segment panicked with, which the
+	// exchange raises again (exchangeIter.Close).
+	panicked any
 }
 
 // init sizes the fan-in channels; buffers is the channel capacity in
@@ -51,7 +55,7 @@ type fanIn struct {
 func (f *fanIn) init(buffers int) {
 	f.out = make(chan rowBatch, buffers)
 	f.stop = make(chan struct{})
-	f.cur, f.pos, f.done, f.err = nil, 0, false, nil
+	f.cur, f.pos, f.done, f.err, f.panicked = nil, 0, false, nil, nil
 }
 
 // goCloser spawns the goroutine that closes out once every producer
@@ -93,7 +97,7 @@ func (f *fanIn) stopping() bool {
 // pull copies up to len(dst) rows out of the workers' fan-in (order
 // unspecified). Once at least one row is buffered it refills without
 // blocking, so a partially filled batch flows downstream instead of stalling
-// on slow workers.
+// on slow workers. It stops at a worker's panic, kept in panicked.
 func (f *fanIn) pull(dst []expr.Row) (int, error) {
 	n := 0
 	for n < len(dst) {
@@ -140,9 +144,9 @@ func (f *fanIn) refill(block bool) bool {
 		f.done = true
 		return false
 	}
-	if b.err != nil {
+	if b.err != nil || b.panicked != nil {
 		f.done = true
-		f.err = b.err
+		f.err, f.panicked = b.err, b.panicked
 		return false
 	}
 	f.cur, f.pos = b.rows, 0
@@ -163,6 +167,9 @@ func (f *fanIn) shutdown() {
 	for b := range f.out {
 		// recycle in-flight batches until the closer closes the channel
 		putRowBuf(b.rows)
+		if f.panicked == nil {
+			f.panicked = b.panicked
+		}
 	}
 	f.wg.Wait()
 	if f.cur != nil {
@@ -303,9 +310,15 @@ func (x *exchangeIter) Open() error {
 // work opens p and pulls it dry. A message goes out once it is more than
 // half full, not after every NextBatch: under a selective filter that would
 // be a channel hop for a handful of rows, while asking for the last few
-// slots of a message would run the segment at that width.
+// slots of a message would run the segment at that width. A panic in the
+// segment goes to the consumer as a message of its own (fanIn.pull).
 func (x *exchangeIter) work(p Iterator) {
 	defer x.fan.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			x.fan.send(rowBatch{panicked: r})
+		}
+	}()
 	if err := p.Open(); err != nil {
 		x.fan.send(rowBatch{err: err})
 		return
@@ -331,20 +344,36 @@ func (x *exchangeIter) work(p Iterator) {
 	}
 }
 
-// NextBatch drains the workers' messages.
+// NextBatch drains the workers' messages; at a worker's panic it closes the
+// exchange.
 func (x *exchangeIter) NextBatch(dst []expr.Row) (int, error) {
 	if x.fan.out == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on an exchange")
 	}
-	return x.fan.pull(dst)
+	n, err := x.fan.pull(dst)
+	if err != nil {
+		return 0, err
+	}
+	if x.fan.panicked != nil {
+		return 0, x.Close() // which raises it
+	}
+	return n, nil
 }
 
-// Close joins the workers, then closes their parts from this goroutine.
+// Close joins the workers, then closes their parts from this goroutine. A
+// worker's panic — met by NextBatch, or in flight when shutdown drained the
+// channel — is raised again here, on the consumer's goroutine, once every
+// worker is joined and every part closed: it fails the query's caller, as a
+// panic in a serial operator would, not the process.
 func (x *exchangeIter) Close() error {
 	x.fan.shutdown()
 	var err error
 	for _, p := range x.parts {
 		err = errors.Join(err, p.Close())
+	}
+	if p := x.fan.panicked; p != nil {
+		x.fan.panicked = nil // raised once; Close is safe to call again
+		panic(p)
 	}
 	return err
 }

@@ -251,3 +251,39 @@ func TestParallelKeepsOrderMergeJoinReliesOn(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelWorkerPanicReachesCaller: a UDF that panics inside an
+// exchange's worker panics Run on the caller's goroutine, with the UDF's own
+// value — a panic on a worker's goroutine would end the process, past any
+// recover — and by then the exchange is closed: no worker goroutine runs on
+// and no page stays pinned.
+func TestParallelWorkerPanicReachesCaller(t *testing.T) {
+	_, env := newEnv(t, []int{2}, false)
+	env.Parallelism = 3
+	type boom struct{ at int64 }
+	f := &expr.FuncDef{Name: "boom", Arity: 1, Cost: 1, Selectivity: 1, Eval: func(args []expr.Value) expr.Value {
+		if args[0].I == 150 {
+			panic(boom{args[0].I})
+		}
+		return expr.B(true)
+	}}
+	root := &plan.Filter{Input: scanNode(t, env.Cat, "t2"), Pred: &query.Predicate{
+		Kind: query.KindFunc, Func: f, Args: []query.ColRef{{Table: "t2", Col: "ua1"}}, CostPerTuple: 1}}
+	if !env.segment(root) {
+		t.Fatal("the filter heads no segment: no worker runs it")
+	}
+	for _, bs := range []int{1, 256} {
+		env.BatchSize = bs
+		baseline := runtime.NumGoroutine()
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			_, err := Run(env, root)
+			t.Fatalf("Run returned (err %v) instead of panicking", err)
+			return nil
+		}()
+		if got != (boom{150}) {
+			t.Fatalf("BatchSize %d: the caller recovered %#v, want the UDF's boom{150}", bs, got)
+		}
+		waitTeardown(t, env, baseline)
+	}
+}

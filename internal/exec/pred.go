@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
+	"predplace/internal/catalog"
 	"predplace/internal/expr"
 	"predplace/internal/pcache"
 	"predplace/internal/plan"
@@ -293,7 +295,10 @@ func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row
 // row, so the inner half alone names a binding, and an inner column with
 // repeats asks the cache the same question many times. The memo keeps the
 // verdict of each inner value the sweep has settled and answers its repeats
-// without a key encode, hash or shard lock.
+// without a key encode, hash or shard lock. Where the inner is a bare heap
+// scan (Env.sweepScans) the scan asks it first, on the encoded record
+// (rejects): a record whose value the sweep has rejected never becomes a row,
+// and the join counts it as the hit it would have been (dropped).
 //
 // It is kept only over an unbounded table, which is monotone: a binding the
 // sweep has settled is stored and stays stored, so the per-row protocol would
@@ -303,11 +308,22 @@ func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row
 // FIFO order and keeps the per-row protocol.
 type sweepMemo struct {
 	col int // the primary's one inner argument, as a position in the pair
-	// seen maps a settled inner value to memoKeep or memoReject; within a
-	// batch, a value first met there maps to its index in sub. null is the
-	// same for NULL, memoAbsent until the sweep meets one.
-	seen map[int64]int32
-	null int32
+	// field is that column in the inner table's records, for rejects.
+	field catalog.IntField
+	// slots is an open-addressed table of the inner values the sweep has met
+	// (Fibonacci hashing, linear probing, at most 3/4 full), and null is
+	// NULL's slot. A slot is the sweep's when its stamp is: one stamped by an
+	// earlier sweep is empty, so a new sweep is one increment. A slot holds
+	// memoKeep or memoReject; within a batch, a value first met there holds
+	// its index in sub.
+	slots []memoSlot
+	null  memoSlot
+	shift uint // 64 - log2(len(slots))
+	used  int  // the sweep's slots
+	sweep uint64
+	// dropped counts the records rejects dropped since the join last took
+	// them into its counts.
+	dropped int
 	// Batch scratch: the first occurrences of the values the memo lacks,
 	// their verdicts, and each row's entry.
 	sub     []expr.Row
@@ -315,11 +331,17 @@ type sweepMemo struct {
 	of      []int32
 }
 
+// memoSlot is one inner value's entry, valid in the sweep it is stamped with.
+type memoSlot struct {
+	key   int64
+	sweep uint64
+	r     int32
+}
+
 // Memo entries below zero; one at or above zero is a sub-batch index.
 const (
 	memoKeep int32 = -1 - iota
 	memoReject
-	memoAbsent
 )
 
 // newSweepMemo returns the memo of a nested loop whose primary cp reads pairs
@@ -344,40 +366,95 @@ func newSweepMemo(e *Env, cp *compiledPred, cols []query.ColRef, outerWidth int)
 		return nil
 	}
 	tab, err := e.Cat.Table(cols[col].Table)
-	if err != nil {
+	if err != nil || tab.Codec == nil {
 		return nil
 	}
-	if c, err := tab.Column(cols[col].Col); err != nil || c.Type != expr.TInt && c.Type != expr.TBool {
+	k := tab.ColIndex(cols[col].Col)
+	field, ok := tab.Codec.IntField(k)
+	if !ok {
 		return nil
 	}
-	return &sweepMemo{col: col, seen: map[int64]int32{}, null: memoAbsent}
+	// Sized for the column's distinct values, so a sweep rarely grows it.
+	slots := joinTableMinSlots
+	for !memoFits(cardHint(float64(tab.Columns[k].Distinct)), slots) {
+		slots *= 2
+	}
+	m := &sweepMemo{col: col, field: field, sweep: 1}
+	m.resize(slots)
+	return m
 }
 
-// reset starts a sweep: the map is cleared, keeping its buckets.
+// memoFits reports whether n values fit a table of the given slots: at
+// most 3/4 full, where a linear probe is still short.
+func memoFits(n, slots int) bool { return 4*n <= 3*slots }
+
+// reset starts a sweep: every slot of the last one is empty now.
 func (m *sweepMemo) reset() {
-	clear(m.seen)
-	m.null = memoAbsent
+	m.sweep++
+	m.used = 0
 }
 
 // memoKey is v's key in the memo: its integer (a bool's is 0 or 1), and
 // whether it is NULL, which has no integer of its own.
 func memoKey(v expr.Value) (int64, bool) { return v.I, v.Kind == expr.TNull }
 
-func (m *sweepMemo) get(v expr.Value) (int32, bool) {
-	k, null := memoKey(v)
+// slot returns the sweep's slot of key k: NULL's, the one holding k, or the
+// empty one where k belongs.
+func (m *sweepMemo) slot(k int64, null bool) *memoSlot {
 	if null {
-		return m.null, m.null != memoAbsent
+		return &m.null
 	}
-	r, ok := m.seen[k]
-	return r, ok
+	mask := uint64(len(m.slots) - 1)
+	for s := fibHash(k, m.shift); ; s = (s + 1) & mask {
+		if sl := &m.slots[s]; sl.sweep != m.sweep || sl.key == k {
+			return sl
+		}
+	}
+}
+
+func (m *sweepMemo) get(v expr.Value) (int32, bool) {
+	sl := m.slot(memoKey(v))
+	return sl.r, sl.sweep == m.sweep
 }
 
 func (m *sweepMemo) put(v expr.Value, r int32) {
-	if k, null := memoKey(v); null {
-		m.null = r
-	} else {
-		m.seen[k] = r
+	k, null := memoKey(v)
+	sl := m.slot(k, null)
+	if sl.sweep != m.sweep && !null {
+		if !memoFits(m.used+1, len(m.slots)) {
+			m.resize(2 * len(m.slots))
+			sl = m.slot(k, false)
+		}
+		m.used++
 	}
+	*sl = memoSlot{key: k, sweep: m.sweep, r: r}
+}
+
+// resize gives the table n slots, keeping the sweep's.
+func (m *sweepMemo) resize(n int) {
+	old := m.slots
+	m.slots = make([]memoSlot, n)
+	m.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, sl := range old {
+		if sl.sweep == m.sweep {
+			*m.slot(sl.key, false) = sl
+		}
+	}
+}
+
+// rejects reports whether the sweep has settled the inner value of rec, a
+// record of the inner scan, as a reject, and counts the record dropped if
+// so. A record of the wrong length is left to the decode to report.
+func (m *sweepMemo) rejects(rec []byte) bool {
+	k, null, ok := m.field.Read(rec)
+	if !ok {
+		return false
+	}
+	if sl := m.slot(k, null); sl.sweep != m.sweep || sl.r != memoReject {
+		return false
+	}
+	m.dropped++
+	return true
 }
 
 // holds is holdsBatch for cp over the pairs of outer with rows. A row whose

@@ -66,10 +66,18 @@ func TestNLSweepMemoAllocs(t *testing.T) {
 // whichever side the planner makes the inner. Rows and cache counts must be
 // those of a run whose tables are bounded (CacheMaxEntries), which keeps the
 // per-row protocol and no memo; the bound is never reached, so the two count
-// the same hits.
+// the same hits. At width 1 the inner scan meets each record after the memo
+// has settled the values before it, so it drops on the record what the memo
+// rejects, NULL included; at width 256 one batch holds the whole inner.
 func TestNLMemoNullAndZero(t *testing.T) {
+	for _, bs := range []int{1, 7, 256} {
+		testNLMemoNullAndZero(t, bs)
+	}
+}
+
+func testNLMemoNullAndZero(t *testing.T, batchSize int) {
 	run := func(cacheMax int) (string, predplace.Stats) {
-		db, err := predplace.Open(predplace.Config{Caching: true, CacheMaxEntries: cacheMax})
+		db, err := predplace.Open(predplace.Config{Caching: true, CacheMaxEntries: cacheMax, BatchSize: batchSize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,14 +127,14 @@ func TestNLMemoNullAndZero(t *testing.T) {
 	rows, stats := run(0)
 	wantRows, want := run(1 << 20)
 	if rows != wantRows {
-		t.Fatalf("rows with the sweep memo:\n%s\nper-row protocol:\n%s", rows, wantRows)
+		t.Fatalf("BatchSize %d: rows with the sweep memo:\n%s\nper-row protocol:\n%s", batchSize, rows, wantRows)
 	}
 	if stats.CacheHits != want.CacheHits || stats.CacheMisses != want.CacheMisses || stats.CacheEntries != want.CacheEntries {
-		t.Fatalf("cache hits/misses/entries %d/%d/%d, per-row protocol %d/%d/%d",
+		t.Fatalf("BatchSize %d: cache hits/misses/entries %d/%d/%d, per-row protocol %d/%d/%d", batchSize,
 			stats.CacheHits, stats.CacheMisses, stats.CacheEntries, want.CacheHits, want.CacheMisses, want.CacheEntries)
 	}
 	if got, want := stats.Invocations["nulleq"], want.Invocations["nulleq"]; got != want {
-		t.Fatalf("%d invocations, per-row protocol %d", got, want)
+		t.Fatalf("BatchSize %d: %d invocations, per-row protocol %d", batchSize, got, want)
 	}
 	if stats.CacheHits == 0 {
 		t.Fatal("no cache hits: no inner value repeats within a sweep")

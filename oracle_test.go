@@ -250,10 +250,39 @@ func oracleRows(t *testing.T, cols []string, res *predplace.Result) []string {
 	return out
 }
 
-// TestRowOracle checks the row multiset of 200 genQuery statements against
-// the oracle at scale 0.01, at Parallelism {1, 3} × BatchSize {1, 7, 256} ×
-// caching off and on, each statement under one placement algorithm in turn.
-// Charged cost and row order are other tests' business.
+// genExpensiveJoin draws a statement of Query 5's shape (paper Figure 9):
+// one table joined to the others only through costly10join over u10/u20
+// columns, so the planner runs a nested loop whose primary is that
+// expensive function — under caching, with the sweep memo, and where the
+// inner is a bare scan, with the scan dropping the records the memo
+// rejects. The inner may carry a cheap filter (absorbed into the scan), and
+// the others an equi-join and a costly selection.
+func genExpensiveJoin(rng *rand.Rand) string {
+	tables := []string{"t1", "t2", "t3"}
+	rng.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
+	n := 2 + rng.Intn(2)
+	tables = tables[:n]
+	cols := []string{"u10", "u20"}
+	pick := func() string { return cols[rng.Intn(len(cols))] }
+	lone := tables[n-1]
+	preds := []string{fmt.Sprintf("costly10join(%s.%s, %s.%s)", tables[rng.Intn(n-1)], pick(), lone, pick())}
+	if n == 3 {
+		preds = append(preds, fmt.Sprintf("%s.ua1 = %s.ua1", tables[0], tables[1]))
+	}
+	if rng.Intn(2) == 0 {
+		preds = append(preds, fmt.Sprintf("%s.u10 < %d", lone, 2+rng.Intn(18)))
+	}
+	if rng.Intn(3) == 0 {
+		preds = append(preds, fmt.Sprintf("costly1(%s.u100)", tables[rng.Intn(n)]))
+	}
+	return fmt.Sprintf("SELECT * FROM %s WHERE %s", strings.Join(tables, ", "), strings.Join(preds, " AND "))
+}
+
+// TestRowOracle checks the row multiset of 200 genQuery statements and 12
+// genExpensiveJoin ones against the oracle at scale 0.01, at Parallelism
+// {1, 3} × BatchSize {1, 7, 256} × caching off and on, each statement under
+// one placement algorithm in turn. Charged cost and row order are other
+// tests' business.
 func TestRowOracle(t *testing.T) {
 	const scale = 0.01
 	tables := []int{1, 2, 3}
@@ -263,10 +292,15 @@ func TestRowOracle(t *testing.T) {
 		sql        string
 		cols, rows []string
 	}
-	stmts := make([]stmt, 200)
+	stmts := make([]stmt, 212)
+	joins := rand.New(rand.NewSource(19940601))
 	for i := range stmts {
 		s := &stmts[i]
-		s.sql = genQuery(rng)
+		if i < 200 {
+			s.sql = genQuery(rng)
+		} else {
+			s.sql = genExpensiveJoin(joins)
+		}
 		s.cols, s.rows = oracle.answer(t, s.sql)
 	}
 	algos := predplace.Algorithms()
