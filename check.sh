@@ -117,12 +117,19 @@ go test -race -count=1 -run '^TestBindTypeMismatch$' .
 go test -count=1 -run '^(TestColTestAllocFree|FuzzColTest)$' ./internal/catalog
 go test -run '^$' -fuzz '^FuzzColTest$' -fuzztime 10s ./internal/catalog
 
-echo "==> executor gates (recorded answers at every width, mixed-width pulls, deterministic IKKBZ)"
+echo "==> executor gates (recorded answers at every width, mixed-width pulls, merge-join key drops, deterministic IKKBZ)"
 # Also part of the full test run below. A failure of the first command means
 # an operator's rows, order, charged cost or invocation counts depend on the
-# batch width (testdata/executor.golden holds the width-1 answers) or on the
-# width changing between calls on one instance.
+# batch width (testdata/executor.golden holds the width-1 answers; its
+# tight-pool merge-* legs also hold the order a merge join drains its sides
+# in) or on the width changing between calls on one instance. A failure of
+# the second means a merge join whose second side drops the keys its first
+# side lacks differs from the same plan with the drops withheld — rows,
+# charged cost, invocations or an actual= — at Parallelism 1 or 3 (the
+# exchange's parts under the race detector), drops other records than those,
+# or drains its sides in another order than Build's rule says.
 go test -race -count=1 -timeout 30m -run '^(TestExecutorGolden|TestOperatorsWidthSchedule)$' . ./internal/exec
+go test -race -count=1 -run '^TestMergeJoinSideDrops$' ./internal/exec
 # A failure here means LDL-IKKBZ breaks a rank tie by map iteration order
 # again, and the golden above will flake with it.
 go test -count=1 -run 'TestIKKBZDeterministic' ./internal/optimizer
@@ -140,8 +147,10 @@ echo "==> row oracle (the executor's rows against the statement's definition, un
 # Also part of the full test run below; named here so that a result row that
 # the executor gets wrong at every knob setting alike — which the knob
 # lattice, comparing the executor with itself, cannot see — fails under this
-# heading: 200 generated statements at scale 0.01, each answered by a
-# reference evaluator that decodes records off the simulated disk and takes
+# heading: 236 generated statements at scale 0.01 — 200 joins, of which at
+# least 90 reach a merge join's key drops, 12 of Query 5's shape and 24
+# ORDER BY … LIMIT statements, whose order is checked too — each answered by
+# a reference evaluator that decodes records off the simulated disk and takes
 # the cross product, at Parallelism {1, 3} × BatchSize {1, 7, 256} ×
 # caching off/on.
 go test -race -count=1 -run '^TestRowOracle$' .
@@ -173,15 +182,17 @@ echo "==> request-path gates (response bytes, request-body bound, point-lookup a
 go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestPointLookupAllocCount|TestServer.*)$' .
 go test -count=1 -run '^TestFetchMissAllocFree$' ./internal/storage
 
-echo "==> mutation gate (every recorded mutation still caught, race rows under -race, within 180 s)"
+echo "==> mutation gate (every recorded mutation still caught, race rows under -race, hang rows by timeout, within 180 s)"
 # Each row of testdata/mutations.txt is a one-place change to a source file
 # and the tests that must catch it; TestMutations applies it through
 # `go test -overlay` (the tree is never written) and fails the row when none
 # of its tests fails, or when its old text is no longer in the file. A row
-# marked -race builds its tests with the race detector. 55 rows: a cold build
-# cache takes about 120 s on 2 vCPUs (95 s of it in the test binary, which
-# the -timeout budget bounds; the race rows' race builds are most of it), a
-# warm one about 60 s.
+# marked -race builds its tests with the race detector; one marked -hang
+# passes when a 10 s test timeout finds one of its tests still running. 62
+# rows: an empty build cache takes about 195 s on 2 vCPUs (156 s of it in the
+# test binary, which the -timeout budget bounds; the race rows' race builds
+# are most of it, the -hang row and TestExecutorGolden's merge legs 25 s), a
+# warm one about 100 s.
 go test -count=1 -timeout 180s -run '^TestMutations$' .
 
 echo "==> go build ./..."

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -51,11 +52,19 @@ type goldenStmt struct {
 	// Serial only: workers' accesses interleave freely, and a sharded
 	// 6-page pool runs out of frames.
 	tight bool
+	// merge marks a statement whose PushDown plan has a merge join, which
+	// TestExecutorGolden checks: the tight merge legs hold the order a merge
+	// join drains its sides in to the charges recorded before that order
+	// could change.
+	merge bool
 }
 
 // goldenStmts are 40 seeded genQuery statements, Queries 1–5, four ORDER
-// BY / LIMIT shapes, Queries 3–5 under transfer, and eight nested-loop and
-// index-nested-loop shapes under a tight pool.
+// BY / LIMIT shapes, Queries 3–5 under transfer, eight nested-loop and
+// index-nested-loop shapes under a tight pool, and four merge-join shapes
+// under it: Query 4; t10 ⋈ t1, whose inner is the smaller side; the same
+// under transfer, whose prepass reads both tables first; and the same with
+// an IN subquery that reads t1 again.
 func goldenStmts() []goldenStmt {
 	var out []goldenStmt
 	rng := rand.New(rand.NewSource(20261002))
@@ -88,6 +97,10 @@ func goldenStmts() []goldenStmt {
 		{name: "nl-filter-outer", sql: "SELECT * FROM t3, t7 WHERE costly10join(t3.u20, t7.u20) AND t3.u10 < 2"},
 		{name: "nl-join-outer", sql: "SELECT * FROM t2, t3, t4 WHERE t2.a1 = t3.a1 AND t2.ua1 < 20 AND costly10join(t3.u20, t4.u20)"},
 		{name: "nl-join-outer-wide", sql: "SELECT * FROM t4, t6, t3 WHERE t4.a1 = t6.a1 AND t4.ua1 < 30 AND costly10join(t6.u20, t3.u20)"},
+		{name: "merge-query4", sql: harness.Query4, merge: true},
+		{name: "merge-small-inner", sql: "SELECT * FROM t3, t10, t1 WHERE t3.ua1 = t10.ua1 AND t10.ua1 = t1.ua1", merge: true},
+		{name: "merge-small-inner-transfer", sql: "SELECT * FROM t3, t10, t1 WHERE t3.ua1 = t10.ua1 AND t10.ua1 = t1.ua1", transfer: true, merge: true},
+		{name: "merge-small-inner-in", sql: "SELECT * FROM t3, t10, t1 WHERE t3.ua1 = t10.ua1 AND t10.ua1 = t1.ua1 AND t3.u10 IN (SELECT t1.u10 FROM t1 WHERE t1.ua1 < 50)", merge: true},
 	} {
 		s.tight = true
 		out = append(out, s)
@@ -123,11 +136,19 @@ func chargedBits(res *predplace.Result) string {
 	return fmt.Sprintf("charged=%016x", math.Float64bits(res.Stats.Charged()))
 }
 
+// subqueryFunc matches the name an IN subquery's predicate function gets: its
+// table and a sequence number the database counts up per compiled subquery.
+var subqueryFunc = regexp.MustCompile(`\bin_(\w+?)_[0-9]+\b`)
+
+// stableNames drops the sequence numbers from the subquery functions named
+// in s, which differ between two runs of one statement.
+func stableNames(s string) string { return subqueryFunc.ReplaceAllString(s, "in_$1") }
+
 // answerOf renders one leg's outcome as the golden file records it.
 func answerOf(res *predplace.Result) string {
 	var inv []string
 	for fn, n := range res.Stats.Invocations {
-		inv = append(inv, fmt.Sprintf("%s=%d", fn, n))
+		inv = append(inv, fmt.Sprintf("%s=%d", stableNames(fn), n))
 	}
 	sort.Strings(inv)
 	return fmt.Sprintf("rows=%d sha256=%s %s inv=%s dnf=%v", len(res.Rows),
@@ -229,6 +250,9 @@ func TestExecutorGolden(t *testing.T) {
 						t.Errorf("%s width %d:\n got %s\nwant %s\nquery: %s", key, w, got, want[key], s.sql)
 					}
 					serial = res
+				}
+				if s.merge && algo == predplace.PushDown && !strings.Contains(serial.Plan, "MergeJoin") {
+					t.Errorf("%s plans no merge join:\n%s", key, serial.Plan)
 				}
 				if caching || s.tight {
 					continue

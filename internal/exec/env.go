@@ -141,6 +141,10 @@ type Env struct {
 	// scan, which drops the records the loop's sweep memo rejects
 	// (sweepScans); written once by Build, like ordered.
 	sweeps map[*plan.Join]*plan.SeqScan
+	// merges holds, by merge join and by the scan that drops for it, how each
+	// merge join drains its sides (mergeDrains); written once by Build, like
+	// ordered, and only the join's own drain, keys and dropped, change.
+	merges map[plan.Node]*mergeDrain
 	// slabs owns every row the query carves below its result-producing
 	// operator (rowAlloc); Run releases it on every exit, once the iterator
 	// tree is closed and its goroutines joined.

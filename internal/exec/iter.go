@@ -58,8 +58,9 @@ func next(it Iterator) (expr.Row, bool, error) {
 //
 // The same rule one step down decides what a scan decodes: a record a cheap
 // comparison rejects is never a row (recordRuns), nor is one a nested loop's
-// memo has already rejected (sweepScans), and a column is decoded by the
-// first operator that needs it (thinScans).
+// memo has already rejected (sweepScans), nor one a merge join's first side
+// has no key for (mergeDrains), and a column is decoded by the first operator
+// that needs it (thinScans).
 func Build(e *Env, n plan.Node) (Iterator, error) {
 	e.ordered = nil
 	if e.workers() > 1 {
@@ -68,6 +69,7 @@ func Build(e *Env, n plan.Node) (Iterator, error) {
 	e.runs = e.recordRuns(n)
 	e.thin = e.thinScans(n)
 	e.sweeps = e.sweepScans(n)
+	e.merges = e.mergeDrains(n)
 	it, err := buildIn(e, n, nil)
 	if p, ok := it.(*profIter); ok {
 		p.root = true
@@ -282,6 +284,120 @@ func (e *Env) sweepScans(root plan.Node) map[*plan.Join]*plan.SeqScan {
 		}
 	})
 	return out
+}
+
+// mergeDrain is how a merge join drains its sides (DESIGN.md §12): which one
+// first, and whether the second's heap scan drops, on the encoded record,
+// every record whose key the first side lacks — a record that can join
+// nothing never becomes a row.
+type mergeDrain struct {
+	// innerFirst: the inner side drains first and the outer second.
+	innerFirst bool
+	// scan is the second side's heap scan, bare or under filters it absorbed
+	// (recordRuns), or nil when that side is anything else; field is the
+	// join key in its records, an int column.
+	scan  *plan.SeqScan
+	field catalog.IntField
+	// keys is the first side's set of keys while the second drains, set by
+	// the join, nil otherwise; the scan reads it at Open, so exchange parts
+	// share it. dropped counts the records the scan's instances dropped this
+	// query, each part adding its own.
+	keys    *keySet
+	dropped atomic.Int64
+}
+
+// mergeDrains derives from the plan alone how each merge join drains its
+// sides, keyed by the join and by the scan that drops. The outer drains
+// first, and the inner's scan drops — unless both sides are such scans, the
+// inner's estimate is the smaller and nothing else in the statement reads
+// either table: then the inner drains first and the outer's scan drops, so
+// the larger side is the one the smaller's keys thin out. Nothing else
+// reading means no other scan of the table, no transfer prepass (which reads
+// every table first), no subquery predicate (which reads tables as it
+// evaluates), and no nested loop rebuilding the join (its next build reads
+// both tables again). Then every page of the two scans is a miss in the
+// query's private pool in either order, because no other access touches it,
+// and what either order evicts of other tables' pages is the same count of
+// least recently used frames: the charged I/O cannot change.
+func (e *Env) mergeDrains(root plan.Node) map[plan.Node]*mergeDrain {
+	var merges []*plan.Join
+	plan.Walk(root, func(n plan.Node) {
+		if j, ok := n.(*plan.Join); ok && j.Method == plan.MergeJoin {
+			merges = append(merges, j)
+		}
+	})
+	if merges == nil {
+		return nil
+	}
+	reads := map[string]int{}
+	rebuilt := map[plan.Node]bool{}
+	subquery := false
+	readsIO := func(p *query.Predicate) {
+		if p != nil && p.Func != nil && p.Func.EvalIO != nil {
+			subquery = true
+		}
+	}
+	plan.Walk(root, func(n plan.Node) {
+		switch t := n.(type) {
+		case *plan.SeqScan:
+			reads[t.Table]++
+		case *plan.IndexScan:
+			reads[t.Table]++
+			readsIO(t.Matched)
+		case *plan.Filter:
+			readsIO(t.Pred)
+		case *plan.Join:
+			readsIO(t.Primary)
+			if t.Method == plan.NestLoop {
+				plan.Walk(t.Inner, func(n plan.Node) { rebuilt[n] = true })
+			}
+		}
+	})
+	var out map[plan.Node]*mergeDrain
+	for _, j := range merges {
+		oi, ii, err := joinKeyIdx(j.Primary, j.Outer, j.Inner)
+		if err != nil {
+			continue // the join's constructor reports it
+		}
+		d := &mergeDrain{}
+		d.scan, d.field = e.keyScan(j.Inner, ii)
+		outer, field := e.keyScan(j.Outer, oi)
+		if d.scan != nil && outer != nil && j.Inner.Card() < j.Outer.Card() && !e.Transfer && !subquery &&
+			!rebuilt[j] && reads[d.scan.Table] == 1 && reads[outer.Table] == 1 {
+			d.innerFirst, d.scan, d.field = true, outer, field
+		}
+		if d.scan == nil {
+			continue
+		}
+		if out == nil {
+			out = map[plan.Node]*mergeDrain{}
+		}
+		out[j], out[d.scan] = d, d
+	}
+	return out
+}
+
+// keyScan returns the heap scan side n is — bare, or topping the run of
+// filters it absorbed — and the IntField of its column idx, when that column
+// is an int column; nil otherwise.
+func (e *Env) keyScan(n plan.Node, idx int) (*plan.SeqScan, catalog.IntField) {
+	if r := e.runs[n]; r != nil && r.top() == n {
+		n = r.scan
+	}
+	scan, ok := n.(*plan.SeqScan)
+	if !ok {
+		return nil, catalog.IntField{}
+	}
+	tab, err := e.Cat.Table(scan.Table)
+	if err != nil || tab.Codec == nil || len(scan.ColRefs) != len(tab.Columns) ||
+		idx < 0 || idx >= len(tab.Columns) || tab.Columns[idx].Type != expr.TInt {
+		return nil, catalog.IntField{}
+	}
+	field, ok := tab.Codec.IntField(idx)
+	if !ok {
+		return nil, catalog.IntField{}
+	}
+	return scan, field
 }
 
 // finisherFor returns what completes the rows input n delivers: the
@@ -558,7 +674,14 @@ type seqScanIter struct {
 	// sweep is the memo of the nested loop whose bare inner this scan is
 	// (Env.sweeps), or nil: a record it rejects is dropped, not carved.
 	sweep *sweepMemo
-	tc    *opCounters
+	// merge is the drain of the merge join whose second side this scan is
+	// (Env.merges), or nil; keys, from Open on, is its first side's keys, or
+	// nil: a record whose key is NULL or not in it is dropped, not carved,
+	// and counted in dropped until the batch ends.
+	merge   *mergeDrain
+	keys    *keySet
+	dropped int
+	tc      *opCounters
 }
 
 func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
@@ -569,7 +692,7 @@ func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
 	if tab.Heap == nil || tab.Codec == nil {
 		return nil, fmt.Errorf("exec: table %s has no storage", s.Table)
 	}
-	it := &seqScanIter{e: e, tab: tab, parts: 1, alloc: rowAlloc{pool: rs}, rt: recordTests{run: e.runs[s]}}
+	it := &seqScanIter{e: e, tab: tab, parts: 1, alloc: rowAlloc{pool: rs}, rt: recordTests{run: e.runs[s]}, merge: e.merges[s]}
 	if rs != nil { // a thin scan's ring is a slab of the rows' pool
 		it.thin = e.thin[s]
 	}
@@ -593,6 +716,9 @@ func (s *seqScanIter) Open() error {
 	}
 	s.probes = s.e.transferProbes(s.tab.Name)
 	s.rt.open()
+	if s.merge != nil {
+		s.keys = s.merge.keys
+	}
 	return nil
 }
 
@@ -608,6 +734,9 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	}
 	if s.rt.run != nil {
 		defer s.rt.flush()
+	}
+	if s.keys != nil {
+		defer s.flushDropped()
 	}
 	codec, width := s.tab.Codec, len(s.tab.Columns)
 	if s.thin != nil && width <= slabValues {
@@ -686,6 +815,12 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 		if s.sweep != nil && s.sweep.rejects(rec) {
 			continue
 		}
+		if s.keys != nil {
+			if k, null, ok := s.merge.field.Read(rec); ok && (null || !s.keys.has(k)) {
+				s.dropped++
+				continue
+			}
+		}
 		row := s.alloc.next(width)
 		if s.thin != nil {
 			if poisonSlabs {
@@ -702,6 +837,15 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// flushDropped adds the records dropped since the last flush to the merge
+// join's count: once per NextBatch, not once per record.
+func (s *seqScanIter) flushDropped() {
+	if s.dropped > 0 {
+		s.merge.dropped.Add(int64(s.dropped))
+		s.dropped = 0
+	}
 }
 
 func (s *seqScanIter) Close() error {

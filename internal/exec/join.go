@@ -620,7 +620,10 @@ func (h *hashJoinIter) Close() error {
 
 // mergeJoinIter materializes both inputs, sorts whichever sides the plan
 // marks unsorted (charging external-sort spill), and merges equal-key
-// groups.
+// groups. It drains the sides one after the other in the order Build chose
+// (Env.merges), and where the second is a heap scan that scan drops every
+// record whose key the first side lacks — a record no merge could pair —
+// and the join counts each drop as the row of that side it would have been.
 type mergeJoinIter struct {
 	e      *Env
 	node   *plan.Join
@@ -646,37 +649,73 @@ func newMergeJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	return &mergeJoinIter{e: e, node: j, outIdx: oi, inIdx: ii, alloc: rowAlloc{pool: rs}}, nil
 }
 
-// drain builds n over rs and collects every row it produces.
-func drain(e *Env, n plan.Node, rs *slabPool) ([]expr.Row, error) {
+// drain builds n over rs and collects every row it produces, card, an
+// estimate of how many, sizing the first allocation (cardHint).
+func drain(e *Env, n plan.Node, card float64, rs *slabPool) ([]expr.Row, error) {
 	it, err := buildIn(e, n, rs)
 	if err != nil {
 		return nil, err
 	}
-	rows, _, err := collect(e, it, n.Card(), true)
+	rows, _, err := collect(e, it, card, true)
 	if err := errors.Join(err, it.Close()); err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
 
+// Open drains both sides and sorts them. A side's records its scan dropped
+// are still that side's rows to what counts them: its actual= (under
+// Profile, through the node the join reads the side from) and its sort
+// spill, charged outer first as ever. What the dropping side keeps has a
+// key of the first side, so each kept row makes at least one pair: the
+// join's estimate bounds it too.
 func (m *mergeJoinIter) Open() error {
-	var err error
 	in := m.e.below(m.alloc.pool)
-	if m.orows, err = drain(m.e, m.node.Outer, in); err != nil {
+	d := m.e.merges[m.node]
+	first, second := &m.orows, &m.irows
+	firstNode, secondNode, firstIdx := m.node.Outer, m.node.Inner, m.outIdx
+	if d != nil && d.innerFirst {
+		first, second = second, first
+		firstNode, secondNode, firstIdx = secondNode, firstNode, m.inIdx
+	}
+	var err error
+	if *first, err = drain(m.e, firstNode, firstNode.Card(), in); err != nil {
 		return err
 	}
-	if m.irows, err = drain(m.e, m.node.Inner, in); err != nil {
+	var dropped int64
+	if d != nil {
+		card := secondNode.Card()
+		if d.keys = keysOf(*first, firstIdx); d.keys != nil {
+			card = min(card, m.node.Card())
+		}
+		before := d.dropped.Load()
+		*second, err = drain(m.e, secondNode, card, in)
+		if d.keys != nil {
+			keySetPool.Put(d.keys)
+		}
+		d.keys, dropped = nil, d.dropped.Load()-before
+		if m.e.prof != nil && dropped > 0 {
+			m.e.nodeProf(secondNode).rows.Add(dropped)
+		}
+	} else {
+		*second, err = drain(m.e, secondNode, secondNode.Card(), in)
+	}
+	if err != nil {
 		return err
 	}
-	sortSide := func(rows []expr.Row, idx int) {
-		m.e.ChargeSynthetic(float64(len(rows)) * cost.SortSpillPerTuple)
+	sortSide := func(rows []expr.Row, idx int, node plan.Node) {
+		n := len(rows)
+		if node == secondNode {
+			n += int(dropped)
+		}
+		m.e.ChargeSynthetic(float64(n) * cost.SortSpillPerTuple)
 		sortRowsByKey(rows, idx)
 	}
 	if m.node.SortOuter {
-		sortSide(m.orows, m.outIdx)
+		sortSide(m.orows, m.outIdx, m.node.Outer)
 	}
 	if m.node.SortInner {
-		sortSide(m.irows, m.inIdx)
+		sortSide(m.irows, m.inIdx, m.node.Inner)
 	}
 	m.opened = true
 	return m.e.checkAbort()

@@ -148,6 +148,84 @@ func (t *joinTable) first(key expr.Value) int32 {
 	return -1
 }
 
+// keySet is a set of integer join keys: the keys a merge join's first side
+// has, which its second side's scan looks its records' keys up in (Env.merges).
+// Open addressing with Fibonacci hashing and linear probing, as in joinTable,
+// sized once for the keys it will hold and so never more than half full. An
+// empty slot holds 0, so the key 0 is a flag of its own. Not safe for
+// concurrent add; a finished set is only read.
+type keySet struct {
+	slots []int64 // power-of-two length
+	shift uint    // 64 - log2(len(slots))
+	zero  bool    // whether 0 is in the set
+}
+
+// keySetPool recycles key sets: a merge join's lives only while its second
+// side drains.
+var keySetPool = sync.Pool{New: func() interface{} { return new(keySet) }}
+
+// getKeySet returns an empty set for at most n keys, from the pool; the
+// caller puts it back (keySetPool.Put) once nothing reads it.
+func getKeySet(n int) *keySet {
+	slots := joinTableMinSlots
+	for slots < 2*n {
+		slots *= 2
+	}
+	s := keySetPool.Get().(*keySet)
+	if cap(s.slots) < slots {
+		s.slots = make([]int64, slots)
+	} else {
+		s.slots = s.slots[:slots]
+		clear(s.slots)
+	}
+	s.shift, s.zero = uint(64-bits.TrailingZeros(uint(slots))), false
+	return s
+}
+
+// slot returns the slot holding k (k != 0), or the empty slot where it
+// belongs.
+func (s *keySet) slot(k int64) *int64 {
+	mask := uint64(len(s.slots) - 1)
+	for i := fibHash(k, s.shift); ; i = (i + 1) & mask {
+		if sl := &s.slots[i]; *sl == 0 || *sl == k {
+			return sl
+		}
+	}
+}
+
+func (s *keySet) add(k int64) {
+	if k == 0 {
+		s.zero = true
+		return
+	}
+	*s.slot(k) = k
+}
+
+func (s *keySet) has(k int64) bool {
+	if k == 0 {
+		return s.zero
+	}
+	return *s.slot(k) != 0
+}
+
+// keysOf returns the set of rows' keys in column idx, NULL left out — or nil
+// when a key is neither NULL nor an integer, which a keySet cannot hold. A
+// set it returns is the pool's (getKeySet).
+func keysOf(rows []expr.Row, idx int) *keySet {
+	s := getKeySet(len(rows))
+	for _, r := range rows {
+		switch k := r[idx]; k.Kind {
+		case expr.TInt:
+			s.add(k.I)
+		case expr.TNull:
+		default:
+			keySetPool.Put(s)
+			return nil
+		}
+	}
+	return s
+}
+
 // keyPos is one sort record: a row's integer key and its input position.
 type keyPos struct {
 	key int64

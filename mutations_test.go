@@ -22,13 +22,15 @@ type mutation struct {
 	tests                   []string
 	pr                      string
 	race                    bool // the tests catch it under the race detector
+	hang                    bool // the tests catch it by hanging
 }
 
 // readMutations parses testdata/mutations.txt: '#' lines and blank lines are
 // comments; every other line is seven tab-separated fields — id, file, old
 // text, new text (both Go string literals), package, comma-separated test
 // names, and the PR that recorded the mutation — and an optional eighth,
-// "-race", for a mutation only the race detector sees.
+// "-race", for a mutation only the race detector sees, or "-hang", for one
+// whose only symptom is that a test never finishes.
 func readMutations(t *testing.T) []mutation {
 	f, err := os.Open(filepath.Join("testdata", "mutations.txt"))
 	if err != nil {
@@ -43,10 +45,13 @@ func readMutations(t *testing.T) []mutation {
 			continue
 		}
 		fields := strings.Split(text, "\t")
-		if len(fields) != 7 && (len(fields) != 8 || fields[7] != "-race") {
-			t.Fatalf("mutations.txt:%d: %d tab-separated fields, want 7, or 8 ending in -race", line, len(fields))
+		if len(fields) != 7 && (len(fields) != 8 || fields[7] != "-race" && fields[7] != "-hang") {
+			t.Fatalf("mutations.txt:%d: %d tab-separated fields, want 7, or 8 ending in -race or -hang", line, len(fields))
 		}
-		m := mutation{id: fields[0], file: fields[1], pkg: fields[4], tests: strings.Split(fields[5], ","), pr: fields[6], race: len(fields) == 8}
+		m := mutation{id: fields[0], file: fields[1], pkg: fields[4], tests: strings.Split(fields[5], ","), pr: fields[6]}
+		if len(fields) == 8 {
+			m.race, m.hang = fields[7] == "-race", fields[7] == "-hang"
+		}
 		if m.old, err = strconv.Unquote(fields[2]); err != nil {
 			t.Fatalf("mutations.txt:%d: old text: %v", line, err)
 		}
@@ -65,12 +70,36 @@ func readMutations(t *testing.T) []mutation {
 // and running the named tests.
 const mutationTimeout = 100 * time.Second
 
+// hangTimeout is the test binary's -timeout for a -hang row: several times
+// what its tests take unmutated (TestRowOracle: about 2 s), well inside
+// mutationTimeout.
+const hangTimeout = 10 * time.Second
+
+// timedOut reports whether out is a test binary's timeout panic that lists
+// one of tests as running.
+func timedOut(out string, tests []string) bool {
+	_, running, ok := strings.Cut(out, "panic: test timed out")
+	if !ok {
+		return false
+	}
+	for _, ln := range strings.Split(running, "\n") {
+		for _, name := range tests {
+			if strings.HasPrefix(strings.TrimSpace(ln), name+" (") {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestMutations applies each row of testdata/mutations.txt through
 // `go test -overlay` — the working tree is never written — and passes the
 // row only if one of its named tests fails. A row whose old text is not
 // found exactly once fails too, so a refactor that moves the code updates
 // the row instead of dropping it. A "-race" row builds its tests with the
-// race detector, whose report fails the test it happens in. Rows run two at
+// race detector, whose report fails the test it happens in; a "-hang" row
+// runs them under hangTimeout and passes when the timeout finds one still
+// running. Rows run two at
 // a time; check.sh's mutation gate runs this test on its own. It builds and
 // runs test binaries, so it is skipped under -short, and under the race
 // detector, where the gate has already run it.
@@ -125,7 +154,11 @@ func TestMutations(t *testing.T) {
 			if m.race {
 				args = append(args, "-race")
 			}
-			args = append(args, "-timeout", mutationTimeout.String(), "-run", "^("+strings.Join(m.tests, "|")+")$", m.pkg)
+			timeout := mutationTimeout
+			if m.hang {
+				timeout = hangTimeout
+			}
+			args = append(args, "-timeout", timeout.String(), "-run", "^("+strings.Join(m.tests, "|")+")$", m.pkg)
 			var out []byte
 			// The race a race row plants can end its test binary with an
 			// unrecoverable runtime error (concurrent map writes) before any
@@ -141,6 +174,9 @@ func TestMutations(t *testing.T) {
 					if strings.Contains(string(out), "--- FAIL: "+name+" ") {
 						return
 					}
+				}
+				if m.hang && timedOut(string(out), m.tests) {
+					return
 				}
 				if !m.race || !strings.Contains(string(out), "fatal error: ") {
 					break

@@ -14,6 +14,7 @@ package predplace_test
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -87,17 +88,133 @@ type conjunct struct {
 
 // answer returns the result of a SELECT * statement: its column names in
 // FROM order and its rows in that order, each rendered as its values' key
-// encoding, sorted. A combination whose conjuncts so far are not all TRUE
-// cannot make the conjunction TRUE, so the cross product skips its
-// extensions — which changes how much is enumerated, never what is kept.
+// encoding, sorted.
 func (o *rowOracle) answer(t *testing.T, sql string) (cols, rows []string) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stmt.Star || stmt.CountStar || stmt.OrderBy.Col != "" || stmt.Limit >= 0 {
-		t.Fatalf("oracle: %q is not a plain SELECT *", sql)
+	if stmt.OrderBy.Col != "" || stmt.Limit >= 0 {
+		t.Fatalf("oracle: %q has ORDER BY or LIMIT", sql)
+	}
+	cols, all := o.eval(t, sql, stmt)
+	return cols, encodeRows(all)
+}
+
+// encodeRows renders rows as their values' key encodings, sorted.
+func encodeRows(rows []expr.Row) []string {
+	out := make([]string, len(rows))
+	var buf []byte
+	for i, row := range rows {
+		buf = buf[:0]
+		for _, v := range row {
+			buf = v.AppendKey(buf)
+		}
+		out[i] = string(buf)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// ordered is the answer to a SELECT * … ORDER BY key LIMIT k statement: the
+// statement's rows sorted stably by the key column (descending with DESC)
+// and the first k of them kept, and every row the statement has before the
+// LIMIT, by which the rows a plan may keep at the last key kept are judged.
+type ordered struct {
+	cols      []string
+	key       int // the ORDER BY column, in cols
+	kept, all []expr.Row
+}
+
+// answerOrdered answers a SELECT * statement with ORDER BY and LIMIT.
+func (o *rowOracle) answerOrdered(t *testing.T, sql string) ordered {
+	t.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stmt.OrderBy.Col == "" || stmt.Limit < 0 {
+		t.Fatalf("oracle: %q is not ORDER BY … LIMIT", sql)
+	}
+	var a ordered
+	a.cols, a.all = o.eval(t, sql, stmt)
+	if a.key = slices.Index(a.cols, stmt.OrderBy.String()); a.key < 0 {
+		t.Fatalf("oracle: %q orders by %s, not a column of %v", sql, stmt.OrderBy, a.cols)
+	}
+	dir := 1
+	if stmt.Desc {
+		dir = -1
+	}
+	a.kept = slices.Clone(a.all)
+	slices.SortStableFunc(a.kept, func(x, y expr.Row) int { return dir * x[a.key].Compare(y[a.key]) })
+	a.kept = a.kept[:min(len(a.kept), int(stmt.Limit))]
+	return a
+}
+
+// check holds an executor's result, in the order it delivered it, to the
+// answer. A plan may break ties among rows of one key differently than a
+// stable sort does, so: the keys in delivered order are the answer's keys;
+// rows with a key before the last key kept are the answer's as a multiset;
+// and each row at that last key is a row of the statement with that key, as
+// many as the answer keeps.
+func (a ordered) check(res *predplace.Result) error {
+	idx := make([]int, len(a.cols))
+	for i, c := range a.cols {
+		if idx[i] = slices.Index(res.Cols, c); idx[i] < 0 {
+			return fmt.Errorf("result has no column %s (columns %v)", c, res.Cols)
+		}
+	}
+	got := make([]expr.Row, len(res.Rows))
+	for i, row := range res.Rows {
+		got[i] = make(expr.Row, len(idx))
+		for j, k := range idx {
+			got[i][j] = row[k]
+		}
+	}
+	if len(got) != len(a.kept) {
+		return fmt.Errorf("%d rows, the oracle keeps %d", len(got), len(a.kept))
+	}
+	if len(got) == 0 {
+		return nil
+	}
+	for i := range got {
+		if got[i][a.key].Compare(a.kept[i][a.key]) != 0 {
+			return fmt.Errorf("row %d has key %v, the oracle's %v", i, got[i][a.key], a.kept[i][a.key])
+		}
+	}
+	last := a.kept[len(a.kept)-1][a.key]
+	before := func(rows []expr.Row) []expr.Row {
+		return slices.DeleteFunc(slices.Clone(rows), func(r expr.Row) bool { return r[a.key].Compare(last) == 0 })
+	}
+	if g, w := encodeRows(before(got)), encodeRows(before(a.kept)); !slices.Equal(g, w) {
+		return fmt.Errorf("before the last key kept (%v): %s", last, firstDifference(g, w))
+	}
+	atLast := func(rows []expr.Row) []expr.Row {
+		return slices.DeleteFunc(slices.Clone(rows), func(r expr.Row) bool { return r[a.key].Compare(last) != 0 })
+	}
+	pool := map[string]int{}
+	for _, r := range encodeRows(atLast(a.all)) {
+		pool[r]++
+	}
+	for _, r := range encodeRows(atLast(got)) {
+		if pool[r]--; pool[r] < 0 {
+			return fmt.Errorf("at the last key kept (%v): row %q is not one of the statement's", last, strings.ToValidUTF8(r, "?"))
+		}
+	}
+	return nil
+}
+
+// eval answers stmt, a SELECT * statement, by its definition, ORDER BY and
+// LIMIT aside: its column names in FROM order and its rows — each the FROM
+// tables' rows side by side — in the cross product's order. A combination
+// whose conjuncts so far are not all TRUE cannot make the conjunction TRUE,
+// so the cross product skips its extensions — which changes how much is
+// enumerated, never what is kept.
+func (o *rowOracle) eval(t *testing.T, sql string, stmt *sqlparse.SelectStmt) (cols []string, rows []expr.Row) {
+	t.Helper()
+	if !stmt.Star || stmt.CountStar {
+		t.Fatalf("oracle: %q is not a SELECT *", sql)
 	}
 	var tabs []*catalog.Table
 	for _, name := range stmt.Tables {
@@ -196,17 +313,10 @@ func (o *rowOracle) answer(t *testing.T, sql string) (cols, rows []string) {
 	}
 
 	bound := make([]expr.Row, len(tabs))
-	var buf []byte
 	var walk func(depth int)
 	walk = func(depth int) {
 		if depth == len(tabs) {
-			buf = buf[:0]
-			for _, row := range bound {
-				for _, v := range row {
-					buf = v.AppendKey(buf)
-				}
-			}
-			rows = append(rows, string(buf))
+			rows = append(rows, slices.Concat(bound...))
 			return
 		}
 		for _, row := range o.rows[tabs[depth].Name] {
@@ -223,7 +333,6 @@ func (o *rowOracle) answer(t *testing.T, sql string) (cols, rows []string) {
 		}
 	}
 	walk(0)
-	slices.Sort(rows)
 	return cols, rows
 }
 
@@ -278,28 +387,106 @@ func genExpensiveJoin(rng *rand.Rand) string {
 	return fmt.Sprintf("SELECT * FROM %s WHERE %s", strings.Join(tables, ", "), strings.Join(preds, " AND "))
 }
 
+// genOrderLimit draws a SELECT * … ORDER BY key LIMIT k statement over one
+// of three inputs — a scan, an expensive filter over a scan, an equi-join —
+// keyed on a column with many ties or none, ascending or descending.
+func genOrderLimit(rng *rand.Rand) string {
+	tables := []string{"t1", "t2", "t3"}
+	rng.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
+	var from, where string
+	switch rng.Intn(3) {
+	case 0:
+		from = tables[0]
+		if rng.Intn(2) == 0 {
+			where = fmt.Sprintf(" WHERE %s.u20 < %d", tables[0], 1+rng.Intn(19))
+		}
+	case 1:
+		from = tables[0]
+		where = fmt.Sprintf(" WHERE costly10(%s.u20) AND %s.u100 >= %d", tables[0], tables[0], rng.Intn(60))
+	default:
+		from = tables[0] + ", " + tables[1]
+		where = fmt.Sprintf(" WHERE %s.ua1 = %s.ua1", tables[0], tables[1])
+		if rng.Intn(2) == 0 {
+			where += fmt.Sprintf(" AND costly1(%s.u10)", tables[1])
+		}
+	}
+	key := fmt.Sprintf("%s.%s", tables[rng.Intn(len(strings.Split(from, ", ")))], []string{"u10", "u20", "u100", "ua1"}[rng.Intn(4)])
+	dir := ""
+	if rng.Intn(2) == 0 {
+		dir = " DESC"
+	}
+	return fmt.Sprintf("SELECT * FROM %s%s ORDER BY %s%s LIMIT %d", from, where, key, dir, []int{1, 5, 17, 60}[rng.Intn(4)])
+}
+
+// reachesMergeDrop reports whether a rendered plan has a merge join whose
+// inner is a heap scan, bare or under `column op constant` filters the scan
+// absorbs: with integer keys, as genQuery's are, one of that join's sides then
+// drains second and its scan drops the keys the first side lacks.
+func reachesMergeDrop(rendered string) bool {
+	lines := strings.Split(rendered, "\n")
+	indent := func(ln string) int { return (len(ln) - len(strings.TrimLeft(ln, " "))) / 2 }
+	for i, ln := range lines {
+		if !strings.HasPrefix(strings.TrimSpace(ln), "MergeJoin ") {
+			continue
+		}
+		d, children := indent(ln), 0
+		for j := i + 1; j < len(lines) && indent(lines[j]) > d && strings.TrimSpace(lines[j]) != ""; j++ {
+			if indent(lines[j]) != d+1 {
+				continue
+			}
+			if children++; children < 2 {
+				continue
+			}
+			for k := j; k < len(lines); k++ {
+				node := strings.TrimSpace(lines[k])
+				if strings.HasPrefix(node, "SeqScan ") {
+					return true
+				}
+				if !cheapFilter.MatchString(node) {
+					break
+				}
+			}
+			break
+		}
+	}
+	return false
+}
+
+// cheapFilter matches a rendered filter comparing a column with a constant.
+var cheapFilter = regexp.MustCompile(`^Filter \w+\.\w+ (=|<>|<|<=|>|>=) [^ .]+ \(cost=`)
+
 // TestRowOracle checks the row multiset of 200 genQuery statements and 12
 // genExpensiveJoin ones against the oracle at scale 0.01, at Parallelism
 // {1, 3} × BatchSize {1, 7, 256} × caching off and on, each statement under
-// one placement algorithm in turn. Charged cost and row order are other
-// tests' business.
+// one placement algorithm in turn; and 24 genOrderLimit statements' rows
+// with their order (ordered.check). Charged cost is other tests' business.
+// At least mergeDropStatements of the genQuery statements plan a merge join
+// whose second side drops keys on the record.
 func TestRowOracle(t *testing.T) {
 	const scale = 0.01
+	const mergeDropStatements = 90
 	tables := []int{1, 2, 3}
 	oracle := newRowOracle(t, scale, tables)
 	rng := rand.New(rand.NewSource(19940524))
 	type stmt struct {
 		sql        string
 		cols, rows []string
+		top        ordered // ORDER BY … LIMIT statements only
 	}
-	stmts := make([]stmt, 212)
+	stmts := make([]stmt, 236)
 	joins := rand.New(rand.NewSource(19940601))
+	tops := rand.New(rand.NewSource(19940715))
 	for i := range stmts {
 		s := &stmts[i]
-		if i < 200 {
+		switch {
+		case i < 200:
 			s.sql = genQuery(rng)
-		} else {
+		case i < 212:
 			s.sql = genExpensiveJoin(joins)
+		default:
+			s.sql = genOrderLimit(tops)
+			s.top = oracle.answerOrdered(t, s.sql)
+			continue
 		}
 		s.cols, s.rows = oracle.answer(t, s.sql)
 	}
@@ -313,7 +500,7 @@ func TestRowOracle(t *testing.T) {
 			db.SetBatchSize(bs)
 			for _, caching := range []bool{false, true} {
 				db.SetCaching(caching)
-				failed := 0
+				failed, drops := 0, 0
 				for i, s := range stmts {
 					algo := algos[i%len(algos)]
 					where := fmt.Sprintf("statement %d under %v, Parallelism %d, BatchSize %d, caching %v: %s",
@@ -322,12 +509,24 @@ func TestRowOracle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}
-					if got := oracleRows(t, s.cols, res); !slices.Equal(got, s.rows) {
-						t.Errorf("%s: %d rows, the oracle's %d; %s", where, len(got), len(s.rows), firstDifference(got, s.rows))
+					if i < 200 && reachesMergeDrop(res.Plan) {
+						drops++
+					}
+					if s.top.cols != nil {
+						err = s.top.check(res)
+					} else if got := oracleRows(t, s.cols, res); !slices.Equal(got, s.rows) {
+						err = fmt.Errorf("%d rows, the oracle's %d; %s", len(got), len(s.rows), firstDifference(got, s.rows))
+					}
+					if err != nil {
+						t.Errorf("%s: %v", where, err)
 						if failed++; failed == 5 {
 							t.FailNow()
 						}
 					}
+				}
+				if drops < mergeDropStatements {
+					t.Fatalf("Parallelism %d, caching %v: %d genQuery statements reach a merge join's key drops, want at least %d",
+						par, caching, drops, mergeDropStatements)
 				}
 			}
 		}
