@@ -147,12 +147,13 @@ echo "==> row oracle (the executor's rows against the statement's definition, un
 # Also part of the full test run below; named here so that a result row that
 # the executor gets wrong at every knob setting alike — which the knob
 # lattice, comparing the executor with itself, cannot see — fails under this
-# heading: 236 generated statements at scale 0.01 — 200 joins, of which at
-# least 90 reach a merge join's key drops, 12 of Query 5's shape and 24
-# ORDER BY … LIMIT statements, whose order is checked too — each answered by
-# a reference evaluator that decodes records off the simulated disk and takes
-# the cross product, at Parallelism {1, 3} × BatchSize {1, 7, 256} ×
-# caching off/on.
+# heading: 260 generated statements at scale 0.01 — 200 joins, of which at
+# least 90 reach a merge join's key drops, 12 of Query 5's shape, 24
+# ORDER BY … LIMIT statements, whose order is checked too, and 24 that plan
+# an index access (at least 7 an IndexScan, 9 an IndexNestLoop; each Open's
+# first one builds its tree) — each answered by a reference evaluator that
+# decodes records off the simulated disk and takes the cross product, at
+# Parallelism {1, 3} × BatchSize {1, 7, 256} × caching off/on.
 go test -race -count=1 -run '^TestRowOracle$' .
 
 echo "==> ORDER BY / LIMIT gate (the plan root against the in-test reference sort)"
@@ -182,17 +183,33 @@ echo "==> request-path gates (response bytes, request-body bound, point-lookup a
 go test -count=1 -run '^(TestQueryResponseBytes|TestPointLookupAllocBudget|TestPointLookupAllocCount|TestServer.*)$' .
 go test -count=1 -run '^TestFetchMissAllocFree$' ./internal/storage
 
+echo "==> load gate (the loader against the per-tuple load, a deferred index built once on first use, the tree under fuzz)"
+# Also part of the full test run below; named here so that a load that puts
+# a record on another page or slot, leaves the pool with other resident pages
+# (pins, dirty bits, LRU order), or a deferred B-tree that differs from the
+# eagerly built one — node for node, in Probe/Range answers or in the leaf
+# reads it charges — after its first probe, a post-load Insert or Delete, or
+# an OpenFile round trip, fails under this heading; and so does a tree built
+# twice, or read before its build, when goroutines or server sessions at
+# Parallelism 3 probe it first at once (under the race detector). The fuzz
+# smoke is bounded; a crasher it finds is written under
+# internal/btree/testdata/fuzz and becomes a committed seed.
+go test -count=1 -run '^(TestLoaderMatchesPerTupleLoad|TestAppender.*)$' ./internal/datagen ./internal/storage
+go test -race -count=1 -run '^(TestDeferred.*|FuzzDeferredTree)$' ./internal/btree
+go test -race -count=1 -run '^(TestFirstProbeConcurrentSessions|TestOpenFileDefersIndexes)$' .
+go test -run '^$' -fuzz '^FuzzDeferredTree$' -fuzztime 10s ./internal/btree
+
 echo "==> mutation gate (every recorded mutation still caught, race rows under -race, hang rows by timeout, within 180 s)"
 # Each row of testdata/mutations.txt is a one-place change to a source file
 # and the tests that must catch it; TestMutations applies it through
 # `go test -overlay` (the tree is never written) and fails the row when none
 # of its tests fails, or when its old text is no longer in the file. A row
 # marked -race builds its tests with the race detector; one marked -hang
-# passes when a 10 s test timeout finds one of its tests still running. 62
-# rows: an empty build cache takes about 195 s on 2 vCPUs (156 s of it in the
-# test binary, which the -timeout budget bounds; the race rows' race builds
-# are most of it, the -hang row and TestExecutorGolden's merge legs 25 s), a
-# warm one about 100 s.
+# passes when a 10 s test timeout finds one of its tests still running. 68
+# rows: an empty build cache takes about 218 s on 2 vCPUs (174 s of it in the
+# test binary, which the -timeout budget bounds — the parent's 62 rows took
+# 173 s the same day; the race rows' race builds are most of it, the -hang
+# row and TestExecutorGolden's merge legs 25 s), a warm one 69–144 s.
 go test -count=1 -timeout 180s -run '^TestMutations$' .
 
 echo "==> go build ./..."

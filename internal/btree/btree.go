@@ -12,6 +12,8 @@ package btree
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"predplace/internal/storage"
 )
@@ -36,25 +38,61 @@ type node struct {
 
 // Tree is a B+tree index. Not safe for concurrent mutation; concurrent
 // read-only probes are safe after loading, matching the read-only benchmark
-// workloads.
+// workloads — a Deferred tree's first probes included.
 type Tree struct {
 	root   *node
 	height int
 	size   int
 	acct   *storage.Accountant
+	src    *source // a Deferred tree's pairs; nil for a New one
 }
+
+// source holds the load-order pairs of a Deferred tree until its first read
+// or write inserts them.
+type source struct {
+	once  sync.Once
+	pairs []Entry
+}
+
+// builds counts the Deferred trees built so far.
+var builds atomic.Int64
 
 // New creates an empty tree charging probe I/O to acct (nil = no charging).
 func New(acct *storage.Accountant) *Tree {
 	return &Tree{root: &node{leaf: true}, height: 1, acct: acct}
 }
 
+// Deferred returns a tree that inserts pairs, in their order, through
+// Insert's own path on its first read or write (WithAcct included): node for
+// node the tree a loop of Inserts builds, charging nothing, as Insert does
+// not. One caller builds; concurrent first readers wait for it.
+func Deferred(acct *storage.Accountant, pairs []Entry) *Tree {
+	return &Tree{root: &node{leaf: true}, height: 1, acct: acct, src: &source{pairs: pairs}}
+}
+
+// Builds returns how many Deferred trees have been built in this process.
+func Builds() int64 { return builds.Load() }
+
+// load inserts a Deferred tree's pairs the first time any caller asks.
+func (t *Tree) load() {
+	if s := t.src; s != nil {
+		s.once.Do(func() {
+			for _, e := range s.pairs {
+				t.put(e.Key, e.TID)
+			}
+			s.pairs = nil
+			builds.Add(1)
+		})
+	}
+}
+
 // WithAcct returns a read-only view of the tree whose probes charge into
 // acct instead of the tree's own accountant — how a query attributes index
-// probe I/O to its private ledger while sharing the loaded tree. The view
-// shares all nodes; it must not be used to mutate the tree while other
-// probes are in flight (the same contract as the Tree itself).
+// probe I/O to its private ledger while sharing the loaded tree (a Deferred
+// tree is built first). The view shares all nodes; it must not be used to
+// mutate the tree while other probes are in flight (the Tree's contract).
 func (t *Tree) WithAcct(acct *storage.Accountant) *Tree {
+	t.load()
 	if acct == nil {
 		return t
 	}
@@ -64,10 +102,10 @@ func (t *Tree) WithAcct(acct *storage.Accountant) *Tree {
 }
 
 // Len returns the number of entries in the tree.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree) Len() int { t.load(); return t.size }
 
 // Height returns the number of levels (1 for a lone leaf).
-func (t *Tree) Height() int { return t.height }
+func (t *Tree) Height() int { t.load(); return t.height }
 
 func (t *Tree) chargeLeaf() {
 	if t.acct != nil {
@@ -77,6 +115,12 @@ func (t *Tree) chargeLeaf() {
 
 // Insert adds (key, tid). Duplicate keys are allowed.
 func (t *Tree) Insert(key int64, tid storage.TID) {
+	t.load()
+	t.put(key, tid)
+}
+
+// put is Insert without the load: the one path an entry enters a tree by.
+func (t *Tree) put(key int64, tid storage.TID) {
 	t.size++
 	newChild, splitKey := t.insert(t.root, key, tid)
 	if newChild != nil {
@@ -145,6 +189,7 @@ func (t *Tree) findLeaf(key int64) *node {
 // Probe returns the TIDs of all entries with exactly the given key, charging
 // one random I/O per leaf visited.
 func (t *Tree) Probe(key int64) []storage.TID {
+	t.load()
 	var out []storage.TID
 	n := t.findLeaf(key)
 	t.chargeLeaf()
@@ -166,6 +211,7 @@ func (t *Tree) Probe(key int64) []storage.TID {
 
 // Range returns an iterator over entries with lo <= key <= hi in key order.
 func (t *Tree) Range(lo, hi int64) *Iter {
+	t.load()
 	n := t.findLeaf(lo)
 	t.chargeLeaf()
 	i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].Key >= lo })
@@ -174,6 +220,7 @@ func (t *Tree) Range(lo, hi int64) *Iter {
 
 // ScanAll returns an iterator over every entry in key order.
 func (t *Tree) ScanAll() *Iter {
+	t.load()
 	n := t.root
 	for !n.leaf {
 		n = n.children[0]
@@ -257,6 +304,7 @@ func (t *Tree) checkNode(n *node, lo, hi *int64, depth int) error {
 // tree uses lazy deletion (no rebalancing): underfull leaves are tolerated,
 // which keeps reads correct and suits the benchmark's read-mostly workloads.
 func (t *Tree) Delete(key int64, tid storage.TID) bool {
+	t.load()
 	n := t.findLeaf(key)
 	for n != nil {
 		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].Key >= key })

@@ -57,14 +57,24 @@ func (rc *RowCodec) Width() int { return rc.width }
 // whole row. The slice is shared: callers must not modify it.
 func (rc *RowCodec) AllCols() []int { return rc.all }
 
-// Encode serializes row (which must match the schema arity) into a record.
-// Every field is written in place into the one zeroed record buffer, so a
-// NULL's payload and a string's padding are the bytes make left behind.
+// Encode serializes row (which must match the schema arity) into a fresh
+// record.
 func (rc *RowCodec) Encode(row expr.Row) ([]byte, error) {
-	if len(row) != len(rc.cols) {
-		return nil, fmt.Errorf("catalog: row arity %d, schema arity %d", len(row), len(rc.cols))
-	}
 	out := make([]byte, rc.width)
+	if err := rc.EncodeInto(out, row); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EncodeInto serializes row into out, a Width-byte buffer it clears first,
+// so a NULL's payload and a string's padding are zero bytes however out was
+// used before.
+func (rc *RowCodec) EncodeInto(out []byte, row expr.Row) error {
+	if len(row) != len(rc.cols) || len(out) != rc.width {
+		return fmt.Errorf("catalog: row arity %d into %d bytes, schema arity %d width %d", len(row), len(out), len(rc.cols), rc.width)
+	}
+	clear(out)
 	for i, l := range rc.layout {
 		v := row[i]
 		if v.IsNull() {
@@ -74,20 +84,20 @@ func (rc *RowCodec) Encode(row expr.Row) ([]byte, error) {
 		field := out[l.off+1 : l.off+1+l.len]
 		if l.kind == expr.TString {
 			if v.Kind != expr.TString {
-				return nil, fmt.Errorf("catalog: column %s wants string, got %v", rc.cols[i].Name, v.Kind)
+				return fmt.Errorf("catalog: column %s wants string, got %v", rc.cols[i].Name, v.Kind)
 			}
 			if len(v.S) > l.len {
-				return nil, fmt.Errorf("catalog: value %q exceeds column %s width %d", v.S, rc.cols[i].Name, l.len)
+				return fmt.Errorf("catalog: value %q exceeds column %s width %d", v.S, rc.cols[i].Name, l.len)
 			}
 			copy(field, v.S)
 			continue
 		}
 		if v.Kind != expr.TInt && v.Kind != expr.TBool {
-			return nil, fmt.Errorf("catalog: column %s wants int, got %v", rc.cols[i].Name, v.Kind)
+			return fmt.Errorf("catalog: column %s wants int, got %v", rc.cols[i].Name, v.Kind)
 		}
 		binary.LittleEndian.PutUint64(field, uint64(v.I))
 	}
-	return out, nil
+	return nil
 }
 
 // Decode deserializes a record into a freshly allocated row.

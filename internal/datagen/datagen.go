@@ -13,6 +13,7 @@ package datagen
 
 import (
 	"fmt"
+	"strings"
 
 	"predplace/internal/btree"
 	"predplace/internal/catalog"
@@ -92,13 +93,9 @@ func Build(cfg Config) (*DB, error) {
 
 	acct := &storage.Accountant{}
 	disk := storage.NewDisk(acct)
-	shards := cfg.PoolShards
-	if shards < 1 {
-		shards = 1
-	}
 	db := &DB{
 		Disk: disk,
-		Pool: storage.NewShardedBufferPool(disk, pool, shards),
+		Pool: storage.NewShardedBufferPool(disk, pool, cfg.PoolShards),
 		Cat:  catalog.New(),
 	}
 	if err := RegisterStandardFuncs(db.Cat); err != nil {
@@ -154,41 +151,42 @@ func buildTable(db *DB, n int, cfg Config) error {
 		TupleBytes: codec.Width(),
 		Codec:      codec,
 	}
-	for _, d := range DupFactors {
-		if d.Indexed {
-			tab.Indexes[d.Name] = btree.New(db.Disk.Accountant())
-		}
-	}
 
 	perms := make([]permutation, len(DupFactors))
 	for i := range DupFactors {
 		perms[i] = newPermutation(card, cfg.Seed+int64(n*31+i*7))
 	}
-	filler := make([]byte, FillerLen)
-	for i := range filler {
-		filler[i] = 'x'
+	pairs := make([][]btree.Entry, len(DupFactors)) // an index's pairs, for btree.Deferred
+	for ci, d := range DupFactors {
+		if d.Indexed {
+			pairs[ci] = make([]btree.Entry, 0, card)
+		}
 	}
-	fillerStr := string(filler)
-
 	row := make(expr.Row, len(cols))
+	row[len(cols)-1] = expr.S(strings.Repeat("x", FillerLen))
+	rec := make([]byte, codec.Width())
+	app := tab.Heap.Append()
+	defer app.Close()
 	for i := int64(0); i < card; i++ {
 		for ci, d := range DupFactors {
-			v := perms[ci].apply(i) / d.Dup
-			row[ci] = expr.I(v)
+			row[ci] = expr.I(perms[ci].apply(i) / d.Dup)
 		}
-		row[len(cols)-1] = expr.S(fillerStr)
-		rec, err := codec.Encode(row)
+		if err := codec.EncodeInto(rec, row); err != nil {
+			return err
+		}
+		tid, err := app.Add(rec)
 		if err != nil {
 			return err
 		}
-		tid, err := tab.Heap.Insert(rec)
-		if err != nil {
-			return err
-		}
-		for ci, d := range DupFactors {
-			if d.Indexed {
-				tab.Indexes[d.Name].Insert(row[ci].I, tid)
+		for ci := range pairs {
+			if pairs[ci] != nil {
+				pairs[ci] = append(pairs[ci], btree.Entry{Key: row[ci].I, TID: tid})
 			}
+		}
+	}
+	for ci, d := range DupFactors {
+		if d.Indexed {
+			tab.Indexes[d.Name] = btree.Deferred(db.Disk.Accountant(), pairs[ci])
 		}
 	}
 	if err := db.Cat.AddTable(tab); err != nil {
@@ -209,7 +207,7 @@ type permutation struct {
 
 func newPermutation(n, seed int64) permutation {
 	if n <= 1 {
-		return permutation{a: 1, b: 0, n: maxI64(n, 1)}
+		return permutation{a: 1, b: 0, n: max(n, 1)}
 	}
 	a := (n*618)/1000 | 1
 	for gcd(a, n) != 1 {
@@ -229,13 +227,6 @@ func gcd(a, b int64) int64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RegisterStandardFuncs registers the costlyN benchmark functions used by

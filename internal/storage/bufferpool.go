@@ -193,17 +193,34 @@ func (bp *BufferPool) Shards() int { return len(bp.shards) }
 // cancellation, or injected fault) it must be zero.
 func (bp *BufferPool) PinnedFrames() int {
 	n := 0
+	for _, fr := range bp.Resident() {
+		if fr.Pins > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// FrameState is one resident page as Resident reports it.
+type FrameState struct {
+	File  FileID
+	Page  PageID
+	Pins  int
+	Dirty bool
+}
+
+// Resident lists the resident pages shard by shard, most recently used first.
+func (bp *BufferPool) Resident() []FrameState {
+	var out []FrameState
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
 		for fr := s.lru.next; fr != &s.lru; fr = fr.next {
-			if fr.pins > 0 {
-				n++
-			}
+			out = append(out, FrameState{fr.key.file, fr.key.page, fr.pins, fr.dirty})
 		}
 		s.mu.Unlock()
 	}
-	return n
+	return out
 }
 
 // HitRate returns (hits, misses) since creation or the last ResetCounters.

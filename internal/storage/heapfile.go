@@ -67,38 +67,65 @@ func (h *HeapFile) FileID() FileID { return h.file }
 // NumPages returns the current number of pages.
 func (h *HeapFile) NumPages() int { return h.bp.disk.NumPages(h.file) }
 
-// Insert appends rec and returns its TID.
+// Insert appends rec and returns its TID: an Appender's one-record case.
 func (h *HeapFile) Insert(rec []byte) (TID, error) {
+	a := Appender{h: h}
+	defer a.Close()
+	return a.Add(rec)
+}
+
+// Appender adds records at the end of a heap file with its tail page pinned
+// from one record to the next: a bulk load pins each page once, and leaves
+// the pages, TIDs and (after Close) pool state of a loop of Inserts. Not safe
+// for concurrent use, nor beside other writers.
+type Appender struct {
+	h     *HeapFile
+	pg    *Page // the pinned tail page, nil while none is pinned
+	pid   PageID
+	dirty bool
+}
+
+// Append returns an appender at the end of h; Close must follow.
+func (h *HeapFile) Append() *Appender { return &Appender{h: h} }
+
+// Add appends rec, opening a new page when rec does not fit on the tail.
+func (a *Appender) Add(rec []byte) (TID, error) {
 	if len(rec) > PageSize-pageHeaderSize-slotSize {
 		return TID{}, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(rec))
 	}
-	n := h.NumPages()
-	if n > 0 {
-		last := PageID(n - 1)
-		pg, err := h.fetch(last)
-		if err != nil {
-			return TID{}, err
-		}
-		if pg.HasSpace(len(rec)) {
-			slot, err := pg.Insert(rec)
-			h.unpin(last, err == nil)
+	if a.pg == nil {
+		if n := a.h.NumPages(); n > 0 {
+			pg, err := a.h.fetch(PageID(n - 1))
 			if err != nil {
 				return TID{}, err
 			}
-			return TID{Page: last, Slot: slot}, nil
+			a.pg, a.pid = pg, PageID(n-1)
 		}
-		h.unpin(last, false)
 	}
-	pid, pg, err := h.newPage()
+	if a.pg != nil && !a.pg.HasSpace(len(rec)) {
+		a.Close()
+	}
+	if a.pg == nil {
+		pid, pg, err := a.h.newPage()
+		if err != nil {
+			return TID{}, err
+		}
+		a.pg, a.pid = pg, pid
+	}
+	slot, err := a.pg.Insert(rec)
 	if err != nil {
 		return TID{}, err
 	}
-	slot, err := pg.Insert(rec)
-	h.unpin(pid, err == nil)
-	if err != nil {
-		return TID{}, err
+	a.dirty = true
+	return TID{Page: a.pid, Slot: slot}, nil
+}
+
+// Close unpins the tail page; a later Add pins it anew.
+func (a *Appender) Close() {
+	if a.pg != nil {
+		a.h.unpin(a.pid, a.dirty)
+		a.pg, a.dirty = nil, false
 	}
-	return TID{Page: pid, Slot: slot}, nil
 }
 
 // Get copies the record at tid into a fresh slice.

@@ -418,6 +418,33 @@ func genOrderLimit(rng *rand.Rand) string {
 	return fmt.Sprintf("SELECT * FROM %s%s ORDER BY %s%s LIMIT %d", from, where, key, dir, []int{1, 5, 17, 60}[rng.Intn(4)])
 }
 
+// genIndexAccess draws a statement that plans an index access at scale
+// 0.01: a point lookup or a short range on a1 (IndexScan), or an equi-join
+// from an aK column to the other table's ua1 with that table cut down to a
+// few rows by a1 (IndexNestLoop, its inner probing the aK tree once per
+// outer row). A costly filter may ride along.
+func genIndexAccess(rng *rand.Rand) string {
+	tables := []string{"t1", "t2", "t3"}
+	rng.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
+	x, y := tables[0], tables[1]
+	card := 100 * int(x[1]-'0')
+	from, preds := x, []string{}
+	switch rng.Intn(3) {
+	case 0:
+		preds = append(preds, fmt.Sprintf("%s.a1 = %d", x, rng.Intn(card+card/10)))
+	case 1:
+		preds = append(preds, fmt.Sprintf("%s.a1 %s %d", x, []string{"<", "<="}[rng.Intn(2)], rng.Intn(3)))
+	default:
+		from = x + ", " + y
+		preds = append(preds, fmt.Sprintf("%s.%s = %s.ua1", x, []string{"a1", "a10"}[rng.Intn(2)], y),
+			fmt.Sprintf("%s.a1 %s %d", y, []string{"=", "<"}[rng.Intn(2)], rng.Intn(4)))
+	}
+	if rng.Intn(3) == 0 {
+		preds = append(preds, fmt.Sprintf("costly1(%s.u10)", x))
+	}
+	return fmt.Sprintf("SELECT * FROM %s WHERE %s", from, strings.Join(preds, " AND "))
+}
+
 // reachesMergeDrop reports whether a rendered plan has a merge join whose
 // inner is a heap scan, bare or under `column op constant` filters the scan
 // absorbs: with integer keys, as genQuery's are, one of that join's sides then
@@ -455,16 +482,20 @@ func reachesMergeDrop(rendered string) bool {
 // cheapFilter matches a rendered filter comparing a column with a constant.
 var cheapFilter = regexp.MustCompile(`^Filter \w+\.\w+ (=|<>|<|<=|>|>=) [^ .]+ \(cost=`)
 
-// TestRowOracle checks the row multiset of 200 genQuery statements and 12
-// genExpensiveJoin ones against the oracle at scale 0.01, at Parallelism
-// {1, 3} × BatchSize {1, 7, 256} × caching off and on, each statement under
-// one placement algorithm in turn; and 24 genOrderLimit statements' rows
-// with their order (ordered.check). Charged cost is other tests' business.
-// At least mergeDropStatements of the genQuery statements plan a merge join
-// whose second side drops keys on the record.
+// TestRowOracle checks the row multiset of 200 genQuery statements, 12
+// genExpensiveJoin ones and 24 genIndexAccess ones against the oracle at
+// scale 0.01, at Parallelism {1, 3} × BatchSize {1, 7, 256} × caching off
+// and on, each statement under one placement algorithm in turn; and 24
+// genOrderLimit statements' rows with their order (ordered.check). Charged
+// cost is other tests' business. At least mergeDropStatements of the
+// genQuery statements plan a merge join whose second side drops keys on the
+// record, and at least indexScanStatements and indexNLStatements of the
+// genIndexAccess ones an IndexScan and an IndexNestLoop: each Open's indexes
+// are built by the first of those, inside the matrix.
 func TestRowOracle(t *testing.T) {
 	const scale = 0.01
 	const mergeDropStatements = 90
+	const indexScanStatements, indexNLStatements = 7, 9
 	tables := []int{1, 2, 3}
 	oracle := newRowOracle(t, scale, tables)
 	rng := rand.New(rand.NewSource(19940524))
@@ -473,9 +504,10 @@ func TestRowOracle(t *testing.T) {
 		cols, rows []string
 		top        ordered // ORDER BY … LIMIT statements only
 	}
-	stmts := make([]stmt, 236)
+	stmts := make([]stmt, 260)
 	joins := rand.New(rand.NewSource(19940601))
 	tops := rand.New(rand.NewSource(19940715))
+	lookups := rand.New(rand.NewSource(19940801))
 	for i := range stmts {
 		s := &stmts[i]
 		switch {
@@ -483,10 +515,12 @@ func TestRowOracle(t *testing.T) {
 			s.sql = genQuery(rng)
 		case i < 212:
 			s.sql = genExpensiveJoin(joins)
-		default:
+		case i < 236:
 			s.sql = genOrderLimit(tops)
 			s.top = oracle.answerOrdered(t, s.sql)
 			continue
+		default:
+			s.sql = genIndexAccess(lookups)
 		}
 		s.cols, s.rows = oracle.answer(t, s.sql)
 	}
@@ -500,7 +534,7 @@ func TestRowOracle(t *testing.T) {
 			db.SetBatchSize(bs)
 			for _, caching := range []bool{false, true} {
 				db.SetCaching(caching)
-				failed, drops := 0, 0
+				failed, drops, indexed, nested := 0, 0, 0, 0
 				for i, s := range stmts {
 					algo := algos[i%len(algos)]
 					where := fmt.Sprintf("statement %d under %v, Parallelism %d, BatchSize %d, caching %v: %s",
@@ -511,6 +545,11 @@ func TestRowOracle(t *testing.T) {
 					}
 					if i < 200 && reachesMergeDrop(res.Plan) {
 						drops++
+					}
+					if i >= 236 && strings.Contains(res.Plan, "IndexNestLoop ") {
+						nested++
+					} else if i >= 236 && strings.Contains(res.Plan, "IndexScan ") {
+						indexed++
 					}
 					if s.top.cols != nil {
 						err = s.top.check(res)
@@ -523,6 +562,10 @@ func TestRowOracle(t *testing.T) {
 							t.FailNow()
 						}
 					}
+				}
+				if indexed < indexScanStatements || nested < indexNLStatements {
+					t.Fatalf("Parallelism %d, caching %v: %d genIndexAccess statements plan an IndexScan and no index nested loop, %d an IndexNestLoop; want at least %d and %d",
+						par, caching, indexed, nested, indexScanStatements, indexNLStatements)
 				}
 				if drops < mergeDropStatements {
 					t.Fatalf("Parallelism %d, caching %v: %d genQuery statements reach a merge join's key drops, want at least %d",

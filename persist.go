@@ -161,38 +161,43 @@ func OpenFile(path string, cfg Config) (*DB, error) {
 	return newDB(inner, cfg, workers), nil
 }
 
-// rebuildIndexes scans the heap and reconstructs each index column's B-tree.
+// rebuildIndexes scans the heap for each index column's (key, TID) pairs;
+// each column's B-tree inserts them on its first probe (btree.Deferred).
 func rebuildIndexes(db *datagen.DB, tab *catalog.Table, cols []string) error {
 	if len(cols) == 0 {
 		return nil
 	}
 	idx := make([]int, len(cols))
+	pairs := make([][]btree.Entry, len(cols))
 	for i, c := range cols {
 		ci := tab.ColIndex(c)
 		if ci < 0 {
 			return fmt.Errorf("predplace: table %s: index column %s missing", tab.Name, c)
 		}
 		idx[i] = ci
-		tab.Indexes[c] = btree.New(db.Disk.Accountant())
 	}
 	it := tab.Heap.Scan()
 	defer it.Close()
 	for {
-		rec, tid, ok, err := it.Next()
+		rec, tid, ok, err := it.NextRef()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
-		for i, c := range cols {
+		for i := range cols {
 			v, err := tab.Codec.DecodeCol(rec, idx[i])
 			if err != nil {
 				return err
 			}
 			if v.Kind == expr.TInt {
-				tab.Indexes[c].Insert(v.I, tid)
+				pairs[i] = append(pairs[i], btree.Entry{Key: v.I, TID: tid})
 			}
 		}
 	}
+	for i, c := range cols {
+		tab.Indexes[c] = btree.Deferred(db.Disk.Accountant(), pairs[i])
+	}
+	return nil
 }

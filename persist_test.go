@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"predplace/internal/btree"
 	"predplace/internal/storage"
 )
 
@@ -163,4 +165,75 @@ func TestOpenFileErrors(t *testing.T) {
 			t.Errorf("%s: err %v after allocating %d bytes, want an error and < 1 MiB", name, err, n)
 		}
 	}
+}
+
+// TestOpenFileDefersIndexes: OpenFile builds no tree, and each restored
+// index, on its first probe, is node for node — entries in leaf order, leaf
+// sizes, height — the tree that inserting the restored heap's keys one at a
+// time in scan order builds, which is also the saved database's tree.
+func TestOpenFileDefersIndexes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "deferred.ppdb")
+	orig := openBench(t, 2, 3)
+	if err := orig.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	b0 := btree.Builds()
+	restored, err := OpenFile(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := btree.Builds() - b0; n != 0 {
+		t.Fatalf("OpenFile built %d trees", n)
+	}
+	for _, tab := range restored.inner.Cat.Tables() {
+		saved, err := orig.inner.Cat.Table(tab.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for col, tree := range tab.Indexes {
+			eager := btree.New(nil)
+			ci := tab.ColIndex(col)
+			it := tab.Heap.Scan()
+			for rec, tid, ok, err := it.Next(); ok || err != nil; rec, tid, ok, err = it.Next() {
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := tab.Codec.DecodeCol(rec, ci)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eager.Insert(v.I, tid)
+			}
+			it.Close()
+			b := btree.Builds()
+			tree.Probe(3)
+			if n := btree.Builds() - b; n != 1 {
+				t.Fatalf("%s.%s: first probe built %d trees, want 1", tab.Name, col, n)
+			}
+			got := leafShape(tree)
+			for _, want := range []string{leafShape(eager), leafShape(saved.Indexes[col])} {
+				if got != want {
+					t.Fatalf("%s.%s: restored tree %.80s…, want %.80s…", tab.Name, col, got, want)
+				}
+			}
+		}
+	}
+}
+
+// leafShape renders a tree's height and its leaves' entries in leaf order, a
+// leaf per line: a ScanAll through a view charges one read per leaf it enters.
+func leafShape(tr *btree.Tree) string {
+	var acct storage.Accountant
+	var b strings.Builder
+	fmt.Fprintf(&b, "height %d", tr.Height())
+	it := tr.WithAcct(&acct).ScanAll()
+	var reads int64
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
+		if r := acct.Stats().RandReads; r != reads {
+			b.WriteString("\n")
+			reads = r
+		}
+		fmt.Fprintf(&b, " %d@%v", e.Key, e.TID)
+	}
+	return b.String()
 }
