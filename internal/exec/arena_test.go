@@ -593,6 +593,7 @@ func TestRejectedFetchCarvesNothing(t *testing.T) {
 	if err := env.runTransferPrepass(root); err != nil {
 		t.Fatal(err)
 	}
+	env.gates = env.planGates(root)
 	var own slabPool
 	it, err := newIndexScan(env, ix, &own)
 	if err != nil {
@@ -604,7 +605,7 @@ func TestRejectedFetchCarvesNothing(t *testing.T) {
 	}
 	s := it.(*indexScanIter)
 	tab, _ := db.Cat.Table("t6")
-	if len(s.probes) == 0 || n == 0 || int64(n) >= tab.Card/2 {
+	if len(s.gates.list) == 0 || n == 0 || int64(n) >= tab.Card/2 {
 		t.Fatalf("the transfer probe let %d of t6's %d rows through: not the case under test", n, tab.Card)
 	}
 	if got, most := carved(&own, &s.alloc), (n+1)*len(ix.ColRefs); got > most {
@@ -623,6 +624,7 @@ func TestRejectedFetchCarvesNothing(t *testing.T) {
 		env.begin()
 		root := &plan.Filter{Input: base, Pred: pred(3)}
 		env.runs = env.recordRuns(root)
+		env.gates = env.planGates(root)
 		var own slabPool
 		it, err := build(env, root, &own)
 		if err != nil {

@@ -137,14 +137,11 @@ type Env struct {
 	// a scan with no entry decodes whole rows. Written once by Build, like
 	// ordered.
 	thin map[*plan.SeqScan]*thinScan
-	// sweeps holds, for each nested loop whose inner is a bare heap scan, that
-	// scan, which drops the records the loop's sweep memo rejects
-	// (sweepScans); written once by Build, like ordered.
-	sweeps map[*plan.Join]*plan.SeqScan
-	// merges holds, by merge join and by the scan that drops for it, how each
-	// merge join drains its sides (mergeDrains); written once by Build, like
-	// ordered, and only the join's own drain, keys and dropped, change.
-	merges map[plan.Node]*mergeDrain
+	// gates holds, by heap or index scan, the gates the scan runs on each
+	// record, in order, and by nested loop or merge join the one gate it
+	// feeds (planGates); written once by Build, like ordered, and only what a
+	// join hands its gate while it runs changes.
+	gates map[plan.Node][]recordGate
 	// slabs owns every row the query carves below its result-producing
 	// operator (rowAlloc); Run releases it on every exit, once the iterator
 	// tree is closed and its goroutines joined.

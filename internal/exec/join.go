@@ -47,9 +47,9 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 // a batch of inner rows, the pairs themselves never made (holdsBatch); a
 // cached one answers an inner value it has settled since the rescan from its
 // memo (sweepMemo) when that value alone names the binding, and a bare inner
-// scan drops the records the memo rejects before they are rows. The outer
-// side is pulled one row at a time (next): its page accesses interleave with
-// the inner's.
+// scan drops the records the memo rejects before they are rows (sweepGate).
+// The outer side is pulled one row at a time (next): its page accesses
+// interleave with the inner's.
 //
 // Inner rows are valid only until the next rescan (the join's own slabPool,
 // rewound there and released at Close), and those of a thin inner scan only
@@ -62,16 +62,11 @@ type nlJoinIter struct {
 	outer   Iterator
 	inner   Iterator
 	primary *compiledPred // nil for cross product
-	memo    *sweepMemo    // of the primary's verdicts this sweep, or nil
-	// scan, when the memo has one (Env.sweeps), is the bare inner heap scan
-	// the loop rebuilds itself and hands the memo to; innerRows, under
-	// Profile, is the inner node's actual= counter, which the records the
-	// scan drops join.
-	scan      *plan.SeqScan
-	innerRows *atomic.Int64
-	outerRow  expr.Row
-	haveOut   bool
-	count     int
+	// memo is the primary's verdicts this sweep (its sweepGate's), or nil.
+	memo     *sweepMemo
+	outerRow expr.Row
+	haveOut  bool
+	count    int
 	// inner batch buffer, verdicts, predicate scratch
 	ibuf   []expr.Row
 	keep   []bool
@@ -88,20 +83,16 @@ func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	}
 	it := &nlJoinIter{e: e, node: j, outer: outer, alloc: rowAlloc{pool: rs}, fin: e.finisherFor(j.Inner)}
 	if j.Primary != nil {
-		cols := joinCols(j)
-		cp, err := compilePred(e, j.Primary, cols)
+		cp, err := compilePred(e, j.Primary, joinCols(j))
 		if err != nil {
 			return nil, err
 		}
 		if e.prof != nil {
 			cp.prof = e.nodeProf(j)
 		}
-		it.primary, it.memo = cp, newSweepMemo(e, cp, cols, len(j.Outer.Cols()))
-		if it.memo != nil {
-			it.scan = e.sweeps[j]
-		}
-		if it.scan != nil && e.prof != nil {
-			it.innerRows = &e.nodeProf(j.Inner).rows
+		it.primary = cp
+		if g := joinGate[*sweepGate](e, j); g != nil {
+			it.memo = g.memo
 		}
 	}
 	return it, nil
@@ -123,7 +114,7 @@ func (n *nlJoinIter) rescanInner() error {
 	if n.memo != nil {
 		n.memo.reset()
 	}
-	inner, err := n.buildInner()
+	inner, err := buildIn(n.e, n.node.Inner, &n.rescan)
 	if err != nil {
 		return err
 	}
@@ -135,20 +126,6 @@ func (n *nlJoinIter) rescanInner() error {
 	return inner.Open()
 }
 
-// buildInner builds the inner subtree over the rescan slabs: as buildIn
-// would, but a bare inner scan gets the memo.
-func (n *nlJoinIter) buildInner() (Iterator, error) {
-	if n.scan == nil {
-		return buildIn(n.e, n.node.Inner, &n.rescan)
-	}
-	s, err := newSeqScan(n.e, n.scan, &n.rescan)
-	if err != nil {
-		return nil, err
-	}
-	s.sweep = n.memo
-	return n.e.traced(n.node.Inner, s), nil
-}
-
 // NextBatch evaluates the primary over the current outer row and a batch of
 // inner rows (batched cache traffic included) and makes a pair only for a
 // survivor, once, straight into dst — most pairs fail, and a failed pair
@@ -156,8 +133,8 @@ func (n *nlJoinIter) buildInner() (Iterator, error) {
 // the next is pulled, and no more inner rows are pulled than the pairs still
 // owed, so an operator above that must not read ahead (next) sees none here
 // either. The budget is checked every 64 pairs, the records the inner scan
-// dropped among them: each is counted, as the memo hit it would have been,
-// right after the batch it was dropped from.
+// dropped among them (sweepGate), each right after the batch it was dropped
+// from.
 func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	k := len(dst)
 	if len(n.ibuf) < k {
@@ -184,15 +161,8 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 			return 0, err
 		}
 		pairs := m
-		if n.scan != nil && n.memo.dropped > 0 {
-			d := n.memo.dropped
-			n.memo.dropped, pairs = 0, m+d
-			n.e.Cache.AddHits(d)
-			if p := n.primary.prof; p != nil {
-				p.predEvals.Add(int64(d))
-				p.cacheHits.Add(int64(d))
-				n.innerRows.Add(int64(d))
-			}
+		if n.memo != nil {
+			pairs, n.memo.dropped = m+n.memo.dropped, 0
 		}
 		if before := n.count; (before+pairs)/64 != before/64 {
 			if err := n.e.checkAbort(); err != nil {
@@ -621,9 +591,10 @@ func (h *hashJoinIter) Close() error {
 // mergeJoinIter materializes both inputs, sorts whichever sides the plan
 // marks unsorted (charging external-sort spill), and merges equal-key
 // groups. It drains the sides one after the other in the order Build chose
-// (Env.merges), and where the second is a heap scan that scan drops every
-// record whose key the first side lacks — a record no merge could pair —
-// and the join counts each drop as the row of that side it would have been.
+// (keyGates), and where the second is a heap scan that scan drops every
+// record whose key the first side lacks — a record no merge could pair
+// (keyGate) — and the join counts each drop as the row of that side it would
+// have been.
 type mergeJoinIter struct {
 	e      *Env
 	node   *plan.Join
@@ -649,6 +620,38 @@ func newMergeJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 	return &mergeJoinIter{e: e, node: j, outIdx: oi, inIdx: ii, alloc: rowAlloc{pool: rs}}, nil
 }
 
+// keyGate is how a merge join drains its sides (keyGates): which one first,
+// and, as the gate of the second side's heap scan, the first side's keys —
+// the scan drops, on the encoded record, every record whose key is NULL or
+// not among them: a record that can join nothing never becomes a row.
+type keyGate struct {
+	// innerFirst: the inner side drains first and the outer second.
+	innerFirst bool
+	// field is the join key in the second side's records, an int column.
+	field catalog.IntField
+	// keys is the first side's set of keys while the second drains, set by the
+	// join, nil otherwise (and when that side holds other kinds: then nothing
+	// is dropped); exchange parts share it and only read it. dropped counts
+	// the records the scan's instances dropped this query, each part adding
+	// its own once per batch.
+	keys    *keySet
+	dropped atomic.Int64
+}
+
+func (g *keyGate) admit(_ *Env, rec []byte, _ int) (bool, error) {
+	if g.keys == nil {
+		return true, nil
+	}
+	k, null, ok := g.field.Read(rec)
+	return !(ok && (null || !g.keys.has(k))), nil
+}
+
+func (g *keyGate) flush(_ *Env, in, out int) {
+	if d := in - out; d > 0 {
+		g.dropped.Add(int64(d))
+	}
+}
+
 // drain builds n over rs and collects every row it produces, card, an
 // estimate of how many, sizing the first allocation (cardHint).
 func drain(e *Env, n plan.Node, card float64, rs *slabPool) ([]expr.Row, error) {
@@ -671,7 +674,7 @@ func drain(e *Env, n plan.Node, card float64, rs *slabPool) ([]expr.Row, error) 
 // join's estimate bounds it too.
 func (m *mergeJoinIter) Open() error {
 	in := m.e.below(m.alloc.pool)
-	d := m.e.merges[m.node]
+	d := joinGate[*keyGate](m.e, m.node)
 	first, second := &m.orows, &m.irows
 	firstNode, secondNode, firstIdx := m.node.Outer, m.node.Inner, m.outIdx
 	if d != nil && d.innerFirst {

@@ -149,7 +149,7 @@ func (t *joinTable) first(key expr.Value) int32 {
 }
 
 // keySet is a set of integer join keys: the keys a merge join's first side
-// has, which its second side's scan looks its records' keys up in (Env.merges).
+// has, which its second side's scan looks its records' keys up in (keyGate).
 // Open addressing with Fibonacci hashing and linear probing, as in joinTable,
 // sized once for the keys it will hold and so never more than half full. An
 // empty slot holds 0, so the key 0 is a flag of its own. Not safe for

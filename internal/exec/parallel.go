@@ -242,12 +242,12 @@ func (x *exchangeIter) compile(n plan.Node, rs *slabPool) (func(i int) Iterator,
 			return nil, err
 		}
 		return func(i int) Iterator {
-			s := *scan
+			s := *scan // sharing its gates; Open gives each part tallies of its own
 			s.part, s.parts, s.xchg = i, len(x.parts), &x.fan
 			return &s
 		}, nil
 	case *plan.Filter:
-		if r := e.runs[t]; r != nil { // the scan's parts test t's run
+		if r := e.runs[t]; r != nil { // the scan's parts run t's run as gates
 			return x.compile(r.scan, rs)
 		}
 		filter, err := compileFilter(e, t, rs)

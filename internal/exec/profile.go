@@ -40,7 +40,7 @@ type opCounters struct {
 	invocations atomic.Int64
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-	// predicate-transfer counters, fed by the scan's filter probes
+	// predicate-transfer counters, fed by the scan's probe gates
 	transferProbes atomic.Int64
 	transferPruned atomic.Int64
 	// top-k counters: heap admissions/evictions for TopK, input short-

@@ -63,12 +63,6 @@ type transferSlot struct {
 	hs     []uint64
 }
 
-// tableProbe is one received filter a main-plan scan consults for a table.
-type tableProbe struct {
-	colIdx int
-	class  *transferClass
-}
-
 // transferTable is one base table participating in the transfer schedule.
 type transferTable struct {
 	tab   *catalog.Table
@@ -84,11 +78,11 @@ type transferTable struct {
 	costlyCols []int
 	est        float64 // estimated rows after local predicates
 	seen       []int   // class versions at this table's last prepass scan
-	probes     []tableProbe
 }
 
 // transferState carries the prepass's filters and counters through the rest
-// of the query; main-plan scans read it (immutably) via Env.transferProbes.
+// of the query; main-plan scans probe its filters (probeGate), immutable by
+// then.
 type transferState struct {
 	classes []*transferClass
 	tables  map[string]*transferTable
@@ -234,13 +228,6 @@ func (e *Env) runTransferPrepass(root plan.Node) error {
 		}
 		if err := ts.scanTable(e, t); err != nil {
 			return err
-		}
-	}
-	for _, t := range ts.order {
-		for _, s := range t.slots {
-			if s.class.filter != nil {
-				t.probes = append(t.probes, tableProbe{colIdx: s.colIdx, class: s.class})
-			}
 		}
 	}
 	ts.prepassCharged = e.Charged() - charged0
@@ -455,76 +442,58 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 	return nil
 }
 
-// transferProbes returns the received-filter probe list for a base table —
-// nil when transfer is off, the prepass built nothing, or the table is
-// outside every class. Read-only after the prepass, so parallel scan
-// workers share it without locks.
-func (e *Env) transferProbes(table string) []tableProbe {
-	if e.transfer == nil {
+// table returns the schedule's entry for a base table: nil when there is no
+// schedule (transfer off, or the prepass built nothing) or the table is
+// outside every class.
+func (ts *transferState) table(name string) *transferTable {
+	if ts == nil {
 		return nil
 	}
-	if t := e.transfer.tables[table]; t != nil {
-		return t.probes
-	}
-	return nil
+	return ts.tables[name]
 }
 
-// testFilter probes one class filter, feeding the exact-set false-positive
-// measurement when profiling captured the filter's key set.
-func (e *Env) testFilter(c *transferClass, h uint64) bool {
-	pass := c.filter.Test(h)
-	if c.keys != nil {
-		if _, member := c.keys[h]; !member {
-			e.transfer.fpNonMember.Add(1)
-			if pass {
-				e.transfer.fpFalse.Add(1)
-			}
-		}
-	}
-	return pass
+// probeGate is one Bloom filter a main-plan scan received (planGates, one per
+// class filter of its table, in slot order): it decodes the record's key
+// column alone and probes the class's filter with it, charging the probe. A
+// NULL key is pruned without a probe (NULL never equi-joins). Each record
+// pruned is counted once, in the stage's pruned count and, under Profile, the
+// scan's; tc, nil unless profiling, also takes the probes. When profiling
+// captured the filter's key set, the probe feeds the exact false-positive
+// measurement.
+type probeGate struct {
+	codec *catalog.RowCodec
+	col   int
+	class *transferClass
+	tc    *opCounters
 }
 
-// probeRecord consults every received filter for one raw heap record,
-// decoding only the key columns — the caller skips the full-row decode when
-// the record is pruned. A NULL join key prunes without a probe (NULL never
-// equi-joins). Probes short-circuit in deterministic slot order, and the
-// charge is counted after the loop so a short-circuited record still
-// charges exactly the tests it performed.
-func (e *Env) probeRecord(codec *catalog.RowCodec, rec []byte, probes []tableProbe, tc *opCounters) (bool, error) {
-	keep := true
-	tested := 0
-	var derr error
-	for i := range probes {
-		p := &probes[i]
-		v, err := codec.DecodeCol(rec, p.colIdx)
-		if err != nil {
-			derr = err
-			break
-		}
-		if v.IsNull() {
-			keep = false
-			break
-		}
-		tested++
-		if !e.testFilter(p.class, bloomHash(v)) {
-			keep = false
-			break
+func (g *probeGate) admit(e *Env, rec []byte, _ int) (bool, error) {
+	v, err := g.codec.DecodeCol(rec, g.col)
+	if err != nil || v.IsNull() {
+		return false, err
+	}
+	e.ChargeBloomProbe(1)
+	if g.tc != nil {
+		g.tc.transferProbes.Add(1)
+	}
+	h := bloomHash(v)
+	pass := g.class.filter.Test(h)
+	if _, member := g.class.keys[h]; g.class.keys != nil && !member {
+		e.transfer.fpNonMember.Add(1)
+		if pass {
+			e.transfer.fpFalse.Add(1)
 		}
 	}
-	e.ChargeBloomProbe(tested)
-	if tc != nil {
-		tc.transferProbes.Add(int64(tested))
-	}
-	if derr != nil {
-		return false, derr
-	}
-	if !keep {
-		e.transfer.pruned.Add(1)
-		if tc != nil {
-			tc.transferPruned.Add(1)
+	return pass, nil
+}
+
+func (g *probeGate) flush(e *Env, in, out int) {
+	if d := int64(in - out); d > 0 {
+		e.transfer.pruned.Add(d)
+		if g.tc != nil {
+			g.tc.transferPruned.Add(d)
 		}
 	}
-	return keep, nil
 }
 
 // stats summarizes the transfer stage for Stats/EXPLAIN ANALYZE.
