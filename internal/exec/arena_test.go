@@ -89,10 +89,7 @@ type arenaShape struct {
 func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int) (thin, absorbs string) {
 	t.Helper()
 	env := &Env{Cat: cat, Parallelism: workers}
-	if workers > 1 {
-		env.ordered = orderedNodes(root)
-	}
-	env.runs = env.recordRuns(root)
+	env.planScans(root)
 	var runs []string
 	for n, r := range env.runs {
 		if n == r.scan {
@@ -109,7 +106,7 @@ func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int
 	}
 	sort.Strings(runs)
 	var out []string
-	for scan, th := range env.thinScans(root) {
+	for scan, th := range env.thin {
 		tab, err := env.Cat.Table(scan.Table)
 		if err != nil {
 			t.Fatal(err)
@@ -131,13 +128,14 @@ func thinSummary(t *testing.T, cat *catalog.Catalog, root plan.Node, workers int
 // (its pairs die at the parent's rescan) and under a hash-join build — and
 // with them who decodes late: one shape per consumer of thin rows (a hash
 // join's probe side — in its exchange, and kept serial under a Limit — a
-// nested loop's rescanned inner under an equality and a cheap theta
-// primary, an index nested loop's outer — serial, as its scan heads an
-// exchange at Parallelism > 1 unless a nested loop's inner keeps it serial —
-// and the filter chain under a root filter) and per consumer that must find
-// whole rows (a root scan, a TopK, Limit or sort root, a nested loop's
-// outer, a cross product's inner, a hash join's build side, both sides of a
-// merge join) — and which cheap filters the scans absorb: thin and whole,
+// nested loop's rescanned inner under an expensive filter, an index nested
+// loop's outer — serial, as its scan heads an exchange at Parallelism > 1
+// unless a nested loop's inner keeps it serial — and the filter chain under
+// a root filter) and per consumer that must find whole rows (a root scan, a
+// TopK, Limit or sort root, a nested loop's outer, a nested loop's replayed
+// inner under an equality and a cheap theta primary, a cross product's
+// inner, a hash join's build side, both sides of a merge join) — and which
+// cheap filters the scans absorb: thin and whole,
 // heap and index scans, at the root and under a hash probe, a hash build and
 // an index nested loop's outer.
 func arenaShapes(t *testing.T) []arenaShape {
@@ -202,7 +200,7 @@ func arenaShapes(t *testing.T) []arenaShape {
 	for _, m := range []struct {
 		method plan.JoinMethod
 		thin   string
-	}{{plan.HashJoin, "t2:a1"}, {plan.MergeJoin, ""}, {plan.NestLoop, "t3:a1"}} {
+	}{{plan.HashJoin, "t2:a1"}, {plan.MergeJoin, ""}, {plan.NestLoop, ""}} {
 		outer := over(scan("t2"), lt(col("t2", "a1"), 60))
 		hand("filter-"+m.method.String(), over(equiJoin(t, db.Cat, m.method, outer, scan("t3"), col("t2", "a1"), col("t3", "a1")),
 			lt(col("t3", "a10"), 16)), m.thin, "t2:t2.a1 < 60")
@@ -229,17 +227,21 @@ func arenaShapes(t *testing.T) []arenaShape {
 	hand("nl-over-indexnl", equiJoin(t, db.Cat, plan.NestLoop, few, indexNL(), col("t2", "a10"), col("t1", "a10")), "t1:a1", "t2:t2.ua1 < 12")
 	// A nested loop's rescanned inner decodes late on what its primary reads
 	// of it, and what the inner's filter chain reads, but for the filters its
-	// scan tests on the record; the outer stays whole. Through a join it does
-	// not reach (the hash join's probe side decodes late for that join, as
-	// anywhere), and a cross product, whose every pair survives, keeps its
-	// inner whole.
+	// scan tests on the record; the outer stays whole. A bare inner scan, or
+	// one under the filters it tests on the record, is read once and replayed
+	// (sweepTape), so it decodes whole. Through a join it does not reach (the
+	// hash join's probe side decodes late for that join, as anywhere), and a
+	// cross product, whose every pair survives, keeps its inner whole.
 	hand("nl-inner-filters", equiJoin(t, db.Cat, plan.NestLoop, few,
 		over(over(scan("t3"), lt(col("t3", "u10"), 50)), lt(col("t3", "ua1"), 500)), col("t2", "a1"), col("t3", "a1")),
-		"t3:a1", "t2:t2.ua1 < 12 t3:t3.u10 < 50;t3.ua1 < 500")
+		"", "t2:t2.ua1 < 12 t3:t3.u10 < 50;t3.ua1 < 500")
+	hand("nl-inner-udf", equiJoin(t, db.Cat, plan.NestLoop, few,
+		over(over(scan("t3"), lt(col("t3", "u10"), 50)), udf(col("t3", "u20"))), col("t2", "a1"), col("t3", "a1")),
+		"t3:a1,u20", "t2:t2.ua1 < 12 t3:t3.u10 < 50")
 	hand("nl-inner-hashjoin", equiJoin(t, db.Cat, plan.NestLoop, few,
 		equiJoin(t, db.Cat, plan.HashJoin, scan("t3"), over(scan("t1"), lt(col("t1", "ua1"), 100)), col("t3", "a1"), col("t1", "a1")),
 		col("t2", "a10"), col("t3", "a10")), "t3:a1", "t1:t1.ua1 < 100 t2:t2.ua1 < 12")
-	hand("nl-cheap-cmp", joinOn(t, db.Cat, plan.NestLoop, few, scan("t3"), col("t2", "ua1"), expr.OpGT, col("t3", "ua1")), "t3:ua1", "t2:t2.ua1 < 12")
+	hand("nl-cheap-cmp", joinOn(t, db.Cat, plan.NestLoop, few, scan("t3"), col("t2", "ua1"), expr.OpGT, col("t3", "ua1")), "", "t2:t2.ua1 < 12")
 	cross := &plan.Join{Method: plan.NestLoop, Outer: few, Inner: over(scan("t3"), lt(col("t3", "u10"), 5))}
 	cross.ColRefs = plan.ConcatCols(cross.Outer, cross.Inner)
 	hand("nl-cross", cross, "", "t2:t2.ua1 < 12 t3:t3.u10 < 5")

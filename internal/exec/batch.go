@@ -40,7 +40,7 @@ type rowAlloc struct {
 
 // slabPool owns the row slabs of one lifetime: a query's (Env.slabs,
 // released when Run returns) or one nested-loop inner subtree's (rewound at
-// every rescan, released at Close). Slabs come from slabFree and go back to
+// every rescan, or kept for a replayed inner, and released at Close). Slabs come from slabFree and go back to
 // it neither reallocated nor re-zeroed; get takes the mutex once per slab,
 // so the workers of an exchange share a pool. rewind and release take no
 // lock: their callers have closed the operators carving from the pool, which

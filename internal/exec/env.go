@@ -138,10 +138,13 @@ type Env struct {
 	// ordered.
 	thin map[*plan.SeqScan]*thinScan
 	// gates holds, by heap or index scan, the gates the scan runs on each
-	// record, in order, and by nested loop or merge join the one gate it
-	// feeds (planGates); written once by Build, like ordered, and only what a
-	// join hands its gate while it runs changes.
+	// record, in order, and by merge join the one gate it feeds (planGates);
+	// written once by Build, like ordered, and only what a join hands its
+	// gate while it runs changes.
 	gates map[plan.Node][]recordGate
+	// loops holds, by nested loop, its sweep memo and the heap scan it reads
+	// once and replays (planLoops); written once by Build, like ordered.
+	loops map[*plan.Join]loopPlan
 	// slabs owns every row the query carves below its result-producing
 	// operator (rowAlloc); Run releases it on every exit, once the iterator
 	// tree is closed and its goroutines joined.

@@ -58,22 +58,24 @@ func next(it Iterator) (expr.Row, bool, error) {
 //
 // The same rule one step down decides what a scan decodes: a record one of
 // the scan's gates drops is never a row (planGates: a transfer probe, a cheap
-// comparison the scan absorbed, a nested loop's memo, a merge join's first
-// side), and a column is decoded by the first operator that needs it
-// (thinScans).
+// comparison the scan absorbed, a merge join's first side), a column is
+// decoded by the first operator that needs it (thinScans), and a nested
+// loop's bare inner scan is read once and replayed (planLoops, sweepTape).
 func Build(e *Env, n plan.Node) (Iterator, error) {
 	e.planScans(n)
 	return e.buildRoot(n)
 }
 
-// planScans is Build's planning step: which nodes stay serial, and each
-// scan's absorbed filters, decoded columns and gates.
+// planScans is Build's planning step: which nodes stay serial, each scan's
+// absorbed filters, decoded columns and gates, and each nested loop's memo
+// and replayed inner.
 func (e *Env) planScans(n plan.Node) {
 	e.ordered = nil
 	if e.workers() > 1 {
 		e.ordered = orderedNodes(n)
 	}
 	e.runs = e.recordRuns(n)
+	e.loops = e.planLoops(n)
 	e.thin = e.thinScans(n)
 	e.gates = e.planGates(n)
 }
@@ -96,9 +98,9 @@ func (e *Env) buildRoot(n plan.Node) (Iterator, error) {
 // through filters and along the outer side of hash and nested-loop joins
 // (which pass the outer's order on), down to the index scan or merge join
 // that makes the order. Or they are a nested loop's whole inner subtree,
-// rebuilt per outer row: an exchange in it would start its workers per
-// outer row, and built serial its scan decodes late for the join
-// (thinScans) alike at every worker count.
+// swept per outer row: an exchange in it would start its workers per outer
+// row, and built serial its scan is replayed (planLoops) or decodes late for
+// the join (thinScans) alike at every worker count.
 func orderedNodes(root plan.Node) map[plan.Node]bool {
 	set := map[plan.Node]bool{}
 	mark := func(n plan.Node) {
@@ -244,7 +246,7 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 				feed(j, j.Outer, oi)
 			}
 		case plan.NestLoop:
-			if j.Primary == nil {
+			if j.Primary == nil || e.loops[j].tape != nil { // a taped inner is decoded whole, once
 				return
 			}
 			var buf [4]query.ColRef
@@ -272,24 +274,53 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 // counts what it drops as the operator that would have dropped the row would
 // have. Build plans each scan's gates as one list (planGates); the scan runs
 // the list on every record it reads and hands each gate its tallies once per
-// batch (gateRun).
+// batch (gateRun). A gate counts and charges nothing as it admits: all of its
+// accounting follows from its tallies, so a nested loop that reads its inner
+// once (sweepTape) hands every later sweep's gates the first sweep's.
 type recordGate interface {
-	// admit reports whether rec passes; n counts the records that have
-	// reached the gate in this scan instance since Open, rec included.
-	admit(e *Env, rec []byte, n int) (bool, error)
-	// flush is the accounting hook: in records reached the gate since the
-	// last flush, and out of them passed it.
-	flush(e *Env, in, out int)
+	// admit returns rec's outcome at the gate; n counts the records that
+	// have reached the gate in this scan instance since Open, rec included.
+	admit(e *Env, rec []byte, n int) (outcome, error)
+	// flush is the accounting hook: t tallies by outcome the records that
+	// reached the gate since the last flush.
+	flush(e *Env, t gateTally)
 }
+
+// outcome is what a gate made of one record: whether it dropped it
+// (outDrop), and a mark of the gate's own (outMark — a probe gate's NULL
+// key, which it drops unprobed, or a key it kept that lies outside the
+// filter's key set).
+type outcome uint8
+
+const (
+	outKeep outcome = 0
+	outDrop outcome = 1
+	outMark outcome = 2
+)
+
+// keepIf is the plain outcome of a test: kept or dropped.
+func keepIf(ok bool) outcome {
+	if ok {
+		return outKeep
+	}
+	return outDrop
+}
+
+// gateTally counts records by their outcome at one gate.
+type gateTally [4]int
+
+// in is how many records the tally counts.
+func (t *gateTally) in() int { return t[0] + t[1] + t[2] + t[3] }
+
+// dropped is how many of them the gate dropped.
+func (t *gateTally) dropped() int { return t[outDrop] + t[outDrop|outMark] }
 
 // planGates derives from the plan alone each scan's gates, in the order the
 // scan runs them: the Bloom filters it received from the transfer prepass
 // (probeGate), the filters it absorbed (testGate, recordRuns), then the gate
-// of the join its rows feed when that join reads them straight from it
-// (sideScan) — a nested loop's sweep memo (sweepGate) or a merge join's
-// first-side keys (keyGate). A join's gate is keyed by the join too, which
-// finds it there (joinGate); a nested loop keeps its memo in one even when no
-// scan runs it.
+// of the merge join its rows feed when that join reads them straight from it
+// (sideScan): the join's first-side keys (keyGate). A join's gate is keyed by
+// the join too, which finds it there (joinGate).
 func (e *Env) planGates(root plan.Node) map[plan.Node][]recordGate {
 	var gates map[plan.Node][]recordGate
 	add := func(n plan.Node, g recordGate) {
@@ -298,35 +329,17 @@ func (e *Env) planGates(root plan.Node) map[plan.Node][]recordGate {
 		}
 		gates[n] = append(gates[n], g)
 	}
-	var loops, merges []*plan.Join
+	var merges []*plan.Join
 	plan.Walk(root, func(n plan.Node) {
 		switch t := n.(type) {
 		case *plan.SeqScan, *plan.IndexScan:
 			e.scanGates(n, add)
 		case *plan.Join:
-			switch t.Method {
-			case plan.NestLoop:
-				loops = append(loops, t)
-			case plan.MergeJoin:
+			if t.Method == plan.MergeJoin {
 				merges = append(merges, t)
-			case plan.HashJoin, plan.IndexNestLoop: // no gate of theirs
 			}
 		}
 	})
-	for _, j := range loops {
-		m := newSweepMemo(e, j)
-		if m == nil {
-			continue
-		}
-		g := &sweepGate{memo: m}
-		if e.prof != nil {
-			g.prof, g.rows = e.nodeProf(j), &e.nodeProf(j.Inner).rows
-		}
-		add(j, g)
-		if scan := e.sideScan(j.Inner); scan != nil && !e.segment(scan) {
-			add(scan, g)
-		}
-	}
 	e.keyGates(root, merges, add)
 	return gates
 }
@@ -458,61 +471,82 @@ func (e *Env) keyScan(n plan.Node, idx int) (*plan.SeqScan, catalog.IntField) {
 
 // gateRun is one scan instance's use of its gate list (an exchange part and a
 // nested loop's rescan each have their own). seen counts the records that
-// reached the list since Open; its tally holds, since Open, the records each
-// gate dropped, then what of that the gates' flush hooks already have; sent
-// is how many of seen they already have. What reached a gate is what reached
-// the list less what the gates before it dropped, so a record that passes
-// them all costs no count. A few gates' tallies fit in buf, so a scan rebuilt
-// per outer row allocates none.
+// reached the list since Open; got tallies, gate by gate, the records that
+// reached each since Open, and sent what of that the gates' flush hooks
+// already have. A few gates' tallies fit in buf, so a scan rebuilt per outer
+// row allocates none. tape, while the scan records a nested loop's first
+// sweep, takes each record's outcomes.
 type gateRun struct {
-	list  []recordGate
-	tally []int
-	seen  int
-	sent  int
-	buf   [8]int
+	list []recordGate
+	got  []gateTally
+	sent []gateTally
+	seen int
+	tape *sweepTape
+	buf  [8]gateTally
 }
 
 // open zeroes the tallies.
 func (g *gateRun) open() {
-	if k := 2 * len(g.list); k <= len(g.buf) {
-		g.tally = g.buf[:k]
-	} else if len(g.tally) != k {
-		g.tally = make([]int, k)
+	k := len(g.list)
+	if 2*k <= len(g.buf) {
+		g.got, g.sent = g.buf[:k], g.buf[k:2*k]
+	} else if len(g.got) != k {
+		g.got, g.sent = make([]gateTally, k), make([]gateTally, k)
 	}
-	clear(g.tally)
-	g.seen, g.sent = 0, 0
+	clear(g.got)
+	clear(g.sent)
+	g.seen = 0
 }
 
 // pass runs rec through the list in order and reports whether it passed
-// every gate.
+// every gate. A gate's error counts as its drop.
 func (g *gateRun) pass(e *Env, rec []byte) (bool, error) {
 	g.seen++
 	n := g.seen
 	for i, gate := range g.list {
-		if ok, err := gate.admit(e, rec, n); !ok || err != nil {
-			g.tally[i]++
+		o, err := gate.admit(e, rec, n)
+		if err != nil {
+			o = outDrop
+		}
+		g.got[i][o]++
+		if g.tape != nil {
+			g.tape.codes = append(g.tape.codes, byte(o))
+		}
+		if o&outDrop != 0 {
 			return false, err
 		}
-		n -= g.tally[i]
+		n -= g.got[i].dropped()
 	}
 	return true, nil
 }
 
-// flush hands each gate what reached and passed it since the last flush:
-// once per batch, not once per record.
-func (g *gateRun) flush(e *Env) {
-	dropped, sent := g.tally[:len(g.tally)/2], g.tally[len(g.tally)/2:]
-	in := g.seen - g.sent
-	for i, d := range dropped {
-		if in == 0 {
-			break
+// replay is pass for a record a tape took: its outcomes are read back from
+// codes at *at instead of admitted again.
+func (g *gateRun) replay(codes []byte, at *int) bool {
+	for i := range g.list {
+		o := outcome(codes[*at])
+		*at++
+		g.got[i][o]++
+		if o&outDrop != 0 {
+			return false
 		}
-		d -= sent[i]
-		g.list[i].flush(e, in, in-d)
-		in -= d
 	}
-	copy(sent, dropped)
-	g.sent = g.seen
+	return true
+}
+
+// flush hands each gate what reached it since the last flush: once per
+// batch, not once per record.
+func (g *gateRun) flush(e *Env) {
+	for i, gate := range g.list {
+		t := g.got[i]
+		for o := range t {
+			t[o] -= g.sent[i][o]
+		}
+		if t != (gateTally{}) {
+			gate.flush(e, t)
+			g.sent[i] = g.got[i]
+		}
+	}
 }
 
 // finisherFor returns what completes the rows input n delivers: the
@@ -550,19 +584,21 @@ type testGate struct {
 	prof  *opCounters   // nil unless profiling
 }
 
-func (g *testGate) admit(e *Env, rec []byte, n int) (bool, error) {
+func (g *testGate) admit(e *Env, rec []byte, n int) (outcome, error) {
 	if n%budgetEvery == 0 {
 		if err := e.checkAbort(); err != nil {
-			return false, err
+			return outDrop, err
 		}
 	}
-	return g.codec.Test(rec, g.test)
+	ok, err := g.codec.Test(rec, g.test)
+	return keepIf(ok), err
 }
 
-func (g *testGate) flush(_ *Env, in, _ int) {
+func (g *testGate) flush(_ *Env, t gateTally) {
 	if g.rows != nil {
-		g.rows.Add(int64(in))
-		g.prof.predEvals.Add(int64(in))
+		in := int64(t.in())
+		g.rows.Add(in)
+		g.prof.predEvals.Add(in)
 	}
 }
 
@@ -735,6 +771,9 @@ type seqScanIter struct {
 	ring  []expr.Value
 	memo  catalog.DecodeMemo
 	gates gateRun
+	// tape is the nested loop's inner read once, when the scan is that inner
+	// (sweepTape): recorded by the first sweep, replayed by every later one.
+	tape *sweepTape
 }
 
 func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
@@ -755,16 +794,28 @@ func newSeqScan(e *Env, s *plan.SeqScan, rs *slabPool) (*seqScanIter, error) {
 // Open positions the scan on its share of the pages: every page is in
 // exactly one part, so the parts together read what the serial scan reads.
 // The gates are immutable while parts run them, so parts share them without
-// locks; each part keeps its own tallies.
+// locks; each part keeps its own tallies. Opened again, the scan rewinds the
+// iterator it has.
 func (s *seqScanIter) Open() error {
-	n := s.tab.Heap.NumPages()
-	s.it = s.e.heap(s.tab).ScanRange(n*s.part/s.parts, n*(s.part+1)/s.parts)
+	if s.it == nil {
+		n := s.tab.Heap.NumPages()
+		s.it = s.e.heap(s.tab).ScanRange(n*s.part/s.parts, n*(s.part+1)/s.parts)
+	} else {
+		s.it.Rewind()
+	}
 	s.pg, s.slot, s.nslots, s.ring, s.count = nil, 0, 0, nil, 0
 	s.cols = s.tab.Codec.AllCols()
 	if s.thin != nil {
 		s.cols = s.thin.need
 	}
 	s.gates.open()
+	s.gates.tape = nil
+	if t := s.tape; t != nil {
+		t.rewind()
+		if !t.replaying {
+			s.gates.tape = t
+		}
+	}
 	return nil
 }
 
@@ -777,6 +828,9 @@ func (s *seqScanIter) Open() error {
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.it == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
+	}
+	if s.tape != nil && s.tape.replaying {
+		return s.replay(dst)
 	}
 	defer s.gates.flush(s.e)
 	codec, width := s.tab.Codec, len(s.tab.Columns)
@@ -812,11 +866,17 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			}
 			if !ok {
 				s.pg, s.slot, s.nslots = nil, 0, 0
+				if s.tape != nil {
+					s.tape.done = true
+				}
 				break
 			}
 			s.pg, s.src, s.slot, s.nslots = pg, pg.Data(), 0, pg.NumSlots()
 			if s.thin != nil {
 				s.thin.pages[s.part] = s.src
+			}
+			if s.tape != nil {
+				s.tape.pages = append(s.tape.pages, 0)
 			}
 			continue
 		}
@@ -834,6 +894,9 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			if s.xchg.stopping() {
 				return 0, errExchangeStopped
 			}
+		}
+		if s.tape != nil {
+			s.tape.pages[len(s.tape.pages)-1]++
 		}
 		if len(s.gates.list) > 0 {
 			keep, err := s.gates.pass(s.e, rec)
@@ -856,17 +919,22 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 		if err := codec.DecodeCols(rec, row, s.cols, &s.memo); err != nil {
 			return 0, err
 		}
+		if s.tape != nil {
+			s.tape.keep(row)
+		}
 		dst[n] = row
 		n++
 	}
 	return n, nil
 }
 
+// Close unpins the scan's page; the scan keeps its iterator for the next
+// Open.
 func (s *seqScanIter) Close() error {
 	if s.it != nil {
 		s.it.Close()
-		s.it = nil
 	}
+	s.pg, s.slot, s.nslots = nil, 0, 0
 	return nil
 }
 

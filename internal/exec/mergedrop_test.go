@@ -114,8 +114,8 @@ func TestMergeJoinSideDrops(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0),
 							Parallelism: p, BatchSize: bs, Profile: profile, Transfer: sh.transfer}
-						want := runGates(t, name, env, sh.root, true)
-						got := runGates(t, name, env, sh.root, false)
+						want := runGates(t, name, env, sh.root, buildWithheld)
+						got := runGates(t, name, env, sh.root, Build)
 						for _, l := range sh.links {
 							d := joinGate[*keyGate](env, l.join)
 							switch {
@@ -151,9 +151,10 @@ func TestMergeJoinSideDrops(t *testing.T) {
 	}
 }
 
-// runGates runs root as Run does, and with withhold builds it as
-// buildWithheld does. It returns the rows, copied, the stats and the trace.
-func runGates(t *testing.T, name string, env *Env, root plan.Node, withhold bool) *Result {
+// runGates runs root as Run does, building it with build (Build, or Build
+// with something withheld). It returns the rows, copied, the stats, whether
+// the budget stopped the run, the trace and the profile.
+func runGates(t *testing.T, name string, env *Env, root plan.Node, build func(*Env, plan.Node) (Iterator, error)) *Result {
 	t.Helper()
 	env.begin()
 	defer env.slabs.release()
@@ -165,15 +166,15 @@ func runGates(t *testing.T, name string, env *Env, root plan.Node, withhold bool
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	build := Build
-	if withhold {
-		build = buildWithheld
-	}
 	it, err := build(env, root)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	rows, n, err := collect(env, it, root.Card(), true)
+	dnf := errors.Is(err, ErrBudgetExceeded)
+	if dnf {
+		err = nil
+	}
 	if err := errors.Join(err, it.Close()); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -181,30 +182,29 @@ func runGates(t *testing.T, name string, env *Env, root plan.Node, withhold bool
 	for i, r := range rows {
 		kept[i] = slices.Clone(r)
 	}
-	return &Result{Rows: kept, Stats: env.finish(n), NodeRows: collectTrace(env)}
+	res := &Result{Rows: kept, Stats: env.finish(n), DNF: dnf, NodeRows: collectTrace(env)}
+	if env.prof != nil {
+		res.Profile = assembleProfile(env, root)
+	}
+	return res
 }
 
 // buildWithheld is Build with the gates withheld whose removal cannot move a
 // count: no scan absorbs a filter (each runs as its own operator, which
-// counts what its record test did), no nested loop's inner scan drops what
-// the loop's memo rejected (the memo answers at the loop, as the drop
-// counted), and every merge join drains its outer first and drops nothing
-// (each drop counted as the row it would have been). Transfer probes are
-// charged, so they stay.
+// counts what its record test did), every merge join drains its outer first
+// and drops nothing (each drop counted as the row it would have been), and
+// every nested loop rebuilds its inner each sweep (buildRescan). Transfer
+// probes are charged, so they stay.
 func buildWithheld(env *Env, root plan.Node) (Iterator, error) {
 	env.planScans(root)
 	env.runs = nil
-	env.thin = env.thinScans(root) // the filters, now operators, read their columns
+	withholdTapes(env)
+	env.thin = env.thinScans(root) // the filters, now operators, and the rebuilt inners read their columns
 	for n, list := range env.gates {
 		var kept []recordGate
 		for _, g := range list {
-			switch g.(type) {
-			case *probeGate:
+			if _, probe := g.(*probeGate); probe {
 				kept = append(kept, g)
-			case *sweepGate:
-				if _, loop := n.(*plan.Join); loop {
-					kept = append(kept, g)
-				}
 			}
 		}
 		env.gates[n] = kept
@@ -212,10 +212,28 @@ func buildWithheld(env *Env, root plan.Node) (Iterator, error) {
 	return env.buildRoot(root)
 }
 
+// buildRescan is Build with every nested loop's replay withheld: each
+// rebuilds its inner and reads it again every sweep, the inner scan decoding
+// late for the primary as any rescanned inner does.
+func buildRescan(env *Env, root plan.Node) (Iterator, error) {
+	env.planScans(root)
+	withholdTapes(env)
+	env.thin = env.thinScans(root)
+	return env.buildRoot(root)
+}
+
+// withholdTapes has every nested loop Build planned rebuild its inner.
+func withholdTapes(env *Env) {
+	for j, lp := range env.loops {
+		lp.tape = nil
+		env.loops[j] = lp
+	}
+}
+
 // sameAsWithheld fails unless got, a run of root with its gates, agrees with
 // want, the run with them withheld (runGates): in rows (in order when
-// ordered), the bits of the charged cost, invocations, cache hits and every
-// node's actual=.
+// ordered), the bits of the charged cost, invocations, cache hits and
+// misses, whether the budget stopped it, and every node's actual=.
 func sameAsWithheld(t *testing.T, name string, root plan.Node, got, want *Result, ordered bool) {
 	t.Helper()
 	if ordered {
@@ -231,6 +249,12 @@ func sameAsWithheld(t *testing.T, name string, root plan.Node, got, want *Result
 	}
 	if g, w := got.Stats.CacheHits, want.Stats.CacheHits; g != w {
 		t.Fatalf("%s: %d cache hits, withheld %d", name, g, w)
+	}
+	if g, w := got.Stats.CacheMisses, want.Stats.CacheMisses; g != w {
+		t.Fatalf("%s: %d cache misses, withheld %d", name, g, w)
+	}
+	if got.DNF != want.DNF {
+		t.Fatalf("%s: DNF %v, withheld %v", name, got.DNF, want.DNF)
 	}
 	plan.Walk(root, func(n plan.Node) {
 		if g, w := got.NodeRows[n], want.NodeRows[n]; g != w {

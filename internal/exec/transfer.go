@@ -454,12 +454,14 @@ func (ts *transferState) table(name string) *transferTable {
 
 // probeGate is one Bloom filter a main-plan scan received (planGates, one per
 // class filter of its table, in slot order): it decodes the record's key
-// column alone and probes the class's filter with it, charging the probe. A
-// NULL key is pruned without a probe (NULL never equi-joins). Each record
-// pruned is counted once, in the stage's pruned count and, under Profile, the
-// scan's; tc, nil unless profiling, also takes the probes. When profiling
-// captured the filter's key set, the probe feeds the exact false-positive
-// measurement.
+// column alone and probes the class's filter with it. A NULL key is pruned
+// without a probe (NULL never equi-joins). Its tallies charge the probes and
+// count each record pruned once, in the stage's pruned count and, under
+// Profile, the scan's; tc, nil unless profiling, also takes the probes. When
+// profiling captured the filter's key set, the probes feed the exact
+// false-positive measurement: every key the filter drops is outside the set
+// (a Bloom filter has no false negatives), and admit marks a kept one that
+// is.
 type probeGate struct {
 	codec *catalog.RowCodec
 	col   int
@@ -467,32 +469,31 @@ type probeGate struct {
 	tc    *opCounters
 }
 
-func (g *probeGate) admit(e *Env, rec []byte, _ int) (bool, error) {
+func (g *probeGate) admit(_ *Env, rec []byte, _ int) (outcome, error) {
 	v, err := g.codec.DecodeCol(rec, g.col)
 	if err != nil || v.IsNull() {
-		return false, err
-	}
-	e.ChargeBloomProbe(1)
-	if g.tc != nil {
-		g.tc.transferProbes.Add(1)
+		return outDrop | outMark, err
 	}
 	h := bloomHash(v)
-	pass := g.class.filter.Test(h)
-	if _, member := g.class.keys[h]; g.class.keys != nil && !member {
-		e.transfer.fpNonMember.Add(1)
-		if pass {
-			e.transfer.fpFalse.Add(1)
-		}
+	o := keepIf(g.class.filter.Test(h))
+	if _, member := g.class.keys[h]; o == outKeep && g.class.keys != nil && !member {
+		o = outMark
 	}
-	return pass, nil
+	return o, nil
 }
 
-func (g *probeGate) flush(e *Env, in, out int) {
-	if d := int64(in - out); d > 0 {
-		e.transfer.pruned.Add(d)
-		if g.tc != nil {
-			g.tc.transferPruned.Add(d)
-		}
+func (g *probeGate) flush(e *Env, t gateTally) {
+	probes := t[outKeep] + t[outMark] + t[outDrop]
+	e.ChargeBloomProbe(probes)
+	d := int64(t.dropped())
+	e.transfer.pruned.Add(d)
+	if g.tc != nil {
+		g.tc.transferProbes.Add(int64(probes))
+		g.tc.transferPruned.Add(d)
+	}
+	if g.class.keys != nil {
+		e.transfer.fpNonMember.Add(int64(t[outMark] + t[outDrop]))
+		e.transfer.fpFalse.Add(int64(t[outMark]))
 	}
 }
 

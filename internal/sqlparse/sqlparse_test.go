@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -229,5 +230,47 @@ func TestBindProjection(t *testing.T) {
 	}
 	if bound.Star || len(bound.Projection) != 2 || bound.Projection[1].Col != "u10" {
 		t.Fatalf("projection = %+v", bound.Projection)
+	}
+}
+
+// TestBindTypeMismatch: a comparison between two types is refused when the
+// statement is bound, with both sides named — a column against a string or
+// boolean constant, either way round, and a join between an int and a
+// string column — while a NULL constant compares with any type.
+func TestBindTypeMismatch(t *testing.T) {
+	b, _ := testBinder(t)
+	for _, c := range []struct{ src, left, right string }{
+		{"SELECT * FROM t1 WHERE t1.a1 < 'x'", "t1.a1", `"x"`},
+		{"SELECT * FROM t1 WHERE 'x' > t1.a1", "t1.a1", `"x"`},
+		{"SELECT * FROM t1 WHERE t1.a1 = TRUE", "t1.a1", "true"},
+		{"SELECT * FROM t1 WHERE t1.str = 7", "t1.str", "7"},
+		{"SELECT * FROM t1, t3 WHERE t1.a1 = t3.str", "t1.a1", "t3.str"},
+		{"SELECT * FROM t1, t3 WHERE t3.str < t1.ua1", "t3.str", "t1.ua1"},
+	} {
+		s, err := Parse(c.src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.src, err)
+		}
+		_, err = b.Bind(s)
+		var mismatch *TypeMismatchError
+		if !errors.As(err, &mismatch) {
+			t.Fatalf("%s: error %v, want a TypeMismatchError", c.src, err)
+		}
+		if mismatch.Left != c.left || mismatch.Right != c.right || mismatch.LeftType == mismatch.RightType {
+			t.Fatalf("%s: %+v, want %s against %s", c.src, *mismatch, c.left, c.right)
+		}
+	}
+	for _, src := range []string{
+		"SELECT * FROM t1 WHERE t1.a1 < NULL",
+		"SELECT * FROM t1 WHERE t1.str = 'x'",
+		"SELECT * FROM t1, t3 WHERE t1.a1 = t3.ua1",
+	} {
+		s, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if _, err := b.Bind(s); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
 	}
 }

@@ -179,13 +179,14 @@ func (h *HeapFile) ScanRange(start, end int) *HeapIter {
 	if start > end {
 		start = end
 	}
-	return &HeapIter{h: h, page: PageID(start), slot: 0, n: end}
+	return &HeapIter{h: h, start: PageID(start), page: PageID(start), slot: 0, n: end}
 }
 
 // HeapIter iterates a heap file page by page, slot by slot. It pins one page
 // at a time, producing sequential physical reads for cold scans.
 type HeapIter struct {
 	h       *HeapFile
+	start   PageID
 	page    PageID
 	slot    SlotID
 	n       int
@@ -262,6 +263,13 @@ func (it *HeapIter) release() {
 func (it *HeapIter) Close() {
 	it.release()
 	it.done = true
+}
+
+// Rewind releases the iterator's pinned page, if any, and starts it over at
+// the first page of its range: a scan read again reuses its iterator.
+func (it *HeapIter) Rewind() {
+	it.release()
+	it.page, it.slot, it.done = it.start, 0, false
 }
 
 // Delete marks the record at tid dead. Space is not compacted; scans skip
