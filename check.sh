@@ -69,7 +69,7 @@ echo "==> decode gate (who decodes late, thin rows never read unfinished, the co
 # fetched-then-rejected row that keeps its slot, a radix sort that reorders
 # equal keys, or a decode entry point that indexes past a short record fails
 # under this heading, and so does a nested loop whose in-place primary, thin
-# rescanned or whole replayed inner or once-made survivor pair changes its
+# rescanned or whole taped inner or once-made survivor pair changes its
 # rows, charged cost, invocations or cache counts at any width or worker
 # count (TestNLJoinMatrix).
 # The fuzz smoke is bounded; a crasher it finds is written under
@@ -91,8 +91,9 @@ echo "==> predicate-cache gate (one hash per binding, as-if-sequential batches, 
 # (TestNLCachedPrimaryMatchesFilter, whose inners include one under an
 # expensive filter and keys at the int64 extremes, colliding under the hash,
 # bool, and outgrowing the memo's first table), with an inner NULL kept apart
-# from 0 at every width (TestNLMemoNullAndZero), or a memo whose stamped table
-# loses, leaks or misreads a verdict (TestSweepMemoTable) — and so does a
+# from 0 at every width (TestNLMemoNullAndZero), or a memo whose value table
+# loses or confuses a number, or whose outer halves share a verdict vector
+# they should not (TestSweepMemoTable) — and so does a
 # Query 5 execution that allocates more than 64 objects over what it did
 # before the nested loop's sweep memo (TestNLSweepMemoAllocs, no -race:
 # counts differ under the detector).
@@ -121,14 +122,17 @@ echo "==> record-gate (a record one of its scan's gates drops is never a row and
 # cached primary — over an inner scan running a transfer probe and a record
 # test among others — differs from the filter over the cross product or
 # from the plan with the gates withheld. So does a nested loop that reads
-# its inner heap scan once and replays it (sweepTape) and differs from the
+# its inner heap scan once and walks it (sweepTape) and differs from the
 # same plan rescanning it — rows, charged-cost bits, invocations, cache hits
-# and misses, an actual= or where a budget stops it — cached, uncached or a
-# cross product, under absorbed filters and a transfer probe, over a pool
-# the inner misses every sweep, at Parallelism 1 or 3, every width,
-# profiling on and off (TestNLReplayMatchesRescan), or that leaves a frame
-# pinned or a slab out after a read fault in its first sweep or a replay
-# (TestNLReplayFault). The alloc tests run without -race; the fuzz smoke is
+# and misses or an actual=, or under a budget a run that stops more than
+# three reads past it or makes other than a prefix of the full run's rows —
+# cached (repeating and unique outer bindings, NULL and extreme outer
+# arguments, NULL and bool inner values, outer arguments from two tables),
+# uncached, bounded or a cross product, under absorbed filters and a
+# transfer probe, over a pool the inner misses every sweep, at Parallelism
+# 1 or 3, every width, profiling on and off (TestNLReplayMatchesRescan), or
+# that leaves a frame pinned or a slab out after a read fault in its first
+# sweep or any page of a walk (TestNLReplayFault). The alloc tests run without -race; the fuzz smoke is
 # bounded and a crasher it finds is written under
 # internal/catalog/testdata/fuzz.
 go test -race -count=1 -run '^(TestAbsorbedFilterCounts|TestRejectedFetchCarvesNothing)$' ./internal/exec
@@ -221,11 +225,12 @@ echo "==> mutation gate (every recorded mutation still caught, race rows under -
 # `go test -overlay` (the tree is never written) and fails the row when none
 # of its tests fails, or when its old text is no longer in the file. A row
 # marked -race builds its tests with the race detector; one marked -hang
-# passes when a 10 s test timeout finds one of its tests still running. 74
-# rows: an empty build cache takes about 184 s on 2 vCPUs (150 s of it in the
-# test binary, which the -timeout budget bounds; the race rows' race builds
-# are most of it — rows name the smallest package whose test catches them,
-# as the root package links the executor golden), a warm one about 91–98 s.
+# passes when a 10 s test timeout finds one of its tests still running. 76
+# rows: an empty build cache takes 161–187 s in the test binary on 2 vCPUs
+# (190–231 s wall; the -timeout budget bounds the test binary, and the race
+# rows' race builds are most of it — rows name the smallest package whose
+# test catches them, as the root package links the executor golden), a warm
+# one about 75 s.
 go test -count=1 -timeout 180s -run '^TestMutations$' .
 
 echo "==> go build ./..."

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -240,5 +241,40 @@ func TestHoldsCachedTuplePathAllocFree(t *testing.T) {
 	pass() // warm the cache and the scratch buffers
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
 		t.Fatalf("%v allocations per pass over %d cached rows, want 0", allocs, len(rows))
+	}
+}
+
+// TestTopKMatchesSort holds a TopK over t1 — bounded and not, ascending and
+// descending on a column with repeats, ties broken on ua1 — to the table's
+// rows sorted in the test, and cut at K.
+func TestTopKMatchesSort(t *testing.T) {
+	db, env := newEnv(t, []int{1}, false)
+	rows := naiveRows(t, db.Cat, "t1")
+	scan := scanNode(t, db.Cat, "t1")
+	key, tie := query.ColRef{Table: "t1", Col: "u20"}, query.ColRef{Table: "t1", Col: "ua1"}
+	ki, ti := plan.ColIndex(scan, key), plan.ColIndex(scan, tie)
+	for _, desc := range []bool{false, true} {
+		for _, k := range []int64{7, -1} {
+			name := fmt.Sprintf("desc=%v K=%d", desc, k)
+			res, err := Run(env, &plan.TopK{Input: scan, K: k, Key: key, Desc: desc, Tie: []query.ColRef{tie}})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := slices.Clone(rows)
+			slices.SortFunc(want, func(a, b expr.Row) int {
+				c := a[ki].Compare(b[ki])
+				if desc {
+					c = -c
+				}
+				if c != 0 {
+					return c
+				}
+				return a[ti].Compare(b[ti])
+			})
+			if k >= 0 {
+				want = want[:k]
+			}
+			sameRows(t, name, res.Rows, want)
+		}
 	}
 }

@@ -474,14 +474,12 @@ func (e *Env) keyScan(n plan.Node, idx int) (*plan.SeqScan, catalog.IntField) {
 // reached the list since Open; got tallies, gate by gate, the records that
 // reached each since Open, and sent what of that the gates' flush hooks
 // already have. A few gates' tallies fit in buf, so a scan rebuilt per outer
-// row allocates none. tape, while the scan records a nested loop's first
-// sweep, takes each record's outcomes.
+// row allocates none.
 type gateRun struct {
 	list []recordGate
 	got  []gateTally
 	sent []gateTally
 	seen int
-	tape *sweepTape
 	buf  [8]gateTally
 }
 
@@ -509,29 +507,12 @@ func (g *gateRun) pass(e *Env, rec []byte) (bool, error) {
 			o = outDrop
 		}
 		g.got[i][o]++
-		if g.tape != nil {
-			g.tape.codes = append(g.tape.codes, byte(o))
-		}
 		if o&outDrop != 0 {
 			return false, err
 		}
 		n -= g.got[i].dropped()
 	}
 	return true, nil
-}
-
-// replay is pass for a record a tape took: its outcomes are read back from
-// codes at *at instead of admitted again.
-func (g *gateRun) replay(codes []byte, at *int) bool {
-	for i := range g.list {
-		o := outcome(codes[*at])
-		*at++
-		g.got[i][o]++
-		if o&outDrop != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // flush hands each gate what reached it since the last flush: once per
@@ -546,6 +527,15 @@ func (g *gateRun) flush(e *Env) {
 			gate.flush(e, t)
 			g.sent[i] = g.got[i]
 		}
+	}
+}
+
+// flushAt flushes as the tallies since Open the ones tallies holds at entry
+// i, a tally per gate (sweepTape).
+func (g *gateRun) flushAt(e *Env, tallies []gateTally, i int) {
+	if k := len(g.list); k > 0 {
+		copy(g.got, tallies[i*k:(i+1)*k])
+		g.flush(e)
 	}
 }
 
@@ -772,7 +762,7 @@ type seqScanIter struct {
 	memo  catalog.DecodeMemo
 	gates gateRun
 	// tape is the nested loop's inner read once, when the scan is that inner
-	// (sweepTape): recorded by the first sweep, replayed by every later one.
+	// (sweepTape): the scan records it in its one sweep, the join walks it.
 	tape *sweepTape
 }
 
@@ -809,13 +799,6 @@ func (s *seqScanIter) Open() error {
 		s.cols = s.thin.need
 	}
 	s.gates.open()
-	s.gates.tape = nil
-	if t := s.tape; t != nil {
-		t.rewind()
-		if !t.replaying {
-			s.gates.tape = t
-		}
-	}
 	return nil
 }
 
@@ -828,9 +811,6 @@ func (s *seqScanIter) Open() error {
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 	if s.it == nil {
 		return 0, fmt.Errorf("exec: NextBatch before Open on SeqScan(%s)", s.tab.Name)
-	}
-	if s.tape != nil && s.tape.replaying {
-		return s.replay(dst)
 	}
 	defer s.gates.flush(s.e)
 	codec, width := s.tab.Codec, len(s.tab.Columns)
@@ -860,23 +840,20 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 					s.thin.pages[s.part] = nil
 				}
 			}
+			if s.tape != nil && s.pg != nil {
+				s.tape.endPage(&s.gates)
+			}
 			pg, _, ok, err := s.it.NextPage()
 			if err != nil {
 				return 0, err
 			}
 			if !ok {
 				s.pg, s.slot, s.nslots = nil, 0, 0
-				if s.tape != nil {
-					s.tape.done = true
-				}
 				break
 			}
 			s.pg, s.src, s.slot, s.nslots = pg, pg.Data(), 0, pg.NumSlots()
 			if s.thin != nil {
 				s.thin.pages[s.part] = s.src
-			}
-			if s.tape != nil {
-				s.tape.pages = append(s.tape.pages, 0)
 			}
 			continue
 		}
@@ -894,9 +871,6 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			if s.xchg.stopping() {
 				return 0, errExchangeStopped
 			}
-		}
-		if s.tape != nil {
-			s.tape.pages[len(s.tape.pages)-1]++
 		}
 		if len(s.gates.list) > 0 {
 			keep, err := s.gates.pass(s.e, rec)
@@ -920,7 +894,7 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			return 0, err
 		}
 		if s.tape != nil {
-			s.tape.keep(row)
+			s.tape.keep(row, &s.gates)
 		}
 		dst[n] = row
 		n++

@@ -43,18 +43,19 @@ func buildJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 // tuple, and every sweep pins and unpins the inner's pages through the
 // buffer pool in scan order — exactly the access pattern the paper's
 // |S|-pages-per-outer-tuple cost term models. A bare inner heap scan is read
-// only by the first sweep, which keeps its rows (sweepTape); every later
-// sweep replays them and fetches the pages without reading a record. Any
-// other inner subtree is rebuilt and re-read every sweep. The primary join
-// predicate — which may be an expensive function over both sides (Query 5) —
-// is evaluated per pair, in place: over the outer row and a batch of inner
-// rows, the pairs themselves never made (holdsBatch); a cached one answers
-// an inner value it has settled this sweep from its memo (sweepMemo) when
-// that value alone names the binding. The outer side is pulled one row at a
-// time (next): its page accesses interleave with the inner's.
+// only by the first sweep, which keeps its rows (sweepTape); the join walks
+// every later sweep over them itself and fetches the pages without reading
+// a record (walk). Any other inner subtree is rebuilt and re-read every
+// sweep. The primary join predicate — which may be an expensive function
+// over both sides (Query 5) — is evaluated per pair, in place: over the
+// outer row and a run of inner rows, the pairs themselves never made
+// (holdsBatch); a cached one answers a binding it has decided from its memo
+// (sweepMemo) when one inner value completes the outer row's half. The outer
+// side is pulled one row at a time (next): its page accesses interleave with
+// the inner's.
 //
 // Inner rows live in the join's own slabPool: a rebuilt inner's until the
-// next rescan, which rewinds it, a replayed inner's until Close, which
+// next rescan, which rewinds it, a taped inner's until Close, which
 // releases it — and those of a thin inner scan only until its next batch.
 // NextBatch makes each pair it keeps once, straight into its output —
 // completing the inner half through fin — before it pulls more, so the
@@ -65,14 +66,16 @@ type nlJoinIter struct {
 	outer   Iterator
 	inner   Iterator
 	primary *compiledPred // nil for cross product
-	// memo is the primary's verdicts this sweep, or nil.
+	// memo is the primary's verdicts, or nil.
 	memo *sweepMemo
-	// tape is the inner's when the loop replays it, nil when the inner is
-	// rebuilt every sweep.
-	tape     *sweepTape
-	outerRow expr.Row
-	haveOut  bool
-	count    int
+	// tape is the inner's when the loop tapes it, nil when the inner is
+	// rebuilt every sweep; walking is set for every sweep after its first.
+	tape      *sweepTape
+	walking   bool
+	innerProf *opCounters // the inner's counters under Profile, for the walk
+	outerRow  expr.Row
+	haveOut   bool
+	count     int
 	// inner batch buffer, verdicts, predicate scratch
 	ibuf   []expr.Row
 	keep   []bool
@@ -88,6 +91,9 @@ func newNLJoin(e *Env, j *plan.Join, rs *slabPool) (Iterator, error) {
 		return nil, err
 	}
 	it := &nlJoinIter{e: e, node: j, outer: outer, alloc: rowAlloc{pool: rs}, fin: e.finisherFor(j.Inner)}
+	if e.prof != nil {
+		it.innerProf = e.nodeProf(j.Inner)
+	}
 	if j.Primary != nil {
 		cp, err := compilePred(e, j.Primary, joinCols(j))
 		if err != nil {
@@ -106,18 +112,22 @@ func joinCols(j *plan.Join) []query.ColRef { return plan.ConcatCols(j.Outer, j.I
 
 func (n *nlJoinIter) Open() error { return n.outer.Open() }
 
-// rescanInner starts the next outer tuple's sweep: a replayed inner is
-// closed and opened again, over the tape the first sweep left; any other is
-// closed and built and opened anew over the same slabs.
+// rescanInner starts the next outer tuple's sweep: a taped inner's walk
+// rewinds the scan's iterator over the tape the first sweep left; any other
+// inner is closed and built and opened anew over the same slabs.
 func (n *nlJoinIter) rescanInner() error {
 	if n.memo != nil {
-		n.memo.reset()
+		n.memo.bind(n.outerRow)
 	}
-	if n.tape != nil {
-		if err := n.inner.Close(); err != nil {
-			return err
+	if t := n.tape; t != nil {
+		n.walking = true
+		t.scan.it.Rewind()
+		t.scan.gates.open()
+		t.page, t.row = 0, 0
+		if n.innerProf != nil {
+			n.innerProf.opens.Add(1)
 		}
-		return n.inner.Open()
+		return nil
 	}
 	if n.inner != nil {
 		if err := n.inner.Close(); err != nil {
@@ -131,7 +141,7 @@ func (n *nlJoinIter) rescanInner() error {
 		if err != nil {
 			return err
 		}
-		s.tape = &sweepTape{}
+		s.tape = &sweepTape{scan: s}
 		n.tape, inner = s.tape, n.e.traced(n.node.Inner, s)
 	} else {
 		var err error
@@ -175,52 +185,86 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 				return 0, err
 			}
 		}
+		if n.walking {
+			var err error
+			if out, n.haveOut, err = n.walk(dst, out); err != nil {
+				return 0, err
+			}
+			continue
+		}
 		m, err := n.inner.NextBatch(n.ibuf[:k-out])
 		if err != nil {
 			return 0, err
 		}
-		if before := n.count; (before+m)/64 != before/64 {
-			if err := n.e.checkAbort(); err != nil {
-				return 0, err
-			}
+		if err := n.count64(m); err != nil {
+			return 0, err
 		}
-		n.count += m
 		if m == 0 {
 			n.haveOut = false
 			continue
 		}
-		inner, keep := n.ibuf[:m], n.keep[:m]
-		if n.primary == nil {
-			for i := range keep {
-				keep[i] = true
+		inner := n.ibuf[:m]
+		var nums []int32
+		if n.memo != nil {
+			nums = n.memo.numbers(n.outerRow, inner)
+			if t := n.tape; t != nil && len(t.nums) < len(t.rows) {
+				t.nums = append(t.nums, nums...)
 			}
+		}
+		if out, err = n.join(dst, out, inner, nums); err != nil {
+			return 0, err
+		}
+	}
+	return out, nil
+}
+
+// count64 counts m more pairs, checking the budget each time the count
+// passes a multiple of 64.
+func (n *nlJoinIter) count64(m int) error {
+	before := n.count
+	n.count += m
+	if n.count/64 != before/64 {
+		return n.e.checkAbort()
+	}
+	return nil
+}
+
+// join decides the pairs of the outer row with inner, whose values the memo
+// numbered nums (nil without a memo), and makes the ones kept into dst from
+// out on.
+func (n *nlJoinIter) join(dst []expr.Row, out int, inner []expr.Row, nums []int32) (int, error) {
+	keep := n.keep[:len(inner)]
+	if n.primary == nil {
+		for i := range keep {
+			keep[i] = true
+		}
+	} else {
+		// The join keeps its every-64-pairs budget cadence (count64);
+		// holdsBatch's own ticking on this throwaway counter only adds
+		// extra (harmless) abort checks.
+		tick := 0
+		var err error
+		if n.memo != nil {
+			err = n.memo.holds(n.e, n.primary, n.outerRow, inner, nums, keep, &tick, &n.sc)
 		} else {
-			// The join keeps its every-64-pairs budget cadence above;
-			// holdsBatch's own ticking on this throwaway counter only adds
-			// extra (harmless) abort checks.
-			tick := 0
-			if n.memo != nil {
-				err = n.memo.holds(n.e, n.primary, n.outerRow, inner, keep, &tick, &n.sc)
-			} else {
-				err = n.primary.holdsBatch(n.e, n.outerRow, inner, keep, &tick, &n.sc)
-			}
-			if err != nil {
-				return 0, err
-			}
+			err = n.primary.holdsBatch(n.e, n.outerRow, inner, keep, &tick, &n.sc)
 		}
-		w := len(n.outerRow)
-		for i, irow := range inner {
-			if !keep[i] {
-				continue
-			}
-			pair := n.alloc.next(w + len(irow))
-			copy(pair, n.outerRow)
-			if err := n.fin.emit(pair[w:], irow); err != nil {
-				return 0, err
-			}
-			dst[out] = pair
-			out++
+		if err != nil {
+			return 0, err
 		}
+	}
+	w := len(n.outerRow)
+	for i, irow := range inner {
+		if !keep[i] {
+			continue
+		}
+		pair := n.alloc.next(w + len(irow))
+		copy(pair, n.outerRow)
+		if err := n.fin.emit(pair[w:], irow); err != nil {
+			return 0, err
+		}
+		dst[out] = pair
+		out++
 	}
 	return out, nil
 }
@@ -233,7 +277,7 @@ func (n *nlJoinIter) Close() error {
 	}
 	if n.tape != nil {
 		n.tape.release()
-		n.tape = nil
+		n.tape, n.walking = nil, false
 	}
 	n.rescan.release()
 	return errors.Join(cerr, n.outer.Close())

@@ -171,11 +171,13 @@ func runGates(t *testing.T, name string, env *Env, root plan.Node, build func(*E
 		t.Fatalf("%s: %v", name, err)
 	}
 	rows, n, err := collect(env, it, root.Card(), true)
+	cerr := it.Close()
+	err = env.drained(err)
 	dnf := errors.Is(err, ErrBudgetExceeded)
 	if dnf {
 		err = nil
 	}
-	if err := errors.Join(err, it.Close()); err != nil {
+	if err := errors.Join(err, cerr); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	kept := make([]expr.Row, len(rows))

@@ -417,112 +417,154 @@ func collidingKeys(n int) []expr.Value {
 	return keys
 }
 
-// TestSweepMemoTable holds the sweep memo's stamped table to a map, over
-// three sweeps: keys sharing one home slot (collidingKeys), math.MinInt64 and
-// math.MaxInt64, 0 and NULL kept apart, every verdict kept through the
-// table's growth mid-sweep, and nothing of a sweep left in the next.
+// TestSweepMemoTable holds the memo's numbering of inner values to a map,
+// met twice over: keys sharing one home slot (collidingKeys), math.MinInt64
+// and math.MaxInt64, 0 and NULL kept apart, each key numbered once, in the
+// order met, and every number kept through the table's growth. And its
+// outer halves: equal ones share a verdict vector, and NULL, 0, false and
+// the same values in other columns are apart.
 func TestSweepMemoTable(t *testing.T) {
 	keys := append([]expr.Value{expr.Null, expr.I(math.MinInt64), expr.I(math.MaxInt64)}, collidingKeys(60)...)
-	m := &sweepMemo{sweep: 1}
+	m := &sweepMemo{ids: map[string]int32{}, outer: []int{0, 1}}
 	m.resize(joinTableMinSlots)
 	for _, k := range keys[3:] {
 		if fibHash(k.I, m.shift) != fibHash(0, m.shift) {
 			t.Fatalf("key %d's home slot is not 0's", k.I)
 		}
 	}
-	for sweep := 0; sweep < 3; sweep++ {
-		m.reset()
-		want := map[expr.Value]int32{}
+	for round := 0; round < 2; round++ {
 		for i, k := range keys {
-			if r, ok := m.get(k); ok {
-				t.Fatalf("sweep %d: %v has verdict %d before the sweep met it", sweep, k, r)
+			if got := m.number(k); got != int32(i) {
+				t.Fatalf("round %d: %v numbered %d, want %d", round, k, got, i)
 			}
-			want[k] = memoKeep
-			if (i+sweep)%3 == 0 {
-				want[k] = memoReject
-			}
-			m.put(k, want[k])
-			for k, r := range want {
-				if got, ok := m.get(k); !ok || got != r {
-					t.Fatalf("sweep %d, %d keys in: %v has %d (%v), want %d", sweep, i+1, k, got, ok, r)
+			for j, k := range keys[:i] {
+				if got := m.number(k); got != int32(j) {
+					t.Fatalf("round %d, %d keys in: %v numbered %d, want %d", round, i+1, k, got, j)
 				}
 			}
 		}
-		if sweep == 0 && len(m.slots) == joinTableMinSlots {
-			t.Fatalf("%d keys in a table of %d slots: it never grew", len(keys), len(m.slots))
+	}
+	if int(m.vals) != len(keys) || len(m.slots) == joinTableMinSlots {
+		t.Fatalf("%d keys numbered %d times in a table of %d slots", len(keys), m.vals, len(m.slots))
+	}
+	for i, outer := range []expr.Row{
+		{expr.Null, expr.I(0)}, {expr.I(0), expr.Null}, {expr.I(0), expr.I(0)}, {expr.B(false), expr.I(0)},
+		{expr.I(0), expr.I(0)}, {expr.Null, expr.I(0)}, {expr.I(0), expr.B(false)},
+	} {
+		m.bind(outer)
+		if want := []int32{0, 1, 2, 3, 2, 0, 4}[i]; m.cur != want {
+			t.Fatalf("outer half %v bound to vector %d, want %d", outer, m.cur, want)
 		}
 	}
 }
 
 // TestNLReplayMatchesRescan holds a nested loop that reads its inner heap
-// scan once and replays it (sweepTape) to the same plan with the replay
+// scan once and walks it (sweepTape) to the same plan with the tape
 // withheld (buildRescan), where every sweep rebuilds the inner and reads it
 // again: the rows (in order when serial), the bits of the charged cost,
 // invocations, cache hits and misses and every node's actual= must be
 // equal, with profiling off and on, at BatchSize {1, 7, 256} × Parallelism
-// {1, 3}. The inners: t7 under a cached expensive primary, the same
-// uncached, a cross product, t7 under two cheap filters the scan absorbs,
-// and t7 under a transfer probe (from t1.u100 = t7.u100 over the loop) and
-// an absorbed filter. Each runs over a roomy pool and over a 6-page one,
-// smaller than t7, so every sweep misses every page and a replay that
-// fetched other pages, or none, would charge otherwise; there the cross
-// product also runs under budgets (testNLReplayBudget). Over the roomy pool
-// the outer is a heap scan, split by an exchange at Parallelism 3; over the
-// tight one an index scan, so the pool sees one order of pages.
+// {1, 3}. The inners: t7 under a cached expensive primary whose outer
+// argument repeats (t1.u20) and one whose outer argument never does
+// (t1.ua1), the same uncached and cached in a table bounded to 64 entries
+// (the per-row protocol, no memo; over the index scan, as eviction depends
+// on the order of the outer rows), a cross product, t7 under two cheap
+// filters the scan absorbs, t7 under a transfer probe (from t1.u100 =
+// t7.u100 over the loop) and an absorbed filter, and the memo table
+// (sweepMemoTable), whose int column holds NULL, 0, the int64 extremes and
+// colliding keys and whose bool column NULL, false and true. Two loops have
+// outers of their own: 15 memo rows, whose NULLs and extremes are the outer
+// argument, and the cross product of 10 t1 rows with 3 memo rows, whose
+// primary takes one argument from each of t1 and memo. Each runs over a
+// roomy pool and over a 6-page one, smaller than t7, so every sweep misses
+// every page and a walk that fetched other pages, or none, would charge
+// otherwise; there the cross product also runs under budgets
+// (testNLReplayBudget). Over the roomy pool the outer is a heap scan, split
+// by an exchange at Parallelism 3; over the tight one an index scan, so the
+// pool sees one order of pages.
 func TestNLReplayMatchesRescan(t *testing.T) {
 	for _, pool := range []int{6, 0} {
 		db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1, 7}, PoolPages: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sweepMemoTable(t, db)
 		f, err := db.Cat.Func("costly10join")
 		if err != nil {
 			t.Fatal(err)
+		}
+		f2, f3 := expr.NewCostly("costly10pair", 2, 10, 0.3, 77), expr.NewCostly("costly10triple", 3, 10, 0.3, 78)
+		for _, f := range []*expr.FuncDef{f2, f3} {
+			if err := db.Cat.RegisterFunc(f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
 		cmp := func(tab, c string, op expr.CmpOp, v int64) *query.Predicate {
 			return &query.Predicate{Kind: query.KindSelCmp, Op: op, Left: col(tab, c), Value: expr.I(v)}
 		}
-		q, err := query.NewQuery([]string{"t1", "t7"}, []*query.Predicate{
+		q, err := query.NewQuery([]string{"t1", "t7", "memo"}, []*query.Predicate{
 			{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t1", "u20"), col("t7", "u20")}},
 			cmp("t1", "ua1", expr.OpLT, 30),
 			cmp("t7", "ua1", expr.OpLT, 900),
 			cmp("t7", "u100", expr.OpGE, 3),
 			{Kind: query.KindJoinCmp, Op: expr.OpEQ, Left: col("t1", "u100"), Right: col("t7", "u100")},
 			cmp("t7", "ua1", expr.OpLT, 40),
+			{Kind: query.KindFunc, Func: f, Args: []query.ColRef{col("t1", "ua1"), col("t7", "u20")}},
+			{Kind: query.KindFunc, Func: f2, Args: []query.ColRef{col("memo", "k"), col("t7", "u20")}},
+			{Kind: query.KindFunc, Func: f2, Args: []query.ColRef{col("t1", "u20"), col("memo", "k")}},
+			{Kind: query.KindFunc, Func: f2, Args: []query.ColRef{col("t1", "u20"), col("memo", "b")}},
+			{Kind: query.KindFunc, Func: f3, Args: []query.ColRef{col("t1", "u20"), col("memo", "b"), col("t7", "u20")}},
+			cmp("memo", "w", expr.OpLT, 15*7919),
+			cmp("memo", "w", expr.OpLT, 3*7919),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		query.Analyze(db.Cat, q)
 		var outer plan.Node = &plan.Filter{Input: scanNode(t, db.Cat, "t1"), Pred: q.Preds[1]}
+		lo, hi := expr.I(0), expr.I(59)
+		index := &plan.IndexScan{Table: "t1", Col: "a1", Lo: &lo, Hi: &hi, ColRefs: scanNode(t, db.Cat, "t1").ColRefs}
 		if pool != 0 {
-			lo, hi := expr.I(0), expr.I(59)
-			outer = &plan.IndexScan{Table: "t1", Col: "a1", Lo: &lo, Hi: &hi, ColRefs: scanNode(t, db.Cat, "t1").ColRefs}
+			outer = index
 		}
 		filter := func(in plan.Node, p *query.Predicate) plan.Node { return &plan.Filter{Input: in, Pred: p} }
 		t7 := func() plan.Node { return scanNode(t, db.Cat, "t7") }
 		if pool != 0 {
 			testNLReplayBudget(t, db, outer, t7())
 		}
-		tab7, err := db.Cat.Table("t7")
-		if err != nil {
-			t.Fatal(err)
-		}
+		memo := func() plan.Node { return scanNode(t, db.Cat, "memo") }
+		memoOuter := filter(memo(), q.Preds[11])
+		few := expr.I(9)
+		fewT1 := &plan.IndexScan{Table: "t1", Col: "a1", Lo: &lo, Hi: &few, ColRefs: index.ColRefs}
+		twoTables := &plan.Join{Method: plan.NestLoop, Outer: fewT1, Inner: filter(memo(), q.Preds[12])}
+		twoTables.ColRefs = plan.ConcatCols(fewT1, twoTables.Inner)
 		for _, sh := range []struct {
 			name     string
+			outer    plan.Node // nil: the pool's outer
 			inner    plan.Node
 			primary  *query.Predicate
 			caching  bool
+			bound    int              // the cache table's entries, 0 unbounded
 			over     *query.Predicate // a filter over the loop, with transfer on
 			wantKind string           // the inner scan's gates
 		}{
-			{"cached", t7(), q.Preds[0], true, nil, ""},
-			{"uncached", t7(), q.Preds[0], false, nil, ""},
-			{"cross", filter(t7(), q.Preds[5]), nil, false, nil, "test"},
-			{"absorbed", filter(filter(t7(), q.Preds[2]), q.Preds[3]), q.Preds[0], true, nil, "test test"},
-			{"probe", filter(t7(), q.Preds[2]), q.Preds[0], true, q.Preds[4], "probe test"},
+			{"cross", nil, filter(t7(), q.Preds[5]), nil, false, 0, nil, "test"},
+			{"cached", nil, t7(), q.Preds[0], true, 0, nil, ""},
+			{"uncached", nil, t7(), q.Preds[0], false, 0, nil, ""},
+			{"absorbed", nil, filter(filter(t7(), q.Preds[2]), q.Preds[3]), q.Preds[0], true, 0, nil, "test test"},
+			{"probe", nil, filter(t7(), q.Preds[2]), q.Preds[0], true, 0, q.Preds[4], "probe test"},
+			{"cached-unique-outer", nil, t7(), q.Preds[6], true, 0, nil, ""},
+			{"bounded", index, t7(), q.Preds[0], true, 64, nil, ""}, // FIFO eviction: outer rows in one order
+			{"null-outer", memoOuter, t7(), q.Preds[7], true, 0, nil, ""},
+			{"null-inner", nil, memo(), q.Preds[8], true, 0, nil, ""},
+			{"bool-inner", nil, memo(), q.Preds[9], true, 0, nil, ""},
+			{"two-outer-tables", twoTables, t7(), q.Preds[10], true, 0, nil, ""},
 		} {
+			outer := outer
+			if sh.outer != nil {
+				outer = sh.outer
+			}
 			loop := &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: sh.inner, Primary: sh.primary,
 				ExpensivePrimary: sh.primary != nil, ColRefs: plan.ConcatCols(outer, sh.inner)}
 			root := plan.Node(loop)
@@ -533,12 +575,15 @@ func TestNLReplayMatchesRescan(t *testing.T) {
 				for _, bs := range []int{1, 7, 256} {
 					for _, profile := range []bool{false, true} {
 						name := fmt.Sprintf("%s pool=%d P=%d BS=%d profile=%v", sh.name, pool, p, bs, profile)
-						env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(sh.caching, 0),
+						env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(sh.caching, sh.bound),
 							Parallelism: p, BatchSize: bs, Profile: profile, Transfer: sh.over != nil}
 						want := runGates(t, name, env, root, buildRescan)
 						got := runGates(t, name, env, root, Build)
 						if env.loops[loop].tape == nil {
-							t.Fatalf("%s: Build does not have the loop replay its inner", name)
+							t.Fatalf("%s: Build does not have the loop tape its inner", name)
+						}
+						if memo := env.loops[loop].memo != nil; memo != (sh.caching && sh.bound == 0) {
+							t.Fatalf("%s: the loop has a memo: %v", name, memo)
 						}
 						if kinds := gateKinds(env.gates[plan.Base(sh.inner)]); kinds != sh.wantKind {
 							t.Fatalf("%s: the inner scan runs gates %q, want %q", name, kinds, sh.wantKind)
@@ -547,7 +592,11 @@ func TestNLReplayMatchesRescan(t *testing.T) {
 						if len(got.Rows) == 0 || sh.caching && got.Stats.CacheHits == 0 {
 							t.Fatalf("%s: %d rows, %d cache hits", name, len(got.Rows), got.Stats.CacheHits)
 						}
-						if sweeps, pages := got.NodeRows[outer], int64(tab7.Heap.NumPages()); pool != 0 && got.Stats.IO.Total() < sweeps*pages {
+						tab, err := db.Cat.Table(plan.Base(sh.inner).(*plan.SeqScan).Table)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if sweeps, pages := got.NodeRows[outer], int64(tab.Heap.NumPages()); pool != 0 && pages > 6 && got.Stats.IO.Total() < sweeps*pages {
 							t.Fatalf("%s: %d reads over %d sweeps of %d pages: the sweeps do not miss", name, got.Stats.IO.Total(), sweeps, pages)
 						}
 						if profile {
@@ -604,20 +653,30 @@ func TestNLTapeNeedsSweeps(t *testing.T) {
 
 // testNLReplayBudget runs the cross product of outer and inner, a bare heap
 // scan that misses the pool on every sweep, under budgets one read apart
-// across more than a sweep's reads: the run the budget stops must be the
-// rescanned one's, and stop within three reads of the budget — the loop
-// checks it every 64 pairs, replayed ones among them.
+// across more than a sweep's reads. Every run stops, as the rescanned one
+// does, within three reads of the budget — the walk checks it at each page
+// and every 64 pairs — having made a prefix of the full run's rows.
 func testNLReplayBudget(t *testing.T, db *datagen.DB, outer, inner plan.Node) {
 	t.Helper()
 	root := &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, ColRefs: plan.ConcatCols(outer, inner)}
+	newEnv := func(budget float64) *Env {
+		return &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), BatchSize: 1, Budget: budget}
+	}
+	full := runGates(t, "cross", newEnv(0), root, Build)
 	for budget := 60.0; budget < 90; budget++ {
-		name := fmt.Sprintf("cross budget=%v", budget)
-		env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), BatchSize: 1, Budget: budget}
-		want := runGates(t, name, env, root, buildRescan)
-		got := runGates(t, name, env, root, Build)
-		sameAsWithheld(t, name, root, got, want, true)
-		if over := got.Stats.Charged() - budget; !got.DNF || over > 3 {
-			t.Fatalf("%s: DNF %v with %v charged: the loop did not stop within three reads", name, got.DNF, got.Stats.Charged())
+		for _, build := range []struct {
+			name string
+			fn   func(*Env, plan.Node) (Iterator, error)
+		}{{"walk", Build}, {"rescan", buildRescan}} {
+			name := fmt.Sprintf("cross %s budget=%v", build.name, budget)
+			got := runGates(t, name, newEnv(budget), root, build.fn)
+			if over := got.Stats.Charged() - budget; !got.DNF || over > 3 {
+				t.Fatalf("%s: DNF %v with %v charged: the loop did not stop within three reads", name, got.DNF, got.Stats.Charged())
+			}
+			if len(got.Rows) > len(full.Rows) {
+				t.Fatalf("%s: %d rows, the full run %d", name, len(got.Rows), len(full.Rows))
+			}
+			sameRows(t, name, got.Rows, full.Rows[:len(got.Rows)])
 		}
 	}
 }
@@ -625,15 +684,16 @@ func testNLReplayBudget(t *testing.T, db *datagen.DB, outer, inner plan.Node) {
 // TestProbedScanBudget runs, with transfer on, plans whose inner scan of t7
 // probes a Bloom filter (from t1.u100 = t7.u100) before the cheap test it
 // absorbed — a hash join of an index scan of t1 and that scan, and their
-// nested loop under the join's filter, replaying its inner and rescanning
-// it — over a 6-page pool that t7 misses every sweep, at BatchSize {1, 7,
-// 256} under each budget of the 200 past the prepass's charge (the loop's
-// first ten sweeps) and the 12 below the run's own. A probed scan charges
-// its probes at its batch's flush, so a check inside the batch sees them
-// late; each run must still end within limit of its budget, the worst this
-// sweep reads: the hash join's last 8 reads follow its last check, and a
-// replayed inner hands on batches that span pages, so its loop checks less
-// often than the rescanned one.
+// nested loop under the join's filter, walking its taped inner and
+// rescanning it — over a 6-page pool that t7 misses every sweep, at
+// BatchSize {1, 7, 256} under each budget of the 200 past the prepass's
+// charge (the loop's first ten sweeps) and the 12 below the run's own. A
+// probed scan charges its probes at its batch's flush, so a check inside
+// the batch sees them late; each run must still end within limit of its
+// budget, the worst this sweep reads — the hash join's last 8 reads follow
+// its last check, and the walked loop, which checks at each page and every
+// 64 pairs, ends at most 11.37 past — and a run that completes must not
+// have charged past its budget (Env.drained).
 func TestProbedScanBudget(t *testing.T) {
 	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1, 7}, PoolPages: 6})
 	if err != nil {
@@ -661,9 +721,10 @@ func TestProbedScanBudget(t *testing.T) {
 		limit float64
 	}{
 		{"hash", hash, Build, 8},
-		{"loop", loop, Build, 21},
+		{"loop", loop, Build, 11.4},
 		{"loop rescan", loop, buildRescan, 12},
 	} {
+		worst := 0.0
 		for _, bs := range []int{1, 7, 256} {
 			env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), BatchSize: bs, Transfer: true}
 			full := runGates(t, sh.name, env, sh.root, sh.build)
@@ -675,10 +736,13 @@ func TestProbedScanBudget(t *testing.T) {
 				name := fmt.Sprintf("%s BS=%d budget=%v", sh.name, bs, budget)
 				env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), BatchSize: bs, Transfer: true, Budget: budget}
 				got := runGates(t, name, env, sh.root, sh.build)
-				if over := got.Stats.Charged() - budget; over > sh.limit {
+				over := got.Stats.Charged() - budget
+				if over > sh.limit || !got.DNF && over > 0 {
 					t.Fatalf("%s: %v charged (DNF %v), %v over the budget", name, got.Stats.Charged(), got.DNF, over)
 				}
+				worst = max(worst, over)
 			}
 		}
+		t.Logf("%s: at most %v reads past the budget", sh.name, worst)
 	}
 }

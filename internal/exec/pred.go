@@ -289,50 +289,60 @@ func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row
 	return nil
 }
 
-// sweepMemo is a nested loop's memo of its cached primary over one sweep of
-// the inner: within a sweep the outer half of every binding is the one outer
-// row, so the inner half alone names a binding, and an inner column with
-// repeats asks the cache the same question many times. The memo keeps the
-// verdict of each inner value the sweep has settled and answers its repeats
-// without a key encode, hash or shard lock.
+// sweepMemo is a nested loop's memo of its cached primary's verdicts, kept
+// for the whole query. A binding is the primary's arguments from the outer
+// row, which a sweep fixes, and one inner int or bool column: the memo
+// numbers the outer halves it meets (bind, once per sweep) and the inner
+// values (number), and keeps for each outer half a verdict vector, one byte
+// per inner value — so a repeated binding, within a sweep or in a later
+// sweep whose outer row agrees on the primary's arguments, is answered
+// without a key encode, hash or shard lock. A taped inner's rows carry their
+// numbers (sweepTape), so a walked sweep reads its verdicts by index.
 //
 // It is kept only over an unbounded table, which is monotone: a binding the
-// sweep has settled is stored and stays stored, so the per-row protocol would
-// have found it, and each answer from the memo is counted as that hit
+// memo has decided was stored and stays stored, so the per-row protocol
+// would have found it, and each answer from the memo is counted as that hit
 // (pcache.Manager.AddHits). Invocations, hits, misses, entries and charged
 // cost are therefore those of the per-row protocol. A bounded table evicts in
 // FIFO order and keeps the per-row protocol.
 type sweepMemo struct {
-	col int // the primary's one inner argument, as a position in the pair
-	// slots is an open-addressed table of the inner values the sweep has met
-	// (Fibonacci hashing, linear probing, at most 3/4 full), and null is
-	// NULL's slot. A slot is the sweep's when its stamp is: one stamped by an
-	// earlier sweep is empty, so a new sweep is one increment. A slot holds
-	// memoKeep or memoReject; within a batch, a value first met there holds
-	// its index in sub.
+	col   int   // the primary's one inner argument, as a position in the pair
+	outer []int // its outer arguments, as positions in the pair, in order
+	// ids numbers the outer halves by their key encoding; verdicts holds
+	// each one's vector, by inner value number (memoUndecided, memoKeep or
+	// memoReject), and cur is the running sweep's.
+	ids      map[string]int32
+	verdicts [][]byte
+	cur      int32
+	key      []byte
+	// slots is an open-addressed table of the inner values met (Fibonacci
+	// hashing, linear probing, at most 3/4 full), a slot holding a value and
+	// its number plus one (0: empty), and null is NULL's number plus one.
 	slots []memoSlot
-	null  memoSlot
-	shift uint // 64 - log2(len(slots))
-	used  int  // the sweep's slots
-	sweep uint64
-	// Batch scratch: the first occurrences of the values the memo lacks,
-	// their verdicts, and each row's entry.
+	null  int32
+	shift uint
+	used  int   // the slots holding a value
+	vals  int32 // the values numbered, NULL among them
+	// Batch scratch: each row's number, and the first occurrences of the
+	// numbers the vector leaves undecided, with their numbers and verdicts.
+	nums    []int32
 	sub     []expr.Row
+	subNum  []int32
 	subKeep []bool
-	of      []int32
 }
 
-// memoSlot is one inner value's entry, valid in the sweep it is stamped with.
+// memoSlot is one inner value's entry: the value and its number plus one.
 type memoSlot struct {
-	key   int64
-	sweep uint64
-	r     int32
+	key int64
+	num int32
 }
 
-// Memo entries below zero; one at or above zero is a sub-batch index.
+// A verdict vector's entries.
 const (
-	memoKeep int32 = -1 - iota
+	memoUndecided byte = iota
+	memoKeep
 	memoReject
+	memoPending // in the running batch's sub-batch
 )
 
 // newSweepMemo returns the memo of nested loop j's primary, as compilePred
@@ -347,33 +357,33 @@ func newSweepMemo(e *Env, j *plan.Join) *sweepMemo {
 	if err != nil || cp.owner == "" {
 		return nil // the join's constructor reports an error
 	}
-	col := -1
+	m := &sweepMemo{col: -1, ids: map[string]int32{}}
 	for _, idx := range cp.argIdx {
-		if idx < outerWidth {
-			continue
-		}
-		if col >= 0 && col != idx {
+		switch {
+		case idx < outerWidth:
+			m.outer = append(m.outer, idx)
+		case m.col >= 0 && m.col != idx:
 			return nil
+		default:
+			m.col = idx
 		}
-		col = idx
 	}
-	if col < 0 {
+	if m.col < 0 {
 		return nil
 	}
-	tab, err := e.Cat.Table(cols[col].Table)
+	tab, err := e.Cat.Table(cols[m.col].Table)
 	if err != nil || tab.Codec == nil {
 		return nil
 	}
-	k := tab.ColIndex(cols[col].Col)
+	k := tab.ColIndex(cols[m.col].Col)
 	if _, ok := tab.Codec.IntField(k); !ok {
 		return nil
 	}
-	// Sized for the column's distinct values, so a sweep rarely grows it.
+	// Sized for the column's distinct values, so a query rarely grows it.
 	slots := joinTableMinSlots
 	for !memoFits(cardHint(float64(tab.Columns[k].Distinct)), slots) {
 		slots *= 2
 	}
-	m := &sweepMemo{col: col, sweep: 1}
 	m.resize(slots)
 	return m
 }
@@ -382,102 +392,120 @@ func newSweepMemo(e *Env, j *plan.Join) *sweepMemo {
 // most 3/4 full, where a linear probe is still short.
 func memoFits(n, slots int) bool { return 4*n <= 3*slots }
 
-// reset starts a sweep: every slot of the last one is empty now.
-func (m *sweepMemo) reset() {
-	m.sweep++
-	m.used = 0
+// bind starts a sweep under outer: its half of the binding is numbered, and
+// that half's vector is the one holds reads and writes.
+func (m *sweepMemo) bind(outer expr.Row) {
+	m.key = m.key[:0]
+	for _, idx := range m.outer {
+		m.key = outer[idx].AppendKey(m.key)
+	}
+	id, ok := m.ids[string(m.key)]
+	if !ok {
+		id = int32(len(m.verdicts))
+		m.ids[string(m.key)] = id
+		m.verdicts = append(m.verdicts, nil)
+	}
+	m.cur = id
 }
 
 // memoKey is v's key in the memo: its integer (a bool's is 0 or 1), and
 // whether it is NULL, which has no integer of its own.
 func memoKey(v expr.Value) (int64, bool) { return v.I, v.Kind == expr.TNull }
 
-// slot returns the sweep's slot of key k: NULL's, the one holding k, or the
-// empty one where k belongs.
-func (m *sweepMemo) slot(k int64, null bool) *memoSlot {
-	if null {
-		return &m.null
-	}
+// slot returns key k's slot: the one holding k, or the empty one where k
+// belongs.
+func (m *sweepMemo) slot(k int64) *memoSlot {
 	mask := uint64(len(m.slots) - 1)
 	for s := fibHash(k, m.shift); ; s = (s + 1) & mask {
-		if sl := &m.slots[s]; sl.sweep != m.sweep || sl.key == k {
+		if sl := &m.slots[s]; sl.num == 0 || sl.key == k {
 			return sl
 		}
 	}
 }
 
-func (m *sweepMemo) get(v expr.Value) (int32, bool) {
-	sl := m.slot(memoKey(v))
-	return sl.r, sl.sweep == m.sweep
-}
-
-func (m *sweepMemo) put(v expr.Value, r int32) {
+// number returns v's number, numbering it if it is new.
+func (m *sweepMemo) number(v expr.Value) int32 {
 	k, null := memoKey(v)
-	sl := m.slot(k, null)
-	if sl.sweep != m.sweep && !null {
+	if null {
+		if m.null == 0 {
+			m.vals++
+			m.null = m.vals
+		}
+		return m.null - 1
+	}
+	sl := m.slot(k)
+	if sl.num == 0 {
 		if !memoFits(m.used+1, len(m.slots)) {
 			m.resize(2 * len(m.slots))
-			sl = m.slot(k, false)
+			sl = m.slot(k)
 		}
 		m.used++
+		m.vals++
+		*sl = memoSlot{key: k, num: m.vals}
 	}
-	*sl = memoSlot{key: k, sweep: m.sweep, r: r}
+	return sl.num - 1
 }
 
-// resize gives the table n slots, keeping the sweep's.
+// numbers returns the numbers of the inner values of rows, good until the
+// next call.
+func (m *sweepMemo) numbers(outer expr.Row, rows []expr.Row) []int32 {
+	m.nums = m.nums[:0]
+	for _, row := range rows {
+		m.nums = append(m.nums, m.number(at(outer, row, m.col)))
+	}
+	return m.nums
+}
+
+// resize gives the table n slots, keeping its values.
 func (m *sweepMemo) resize(n int) {
 	old := m.slots
 	m.slots = make([]memoSlot, n)
 	m.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	for _, sl := range old {
-		if sl.sweep == m.sweep {
-			*m.slot(sl.key, false) = sl
+		if sl.num != 0 {
+			*m.slot(sl.key) = sl
 		}
 	}
 }
 
-// holds is holdsBatch for cp over the pairs of outer with rows. A row whose
-// inner value the memo holds takes its verdict; the first occurrence of each
-// value it lacks goes, in row order, through holdsBatchCached as one
-// sub-batch, and the rows after it with that value take its verdict.
-func (m *sweepMemo) holds(e *Env, cp *compiledPred, outer expr.Row, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
-	n := len(rows)
-	if cap(m.of) < n {
-		m.of, m.subKeep = make([]int32, n), make([]bool, n)
+// holds is holdsBatch for cp over the pairs of outer, the bound outer row,
+// with rows, whose inner values are numbered nums. A row whose number the
+// vector has decided takes its verdict; the first occurrence of each number
+// it has not goes, in row order, through holdsBatchCached as one sub-batch,
+// whose verdicts the vector then keeps for the rows after it.
+func (m *sweepMemo) holds(e *Env, cp *compiledPred, outer expr.Row, rows []expr.Row, nums []int32, keep []bool, count *int, sc *predScratch) error {
+	vec := m.verdicts[m.cur]
+	if len(vec) < int(m.vals) {
+		vec = append(vec, make([]byte, int(m.vals)-len(vec))...)
+		m.verdicts[m.cur] = vec
 	}
-	of := m.of[:n]
-	m.sub = m.sub[:0]
-	for i, row := range rows {
-		v := at(outer, row, m.col)
-		r, ok := m.get(v)
-		if !ok {
-			r = int32(len(m.sub))
-			m.sub = append(m.sub, row)
-			m.put(v, r)
+	m.sub, m.subNum = m.sub[:0], m.subNum[:0]
+	for i, num := range nums {
+		if vec[num] == memoUndecided {
+			vec[num] = memoPending
+			m.sub = append(m.sub, rows[i])
+			m.subNum = append(m.subNum, num)
 		}
-		of[i] = r
 	}
-	subKeep := m.subKeep[:len(m.sub)]
 	if len(m.sub) > 0 {
+		if cap(m.subKeep) < len(m.sub) {
+			m.subKeep = make([]bool, len(m.sub), 2*len(m.sub))
+		}
+		subKeep := m.subKeep[:len(m.sub)]
 		if err := cp.holdsBatchCached(e, outer, m.sub, subKeep, count, sc); err != nil {
-			return err
+			return err // the query ends, and the memo with it
 		}
-		for j, row := range m.sub {
-			r := memoReject
+		for j, num := range m.subNum {
+			vec[num] = memoReject
 			if subKeep[j] {
-				r = memoKeep
+				vec[num] = memoKeep
 			}
-			m.put(at(outer, row, m.col), r)
 		}
 	}
-	for i, r := range of {
-		if r >= 0 {
-			keep[i] = subKeep[r]
-		} else {
-			keep[i] = r == memoKeep
-		}
+	for i, num := range nums {
+		keep[i] = vec[num] == memoKeep
 	}
-	if hits := n - len(m.sub); hits > 0 {
+	if hits := len(rows) - len(m.sub); hits > 0 {
 		e.Cache.AddHits(hits)
 		if cp.prof != nil {
 			cp.prof.predEvals.Add(int64(hits))

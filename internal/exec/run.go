@@ -97,6 +97,7 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 	rows, n, err := collect(e, it, root.Card(), !e.CountOnly)
 	res.Rows = rows
 	cerr := it.Close()
+	err = e.drained(err)
 	if errors.Is(err, ErrBudgetExceeded) {
 		// The abort is the measurement (the paper's "did not finish"); a
 		// Close failure after it would still be a real engine error.
@@ -115,6 +116,18 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 		res.Profile = assembleProfile(e, root)
 	}
 	return res, nil
+}
+
+// drained is the budget's last comparison, once the tree is closed after
+// err, its drain's outcome: the operators compare the charge with the
+// budget only at their periodic checks, and what a drained tree charged
+// after its last one was never compared. A run charged past its budget did
+// not finish, however it ended.
+func (e *Env) drained(err error) error {
+	if err == nil && e.Budget > 0 && e.Charged() > e.Budget {
+		return ErrBudgetExceeded
+	}
+	return err
 }
 
 // collect opens it and pulls it dry, returning the number of rows it

@@ -3,34 +3,38 @@ package exec
 import (
 	"predplace/internal/expr"
 	"predplace/internal/plan"
+	"predplace/internal/storage"
 )
 
 // sweepTape is a nested loop's inner read once (DESIGN.md §12). The loop's
 // first sweep reads its heap scan as any sweep would and keeps what the scan
-// met: the rows it kept, decoded whole in slabs of the loop's own pool, the
-// live records on each page, and each record's outcomes at the scan's gates.
-// Every later sweep replays the tape (seqScanIter.replay): the scan pins and
-// unpins the same pages in the same order around the same rows — so the
-// query's I/O tracker sees the fetches and unpins a rescan makes and charges
-// the same reads — and hands each gate the tallies the records would have
-// given, without reading a record. Nothing of it depends on the outer row, so
-// it holds for every sweep. It lives until the loop closes.
+// met: the rows it kept, decoded whole in slabs of the loop's own pool, each
+// row's inner value as the loop's memo numbers it, the rows kept through
+// each page's end, and the scan's gate tallies at each kept row and at each
+// page's end. Every later sweep is walked by the join (nlJoinIter.walk),
+// which takes the same pages through the scan's iterator around the same
+// rows — so the query's I/O tracker sees the fetches and unpins a rescan
+// makes and charges the same reads — and hands the scan's gates the tallies
+// the records would have given, without reading a record. Nothing of it
+// depends on the outer row, so it holds for every sweep. It lives until the
+// loop closes.
 type sweepTape struct {
-	rows  []expr.Row // from a pooled buffer (getRowBuf), given back at release
-	pages []int32    // the live records on each page, in scan order
-	codes []byte     // each live record's outcome at every gate it reached
-	done  bool       // the first sweep read the scan to its end
-	// replaying: the running sweep replays the tape (every sweep after a
-	// done first one).
-	replaying bool
-	// The replay's place: pages passed, records and rows handed on, codes
-	// read, and the records up to the current page's end.
-	page, rec, row, code, end int
+	// scan is the inner scan that recorded the tape: the walk takes the pages
+	// through its iterator and hands its gates the tallies.
+	scan *seqScanIter
+	rows []expr.Row // from a pooled buffer (getRowBuf), given back at release
+	nums []int32    // each row's inner-value number; nil without a memo
+	ends []int32    // per page, in scan order, the rows kept through its end
+	// rowTally and pageTally hold the scan's tallies since the sweep opened
+	// (gateRun.got) at each kept row and at each page's end, one per gate.
+	rowTally, pageTally []gateTally
+	// The walk's place: the pages fetched and the rows handed on.
+	page, row int
 }
 
 // keep appends a row the first sweep kept, growing the row buffer through
-// the pool.
-func (t *sweepTape) keep(row expr.Row) {
+// the pool, with the gates' tallies so far.
+func (t *sweepTape) keep(row expr.Row, g *gateRun) {
 	if len(t.rows) == cap(t.rows) {
 		grown := getRowBuf(max(2*len(t.rows), DefaultBatchSize))[:len(t.rows)]
 		copy(grown, t.rows)
@@ -38,16 +42,13 @@ func (t *sweepTape) keep(row expr.Row) {
 		t.rows = grown
 	}
 	t.rows = append(t.rows, row)
+	t.rowTally = append(t.rowTally, g.got...)
 }
 
-// rewind readies the tape for a sweep: a replay from the start once the
-// first sweep is done, else a recording from scratch.
-func (t *sweepTape) rewind() {
-	t.page, t.rec, t.row, t.code, t.end = 0, 0, 0, 0, 0
-	t.replaying = t.done
-	if !t.done {
-		t.rows, t.pages, t.codes = t.rows[:0], t.pages[:0], t.codes[:0]
-	}
+// endPage marks the end of the page the first sweep has walked.
+func (t *sweepTape) endPage(g *gateRun) {
+	t.ends = append(t.ends, int32(len(t.rows)))
+	t.pageTally = append(t.pageTally, g.got...)
 }
 
 // release gives the row buffer back.
@@ -56,65 +57,92 @@ func (t *sweepTape) release() {
 	t.rows = nil
 }
 
-// replay is NextBatch over the tape: the scan's own loop with every record
-// read back instead of walked. It takes the pages through the scan's
-// iterator exactly where the scan would — the next page when the current one
-// has no live record left and the batch is not full — checks the budget
-// every 1024 records as the scan does, and replays each record's gate
-// outcomes into the scan's tallies, flushed once per batch.
-func (s *seqScanIter) replay(dst []expr.Row) (int, error) {
-	t := s.tape
-	defer s.gates.flush(s.e)
-	n := 0
-	for n < len(dst) {
-		if t.rec == t.end {
-			_, _, ok, err := s.it.NextPage()
+// walk is NextBatch over a later sweep of the taped inner, filling dst from
+// out. It is the scan's loop over the tape, joined: it takes the pages
+// through the scan's iterator where the scan would — the next page when the
+// current one has no kept row left and pairs are still owed — and hands the
+// rows to the primary in runs no longer than the pairs still owed, so it
+// decides the rows a rescan decides and reads between the same calls. It
+// checks the budget at each page and every 64 pairs, and hands the scan's
+// gates the first sweep's tallies at each page's end and where it stops. It
+// reports whether the sweep goes on.
+func (n *nlJoinIter) walk(dst []expr.Row, out int) (int, bool, error) {
+	t := n.tape
+	s := t.scan
+	for out < len(dst) {
+		if t.page == 0 || t.row == int(t.ends[t.page-1]) {
+			if t.page > 0 {
+				s.gates.flushAt(n.e, t.pageTally, t.page-1)
+			}
+			ok, err := n.nextPage()
 			if err != nil {
-				return 0, err
+				return 0, false, err
 			}
 			if !ok {
-				break
+				return out, false, nil
 			}
-			t.end += int(t.pages[t.page])
 			t.page++
-			continue
-		}
-		t.rec++
-		s.count++
-		if s.count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				return 0, err
+			if err := n.e.checkAbort(); err != nil {
+				return 0, false, err
 			}
-		}
-		if len(s.gates.list) > 0 && !s.gates.replay(t.codes, &t.code) {
 			continue
 		}
-		dst[n] = t.rows[t.row]
-		t.row++
-		n++
+		end := min(int(t.ends[t.page-1]), t.row+len(dst)-out)
+		rows := t.rows[t.row:end]
+		if n.innerProf != nil {
+			n.innerProf.rows.Add(int64(len(rows)))
+		}
+		if err := n.count64(len(rows)); err != nil {
+			return 0, false, err
+		}
+		var nums []int32
+		if n.memo != nil {
+			nums = t.nums[t.row:end]
+		}
+		var err error
+		if out, err = n.join(dst, out, rows, nums); err != nil {
+			return 0, false, err
+		}
+		t.row = end
 	}
-	return n, nil
+	s.gates.flushAt(n.e, t.rowTally, t.row-1)
+	return out, true, nil
+}
+
+// nextPage is the scan's next page for the walk, its reads attributed to the
+// inner under Profile.
+func (n *nlJoinIter) nextPage() (bool, error) {
+	var io0 storage.IOStats
+	if n.innerProf != nil {
+		io0 = n.e.ioStats()
+	}
+	_, _, ok, err := n.tape.scan.it.NextPage()
+	if n.innerProf != nil {
+		n.innerProf.addIO(n.e.ioStats().Sub(io0))
+	}
+	return ok, err
 }
 
 // loopPlan is what Build plans for a nested loop (planLoops).
 type loopPlan struct {
-	// memo answers its cached primary's repeat bindings within a sweep; nil
-	// when the primary keeps the per-row protocol.
+	// memo answers its cached primary's repeated bindings; nil when the
+	// primary keeps the per-row protocol.
 	memo *sweepMemo
-	// tape is the heap scan the loop reads once and replays (sweepTape); nil
+	// tape is the heap scan the loop reads once and walks (sweepTape); nil
 	// when the inner is rebuilt and read again every sweep.
 	tape *plan.SeqScan
 }
 
-// planLoops derives from the plan alone, for each nested loop, its sweep
-// memo and whether it replays its inner: it does when the inner is a bare
-// heap scan, or one under the filters it absorbed (sideScan), the primary
-// reads no table, and the plan expects enough sweeps (fewSweeps). A primary that reads tables (a subquery predicate)
-// reads them between the inner's batches, and a rescanned inner decodes late
-// (thinScans) and so ends its batches at its pages' ends: such a loop keeps
-// the rescan, whose reads interleave with the primary's as they always have.
-// The memo is built once per query, for a loop nested in another's inner is
-// rebuilt per outer row but never live twice.
+// planLoops derives from the plan alone, for each nested loop, its memo and
+// whether it tapes its inner: it does when the inner is a bare heap scan, or
+// one under the filters it absorbed (sideScan), the primary reads no table,
+// and the plan expects enough sweeps (fewSweeps). A primary that reads
+// tables (a subquery predicate) reads them between the inner's batches, and
+// a rescanned inner decodes late (thinScans) and so ends its batches at its
+// pages' ends: such a loop keeps the rescan, whose reads interleave with the
+// primary's as they always have. The memo is built once per query and kept
+// through the rebuilds of a loop nested in another's inner (rebuilt per
+// outer row, never live twice): its verdicts hold for the whole query.
 func (e *Env) planLoops(root plan.Node) map[*plan.Join]loopPlan {
 	var out map[*plan.Join]loopPlan
 	plan.Walk(root, func(n plan.Node) {
@@ -142,11 +170,13 @@ func (e *Env) planLoops(root plan.Node) map[*plan.Join]loopPlan {
 
 // tapeMinSweeps is the fewest outer rows the plan must estimate for a loop
 // to tape its inner. The tape's first sweep decodes whole what a rescanned
-// inner decodes late, and each replay saves only part of a rescan's cost,
-// so a few sweeps do not pay the first back: against the rescan, a loop over
-// a 1 400-row inner under a cached primary ran 15–40 % slower taped at 2 to
-// 4 outer rows and broke even at 8 to 16; at 120 it ran 7–13 % faster.
-const tapeMinSweeps = 16
+// inner decodes late, so a sweep or two do not pay it back. In-process, a
+// loop over a 1 400-row inner under a cached primary (t3 ⋈ t7 on
+// costly10join(t3.u20, t7.u20), rows counted, not kept; medians of three,
+// 2 vCPUs), taped against rescanned: 1 outer row 248 against 184 µs, 2 rows
+// 355 against 321, 3 rows 473 against 471, 4 rows 468 against 548, 8 rows
+// 657 against 825, 16 rows 869 against 1 829, 32 rows 1 682 against 3 316.
+const tapeMinSweeps = 4
 
 // fewSweeps reports whether the plan estimates fewer than tapeMinSweeps
 // outer rows for loop j. A plan built without estimates (EstCard 0) is

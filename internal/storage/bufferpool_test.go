@@ -63,3 +63,16 @@ func TestFetchMissAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestNewIOTrackerAllocs: a query's I/O tracker sets up a shard's frames on
+// the first miss there, not when it is made — a point lookup touches one or
+// two of the pool's shards — so making one allocates the tracker and its
+// shard array, however many shards the pool has.
+func TestNewIOTrackerAllocs(t *testing.T) {
+	bp := NewShardedBufferPool(NewDisk(nil), 64, 16)
+	if allocs := testing.AllocsPerRun(20, func() { trackerSink = NewIOTracker(bp) }); allocs > 2 {
+		t.Fatalf("NewIOTracker over %d shards allocates %v times, want at most 2", bp.Shards(), allocs)
+	}
+}
+
+var trackerSink *IOTracker
