@@ -18,7 +18,7 @@ import (
 // batch width, reporting allocations for both.
 func benchBatchSizes(b *testing.B, sql string, algo predplace.Algorithm) {
 	h := benchHarness(b)
-	defer h.DB.SetBatchSize(0)
+	defer h.DB.SetOptions(func(c *predplace.Config) { c.BatchSize = 0 })
 	modes := []struct {
 		name string
 		size int
@@ -28,7 +28,7 @@ func benchBatchSizes(b *testing.B, sql string, algo predplace.Algorithm) {
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			h.DB.SetBatchSize(m.size)
+			h.DB.SetOptions(func(c *predplace.Config) { c.BatchSize = m.size })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

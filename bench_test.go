@@ -48,8 +48,8 @@ func benchHarness(b *testing.B) *harness.Harness {
 // benchFigure runs one figure's query under each algorithm as sub-benchmarks.
 func benchFigure(b *testing.B, sql string, caching bool, algos ...predplace.Algorithm) {
 	h := benchHarness(b)
-	h.DB.SetCaching(caching)
-	defer h.DB.SetCaching(false)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = caching })
+	defer h.DB.SetOptions(func(c *predplace.Config) { c.Caching = false })
 	for _, a := range algos {
 		b.Run(a.String(), func(b *testing.B) {
 			var charged float64

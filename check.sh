@@ -154,14 +154,16 @@ go test -race -count=1 -timeout 30m -run '^(TestExecutorGolden|TestOperatorsWidt
 # again, and the golden above will flake with it.
 go test -count=1 -run 'TestIKKBZDeterministic' ./internal/optimizer
 
-echo "==> knob lattice (one contract row per execution knob, every setter a row or a reasoned exclusion)"
+echo "==> knob lattice (one contract row per execution knob, every option a row or a reasoned exclusion)"
 # Also part of the full test run below. A failure of TestKnobLattice names the
 # knob whose contract against its baseline broke — rows, charged cost,
 # invocation counts — and prints a one-line reproducer; TestKnobCoverage fails
-# when *predplace.DB gains a Set* method with no contract row. The ppbench
-# experiments (topk, transfer, esterror among them) are held to their shape
-# checks by internal/harness's tests inside `go test -race ./...`.
-go test -race -count=1 -run '^(TestKnobLattice|TestKnobCoverage)$' .
+# when predplace.Config gains a per-statement field with no contract row, and
+# TestSetOptions when SetOptions changes a field only Open reads, resolves a
+# value otherwise than Open, or reaches a statement already running. The
+# ppbench experiments (topk, transfer, esterror among them) are held to their
+# shape checks by internal/harness's tests inside `go test -race ./...`.
+go test -race -count=1 -run '^(TestKnobLattice|TestKnobCoverage|TestSetOptions)$' .
 
 echo "==> row oracle (the executor's rows against the statement's definition, under race)"
 # Also part of the full test run below; named here so that a result row that
@@ -226,11 +228,16 @@ echo "==> mutation gate (every recorded mutation still caught, race rows under -
 # of its tests fails, or when its old text is no longer in the file. A row
 # marked -race builds its tests with the race detector; one marked -hang
 # passes when a 10 s test timeout finds one of its tests still running. 76
-# rows: an empty build cache takes 161–187 s in the test binary on 2 vCPUs
-# (190–231 s wall; the -timeout budget bounds the test binary, and the race
-# rows' race builds are most of it — rows name the smallest package whose
-# test catches them, as the root package links the executor golden), a warm
-# one about 75 s.
+# rows name the smallest package whose test catches them, as the root
+# package links the executor golden. The first two commands build, unmutated,
+# every test binary the rows name (race builds for the packages of -race
+# rows), so the -timeout budget covers the mutated builds only and not the
+# dependencies they share with the tree. On 2 vCPUs the gate's test binary
+# took 120 s when this whole script ran from an empty build cache (GOCACHE
+# emptied; the script took 29.5 min), and 85 s warm. Run alone from an empty
+# cache, the two builds take 54 s and the gate 115 s.
+go test -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 != "-race" {print $5}' testdata/mutations.txt | sort -u)
+go test -race -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 == "-race" {print $5}' testdata/mutations.txt | sort -u)
 go test -count=1 -timeout 180s -run '^TestMutations$' .
 
 echo "==> go build ./..."

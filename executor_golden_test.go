@@ -30,7 +30,6 @@ import (
 	"testing"
 
 	"predplace"
-	"predplace/internal/expr"
 	"predplace/internal/harness"
 )
 
@@ -167,10 +166,6 @@ func goldenDBs(t *testing.T, fresh bool) (roomy, tight *predplace.DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Query 5's selective predicate, registered as harness.New does.
-		if err := db.RegisterFunc("selective100", 1, 100, 0.1, expr.BoolStub(0.1, 424242)); err != nil {
-			t.Fatal(err)
-		}
 		return db
 	}
 	t.Setenv("PPLINT_VALIDATE", "1")
@@ -223,15 +218,14 @@ func TestExecutorGolden(t *testing.T) {
 		if s.tight {
 			db = tight
 		}
-		db.SetTransfer(s.transfer)
+		db.SetOptions(func(c *predplace.Config) { c.Transfer = s.transfer })
 		for _, algo := range predplace.Algorithms() {
 			for _, caching := range []bool{false, true} {
 				key := fmt.Sprintf("%s/%v/caching=%v", s.name, algo, caching)
 				legs++
-				db.SetCaching(caching)
-				db.SetParallelism(1)
+				db.SetOptions(func(c *predplace.Config) { c.Caching, c.Parallelism = caching, 1 })
 				if *updateExecutorGolden {
-					db.SetBatchSize(1)
+					db.SetOptions(func(c *predplace.Config) { c.BatchSize = 1 })
 					res, err := db.Query(s.sql, algo)
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
@@ -241,7 +235,7 @@ func TestExecutorGolden(t *testing.T) {
 				}
 				var serial *predplace.Result
 				for _, w := range append([]int{widths.base}, widths.values...) {
-					db.SetBatchSize(w)
+					db.SetOptions(func(c *predplace.Config) { c.BatchSize = w })
 					res, err := db.Query(s.sql, algo)
 					if err != nil {
 						t.Fatalf("%s width %d: %v", key, w, err)
@@ -261,9 +255,9 @@ func TestExecutorGolden(t *testing.T) {
 				// the serial run just checked against the file.
 				base := basePoint().with("Algorithm", int(algo)).with("Transfer", btoi(s.transfer))
 				for _, p := range parallel.values {
-					db.SetParallelism(p)
+					db.SetOptions(func(c *predplace.Config) { c.Parallelism = p })
 					for _, w := range []int{1, 256} {
-						db.SetBatchSize(w)
+						db.SetOptions(func(c *predplace.Config) { c.BatchSize = w })
 						res, err := db.Query(s.sql, algo)
 						if err != nil {
 							t.Fatalf("%s width %d parallel: %v", key, w, err)

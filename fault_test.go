@@ -56,11 +56,11 @@ func TestQueryContextCancel(t *testing.T) {
 		t.Fatalf("canceled context: want context.Canceled, got %v", err)
 	}
 
-	db.SetTimeout(time.Nanosecond)
+	db.SetOptions(func(c *predplace.Config) { c.Timeout = time.Nanosecond })
 	if _, err := db.Query(sql, predplace.Migration); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout: want context.DeadlineExceeded, got %v", err)
 	}
-	db.SetTimeout(0)
+	db.SetOptions(func(c *predplace.Config) { c.Timeout = 0 })
 
 	if got := db.PinnedFrames(); got != 0 {
 		t.Fatalf("%d frames pinned after aborted queries", got)
@@ -105,7 +105,7 @@ func TestFaultEveryReadSite(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 4} {
-		db.SetParallelism(p)
+		db.SetOptions(func(c *predplace.Config) { c.Parallelism = p })
 		for n := int64(1); n <= reads; n++ {
 			audit := harness.StartLeakAudit()
 			if err := db.EvictPool(); err != nil {
@@ -122,7 +122,7 @@ func TestFaultEveryReadSite(t *testing.T) {
 			}
 		}
 	}
-	db.SetParallelism(1)
+	db.SetOptions(func(c *predplace.Config) { c.Parallelism = 1 })
 }
 
 // TestFaultTransferPrepass walks an injected read fault through every page
@@ -158,7 +158,7 @@ func TestFaultTransferPrepass(t *testing.T) {
 	baseCharged := base.Stats.Charged()
 
 	for _, p := range []int{1, 4} {
-		db.SetParallelism(p)
+		db.SetOptions(func(c *predplace.Config) { c.Parallelism = p })
 		for n := int64(1); n <= reads; n++ {
 			audit := harness.StartLeakAudit()
 			if err := db.EvictPool(); err != nil {
@@ -191,15 +191,15 @@ func TestFaultTransferPrepass(t *testing.T) {
 			}
 		}
 	}
-	db.SetParallelism(1)
+	db.SetOptions(func(c *predplace.Config) { c.Parallelism = 1 })
 
 	// A charged-cost budget the prepass itself exceeds must surface as a
 	// DNF — the paper's did-not-finish outcome — not an error, with nothing
 	// pinned afterwards.
 	audit := harness.StartLeakAudit()
-	db.SetBudget(0.5)
+	db.SetOptions(func(c *predplace.Config) { c.Budget = 0.5 })
 	res, err := db.Query(sql, predplace.Migration)
-	db.SetBudget(0)
+	db.SetOptions(func(c *predplace.Config) { c.Budget = 0 })
 	if err != nil {
 		t.Fatalf("budget abort during prepass: %v", err)
 	}

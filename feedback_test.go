@@ -32,8 +32,8 @@ func TestFeedbackLoopRepairsPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT * FROM t1, t2, t3 WHERE t3.a10 = t1.a10 AND fbsel(t3.ua1) AND fbjoin(t1.u20, t2.u20)"
-	db.SetFeedback(true)
-	defer db.SetFeedback(false)
+	db.SetOptions(func(c *predplace.Config) { c.Feedback = true })
+	defer db.SetOptions(func(c *predplace.Config) { c.Feedback = false })
 
 	first, err := db.Query(sql, predplace.Migration)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestFeedbackOffIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Feedback() {
+	if db.Options().Feedback {
 		t.Fatal("feedback must default off")
 	}
 	for i := 0; i < 3; i++ {
@@ -118,13 +118,13 @@ func TestRobustExplainSummary(t *testing.T) {
 	if !strings.Contains(res.Plan, "candidates=") {
 		t.Fatalf("Robust EXPLAIN missing candidate count:\n%s", res.Plan)
 	}
-	db.SetRobustE(8)
+	db.SetOptions(func(c *predplace.Config) { c.RobustE = 8 })
 	res, err = db.Query("EXPLAIN "+sql, predplace.Robust)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(res.Plan, "robust interval=[sel/8, sel×8]") {
-		t.Fatalf("SetRobustE(8) not reflected in EXPLAIN:\n%s", res.Plan)
+		t.Fatalf("RobustE 8 not reflected in EXPLAIN:\n%s", res.Plan)
 	}
 	for _, algo := range []predplace.Algorithm{predplace.PushDown, predplace.Migration} {
 		res, err := db.Query("EXPLAIN "+sql, algo)

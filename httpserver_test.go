@@ -251,7 +251,7 @@ func TestProjectAllocatesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Run(db.newEnv(context.Background(), db.snapshot()), p.plan.root)
+	out, err := exec.Run(db.newEnv(context.Background(), db.Options()), p.plan.root)
 	if err != nil || len(out.Rows) != 1000 {
 		t.Fatalf("want 1000 rows, got %d (%v)", len(out.Rows), err)
 	}

@@ -229,9 +229,10 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// RegisterStandardFuncs registers the costlyN benchmark functions used by
-// the paper's example queries: per-call cost N random I/Os, selectivity 0.5,
-// deterministic, cacheable.
+// RegisterStandardFuncs registers the benchmark functions the paper's
+// queries call: costlyN (per-call cost N random I/Os, selectivity 0.5), the
+// two-argument costlyNjoin, and Query 5's selective100 — all deterministic
+// and cacheable.
 func RegisterStandardFuncs(cat *catalog.Catalog) error {
 	for _, c := range []float64{1, 10, 100, 1000} {
 		f := expr.NewCostly(fmt.Sprintf("costly%d", int(c)), 1, c, 0.5, int64ToSeed(int64(c)))
@@ -246,7 +247,10 @@ func RegisterStandardFuncs(cat *catalog.Catalog) error {
 			return err
 		}
 	}
-	return nil
+	// selective100 is Query 5's expensive, highly selective predicate
+	// (100 random I/Os per call, selectivity 0.1).
+	return cat.RegisterFunc(&expr.FuncDef{Name: "selective100", Arity: 1, Cost: 100, Selectivity: 0.1,
+		Cacheable: true, Eval: expr.BoolStub(0.1, 424242)})
 }
 
 func int64ToSeed(x int64) uint64 { return uint64(x)*0x9e3779b9 + 0x1234567 }

@@ -6,7 +6,6 @@ import (
 
 	"predplace/internal/catalog"
 	"predplace/internal/datagen"
-	"predplace/internal/expr"
 	"predplace/internal/optimizer"
 	"predplace/internal/pcache"
 	"predplace/internal/plan"
@@ -28,16 +27,11 @@ AND costly10join(t3.u20, t7.u20) AND selective100(t3.u10)`
 WHERE t1.ua1 = t10.u10 AND costly1(t1.u100) AND costly1(t10.u100)`
 )
 
-// figuresDB builds the benchmark database at the given scale with Query 5's
-// selective100 registered, as the harness does.
+// figuresDB builds the benchmark database at the given scale.
 func figuresDB(t testing.TB, scale float64) *datagen.DB {
 	t.Helper()
 	db, err := datagen.Build(datagen.Config{Scale: scale})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Cat.RegisterFunc(&expr.FuncDef{Name: "selective100", Arity: 1, Cost: 100,
-		Selectivity: 0.1, Cacheable: true, Eval: expr.BoolStub(0.1, 424242)}); err != nil {
 		t.Fatal(err)
 	}
 	return db

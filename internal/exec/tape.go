@@ -142,7 +142,9 @@ type loopPlan struct {
 // pages' ends: such a loop keeps the rescan, whose reads interleave with the
 // primary's as they always have. The memo is built once per query and kept
 // through the rebuilds of a loop nested in another's inner (rebuilt per
-// outer row, never live twice): its verdicts hold for the whole query.
+// outer row, never live twice): its verdicts hold for the whole query. No
+// inner is under an exchange: at Parallelism > 1 orderedNodes builds every
+// nested loop's whole inner serial.
 func (e *Env) planLoops(root plan.Node) map[*plan.Join]loopPlan {
 	var out map[*plan.Join]loopPlan
 	plan.Walk(root, func(n plan.Node) {
@@ -152,7 +154,7 @@ func (e *Env) planLoops(root plan.Node) map[*plan.Join]loopPlan {
 		}
 		var lp loopPlan
 		if p := j.Primary; (p == nil || p.Func == nil || p.Func.EvalIO == nil) && !fewSweeps(j) {
-			if scan := e.sideScan(j.Inner); scan != nil && !e.segment(scan) {
+			if scan := e.sideScan(j.Inner); scan != nil {
 				lp.tape = scan
 			}
 		}

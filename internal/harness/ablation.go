@@ -48,12 +48,12 @@ func (h *Harness) Ablations() (*Report, error) {
 	)
 
 	// --- 2. value-based rank model ---
-	h.DB.SetCaching(true)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = true })
 	aware, err := h.DB.Explain(Fig1Query, predplace.Migration)
 	if err != nil {
 		return nil, err
 	}
-	h.DB.SetCaching(false)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = false })
 	unaware, err := h.DB.Explain(Fig1Query, predplace.Migration)
 	if err != nil {
 		return nil, err
@@ -67,13 +67,12 @@ func (h *Harness) Ablations() (*Report, error) {
 		"aware=%d unaware=%d", filtersBelowJoin(aware), filtersBelowJoin(unaware)))
 
 	// --- 3. bounded predicate caches ---
-	h.DB.SetCaching(true)
-	defer h.DB.SetCaching(false)
-	defer h.DB.SetCacheLimit(0)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = true })
+	defer h.DB.SetOptions(func(c *predplace.Config) { c.Caching, c.CacheMaxEntries = false, 0 })
 	fmt.Fprintf(&b, "\n3. bounded caches (Query 3 under PullUp, caching on):\n")
 	var invs []int64
 	for _, limit := range []int{0, 100, 10} {
-		h.DB.SetCacheLimit(limit)
+		h.DB.SetOptions(func(c *predplace.Config) { c.CacheMaxEntries = limit })
 		res, err := h.DB.Query(Query3, predplace.PullUp)
 		if err != nil {
 			return nil, err

@@ -54,7 +54,7 @@ func (h *Harness) ComplexSuite() (*Report, error) {
 	b.WriteByte('\n')
 
 	for _, cq := range complexSuite {
-		h.DB.SetCaching(false)
+		h.DB.SetOptions(func(c *predplace.Config) { c.Caching = false })
 		results, err := h.DB.CompareAll(cq.sql, algos...)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cq.name, err)

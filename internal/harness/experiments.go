@@ -146,8 +146,8 @@ func cardsScaleLinearly(h *Harness) bool {
 // tree over the LDL rewrite can express); LDL's left-deep plan pulls the
 // inner relation's selection above the join.
 func (h *Harness) Fig1PlanTrees() (*Report, error) {
-	h.DB.SetCaching(true)
-	defer h.DB.SetCaching(false)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = true })
+	defer h.DB.SetOptions(func(c *predplace.Config) { c.Caching = false })
 	opt, err := h.DB.Explain(Fig1Query, predplace.Migration)
 	if err != nil {
 		return nil, err
@@ -409,7 +409,7 @@ func (h *Harness) Fig10Spectrum() (*Report, error) {
 // Robust — nine such enumerations plus the error-box scoring — is reported
 // beside Migration; its checks are on counts and scores, not on time.
 func (h *Harness) PlanTime5Way() (*Report, error) {
-	h.DB.SetCaching(false)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = false })
 	start := time.Now()
 	res, err := h.DB.Query("EXPLAIN "+PlanTimeQuery, predplace.Migration)
 	if err != nil {

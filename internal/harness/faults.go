@@ -85,20 +85,15 @@ func (h *Harness) FaultSweep(workers, seeds int) ([]FaultRun, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
-	h.DB.SetCaching(false)
-	h.DB.SetBudget(0)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching, c.Budget = false, 0 })
 	defer h.DB.SetFaults(nil)
-	defer h.DB.SetTimeout(0)
-	defer h.DB.SetParallelism(1)
-	defer h.DB.SetBatchSize(0)
+	defer h.DB.SetOptions(func(c *predplace.Config) { c.Timeout, c.Parallelism, c.BatchSize = 0, 1, 0 })
 
 	var runs []FaultRun
 	for _, q := range benchQueries {
 		// Fault-free baseline: a zero FaultConfig injects nothing but counts
 		// I/Os, sizing the fault sites against the query's real read count.
-		h.DB.SetTimeout(0)
-		h.DB.SetParallelism(1)
-		h.DB.SetBatchSize(0)
+		h.DB.SetOptions(func(c *predplace.Config) { c.Timeout, c.Parallelism, c.BatchSize = 0, 1, 0 })
 		// Faults fire on physical reads only; start cold so every page read
 		// of the query is observable (and the fault site space is the full
 		// read sequence, reproducible run to run).
@@ -147,9 +142,7 @@ func resolveWorkers(p, workers int) int {
 func (h *Harness) faultRun(name, sql, cfg string, seed, failN int64,
 	workers, batchSize int, baseRows []string) FaultRun {
 	run := FaultRun{Query: name, Config: cfg, Seed: seed, FailReadN: failN}
-	h.DB.SetTimeout(0)
-	h.DB.SetParallelism(workers)
-	h.DB.SetBatchSize(batchSize)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Timeout, c.Parallelism, c.BatchSize = 0, workers, batchSize })
 	// Cold start before arming the injector: eviction's own write-backs must
 	// not consume fault sites, and the run's physical read sequence must
 	// match the baseline's so failN lands on the same page access.
@@ -176,12 +169,10 @@ func (h *Harness) faultRun(name, sql, cfg string, seed, failN int64,
 func (h *Harness) timeoutRun(name, sql, cfg string, workers, batchSize int,
 	baseRows []string) FaultRun {
 	run := FaultRun{Query: name, Config: cfg + "/timeout"}
-	h.DB.SetParallelism(workers)
-	h.DB.SetBatchSize(batchSize)
-	h.DB.SetTimeout(faultTimeout)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Parallelism, c.BatchSize, c.Timeout = workers, batchSize, faultTimeout })
 	audit := StartLeakAudit()
 	res, err := h.DB.Query(sql, predplace.Migration)
-	h.DB.SetTimeout(0)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Timeout = 0 })
 	switch {
 	case err == nil && !res.DNF:
 		run.Outcome = "clean"

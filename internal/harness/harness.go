@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"predplace"
-	"predplace/internal/expr"
 )
 
 // Harness owns a generated benchmark database and runs experiments on it.
@@ -29,11 +28,6 @@ func New(scale float64) (*Harness, error) {
 	}
 	db, err := predplace.Open(predplace.Config{Scale: scale})
 	if err != nil {
-		return nil, err
-	}
-	// selective100 is Query 5's expensive, highly selective predicate
-	// (100 random I/Os per call, selectivity 0.1).
-	if err := db.RegisterFunc("selective100", 1, 100, 0.1, expr.BoolStub(0.1, 424242)); err != nil {
 		return nil, err
 	}
 	return &Harness{Scale: scale, DB: db}, nil
@@ -106,15 +100,15 @@ type comparison struct {
 // far (the first algorithm runs unbounded to establish the baseline).
 func (h *Harness) compare(sql string, caching bool, budgetFactor float64,
 	algos ...predplace.Algorithm) (*comparison, error) {
-	h.DB.SetCaching(caching)
-	defer h.DB.SetBudget(0)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = caching })
+	defer h.DB.SetOptions(func(c *predplace.Config) { c.Budget = 0 })
 	c := &comparison{algos: algos}
 	best := 0.0
 	for _, a := range algos {
 		if budgetFactor > 0 && best > 0 {
-			h.DB.SetBudget(budgetFactor * best)
+			h.DB.SetOptions(func(c *predplace.Config) { c.Budget = budgetFactor * best })
 		} else {
-			h.DB.SetBudget(0)
+			h.DB.SetOptions(func(c *predplace.Config) { c.Budget = 0 })
 		}
 		r, err := h.DB.Query(sql, a)
 		if err != nil {

@@ -29,7 +29,8 @@ var topkQueries = []struct{ name, sql string }{
 }
 
 // onOff runs sql under algo with one boolean knob off and then on.
-func (h *Harness) onOff(set func(bool), sql string, algo predplace.Algorithm) (off, on *predplace.Result, err error) {
+func (h *Harness) onOff(knob func(*predplace.Config, bool), sql string, algo predplace.Algorithm) (off, on *predplace.Result, err error) {
+	set := func(on bool) { h.DB.SetOptions(func(c *predplace.Config) { knob(c, on) }) }
 	defer set(false)
 	set(false)
 	if off, err = h.DB.Query(sql, algo); err != nil {
@@ -45,7 +46,7 @@ func (h *Harness) onOff(set func(bool), sql string, algo predplace.Algorithm) (o
 // TopKSweep runs the two shapes without a LIMIT (the plan root sorts the
 // whole result) and with LIMIT k for k ∈ {1, 10, 100, 1000}.
 func (h *Harness) TopKSweep() (*Report, error) {
-	h.DB.SetCaching(false)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = false })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %5s %11s %11s %7s  %s\n", "query", "k", "no LIMIT", "LIMIT k", "ratio", "plan root under LIMIT k")
 	metrics := map[string]float64{}
@@ -88,7 +89,7 @@ func (h *Harness) TopKSweep() (*Report, error) {
 // with predicate transfer off and on. The on-cost includes every filter
 // build, probe and prepass page read — transfer is never free.
 func (h *Harness) TransferPlacement() (*Report, error) {
-	h.DB.SetCaching(false)
+	h.DB.SetOptions(func(c *predplace.Config) { c.Caching = false })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-18s %12s %12s %8s %10s\n", "query", "algorithm", "charged(off)", "charged(on)", "pruned", "fp-actual")
 	metrics := map[string]float64{}
@@ -99,9 +100,9 @@ func (h *Harness) TransferPlacement() (*Report, error) {
 		for _, algo := range algos {
 			// Profiling is observational; it is on so the transfer stats
 			// carry the filters' measured false-positive rate.
-			h.DB.SetProfile(true)
-			off, on, err := h.onOff(h.DB.SetTransfer, sql, algo)
-			h.DB.SetProfile(false)
+			h.DB.SetOptions(func(c *predplace.Config) { c.Profile = true })
+			off, on, err := h.onOff(func(c *predplace.Config, on bool) { c.Transfer = on }, sql, algo)
+			h.DB.SetOptions(func(c *predplace.Config) { c.Profile = false })
 			if err != nil {
 				return nil, fmt.Errorf("query%d %v: %w", i+3, algo, err)
 			}
@@ -229,7 +230,7 @@ func (h *Harness) EstimateError() (*Report, error) {
 	if err := declare(fbTrueSel / 4); err != nil {
 		return nil, err
 	}
-	db.SetFeedback(true)
+	db.SetOptions(func(c *predplace.Config) { c.Feedback = true })
 	firstRes, err := run(predplace.Migration)
 	if err != nil {
 		return nil, fmt.Errorf("feedback loop, first run: %w", err)

@@ -42,8 +42,8 @@ WHERE t3.ua1 = t10.ua1 AND t10.ua1 = t1.ua1 AND costly100(t3.u20)`
 
 // Query5 (Figure 9): four relations where t7 connects only through an
 // expensive join predicate, plus an expensive, selective predicate on t3
-// (selective100: 100 I/Os per call, selectivity 0.1 — registered by the
-// harness). PullUp hoists the selection above the expensive join, so the
+// (selective100: 100 I/Os per call, selectivity 0.1 — registered with the
+// benchmark functions by every Open). PullUp hoists the selection above the expensive join, so the
 // join predicate runs on the near-cross-product of t7 with the unfiltered
 // t3⋈t6⋈t10 subtree — ten times the pairs. This is the plan that "used up
 // all available swap space and never completed" in the paper; here it blows

@@ -23,7 +23,6 @@ import (
 	"testing"
 
 	"predplace/internal/datagen"
-	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/query"
 	"predplace/internal/sqlparse"
@@ -222,18 +221,11 @@ var corpusDBOnce struct {
 	err error
 }
 
-// corpusDB is the benchmark schema at scale 0.02 plus Query 5's selective100
-// (the facade's harness registers it the same way).
+// corpusDB is the benchmark schema at scale 0.02.
 func corpusDB(tb testing.TB) *datagen.DB {
 	tb.Helper()
 	corpusDBOnce.Do(func() {
 		db, err := datagen.Build(datagen.Config{Scale: 0.02})
-		if err == nil {
-			err = db.Cat.RegisterFunc(&expr.FuncDef{
-				Name: "selective100", Arity: 1, Cost: 100, Selectivity: 0.1,
-				Cacheable: true, Eval: expr.BoolStub(0.1, 424242),
-			})
-		}
 		corpusDBOnce.db, corpusDBOnce.err = db, err
 	})
 	if corpusDBOnce.err != nil {

@@ -68,15 +68,15 @@ func (s *Session) Execute(line string, w io.Writer) bool {
 		s.cmdAlgo(strings.TrimSpace(strings.TrimPrefix(line, `\algo`)), w)
 	case strings.HasPrefix(line, `\caching`) || strings.HasPrefix(line, `\cache`):
 		on := strings.HasSuffix(line, "on")
-		s.DB.SetCaching(on)
+		s.DB.SetOptions(func(c *predplace.Config) { c.Caching = on })
 		say(w, "predicate caching:", on)
 	case strings.HasPrefix(line, `\transfer`):
 		on := strings.HasSuffix(line, "on")
-		s.DB.SetTransfer(on)
+		s.DB.SetOptions(func(c *predplace.Config) { c.Transfer = on })
 		say(w, "predicate transfer:", on)
 	case strings.HasPrefix(line, `\feedback`):
 		on := strings.HasSuffix(line, "on")
-		s.DB.SetFeedback(on)
+		s.DB.SetOptions(func(c *predplace.Config) { c.Feedback = on })
 		say(w, "feedback-driven statistics:", on)
 	case line == `\tables`:
 		s.cmdTables(w)

@@ -86,7 +86,7 @@ func TestTransferToggle(t *testing.T) {
 	if !strings.Contains(out, "true") {
 		t.Fatalf("transfer on: %q", out)
 	}
-	if !s.DB.Transfer() {
+	if !s.DB.Options().Transfer {
 		t.Fatal("transfer not enabled on DB")
 	}
 	out, _ = run(t, s, `\transfer off`)
@@ -158,12 +158,12 @@ func TestHelp(t *testing.T) {
 
 func TestDNFReported(t *testing.T) {
 	s := newSession(t)
-	s.DB.SetBudget(10)
+	s.DB.SetOptions(func(c *predplace.Config) { c.Budget = 10 })
 	out, _ := run(t, s, "SELECT * FROM t1, t3 WHERE t1.ua1 = t3.ua1 AND costly1000(t3.u20)")
 	if !strings.Contains(out, "aborted") {
 		t.Fatalf("DNF not reported: %q", out)
 	}
-	s.DB.SetBudget(0)
+	s.DB.SetOptions(func(c *predplace.Config) { c.Budget = 0 })
 }
 
 func TestSaveOpenCommands(t *testing.T) {

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 
 	"predplace/internal/catalog"
 	"predplace/internal/expr"
@@ -29,11 +30,25 @@ type Bound struct {
 	Limit int64
 }
 
-// SubqueryCompiler turns a parsed IN-subquery into an expensive predicate
-// function. lhs is the IN operand; args lists the function's inputs (the lhs
-// column followed by each correlated outer column). The returned function is
-// invoked with values bound in that order.
-type SubqueryCompiler func(sub *SelectStmt, not bool, args []query.ColRef) (*expr.FuncDef, error)
+// Subquery is a bound IN-subquery, `Args[0] [NOT] IN (SELECT Out FROM Table
+// WHERE Preds)`, over one table.
+type Subquery struct {
+	Table *catalog.Table
+	// Out is the selected column's index in Table.
+	Out int
+	Not bool
+	// Preds are the WHERE's comparisons, each with its subquery column on
+	// the left: a KindSelCmp against a constant, or a KindJoinCmp whose Right
+	// is a correlated outer column, one of Args[1:].
+	Preds []*query.Predicate
+	// Args are the predicate function's inputs: the IN operand, then each
+	// correlated outer column once, in WHERE order.
+	Args []query.ColRef
+}
+
+// SubqueryCompiler turns a bound IN-subquery into an expensive predicate
+// function, invoked with the values of sub.Args in order.
+type SubqueryCompiler func(sub *Subquery) (*expr.FuncDef, error)
 
 // Binder resolves a parsed statement against a catalog.
 type Binder struct {
@@ -146,6 +161,23 @@ func (b *Binder) colType(ref query.ColRef) (expr.Type, error) {
 	return tab.Columns[tab.ColIndex(ref.Col)].Type, nil
 }
 
+// sameType returns a TypeMismatchError unless columns l and r are of one
+// type.
+func (b *Binder) sameType(l, r query.ColRef) error {
+	lt, err := b.colType(l)
+	if err != nil {
+		return err
+	}
+	rt, err := b.colType(r)
+	if err != nil {
+		return err
+	}
+	if lt != rt {
+		return &TypeMismatchError{Left: l.String(), LeftType: lt, Right: r.String(), RightType: rt}
+	}
+	return nil
+}
+
 // constOf returns o's value, and a TypeMismatchError unless the column col
 // compared with it is of its type (a NULL is of any).
 func (b *Binder) constOf(col query.ColRef, o Operand) (expr.Value, error) {
@@ -214,16 +246,8 @@ func (b *Binder) bindPred(w PredExpr, resolve func(ColExpr) (query.ColRef, error
 			if l.Table == r.Table {
 				return nil, fmt.Errorf("sqlparse: same-table column comparisons are unsupported (%s vs %s)", l, r)
 			}
-			lt, err := b.colType(l)
-			if err != nil {
+			if err := b.sameType(l, r); err != nil {
 				return nil, err
-			}
-			rt, err := b.colType(r)
-			if err != nil {
-				return nil, err
-			}
-			if lt != rt {
-				return nil, &TypeMismatchError{Left: l.String(), LeftType: lt, Right: r.String(), RightType: rt}
 			}
 			return &query.Predicate{Kind: query.KindJoinCmp, Op: op, Left: l, Right: r}, nil
 		case t.Left.IsCol:
@@ -272,78 +296,77 @@ func (b *Binder) bindPred(w PredExpr, resolve func(ColExpr) (query.ColRef, error
 		return &query.Predicate{Kind: query.KindFunc, Func: f, Args: args}, nil
 
 	case *InPred:
-		if b.CompileSubquery == nil {
-			return nil, fmt.Errorf("sqlparse: IN-subqueries are not supported here")
-		}
-		lhs, err := resolve(t.Left)
-		if err != nil {
-			return nil, err
-		}
-		args := []query.ColRef{lhs}
-		// Correlated references: columns in the subquery's WHERE clause that
-		// resolve against the *outer* FROM list rather than the subquery's.
-		corr, err := b.correlatedRefs(t.Sub, resolve)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, corr...)
-		f, err := b.CompileSubquery(t.Sub, t.Not, args)
-		if err != nil {
-			return nil, err
-		}
-		return &query.Predicate{Kind: query.KindFunc, Func: f, Args: args}, nil
+		return b.bindIn(t, resolve)
 	}
 	return nil, fmt.Errorf("sqlparse: unknown predicate type %T", w)
 }
 
-// correlatedRefs finds outer-table column references inside a subquery.
-func (b *Binder) correlatedRefs(sub *SelectStmt, outerResolve func(ColExpr) (query.ColRef, error)) ([]query.ColRef, error) {
-	subTabs := map[string]bool{}
-	for _, t := range sub.Tables {
-		subTabs[t] = true
+// bindIn binds `Left [NOT] IN (SELECT …)` through CompileSubquery. The
+// subquery's WHERE is bound like the outer one's: an unqualified column, or
+// one qualified by the subquery's table, is the subquery's; any other is an
+// outer column, resolved by resolve, and a comparison with one is
+// correlated.
+func (b *Binder) bindIn(in *InPred, resolve func(ColExpr) (query.ColRef, error)) (*query.Predicate, error) {
+	if b.CompileSubquery == nil {
+		return nil, fmt.Errorf("sqlparse: IN-subqueries are not supported here")
 	}
-	var out []query.ColRef
-	seen := map[query.ColRef]bool{}
-	addIfOuter := func(c ColExpr) error {
-		if c.Table == "" || subTabs[c.Table] {
-			return nil
-		}
-		ref, err := outerResolve(c)
-		if err != nil {
-			return err
-		}
-		if !seen[ref] {
-			seen[ref] = true
-			out = append(out, ref)
-		}
-		return nil
+	lhs, err := resolve(in.Left)
+	if err != nil {
+		return nil, err
 	}
+	sub := in.Sub
+	if len(sub.Tables) != 1 {
+		return nil, fmt.Errorf("sqlparse: IN-subqueries over joins are unsupported")
+	}
+	if sub.Star || len(sub.Columns) != 1 {
+		return nil, fmt.Errorf("sqlparse: IN-subquery must select exactly one column")
+	}
+	name := sub.Tables[0]
+	tab, err := b.Cat.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	subResolve := func(c ColExpr) (query.ColRef, error) {
+		if c.Table != "" && c.Table != name {
+			return resolve(c)
+		}
+		if tab.ColIndex(c.Col) < 0 {
+			return query.ColRef{}, fmt.Errorf("sqlparse: no column %s in table %s", c.Col, name)
+		}
+		return query.ColRef{Table: name, Col: c.Col}, nil
+	}
+	out, err := subResolve(ColExpr{Col: sub.Columns[0].Col})
+	if err != nil {
+		return nil, err
+	}
+	if err := b.sameType(lhs, out); err != nil {
+		return nil, err
+	}
+	bound := &Subquery{Table: tab, Out: tab.ColIndex(out.Col), Not: in.Not, Args: []query.ColRef{lhs}}
 	for _, w := range sub.Where {
-		switch t := w.(type) {
-		case *CmpPred:
-			if t.Left.IsCol {
-				if err := addIfOuter(t.Left.Col); err != nil {
-					return nil, err
-				}
-			}
-			if t.Right.IsCol {
-				if err := addIfOuter(t.Right.Col); err != nil {
-					return nil, err
-				}
-			}
-		case *FuncPred:
-			for _, a := range t.Args {
-				if a.IsCol {
-					if err := addIfOuter(a.Col); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case *InPred:
-			return nil, fmt.Errorf("sqlparse: nested IN-subqueries are unsupported")
+		if _, ok := w.(*CmpPred); !ok {
+			return nil, fmt.Errorf("sqlparse: IN-subqueries support only comparison predicates")
 		}
+		p, err := b.bindPred(w, subResolve)
+		if err != nil {
+			return nil, err
+		}
+		if p.Kind == query.KindJoinCmp && p.Left.Table != name {
+			p.Left, p.Right, p.Op = p.Right, p.Left, p.Op.Flip()
+		}
+		if p.Left.Table != name {
+			return nil, fmt.Errorf("sqlparse: IN-subquery comparisons need a column of %s", name)
+		}
+		if p.Kind == query.KindJoinCmp && !slices.Contains(bound.Args[1:], p.Right) {
+			bound.Args = append(bound.Args, p.Right)
+		}
+		bound.Preds = append(bound.Preds, p)
 	}
-	return out, nil
+	f, err := b.CompileSubquery(bound)
+	if err != nil {
+		return nil, err
+	}
+	return &query.Predicate{Kind: query.KindFunc, Func: f, Args: bound.Args}, nil
 }
 
 // BindDelete resolves a DELETE statement into the target table and its

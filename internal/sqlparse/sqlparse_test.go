@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,14 +200,19 @@ func TestBindReversedConstantComparison(t *testing.T) {
 	}
 }
 
+// TestBindSubqueryCompiler: the hook gets the subquery bound — its output
+// column, each comparison with the subquery column on the left (an
+// outer-first or constant-first one flipped), and as arguments the IN
+// operand, then each correlated outer column once, in WHERE order (the
+// operand again when it is one).
 func TestBindSubqueryCompiler(t *testing.T) {
 	b, _ := testBinder(t)
-	var gotArgs []query.ColRef
-	b.CompileSubquery = func(sub *SelectStmt, not bool, args []query.ColRef) (*expr.FuncDef, error) {
-		gotArgs = args
-		return expr.NewCostly("in_sub", len(args), 50, 0.3, 1), nil
+	var got *Subquery
+	b.CompileSubquery = func(sub *Subquery) (*expr.FuncDef, error) {
+		got = sub
+		return expr.NewCostly("in_sub", len(sub.Args), 50, 0.3, 1), nil
 	}
-	s, _ := Parse("SELECT * FROM t1 WHERE t1.ua1 IN (SELECT ua1 FROM t3 WHERE t3.u10 = t1.u10)")
+	s, _ := Parse("SELECT * FROM t1 WHERE t1.ua1 NOT IN (SELECT ua1 FROM t3 WHERE t3.u10 = t1.u10 AND 5 > u20 AND t1.ua1 <= t3.u10 AND t1.u10 <> ua1)")
 	bound, err := b.Bind(s)
 	if err != nil {
 		t.Fatal(err)
@@ -215,9 +221,45 @@ func TestBindSubqueryCompiler(t *testing.T) {
 	if p.Kind != query.KindFunc || p.CostPerTuple != 50 {
 		t.Fatalf("subquery pred = %+v", p)
 	}
-	// args: lhs + correlated t1.u10
-	if len(gotArgs) != 2 || gotArgs[0].Col != "ua1" || gotArgs[1] != (query.ColRef{Table: "t1", Col: "u10"}) {
-		t.Fatalf("args = %v", gotArgs)
+	t1 := func(col string) query.ColRef { return query.ColRef{Table: "t1", Col: col} }
+	t3 := func(col string) query.ColRef { return query.ColRef{Table: "t3", Col: col} }
+	if want := []query.ColRef{t1("ua1"), t1("u10"), t1("ua1")}; !slices.Equal(got.Args, want) || !slices.Equal(p.Args, want) {
+		t.Fatalf("args = %v (predicate %v), want %v", got.Args, p.Args, want)
+	}
+	if got.Table.Name != "t3" || got.Table.Columns[got.Out].Name != "ua1" || !got.Not {
+		t.Fatalf("bound %s.%d not=%v, want t3.ua1 NOT IN", got.Table.Name, got.Out, got.Not)
+	}
+	want := []query.Predicate{
+		{Kind: query.KindJoinCmp, Op: expr.OpEQ, Left: t3("u10"), Right: t1("u10")},
+		{Kind: query.KindSelCmp, Op: expr.OpLT, Left: t3("u20"), Value: expr.I(5)},
+		{Kind: query.KindJoinCmp, Op: expr.OpGE, Left: t3("u10"), Right: t1("ua1")},
+		{Kind: query.KindJoinCmp, Op: expr.OpNE, Left: t3("ua1"), Right: t1("u10")},
+	}
+	if len(got.Preds) != len(want) {
+		t.Fatalf("%d comparisons, want %d", len(got.Preds), len(want))
+	}
+	for i, p := range got.Preds {
+		w := want[i]
+		if p.Kind != w.Kind || p.Op != w.Op || p.Left != w.Left || p.Right != w.Right || p.Value != w.Value {
+			t.Errorf("comparison %d = %v %v %v %v %v, want %+v", i, p.Kind, p.Left, p.Op, p.Right, p.Value, w)
+		}
+	}
+	for _, src := range []string{
+		"SELECT * FROM t1 WHERE t1.ua1 IN (SELECT ua1 FROM t3, t1)",
+		"SELECT * FROM t1 WHERE t1.ua1 IN (SELECT * FROM t3)",
+		"SELECT * FROM t1 WHERE t1.ua1 IN (SELECT ua1 FROM t3 WHERE costly1(t3.u10))",
+		"SELECT * FROM t1 WHERE t1.ua1 IN (SELECT ua1 FROM t3 WHERE t1.u10 = 4)",
+		"SELECT * FROM t1 WHERE t1.ua1 IN (SELECT ua1 FROM t3 WHERE t3.u10 = t3.u20)",
+		"SELECT * FROM t1 WHERE t1.ua1 IN (SELECT nope FROM t3)",
+		"SELECT * FROM t1 WHERE t1.ua1 IN (SELECT ua1 FROM t3 WHERE t9.u10 = t3.u10)",
+	} {
+		s, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if _, err := b.Bind(s); err == nil {
+			t.Errorf("%s: bound, want an error", src)
+		}
 	}
 }
 

@@ -41,12 +41,11 @@ type point map[string]int
 // knobRow is one execution knob's contract against the same point with that
 // knob at base.
 type knobRow struct {
-	// knob is the *predplace.DB setter's name without "Set"; Algorithm is
-	// Query's argument.
+	// knob is the predplace.Config field's name; Algorithm is Query's
+	// argument.
 	knob   string
 	base   int
 	values []int // the non-baseline values; booleans are 0 and 1
-	apply  func(db *predplace.DB, v int)
 	// all runs every value at each point, in order, instead of one sampled
 	// value; pinned keeps the knob at base while another row's knob moves;
 	// fresh gives the row databases of its own.
@@ -64,13 +63,9 @@ type knobRow struct {
 	also func(base point, want *predplace.Result, got []*predplace.Result) []string
 }
 
-func onOff(set func(*predplace.DB, bool)) func(*predplace.DB, int) {
-	return func(db *predplace.DB, v int) { set(db, v == 1) }
-}
-
-// knobRows is the contract table. Every Set* method of *predplace.DB is a
-// row here or an entry of notAxes (TestKnobCoverage), so a new knob ships
-// with its contract.
+// knobRows is the contract table. Every per-statement field of
+// predplace.Config is a row here or an entry of notAxes (TestKnobCoverage),
+// so a new knob ships with its contract.
 //
 // Coverage map — what each deleted test and ppbench leg asserted, and the
 // row (or remaining test) that asserts it now:
@@ -112,19 +107,14 @@ func onOff(set func(*predplace.DB, bool)) func(*predplace.DB, int) {
 //	ppbench -faults ............................. TestFaultSweep (unchanged)
 var knobRows = []knobRow{
 	{knob: "BatchSize", base: 1, values: []int{2, 7, 64, 256, 257},
-		apply:   (*predplace.DB).SetBatchSize,
 		ordered: true, charged: identical, inv: identical},
 	{knob: "Parallelism", base: 1, values: []int{3},
-		apply:   (*predplace.DB).SetParallelism,
 		charged: identical, inv: identical},
 	{knob: "Profile", values: []int{1},
-		apply:   onOff((*predplace.DB).SetProfile),
 		ordered: true, charged: identical, inv: identical},
 	{knob: "Caching", values: []int{1},
-		apply:   onOff((*predplace.DB).SetCaching),
 		charged: atMostNetSameShape, inv: atMostSameShape},
 	{knob: "Transfer", values: []int{1},
-		apply:   onOff((*predplace.DB).SetTransfer),
 		charged: atMostNetSameShape, inv: atMostSameShape},
 	// Feedback runs twice with harvesting on: the first run plans on the
 	// declared statistics and harvests, the second plans on what it saw and
@@ -132,7 +122,6 @@ var knobRows = []knobRow{
 	// fresh. With Caching on the clause does not hold (9 of 152 points): the
 	// harvest is per tuple, a cached predicate's cost per distinct value.
 	{knob: "Feedback", values: []int{1, 1}, all: true, pinned: true, fresh: true,
-		apply: onOff((*predplace.DB).SetFeedback),
 		also: func(base point, _ *predplace.Result, got []*predplace.Result) []string {
 			if c1, c2 := got[0].Stats.Charged(), got[1].Stats.Charged(); base["Caching"] == 0 && c2 > c1*1.0001+1e-6 {
 				return []string{fmt.Sprintf("rerun after harvest charged more: %v -> %v", c1, c2)}
@@ -143,15 +132,19 @@ var knobRows = []knobRow{
 		also: oracleEstimates},
 }
 
-// notAxes are the setters that are not lattice axes, and why.
+// notAxes are the per-statement Config fields that are not lattice axes,
+// and why.
 var notAxes = map[string]string{
-	"Budget":            "aborts the run (DNF): TestBudgetDNF, harness Fig9Query5",
-	"Timeout":           "aborts the run: TestQueryContextCancel, TestFaultSweep",
-	"Faults":            "injects errors: TestFaultSweep, TestFaultEveryReadSite",
-	"CacheLimit":        "changes invocation counts by design: harness Ablations",
-	"FeedbackThreshold": "tunes when Feedback promotes; Feedback is the axis",
-	"RobustE":           "a parameter of the Robust algorithm: harness EstimateError, TestRobustExplainSummary",
+	"Budget":           "aborts the run (DNF): TestBudgetDNF, harness Fig9Query5",
+	"Timeout":          "aborts the run: TestQueryContextCancel, TestFaultSweep",
+	"CacheMaxEntries":  "changes invocation counts by design: harness Ablations",
+	"PerFunctionCache": "shares cache entries across predicates by design: TestPerFunctionCacheSharing",
+	"RobustE":          "a parameter of the Robust algorithm: harness EstimateError, TestRobustExplainSummary",
 }
+
+// openTime are the Config fields only Open reads; SetOptions keeps them
+// (TestSetOptions).
+var openTime = []string{"Scale", "Tables", "PoolPages", "PlanCacheSize"}
 
 func otherAlgorithms(base predplace.Algorithm) []int {
 	var out []int
@@ -217,13 +210,19 @@ func (p point) with(knob string, v int) point {
 	return q
 }
 
-// applyTo sets every knob of db that has a setter.
+// applyTo sets every knob of db that is a Config field; a boolean field is
+// on at 1.
 func (p point) applyTo(db *predplace.DB) {
-	for _, k := range knobRows {
-		if k.apply != nil {
-			k.apply(db, p[k.knob])
+	db.SetOptions(func(c *predplace.Config) {
+		for _, k := range knobRows {
+			switch f := reflect.ValueOf(c).Elem().FieldByName(k.knob); f.Kind() {
+			case reflect.Bool:
+				f.SetBool(p[k.knob] == 1)
+			case reflect.Int:
+				f.SetInt(int64(p[k.knob]))
+			}
 		}
-	}
+	})
 }
 
 func (p point) algo() predplace.Algorithm { return predplace.Algorithm(p["Algorithm"]) }
@@ -587,30 +586,31 @@ func orderLimit(t *testing.T, stmts []goldenStmt) {
 	basePoint().applyTo(tight)
 }
 
-// TestKnobCoverage: every Set* method of *predplace.DB is a lattice row or a
-// reasoned exclusion, and every row but Algorithm is such a method.
+// TestKnobCoverage: every per-statement field of predplace.Config is a
+// lattice row or a reasoned exclusion, and every row but Algorithm is such a
+// field.
 func TestKnobCoverage(t *testing.T) {
-	typ := reflect.TypeOf(&predplace.DB{})
-	setters := map[string]bool{}
-	for i := 0; i < typ.NumMethod(); i++ {
-		name, ok := strings.CutPrefix(typ.Method(i).Name, "Set")
-		if !ok {
+	typ := reflect.TypeOf(predplace.Config{})
+	fields := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if slices.Contains(openTime, name) {
 			continue
 		}
-		setters[name] = true
+		fields[name] = true
 		isRow := slices.ContainsFunc(knobRows, func(k knobRow) bool { return k.knob == name })
 		if _, excluded := notAxes[name]; isRow == excluded {
-			t.Errorf("DB.Set%s: want exactly one of a knobRows row and a notAxes reason (row=%v, excluded=%v)", name, isRow, excluded)
+			t.Errorf("Config.%s: want exactly one of a knobRows row and a notAxes reason (row=%v, excluded=%v)", name, isRow, excluded)
 		}
 	}
 	for _, k := range knobRows {
-		if !setters[k.knob] && k.knob != "Algorithm" {
-			t.Errorf("knob row %s names no DB.Set%s", k.knob, k.knob)
+		if !fields[k.knob] && k.knob != "Algorithm" {
+			t.Errorf("knob row %s names no per-statement Config field", k.knob)
 		}
 	}
 	for name := range notAxes {
-		if !setters[name] {
-			t.Errorf("notAxes lists %s, but there is no DB.Set%s", name, name)
+		if !fields[name] {
+			t.Errorf("notAxes lists %s, but there is no per-statement Config.%s", name, name)
 		}
 	}
 }

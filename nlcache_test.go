@@ -32,9 +32,6 @@ func TestNLSweepMemoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RegisterFunc("selective100", 1, 100, 0.1, expr.BoolStub(0.1, 424242)); err != nil {
-		t.Fatal(err)
-	}
 	ps, err := db.Prepare(harness.Query5, predplace.Migration)
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +66,24 @@ func TestNLSweepMemoAllocs(t *testing.T) {
 // the same hits. At width 1 the inner scan meets each record after the memo
 // has settled the values before it, so it drops on the record what the memo
 // rejects, NULL included; at width 256 one batch holds the whole inner.
+// TestQuery5ExplainAnalyze: a plain Open registers every function the
+// paper's queries call, Query 5's selective100 included, so EXPLAIN ANALYZE
+// runs Query 5 with nothing registered by hand.
+func TestQuery5ExplainAnalyze(t *testing.T) {
+	db, err := predplace.Open(predplace.Config{Scale: 0.01, Caching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("EXPLAIN ANALYZE "+harness.Query5, predplace.Migration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Explained || res.Stats.Rows == 0 || !strings.Contains(res.Plan, "selective100") ||
+		strings.Contains(res.Plan, "actual=n/a") {
+		t.Fatalf("EXPLAIN ANALYZE of Query 5: %d rows\n%s", res.Stats.Rows, res.Plan)
+	}
+}
+
 func TestNLMemoNullAndZero(t *testing.T) {
 	for _, bs := range []int{1, 7, 256} {
 		testNLMemoNullAndZero(t, bs)

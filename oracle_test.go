@@ -531,9 +531,9 @@ func TestRowOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bs := range []int{1, 7, 256} {
-			db.SetBatchSize(bs)
+			db.SetOptions(func(c *predplace.Config) { c.BatchSize = bs })
 			for _, caching := range []bool{false, true} {
-				db.SetCaching(caching)
+				db.SetOptions(func(c *predplace.Config) { c.Caching = caching })
 				failed, drops, indexed, nested := 0, 0, 0, 0
 				for i, s := range stmts {
 					algo := algos[i%len(algos)]

@@ -17,15 +17,15 @@ func TestParallelismKnobDefaultsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Parallelism(); got != 1 {
+	if got := db.Options().Parallelism; got != 1 {
 		t.Fatalf("default parallelism = %d, want 1", got)
 	}
-	db.SetParallelism(-1)
-	if got := db.Parallelism(); got < 1 {
+	db.SetOptions(func(c *predplace.Config) { c.Parallelism = -1 })
+	if got := db.Options().Parallelism; got < 1 {
 		t.Fatalf("negative parallelism resolved to %d", got)
 	}
-	db.SetParallelism(0)
-	if got := db.Parallelism(); got != 1 {
+	db.SetOptions(func(c *predplace.Config) { c.Parallelism = 0 })
+	if got := db.Options().Parallelism; got != 1 {
 		t.Fatalf("parallelism 0 should mean serial, got %d", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestParallelismKnobDefaultsSerial(t *testing.T) {
 func TestProfileUnderExchange(t *testing.T) {
 	db, _ := goldenDBs(t, false)
 	basePoint().applyTo(db)
-	defer db.SetParallelism(1)
+	defer db.SetOptions(func(c *predplace.Config) { c.Parallelism = 1 })
 	actual := regexp.MustCompile(`actual=\S+`)
 	var counts func(p *predplace.OpProfile, out []int64) []int64
 	counts = func(p *predplace.OpProfile, out []int64) []int64 {
@@ -55,7 +55,7 @@ func TestProfileUnderExchange(t *testing.T) {
 			var wantCol []string
 			var want []int64
 			for _, par := range []int{1, 3} {
-				db.SetParallelism(par)
+				db.SetOptions(func(c *predplace.Config) { c.Parallelism = par })
 				res, err := db.Query("EXPLAIN ANALYZE "+sql, algo)
 				if err != nil {
 					t.Fatalf("query%d %v P=%d: %v", i+1, algo, par, err)

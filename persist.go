@@ -121,10 +121,10 @@ func OpenFile(path string, cfg Config) (*DB, error) {
 	if pool == 0 {
 		pool = 1024
 	}
-	workers := resolveParallelism(cfg.Parallelism)
+	cfg.resolve()
 	inner := &datagen.DB{
 		Disk: disk,
-		Pool: storage.NewShardedBufferPool(disk, pool, poolShards(workers)),
+		Pool: storage.NewShardedBufferPool(disk, pool, poolShards(cfg.Parallelism)),
 		Cat:  catalog.New(),
 	}
 	if err := datagen.RegisterStandardFuncs(inner.Cat); err != nil {
@@ -158,7 +158,7 @@ func OpenFile(path string, cfg Config) (*DB, error) {
 	// Restoration I/O is not part of any measured query.
 	inner.Disk.Accountant().Reset()
 	inner.Pool.ResetCounters()
-	return newDB(inner, cfg, workers), nil
+	return newDB(inner, cfg), nil
 }
 
 // rebuildIndexes scans the heap for each index column's (key, TID) pairs;

@@ -53,8 +53,8 @@ func TestSaveAndOpenFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan, err := tuned.Explain(sql, Robust); err != nil || !tuned.Feedback() || !strings.Contains(plan, "robust interval=[sel/8, sel×8]") {
-		t.Fatalf("OpenFile dropped Config.Feedback (%v) or RobustE (err %v):\n%s", tuned.Feedback(), err, plan)
+	if plan, err := tuned.Explain(sql, Robust); err != nil || !tuned.Options().Feedback || !strings.Contains(plan, "robust interval=[sel/8, sel×8]") {
+		t.Fatalf("OpenFile dropped Config.Feedback (%v) or RobustE (err %v):\n%s", tuned.Options().Feedback, err, plan)
 	}
 }
 

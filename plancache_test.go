@@ -54,11 +54,11 @@ func TestPlanCacheHitMissNormalization(t *testing.T) {
 		t.Fatalf("other algorithm: hits=%d misses=%d, want 0/1", h, m)
 	}
 	// A planning-affecting knob is part of the key.
-	db.SetCaching(true)
+	db.SetOptions(func(c *predplace.Config) { c.Caching = true })
 	if h, m, _ := cacheDelta(t, db, func() { mustQuery(t, db, sql) }); h != 0 || m != 1 {
 		t.Fatalf("caching knob flip: hits=%d misses=%d, want 0/1", h, m)
 	}
-	db.SetCaching(false)
+	db.SetOptions(func(c *predplace.Config) { c.Caching = false })
 	if h, m, _ := cacheDelta(t, db, func() { mustQuery(t, db, sql) }); h != 1 || m != 0 {
 		t.Fatalf("caching knob restore: hits=%d misses=%d, want 1/0", h, m)
 	}

@@ -66,7 +66,9 @@ const (
 // Algorithms lists every implemented placement algorithm.
 func Algorithms() []Algorithm { return optimizer.Algorithms() }
 
-// Config controls database creation.
+// Config is a database's options. Open reads every field; SetOptions changes
+// the per-statement ones — every field but Scale, Tables, PoolPages and
+// PlanCacheSize, which keep the values Open gave them.
 type Config struct {
 	// Scale multiplies the benchmark database's cardinalities
 	// (1.0 reproduces the paper's ~110 MB database; 0 skips loading the
@@ -96,7 +98,9 @@ type Config struct {
 	// worker pool, and hash joins build/probe partitioned tables in
 	// parallel. 0 or 1 keeps the classic serial executor (the default —
 	// every figure reproduction runs serially); < 0 uses GOMAXPROCS.
-	// Charged cost with caching off is identical at any setting.
+	// Charged cost with caching off is identical at any setting. The buffer
+	// pool keeps the shard layout Open gave it, so changing Parallelism on
+	// one handle compares executors over identical storage.
 	Parallelism int
 	// BatchSize sets how many rows the executor's operators hand up per
 	// NextBatch call. 0 uses the tuned default (exec.DefaultBatchSize); 1 is
@@ -139,61 +143,51 @@ type Config struct {
 	// per-operator profile on, observed per-predicate/per-join selectivities
 	// and measured real-work function costs are harvested into the catalog's
 	// feedback store at query end, and when any observation's error factor
-	// exceeds FeedbackThreshold the batch is promoted — future planning uses
-	// the observed selectivities ahead of histogram/default guesses,
-	// registered functions' metadata is refreshed from the measured actuals,
-	// and the catalog version bump re-optimizes every cached plan. Results,
-	// row order, and charged cost of any single query are identical with it
-	// on or off (harvesting is observational); only subsequent plans change.
-	// Off by default — planning and execution are byte-identical to a
+	// exceeds DefaultFeedbackThreshold the batch is promoted — future
+	// planning uses the observed selectivities ahead of histogram/default
+	// guesses, registered functions' metadata is refreshed from the measured
+	// actuals, and the catalog version bump re-optimizes every cached plan.
+	// Results, row order, and charged cost of any single query are identical
+	// with it on or off (harvesting is observational); only subsequent plans
+	// change. Off by default — planning and execution are byte-identical to a
 	// feedback-less build.
 	Feedback bool
-	// FeedbackThreshold is the ×err estimation-error factor above which
-	// harvested observations are promoted into planning statistics
-	// (0 = DefaultFeedbackThreshold). Always compared against finite,
-	// capped error factors — a zero estimate against a nonzero actual
-	// reports the cap, never ±Inf.
-	FeedbackThreshold float64
 	// RobustE is the Robust algorithm's estimate-error interval half-width e:
 	// candidate plans are scored over selectivities [sel/e, sel·e] and
 	// expensive predicate costs [cost/e, cost·e], and the plan with the best
-	// worst case wins (0 = DefaultRobustE). Planning-affecting: part of the
+	// worst case wins (≤ 1 = DefaultRobustE). Planning-affecting: part of the
 	// plan-cache key.
 	RobustE float64
 }
 
-// knobs is the per-query execution configuration. Every statement entry
-// point (QueryContext, Prepare, PreparedStatement.Exec, Exec) copies the
-// DB's current knobs once, under the DB mutex, and runs entirely from the
-// copy — a concurrent Set* on the handle can never tear a running query's
-// configuration, and one query observes one consistent setting of every
-// knob from plan to finish.
-type knobs struct {
-	caching     bool
-	cacheScope  pcache.Scope
-	cacheMax    int
-	budget      float64
-	parallelism int
-	batchSize   int
-	timeout     time.Duration
-	profile     bool
-	transfer    bool
-	feedback    bool
-	fbThreshold float64
-	robustE     float64
+// resolve normalizes the per-statement fields: Parallelism < 0 becomes
+// GOMAXPROCS and 0 becomes 1, and RobustE ≤ 1 becomes DefaultRobustE.
+func (c *Config) resolve() {
+	switch {
+	case c.Parallelism < 0:
+		c.Parallelism = runtime.GOMAXPROCS(0)
+	case c.Parallelism == 0:
+		c.Parallelism = 1
+	}
+	if c.RobustE <= 1 {
+		c.RobustE = DefaultRobustE
+	}
 }
 
 // DB is an open database handle, safe for concurrent use: any number of
 // goroutines may run queries at once. Each query executes in its own
 // exec.Env — private I/O accounting, UDF invocation counters, and
 // predicate-cache scope — so concurrent queries' results and charged costs
-// are identical to running each alone. Knob setters (SetCaching, SetBudget,
-// …) apply to statements that begin after the call.
+// are identical to running each alone. SetOptions applies to statements
+// that begin after the call.
 type DB struct {
 	inner *datagen.DB
-	// mu guards k; see knobs.
-	mu sync.Mutex
-	k  knobs
+	// mu guards opts, the resolved options. Every statement entry point
+	// (QueryContext, Prepare, PreparedStatement.Exec, Exec) copies them
+	// once and runs entirely from the copy, so a concurrent SetOptions never
+	// tears a running statement's configuration.
+	mu   sync.Mutex
+	opts Config
 	// validate is the PPLINT_VALIDATE environment knob, read once at Open
 	// so the per-statement hot path never consults the process environment.
 	validate bool
@@ -205,7 +199,7 @@ type DB struct {
 // Open creates a database. With Scale > 0 the paper's benchmark schema is
 // generated and the costlyN function family registered.
 func Open(cfg Config) (*DB, error) {
-	workers := resolveParallelism(cfg.Parallelism)
+	cfg.resolve()
 	var inner *datagen.DB
 	var err error
 	if cfg.Scale > 0 {
@@ -213,7 +207,7 @@ func Open(cfg Config) (*DB, error) {
 			Scale:      cfg.Scale,
 			Tables:     cfg.Tables,
 			PoolPages:  cfg.PoolPages,
-			PoolShards: poolShards(workers),
+			PoolShards: poolShards(cfg.Parallelism),
 		})
 	} else {
 		pool := cfg.PoolPages
@@ -224,7 +218,7 @@ func Open(cfg Config) (*DB, error) {
 		disk := storage.NewDisk(acct)
 		inner = &datagen.DB{
 			Disk: disk,
-			Pool: storage.NewShardedBufferPool(disk, pool, poolShards(workers)),
+			Pool: storage.NewShardedBufferPool(disk, pool, poolShards(cfg.Parallelism)),
 			Cat:  catalog.New(),
 		}
 		err = datagen.RegisterStandardFuncs(inner.Cat)
@@ -232,52 +226,49 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDB(inner, cfg, workers), nil
+	return newDB(inner, cfg), nil
 }
 
-// newDB wraps a loaded database in a handle configured from cfg; workers is
-// cfg.Parallelism resolved (the buffer pool was sharded for it).
-func newDB(inner *datagen.DB, cfg Config, workers int) *DB {
+// newDB wraps a loaded database in a handle with the resolved options cfg
+// (the buffer pool was sharded for cfg.Parallelism).
+func newDB(inner *datagen.DB, cfg Config) *DB {
 	planEntries := cfg.PlanCacheSize
 	if planEntries == 0 {
 		planEntries = DefaultPlanCacheSize
 	}
 	return &DB{
-		inner: inner,
-		k: knobs{
-			caching: cfg.Caching, cacheScope: pcacheScope(cfg),
-			cacheMax: cfg.CacheMaxEntries, budget: cfg.Budget,
-			parallelism: workers, batchSize: cfg.BatchSize,
-			timeout: cfg.Timeout, profile: cfg.Profile,
-			transfer:    cfg.Transfer,
-			feedback:    cfg.Feedback,
-			fbThreshold: resolveThreshold(cfg.FeedbackThreshold),
-			robustE:     resolveRobustE(cfg.RobustE),
-		},
+		inner:    inner,
+		opts:     cfg,
 		validate: os.Getenv("PPLINT_VALIDATE") == "1",
 		plans:    newPlanCache(planEntries),
 	}
 }
 
-// snapshot copies the current knobs under the DB mutex; the statement runs
-// from the copy.
-func (d *DB) snapshot() knobs {
+// Options returns the resolved options the next statement runs under.
+func (d *DB) Options() Config {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.k
+	return d.opts
 }
 
-// resolveParallelism normalizes a Config.Parallelism value: negative means
-// "use every processor".
-func resolveParallelism(p int) int {
-	if p < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if p == 0 {
-		return 1
-	}
-	return p
+// SetOptions changes the options of statements that begin after it
+// returns: set edits a copy of the current options, which is then resolved
+// as Open resolves it, with the open-time fields (Scale, Tables, PoolPages,
+// PlanCacheSize) put back as Open set them. set runs under the handle's
+// lock, so it must not call back into d.
+func (d *DB) SetOptions(set func(*Config)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c := d.opts
+	set(&c)
+	c.Scale, c.Tables, c.PoolPages, c.PlanCacheSize = d.opts.Scale, d.opts.Tables, d.opts.PoolPages, d.opts.PlanCacheSize
+	c.resolve()
+	d.opts = c
 }
+
+// SetProfile is SetOptions setting Config.Profile, kept for the benchmark
+// module, which is built against this method.
+func (d *DB) SetProfile(on bool) { d.SetOptions(func(c *Config) { c.Profile = on }) }
 
 // poolShards picks the buffer-pool stripe count for a worker fan-out: one
 // shard per worker, capped at 16, and exactly 1 for serial databases so the
@@ -304,159 +295,19 @@ func pcacheScope(cfg Config) pcache.Scope {
 // Catalog exposes the underlying catalog (tables, statistics, functions).
 func (d *DB) Catalog() *catalog.Catalog { return d.inner.Cat }
 
-// SetCaching toggles predicate caching for subsequent queries.
-func (d *DB) SetCaching(on bool) {
-	d.mu.Lock()
-	d.k.caching = on
-	d.mu.Unlock()
-}
-
-// SetBudget changes the charged-cost abort threshold (0 = unlimited).
-func (d *DB) SetBudget(b float64) {
-	d.mu.Lock()
-	d.k.budget = b
-	d.mu.Unlock()
-}
-
-// SetCacheLimit bounds each predicate's cache table for subsequent queries
-// (0 = unbounded).
-func (d *DB) SetCacheLimit(n int) {
-	d.mu.Lock()
-	d.k.cacheMax = n
-	d.mu.Unlock()
-}
-
-// SetParallelism changes the intra-query worker fan-out for subsequent
-// queries (1 = serial; < 0 = GOMAXPROCS). The buffer pool keeps the shard
-// layout it was opened with, so toggling parallelism on one handle compares
-// executors over identical storage.
-func (d *DB) SetParallelism(p int) {
-	w := resolveParallelism(p)
-	d.mu.Lock()
-	d.k.parallelism = w
-	d.mu.Unlock()
-}
-
-// Parallelism reports the current worker fan-out.
-func (d *DB) Parallelism() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.k.parallelism
-}
-
 // DefaultBatchSize is the batch width used when Config.BatchSize is 0.
 const DefaultBatchSize = exec.DefaultBatchSize
 
-// SetBatchSize changes the executor's batch width for subsequent queries
-// (0 = tuned default, 1 = one row per call, > 1 = that many rows per
-// batch). Results and charged cost are identical at every setting.
-func (d *DB) SetBatchSize(n int) {
-	d.mu.Lock()
-	d.k.batchSize = n
-	d.mu.Unlock()
-}
-
-// BatchSize reports the configured batch width (0 = tuned default).
-func (d *DB) BatchSize() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.k.batchSize
-}
-
-// SetTimeout bounds each subsequent query's wall-clock time (0 = none).
-func (d *DB) SetTimeout(t time.Duration) {
-	d.mu.Lock()
-	d.k.timeout = t
-	d.mu.Unlock()
-}
-
-// SetProfile toggles per-operator runtime profiling for subsequent queries
-// (see Config.Profile). Profiling never changes results or charged cost.
-func (d *DB) SetProfile(on bool) {
-	d.mu.Lock()
-	d.k.profile = on
-	d.mu.Unlock()
-}
-
-// Profiling reports whether per-operator profiling is currently enabled.
-func (d *DB) Profiling() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.k.profile
-}
-
-// SetTransfer toggles predicate transfer for subsequent queries (see
-// Config.Transfer). Transfer never changes results — only which rows reach
-// the join operators and what the query charges for getting them there.
-func (d *DB) SetTransfer(on bool) {
-	d.mu.Lock()
-	d.k.transfer = on
-	d.mu.Unlock()
-}
-
-// Transfer reports whether predicate transfer is currently enabled.
-func (d *DB) Transfer() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.k.transfer
-}
-
 // DefaultFeedbackThreshold is the ×err factor above which harvested
-// feedback observations are promoted when Config.FeedbackThreshold is 0:
-// an estimate off by more than 2× either way triggers re-optimization.
+// feedback observations are promoted: an estimate off by more than 2×
+// either way triggers re-optimization. Always compared against finite,
+// capped error factors — a zero estimate against a nonzero actual reports
+// the cap, never ±Inf.
 const DefaultFeedbackThreshold = 2.0
 
 // DefaultRobustE is the Robust algorithm's error-interval half-width when
-// Config.RobustE is 0.
+// Config.RobustE is ≤ 1.
 const DefaultRobustE = optimizer.DefaultRobustE
-
-// resolveThreshold normalizes a Config.FeedbackThreshold value.
-func resolveThreshold(t float64) float64 {
-	if t <= 0 {
-		return DefaultFeedbackThreshold
-	}
-	return t
-}
-
-// resolveRobustE normalizes a Config.RobustE value.
-func resolveRobustE(e float64) float64 {
-	if e <= 1 {
-		return DefaultRobustE
-	}
-	return e
-}
-
-// SetFeedback toggles feedback-driven statistics for subsequent queries
-// (see Config.Feedback). Each query's own results and charged cost are
-// unaffected; the plans of later queries are what change.
-func (d *DB) SetFeedback(on bool) {
-	d.mu.Lock()
-	d.k.feedback = on
-	d.mu.Unlock()
-}
-
-// Feedback reports whether feedback-driven statistics are currently enabled.
-func (d *DB) Feedback() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.k.feedback
-}
-
-// SetFeedbackThreshold changes the promotion threshold for subsequent
-// queries (≤ 0 = DefaultFeedbackThreshold); see Config.FeedbackThreshold.
-func (d *DB) SetFeedbackThreshold(t float64) {
-	d.mu.Lock()
-	d.k.fbThreshold = resolveThreshold(t)
-	d.mu.Unlock()
-}
-
-// SetRobustE changes the Robust algorithm's error-interval half-width for
-// subsequent queries (≤ 1 = DefaultRobustE); see Config.RobustE.
-func (d *DB) SetRobustE(e float64) {
-	d.mu.Lock()
-	d.k.robustE = resolveRobustE(e)
-	d.mu.Unlock()
-}
 
 // FeedbackStats snapshots the catalog feedback store's counters: harvested
 // observations, pending and applied entries, promotions, and the largest
@@ -694,7 +545,7 @@ func (d *DB) Query(sql string, algo Algorithm) (*Result, error) {
 // so errors.Is(err, context.Canceled) / context.DeadlineExceeded hold. A
 // configured Timeout applies on top of ctx.
 func (d *DB) QueryContext(ctx context.Context, sql string, algo Algorithm) (*Result, error) {
-	k := d.snapshot()
+	k := d.Options()
 	p, err := d.prepare(sql, algo, k)
 	if err != nil {
 		return nil, err
@@ -719,7 +570,7 @@ type PreparedStatement struct {
 // consulting the shared plan cache. The planning-affecting knobs (caching,
 // transfer, feedback) are snapshotted at this call.
 func (d *DB) Prepare(sql string, algo Algorithm) (*PreparedStatement, error) {
-	return d.prepare(sql, algo, d.snapshot())
+	return d.prepare(sql, algo, d.Options())
 }
 
 // SQL returns the statement's original text.
@@ -737,17 +588,17 @@ func (p *PreparedStatement) Exec() (*Result, error) {
 // ExecContext is Exec with a context; see DB.QueryContext for the
 // cancellation contract.
 func (p *PreparedStatement) ExecContext(ctx context.Context) (*Result, error) {
-	return p.db.execPrepared(ctx, p, p.db.snapshot())
+	return p.db.execPrepared(ctx, p, p.db.Options())
 }
 
 // prepare resolves sql to a prepared statement: a plan-cache hit reuses the
 // cached plan outright; a miss runs parse/bind/optimize and publishes the
 // result for the next caller.
-func (d *DB) prepare(sql string, algo Algorithm, k knobs) (*PreparedStatement, error) {
+func (d *DB) prepare(sql string, algo Algorithm, k Config) (*PreparedStatement, error) {
 	key := planKey{
 		sql: normalizeSQL(sql), algo: algo,
-		caching: k.caching, transfer: k.transfer,
-		feedback: k.feedback, robustE: k.robustE,
+		caching: k.Caching, transfer: k.Transfer,
+		feedback: k.Feedback, robustE: k.RobustE,
 		catVer: d.inner.Cat.Version(),
 	}
 	if d.plans != nil {
@@ -766,8 +617,8 @@ func (d *DB) prepare(sql string, algo Algorithm, k knobs) (*PreparedStatement, e
 	return &PreparedStatement{db: d, sql: sql, plan: e}, nil
 }
 
-// execPrepared executes a prepared statement under the knob snapshot k.
-func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k knobs) (*Result, error) {
+// execPrepared executes a prepared statement under the options snapshot k.
+func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k Config) (*Result, error) {
 	root, bound, info := p.plan.root, p.plan.bound, p.plan.info
 	// EstCost comes from the planner's Info, not the root node: with
 	// transfer on it includes the prepass's estimated cost (identical to
@@ -781,7 +632,7 @@ func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k knobs) (*
 		res.Explained = true
 		return res, nil
 	}
-	ctx, cancel := execCtx(ctx, k.timeout)
+	ctx, cancel := execCtx(ctx, k.Timeout)
 	defer cancel()
 	env := d.newEnv(ctx, k)
 	// EXPLAIN ANALYZE always profiles its statement: the profile is the
@@ -790,14 +641,14 @@ func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k knobs) (*
 	// included), so "actual=n/a" cannot appear. Feedback harvesting needs
 	// the same per-operator actuals, so it forces profiling too — but only
 	// an explicit request surfaces the profile on the Result below.
-	env.Profile = k.profile || bound.Explain || k.feedback
+	env.Profile = k.Profile || bound.Explain || k.Feedback
 	out, err := exec.Run(env, root)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats = out.Stats
 	res.DNF = out.DNF
-	if k.profile || bound.Explain {
+	if k.Profile || bound.Explain {
 		res.Profile = out.Profile
 	}
 	// Harvest observed selectivities and measured function costs into the
@@ -805,10 +656,10 @@ func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k knobs) (*
 	// is off by more than the threshold. A DNF query stopped mid-stream, and
 	// so did the plan under a Limit root that cut it off: their per-operator
 	// ratios are truncation artifacts, not selectivities.
-	if k.feedback && out.Profile != nil && !out.DNF && out.Profile.ShortCircuit == 0 {
+	if k.Feedback && out.Profile != nil && !out.DNF && out.Profile.ShortCircuit == 0 {
 		fb := d.inner.Cat.Feedback()
 		harvestFeedback(fb, root, out.Profile)
-		if fb.MaxPendingErr() > k.fbThreshold {
+		if fb.MaxPendingErr() > DefaultFeedbackThreshold {
 			d.inner.Cat.ApplyFeedback()
 		}
 	}
@@ -905,7 +756,7 @@ func maxErrString(f float64) string {
 
 // Explain returns the plan chosen by the given algorithm without executing.
 func (d *DB) Explain(sql string, algo Algorithm) (string, error) {
-	p, err := d.prepare(sql, algo, d.snapshot())
+	p, err := d.prepare(sql, algo, d.Options())
 	if err != nil {
 		return "", err
 	}
@@ -936,26 +787,26 @@ func execCtx(ctx context.Context, timeout time.Duration) (context.Context, conte
 }
 
 // newEnv builds a fresh execution environment bound to ctx, configured
-// entirely from the knob snapshot k.
-func (d *DB) newEnv(ctx context.Context, k knobs) *exec.Env {
+// entirely from the options snapshot k.
+func (d *DB) newEnv(ctx context.Context, k Config) *exec.Env {
 	var cache *pcache.Manager // nil when caching is off: nothing to set up
-	if k.caching {
-		cache = pcache.NewManagerScoped(true, k.cacheMax, k.cacheScope)
+	if k.Caching {
+		cache = pcache.NewManagerScoped(true, k.CacheMaxEntries, pcacheScope(k))
 	}
 	return &exec.Env{
 		Ctx:         ctx,
 		Cat:         d.inner.Cat,
 		Pool:        d.inner.Pool,
 		Cache:       cache,
-		Budget:      k.budget,
-		Parallelism: k.parallelism,
-		BatchSize:   k.batchSize,
+		Budget:      k.Budget,
+		Parallelism: k.Parallelism,
+		BatchSize:   k.BatchSize,
 		Validate:    d.validate,
-		Transfer:    k.transfer,
+		Transfer:    k.Transfer,
 	}
 }
 
-func (d *DB) plan(sql string, algo Algorithm, k knobs) (plan.Node, *sqlparse.Bound, *optimizer.Info, error) {
+func (d *DB) plan(sql string, algo Algorithm, k Config) (plan.Node, *sqlparse.Bound, *optimizer.Info, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, nil, nil, err
@@ -970,9 +821,9 @@ func (d *DB) plan(sql string, algo Algorithm, k knobs) (plan.Node, *sqlparse.Bou
 		return nil, nil, nil, err
 	}
 	opt := optimizer.New(d.inner.Cat, optimizer.Options{
-		Algorithm: algo, Caching: k.caching, Transfer: k.transfer,
+		Algorithm: algo, Caching: k.Caching, Transfer: k.Transfer,
 		TopK:     spec,
-		Feedback: k.feedback, RobustE: k.robustE,
+		Feedback: k.Feedback, RobustE: k.RobustE,
 	})
 	root, info, err := opt.Plan(bound.Query)
 	if err != nil {
@@ -1048,76 +899,28 @@ func project(root plan.Node, bound *sqlparse.Bound, out *exec.Result, res *Resul
 	}
 }
 
-// compileSubquery lowers an IN-subquery into an expensive predicate whose
-// evaluation runs the (single-table) subquery through the executor with the
-// correlated outer columns bound — Montage's treatment of subqueries as
-// expensive selections, with the whole predicate's tri-state result cached
-// on the binding (§5.1).
-func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.ColRef) (*expr.FuncDef, error) {
-	if len(sub.Tables) != 1 {
-		return nil, fmt.Errorf("predplace: IN-subqueries over joins are unsupported")
-	}
-	if sub.Star || len(sub.Columns) != 1 {
-		return nil, fmt.Errorf("predplace: IN-subquery must select exactly one column")
-	}
-	subTable := sub.Tables[0]
-	tab, err := d.inner.Cat.Table(subTable)
-	if err != nil {
-		return nil, err
-	}
-	outIdx := tab.ColIndex(sub.Columns[0].Col)
-	if outIdx < 0 {
-		return nil, fmt.Errorf("predplace: no column %s in %s", sub.Columns[0].Col, subTable)
-	}
-	colType := func(ref query.ColRef) (expr.Type, error) {
-		t, err := d.inner.Cat.Table(ref.Table)
-		if err != nil {
-			return 0, err
+// compileSubquery lowers a bound IN-subquery into an expensive predicate
+// whose evaluation scans the subquery's table with the correlated outer
+// columns bound — Montage's treatment of subqueries as expensive selections,
+// with the whole predicate's tri-state result cached on the binding (§5.1).
+func (d *DB) compileSubquery(sub *sqlparse.Subquery) (*expr.FuncDef, error) {
+	tab, outIdx, not := sub.Table, sub.Out, sub.Not
+	// Each comparison is a record test. tests[i] is correlated when
+	// argOf[i] >= 0: an invocation puts that argument in its Val.
+	tests := make([]catalog.ColTest, len(sub.Preds))
+	argOf := make([]int, len(sub.Preds))
+	for i, p := range sub.Preds {
+		tests[i] = catalog.ColTest{Col: tab.ColIndex(p.Left.Col), Op: p.Op, Val: p.Value}
+		argOf[i] = -1
+		if p.Kind == query.KindJoinCmp {
+			argOf[i] = 1 + slices.Index(sub.Args[1:], p.Right)
 		}
-		return t.Columns[t.ColIndex(ref.Col)].Type, nil
-	}
-	lhsType, err := colType(args[0])
-	if err != nil {
-		return nil, err
-	}
-	if out := tab.Columns[outIdx]; out.Type != lhsType {
-		return nil, &sqlparse.TypeMismatchError{Left: args[0].String(), LeftType: lhsType,
-			Right: subTable + "." + out.Name, RightType: out.Type}
 	}
 
-	// Compile the subquery's WHERE into record tests. tests[i] is correlated
-	// when argOf[i] >= 0: an invocation puts that argument in its Val.
-	var tests []catalog.ColTest
-	var argOf []int
-	argPos := map[query.ColRef]int{}
-	for i, a := range args {
-		argPos[a] = i
-	}
-	for _, w := range sub.Where {
-		cmp, ok := w.(*sqlparse.CmpPred)
-		if !ok {
-			return nil, fmt.Errorf("predplace: IN-subqueries support only comparison predicates")
-		}
-		op, err := sqlCmpOp(cmp.Op)
-		if err != nil {
-			return nil, err
-		}
-		// Orient the comparison so the subquery column is on the left.
-		left, right := cmp.Left, cmp.Right
-		if left.IsCol && left.Col.Table != subTable && left.Col.Table != "" {
-			left, right, op = right, left, op.Flip()
-		}
-		test, ai, err := classifyCorr(left, right, op, tab, argPos, colType)
-		if err != nil {
-			return nil, err
-		}
-		tests, argOf = append(tests, test), append(argOf, ai)
-	}
-
-	name := fmt.Sprintf("in_%s_%d", subTable, d.subSeq.Add(1))
+	name := fmt.Sprintf("in_%s_%d", tab.Name, d.subSeq.Add(1))
 	f := &expr.FuncDef{
 		Name:        name,
-		Arity:       len(args),
+		Arity:       len(sub.Args),
 		Cost:        float64(tab.Pages()), // optimizer estimate: one scan per call
 		Selectivity: 0.5,
 		Cacheable:   true,
@@ -1149,7 +952,7 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 		for {
 			rec, _, ok, err := it.NextRef() // page memory: read in place
 			if err != nil {
-				return expr.Null, fmt.Errorf("predplace: subquery scan of %s: %w", subTable, err)
+				return expr.Null, fmt.Errorf("predplace: subquery scan of %s: %w", tab.Name, err)
 			}
 			if !ok {
 				break
@@ -1157,7 +960,7 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 			for _, t := range bound {
 				pass, err := tab.Codec.Test(rec, t)
 				if err != nil {
-					return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", subTable, err)
+					return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", tab.Name, err)
 				}
 				if !pass {
 					continue scan
@@ -1165,7 +968,7 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 			}
 			y, err := tab.Codec.DecodeCol(rec, outIdx)
 			if err != nil {
-				return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", subTable, err)
+				return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", tab.Name, err)
 			}
 			switch {
 			case x.IsNull():
@@ -1185,77 +988,6 @@ func (d *DB) compileSubquery(sub *sqlparse.SelectStmt, not bool, args []query.Co
 		return nil, err
 	}
 	return f, nil
-}
-
-// classifyCorr compiles one comparison of an IN-subquery's WHERE, oriented
-// with the subquery column on the left, into a record test on tab: against a
-// constant (argument index -1), or — correlated — against the predicate's
-// argument it returns, which an invocation puts in the test's Val. The two
-// sides must be of one type; a NULL constant is of any.
-func classifyCorr(colSide, otherSide sqlparse.Operand, op expr.CmpOp, tab *catalog.Table,
-	argPos map[query.ColRef]int, colType func(query.ColRef) (expr.Type, error)) (catalog.ColTest, int, error) {
-	if !colSide.IsCol {
-		return catalog.ColTest{}, 0, fmt.Errorf("predplace: IN-subquery comparison needs a subquery column")
-	}
-	ci := tab.ColIndex(colSide.Col.Col)
-	if ci < 0 {
-		return catalog.ColTest{}, 0, fmt.Errorf("predplace: no column %s in %s", colSide.Col.Col, tab.Name)
-	}
-	test, lt := catalog.ColTest{Col: ci, Op: op}, tab.Columns[ci].Type
-	mismatch := func(right string, rt expr.Type) error {
-		return &sqlparse.TypeMismatchError{Left: tab.Name + "." + colSide.Col.Col, LeftType: lt, Right: right, RightType: rt}
-	}
-	if otherSide.IsCol {
-		ref := query.ColRef{Table: otherSide.Col.Table, Col: otherSide.Col.Col}
-		ai, ok := argPos[ref]
-		if !ok {
-			return catalog.ColTest{}, 0, fmt.Errorf("predplace: unresolved correlated reference %s", ref)
-		}
-		typ, err := colType(ref)
-		if err != nil {
-			return catalog.ColTest{}, 0, err
-		}
-		if typ != lt {
-			return catalog.ColTest{}, 0, mismatch(ref.String(), typ)
-		}
-		return test, ai, nil
-	}
-	test.Val = sqlOperandValue(otherSide)
-	if !test.Val.IsNull() && test.Val.Kind != lt {
-		return catalog.ColTest{}, 0, mismatch(test.Val.String(), test.Val.Kind)
-	}
-	return test, -1, nil
-}
-
-func sqlCmpOp(s string) (expr.CmpOp, error) {
-	switch s {
-	case "=":
-		return expr.OpEQ, nil
-	case "<>":
-		return expr.OpNE, nil
-	case "<":
-		return expr.OpLT, nil
-	case "<=":
-		return expr.OpLE, nil
-	case ">":
-		return expr.OpGT, nil
-	case ">=":
-		return expr.OpGE, nil
-	}
-	return 0, fmt.Errorf("predplace: bad operator %q", s)
-}
-
-func sqlOperandValue(o sqlparse.Operand) expr.Value {
-	switch {
-	case o.IsString:
-		return expr.S(o.Str)
-	case o.IsNull:
-		return expr.Null
-	case o.IsBool:
-		return expr.B(o.Bool)
-	default:
-		return expr.I(o.Int)
-	}
 }
 
 // CompareAll runs the SQL text under every algorithm in algos (defaults to
@@ -1329,8 +1061,8 @@ func (d *DB) Exec(sql string) (int, error) {
 	preds := append([]*query.Predicate(nil), q.Preds...)
 	sortPredsByRank(preds)
 
-	k := d.snapshot()
-	ctx, cancel := execCtx(context.Background(), k.timeout)
+	k := d.Options()
+	ctx, cancel := execCtx(context.Background(), k.Timeout)
 	defer cancel()
 	env := d.newEnv(ctx, k)
 	tids, err := exec.MatchingTIDs(env, del.Table, preds)

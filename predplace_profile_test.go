@@ -38,11 +38,9 @@ func TestExplainAnalyzeTraceAgreement(t *testing.T) {
 		var baseTree string
 		for _, par := range []int{1, 4} {
 			for _, bs := range []int{1, 256} {
-				db.SetParallelism(par)
-				db.SetBatchSize(bs)
+				db.SetOptions(func(c *Config) { c.Parallelism, c.BatchSize = par, bs })
 				res, err := db.Query("EXPLAIN ANALYZE "+sql, Migration)
-				db.SetParallelism(1)
-				db.SetBatchSize(0)
+				db.SetOptions(func(c *Config) { c.Parallelism, c.BatchSize = 1, 0 })
 				if err != nil {
 					t.Fatalf("P=%d BS=%d: %v", par, bs, err)
 				}
@@ -73,8 +71,8 @@ func TestExplainAnalyzeTraceAgreement(t *testing.T) {
 // leaks past ErrFactorCap) and reflects the plan shape.
 func TestResultProfileJSON(t *testing.T) {
 	db := openBench(t, 3, 10)
-	db.SetProfile(true)
-	defer db.SetProfile(false)
+	db.SetOptions(func(c *Config) { c.Profile = true })
+	defer db.SetOptions(func(c *Config) { c.Profile = false })
 	// The a100 > 50 range is empty at this scale: the profile must still
 	// cover every node, with the impossible estimate capped, not infinite.
 	res, err := db.Query(

@@ -3,16 +3,16 @@ package predplace
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"predplace/internal/datagen"
 	"predplace/internal/expr"
-	"predplace/internal/query"
-	"predplace/internal/sqlparse"
 )
 
 func openBench(t *testing.T, tables ...int) *DB {
@@ -122,12 +122,12 @@ func TestAllAlgorithmsSameRows(t *testing.T) {
 func TestCachingReducesCharge(t *testing.T) {
 	db := openBench(t, 3, 10)
 	sql := "SELECT * FROM t3, t10 WHERE t3.a10 = t10.a10 AND costly100(t3.u20)"
-	db.SetCaching(false)
+	db.SetOptions(func(c *Config) { c.Caching = false })
 	uncached, err := db.Query(sql, PushDown)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetCaching(true)
+	db.SetOptions(func(c *Config) { c.Caching = true })
 	cached, err := db.Query(sql, PushDown)
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +143,80 @@ func TestCachingReducesCharge(t *testing.T) {
 
 func TestBudgetDNF(t *testing.T) {
 	db := openBench(t, 3, 10)
-	db.SetBudget(100)
+	db.SetOptions(func(c *Config) { c.Budget = 100 })
 	res, err := db.Query("SELECT * FROM t3, t10 WHERE t3.ua1 = t10.ua1 AND costly1000(t3.u20)", PushDown)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.DNF {
 		t.Fatal("expected DNF")
+	}
+}
+
+// TestSetOptions: SetOptions resolves Parallelism and RobustE as Open does,
+// keeps the fields only Open reads, and leaves a statement that is already
+// running on the options it began with.
+func TestSetOptions(t *testing.T) {
+	db, err := Open(Config{Scale: 0.01, Tables: []int{1}, PoolPages: 300, PlanCacheSize: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := db.Options()
+	db.SetOptions(func(c *Config) {
+		c.Scale, c.Tables, c.PoolPages, c.PlanCacheSize = 1, []int{2}, 7, -1
+		c.Parallelism, c.RobustE, c.BatchSize = -1, 0.5, 7
+	})
+	got := db.Options()
+	if got.Scale != 0.01 || !slices.Equal(got.Tables, []int{1}) || got.PoolPages != 300 || got.PlanCacheSize != 5 {
+		t.Fatalf("open-time fields changed: %+v, opened with %+v", got, opened)
+	}
+	if got.Parallelism != runtime.GOMAXPROCS(0) || got.RobustE != DefaultRobustE || got.BatchSize != 7 {
+		t.Fatalf("Parallelism -1, RobustE 0.5, BatchSize 7 resolved to %d, %v, %d; want %d, %v, 7",
+			got.Parallelism, got.RobustE, got.BatchSize, runtime.GOMAXPROCS(0), DefaultRobustE)
+	}
+	db.SetOptions(func(c *Config) { c.Parallelism, c.RobustE, c.BatchSize = 0, 1, 0 })
+	if got := db.Options(); got.Parallelism != 1 || got.RobustE != DefaultRobustE {
+		t.Fatalf("Parallelism 0, RobustE 1 resolved to %d, %v; want 1, %v", got.Parallelism, got.RobustE, DefaultRobustE)
+	}
+
+	// gate holds the statement inside its first evaluation until the options
+	// have changed under it: caching, profiling and a budget it would exceed.
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	if err := db.RegisterFunc("gate", 1, 1, 1, func([]Value) Value {
+		once.Do(func() { close(started); <-release })
+		return Bool(true)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome)
+	go func() {
+		res, err := db.Query("SELECT * FROM t1 WHERE gate(t1.u10)", PushDown)
+		done <- outcome{res, err}
+	}()
+	<-started
+	db.SetOptions(func(c *Config) { c.Caching, c.Profile, c.Budget = true, true, 1 })
+	close(release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	t1, err := db.Catalog().Table("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	card := t1.Card
+	if r.res.DNF || r.res.Profile != nil || r.res.Stats.CacheHits != 0 || int64(r.res.Stats.Rows) != card ||
+		r.res.Stats.Invocations["gate"] != card {
+		t.Fatalf("the running statement saw the new options: DNF %v, profile %v, %d cache hits, %d rows and %d invocations of %d",
+			r.res.DNF, r.res.Profile != nil, r.res.Stats.CacheHits, r.res.Stats.Rows, r.res.Stats.Invocations["gate"], card)
+	}
+	if res, err := db.Query("SELECT * FROM t1 WHERE gate(t1.u10)", PushDown); err != nil || !res.DNF {
+		t.Fatalf("the next statement ran without the new budget: %v", err)
 	}
 }
 
@@ -328,12 +395,10 @@ func TestInSubqueryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stmt, err := sqlparse.Parse("SELECT * FROM r WHERE r.x IN (SELECT y FROM s WHERE s.g = r.g)")
-	if err != nil {
+	if _, err := db.Prepare("SELECT * FROM r WHERE r.x IN (SELECT y FROM s WHERE s.g = r.g)", PushDown); err != nil {
 		t.Fatal(err)
 	}
-	in := stmt.Where[0].(*sqlparse.InPred)
-	f, err := db.compileSubquery(in.Sub, in.Not, []query.ColRef{{Table: "r", Col: "x"}, {Table: "r", Col: "g"}})
+	f, err := db.Catalog().Func("in_s_1") // arguments r.x, r.g
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +725,7 @@ func TestArenaCorrelatedIn(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	db.SetBatchSize(1)
+	db.SetOptions(func(c *Config) { c.BatchSize = 1 })
 	base, err := db.Query(sql, PushDown) // the subquery filter sits on t10's scan, under the join
 	if err != nil {
 		t.Fatal(err)
@@ -672,9 +737,7 @@ func TestArenaCorrelatedIn(t *testing.T) {
 	for _, caching := range []bool{false, true} {
 		for _, p := range []int{1, 4} {
 			for _, bs := range []int{1, 7, 256} {
-				db.SetCaching(caching)
-				db.SetParallelism(p)
-				db.SetBatchSize(bs)
+				db.SetOptions(func(c *Config) { c.Caching, c.Parallelism, c.BatchSize = caching, p, bs })
 				res, err := db.Query(sql, PushDown)
 				if err != nil {
 					t.Fatal(err)
@@ -699,9 +762,11 @@ func TestArenaCorrelatedIn(t *testing.T) {
 // statement is bound, naming both sides — a column with a string or boolean
 // constant (either way round), a join between an int and a string column, an
 // IN operand and its subquery's output, and the subquery's own local and
-// correlated comparisons. (Compare used to order mismatched kinds by their
-// type tag, so `t10.a1 < 'x'` kept every row.) A NULL constant compares with
-// any type, and well-typed comparisons of each kind still run.
+// correlated comparisons, the outer column first or last. (Compare used to
+// order mismatched kinds by their type tag, so `t10.a1 < 'x'` kept every
+// row.) A NULL constant compares with any type, well-typed comparisons of
+// each kind still run, and a subquery's constant-first comparison is flipped
+// as the outer WHERE's is.
 func TestBindTypeMismatch(t *testing.T) {
 	db := openBench(t, 1, 10)
 	for _, c := range []struct{ sql, left, right string }{
@@ -713,6 +778,7 @@ func TestBindTypeMismatch(t *testing.T) {
 		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT str FROM t1)", "t10.a1", "t1.str"},
 		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.str < 3)", "t1.str", "3"},
 		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.str = t10.a10)", "t1.str", "t10.a10"},
+		{"SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t10.a10 = t1.str)", "t10.a10", "t1.str"},
 	} {
 		_, err := db.Query(c.sql, PushDown)
 		var mismatch *TypeMismatchError
@@ -745,5 +811,16 @@ func TestBindTypeMismatch(t *testing.T) {
 		if res.Stats.Rows != c.rows {
 			t.Fatalf("%s: %d rows, want %d", c.sql, res.Stats.Rows, c.rows)
 		}
+	}
+	colFirst, err := db.Query("SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE t1.a1 < 3)", PushDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	constFirst, err := db.Query("SELECT * FROM t10 WHERE t10.a1 IN (SELECT a1 FROM t1 WHERE 3 > t1.a1)", PushDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(colFirst.Rows) != 3 || fmt.Sprint(constFirst.Rows) != fmt.Sprint(colFirst.Rows) {
+		t.Fatalf("3 > t1.a1 kept %v, t1.a1 < 3 kept %v", constFirst.Rows, colFirst.Rows)
 	}
 }

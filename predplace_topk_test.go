@@ -87,7 +87,7 @@ func TestFaultTopKMidFill(t *testing.T) {
 		baseCharged := base.Stats.Charged()
 
 		for _, p := range []int{1, 4} {
-			db.SetParallelism(p)
+			db.SetOptions(func(c *predplace.Config) { c.Parallelism = p })
 			for n := int64(1); n <= reads; n++ {
 				audit := harness.StartLeakAudit()
 				if err := db.EvictPool(); err != nil {
@@ -112,6 +112,6 @@ func TestFaultTopKMidFill(t *testing.T) {
 				}
 			}
 		}
-		db.SetParallelism(1)
+		db.SetOptions(func(c *predplace.Config) { c.Parallelism = 1 })
 	}
 }

@@ -176,7 +176,7 @@ func (s *Server) Query(ctx context.Context, tenant, sql string, algo Algorithm) 
 	}
 	defer s.release()
 
-	k := s.db.snapshot()
+	k := s.db.Options()
 	t := s.tenant(tenant)
 	t.mu.Lock()
 	if t.quota > 0 {
@@ -186,8 +186,8 @@ func (s *Server) Query(ctx context.Context, tenant, sql string, algo Algorithm) 
 			s.quotaRejected.Add(1)
 			return nil, fmt.Errorf("tenant %q: %w", tenant, ErrQuotaExceeded)
 		}
-		if k.budget == 0 || rem < k.budget {
-			k.budget = rem
+		if k.Budget == 0 || rem < k.Budget {
+			k.Budget = rem
 		}
 	}
 	t.mu.Unlock()

@@ -42,10 +42,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 
 	for _, caching := range []bool{false, true} {
 		// Serial baselines under this leg's caching setting, default knobs.
-		db.SetCaching(caching)
-		db.SetParallelism(1)
-		db.SetBatchSize(0)
-		db.SetProfile(false)
+		db.SetOptions(func(c *predplace.Config) { c.Caching, c.Parallelism, c.BatchSize, c.Profile = caching, 1, 0, false })
 		type baseline struct {
 			rows    []string
 			charged float64
@@ -75,10 +72,9 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 					return
 				default:
 				}
-				db.SetBatchSize([]int{0, 1, 7, 64}[i%4])
-				db.SetProfile(i%3 == 0)
+				db.SetOptions(func(c *predplace.Config) { c.BatchSize, c.Profile = []int{0, 1, 7, 64}[i%4], i%3 == 0 })
 				if !caching {
-					db.SetParallelism([]int{1, 2, 4}[i%3])
+					db.SetOptions(func(c *predplace.Config) { c.Parallelism = []int{1, 2, 4}[i%3] })
 				}
 			}
 		}()
@@ -126,9 +122,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 		for err := range errs {
 			t.Fatalf("caching=%v: %v", caching, err)
 		}
-		db.SetParallelism(1)
-		db.SetBatchSize(0)
-		db.SetProfile(false)
+		db.SetOptions(func(c *predplace.Config) { c.Parallelism, c.BatchSize, c.Profile = 1, 0, false })
 		if got := db.PinnedFrames(); got != 0 {
 			t.Fatalf("caching=%v: %d frames pinned after the stress", caching, got)
 		}
