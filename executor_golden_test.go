@@ -33,7 +33,7 @@ import (
 	"predplace/internal/harness"
 )
 
-var updateExecutorGolden = flag.Bool("update", false, "rewrite testdata/executor.golden from the executor at BatchSize 1")
+var updateExecutorGolden = flag.Bool("update", false, "rewrite the golden file of each test run (testdata/executor.golden at BatchSize 1, testdata/explain_analyze.golden)")
 
 const executorGolden = "testdata/executor.golden"
 
