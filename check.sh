@@ -227,15 +227,17 @@ echo "==> mutation gate (every recorded mutation still caught, race rows under -
 # `go test -overlay` (the tree is never written) and fails the row when none
 # of its tests fails, or when its old text is no longer in the file. A row
 # marked -race builds its tests with the race detector; one marked -hang
-# passes when a 10 s test timeout finds one of its tests still running. 76
+# passes when a 10 s test timeout finds one of its tests still running. 77
 # rows name the smallest package whose test catches them, as the root
 # package links the executor golden. The first two commands build, unmutated,
 # every test binary the rows name (race builds for the packages of -race
 # rows), so the -timeout budget covers the mutated builds only and not the
-# dependencies they share with the tree. On 2 vCPUs the gate's test binary
-# took 120 s when this whole script ran from an empty build cache (GOCACHE
-# emptied; the script took 29.5 min), and 85 s warm. Run alone from an empty
-# cache, the two builds take 54 s and the gate 115 s.
+# dependencies they share with the tree. On 2 vCPUs, run alone from an empty
+# build cache (GOCACHE emptied before each run), three runs in a row: the two
+# builds took 51, 54 and 59 s, and the gate's test binary 126, 132 and
+# 133 s, 47 s under the budget at worst. With 76 rows, the gate took 120 s
+# inside a whole run of this script from an empty cache (29.5 min), and 85 s
+# warm.
 go test -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 != "-race" {print $5}' testdata/mutations.txt | sort -u)
 go test -race -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 == "-race" {print $5}' testdata/mutations.txt | sort -u)
 go test -count=1 -timeout 180s -run '^TestMutations$' .

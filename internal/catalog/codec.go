@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"predplace/internal/expr"
+	"predplace/internal/storage"
 )
 
 // RowCodec encodes rows of a table's schema into fixed-width byte records.
@@ -312,4 +313,57 @@ func (rc *RowCodec) Test(rec []byte, t ColTest) (bool, error) {
 	}
 	holds, _ := t.Op.Holds(c)
 	return holds, nil
+}
+
+// In is SQL's three-valued x IN (set), the set being column out of the
+// table's records that pass every test: TRUE when a qualifying record's out
+// equals x; otherwise NULL when x is NULL or a qualifying out is, as long
+// as the set is not empty; FALSE over the empty set, whatever x is. With
+// not set it is NOT IN, the negation, NULL staying NULL. A record is tested
+// where it lies, and only one that qualifies has its out column decoded.
+//
+// The scan reads through the shared buffer pool under tr, the running
+// query's I/O tracker, so the page traffic is charged to that query alone.
+// A scan or decode failure propagates instead of folding into a truth
+// value: under injected faults a silently wrong answer would be worse than
+// the fault itself.
+func (t *Table) In(tr *storage.IOTracker, x expr.Value, tests []ColTest, out int, not bool) (expr.Value, error) {
+	unknown := false
+	it := t.Heap.WithTracker(tr).Scan()
+	defer it.Close()
+scan:
+	for {
+		rec, _, ok, err := it.NextRef() // page memory: read in place
+		if err != nil {
+			return expr.Null, fmt.Errorf("catalog: IN scan of %s: %w", t.Name, err)
+		}
+		if !ok {
+			break
+		}
+		for _, ct := range tests {
+			pass, err := t.Codec.Test(rec, ct)
+			if err != nil {
+				return expr.Null, fmt.Errorf("catalog: IN decode of %s: %w", t.Name, err)
+			}
+			if !pass {
+				continue scan
+			}
+		}
+		y, err := t.Codec.DecodeCol(rec, out)
+		if err != nil {
+			return expr.Null, fmt.Errorf("catalog: IN decode of %s: %w", t.Name, err)
+		}
+		switch {
+		case x.IsNull():
+			return expr.Null, nil // nothing equals x, and the set is not empty
+		case y.IsNull():
+			unknown = true
+		case y.Equal(x):
+			return expr.B(!not), nil
+		}
+	}
+	if unknown {
+		return expr.Null, nil
+	}
+	return expr.B(not), nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"predplace/internal/expr"
+	"predplace/internal/storage"
 )
 
 // benchCols is the benchmark schema: seven integers and the 36-byte filler,
@@ -243,5 +244,62 @@ func BenchmarkDecodeIntoMemo(b *testing.B) {
 			}
 			decodeSink = row[0]
 		})
+	}
+}
+
+// TestTableIn holds Table.In to SQL's three-valued x IN (set) and NOT IN:
+// a match is TRUE (NOT IN FALSE); no match beside a NULL member, or a NULL
+// x over a non-empty set, is NULL either way; the empty set is FALSE (NOT
+// IN TRUE), whatever x is.
+func TestTableIn(t *testing.T) {
+	cols := []Column{{Name: "v", Type: expr.TInt}, {Name: "k", Type: expr.TInt}}
+	codec, err := NewRowCodec(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := &Table{Name: "s", Columns: cols, Codec: codec, TupleBytes: codec.Width(),
+		Heap: storage.NewHeapFile(storage.NewBufferPool(storage.NewDisk(nil), 4))}
+	for _, r := range []expr.Row{
+		{expr.I(1), expr.I(0)}, {expr.Null, expr.I(0)}, // k = 0: {1, NULL}
+		{expr.I(2), expr.I(1)}, // k = 1: {2}
+	} {
+		rec, err := codec.Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Heap.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	null, tru, fal := expr.Null, expr.B(true), expr.B(false)
+	for _, c := range []struct {
+		name    string
+		x       expr.Value
+		k       int64
+		in, not expr.Value
+	}{
+		{"match beside a NULL member", expr.I(1), 0, tru, fal},
+		{"no match beside a NULL member", expr.I(5), 0, null, null},
+		{"match", expr.I(2), 1, tru, fal},
+		{"no match", expr.I(5), 1, fal, tru},
+		{"NULL operand", null, 1, null, null},
+		{"NULL operand beside a NULL member", null, 0, null, null},
+		{"empty set", expr.I(1), 9, fal, tru},
+		{"NULL operand over the empty set", null, 9, fal, tru},
+	} {
+		tests := []ColTest{{Col: 1, Op: expr.OpEQ, Val: expr.I(c.k)}}
+		for _, not := range []bool{false, true} {
+			want := c.in
+			if not {
+				want = c.not
+			}
+			got, err := tab.In(nil, c.x, tests, 0, not)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || got.IsNull() != want.IsNull() {
+				t.Errorf("%s (not=%v): got %v, want %v", c.name, not, got, want)
+			}
+		}
 	}
 }

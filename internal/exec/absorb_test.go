@@ -101,19 +101,18 @@ func nodeRowsWant(want string, profile bool) string {
 }
 
 // nodeCounts renders root's nodes pre-order — their kinds, the rows each
-// produced (NodeRows) and, under Profile, its predicate evaluations.
+// produced and its predicate evaluations, from the profile (n/a without
+// one).
 func nodeCounts(root plan.Node, res *Result) (shape, rows, evals string) {
 	var s, r, e []string
 	var walk func(n plan.Node, p *OpProfile)
 	walk = func(n plan.Node, p *OpProfile) {
 		s = append(s, strings.Fields(n.Describe())[0])
-		if c, ok := res.NodeRows[n]; ok {
-			r = append(r, strconv.FormatInt(c, 10))
+		if p != nil {
+			r = append(r, strconv.FormatInt(p.ActRows, 10))
+			e = append(e, strconv.FormatInt(p.PredEvals, 10))
 		} else {
 			r = append(r, "n/a")
-		}
-		if p != nil {
-			e = append(e, strconv.FormatInt(p.PredEvals, 10))
 		}
 		for i, c := range n.Children() {
 			var cp *OpProfile

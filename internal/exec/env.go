@@ -83,11 +83,6 @@ type Env struct {
 	// byte-identical with it on or off; wall time is never charged. Off by
 	// default, keeping the hot paths allocation-free.
 	Profile bool
-	// Validate, when set, checks every plan tree against plan.Validate's
-	// structural invariants before execution. The facade snapshots it once
-	// from PPLINT_VALIDATE at Open — not per query — so execution never
-	// reads the process environment on the hot path.
-	Validate bool
 	// Transfer enables the predicate-transfer pre-filter pass: before the
 	// main plan runs, Bloom filters flood selectivity across the join
 	// graph's equality classes and the plan's scans consult them to drop
@@ -150,9 +145,9 @@ type Env struct {
 	// tree is closed and its goroutines joined.
 	slabs slabPool
 
-	// prof holds per-node runtime counters, the rows each node produced
-	// (Result.NodeRows) among them; non-nil only while Profile is on, so the
-	// default path never consults or allocates it.
+	// prof holds per-node runtime counters, assembled into Result.Profile;
+	// non-nil only while Profile is on, so the default path never consults
+	// or allocates it.
 	profMu sync.Mutex
 	prof   map[plan.Node]*opCounters
 }

@@ -153,14 +153,11 @@ func TestMergeJoinSideDrops(t *testing.T) {
 
 // runGates runs root as Run does, building it with build (Build, or Build
 // with something withheld). It returns the rows, copied, the stats, whether
-// the budget stopped the run, the trace and the profile.
+// the budget stopped the run and the profile.
 func runGates(t *testing.T, name string, env *Env, root plan.Node, build func(*Env, plan.Node) (Iterator, error)) *Result {
 	t.Helper()
 	env.begin()
 	defer env.slabs.release()
-	if env.prof != nil {
-		plan.Walk(root, func(n plan.Node) { env.nodeProf(n) })
-	}
 	if env.Transfer {
 		if err := env.runTransferPrepass(root); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -184,7 +181,7 @@ func runGates(t *testing.T, name string, env *Env, root plan.Node, build func(*E
 	for i, r := range rows {
 		kept[i] = slices.Clone(r)
 	}
-	res := &Result{Rows: kept, Stats: env.finish(n), DNF: dnf, NodeRows: collectTrace(env)}
+	res := &Result{Rows: kept, Stats: env.finish(n), DNF: dnf}
 	if env.prof != nil {
 		res.Profile = assembleProfile(env, root)
 	}
@@ -258,11 +255,7 @@ func sameAsWithheld(t *testing.T, name string, root plan.Node, got, want *Result
 	if got.DNF != want.DNF {
 		t.Fatalf("%s: DNF %v, withheld %v", name, got.DNF, want.DNF)
 	}
-	plan.Walk(root, func(n plan.Node) {
-		if g, w := got.NodeRows[n], want.NodeRows[n]; g != w {
-			t.Fatalf("%s: %s actual=%d, withheld %d", name, n.Describe(), g, w)
-		}
-	})
+	sameActRows(t, name+" against withheld", got.Profile, want.Profile)
 }
 
 // sideDrops is how many rows of the second side, run on its own, have a key

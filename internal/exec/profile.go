@@ -15,7 +15,9 @@ package exec
 // and charges byte-identical costs.
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +30,7 @@ import (
 // atomics because inside an exchange's segment every worker's copy of the
 // node updates them, from several goroutines at once.
 type opCounters struct {
-	rows    atomic.Int64 // rows produced: Result.NodeRows
+	rows    atomic.Int64 // rows produced: OpProfile.ActRows
 	opens   atomic.Int64
 	batches atomic.Int64
 	wallNs  atomic.Int64
@@ -92,9 +94,9 @@ func (c *opCounters) io() storage.IOStats {
 }
 
 // profIter is the instrumented tracing wrapper Build installs around every
-// operator when profiling is on. It keeps the row-count trace (NodeRows,
-// authoritative for actual cardinalities) and measures wall time and
-// physical-I/O deltas around each call.
+// operator when profiling is on. It counts the rows the node produces
+// (OpProfile.ActRows, authoritative for actual cardinalities) and measures
+// wall time and physical-I/O deltas around each call.
 //
 // Timings and I/O are inclusive: a parent's window spans its children's work,
 // matching the cumulative semantics of the optimizer's per-node EstCost. An
@@ -260,8 +262,9 @@ func estSel(n plan.Node) float64 {
 }
 
 // assembleProfile builds the OpProfile tree for a finished query from the
-// profiling counters (Run pre-registers every plan node, so every node has
-// them).
+// profiling counters. A node the data flow never reached (an empty outer's
+// nested-loop inner, the probe-driven inner chain of an index nested loop)
+// gets its counters here, and truthfully reports 0 rows.
 func assembleProfile(e *Env, n plan.Node) *OpProfile {
 	c := e.nodeProf(n)
 	rows := c.rows.Load()
@@ -327,4 +330,72 @@ func (p *OpProfile) Totals() (evals, invocations, hits, misses int64) {
 		misses += m
 	}
 	return evals, invocations, hits, misses
+}
+
+// RenderAnalyzed is EXPLAIN ANALYZE's text of a run of root made with
+// Env.Profile on: the plan tree with each node's estimated and actual rows
+// and their error factor, a TopK's heap traffic and a Limit's short-circuit
+// on the root's line (both are root-only), then the profile's total line
+// and, with transfer on, the prepass's line.
+func RenderAnalyzed(root plan.Node, res *Result) string {
+	p := res.Profile
+	of := profiles(root, p)
+	var b strings.Builder
+	b.WriteString(plan.RenderWith(root, func(n plan.Node) string {
+		np := of[n]
+		s := fmt.Sprintf(" est=%.0f actual=%d (%s)", np.EstRows, np.ActRows, errString(np.ErrFactor))
+		if n == root {
+			if np.HeapPushed > 0 || np.HeapEvicted > 0 {
+				s += fmt.Sprintf(" heap(pushed=%d evicted=%d)", np.HeapPushed, np.HeapEvicted)
+			}
+			if np.ShortCircuit > 0 {
+				s += " short-circuit"
+			}
+		}
+		return s
+	}))
+	// The total line: inclusive wall time and I/O from the root window,
+	// predicate totals, and the worst cardinality estimate in the tree.
+	evals, inv, hits, misses := p.Totals()
+	fmt.Fprintf(&b, "total: wall=%.1fms io=%d predEvals=%d invocations=%d",
+		float64(p.WallNs)/1e6, p.IO.Total(), evals, inv)
+	if hits != 0 || misses != 0 {
+		fmt.Fprintf(&b, " cache=%d/%d", hits, hits+misses)
+	}
+	maxErr, at := p.MaxErr()
+	fmt.Fprintf(&b, " maxErr=%s @ %s\n", errString(maxErr), at)
+	// The transfer line: prepass filters and their measured effect. FP
+	// rates print only when measured (-1 means unmeasured).
+	if t := res.Stats.Transfer; t != nil {
+		fmt.Fprintf(&b, "transfer: classes=%d filters=%d built=%d probes=%d pruned=%d charged=%.1f",
+			t.Classes, t.FiltersBuilt, t.BuildRows, t.Probes, t.Pruned, t.PrepassCharged+t.ProbeCharge)
+		if t.FPActual >= 0 {
+			fmt.Fprintf(&b, " fp=%.4f (est %.4f)", t.FPActual, t.FPEst)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// profiles maps each node of the plan tree root to its record in p, the
+// profile tree of a run of root (which mirrors it, children in order).
+func profiles(root plan.Node, p *OpProfile) map[plan.Node]*OpProfile {
+	of := make(map[plan.Node]*OpProfile)
+	var pair func(plan.Node, *OpProfile)
+	pair = func(n plan.Node, q *OpProfile) {
+		of[n] = q
+		for i, c := range n.Children() {
+			pair(c, q.Children[i])
+		}
+	}
+	pair(root, p)
+	return of
+}
+
+// errString formats an error factor, printing one at the cap as ×inf.
+func errString(f float64) string {
+	if f >= ErrFactorCap {
+		return "×inf"
+	}
+	return fmt.Sprintf("×%.2f", f)
 }

@@ -8,6 +8,24 @@ import (
 	"predplace/internal/query"
 )
 
+// sameActRows fails unless got and want, profiles of runs of one plan (or
+// both nil), agree on every node's actual rows.
+func sameActRows(t *testing.T, name string, got, want *OpProfile) {
+	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Fatalf("%s: one run has a profile, the other none", name)
+		}
+		return
+	}
+	if g, w := got.ActRows, want.ActRows; g != w {
+		t.Fatalf("%s: %s actual=%d, want %d", name, got.Op, g, w)
+	}
+	for i := range got.Children {
+		sameActRows(t, name, got.Children[i], want.Children[i])
+	}
+}
+
 // profNode finds the OpProfile node whose Op matches, depth-first.
 func profNode(p *OpProfile, op string) *OpProfile {
 	if p.Op == op {
@@ -51,13 +69,13 @@ func TestProfileIndexNLInnerAttribution(t *testing.T) {
 	if res.Profile == nil {
 		t.Fatal("profiling on but no profile returned")
 	}
-	// Every plan node must have a trace entry — including the probe-driven
-	// inner chain that was never built as an iterator tree.
-	plan.Walk(j, func(n plan.Node) {
-		if _, ok := res.NodeRows[n]; !ok {
-			t.Errorf("node %s missing from NodeRows", n.Describe())
+	// The profile mirrors the plan node for node — including the
+	// probe-driven inner chain that was never built as an iterator tree.
+	for n, p := range profiles(j, res.Profile) {
+		if p.Op != n.Describe() {
+			t.Errorf("node %s profiled as %s", n.Describe(), p.Op)
 		}
-	})
+	}
 	fp := profNode(res.Profile, inner.Describe())
 	if fp == nil {
 		t.Fatalf("inner filter missing from profile:\n%+v", res.Profile)
@@ -83,8 +101,7 @@ func TestProfileIndexNLInnerAttribution(t *testing.T) {
 }
 
 // TestProfileNestLoopEmptyOuter: a nested-loop inner under an empty outer is
-// never opened; its profile nodes must still exist and report zero — not be
-// absent (the facade renders absence as "actual=n/a").
+// never opened; its profile nodes must still exist and report zero.
 func TestProfileNestLoopEmptyOuter(t *testing.T) {
 	db, env := newEnv(t, []int{1, 2}, false)
 	env.Profile = true
@@ -106,9 +123,6 @@ func TestProfileNestLoopEmptyOuter(t *testing.T) {
 	}
 	if res.Stats.Rows != 0 {
 		t.Fatalf("join should be empty, got %d rows", res.Stats.Rows)
-	}
-	if _, ok := res.NodeRows[innerScan]; !ok {
-		t.Error("unreached inner scan missing from NodeRows")
 	}
 	sp := profNode(res.Profile, innerScan.Describe())
 	if sp == nil {

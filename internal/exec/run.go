@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 
 	"predplace/internal/expr"
 	"predplace/internal/plan"
@@ -21,53 +20,18 @@ type Result struct {
 	// DNF is set when the charged-cost budget aborted the query; Stats then
 	// reflects consumption up to the abort.
 	DNF bool
-	// NodeRows maps plan nodes to the number of rows they actually produced
-	// (accumulated across nested-loop rescans) — EXPLAIN ANALYZE's data.
-	// Only Env.Profile keeps the trace: then every plan node has an entry
-	// (nodes the data flow never reached report 0); without it NodeRows is
-	// nil.
-	NodeRows map[plan.Node]int64
-	// Profile is the per-operator runtime profile tree (nil unless
-	// Env.Profile was on).
+	// Profile is the per-operator runtime profile tree, every plan node's
+	// record of the run (nil unless Env.Profile was on).
 	Profile *OpProfile
 }
 
-// collectTrace snapshots the per-node row counters (nil unless profiling).
-func collectTrace(e *Env) map[plan.Node]int64 {
-	if e.prof == nil {
-		return nil
-	}
-	out := make(map[plan.Node]int64, len(e.prof))
-	for n, c := range e.prof {
-		out[n] = c.rows.Load()
-	}
-	return out
-}
-
 // Run executes a plan tree to completion, resetting the Env's per-query
-// state first (each query is measured in isolation). With Env.Validate set
-// (the facade snapshots PPLINT_VALIDATE at Open), the plan tree is checked
-// against the structural invariants of plan.Validate before any execution.
+// state first (each query is measured in isolation).
 func Run(e *Env, root plan.Node) (*Result, error) {
-	if e.Validate {
-		if err := plan.Validate(root); err != nil {
-			return nil, fmt.Errorf("exec: refusing to run invalid plan: %w", err)
-		}
-	}
 	e.begin()
 	// Every return below comes after it.Close() has joined the tree's
 	// goroutines (or before any exist); only result rows outlive this.
 	defer e.slabs.release()
-	if e.prof != nil {
-		// Pre-register every plan node's counters so the profile and
-		// NodeRows cover the whole tree — including subtrees the data flow
-		// never builds (an empty outer's nested-loop inner, the probe-driven
-		// inner chain of an index nested loop). An unreached node truthfully
-		// reports 0 rows instead of being absent ("actual=n/a").
-		plan.Walk(root, func(n plan.Node) {
-			e.nodeProf(n)
-		})
-	}
 	res := &Result{}
 	for _, c := range root.Cols() {
 		res.Cols = append(res.Cols, c.String())
@@ -81,7 +45,6 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 			if errors.Is(err, ErrBudgetExceeded) {
 				res.DNF = true
 				res.Stats = e.finish(0)
-				res.NodeRows = collectTrace(e)
 				if e.prof != nil {
 					res.Profile = assembleProfile(e, root)
 				}
@@ -111,7 +74,6 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 		return nil, err
 	}
 	res.Stats = e.finish(n)
-	res.NodeRows = collectTrace(e)
 	if e.prof != nil {
 		res.Profile = assembleProfile(e, root)
 	}

@@ -82,23 +82,20 @@ func runBatch(t *testing.T, m *Manager, owner string, keys [][]byte, out []Batch
 func TestBatchMatchesSequential(t *testing.T) {
 	for _, cfg := range []struct {
 		name   string
-		scope  Scope
 		max    int
 		widths []int
 	}{
-		{"by-predicate", ByPredicate, 0, []int{1, 2, 7, 256, 257}},
-		{"by-function", ByFunction, 0, []int{1, 2, 7, 256, 257}},
-		{"bounded-width-1", ByPredicate, 5, []int{1}},
+		{"by-predicate", 0, []int{1, 2, 7, 256, 257}},
+		{"bounded-width-1", 5, []int{1}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				seq := NewManagerScoped(true, cfg.max, cfg.scope)
-				bat := NewManagerScoped(true, cfg.max, cfg.scope)
+				seq := NewManager(true, cfg.max)
+				bat := NewManager(true, cfg.max)
 				funcs := []string{"costly1", "costly100"}
 				for step := 0; step < 30; step++ {
-					// Interleaved owners; under ByFunction predicates 0/2 and
-					// 1/3 share a table.
+					// Interleaved owners.
 					pred := rng.Intn(4)
 					owner := seq.Owner(pred, funcs[pred%2])
 					if owner != bat.Owner(pred, funcs[pred%2]) {

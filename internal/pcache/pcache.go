@@ -14,18 +14,6 @@ import (
 	"predplace/internal/expr"
 )
 
-// Scope selects the caching granularity of §5.1: Montage caches the result
-// of the *whole predicate* per binding (ByPredicate, the default); the
-// alternative proposed in [Jhi88] and [HS93a] caches per *function*, which
-// shares entries between predicates that call the same function.
-type Scope uint8
-
-// Caching scopes.
-const (
-	ByPredicate Scope = iota
-	ByFunction
-)
-
 // stripes is the number of lock shards per unbounded cache table. Parallel
 // workers evaluating the same predicate hash their bindings across shards,
 // so lookups and stores rarely contend on one mutex. A binding's shard is
@@ -40,9 +28,9 @@ const (
 // the shard's table and finds its in-batch duplicates.
 var seed = maphash.MakeSeed()
 
-// Manager holds one cache per predicate (or per function, depending on
-// Scope) for the duration of a query. Caches are dropped between queries,
-// exactly like the per-query hash tables in Montage.
+// Manager holds one cache per predicate for the duration of a query.
+// Caches are dropped between queries, exactly like the per-query hash
+// tables in Montage.
 //
 // The manager is safe for concurrent use: hit/miss counters are atomics and
 // each cache table is striped into lock shards keyed by a hash of the
@@ -51,7 +39,6 @@ var seed = maphash.MakeSeed()
 type Manager struct {
 	// enabled gates all caching; a disabled manager misses on every lookup.
 	enabled bool
-	scope   Scope
 	// maxEntries bounds each predicate's table (0 = unbounded); when full,
 	// the oldest entry is evicted (deterministic FIFO — the paper notes any
 	// of a variety of replacement schemes may be used, and a deterministic
@@ -64,7 +51,7 @@ type Manager struct {
 	caches map[string]*cache
 }
 
-// cache is one predicate's (or function's) table, striped into lock shards.
+// cache is one predicate's table, striped into lock shards.
 type cache struct {
 	shards []cacheShard
 }
@@ -134,17 +121,11 @@ type cacheShard struct {
 	max  int
 }
 
-// NewManager creates a predicate-scoped cache manager. maxEntriesPerPred of
-// 0 means unbounded tables.
+// NewManager creates a cache manager. maxEntriesPerPred of 0 means
+// unbounded tables.
 func NewManager(enabled bool, maxEntriesPerPred int) *Manager {
-	return NewManagerScoped(enabled, maxEntriesPerPred, ByPredicate)
-}
-
-// NewManagerScoped creates a cache manager with an explicit scope.
-func NewManagerScoped(enabled bool, maxEntriesPerPred int, scope Scope) *Manager {
 	return &Manager{
 		enabled:    enabled,
-		scope:      scope,
 		maxEntries: maxEntriesPerPred,
 		caches:     make(map[string]*cache),
 	}
@@ -253,20 +234,11 @@ func (s *cacheShard) remove(h uint64, key string) {
 	s.n--
 }
 
-// Scope returns the manager's caching granularity.
-func (m *Manager) Scope() Scope {
-	if m == nil {
-		return ByPredicate
-	}
-	return m.scope
-}
-
-// Owner computes the cache-table identifier for a predicate: its ID under
-// ByPredicate, its function's name under ByFunction.
+// Owner computes the cache-table identifier for a predicate: its ID. The
+// whole predicate's result is cached per binding (Montage, §5.1), so two
+// predicates calling the same function never share a table, and funcName
+// does not enter the identifier.
 func (m *Manager) Owner(predID int, funcName string) string {
-	if m.Scope() == ByFunction {
-		return "f:" + funcName
-	}
 	return "p:" + strconv.Itoa(predID)
 }
 

@@ -116,35 +116,15 @@ func TestKeyDistinguishesBindings(t *testing.T) {
 	}
 }
 
-func TestScopeOwner(t *testing.T) {
-	pred := NewManagerScoped(true, 0, ByPredicate)
-	fn := NewManagerScoped(true, 0, ByFunction)
-	if pred.Owner(3, "costly10") != "p:3" {
-		t.Fatalf("predicate owner = %q", pred.Owner(3, "costly10"))
+func TestOwnerIsPredicateID(t *testing.T) {
+	// The whole predicate's result is cached (Montage, §5.1): two
+	// predicates calling one function own two tables.
+	m := NewManager(true, 0)
+	if m.Owner(3, "costly10") != "p:3" {
+		t.Fatalf("owner = %q", m.Owner(3, "costly10"))
 	}
-	if fn.Owner(3, "costly10") != "f:costly10" {
-		t.Fatalf("function owner = %q", fn.Owner(3, "costly10"))
-	}
-	if pred.Scope() != ByPredicate || fn.Scope() != ByFunction {
-		t.Fatal("Scope() wrong")
-	}
-	var nilMgr *Manager
-	if nilMgr.Scope() != ByPredicate {
-		t.Fatal("nil manager should default to ByPredicate")
-	}
-}
-
-func TestByFunctionSharesAcrossPredicates(t *testing.T) {
-	m := NewManagerScoped(true, 0, ByFunction)
-	k := Key([]expr.Value{expr.I(7)})
-	// Predicate 0 stores; predicate 1 calling the same function hits.
-	m.Store(m.Owner(0, "costly10"), k, expr.B(true))
-	if v, ok := m.Lookup(m.Owner(1, "costly10"), k); !ok || !v.Equal(expr.B(true)) {
-		t.Fatal("per-function cache must share across predicates")
-	}
-	// A different function does not share.
-	if _, ok := m.Lookup(m.Owner(1, "costly100"), k); ok {
-		t.Fatal("different functions must not share")
+	if m.Owner(3, "costly10") == m.Owner(4, "costly10") {
+		t.Fatal("predicates calling the same function must not share a table")
 	}
 }
 

@@ -135,11 +135,10 @@ var knobRows = []knobRow{
 // notAxes are the per-statement Config fields that are not lattice axes,
 // and why.
 var notAxes = map[string]string{
-	"Budget":           "aborts the run (DNF): TestBudgetDNF, harness Fig9Query5",
-	"Timeout":          "aborts the run: TestQueryContextCancel, TestFaultSweep",
-	"CacheMaxEntries":  "changes invocation counts by design: harness Ablations",
-	"PerFunctionCache": "shares cache entries across predicates by design: TestPerFunctionCacheSharing",
-	"RobustE":          "a parameter of the Robust algorithm: harness EstimateError, TestRobustExplainSummary",
+	"Budget":          "aborts the run (DNF): TestBudgetDNF, harness Fig9Query5",
+	"Timeout":         "aborts the run: TestQueryContextCancel, TestFaultSweep",
+	"CacheMaxEntries": "changes invocation counts by design: harness Ablations",
+	"RobustE":         "a parameter of the Robust algorithm: harness EstimateError, TestRobustExplainSummary",
 }
 
 // openTime are the Config fields only Open reads; SetOptions keeps them

@@ -200,3 +200,26 @@ func TestPreparedStatementPlanFixed(t *testing.T) {
 		t.Fatalf("prepared re-exec count = %d, want %d", after.Rows[0][0].I, before.Rows[0][0].I+1)
 	}
 }
+
+// TestPreparedPlanIsExplain: a prepared statement's Plan is the text
+// EXPLAIN prints, Robust's interval line included.
+func TestPreparedPlanIsExplain(t *testing.T) {
+	db, err := predplace.Open(predplace.Config{Scale: 0.005, Tables: []int{3, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := "SELECT * FROM t3, t10 WHERE t3.a10 = t10.a10 AND costly100(t3.ua1)"
+	for _, algo := range []predplace.Algorithm{predplace.Migration, predplace.Robust} {
+		p, err := db.Prepare(sql, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.Explain(sql, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Plan() != want {
+			t.Errorf("%s: Plan() is\n%s\nEXPLAIN prints\n%s", algo, p.Plan(), want)
+		}
+	}
+}

@@ -80,10 +80,6 @@ type Config struct {
 	PoolPages int
 	// Caching enables predicate caching (§5.1).
 	Caching bool
-	// PerFunctionCache switches from Montage's per-predicate caching to the
-	// per-function alternative of [Jhi88]/[HS93a]: predicates calling the
-	// same function share cache entries.
-	PerFunctionCache bool
 	// CacheMaxEntries bounds each predicate's cache table (0 = unbounded);
 	// when full the oldest binding is evicted, deterministic FIFO (§5.1
 	// notes caches "can be limited in size, using any of a variety of
@@ -282,14 +278,6 @@ func poolShards(workers int) int {
 		return 16
 	}
 	return workers
-}
-
-// pcacheScope maps the config to a predicate-cache scope.
-func pcacheScope(cfg Config) pcache.Scope {
-	if cfg.PerFunctionCache {
-		return pcache.ByFunction
-	}
-	return pcache.ByPredicate
 }
 
 // Catalog exposes the underlying catalog (tables, statistics, functions).
@@ -576,8 +564,8 @@ func (d *DB) Prepare(sql string, algo Algorithm) (*PreparedStatement, error) {
 // SQL returns the statement's original text.
 func (p *PreparedStatement) SQL() string { return p.sql }
 
-// Plan renders the prepared plan tree.
-func (p *PreparedStatement) Plan() string { return plan.Render(p.plan.root) }
+// Plan renders the prepared plan as EXPLAIN prints it.
+func (p *PreparedStatement) Plan() string { return p.plan.text() }
 
 // Exec executes the prepared statement; execution knobs (budget,
 // parallelism, batching, timeout, profiling) are snapshotted per call.
@@ -635,12 +623,10 @@ func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k Config) (
 	ctx, cancel := execCtx(ctx, k.Timeout)
 	defer cancel()
 	env := d.newEnv(ctx, k)
-	// EXPLAIN ANALYZE always profiles its statement: the profile is the
-	// point of the command, and every plan node then has an actual row
-	// count (probe-driven inner chains and never-reached subtrees
-	// included), so "actual=n/a" cannot appear. Feedback harvesting needs
-	// the same per-operator actuals, so it forces profiling too — but only
-	// an explicit request surfaces the profile on the Result below.
+	// EXPLAIN ANALYZE always profiles its statement: the profile tree is
+	// what it prints. Feedback harvesting needs the same per-operator
+	// actuals, so it forces profiling too — but only an explicit request
+	// surfaces the profile on the Result below.
 	env.Profile = k.Profile || bound.Explain || k.Feedback
 	out, err := exec.Run(env, root)
 	if err != nil {
@@ -665,93 +651,11 @@ func (d *DB) execPrepared(ctx context.Context, p *PreparedStatement, k Config) (
 	}
 	if bound.Explain { // EXPLAIN ANALYZE: annotated plan, no result rows
 		res.Explained = true
-		res.Plan = analyzedPlan(root, out) + robustSummary(info)
+		res.Plan = exec.RenderAnalyzed(root, out) + robustSummary(info)
 		return res, nil
 	}
 	project(root, bound, out, res)
 	return res, nil
-}
-
-// analyzedPlan renders the EXPLAIN ANALYZE tree: each node carries the
-// optimizer's row estimate, the measured row count, and the estimation-error
-// factor; a summary line totals the profile underneath.
-func analyzedPlan(root plan.Node, out *exec.Result) string {
-	rendered := plan.RenderWith(root, func(n plan.Node) string {
-		rows, ok := out.NodeRows[n]
-		if !ok {
-			return " actual=n/a"
-		}
-		s := fmt.Sprintf(" est=%.0f actual=%d (%s)", n.Card(), rows, errFactorString(n.Card(), rows))
-		// TopK and Limit are root-only, and the profile tree's root is the
-		// plan's: heap traffic and the short-circuit annotate that line.
-		if p := out.Profile; p != nil && n == root {
-			if p.HeapPushed > 0 || p.HeapEvicted > 0 {
-				s += fmt.Sprintf(" heap(pushed=%d evicted=%d)", p.HeapPushed, p.HeapEvicted)
-			}
-			if p.ShortCircuit > 0 {
-				s += " short-circuit"
-			}
-		}
-		return s
-	})
-	if out.Profile != nil {
-		rendered += profileSummary(out.Profile)
-	}
-	if t := out.Stats.Transfer; t != nil {
-		rendered += transferSummary(t)
-	}
-	return rendered
-}
-
-// transferSummary is the predicate-transfer line under an EXPLAIN ANALYZE
-// tree: prepass filters and their measured effect. FP rates print only when
-// measured (profiling tracks exact key sets; -1 means unmeasured).
-func transferSummary(t *exec.TransferStats) string {
-	s := fmt.Sprintf("transfer: classes=%d filters=%d built=%d probes=%d pruned=%d charged=%.1f",
-		t.Classes, t.FiltersBuilt, t.BuildRows, t.Probes, t.Pruned, t.PrepassCharged+t.ProbeCharge)
-	if t.FPActual >= 0 {
-		s += fmt.Sprintf(" fp=%.4f (est %.4f)", t.FPActual, t.FPEst)
-	}
-	return s + "\n"
-}
-
-// errFactorString renders the symmetric estimation-error factor ×max(a/e, e/a).
-func errFactorString(est float64, act int64) string {
-	a := float64(act)
-	if est <= 0 && a <= 0 {
-		return "×1.00"
-	}
-	if est <= 0 || a <= 0 {
-		return "×inf"
-	}
-	f := a / est
-	if f < 1 {
-		f = 1 / f
-	}
-	return maxErrString(f)
-}
-
-// profileSummary is the per-query summary line under an EXPLAIN ANALYZE
-// tree: inclusive wall time and I/O from the root window, predicate totals,
-// and the worst cardinality estimate in the tree.
-func profileSummary(p *OpProfile) string {
-	evals, inv, hits, misses := p.Totals()
-	maxErr, at := p.MaxErr()
-	s := fmt.Sprintf("total: wall=%.1fms io=%d predEvals=%d invocations=%d",
-		float64(p.WallNs)/1e6, p.IO.Total(), evals, inv)
-	if hits != 0 || misses != 0 {
-		s += fmt.Sprintf(" cache=%d/%d", hits, hits+misses)
-	}
-	return s + fmt.Sprintf(" maxErr=%s @ %s\n", maxErrString(maxErr), at)
-}
-
-// maxErrString formats an error factor, printing anything at or beyond the
-// profiler's cap as ×inf.
-func maxErrString(f float64) string {
-	if f >= exec.ErrFactorCap {
-		return "×inf"
-	}
-	return fmt.Sprintf("×%.2f", f)
 }
 
 // Explain returns the plan chosen by the given algorithm without executing.
@@ -791,7 +695,7 @@ func execCtx(ctx context.Context, timeout time.Duration) (context.Context, conte
 func (d *DB) newEnv(ctx context.Context, k Config) *exec.Env {
 	var cache *pcache.Manager // nil when caching is off: nothing to set up
 	if k.Caching {
-		cache = pcache.NewManagerScoped(true, k.CacheMaxEntries, pcacheScope(k))
+		cache = pcache.NewManager(true, k.CacheMaxEntries)
 	}
 	return &exec.Env{
 		Ctx:         ctx,
@@ -801,7 +705,6 @@ func (d *DB) newEnv(ctx context.Context, k Config) *exec.Env {
 		Budget:      k.Budget,
 		Parallelism: k.Parallelism,
 		BatchSize:   k.BatchSize,
-		Validate:    d.validate,
 		Transfer:    k.Transfer,
 	}
 }
@@ -926,13 +829,9 @@ func (d *DB) compileSubquery(sub *sqlparse.Subquery) (*expr.FuncDef, error) {
 		Cacheable:   true,
 		RealWork:    true,
 	}
-	// EvalIO is SQL's three-valued x IN (set): TRUE when a qualifying row's
-	// output equals x; otherwise NULL when x is NULL or a qualifying output is,
-	// as long as the set is not empty; FALSE over the empty set, whatever x
-	// is. NOT IN negates it, NULL staying NULL. A record is tested where it
-	// lies, and only one that qualifies has its output column decoded.
+	// EvalIO is vals[0] IN (set) over tab, with the invocation's correlated
+	// arguments bound into the record tests.
 	f.EvalIO = func(tr *storage.IOTracker, vals []expr.Value) (expr.Value, error) {
-		x := vals[0]
 		var buf [8]catalog.ColTest
 		bound := append(buf[:0], tests...)
 		for i, ai := range argOf {
@@ -940,49 +839,7 @@ func (d *DB) compileSubquery(sub *sqlparse.Subquery) (*expr.FuncDef, error) {
 				bound[i].Val = vals[ai]
 			}
 		}
-		unknown := false
-		// The scan reads through the shared buffer pool; the executor passes
-		// the running query's I/O tracker, so the subquery's page traffic is
-		// charged to that query alone. A scan or decode failure propagates
-		// instead of folding into a truth value — under injected faults a
-		// silently-wrong answer would be worse than the fault itself.
-		it := tab.Heap.WithTracker(tr).Scan()
-		defer it.Close()
-	scan:
-		for {
-			rec, _, ok, err := it.NextRef() // page memory: read in place
-			if err != nil {
-				return expr.Null, fmt.Errorf("predplace: subquery scan of %s: %w", tab.Name, err)
-			}
-			if !ok {
-				break
-			}
-			for _, t := range bound {
-				pass, err := tab.Codec.Test(rec, t)
-				if err != nil {
-					return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", tab.Name, err)
-				}
-				if !pass {
-					continue scan
-				}
-			}
-			y, err := tab.Codec.DecodeCol(rec, outIdx)
-			if err != nil {
-				return expr.Null, fmt.Errorf("predplace: subquery decode of %s: %w", tab.Name, err)
-			}
-			switch {
-			case x.IsNull():
-				return expr.Null, nil // nothing equals x, and the set is not empty
-			case y.IsNull():
-				unknown = true
-			case y.Equal(x):
-				return expr.B(!not), nil
-			}
-		}
-		if unknown {
-			return expr.Null, nil
-		}
-		return expr.B(not), nil
+		return tab.In(tr, vals[0], bound, outIdx, not)
 	}
 	if err := d.inner.Cat.RegisterFunc(f); err != nil {
 		return nil, err

@@ -489,36 +489,6 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-func TestPerFunctionCacheSharing(t *testing.T) {
-	// Two predicates calling the same function over columns with identical
-	// values: per-function caching shares entries between them, halving
-	// invocations relative to per-predicate caching.
-	run := func(perFunc bool) int64 {
-		db, err := Open(Config{Caching: true, PerFunctionCache: perFunc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.CreateTable("r", []ColumnSpec{{Name: "a"}, {Name: "b"}})
-		for i := 0; i < 100; i++ {
-			db.Insert("r", i, i) // a == b
-		}
-		db.Analyze("r")
-		db.RegisterFunc("twice", 1, 10, 0.9, func(args []Value) Value {
-			return Bool(args[0].I%10 != 0)
-		})
-		res, err := db.Query("SELECT * FROM r WHERE twice(r.a) AND twice(r.b)", PushDown)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats.Invocations["twice"]
-	}
-	perPred := run(false)
-	perFunc := run(true)
-	if perFunc >= perPred {
-		t.Fatalf("per-function caching should share entries: %d vs %d", perFunc, perPred)
-	}
-}
-
 func TestExplainAnalyze(t *testing.T) {
 	db := openBench(t, 3, 9)
 	res, err := db.Query("EXPLAIN ANALYZE SELECT * FROM t3, t9 WHERE t3.ua1 = t9.ua1 AND costly100(t9.u20)", Migration)
