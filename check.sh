@@ -143,6 +143,21 @@ go test -race -count=1 -run '^TestBindTypeMismatch$' . ./internal/sqlparse
 go test -count=1 -run '^(TestColTestAllocFree|FuzzColTest)$' ./internal/catalog
 go test -run '^$' -fuzz '^FuzzColTest$' -fuzztime 10s ./internal/catalog
 
+echo "==> transfer-prepass gate (the prepass reads through the scan's gates in their order, and aborts cleanly)"
+# Also part of the full test run below; named here so that a transfer
+# prepass whose Bloom probes, adds, pruned count or invocations differ from
+# the record-by-record reference kept in the test (a cheap comparison or the
+# NULL-key gate run after the probes; TestTransferPrepassCounts), whose
+# filter-build scan leaves a page pinned, a goroutine behind or a
+# half-built filter after a read fault, or charges a budget it exceeds as
+# anything but a DNF (TestFaultTransferPrepass), whose rows differ from the
+# run without transfer or which charges or invokes more than it
+# (TestRandomizedTransferAgreement), or whose experiment misses its shape
+# checks (TestTransferPlacement) fails under this heading.
+go test -race -count=1 -run '^TestTransferPrepassCounts$' ./internal/exec
+go test -race -count=1 -run '^(TestFaultTransferPrepass|TestRandomizedTransferAgreement)$' .
+go test -race -count=1 -run '^TestTransferPlacement$' ./internal/harness
+
 echo "==> executor gates (recorded answers at every width, mixed-width pulls, deterministic IKKBZ)"
 # Also part of the full test run below. A failure of the first command means
 # an operator's rows, order, charged cost or invocation counts depend on the
@@ -227,7 +242,7 @@ echo "==> mutation gate (every recorded mutation still caught, race rows under -
 # `go test -overlay` (the tree is never written) and fails the row when none
 # of its tests fails, or when its old text is no longer in the file. A row
 # marked -race builds its tests with the race detector; one marked -hang
-# passes when a 10 s test timeout finds one of its tests still running. 77
+# passes when a 10 s test timeout finds one of its tests still running. 79
 # rows name the smallest package whose test catches them, as the root
 # package links the executor golden. The first two commands build, unmutated,
 # every test binary the rows name (race builds for the packages of -race
@@ -235,9 +250,12 @@ echo "==> mutation gate (every recorded mutation still caught, race rows under -
 # dependencies they share with the tree. On 2 vCPUs, run alone from an empty
 # build cache (GOCACHE emptied before each run), three runs in a row: the two
 # builds took 51, 54 and 59 s, and the gate's test binary 126, 132 and
-# 133 s, 47 s under the budget at worst. With 76 rows, the gate took 120 s
-# inside a whole run of this script from an empty cache (29.5 min), and 85 s
-# warm.
+# 133 s, 47 s under the budget at worst (77 rows). With 79 rows, run alone
+# from an empty cache the same way, twice: the builds took 60 and 41 s and
+# the test binary 159 s (the machine under outside load) and 106 s, against
+# 44 s and 105 s for the 77 rows run just after the second. With 76 rows,
+# the gate took 120 s inside a whole run of this script from an empty cache
+# (29.5 min), and 85 s warm.
 go test -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 != "-race" {print $5}' testdata/mutations.txt | sort -u)
 go test -race -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 == "-race" {print $5}' testdata/mutations.txt | sort -u)
 go test -count=1 -timeout 180s -run '^TestMutations$' .

@@ -17,10 +17,10 @@ import (
 	"predplace/internal/expr"
 )
 
-// FeedbackErrCap bounds every error factor the store computes or reports.
-// It mirrors the profiler's ErrFactorCap: a zero estimate against a nonzero
-// actual is off by an unbounded factor, and the threshold comparison (and
-// the JSON stats) must see this finite cap, never ±Inf or NaN.
+// FeedbackErrCap bounds every error factor the store and the profiler compute
+// or report: a zero estimate against a nonzero actual is off by an unbounded
+// factor, and the threshold comparison (and the JSON stats) must see this
+// finite cap, never ±Inf or NaN.
 const FeedbackErrCap = 1e9
 
 // ErrFactor is the symmetric estimation-error factor max(obs/est, est/obs),

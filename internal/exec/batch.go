@@ -152,6 +152,32 @@ type thinScan struct {
 	pages [][]byte // by part: one serially, a worker's each under an exchange
 }
 
+// newThinScan returns the thinScan, run in parts parts, of a scan that must
+// decode the columns needed marks — nil when that is none of them or all
+// (no column is left for the mark).
+func newThinScan(codec *catalog.RowCodec, needed []bool, parts int) *thinScan {
+	t := &thinScan{codec: codec, mark: -1, pages: make([][]byte, parts)}
+	for k, on := range needed {
+		if on {
+			t.need = append(t.need, k)
+		}
+	}
+	if len(t.need) == 0 {
+		return nil
+	}
+	// The mark is the column left out that lies nearest the first one
+	// decoded, after it if possible: mostly the same cache line.
+	for k := len(needed) - 1; k >= 0; k-- {
+		if !needed[k] && (t.mark < 0 || k > t.need[0]) {
+			t.mark = k
+		}
+	}
+	if t.mark < 0 {
+		return nil
+	}
+	return t
+}
+
 // thinKind is the kind of a thin row's mark slot, whose I is then the scan
 // part << 16 | the record's offset on the part's page. No decoded value has
 // it, so a row the scan decoded whole, or one completed since, is told apart

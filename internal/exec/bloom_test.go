@@ -17,7 +17,9 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 		for i := range keys {
 			keys[i] = bloomHash(expr.I(rng.Int63()))
 		}
-		f.AddBatch(keys)
+		for _, h := range keys {
+			f.Add(h)
+		}
 		for i, h := range keys {
 			if !f.Test(h) {
 				t.Fatalf("n=%d: added key %d tests negative", n, i)
@@ -27,71 +29,37 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 // TestBloomFPRateWithinAnalyticBound is the property test: the measured
-// false-positive rate over a large non-member probe set must stay within a
-// small multiple of the analytic estimate. Blocked filters concentrate bits
-// per 512-bit block, so they run above the classic bound — 3x plus a small
-// absolute floor is the accepted envelope (DESIGN.md §16).
+// false-positive rate over a large non-member probe set must lie within 25 %
+// of EstFPRate, either way, at the fill a filter is sized for, at the
+// under-filled one EXPLAIN ANALYZE's transfer statement builds (200 keys in 8
+// blocks), and twice over-filled.
 func TestBloomFPRateWithinAnalyticBound(t *testing.T) {
-	const (
-		members = 10000
-		probes  = 200000
-	)
-	f := newBloomFilter(members)
-	seen := make(map[uint64]bool, members)
-	for i := int64(0); i < members; i++ {
-		h := bloomHash(expr.I(i))
-		seen[h] = true
-		f.Add(h)
-	}
-	est := f.EstFPRate()
-	if est <= 0 || est >= 1 {
-		t.Fatalf("EstFPRate = %g, want in (0,1)", est)
-	}
-	fp := 0
-	for i := int64(0); i < probes; i++ {
-		h := bloomHash(expr.I(members + 1 + i*7919))
-		if seen[h] {
-			continue
+	const probes = 1000000
+	for _, c := range []struct{ sized, members int64 }{{10000, 10000}, {200, 200}, {1000, 2000}} {
+		f := newBloomFilter(c.sized)
+		seen := make(map[uint64]bool, c.members)
+		for i := int64(0); i < c.members; i++ {
+			h := bloomHash(expr.I(i))
+			seen[h] = true
+			f.Add(h)
 		}
-		if f.Test(h) {
-			fp++
+		est := f.EstFPRate()
+		if est <= 0 || est >= 1 {
+			t.Fatalf("%d keys: EstFPRate = %g, want in (0,1)", c.members, est)
 		}
-	}
-	actual := float64(fp) / float64(probes)
-	limit := 3*est + 0.002
-	if actual > limit {
-		t.Errorf("measured FP rate %.5f exceeds envelope %.5f (analytic est %.5f)", actual, limit, est)
-	}
-}
-
-// TestBloomBatchMatchesScalar pins TestBatch to the scalar path: same
-// verdicts, probe count excludes rows already rejected.
-func TestBloomBatchMatchesScalar(t *testing.T) {
-	f := newBloomFilter(64)
-	for i := int64(0); i < 64; i += 2 {
-		f.Add(bloomHash(expr.I(i)))
-	}
-	hs := make([]uint64, 128)
-	keep := make([]bool, 128)
-	for i := range hs {
-		hs[i] = bloomHash(expr.I(int64(i)))
-		keep[i] = i%3 != 0 // every third row pre-rejected by an earlier filter
-	}
-	wantProbes := 0
-	want := make([]bool, 128)
-	for i := range hs {
-		if keep[i] {
-			wantProbes++
-			want[i] = f.Test(hs[i])
+		fp, n := 0, 0
+		for i := int64(0); i < probes; i++ {
+			h := bloomHash(expr.I(c.members + 1 + i*7919))
+			if seen[h] {
+				continue
+			}
+			n++
+			if f.Test(h) {
+				fp++
+			}
 		}
-	}
-	probes := f.TestBatch(hs, keep)
-	if probes != wantProbes {
-		t.Errorf("TestBatch probes = %d, want %d", probes, wantProbes)
-	}
-	for i := range keep {
-		if keep[i] != want[i] {
-			t.Errorf("row %d: keep = %v, want %v", i, keep[i], want[i])
+		if actual := float64(fp) / float64(n); actual < est/1.25 || actual > est*1.25 {
+			t.Errorf("%d keys in %d blocks: measured FP rate %.5f, EstFPRate %.5f", c.members, f.blockMask+1, actual, est)
 		}
 	}
 }
@@ -106,26 +74,5 @@ func BenchmarkBloomAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Add(hs[i&4095])
-	}
-}
-
-func BenchmarkBloomTestBatch(b *testing.B) {
-	const batch = 256
-	f := newBloomFilter(100000)
-	for i := uint64(0); i < 100000; i++ {
-		f.Add(splitmix64(i))
-	}
-	hs := make([]uint64, batch)
-	keep := make([]bool, batch)
-	for i := range hs {
-		hs[i] = splitmix64(uint64(i * 3))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range keep {
-			keep[j] = true
-		}
-		f.TestBatch(hs, keep)
 	}
 }

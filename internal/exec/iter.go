@@ -203,30 +203,14 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 			}
 			needed[k] = true
 		}
-		t := &thinScan{codec: tab.Codec, mark: -1}
-		for k, on := range needed {
-			if on {
-				t.need = append(t.need, k)
-			}
-		}
-		if len(t.need) == 0 {
-			return
-		}
-		// The mark is the column left out that lies nearest the first one
-		// decoded, after it if possible: mostly the same cache line.
-		for k := len(needed) - 1; k >= 0; k-- {
-			if !needed[k] && (t.mark < 0 || k > t.need[0]) {
-				t.mark = k
-			}
-		}
-		if t.mark < 0 {
-			return
-		}
 		parts := 1
 		if seg {
 			parts = e.workers() // the exchange runs a part of the scan per worker
 		}
-		t.pages = make([][]byte, parts)
+		t := newThinScan(tab.Codec, needed, parts)
+		if t == nil {
+			return
+		}
 		if out == nil {
 			out = map[*plan.SeqScan]*thinScan{}
 		}
@@ -355,7 +339,7 @@ func (e *Env) scanGates(scan plan.Node, add func(plan.Node, recordGate)) {
 		}
 		for _, s := range t.slots {
 			if s.class.filter != nil {
-				add(scan, &probeGate{codec: t.tab.Codec, col: s.colIdx, class: s.class, tc: tc})
+				add(scan, &probeGate{codec: t.tab.Codec, slot: s, filter: s.class.filter, keys: s.class.keys, ts: e.transfer, tc: tc})
 			}
 		}
 	}

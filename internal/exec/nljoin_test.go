@@ -475,7 +475,9 @@ func TestSweepMemoTable(t *testing.T) {
 // colliding keys and whose bool column NULL, false and true. Two loops have
 // outers of their own: 15 memo rows, whose NULLs and extremes are the outer
 // argument, and the cross product of 10 t1 rows with 3 memo rows, whose
-// primary takes one argument from each of t1 and memo. Each runs over a
+// primary takes one argument from each of t1 and memo. A loop under a
+// subquery primary (in_t1, which reads t1 as it evaluates) keeps the rescan
+// (planLoops) and runs as the withheld plan does. Each runs over a
 // roomy pool and over a 6-page one, smaller than t7, so every sweep misses
 // every page and a walk that fetched other pages, or none, would charge
 // otherwise; there the cross product also runs under budgets
@@ -494,7 +496,17 @@ func TestNLReplayMatchesRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 		f2, f3 := expr.NewCostly("costly10pair", 2, 10, 0.3, 77), expr.NewCostly("costly10triple", 3, 10, 0.3, 78)
-		for _, f := range []*expr.FuncDef{f2, f3} {
+		t1, err := db.Cat.Table("t1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// in_t1(x, c) is x IN (SELECT t1.u20 FROM t1 WHERE t1.ua1 < c): it
+		// reads t1 through the query's tracker, between the inner's batches.
+		in := &expr.FuncDef{Name: "in_t1", Arity: 2, Cost: float64(t1.Pages()), Selectivity: 0.5, Cacheable: true, RealWork: true,
+			EvalIO: func(tr *storage.IOTracker, v []expr.Value) (expr.Value, error) {
+				return t1.In(tr, v[0], []catalog.ColTest{{Col: t1.ColIndex("ua1"), Op: expr.OpLT, Val: v[1]}}, t1.ColIndex("u20"), false)
+			}}
+		for _, f := range []*expr.FuncDef{f2, f3, in} {
 			if err := db.Cat.RegisterFunc(f); err != nil {
 				t.Fatal(err)
 			}
@@ -517,6 +529,7 @@ func TestNLReplayMatchesRescan(t *testing.T) {
 			{Kind: query.KindFunc, Func: f3, Args: []query.ColRef{col("t1", "u20"), col("memo", "b"), col("t7", "u20")}},
 			cmp("memo", "w", expr.OpLT, 15*7919),
 			cmp("memo", "w", expr.OpLT, 3*7919),
+			{Kind: query.KindFunc, Func: in, Args: []query.ColRef{col("t7", "u20"), col("t1", "ua1")}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -560,6 +573,7 @@ func TestNLReplayMatchesRescan(t *testing.T) {
 			{"null-inner", nil, memo(), q.Preds[8], true, 0, nil, ""},
 			{"bool-inner", nil, memo(), q.Preds[9], true, 0, nil, ""},
 			{"two-outer-tables", twoTables, t7(), q.Preds[10], true, 0, nil, ""},
+			{"subquery", nil, t7(), q.Preds[13], true, 0, nil, ""},
 		} {
 			outer := outer
 			if sh.outer != nil {
@@ -579,8 +593,8 @@ func TestNLReplayMatchesRescan(t *testing.T) {
 							Parallelism: p, BatchSize: bs, Profile: profile, Transfer: sh.over != nil}
 						want := runGates(t, name, env, root, buildRescan)
 						got := runGates(t, name, env, root, Build)
-						if env.loops[loop].tape == nil {
-							t.Fatalf("%s: Build does not have the loop tape its inner", name)
+						if taped := env.loops[loop].tape != nil; taped != (sh.primary == nil || sh.primary.Func.EvalIO == nil) {
+							t.Fatalf("%s: Build has the loop tape its inner: %v", name, taped)
 						}
 						if memo := env.loops[loop].memo != nil; memo != (sh.caching && sh.bound == 0) {
 							t.Fatalf("%s: the loop has a memo: %v", name, memo)
@@ -619,12 +633,10 @@ func TestNLReplayMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestNLTapeNeedsSweeps holds planLoops to taping only a loop the plan
-// expects to sweep often enough: over an outer estimated at fewer rows than
-// tapeMinSweeps the loop rescans its inner, over one estimated at that many
-// (or not estimated) it replays it, and either way it runs as the rescan
-// does.
-func TestNLTapeNeedsSweeps(t *testing.T) {
+// TestNLTapesFewSweeps holds planLoops to taping a bare inner however few
+// sweeps the plan expects: over an outer estimated at one row, and over one
+// not estimated, the loop replays its inner and runs as the rescan does.
+func TestNLTapesFewSweeps(t *testing.T) {
 	db, env := newEnv(t, []int{3, 7}, true)
 	f, err := db.Cat.Func("costly10join")
 	if err != nil {
@@ -638,7 +650,7 @@ func TestNLTapeNeedsSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	query.Analyze(db.Cat, q)
-	for _, est := range []float64{1, tapeMinSweeps - 1, tapeMinSweeps, 0} {
+	for _, est := range []float64{1, 0} {
 		outer := &plan.Filter{Input: scanNode(t, db.Cat, "t3"), Pred: q.Preds[0], EstCard: est}
 		inner := scanNode(t, db.Cat, "t7")
 		loop := &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, Primary: q.Preds[1],
@@ -646,8 +658,8 @@ func TestNLTapeNeedsSweeps(t *testing.T) {
 		name := fmt.Sprintf("outer estimated at %v", est)
 		want := runGates(t, name, env, loop, buildRescan)
 		got := runGates(t, name, env, loop, Build)
-		if taped := env.loops[loop].tape != nil; taped != (est == 0 || est >= tapeMinSweeps) {
-			t.Fatalf("%s: the loop replays its inner: %v", name, taped)
+		if env.loops[loop].tape == nil {
+			t.Fatalf("%s: the loop does not replay its inner", name)
 		}
 		sameAsWithheld(t, name, loop, got, want, true)
 	}

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"predplace/internal/catalog"
 	"predplace/internal/expr"
 	"predplace/internal/plan"
 	"predplace/internal/storage"
@@ -190,8 +191,9 @@ type OpProfile struct {
 	ActRows int64 `json:"actual_rows"`
 	// RowsIn is the sum of the children's ActRows (0 for leaves).
 	RowsIn int64 `json:"rows_in"`
-	// ErrFactor is the cardinality estimation error max(act/est, est/act),
-	// ≥ 1; 1 means a perfect estimate.
+	// ErrFactor is the cardinality estimation error max(act/est, est/act)
+	// (catalog.ErrFactor), ≥ 1; 1 means a perfect estimate. A nested loop's
+	// inner holds its rows against its per-sweep estimate times the sweeps.
 	ErrFactor float64 `json:"err_factor"`
 	// Opens counts Open calls (nested-loop rescans reopen the inner).
 	Opens int64 `json:"opens,omitempty"`
@@ -225,32 +227,8 @@ type OpProfile struct {
 	ShortCircuit int64 `json:"short_circuit,omitempty"`
 	// Children mirror the plan node's inputs (outer first for joins).
 	Children []*OpProfile `json:"children,omitempty"`
-}
-
-// ErrFactorCap is the ceiling of ErrFactor: an estimate that is off by an
-// unbounded factor (one side zero) reports this value instead of +Inf, which
-// encoding/json cannot marshal. Renderers print anything at the cap as ×inf.
-const ErrFactorCap = 1e9
-
-// errFactor is the symmetric cardinality-error ratio: max(a/e, e/a), with
-// zero handled so a correct zero-estimate reports 1 and a wrong one reports
-// ErrFactorCap.
-func errFactor(est float64, act int64) float64 {
-	a := float64(act)
-	if est <= 0 && a <= 0 {
-		return 1
-	}
-	if est <= 0 || a <= 0 {
-		return ErrFactorCap
-	}
-	f := a / est
-	if f < 1 {
-		f = 1 / f
-	}
-	if f > ErrFactorCap {
-		return ErrFactorCap
-	}
-	return f
+	// artifact marks a subtree MaxErr leaves out.
+	artifact bool
 }
 
 // estSel returns the selectivity estimate attached to a node's predicate.
@@ -265,7 +243,14 @@ func estSel(n plan.Node) float64 {
 // profiling counters. A node the data flow never reached (an empty outer's
 // nested-loop inner, the probe-driven inner chain of an index nested loop)
 // gets its counters here, and truthfully reports 0 rows.
-func assembleProfile(e *Env, n plan.Node) *OpProfile {
+func assembleProfile(e *Env, n plan.Node) *OpProfile { return assemble(e, n, 1) }
+
+// assemble is assembleProfile of a node run sweeps times per run of the
+// query: its rows are held against its estimate, which is per sweep, times
+// that. A nested loop's inner runs once per outer row, so its sweeps are the
+// outer's rows (which count every sweep of a loop rebuilt in another's
+// inner).
+func assemble(e *Env, n plan.Node, sweeps float64) *OpProfile {
 	c := e.nodeProf(n)
 	rows := c.rows.Load()
 	// One wrapper timed a scan and the filters it absorbed, as their top
@@ -281,7 +266,7 @@ func assembleProfile(e *Env, n plan.Node) *OpProfile {
 		EstCost:        n.Cost(),
 		EstSel:         estSel(n),
 		ActRows:        rows,
-		ErrFactor:      errFactor(n.Card(), rows),
+		ErrFactor:      catalog.ErrFactor(n.Card()*sweeps, float64(rows)),
 		Opens:          timed.opens.Load(),
 		Batches:        timed.batches.Load(),
 		WallNs:         timed.wallNs.Load(),
@@ -297,8 +282,17 @@ func assembleProfile(e *Env, n plan.Node) *OpProfile {
 		HeapEvicted:    c.heapEvicted.Load(),
 		ShortCircuit:   c.shortCircuit.Load(),
 	}
-	for _, child := range n.Children() {
-		cp := assembleProfile(e, child)
+	j, _ := n.(*plan.Join)
+	for i, child := range n.Children() {
+		inner, s := j != nil && i == 1, sweeps
+		if inner && j.Method == plan.NestLoop {
+			s = float64(p.Children[0].ActRows)
+		}
+		cp := assemble(e, child, s)
+		// What an index nested loop's probes fetch of its inner, and what a
+		// Limit that short-circuited cut off, count how the node ran, not
+		// what its estimate predicts.
+		cp.artifact = inner && j.Method == plan.IndexNestLoop || p.ShortCircuit > 0
 		p.RowsIn += cp.ActRows
 		p.Children = append(p.Children, cp)
 	}
@@ -306,10 +300,14 @@ func assembleProfile(e *Env, n plan.Node) *OpProfile {
 }
 
 // MaxErr returns the largest cardinality-error factor in the profile tree
-// and the description of the node it occurs at.
+// and the description of the node it occurs at, leaving out the subtrees
+// whose counts are artifacts (assemble).
 func (p *OpProfile) MaxErr() (float64, string) {
 	worst, at := p.ErrFactor, p.Op
 	for _, c := range p.Children {
+		if c.artifact {
+			continue
+		}
 		if e, op := c.MaxErr(); e > worst {
 			worst, at = e, op
 		}
@@ -394,7 +392,7 @@ func profiles(root plan.Node, p *OpProfile) map[plan.Node]*OpProfile {
 
 // errString formats an error factor, printing one at the cap as ×inf.
 func errString(f float64) string {
-	if f >= ErrFactorCap {
+	if f >= catalog.FeedbackErrCap {
 		return "×inf"
 	}
 	return fmt.Sprintf("×%.2f", f)

@@ -179,3 +179,82 @@ func TestProfileObservational(t *testing.T) {
 		t.Fatalf("profile func charges sum to %f, stats say %f", chargeSum, prof.Stats.FuncCharge)
 	}
 }
+
+// TestProfileErrFactorPerSweep holds each node's error factor, and the
+// profile's MaxErr, to what the estimates predict: a nested loop's inner,
+// rescanned per outer row, against its per-sweep estimate times the sweeps
+// (in a loop nested in another's inner too), and MaxErr leaving out the
+// probe-driven inner chain of an index nested loop and what a Limit that
+// short-circuited cut off, whose own factors stay as measured.
+func TestProfileErrFactorPerSweep(t *testing.T) {
+	db, env := newEnv(t, []int{1, 2, 3}, false)
+	env.Profile = true
+	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
+	lt := func(tab string, v int64) *query.Predicate {
+		return &query.Predicate{Kind: query.KindSelCmp, Op: expr.OpLT, Left: col(tab, "ua1"), Value: expr.I(v)}
+	}
+	scan := func(table string) *plan.SeqScan {
+		s := scanNode(t, db.Cat, table)
+		tab, err := db.Cat.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.EstCard = float64(tab.Card)
+		return s
+	}
+	loop := func(outer, inner plan.Node) *plan.Join {
+		return &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner,
+			ColRefs: plan.ConcatCols(outer, inner), EstCard: outer.Card() * inner.Card()}
+	}
+	run := func(root plan.Node) *OpProfile {
+		t.Helper()
+		res, err := Run(env, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Profile
+	}
+
+	// Two nested loops, the second in the first's inner: every estimate is
+	// exact once its sweeps are counted.
+	t3 := scan("t3")
+	innerLoop := loop(&plan.Filter{Input: scan("t2"), Pred: lt("t2", 2), EstCard: 2}, t3)
+	root := loop(&plan.Filter{Input: scan("t1"), Pred: lt("t1", 3), EstCard: 3}, innerLoop)
+	p := run(root)
+	for n, np := range profiles(root, p) {
+		if np.ErrFactor != 1 {
+			t.Errorf("%s: est=%v actual=%d (×%v), want ×1", n.Describe(), np.EstRows, np.ActRows, np.ErrFactor)
+		}
+	}
+	if np := profiles(root, p)[t3]; np.ActRows != 6*int64(t3.EstCard) {
+		t.Fatalf("the inner scan made %d rows over 6 sweeps of %v", np.ActRows, t3.EstCard)
+	}
+
+	// An index nested loop: its inner chain's counts are the probes'.
+	q, _ := query.NewQuery([]string{"t1", "t3"}, []*query.Predicate{
+		{Kind: query.KindJoinCmp, Op: expr.OpEQ, Left: col("t1", "a1"), Right: col("t3", "a1")},
+	})
+	query.Analyze(db.Cat, q)
+	t1, innerScan := scan("t1"), scan("t3")
+	inl := &plan.Join{Method: plan.IndexNestLoop, Outer: t1, Inner: innerScan, Primary: q.Preds[0], InnerIndexCol: "a1"}
+	inl.ColRefs = plan.ConcatCols(t1, innerScan)
+	p = run(inl)
+	inl.EstCard = float64(p.ActRows)
+	p = run(inl)
+	if f := profiles(inl, p)[innerScan].ErrFactor; f == 1 {
+		t.Fatalf("the probed inner's factor is ×1: not the case under test")
+	}
+	if f, at := p.MaxErr(); f != 1 || at == innerScan.Describe() {
+		t.Errorf("index nested loop: maxErr ×%v @ %s, want ×1 outside the inner", f, at)
+	}
+
+	// A Limit that short-circuits its scan.
+	limit := &plan.Limit{Input: scan("t1"), K: 2, EstCard: 2}
+	p = run(limit)
+	if p.ShortCircuit == 0 || p.Children[0].ErrFactor == 1 {
+		t.Fatalf("the limit does not cut its scan off: %+v", p)
+	}
+	if f, at := p.MaxErr(); f != 1 || at != limit.Describe() {
+		t.Errorf("limit: maxErr ×%v @ %s, want ×1 @ the limit", f, at)
+	}
+}

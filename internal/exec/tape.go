@@ -135,12 +135,15 @@ type loopPlan struct {
 
 // planLoops derives from the plan alone, for each nested loop, its memo and
 // whether it tapes its inner: it does when the inner is a bare heap scan, or
-// one under the filters it absorbed (sideScan), the primary reads no table,
-// and the plan expects enough sweeps (fewSweeps). A primary that reads
-// tables (a subquery predicate) reads them between the inner's batches, and
-// a rescanned inner decodes late (thinScans) and so ends its batches at its
-// pages' ends: such a loop keeps the rescan, whose reads interleave with the
-// primary's as they always have. The memo is built once per query and kept
+// one under the filters it absorbed (sideScan), and the primary reads no
+// table, however few sweeps the plan expects (DESIGN.md §12 has what taping
+// costs a loop of one to three). A primary that reads tables (a subquery
+// predicate) reads them between the inner's batches, and a rescanned inner
+// decodes late (thinScans) and so ends its batches at its pages' ends, where
+// the taping sweep decodes whole rows, so its batches span pages: such a
+// loop keeps the rescan, whose reads interleave with the primary's as they
+// always have (taped, TestNLReplayMatchesRescan's subquery loop charges a
+// read more over a 6-page pool). The memo is built once per query and kept
 // through the rebuilds of a loop nested in another's inner (rebuilt per
 // outer row, never live twice): its verdicts hold for the whole query. No
 // inner is under an exchange: at Parallelism > 1 orderedNodes builds every
@@ -153,7 +156,7 @@ func (e *Env) planLoops(root plan.Node) map[*plan.Join]loopPlan {
 			return
 		}
 		var lp loopPlan
-		if p := j.Primary; (p == nil || p.Func == nil || p.Func.EvalIO == nil) && !fewSweeps(j) {
+		if p := j.Primary; p == nil || p.Func == nil || p.Func.EvalIO == nil {
 			if scan := e.sideScan(j.Inner); scan != nil {
 				lp.tape = scan
 			}
@@ -168,22 +171,4 @@ func (e *Env) planLoops(root plan.Node) map[*plan.Join]loopPlan {
 		out[j] = lp
 	})
 	return out
-}
-
-// tapeMinSweeps is the fewest outer rows the plan must estimate for a loop
-// to tape its inner. The tape's first sweep decodes whole what a rescanned
-// inner decodes late, so a sweep or two do not pay it back. In-process, a
-// loop over a 1 400-row inner under a cached primary (t3 ⋈ t7 on
-// costly10join(t3.u20, t7.u20), rows counted, not kept; medians of three,
-// 2 vCPUs), taped against rescanned: 1 outer row 248 against 184 µs, 2 rows
-// 355 against 321, 3 rows 473 against 471, 4 rows 468 against 548, 8 rows
-// 657 against 825, 16 rows 869 against 1 829, 32 rows 1 682 against 3 316.
-const tapeMinSweeps = 4
-
-// fewSweeps reports whether the plan estimates fewer than tapeMinSweeps
-// outer rows for loop j. A plan built without estimates (EstCard 0) is
-// taken to sweep more.
-func fewSweeps(j *plan.Join) bool {
-	c := j.Outer.Card()
-	return c > 0 && c < tapeMinSweeps
 }

@@ -29,23 +29,11 @@ import (
 	"predplace/internal/query"
 )
 
-// transferBatch is the record granularity of the prepass scan loops: key
-// hashes are buffered per slot and pushed through TestBatch/AddBatch once
-// per batch.
-const transferBatch = 256
-
 // transferClass is one join-key equivalence class: the transitive closure of
 // two-table equality join predicates. Every column in the class is equal in
 // every output row, so a filter built from any member's surviving values is
 // a sound pre-filter for every other member.
 type transferClass struct {
-	id int
-	// cols maps table name → the table-schema column indexes in the class
-	// (usually one; self-equalities can contribute several).
-	cols map[string][]int
-	// names lists the member columns as "table.col", sorted — the class's
-	// deterministic identity, also used for EXPLAIN annotations.
-	names []string
 	// filter is the class's current filter (nil until the first build);
 	// replaced wholesale after each contributing table scan.
 	filter  *bloomFilter
@@ -55,12 +43,13 @@ type transferClass struct {
 	keys map[uint64]struct{}
 }
 
-// transferSlot binds one table column to its class, with the prepass's
-// per-batch hash scratch.
+// transferSlot binds one table column to its class. field is the column's
+// IntField when it is an int column, which the transfer gates read in place;
+// else the zero IntField, whose Read reports !ok, and they decode the column.
 type transferSlot struct {
 	class  *transferClass
 	colIdx int
-	hs     []uint64
+	field  catalog.IntField
 }
 
 // transferTable is one base table participating in the transfer schedule.
@@ -74,10 +63,9 @@ type transferTable struct {
 	// the prepass only when the predicate cache is on (the invocations warm
 	// the same cache entries the main plan will hit, so the work is paid
 	// once and the survivors sharpen every filter the table seeds).
-	costly     []*compiledPred
-	costlyCols []int
-	est        float64 // estimated rows after local predicates
-	seen       []int   // class versions at this table's last prepass scan
+	costly []*compiledPred
+	est    float64 // estimated rows after local predicates
+	seen   []int   // class versions at this table's last prepass scan
 }
 
 // transferState carries the prepass's filters and counters through the rest
@@ -140,23 +128,26 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 		ts.tables[name] = t
 		return t, nil
 	}
-	for i, members := range classes {
-		c := &transferClass{id: i, cols: map[string][]int{}}
+	for _, members := range classes {
+		c := &transferClass{}
 		for _, ref := range members {
-			c.names = append(c.names, ref.String())
 			t, err := table(ref.Table)
 			if err != nil {
 				return nil, err
 			}
-			c.cols[ref.Table] = append(c.cols[ref.Table], t.tab.ColIndex(ref.Col))
-			t.slots = append(t.slots, transferSlot{class: c, colIdx: t.tab.ColIndex(ref.Col), hs: make([]uint64, transferBatch)})
+			col := t.tab.ColIndex(ref.Col)
+			s := transferSlot{class: c, colIdx: col}
+			if t.tab.Columns[col].Type == expr.TInt {
+				s.field, _ = t.tab.Codec.IntField(col)
+			}
+			t.slots = append(t.slots, s)
 			t.seen = append(t.seen, 0)
 		}
 		ts.classes = append(ts.classes, c)
 	}
 
-	// Local predicates (Predicate.TransferLocal): cheap comparisons on the
-	// partially decoded record, cacheable functions through the cache.
+	// Local predicates (Predicate.TransferLocal): cheap comparisons tested on
+	// the record, cacheable functions through the cache.
 	for _, p := range preds {
 		if len(p.Tables) != 1 || !p.TransferLocal(e.Cache.Enabled()) {
 			continue
@@ -181,9 +172,6 @@ func newTransferState(e *Env, root plan.Node) (*transferState, error) {
 				return nil, err
 			}
 			t.costly = append(t.costly, cp)
-			for _, idx := range cp.argIdx {
-				t.costlyCols = append(t.costlyCols, idx)
-			}
 		}
 		if s := p.Selectivity; s > 0 && s < 1 {
 			t.est *= s
@@ -257,190 +245,146 @@ func (t *transferTable) dirty() bool {
 	return false
 }
 
-// scanTable runs one prepass scan of a table: apply cheap local predicates
-// to partially decoded records, probe each class's previous filter, evaluate
-// cacheable expensive predicates on the survivors, and rebuild every class
-// filter the table contributes to from what remains. The class filters are
-// replaced only after the scan completes, so the scan consistently probes
-// the pre-scan filters.
+// scanTable runs one prepass scan of a table through the executor's heap
+// scan, whose gates drop in order what the table's cheap local comparisons
+// reject (testGate), a record whose key is NULL in any of its classes
+// (nullGate), and what a class filter built so far rejects (probeGate, in
+// slot order). The survivors, decoded in their key and costly-argument
+// columns only (thinScan), face the cacheable expensive predicates, and the
+// keys that remain rebuild every class filter the table contributes to. The
+// class filters are replaced only after the scan completes, so the scan
+// consistently probes the pre-scan filters.
 func (ts *transferState) scanTable(e *Env, t *transferTable) error {
-	it := e.heap(t.tab).Scan()
-	defer it.Close()
+	codec := t.tab.Codec
+	var gates []recordGate
+	for _, ct := range t.cheap {
+		gates = append(gates, &testGate{codec: codec, test: ct})
+	}
+	gates = append(gates, &nullGate{codec: codec, slots: t.slots})
+	for _, s := range t.slots {
+		if s.class.filter != nil {
+			gates = append(gates, &probeGate{codec: codec, slot: s, filter: s.class.filter, ts: ts})
+		}
+	}
+	needed := make([]bool, len(t.tab.Columns))
+	for _, s := range t.slots {
+		needed[s.colIdx] = true
+	}
+	for _, cp := range t.costly {
+		for _, idx := range cp.argIdx {
+			needed[idx] = true
+		}
+	}
+	// A thin scan carves every batch from one slab of pool; a scan that
+	// needs every column decodes whole rows into fresh slabs.
+	var pool slabPool
+	defer pool.release()
+	scan := &seqScanIter{e: e, tab: t.tab, parts: 1, gates: gateRun{list: gates}, thin: newThinScan(codec, needed, 1)}
+	if scan.thin != nil {
+		scan.alloc.pool = &pool
+	}
+	if err := scan.Open(); err != nil {
+		return err
+	}
+	defer scan.Close()
 
 	builders := map[*transferClass]*bloomFilter{}
 	var keysets map[*transferClass]map[uint64]struct{}
 	if e.prof != nil {
 		keysets = map[*transferClass]map[uint64]struct{}{}
 	}
-	for i := range t.slots {
-		c := t.slots[i].class
-		if builders[c] == nil {
-			builders[c] = newBloomFilter(int64(t.est) + 1)
+	for _, s := range t.slots {
+		if builders[s.class] == nil {
+			builders[s.class] = newBloomFilter(int64(t.est) + 1)
 			if keysets != nil {
-				keysets[c] = map[uint64]struct{}{}
+				keysets[s.class] = map[uint64]struct{}{}
 			}
 		}
 	}
 
-	width := len(t.tab.Columns)
 	var (
-		keep    [transferBatch]bool
-		slotVal = make([]expr.Value, len(t.slots))
-		rows    []expr.Row
-		backing []expr.Value
-		sc      predScratch
+		rows [DefaultBatchSize]expr.Row
+		keep [DefaultBatchSize]bool
+		sc   predScratch
 	)
-	if len(t.costly) > 0 {
-		backing = make([]expr.Value, transferBatch*width)
-		rows = make([]expr.Row, transferBatch)
-		for i := range rows {
-			rows[i] = backing[i*width : (i+1)*width]
+	count, added := 0, 0
+	for {
+		n, err := scan.NextBatch(rows[:])
+		if err != nil {
+			return err
 		}
-	}
-
-	flush := func(m int) error {
-		if m == 0 {
-			return nil
+		if n == 0 {
+			break
 		}
-		for i := 0; i < m; i++ {
-			keep[i] = true
-		}
-		probes := 0
-		for si := range t.slots {
-			s := &t.slots[si]
-			if s.class.filter == nil {
-				continue
-			}
-			probes += s.class.filter.TestBatch(s.hs[:m], keep[:m])
-		}
-		e.ChargeBloomProbe(probes)
-		for i := 0; i < m; i++ {
-			if !keep[i] {
-				ts.pruned.Add(1)
-			}
-		}
+		batch := rows[:n]
 		for _, cp := range t.costly {
-			for i := 0; i < m; i++ {
-				if !keep[i] {
-					continue
-				}
-				pass, err := cp.holds(e, rows[i], &sc)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					keep[i] = false
-				}
+			if err := cp.holdsBatch(e, nil, batch, keep[:len(batch)], &count, &sc); err != nil {
+				return err
 			}
-		}
-		added := 0
-		for si := range t.slots {
-			s := &t.slots[si]
-			n := 0
-			for i := 0; i < m; i++ {
+			m := 0
+			for i, row := range batch {
 				if keep[i] {
-					s.hs[n] = s.hs[i]
-					n++
+					batch[m] = row
+					m++
 				}
 			}
-			builders[s.class].AddBatch(s.hs[:n])
-			added += n
-			if ks := keysets[s.class]; ks != nil {
-				for _, h := range s.hs[:n] {
+			batch = batch[:m]
+		}
+		for _, s := range t.slots {
+			b, ks := builders[s.class], keysets[s.class]
+			for _, row := range batch {
+				h := bloomHash(row[s.colIdx])
+				b.Add(h)
+				if ks != nil {
 					ks[h] = struct{}{}
 				}
 			}
 		}
-		e.ChargeBloomAdd(added)
-		return nil
+		added += len(batch) * len(t.slots)
 	}
-
-	count, m := 0, 0
-	for {
-		rec, _, ok, err := it.NextRef()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		count++
-		if count%1024 == 0 {
-			if err := e.checkAbort(); err != nil {
-				return err
-			}
-		}
-		pass := true
-		for _, ct := range t.cheap {
-			ok, err := t.tab.Codec.Test(rec, ct)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			continue
-		}
-		for si := range t.slots {
-			v, err := t.tab.Codec.DecodeCol(rec, t.slots[si].colIdx)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				// A NULL join key never equi-joins; the row cannot reach
-				// the output, so it contributes to no filter.
-				pass = false
-				break
-			}
-			slotVal[si] = v
-		}
-		if !pass {
-			continue
-		}
-		for si := range t.slots {
-			t.slots[si].hs[m] = bloomHash(slotVal[si])
-		}
-		if rows != nil {
-			for _, idx := range t.costlyCols {
-				v, err := t.tab.Codec.DecodeCol(rec, idx)
-				if err != nil {
-					return err
-				}
-				rows[m][idx] = v
-			}
-		}
-		m++
-		if m == transferBatch {
-			if err := flush(m); err != nil {
-				return err
-			}
-			m = 0
-		}
-	}
-	if err := flush(m); err != nil {
-		return err
-	}
+	e.ChargeBloomAdd(added)
 
 	// Publish: replace each contributed class filter with this table's
 	// rebuild and remember the versions this scan saw.
-	done := map[*transferClass]bool{}
-	for si := range t.slots {
-		c := t.slots[si].class
-		if !done[c] {
-			done[c] = true
-			c.filter = builders[c]
-			c.keys = keysets[c]
-			c.version++
+	for si, s := range t.slots {
+		if b := builders[s.class]; b != nil {
+			s.class.filter, s.class.keys = b, keysets[s.class]
+			s.class.version++
 			ts.filtersBuilt++
-			ts.buildRows += builders[c].adds
+			ts.buildRows += b.adds
+			delete(builders, s.class)
 		}
-		t.seen[si] = c.version
+		t.seen[si] = s.class.version
 	}
 	return nil
 }
+
+// nullGate drops a record whose key is NULL in any of its table's classes:
+// a NULL never equi-joins, so the row cannot reach the output and feeds no
+// filter. It counts nothing.
+type nullGate struct {
+	codec *catalog.RowCodec
+	slots []transferSlot
+}
+
+func (g *nullGate) admit(_ *Env, rec []byte, _ int) (outcome, error) {
+	for _, s := range g.slots {
+		_, null, ok := s.field.Read(rec)
+		if !ok {
+			v, err := g.codec.DecodeCol(rec, s.colIdx)
+			if err != nil {
+				return outDrop, err
+			}
+			null = v.IsNull()
+		}
+		if null {
+			return outDrop, nil
+		}
+	}
+	return outKeep, nil
+}
+
+func (*nullGate) flush(*Env, gateTally) {}
 
 // table returns the schedule's entry for a base table: nil when there is no
 // schedule (transfer off, or the prepass built nothing) or the table is
@@ -452,32 +396,45 @@ func (ts *transferState) table(name string) *transferTable {
 	return ts.tables[name]
 }
 
-// probeGate is one Bloom filter a main-plan scan received (planGates, one per
-// class filter of its table, in slot order): it decodes the record's key
-// column alone and probes the class's filter with it. A NULL key is pruned
-// without a probe (NULL never equi-joins). Its tallies charge the probes and
-// count each record pruned once, in the stage's pruned count and, under
-// Profile, the scan's; tc, nil unless profiling, also takes the probes. When
-// profiling captured the filter's key set, the probes feed the exact
+// probeGate is one Bloom filter a scan received — a main-plan scan
+// (planGates, one per class filter of its table, in slot order) or a prepass
+// scan (scanTable, one per class filter built so far): it reads the
+// record's key column alone (transferSlot) and probes the filter with it. A
+// NULL key is pruned without a probe (NULL never equi-joins). Its tallies
+// charge the probes and count each record pruned once, in ts's pruned count
+// and, under Profile, a main-plan scan's; tc, nil unless profiling a
+// main-plan scan, also takes the probes. keys, nil unless profiling captured
+// the filter's key set for a main-plan scan, makes the probes feed the exact
 // false-positive measurement: every key the filter drops is outside the set
 // (a Bloom filter has no false negatives), and admit marks a kept one that
 // is.
 type probeGate struct {
-	codec *catalog.RowCodec
-	col   int
-	class *transferClass
-	tc    *opCounters
+	codec  *catalog.RowCodec
+	slot   transferSlot
+	filter *bloomFilter
+	keys   map[uint64]struct{}
+	ts     *transferState
+	tc     *opCounters
 }
 
 func (g *probeGate) admit(_ *Env, rec []byte, _ int) (outcome, error) {
-	v, err := g.codec.DecodeCol(rec, g.col)
-	if err != nil || v.IsNull() {
-		return outDrop | outMark, err
+	v, null, ok := g.slot.field.Read(rec)
+	h := bloomHash(expr.I(v))
+	if !ok {
+		x, err := g.codec.DecodeCol(rec, g.slot.colIdx)
+		if err != nil {
+			return outDrop | outMark, err
+		}
+		null, h = x.IsNull(), bloomHash(x)
 	}
-	h := bloomHash(v)
-	o := keepIf(g.class.filter.Test(h))
-	if _, member := g.class.keys[h]; o == outKeep && g.class.keys != nil && !member {
-		o = outMark
+	if null {
+		return outDrop | outMark, nil
+	}
+	o := keepIf(g.filter.Test(h))
+	if o == outKeep && g.keys != nil {
+		if _, member := g.keys[h]; !member {
+			o = outMark
+		}
 	}
 	return o, nil
 }
@@ -486,14 +443,14 @@ func (g *probeGate) flush(e *Env, t gateTally) {
 	probes := t[outKeep] + t[outMark] + t[outDrop]
 	e.ChargeBloomProbe(probes)
 	d := int64(t.dropped())
-	e.transfer.pruned.Add(d)
+	g.ts.pruned.Add(d)
 	if g.tc != nil {
 		g.tc.transferProbes.Add(int64(probes))
 		g.tc.transferPruned.Add(d)
 	}
-	if g.class.keys != nil {
-		e.transfer.fpNonMember.Add(int64(t[outMark] + t[outDrop]))
-		e.transfer.fpFalse.Add(int64(t[outMark]))
+	if g.keys != nil {
+		g.ts.fpNonMember.Add(int64(t[outMark] + t[outDrop]))
+		g.ts.fpFalse.Add(int64(t[outMark]))
 	}
 }
 

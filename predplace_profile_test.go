@@ -68,7 +68,7 @@ func TestExplainAnalyzeTraceAgreement(t *testing.T) {
 }
 
 // TestResultProfileJSON: the structured profile marshals cleanly (no ±Inf
-// leaks past ErrFactorCap) and reflects the plan shape.
+// leaks past catalog.FeedbackErrCap) and reflects the plan shape.
 func TestResultProfileJSON(t *testing.T) {
 	db := openBench(t, 3, 10)
 	db.SetOptions(func(c *Config) { c.Profile = true })
