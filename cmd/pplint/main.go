@@ -1,14 +1,11 @@
 // Command pplint runs the repository's static-analysis suite (internal/lint)
-// over every package of the module: the per-statement matchers (float
-// equality, Close chains, dropped errors, enum switches, plan/exec
-// contracts, abort checks, allocation-free batches, atomic consistency) and
-// the suppression audit.
+// over every package of the module: every analyzer (float equality, dropped
+// errors, enum switches, the plan.Node and NextBatch contracts) and the
+// suppression audit.
 //
 // Usage:
 //
 //	go run ./cmd/pplint ./...
-//	go run ./cmd/pplint -skip errdrop ./...
-//	go run ./cmd/pplint -only ctxabort,profileclean ./internal/...
 //	go run ./cmd/pplint ./internal/exec
 //	go run ./cmd/pplint -json ./... | jq .
 //	go run ./cmd/pplint -list
@@ -41,13 +38,11 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("pplint", flag.ContinueOnError)
 	var (
-		only    = fs.String("only", "", "comma-separated analyzers to run (default: all)")
-		skip    = fs.String("skip", "", "comma-separated analyzers to skip")
 		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 		list    = fs.Bool("list", false, "list available analyzers and exit")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: pplint [-only a,b] [-skip a,b] [-json] [-list] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: pplint [-json] [-list] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -58,12 +53,6 @@ func run(args []string) int {
 			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	analyzers, err := selectAnalyzers(*only, *skip)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pplint:", err)
-		return 2
 	}
 
 	// Package patterns narrow which loaded packages are inspected; the whole
@@ -91,7 +80,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	diags, err := lint.RunAnalyzers(pkgs, analyzers)
+	diags, err := lint.RunAnalyzers(pkgs, lint.Analyzers())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pplint:", err)
 		return 2
@@ -140,41 +129,6 @@ func writeJSON(w *os.File, diags []lint.Diagnostic) error {
 	return enc.Encode(out)
 }
 
-// selectAnalyzers applies -only/-skip to the registry.
-func selectAnalyzers(only, skip string) ([]*lint.Analyzer, error) {
-	chosen := lint.Analyzers()
-	if only != "" {
-		chosen = chosen[:0]
-		for _, name := range splitList(only) {
-			a, ok := lint.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (try -list)", name)
-			}
-			chosen = append(chosen, a)
-		}
-	}
-	if skip != "" {
-		skipSet := map[string]bool{}
-		for _, name := range splitList(skip) {
-			if _, ok := lint.ByName(name); !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (try -list)", name)
-			}
-			skipSet[name] = true
-		}
-		kept := chosen[:0]
-		for _, a := range chosen {
-			if !skipSet[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		chosen = kept
-	}
-	if len(chosen) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return chosen, nil
-}
-
 // filterPackages keeps the packages any argument pattern matches (no
 // arguments keep every package).
 func filterPackages(pkgs []*lint.Package, patterns []string) []*lint.Package {
@@ -216,15 +170,4 @@ func matchPattern(tail, pattern string) bool {
 	default:
 		return tail == dir || strings.HasPrefix(tail, dir+"/")
 	}
-}
-
-// splitList splits a comma-separated flag value.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

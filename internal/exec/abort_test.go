@@ -129,7 +129,9 @@ func TestDeadlineTeardownMatrix(t *testing.T) {
 
 // TestCancelDuringJoin cancels mid-join (hash build past the 1024-row
 // cadence) to exercise the join operators' abort paths, serial and
-// parallel.
+// parallel — and once in the probe: the sorted outer's last row cancels the
+// query, after every check below the join has run, so the probe's own
+// check, every 1024 rows it probes, is the one that must see it.
 func TestCancelDuringJoin(t *testing.T) {
 	db, env := newEnv(t, []int{1, 9}, false)
 	q, err := query.NewQuery([]string{"t1", "t9"}, []*query.Predicate{{
@@ -157,4 +159,26 @@ func TestCancelDuringJoin(t *testing.T) {
 		waitTeardown(t, env, baseline)
 	}
 	env.Ctx, env.Parallelism = nil, 1
+
+	t9, err := db.Cat.Table("t9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var calls int64
+	last := &expr.FuncDef{Name: "cancellast", Arity: 1, Cost: 1, Selectivity: 1, Eval: func([]expr.Value) expr.Value {
+		if calls++; calls == t9.Card {
+			cancel()
+		}
+		return expr.B(true)
+	}}
+	sorted := &plan.TopK{K: -1, Key: query.ColRef{Table: "t9", Col: "ua1"}, Input: &plan.Filter{Input: inner,
+		Pred: &query.Predicate{Kind: query.KindFunc, Func: last, Args: []query.ColRef{{Table: "t9", Col: "u10"}}}}}
+	probe := &plan.Join{Method: plan.HashJoin, Outer: sorted, Inner: outer, Primary: q.Preds[0], ColRefs: plan.ConcatCols(sorted, outer)}
+	env.Ctx = ctx
+	if _, err := Run(env, probe); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled by the sorted outer's last row: want context.Canceled from the probe, got %v", err)
+	}
+	env.Ctx = nil
 }

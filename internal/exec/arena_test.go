@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -412,9 +413,11 @@ func arenaIdle(t *testing.T, what string, env *Env) {
 }
 
 // TestArenaReleased: Run gives the query's slabs back on every exit, and
-// every nested-loop pool inside the tree does at Close — after success, a
-// budget DNF, an injected read error mid-scan, a cancellation mid-probe and
-// a transfer-prepass abort, serial and parallel, with no goroutine left.
+// every nested-loop pool inside the tree does at Close — after success (a
+// Limit's among them), a budget DNF (of a nested loop, an index nested loop
+// and a TopK), an injected read error mid-scan, a cancellation mid-probe
+// and a transfer-prepass abort, serial and parallel, with no goroutine or
+// pinned page left.
 func TestArenaReleased(t *testing.T) {
 	db := figuresDB(t, 0.02)
 	col := func(tab, c string) query.ColRef { return query.ColRef{Table: tab, Col: c} }
@@ -445,11 +448,14 @@ func TestArenaReleased(t *testing.T) {
 		}
 
 		env := newEnv(p)
-		for _, sql := range []string{sqlQuery3, sqlQuery4, sqlQuery5} { // hash, merge, nested-loop pools
-			if res, err := Run(env, planSQL(t, db.Cat, sql, mig)); err != nil || res.DNF || len(res.Rows) == 0 {
-				t.Fatalf("P=%d: %v %+v", p, err, res)
+		for _, root := range []plan.Node{
+			planSQL(t, db.Cat, sqlQuery3, mig), planSQL(t, db.Cat, sqlQuery4, mig), planSQL(t, db.Cat, sqlQuery5, mig), // hash, merge, nested-loop pools
+			&plan.Limit{Input: scanNode(t, db.Cat, "t6"), K: 25}, // cuts its scan off mid-page
+		} {
+			if res, err := Run(env, root); err != nil || res.DNF || len(res.Rows) == 0 {
+				t.Fatalf("P=%d %s: %v %+v", p, root.Describe(), err, res)
 			}
-			check("success", env)
+			check(root.Describe()+" success", env)
 		}
 
 		env = newEnv(p)
@@ -458,6 +464,20 @@ func TestArenaReleased(t *testing.T) {
 			t.Fatalf("P=%d budget: want DNF, got %v %+v", p, err, res)
 		}
 		check("budget DNF", env)
+
+		// An index nested loop and a TopK stopped mid-stream close their
+		// inputs: an outer or input left open keeps its scan's page pinned.
+		for _, root := range []plan.Node{
+			equiJoin(t, db.Cat, plan.IndexNestLoop, scanNode(t, db.Cat, "t1"), scanNode(t, db.Cat, "t3"), col("t1", "a1"), col("t3", "a1")),
+			&plan.TopK{Input: scanNode(t, db.Cat, "t6"), K: 25, Key: col("t6", "u10")},
+		} {
+			env = newEnv(p)
+			env.Budget = 5
+			if res, err := Run(env, root); err != nil || !res.DNF {
+				t.Fatalf("P=%d %s budget: want DNF, got %v %+v", p, root.Describe(), err, res)
+			}
+			check(root.Describe()+" budget DNF", env)
+		}
 
 		env = newEnv(p)
 		if err := db.Pool.EvictUnpinned(); err != nil {
@@ -496,10 +516,20 @@ func TestArenaReleased(t *testing.T) {
 // scan and join carved fresh slabs: measured with this test's loop.
 const figuresAllocParent = 17409776 // bytes
 
+// widthAllocSlack is how many more objects a warmed serial run of one
+// arenaShape may allocate at BatchSize 1 than at the default width. Measured
+// at 17 at most (filter-MergeJoin); an operator that allocates on every
+// NextBatch call adds one object per call, hundreds to thousands per shape.
+const widthAllocSlack = 32
+
 // TestFiguresAllocBudget is the deterministic form of the benchmark's
 // alloc_mb_per_op: with the collector off the free list is never trimmed, so
 // a warmed round allocates its result rows and header slices and little
-// else — at most half of what the parent allocated.
+// else — at most half of what the parent allocated. And no operator
+// allocates per NextBatch call (a scratch buffer is made once, grown only
+// when a wider batch asks for it): over the arenaShapes, which reach every
+// operator, a warmed run at BatchSize 1 — one call per row — allocates
+// within widthAllocSlack objects of one at the default width.
 func TestFiguresAllocBudget(t *testing.T) {
 	if SlabPoison {
 		t.Skip("under the race detector sync.Pool drops a quarter of its puts at random")
@@ -530,6 +560,29 @@ func TestFiguresAllocBudget(t *testing.T) {
 	t.Logf("one warmed round allocates %d bytes (parent: %d)", got, figuresAllocParent)
 	if 2*got > figuresAllocParent {
 		t.Fatalf("one warmed round of Queries 1-4 allocates %d bytes, more than half the parent's %d", got, figuresAllocParent)
+	}
+	for _, sh := range arenaShapes(t) {
+		root := sh.root(t, false, false)
+		// The fewest of three runs: the first warms the pools, and an
+		// allocation on another goroutine lands in one run at most.
+		objects := func(bs int) uint64 {
+			fewest := uint64(math.MaxUint64)
+			for range 3 {
+				env := &Env{Cat: sh.db.Cat, Pool: sh.db.Pool, Cache: pcache.NewManager(false, 0), BatchSize: bs}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := Run(env, root); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				fewest = min(fewest, after.Mallocs-before.Mallocs)
+			}
+			return fewest
+		}
+		if one, def := objects(1), objects(0); one > def+widthAllocSlack {
+			t.Errorf("%s: a warmed run allocates %d objects at BatchSize 1 and %d at the default width, more than %d apart: an operator allocates per NextBatch call",
+				sh.name, one, def, widthAllocSlack)
+		}
 	}
 }
 

@@ -32,14 +32,15 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 // false-positive rate over a large non-member probe set must lie within 25 %
 // of EstFPRate, either way, at the fill a filter is sized for, at the
 // under-filled one EXPLAIN ANALYZE's transfer statement builds (200 keys in 8
-// blocks), and twice over-filled.
+// blocks), twice over-filled, and filled from a non-unique column (200 keys
+// added nine times each, as a join column that repeats its values builds).
 func TestBloomFPRateWithinAnalyticBound(t *testing.T) {
 	const probes = 1000000
-	for _, c := range []struct{ sized, members int64 }{{10000, 10000}, {200, 200}, {1000, 2000}} {
+	for _, c := range []struct{ sized, members, repeats int64 }{{10000, 10000, 1}, {200, 200, 1}, {1000, 2000, 1}, {200, 200, 9}} {
 		f := newBloomFilter(c.sized)
 		seen := make(map[uint64]bool, c.members)
-		for i := int64(0); i < c.members; i++ {
-			h := bloomHash(expr.I(i))
+		for i := int64(0); i < c.members*c.repeats; i++ {
+			h := bloomHash(expr.I(i % c.members))
 			seen[h] = true
 			f.Add(h)
 		}

@@ -343,6 +343,7 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 		added += len(batch) * len(t.slots)
 	}
 	e.ChargeBloomAdd(added)
+	ts.buildRows += int64(added)
 
 	// Publish: replace each contributed class filter with this table's
 	// rebuild and remember the versions this scan saw.
@@ -351,7 +352,6 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 			s.class.filter, s.class.keys = b, keysets[s.class]
 			s.class.version++
 			ts.filtersBuilt++
-			ts.buildRows += b.adds
 			delete(builders, s.class)
 		}
 		t.seen[si] = s.class.version

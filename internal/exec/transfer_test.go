@@ -195,6 +195,7 @@ func referencePrepass(t *testing.T, e *Env, root plan.Node, f *expr.FuncDef) pre
 			for _, s := range tt.slots {
 				builders[s.class].Add(bloomHash(row[s.colIdx]))
 				c.adds++
+				c.buildRows++
 			}
 		}
 		for si, s := range tt.slots {
@@ -202,7 +203,6 @@ func referencePrepass(t *testing.T, e *Env, root plan.Node, f *expr.FuncDef) pre
 				s.class.filter = b
 				s.class.version++
 				c.built++
-				c.buildRows += b.adds
 				delete(builders, s.class)
 			}
 			tt.seen[si] = s.class.version

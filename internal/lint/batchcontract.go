@@ -21,11 +21,11 @@ var batchContractPathFragment = "internal/exec"
 //  3. An error return implies n == 0: `return n, err` with a possibly
 //     non-nil error hands the caller an ambiguous (rows, error) pair; every
 //     error return must yield the literal 0.
-//  4. Call sites must not blank a NextBatch error: the n==0-on-error
-//     guarantee only helps callers that actually look at the error.
+//
+// A call site that blanks a NextBatch error is errdrop's finding.
 var BatchContractAnalyzer = &Analyzer{
 	Name: "batchcontract",
-	Doc:  "enforces the NextBatch contract: no dst retention, no dst growth, errors return n==0, call sites keep the error",
+	Doc:  "enforces the NextBatch contract: no dst retention, no dst growth, errors return n==0",
 	Run:  runBatchContract,
 }
 
@@ -42,7 +42,6 @@ func runBatchContract(pass *Pass) error {
 			if fd.Name.Name == "NextBatch" && fd.Recv != nil {
 				checkNextBatchBody(pass, fd)
 			}
-			checkBatchCallSites(pass, fd)
 		}
 	}
 	return nil
@@ -143,34 +142,4 @@ func checkBatchReturn(pass *Pass, ret *ast.ReturnStmt) {
 	}
 	pass.Reportf(ret.Pos(),
 		"NextBatch returns a possibly non-zero count alongside a possibly non-nil error; the contract requires `return 0, err` on every error path")
-}
-
-// checkBatchCallSites enforces rule 4: assignments that blank the error
-// result of a NextBatch call.
-func checkBatchCallSites(pass *Pass, fd *ast.FuncDecl) {
-	if fd.Body == nil {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isNextBatchCall(call) {
-			return true
-		}
-		if id, ok := as.Lhs[1].(*ast.Ident); ok && id.Name == "_" {
-			pass.Reportf(as.Pos(),
-				"call discards a NextBatch error; n==0-on-error only helps callers that check it")
-		}
-		return true
-	})
-}
-
-// isNextBatchCall reports whether the call target is a method named
-// NextBatch.
-func isNextBatchCall(call *ast.CallExpr) bool {
-	fun, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && fun.Sel.Name == "NextBatch"
 }

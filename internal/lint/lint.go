@@ -2,14 +2,15 @@
 // own source, built exclusively on the standard library's go/ast, go/parser,
 // go/types, and go/token (the repo is stdlib-only; no x/tools).
 //
-// The analyzers encode invariants the Go type system cannot see but the
-// paper's correctness depends on:
+// It keeps only the checks that neither go vet nor a test can make: each
+// analyzer catches a mutation of the real source that every test passes
+// (DESIGN.md §10 names it). An invariant a test can hold — a Close that
+// closes its children, an abort check on a charging loop, an allocation-free
+// NextBatch, atomics never copied — is held by that test or by go vet.
 //
 //   - floatcmp:         no raw ==/!= (or switch) on float64 rank/cost values
 //     in internal/cost and internal/optimizer; route
 //     comparisons through the epsilon helper cost.ApproxEq.
-//   - closechain:       every executor iterator's Close must close every
-//     stored child iterator (resource/accounting leaks otherwise).
 //   - errdrop:          no silently discarded error returns (`_ =` or bare
 //     calls) outside tests.
 //   - exhaustiveswitch: a switch over an enum-like named integer type must
@@ -18,20 +19,8 @@
 //   - nodecontract:     plan.Node implementations need doc comments and must
 //     not return aliased child slices from Cols().
 //   - batchcontract:    exec NextBatch implementations must not retain or
-//     grow their caller-owned dst buffer, must return 0 on
-//     error, and call sites must not blank the error.
-//   - ctxabort:         internal/exec loops that charge cost (Charge*) must
-//     also observe the abort check (checkAbort), or
-//     cancellation cannot interrupt them.
-//   - profileclean:     exec NextBatch methods must not allocate per
-//     call outside the grow-once idiom, keeping the
-//     profiling-off hot path allocation-free.
-//   - atomicconsistency: a field updated via sync/atomic is never accessed
-//     plainly elsewhere, and typed atomic values are
-//     never copied.
-//
-// Pin balance, lock balance and charge-once accounting in internal/storage
-// are runtime invariants, held by that package's tests (DESIGN.md §15).
+//     grow their caller-owned dst buffer and must return 0
+//     on error.
 //
 // A diagnostic can be suppressed with a `//pplint:ignore <analyzer> <reason>`
 // comment on the flagged line or the line directly above it. The suppress
@@ -96,14 +85,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatCmpAnalyzer,
-		CloseChainAnalyzer,
 		ErrDropAnalyzer,
 		ExhaustiveSwitchAnalyzer,
 		NodeContractAnalyzer,
 		BatchContractAnalyzer,
-		CtxAbortAnalyzer,
-		ProfileCleanAnalyzer,
-		AtomicConsistencyAnalyzer,
 		SuppressAuditAnalyzer,
 	}
 }

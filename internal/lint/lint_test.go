@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -95,60 +94,6 @@ func lt(a, b float64) bool { return a < b }
 			path:     "example.com/internal/storage",
 			src: `package storage
 func eq(a, b float64) bool { return a == b }
-`,
-			want: 0,
-		},
-		{
-			name:     "closechain flags a skipped child iterator",
-			analyzer: "closechain",
-			path:     "example.com/internal/exec",
-			src: `package exec
-type child struct{}
-
-func (c *child) Open() error                    { return nil }
-func (c *child) NextBatch([]int) (int, error)   { return 0, nil }
-func (c *child) Close() error                   { return nil }
-
-type badJoin struct {
-	left  *child
-	right *child
-	count int
-}
-
-func (j *badJoin) Open() error                  { return nil }
-func (j *badJoin) NextBatch([]int) (int, error) { return 0, nil }
-func (j *badJoin) Close() error                 { return j.left.Close() }
-`,
-			want:    1,
-			wantSub: `child iterator field "right"`,
-		},
-		{
-			name:     "closechain accepts closing every child including ranged slices",
-			analyzer: "closechain",
-			path:     "example.com/internal/exec",
-			src: `package exec
-type child struct{}
-
-func (c *child) Open() error                    { return nil }
-func (c *child) NextBatch([]int) (int, error)   { return 0, nil }
-func (c *child) Close() error                   { return nil }
-
-type goodJoin struct {
-	left *child
-	kids []*child
-}
-
-func (j *goodJoin) Open() error                  { return nil }
-func (j *goodJoin) NextBatch([]int) (int, error) { return 0, nil }
-func (j *goodJoin) Close() error {
-	err := j.left.Close()
-	for _, k := range j.kids {
-		if cerr := k.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
 `,
 			want: 0,
 		},
@@ -336,24 +281,6 @@ func (b *badIter) NextBatch(dst []int) (int, error) {
 			wantSub: "NextBatch",
 		},
 		{
-			name:     "batchcontract flags call sites that blank the error",
-			analyzer: "batchcontract",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-type src struct{}
-
-func (s *src) NextBatch(dst []int) (int, error) { return 0, nil }
-
-func drain(s *src, buf []int) int {
-	n, _ := s.NextBatch(buf)
-	return n
-}
-`,
-			want:    1,
-			wantSub: "discards a NextBatch error",
-		},
-		{
 			name:     "batchcontract accepts a compliant implementation",
 			analyzer: "batchcontract",
 			path:     "example.com/internal/exec",
@@ -393,184 +320,6 @@ func (i *iter) NextBatch(dst []int) (int, error) {
 `,
 			want: 0,
 		},
-		{
-			name:     "ctxabort flags charging loop without abort check",
-			analyzer: "ctxabort",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-type env struct{}
-
-func (e *env) ChargeSpillTuple()   {}
-func (e *env) checkAbort() error   { return nil }
-
-func build(e *env, rows []int) {
-	for range rows {
-		e.ChargeSpillTuple()
-	}
-}
-`,
-			want:    1,
-			wantSub: "checkAbort",
-		},
-		{
-			name:     "ctxabort accepts loop with abort on its cadence",
-			analyzer: "ctxabort",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-type env struct{}
-
-func (e *env) ChargeSpillTuple()   {}
-func (e *env) checkAbort() error   { return nil }
-
-func build(e *env, rows []int) error {
-	count := 0
-	for range rows {
-		e.ChargeSpillTuple()
-		count++
-		if count%1024 == 0 {
-			if err := e.checkAbort(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-`,
-			want: 0,
-		},
-		{
-			name:     "ctxabort accepts abort in a nested loop node",
-			analyzer: "ctxabort",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-type env struct{}
-
-func (e *env) ChargeSynthetic(f float64) {}
-func (e *env) checkAbort() error         { return nil }
-
-func drain(e *env, batches [][]int) error {
-	for _, b := range batches {
-		for range b {
-			e.ChargeSynthetic(1)
-			if err := e.checkAbort(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-`,
-			want: 0,
-		},
-		{
-			name:     "ctxabort ignores charge-free loops",
-			analyzer: "ctxabort",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-`,
-			want: 0,
-		},
-		{
-			name:     "ctxabort ignores packages outside exec",
-			analyzer: "ctxabort",
-			path:     "example.com/internal/storage",
-			src: `package storage
-
-type env struct{}
-
-func (e *env) ChargeSpillTuple() {}
-
-func build(e *env, rows []int) {
-	for range rows {
-		e.ChargeSpillTuple()
-	}
-}
-`,
-			want: 0,
-		},
-		{
-			name:     "profileclean flags per-call make in NextBatch",
-			analyzer: "profileclean",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-type badIter struct{ vals []int }
-
-func (b *badIter) NextBatch(dst [][]int) (int, error) {
-	dst[0] = make([]int, 4)
-	return 1, nil
-}
-`,
-			want:    1,
-			wantSub: "allocation-free",
-		},
-		{
-			name:     "profileclean flags slice literal in NextBatch",
-			analyzer: "profileclean",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-type badIter struct{}
-
-func (b *badIter) NextBatch(dst []int) (int, error) {
-	tmp := []int{1, 2, 3}
-	return len(tmp), nil
-}
-`,
-			want:    1,
-			wantSub: "grow-once",
-		},
-		{
-			name:     "profileclean accepts the grow-once idiom and helpers",
-			analyzer: "profileclean",
-			path:     "example.com/internal/exec",
-			src: `package exec
-
-type okIter struct {
-	buf  []int
-	keep []bool
-}
-
-func (o *okIter) NextBatch(dst []int) (int, error) {
-	if cap(o.buf) < len(dst) {
-		o.buf = make([]int, len(dst))
-		o.keep = make([]bool, len(dst))
-	}
-	if o.keep == nil {
-		o.keep = make([]bool, len(dst))
-	}
-	return 0, nil
-}
-
-func (o *okIter) scratch(n int) []int { return make([]int, n) }
-
-func alloc(n int) []int { return make([]int, n) }
-`,
-			want: 0,
-		},
-		{
-			name:     "profileclean ignores non-iterator methods and other packages",
-			analyzer: "profileclean",
-			path:     "example.com/internal/storage",
-			src: `package storage
-
-type it struct{}
-
-func (i *it) NextBatch(dst []int) (int, error) { return len(make([]int, 8)), nil }
-`,
-			want: 0,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -601,8 +350,8 @@ func renderDiags(diags []Diagnostic) string {
 
 func TestSuiteRegistry(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 10 {
-		t.Fatalf("suite has %d analyzers, want 10", len(all))
+	if len(all) != 6 {
+		t.Fatalf("suite has %d analyzers, want 6", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {
@@ -622,94 +371,21 @@ func TestSuiteRegistry(t *testing.T) {
 	}
 }
 
-var repoOnce struct {
-	sync.Once
-	pkgs []*Package
-	err  error
-}
-
-// repoPackages loads and type-checks the repository once for the tests that
-// run analyzers over the real source.
-func repoPackages(t *testing.T) []*Package {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("type-checks the whole repository; skipped in -short")
-	}
-	repoOnce.Do(func() {
-		var root string
-		if root, repoOnce.err = FindModuleRoot("."); repoOnce.err == nil {
-			repoOnce.pkgs, repoOnce.err = LoadRepo(root)
-		}
-	})
-	if repoOnce.err != nil {
-		t.Fatal(repoOnce.err)
-	}
-	return repoOnce.pkgs
-}
-
-// TestCloseChainSeesTheExecutor: closechain recognises an operator by its
-// method set, so a change to the operator contract could leave it examining
-// no type at all and still reporting a clean run. Over the real executor it
-// must recognise every operator type, by name — and still fire on a join
-// whose Close skips a child and on an exchange whose Close skips its parts.
-func TestCloseChainSeesTheExecutor(t *testing.T) {
-	var exec *Package
-	for _, p := range repoPackages(t) {
-		if p.Path == "predplace/internal/exec" {
-			exec = p
-		}
-	}
-	if exec == nil {
-		t.Fatal("predplace/internal/exec not loaded")
-	}
-	seen := map[string]bool{}
-	for _, named := range iteratorTypes(exec) {
-		seen[named.Obj().Name()] = true
-	}
-	for _, name := range []string{
-		"seqScanIter", "indexScanIter", "filterIter", "nlJoinIter", "indexNLJoinIter", "hashJoinIter",
-		"mergeJoinIter", "topkIter", "limitIter", "exchangeIter", "sharedSource", "profIter",
-	} {
-		if !seen[name] {
-			t.Errorf("closechain does not recognise internal/exec's %s as an operator type (it sees %v)", name, seen)
-		}
-	}
-	if diags := runOn(t, "closechain", exec); len(diags) != 0 {
-		t.Fatalf("internal/exec is not closechain-clean:\n%s", renderDiags(diags))
-	}
-	bad := fixturePkg(t, "example.com/internal/exec", `package exec
-type Iterator interface {
-	Open() error
-	NextBatch(dst []int) (int, error)
-	Close() error
-}
-
-type join struct{ outer, inner Iterator }
-
-func (j *join) Open() error                      { return nil }
-func (j *join) NextBatch(dst []int) (int, error) { return 0, nil }
-func (j *join) Close() error                     { return j.outer.Close() }
-
-type exchange struct {
-	parts []Iterator
-	wg    interface{ Wait() }
-}
-
-func (x *exchange) Open() error                      { return nil }
-func (x *exchange) NextBatch(dst []int) (int, error) { return 0, nil }
-func (x *exchange) Close() error                     { x.wg.Wait(); return nil }
-`)
-	diags := runOn(t, "closechain", bad)
-	if len(diags) != 2 || !strings.Contains(diags[0].Message, `"inner"`) || !strings.Contains(diags[1].Message, `"parts"`) {
-		t.Fatalf("a join that skips its inner child and an exchange that skips its parts: got\n%s", renderDiags(diags))
-	}
-}
-
 // TestLoadRepoAndSelfLint is the dogfood test: the repository's own source
 // must load, type-check, and come out clean under the full suite (real
 // violations are fixed or carry a written pplint:ignore justification).
 func TestLoadRepoAndSelfLint(t *testing.T) {
-	pkgs := repoPackages(t)
+	if testing.Short() {
+		t.Skip("type-checks the whole repository; skipped in -short")
+	}
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadRepo(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages", len(pkgs))
 	}

@@ -123,6 +123,26 @@ func typeSpecWithDoc(pkg *Package, name string) (*ast.TypeSpec, string) {
 	return nil, ""
 }
 
+// methodDecl finds the declaration of recvType's method with the given name.
+func methodDecl(pkg *Package, recvType, method string) *ast.FuncDecl {
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Name.Name != method || fd.Recv == nil || len(fd.Recv.List) == 0 {
+				continue
+			}
+			t := fd.Recv.List[0].Type
+			if star, ok := t.(*ast.StarExpr); ok {
+				t = star.X
+			}
+			if id, ok := t.(*ast.Ident); ok && id.Name == recvType {
+				return fd
+			}
+		}
+	}
+	return nil
+}
+
 // checkColsAliasing flags `append(x.Cols(), …)` patterns inside a Cols
 // method body.
 func checkColsAliasing(pass *Pass, typeName string, fd *ast.FuncDecl) {
