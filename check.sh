@@ -199,9 +199,12 @@ echo "==> exchange gate (parallel = serial, no worker left behind, no row outliv
 # Also part of the full test run below; named here so that a parallel/serial
 # mismatch, a worker or a pinned page left behind by an abort, a budget DNF,
 # a cancellation or an early Close, a worker's panic that is not raised again
-# on the caller's goroutine (TestParallelWorkerPanicReachesCaller), or a row a
-# worker's copy of a segment keeps past its slab fails under this heading.
-go test -race -count=1 -run '^(TestParallel.*|TestBudgetAbortTeardownMatrix|TestCancelTeardownMatrix|TestDeadlineTeardownMatrix|TestArenaMatrix|TestArenaReleased)$' ./internal/exec
+# on the caller's goroutine (TestParallelWorkerPanicReachesCaller), a row a
+# worker's copy of a segment keeps past its slab, or an abort check that does
+# not stop the run where it reads the stop flag, or a budgeted run that
+# charges past DESIGN.md §13's bound (TestAbortEverySite, every site at every
+# shape) fails under this heading.
+go test -race -count=1 -run '^(TestParallel.*|TestBudgetAbortTeardownMatrix|TestCancelTeardownMatrix|TestDeadlineTeardownMatrix|TestAbortEverySite|TestArenaMatrix|TestArenaReleased)$' ./internal/exec
 
 echo "==> request-path gates (response bytes, request-body bound, point-lookup allocation budgets, server admission, pool misses)"
 # Also part of the full test run below; named here so that a POST /query body
@@ -237,17 +240,20 @@ echo "==> mutation gate (every recorded mutation still caught, race rows under -
 # `go test -overlay` (the tree is never written) and fails the row when none
 # of its tests fails, or when its old text is no longer in the file. A row
 # marked -race builds its tests with the race detector; one marked -hang
-# passes when a 10 s test timeout finds one of its tests still running. 82
+# passes when a 10 s test timeout finds one of its tests still running. 90
 # rows name the smallest package whose test catches them, as the root
-# package links the executor golden. The first two commands build, unmutated,
-# every test binary the rows name (race builds for the packages of -race
-# rows), so the -timeout budget covers the mutated builds only and not the
-# dependencies they share with the tree. On 2 vCPUs of a shared machine, run
-# alone from an empty build cache (GOCACHE emptied before each run): with 82
-# rows, four runs, the two builds took 59, 66, 62 and 65 s and the gate's
-# test binary 140, 151, 151 and 160 s, 20–40 s under the budget; the 79 rows
-# before them read 142 s the same way between those runs (106–159 s on
-# other days). Warm, the 82 rows take 82 s.
+# package links the executor golden; a row may name one subtest
+# (Test/Sub), as each abort check's ctxabort-* row names its shape of
+# TestAbortEverySite. The first two commands build, unmutated, every test
+# binary the rows name (race builds for the packages of -race rows), so the
+# -timeout budget covers the mutated builds only and not the dependencies
+# they share with the tree. On 2 vCPUs of a shared machine, run alone from
+# an empty build cache (GOCACHE emptied before each run): with 90 rows,
+# three runs in a row, the two builds took 49, 42 and 40 s and the gate's
+# test binary 103, 95 and 93 s, 77–87 s under the budget; the 82 rows
+# before them read 94 s the same way right after (140–160 s on a busier
+# day). The storage lock rows (L1–L7) fail at their tests' 1 s wait, 2 s a
+# row. Warm, the 90 rows take 66 s.
 go test -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 != "-race" {print $5}' testdata/mutations.txt | sort -u)
 go test -race -count=1 -run '^$' $(awk -F'\t' '!/^#/ && NF >= 7 && $8 == "-race" {print $5}' testdata/mutations.txt | sort -u)
 go test -count=1 -timeout 180s -run '^TestMutations$' .

@@ -47,11 +47,12 @@ var ErrCanceled = errors.New("exec: query canceled")
 // of Envs over one catalog, pool, and disk execute concurrently without
 // observing each other's charges.
 type Env struct {
-	// Ctx, when non-nil, cancels the query: every operator observes it on
-	// the same cadence as the charged-cost budget check (checkAbort), so a
-	// canceled or timed-out query unwinds promptly through the ordinary
-	// error path — serial, parallel, and batched alike — with no extra
-	// charges on the fault-free path.
+	// Ctx, when non-nil, cancels the query: the first abort check
+	// (checkAbort) that finds it done raises the query's stop flag with its
+	// cause, and every later check returns that, so a canceled or timed-out
+	// query unwinds promptly through the ordinary error path — serial,
+	// parallel, and batched alike — with no extra charges on the fault-free
+	// path.
 	Ctx context.Context
 	// Cat resolves tables and functions.
 	Cat *catalog.Catalog
@@ -61,7 +62,8 @@ type Env struct {
 	Pool *storage.BufferPool
 	// Cache is the predicate cache (may be nil or disabled).
 	Cache *pcache.Manager
-	// Budget aborts execution when the charged cost exceeds it (0 = none).
+	// Budget aborts execution when the charged cost exceeds it (0 = none):
+	// the charge that crosses it raises the query's stop flag (OnCharge).
 	Budget float64
 	// CountOnly discards result rows, keeping only the count.
 	CountOnly bool
@@ -92,6 +94,11 @@ type Env struct {
 	// Parallelism and BatchSize. Off by default: byte-identical execution.
 	Transfer bool
 
+	// stop is the query's one stop flag (DESIGN.md §13): nil while it runs,
+	// then the first reason it must stop — ErrBudgetExceeded, raised by the
+	// charge that crossed the budget, or the context's cause, raised by the
+	// first abort check that found it done. Every later check returns it.
+	stop atomic.Pointer[error]
 	// tracker is the query's private I/O ledger: a cold-pool simulation with
 	// the shared pool's exact replacement geometry, charging a read exactly
 	// where a solo run on a freshly flushed pool would have paid one. It
@@ -174,15 +181,20 @@ func (e *Env) batchSize() int {
 // synchronization.
 func (e *Env) exchangeBatch() int { return max(e.batchSize(), parallelBatch) }
 
-// begin resets the per-query state at query start: a fresh private I/O
-// tracker, fresh UDF counters, a cleared predicate cache. The query is
-// *measured* cold — the tracker simulates a freshly flushed private pool —
-// without flushing the shared pool other sessions are reading, so the
-// figures match the paper's cold runs while sessions keep their warm pages.
+// begin resets the per-query state at query start: a lowered stop flag, a
+// fresh private I/O tracker (under a budget, telling OnCharge of each I/O),
+// fresh UDF counters, a cleared predicate cache. The query is *measured*
+// cold — the tracker simulates a freshly flushed private pool — without
+// flushing the shared pool other sessions are reading, so the figures match
+// the paper's cold runs while sessions keep their warm pages.
 // Callers that need a *physically* cold start (fault-injection determinism)
 // evict explicitly via DB.EvictPool.
 func (e *Env) begin() {
+	e.stop.Store(nil)
 	e.tracker = storage.NewIOTracker(e.Pool)
+	if e.Budget > 0 {
+		e.tracker.Acct().SetHook(e)
+	}
 	e.funcMu.Lock()
 	e.funcCalls = map[*expr.FuncDef]*atomic.Int64{}
 	e.funcMu.Unlock()
@@ -205,42 +217,39 @@ func (e *Env) begin() {
 	}
 }
 
-// trk returns the query's private I/O tracker, creating one lazily for
-// entry points that bypass begin (MatchingTIDs). Lazy creation is safe:
-// every entry point starts single-threaded, before parallel operators fan
-// out.
-func (e *Env) trk() *storage.IOTracker {
-	if e.tracker == nil {
-		e.tracker = storage.NewIOTracker(e.Pool)
-	}
-	return e.tracker
-}
-
 // heap returns tab's heap file as a view whose page accesses charge into
 // this query's private ledger. All executor table access goes through it.
 func (e *Env) heap(tab *catalog.Table) *storage.HeapFile {
-	return tab.Heap.WithTracker(e.trk())
+	return tab.Heap.WithTracker(e.tracker)
 }
 
 // index returns t as a probe view charging leaf I/Os into this query's
 // private ledger instead of the shared tree's accountant.
 func (e *Env) index(t *btree.Tree) *btree.Tree {
-	return t.WithAcct(e.trk().Acct())
+	return t.WithAcct(e.tracker.Acct())
 }
 
 // ioStats returns the page I/O charged to this query so far; the profiler
 // diffs it around operator calls to attribute I/O per plan node.
 func (e *Env) ioStats() storage.IOStats {
-	return e.trk().Stats()
+	return e.tracker.Stats()
 }
 
 // invoke evaluates f on args, counting the invocation in calls — the
 // query's own counter for f (funcCount, resolved by compilePred), never the
 // catalog's shared FuncDef state — and routing any real I/O the function
 // performs — subquery predicates reading pages — into the query's private
-// tracker.
+// tracker. Under a budget the call is a charge: the one that crosses the
+// budget, and every call after it, returns the stop flag's reason without
+// evaluating f.
 func (e *Env) invoke(f *expr.FuncDef, calls *atomic.Int64, args []expr.Value) (expr.Value, error) {
 	calls.Add(1)
+	if e.Budget > 0 {
+		e.OnCharge()
+		if err := e.stopped(); err != nil {
+			return expr.Value{}, err
+		}
+	}
 	if f.EvalIO != nil {
 		return f.EvalIO(e.tracker, args)
 	}
@@ -250,13 +259,10 @@ func (e *Env) invoke(f *expr.FuncDef, calls *atomic.Int64, args []expr.Value) (e
 	return f.Eval(args), nil
 }
 
-// funcCount returns this query's invocation counter for f, creating it (and
-// the map itself, for entry points that bypass begin) on first use.
+// funcCount returns this query's invocation counter for f, creating it on
+// first use.
 func (e *Env) funcCount(f *expr.FuncDef) *atomic.Int64 {
 	e.funcMu.Lock()
-	if e.funcCalls == nil {
-		e.funcCalls = map[*expr.FuncDef]*atomic.Int64{}
-	}
 	c, ok := e.funcCalls[f]
 	if !ok {
 		c = new(atomic.Int64)
@@ -287,21 +293,40 @@ func (e *Env) ChargeSynthetic(units float64) {
 	e.syntheticMu.Lock()
 	e.syntheticIO += units
 	e.syntheticMu.Unlock()
+	e.OnCharge()
 }
 
-// ChargeSpillTuple charges one tuple's worth of Grace-hash partition spill.
-// The charge is a counter, not a float accumulation, so the total is exact
-// and independent of the order parallel workers charge it in.
-func (e *Env) ChargeSpillTuple() { e.spillTuples.Add(1) }
+// ChargeSpill charges n tuples' worth of Grace-hash partition spill
+// (cost.HashSpillPerTuple each). The charge is a counter, not a float
+// accumulation, so the total is exact and independent of the order parallel
+// workers charge it in.
+func (e *Env) ChargeSpill(n int) { e.spillTuples.Add(int64(n)); e.OnCharge() }
 
 // ChargeBloomAdd charges n predicate-transfer filter insertions
-// (cost.BloomAddPerTuple each); counter-based like ChargeSpillTuple, so the
+// (cost.BloomAddPerTuple each); counter-based like ChargeSpill, so the
 // total is exact in any evaluation order.
-func (e *Env) ChargeBloomAdd(n int) { e.bloomAdds.Add(int64(n)) }
+func (e *Env) ChargeBloomAdd(n int) { e.bloomAdds.Add(int64(n)); e.OnCharge() }
 
 // ChargeBloomProbe charges n predicate-transfer filter probes
 // (cost.BloomProbePerTuple each).
-func (e *Env) ChargeBloomProbe(n int) { e.bloomProbes.Add(int64(n)) }
+func (e *Env) ChargeBloomProbe(n int) { e.bloomProbes.Add(int64(n)); e.OnCharge() }
+
+// OnCharge is the budget's one decision (DESIGN.md §13), told of every
+// charge once it is counted: a page read or write of the query's I/O ledger
+// (a storage.ChargeHook, set by begin under a budget), a UDF call (invoke),
+// a synthetic, spill or Bloom charge. Under a budget, the charge that takes
+// the query past it raises the stop flag with ErrBudgetExceeded.
+func (e *Env) OnCharge() {
+	if e.Budget <= 0 {
+		return
+	}
+	if chargeHook != nil {
+		chargeHook(e)
+	}
+	if e.stop.Load() == nil && e.Charged() > e.Budget {
+		e.raise(ErrBudgetExceeded)
+	}
+}
 
 // synthetic returns the synthetic I/O charged so far.
 func (e *Env) synthetic() float64 {
@@ -318,28 +343,49 @@ func (e *Env) synthetic() float64 {
 // state, so concurrent sessions' figures never bleed into each other. Safe
 // to call from parallel workers.
 func (e *Env) Charged() float64 {
-	return float64(e.trk().Stats().Total()) + e.synthetic() + e.funcCharge()
+	return float64(e.tracker.Stats().Total()) + e.synthetic() + e.funcCharge()
 }
 
-// checkAbort is the per-operator abort check, called on each operator's
-// existing budget-check cadence: it returns ErrBudgetExceeded when the
-// charged cost passed the budget, and an ErrCanceled-wrapped context cause
-// when Ctx is canceled. Both conditions abort through the ordinary error
-// path, so iterator teardown (Close, unpin, worker shutdown) runs exactly
-// as it does for any other execution error.
+// raise sets the stop flag to err unless a reason is there already: the
+// first reason to stop wins.
+func (e *Env) raise(err error) { e.stop.CompareAndSwap(nil, &err) }
+
+// stopped returns the stop flag's reason, nil while the query may go on.
+func (e *Env) stopped() error {
+	if err := e.stop.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// checkAbort is the operators' abort check, a read of the stop flag: it
+// returns the flag's reason — ErrBudgetExceeded, or an ErrCanceled-wrapped
+// context cause, raising the flag first when Ctx is done. It charges and
+// locks nothing, so operators call it wherever their loops can run without
+// charging (DESIGN.md §13). A stop aborts through the ordinary error path,
+// so iterator teardown runs as it does for any other execution error.
 func (e *Env) checkAbort() error {
-	if e.Budget > 0 && e.Charged() > e.Budget {
-		return ErrBudgetExceeded
+	if pollHook != nil {
+		pollHook(e)
+	}
+	if err := e.stopped(); err != nil {
+		return err
 	}
 	if e.Ctx != nil {
 		select {
 		case <-e.Ctx.Done():
-			return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(e.Ctx))
+			e.raise(fmt.Errorf("%w: %w", ErrCanceled, context.Cause(e.Ctx)))
+			return e.stopped()
 		default:
 		}
 	}
 	return nil
 }
+
+// pollHook and chargeHook, when set, are called at each abort check
+// (checkAbort) and at each charge a budget is compared with (OnCharge): a
+// test numbers them by site (TestAbortEverySite). Nil outside tests.
+var pollHook, chargeHook func(*Env)
 
 // nodeProf returns the per-node profiling counters, creating them on first
 // use. Only called while profiling is on; safe for concurrent Build calls
@@ -448,7 +494,7 @@ func (e *Env) finish(rows int) Stats {
 		hits, misses, entries = e.Cache.Stats()
 	}
 	s := Stats{
-		IO:           e.trk().Stats(),
+		IO:           e.tracker.Stats(),
 		SyntheticIO:  e.synthetic(),
 		FuncCharge:   charge,
 		Invocations:  inv,

@@ -225,6 +225,7 @@ func TestHoldsCachedTuplePathAllocFree(t *testing.T) {
 		Args: []query.ColRef{{Table: "t1", Col: "u10"}, {Table: "t1", Col: "u100"}},
 	}})
 	query.Analyze(db.Cat, q)
+	env.begin()
 	cp, err := compilePred(env, q.Preds[0], scan.Cols())
 	if err != nil {
 		t.Fatal(err)

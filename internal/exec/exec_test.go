@@ -375,8 +375,9 @@ func TestBudgetAbortsAsDNF(t *testing.T) {
 	if !res.DNF {
 		t.Fatal("expected DNF on budget overrun")
 	}
-	if res.Stats.Charged() > 60000 {
-		t.Fatalf("abort came far too late: %v", res.Stats.Charged())
+	// DESIGN.md §13: the call that crosses the budget is the last one.
+	if res.Stats.Charged() > env.Budget+f.Cost {
+		t.Fatalf("abort came too late: %v charged, more than one call past %v", res.Stats.Charged(), env.Budget)
 	}
 }
 

@@ -262,9 +262,8 @@ func (e *Env) thinScans(root plan.Node) map[*plan.SeqScan]*thinScan {
 // accounting follows from its tallies, so a nested loop that reads its inner
 // once (sweepTape) hands every later sweep's gates the first sweep's.
 type recordGate interface {
-	// admit returns rec's outcome at the gate; n counts the records that
-	// have reached the gate in this scan instance since Open, rec included.
-	admit(e *Env, rec []byte, n int) (outcome, error)
+	// admit returns rec's outcome at the gate.
+	admit(e *Env, rec []byte) (outcome, error)
 	// flush is the accounting hook: t tallies by outcome the records that
 	// reached the gate since the last flush.
 	flush(e *Env, t gateTally)
@@ -454,16 +453,14 @@ func (e *Env) keyScan(n plan.Node, idx int) (*plan.SeqScan, catalog.IntField) {
 }
 
 // gateRun is one scan instance's use of its gate list (an exchange part and a
-// nested loop's rescan each have their own). seen counts the records that
-// reached the list since Open; got tallies, gate by gate, the records that
-// reached each since Open, and sent what of that the gates' flush hooks
-// already have. A few gates' tallies fit in buf, so a scan rebuilt per outer
-// row allocates none.
+// nested loop's rescan each have their own). got tallies, gate by gate, the
+// records that reached each since Open, and sent what of that the gates'
+// flush hooks already have. A few gates' tallies fit in buf, so a scan
+// rebuilt per outer row allocates none.
 type gateRun struct {
 	list []recordGate
 	got  []gateTally
 	sent []gateTally
-	seen int
 	buf  [8]gateTally
 }
 
@@ -477,16 +474,13 @@ func (g *gateRun) open() {
 	}
 	clear(g.got)
 	clear(g.sent)
-	g.seen = 0
 }
 
 // pass runs rec through the list in order and reports whether it passed
 // every gate. A gate's error counts as its drop.
 func (g *gateRun) pass(e *Env, rec []byte) (bool, error) {
-	g.seen++
-	n := g.seen
 	for i, gate := range g.list {
-		o, err := gate.admit(e, rec, n)
+		o, err := gate.admit(e, rec)
 		if err != nil {
 			o = outDrop
 		}
@@ -494,7 +488,6 @@ func (g *gateRun) pass(e *Env, rec []byte) (bool, error) {
 		if o&outDrop != 0 {
 			return false, err
 		}
-		n -= g.got[i].dropped()
 	}
 	return true, nil
 }
@@ -547,10 +540,10 @@ type recordRun struct {
 func (r *recordRun) top() *plan.Filter { return r.filters[len(r.filters)-1] }
 
 // testGate is a filter a scan absorbed (recordRun): its comparison, tested on
-// the record, with the filter's abort check every budgetEvery evaluations.
-// Under Profile it keeps what the filter's operator counted: rows is the
-// actual= of the rows that reach it — the scan's own for the run's first
-// test, else the filter's below — and prof takes the filter's evaluations.
+// the record. Under Profile it keeps what the filter's operator counted: rows
+// is the actual= of the rows that reach it — the scan's own for the run's
+// first test, else the filter's below — and prof takes the filter's
+// evaluations.
 type testGate struct {
 	codec *catalog.RowCodec
 	test  catalog.ColTest
@@ -558,12 +551,7 @@ type testGate struct {
 	prof  *opCounters   // nil unless profiling
 }
 
-func (g *testGate) admit(e *Env, rec []byte, n int) (outcome, error) {
-	if n%budgetEvery == 0 {
-		if err := e.checkAbort(); err != nil {
-			return outDrop, err
-		}
-	}
+func (g *testGate) admit(_ *Env, rec []byte) (outcome, error) {
 	ok, err := g.codec.Test(rec, g.test)
 	return keepIf(ok), err
 }
@@ -734,9 +722,7 @@ type seqScanIter struct {
 	pg           *storage.Page
 	src          []byte
 	slot, nslots int
-	// count is the live records read since Open, for the every-1024 checks.
-	count int
-	alloc rowAlloc
+	alloc        rowAlloc
 	// cols is what the scan decodes: every column, or a thin scan's need.
 	cols []int
 	thin *thinScan
@@ -777,7 +763,7 @@ func (s *seqScanIter) Open() error {
 	} else {
 		s.it.Rewind()
 	}
-	s.pg, s.slot, s.nslots, s.ring, s.count = nil, 0, 0, nil, 0
+	s.pg, s.slot, s.nslots, s.ring = nil, 0, 0, nil
 	s.cols = s.tab.Codec.AllCols()
 	if s.thin != nil {
 		s.cols = s.thin.need
@@ -788,8 +774,8 @@ func (s *seqScanIter) Open() error {
 
 // NextBatch walks the pinned page's slots (one storage call per page, no
 // per-record copy) and decodes the records it keeps straight into
-// slab-carved rows, checking the budget — and for its exchange's shutdown —
-// every 1024 records scanned. It is one loop parameterised by the column
+// slab-carved rows, checking for an abort — and for its exchange's shutdown —
+// after each page it fetches. It is one loop parameterised by the column
 // set: every column, or under thin the needed ones, with the row's place on
 // its page left in the mark slot for whoever keeps the row.
 func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
@@ -839,6 +825,12 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			if s.thin != nil {
 				s.thin.pages[s.part] = s.src
 			}
+			if err := s.e.checkAbort(); err != nil {
+				return 0, err
+			}
+			if s.xchg.stopping() {
+				return 0, errExchangeStopped
+			}
 			continue
 		}
 		off, length, live := s.pg.Extent(storage.SlotID(s.slot))
@@ -847,15 +839,6 @@ func (s *seqScanIter) NextBatch(dst []expr.Row) (int, error) {
 			continue
 		}
 		rec := s.src[off : off+length]
-		s.count++
-		if s.count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				return 0, err
-			}
-			if s.xchg.stopping() {
-				return 0, errExchangeStopped
-			}
-		}
 		if len(s.gates.list) > 0 {
 			keep, err := s.gates.pass(s.e, rec)
 			if err != nil {
@@ -911,7 +894,6 @@ type indexScanIter struct {
 	tids  []storage.TID
 	pos   int
 	rng   *btree.Iter
-	count int
 	alloc rowAlloc
 	row   expr.Row // the fetch's row, carved only for a record take keeps
 	memo  catalog.DecodeMemo
@@ -933,7 +915,7 @@ func (s *indexScanIter) Open() error {
 	tree := s.e.index(s.tab.Indexes[s.node.Col])
 	s.heap = s.e.heap(s.tab)
 	s.tids = nil
-	s.pos, s.count = 0, 0
+	s.pos = 0
 	s.rng = nil
 	s.gates.open()
 	switch {
@@ -974,7 +956,7 @@ func (s *indexScanIter) nextTID() (storage.TID, bool) {
 // NextBatch fetches matching heap tuples and looks at each record in place
 // under its page pin (HeapFile.View, take): a fetch one of its gates drops
 // carves no row, and one they keep is decoded straight into a slab-carved
-// row.
+// row. It checks for an abort before each fetch.
 func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
 	defer s.gates.flush(s.e)
 	n := 0
@@ -983,11 +965,8 @@ func (s *indexScanIter) NextBatch(dst []expr.Row) (int, error) {
 		if !ok {
 			break
 		}
-		s.count++
-		if s.count%1024 == 0 {
-			if err := s.e.checkAbort(); err != nil {
-				return 0, err
-			}
+		if err := s.e.checkAbort(); err != nil {
+			return 0, err
 		}
 		if err := s.heap.View(tid, s.take); err != nil {
 			return 0, err
@@ -1048,10 +1027,9 @@ func compileFilter(e *Env, f *plan.Filter, rs *slabPool) (filterIter, error) {
 
 // filterIter applies one predicate, dropping rows that fail it.
 type filterIter struct {
-	e     *Env
-	in    Iterator
-	pred  *compiledPred
-	count int
+	e    *Env
+	in   Iterator
+	pred *compiledPred
 	// copies: the input's rows are the query's; the kept ones go to out,
 	// through fin: decoded there if a thin scan made them.
 	copies bool
@@ -1085,7 +1063,7 @@ func (f *filterIter) NextBatch(dst []expr.Row) (int, error) {
 		if m == 0 {
 			return 0, nil
 		}
-		if err := f.pred.holdsBatch(f.e, nil, f.buf[:m], f.keep[:m], &f.count, &f.sc); err != nil {
+		if err := f.pred.holdsBatch(f.e, nil, f.buf[:m], f.keep[:m], &f.sc); err != nil {
 			return 0, err
 		}
 		n := 0

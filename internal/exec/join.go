@@ -75,7 +75,6 @@ type nlJoinIter struct {
 	innerProf *opCounters // the inner's counters under Profile, for the walk
 	outerRow  expr.Row
 	haveOut   bool
-	count     int
 	// inner batch buffer, verdicts, predicate scratch
 	ibuf   []expr.Row
 	keep   []bool
@@ -163,7 +162,8 @@ func (n *nlJoinIter) rescanInner() error {
 // costs neither a row nor a copy. Each inner batch is taken in whole before
 // the next is pulled, and no more inner rows are pulled than the pairs still
 // owed, so an operator above that must not read ahead (next) sees none here
-// either. The budget is checked every 64 pairs.
+// either. It checks for an abort after each inner batch it pulls; a walked
+// sweep, at each page (walk).
 func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	k := len(dst)
 	if len(n.ibuf) < k {
@@ -196,7 +196,7 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := n.count64(m); err != nil {
+		if err := n.e.checkAbort(); err != nil {
 			return 0, err
 		}
 		if m == 0 {
@@ -218,17 +218,6 @@ func (n *nlJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	return out, nil
 }
 
-// count64 counts m more pairs, checking the budget each time the count
-// passes a multiple of 64.
-func (n *nlJoinIter) count64(m int) error {
-	before := n.count
-	n.count += m
-	if n.count/64 != before/64 {
-		return n.e.checkAbort()
-	}
-	return nil
-}
-
 // join decides the pairs of the outer row with inner, whose values the memo
 // numbered nums (nil without a memo), and makes the ones kept into dst from
 // out on.
@@ -239,15 +228,11 @@ func (n *nlJoinIter) join(dst []expr.Row, out int, inner []expr.Row, nums []int3
 			keep[i] = true
 		}
 	} else {
-		// The join keeps its every-64-pairs budget cadence (count64);
-		// holdsBatch's own ticking on this throwaway counter only adds
-		// extra (harmless) abort checks.
-		tick := 0
 		var err error
 		if n.memo != nil {
-			err = n.memo.holds(n.e, n.primary, n.outerRow, inner, nums, keep, &tick, &n.sc)
+			err = n.memo.holds(n.e, n.primary, n.outerRow, inner, nums, keep, &n.sc)
 		} else {
-			err = n.primary.holdsBatch(n.e, n.outerRow, inner, keep, &tick, &n.sc)
+			err = n.primary.holdsBatch(n.e, n.outerRow, inner, keep, &n.sc)
 		}
 		if err != nil {
 			return 0, err
@@ -312,7 +297,6 @@ type indexNLJoinIter struct {
 	outerRow     expr.Row
 	matches      []expr.Row // outerRow's surviving inner rows, emitted from pos
 	pos          int
-	count        int
 	sc           predScratch
 	memo         catalog.DecodeMemo
 	inner        rowAlloc // fetched inner rows: the query's, like a scan's
@@ -406,8 +390,7 @@ func (n *indexNLJoinIter) Open() error {
 }
 
 // NextBatch emits the current outer row's pending matches, then pulls the
-// next outer row and probes for its matches. The budget is checked every 64
-// outer rows.
+// next outer row and probes for its matches.
 func (n *indexNLJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	out := 0
 	for out < len(dst) {
@@ -434,18 +417,13 @@ func (n *indexNLJoinIter) NextBatch(dst []expr.Row) (int, error) {
 		if err := n.probe(row[n.outKeyIdx]); err != nil {
 			return 0, err
 		}
-		n.count++
-		if n.count%64 == 0 {
-			if err := n.e.checkAbort(); err != nil {
-				return 0, err
-			}
-		}
 	}
 	return out, nil
 }
 
 // probe refills matches with the inner rows under key that pass every
-// residual filter. NULL and non-int keys match nothing.
+// residual filter, checking for an abort after the index probe and after
+// each heap fetch. NULL and non-int keys match nothing.
 func (n *indexNLJoinIter) probe(key expr.Value) error {
 	n.matches = n.matches[:0]
 	if key.Kind != expr.TInt {
@@ -453,8 +431,16 @@ func (n *indexNLJoinIter) probe(key expr.Value) error {
 	}
 	width := len(n.tab.Columns)
 	decode := func(rec []byte) error { return n.tab.Codec.DecodeIntoMemo(rec, n.spare, &n.memo) }
+	tids := n.tree.Probe(key.I)
 fetch:
-	for _, tid := range n.tree.Probe(key.I) {
+	for i := 0; ; i++ {
+		if err := n.e.checkAbort(); err != nil {
+			return err
+		}
+		if i == len(tids) {
+			return nil
+		}
+		tid := tids[i]
 		if n.spare == nil {
 			n.spare = n.inner.next(width)
 		}
@@ -478,7 +464,6 @@ fetch:
 		}
 		n.matches, n.spare = append(n.matches, n.spare), nil
 	}
-	return nil
 }
 
 func (n *indexNLJoinIter) Close() error {
@@ -530,7 +515,8 @@ func (b *hashBuild) open() error {
 }
 
 // fill drains the inner input into the table, charging spill per tuple
-// (NULL keys included) and checking the budget every 1024 rows kept.
+// (NULL keys included) once per batch and checking for an abort after each
+// batch it pulls.
 func (b *hashBuild) fill() error {
 	if err := b.inner.Open(); err != nil {
 		return err
@@ -547,16 +533,13 @@ func (b *hashBuild) fill() error {
 		if m == 0 {
 			return b.inner.Close()
 		}
+		b.e.ChargeSpill(m)
+		if err := b.e.checkAbort(); err != nil {
+			return err
+		}
 		for _, row := range buf[:m] {
-			b.e.ChargeSpillTuple()
-			if row[b.inIdx].IsNull() {
-				continue
-			}
-			b.table.add(row)
-			if len(b.table.rows)%1024 == 0 {
-				if err := b.e.checkAbort(); err != nil {
-					return err
-				}
+			if !row[b.inIdx].IsNull() {
+				b.table.add(row)
 			}
 		}
 	}
@@ -578,7 +561,6 @@ type hashJoinIter struct {
 	build  *hashBuild
 	outRow expr.Row
 	cur    int32 // next inner match of outRow in the table, -1 when none is left
-	count  int
 	// current outer batch, output row slab
 	obuf  []expr.Row
 	opos  int
@@ -588,19 +570,19 @@ type hashJoinIter struct {
 }
 
 // Open builds the table (or finds it built) before the outer input opens.
-// The budget cadence carries on from the rows the build kept.
 func (h *hashJoinIter) Open() error {
 	if err := h.build.open(); err != nil {
 		return err
 	}
-	h.cur, h.count = -1, len(h.build.table.rows)
+	h.cur = -1
 	return h.outer.Open()
 }
 
 // NextBatch probes the table with as many outer rows at a time as the
 // caller asked for pairs — so a caller pulling one row reads no outer row
 // ahead — and carves output rows from a value slab. Spill is charged per
-// outer row probed; the budget is checked every 1024.
+// outer row, once per outer batch it pulls, and it checks for an abort after
+// each.
 func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	t, outIdx := &h.build.table, h.build.outIdx
 	n := 0
@@ -631,16 +613,13 @@ func (h *hashJoinIter) NextBatch(dst []expr.Row) (int, error) {
 				break
 			}
 			h.olen, h.opos = m, 0
-		}
-		row := h.obuf[h.opos]
-		h.opos++
-		h.e.ChargeSpillTuple()
-		h.count++
-		if h.count%1024 == 0 {
+			h.e.ChargeSpill(m)
 			if err := h.e.checkAbort(); err != nil {
 				return 0, err
 			}
 		}
+		row := h.obuf[h.opos]
+		h.opos++
 		h.outRow, h.cur = row, t.first(row[outIdx])
 	}
 	return n, nil
@@ -701,7 +680,7 @@ type keyGate struct {
 	dropped atomic.Int64
 }
 
-func (g *keyGate) admit(_ *Env, rec []byte, _ int) (outcome, error) {
+func (g *keyGate) admit(_ *Env, rec []byte) (outcome, error) {
 	if g.keys == nil {
 		return outKeep, nil
 	}
@@ -784,11 +763,11 @@ func (m *mergeJoinIter) Open() error {
 		sortSide(m.irows, m.inIdx, m.node.Inner)
 	}
 	m.opened = true
-	return m.e.checkAbort()
+	return nil
 }
 
-// NextBatch emits whole runs of an inner group per seek; the budget is
-// checked once per group found.
+// NextBatch emits whole runs of an inner group per seek, which checks for an
+// abort once per group found.
 func (m *mergeJoinIter) NextBatch(dst []expr.Row) (int, error) {
 	if !m.opened {
 		return 0, fmt.Errorf("exec: NextBatch before Open on MergeJoin")

@@ -169,7 +169,9 @@ func runGates(t *testing.T, name string, env *Env, root plan.Node, build func(*E
 	}
 	rows, n, err := collect(env, it, root.Card(), true)
 	cerr := it.Close()
-	err = env.drained(err)
+	if err == nil {
+		err = env.stopped()
+	}
 	dnf := errors.Is(err, ErrBudgetExceeded)
 	if dnf {
 		err = nil

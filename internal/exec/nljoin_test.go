@@ -304,6 +304,7 @@ func TestNLCachedPrimaryMatchesFilter(t *testing.T) {
 		}
 		for _, bound := range []int{0, 1, 4, 64} {
 			env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(true, bound), BatchSize: 1, Transfer: in.over != nil}
+			env.begin()
 			m := newSweepMemo(env, loop)
 			if (m != nil) != (bound == 0) {
 				t.Fatalf("%s bound=%d: sweep memo %v, want one exactly when unbounded", in.name, bound, m != nil)
@@ -668,8 +669,9 @@ func TestNLTapesFewSweeps(t *testing.T) {
 // testNLReplayBudget runs the cross product of outer and inner, a bare heap
 // scan that misses the pool on every sweep, under budgets one read apart
 // across more than a sweep's reads. Every run stops, as the rescanned one
-// does, within three reads of the budget — the walk checks it at each page
-// and every 64 pairs — having made a prefix of the full run's rows.
+// does, within two reads of the budget — the read that crosses it, and an
+// outer index scan's leaf read before its next check (DESIGN.md §13) —
+// having made a prefix of the full run's rows.
 func testNLReplayBudget(t *testing.T, db *datagen.DB, outer, inner plan.Node) {
 	t.Helper()
 	root := &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, ColRefs: plan.ConcatCols(outer, inner)}
@@ -684,8 +686,8 @@ func testNLReplayBudget(t *testing.T, db *datagen.DB, outer, inner plan.Node) {
 		}{{"walk", Build}, {"rescan", buildRescan}} {
 			name := fmt.Sprintf("cross %s budget=%v", build.name, budget)
 			got := runGates(t, name, newEnv(budget), root, build.fn)
-			if over := got.Stats.Charged() - budget; !got.DNF || over > 3 {
-				t.Fatalf("%s: DNF %v with %v charged: the loop did not stop within three reads", name, got.DNF, got.Stats.Charged())
+			if over := got.Stats.Charged() - budget; !got.DNF || over > 2 {
+				t.Fatalf("%s: DNF %v with %v charged: the loop did not stop within two reads", name, got.DNF, got.Stats.Charged())
 			}
 			if len(got.Rows) > len(full.Rows) {
 				t.Fatalf("%s: %d rows, the full run %d", name, len(got.Rows), len(full.Rows))
@@ -701,13 +703,12 @@ func testNLReplayBudget(t *testing.T, db *datagen.DB, outer, inner plan.Node) {
 // nested loop under the join's filter, walking its taped inner and
 // rescanning it — over a 6-page pool that t7 misses every sweep, at
 // BatchSize {1, 7, 256} under each budget of the 200 past the prepass's
-// charge (the loop's first ten sweeps) and the 12 below the run's own. A
-// probed scan charges its probes at its batch's flush, so a check inside
-// the batch sees them late; each run must still end within limit of its
-// budget, the worst this sweep reads — the hash join's last 8 reads follow
-// its last check, and the walked loop, which checks at each page and every
-// 64 pairs, ends at most 11.37 past — and a run that completes must not
-// have charged past its budget (Env.drained).
+// charge (the loop's first ten sweeps) and the 12 below the run's own. Each
+// run must end within 3.4 of its budget (DESIGN.md §13): what is left of the
+// charge that crossed it (a read, or a batch's probe or spill flush) and the
+// index scan's leaf read and heap fetch before its next check — the worst
+// this sweep reads is 3.37, for the hash join — and a run that completes
+// must not have charged past its budget.
 func TestProbedScanBudget(t *testing.T) {
 	db, err := datagen.Build(datagen.Config{Scale: 0.02, Tables: []int{1, 7}, PoolPages: 6})
 	if err != nil {
@@ -728,15 +729,15 @@ func TestProbedScanBudget(t *testing.T) {
 	key := q.Preds[1]
 	loop := &plan.Filter{Input: &plan.Join{Method: plan.NestLoop, Outer: outer, Inner: inner, ColRefs: plan.ConcatCols(outer, inner)}, Pred: key}
 	hash := &plan.Join{Method: plan.HashJoin, Outer: outer, Inner: inner, Primary: key, ColRefs: plan.ConcatCols(outer, inner)}
+	const limit = 3.4
 	for _, sh := range []struct {
 		name  string
 		root  plan.Node
 		build func(*Env, plan.Node) (Iterator, error)
-		limit float64
 	}{
-		{"hash", hash, Build, 8},
-		{"loop", loop, Build, 11.4},
-		{"loop rescan", loop, buildRescan, 12},
+		{"hash", hash, Build},
+		{"loop", loop, Build},
+		{"loop rescan", loop, buildRescan},
 	} {
 		worst := 0.0
 		for _, bs := range []int{1, 7, 256} {
@@ -751,7 +752,7 @@ func TestProbedScanBudget(t *testing.T) {
 				env := &Env{Cat: db.Cat, Pool: db.Pool, Cache: pcache.NewManager(false, 0), BatchSize: bs, Transfer: true, Budget: budget}
 				got := runGates(t, name, env, sh.root, sh.build)
 				over := got.Stats.Charged() - budget
-				if over > sh.limit || !got.DNF && over > 0 {
+				if over > limit || !got.DNF && over > 0 {
 					t.Fatalf("%s: %v charged (DNF %v), %v over the budget", name, got.Stats.Charged(), got.DNF, over)
 				}
 				worst = max(worst, over)

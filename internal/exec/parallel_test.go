@@ -107,8 +107,7 @@ func TestParallelFilterBudgetDNF(t *testing.T) {
 }
 
 func TestParallelHashJoinBudgetDNFDuringBuild(t *testing.T) {
-	// t9 (~1800 rows at this scale) keeps the build side past the budget
-	// check's 1024-row cadence.
+	// The budget trips at the inner scan's first pages, inside the build.
 	db, env := newEnv(t, []int{1, 9}, false)
 	q, _ := query.NewQuery([]string{"t1", "t9"}, []*query.Predicate{{
 		Kind: query.KindJoinCmp, Op: expr.OpEQ,

@@ -87,12 +87,10 @@ func (cp *compiledPred) noteInvocation() {
 // holds reports whether the predicate is satisfied (NULL and false both
 // reject the row, per SQL WHERE semantics): holdsBatch at width 1, so the
 // tuple path shares the batch path's scratch buffers and cache protocol.
-// The caller keeps its own abort cadence; the counter here is a throwaway.
 func (cp *compiledPred) holds(e *Env, row expr.Row, sc *predScratch) (bool, error) {
 	sc.row[0] = row
 	var keep [1]bool
-	tick := 0
-	err := cp.holdsBatch(e, nil, sc.row[:], keep[:], &tick, sc)
+	err := cp.holdsBatch(e, nil, sc.row[:], keep[:], sc)
 	return keep[0], err
 }
 
@@ -104,10 +102,6 @@ func at(outer, row expr.Row, i int) expr.Value {
 	}
 	return row[i-len(outer)]
 }
-
-// budgetEvery is the input-row cadence of filter abort checks — budget and
-// cancellation alike.
-const budgetEvery = 32
 
 // predScratch holds the reusable buffers of batched predicate evaluation,
 // so the hot path allocates nothing per batch: binding keys are encoded
@@ -126,28 +120,17 @@ type predScratch struct {
 // for each row — a filter's rows (outer nil), or a nested loop's pairs of
 // the one outer row with each of rows, read in place (at) and never made.
 // Results, invocation counts, and cache statistics are those of evaluating
-// the rows one by one in order, at any batch width; count carries the
-// every-32-rows budget-check cadence across batches. Cached function
+// the rows one by one in order, at any batch width. Cached function
 // predicates batch their cache traffic through GetBatch/PutBatch, taking
 // each shard lock once per batch instead of twice per row.
-func (cp *compiledPred) holdsBatch(e *Env, outer expr.Row, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
+func (cp *compiledPred) holdsBatch(e *Env, outer expr.Row, rows []expr.Row, keep []bool, sc *predScratch) error {
 	p := cp.pred
-	tick := func() error {
-		*count++
-		if *count%budgetEvery == 0 {
-			return e.checkAbort()
-		}
-		return nil
-	}
 	switch p.Kind {
 	case query.KindSelCmp:
 		if cp.prof != nil {
 			cp.prof.predEvals.Add(int64(len(rows)))
 		}
 		for i, row := range rows {
-			if err := tick(); err != nil {
-				return err
-			}
 			b, known := cp.op.Apply(at(outer, row, cp.leftIdx), cp.constVal).Bool()
 			keep[i] = known && b
 		}
@@ -157,9 +140,6 @@ func (cp *compiledPred) holdsBatch(e *Env, outer expr.Row, rows []expr.Row, keep
 			cp.prof.predEvals.Add(int64(len(rows)))
 		}
 		for i, row := range rows {
-			if err := tick(); err != nil {
-				return err
-			}
 			b, known := cp.op.Apply(at(outer, row, cp.leftIdx), at(outer, row, cp.rightIdx)).Bool()
 			keep[i] = known && b
 		}
@@ -173,7 +153,7 @@ func (cp *compiledPred) holdsBatch(e *Env, outer expr.Row, rows []expr.Row, keep
 				step = 1
 			}
 			for i := 0; i < len(rows); i += step {
-				if err := cp.holdsBatchCached(e, outer, rows[i:i+step], keep[i:i+step], count, sc); err != nil {
+				if err := cp.holdsBatchCached(e, outer, rows[i:i+step], keep[i:i+step], sc); err != nil {
 					return err
 				}
 			}
@@ -188,9 +168,6 @@ func (cp *compiledPred) holdsBatch(e *Env, outer expr.Row, rows []expr.Row, keep
 			cp.prof.predEvals.Add(int64(len(rows)))
 		}
 		for i, row := range rows {
-			if err := tick(); err != nil {
-				return err
-			}
 			for k, idx := range cp.argIdx {
 				args[k] = at(outer, row, idx)
 			}
@@ -215,7 +192,7 @@ func (cp *compiledPred) holdsBatch(e *Env, outer expr.Row, rows []expr.Row, keep
 // reuse the earlier result, exactly as sequential execution would have hit
 // the just-stored entry), then publish the new results with one PutBatch.
 // Under a nested loop the rows are pairs with outer, as in holdsBatch.
-func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row, keep []bool, count *int, sc *predScratch) error {
+func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row, keep []bool, sc *predScratch) error {
 	p := cp.pred
 	n := len(rows)
 	// Encode all bindings into one buffer; offsets first, slices after, so
@@ -248,12 +225,6 @@ func (cp *compiledPred) holdsBatchCached(e *Env, outer expr.Row, rows []expr.Row
 		cp.prof.predEvals.Add(int64(n))
 	}
 	for i := range entries {
-		*count++
-		if *count%budgetEvery == 0 {
-			if err := e.checkAbort(); err != nil {
-				return err
-			}
-		}
 		switch entries[i].State {
 		case pcache.BatchMiss:
 			for k, idx := range cp.argIdx {
@@ -473,7 +444,7 @@ func (m *sweepMemo) resize(n int) {
 // vector has decided takes its verdict; the first occurrence of each number
 // it has not goes, in row order, through holdsBatchCached as one sub-batch,
 // whose verdicts the vector then keeps for the rows after it.
-func (m *sweepMemo) holds(e *Env, cp *compiledPred, outer expr.Row, rows []expr.Row, nums []int32, keep []bool, count *int, sc *predScratch) error {
+func (m *sweepMemo) holds(e *Env, cp *compiledPred, outer expr.Row, rows []expr.Row, nums []int32, keep []bool, sc *predScratch) error {
 	vec := m.verdicts[m.cur]
 	if len(vec) < int(m.vals) {
 		vec = append(vec, make([]byte, int(m.vals)-len(vec))...)
@@ -492,7 +463,7 @@ func (m *sweepMemo) holds(e *Env, cp *compiledPred, outer expr.Row, rows []expr.
 			m.subKeep = make([]bool, len(m.sub), 2*len(m.sub))
 		}
 		subKeep := m.subKeep[:len(m.sub)]
-		if err := cp.holdsBatchCached(e, outer, m.sub, subKeep, count, sc); err != nil {
+		if err := cp.holdsBatchCached(e, outer, m.sub, subKeep, sc); err != nil {
 			return err // the query ends, and the memo with it
 		}
 		for j, num := range m.subNum {

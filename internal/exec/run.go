@@ -60,7 +60,11 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 	rows, n, err := collect(e, it, root.Card(), !e.CountOnly)
 	res.Rows = rows
 	cerr := it.Close()
-	err = e.drained(err)
+	if err == nil {
+		// A run whose last charges crossed its budget, after its last abort
+		// check, did not finish either: the stop flag says so.
+		err = e.stopped()
+	}
 	if errors.Is(err, ErrBudgetExceeded) {
 		// The abort is the measurement (the paper's "did not finish"); a
 		// Close failure after it would still be a real engine error.
@@ -78,18 +82,6 @@ func Run(e *Env, root plan.Node) (*Result, error) {
 		res.Profile = assembleProfile(e, root)
 	}
 	return res, nil
-}
-
-// drained is the budget's last comparison, once the tree is closed after
-// err, its drain's outcome: the operators compare the charge with the
-// budget only at their periodic checks, and what a drained tree charged
-// after its last one was never compared. A run charged past its budget did
-// not finish, however it ended.
-func (e *Env) drained(err error) error {
-	if err == nil && e.Budget > 0 && e.Charged() > e.Budget {
-		return ErrBudgetExceeded
-	}
-	return err
 }
 
 // collect opens it and pulls it dry, returning the number of rows it
@@ -130,8 +122,12 @@ func cardHint(card float64) int {
 
 // MatchingTIDs scans a base table and returns the tuple ids of rows
 // satisfying every predicate — the lookup side of DML (DELETE). Predicates
-// are evaluated in the given order with the usual caching behaviour.
+// are evaluated in the given order with the usual caching behaviour. Like
+// Run it resets the Env's per-query state first, and it checks for an abort
+// after each page it fetches: a budget or cancellation stops it with an
+// error, and no tuple id.
 func MatchingTIDs(e *Env, tableName string, preds []*query.Predicate) ([]storage.TID, error) {
+	e.begin()
 	tab, err := e.Cat.Table(tableName)
 	if err != nil {
 		return nil, err
@@ -147,39 +143,42 @@ func MatchingTIDs(e *Env, tableName string, preds []*query.Predicate) ([]storage
 	var out []storage.TID
 	it := e.heap(tab).Scan()
 	defer it.Close()
-	count := 0
 	var sc predScratch
 	for {
-		rec, tid, ok, err := it.Next()
+		pg, page, ok, err := it.NextPage()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return out, nil
+			break
 		}
-		count++
-		if count%1024 == 0 {
-			if err := e.checkAbort(); err != nil {
-				return nil, err
-			}
-		}
-		row, err := tab.Codec.Decode(rec)
-		if err != nil {
+		if err := e.checkAbort(); err != nil {
 			return nil, err
 		}
-		keep := true
-		for _, cp := range compiled {
-			pass, err := cp.holds(e, row, &sc)
+	slots:
+		for slot := storage.SlotID(0); int(slot) < pg.NumSlots(); slot++ {
+			rec, live := pg.Get(slot)
+			if !live {
+				continue
+			}
+			row, err := tab.Codec.Decode(rec)
 			if err != nil {
 				return nil, err
 			}
-			if !pass {
-				keep = false
-				break
+			for _, cp := range compiled {
+				pass, err := cp.holds(e, row, &sc)
+				if err != nil {
+					return nil, err
+				}
+				if !pass {
+					continue slots
+				}
 			}
-		}
-		if keep {
-			out = append(out, tid)
+			out = append(out, storage.TID{Page: page, Slot: slot})
 		}
 	}
+	if err := e.stopped(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

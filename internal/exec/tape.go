@@ -63,7 +63,7 @@ func (t *sweepTape) release() {
 // current one has no kept row left and pairs are still owed — and hands the
 // rows to the primary in runs no longer than the pairs still owed, so it
 // decides the rows a rescan decides and reads between the same calls. It
-// checks the budget at each page and every 64 pairs, and hands the scan's
+// checks for an abort after each page it fetches, and hands the scan's
 // gates the first sweep's tallies at each page's end and where it stops. It
 // reports whether the sweep goes on.
 func (n *nlJoinIter) walk(dst []expr.Row, out int) (int, bool, error) {
@@ -91,9 +91,6 @@ func (n *nlJoinIter) walk(dst []expr.Row, out int) (int, bool, error) {
 		rows := t.rows[t.row:end]
 		if n.innerProf != nil {
 			n.innerProf.rows.Add(int64(len(rows)))
-		}
-		if err := n.count64(len(rows)); err != nil {
-			return 0, false, err
 		}
 		var nums []int32
 		if n.memo != nil {

@@ -141,8 +141,8 @@ func (t *topkIter) offer(row expr.Row) {
 	}
 }
 
-// fill drains the input into the heap, checking the budget whenever the
-// input row count crosses a multiple of 1024, then heapsorts the survivors
+// fill drains the input into the heap, checking for an abort after each
+// batch it pulls, then heapsorts the survivors
 // in place into output order. Runs once; NextBatch afterwards only copies
 // out.
 func (t *topkIter) fill() error {
@@ -155,7 +155,7 @@ func (t *topkIter) fill() error {
 	}
 	buf := getRowBuf(t.e.batchSize())
 	defer putRowBuf(buf)
-	for count := 0; ; {
+	for {
 		n, err := t.in.NextBatch(buf)
 		if err != nil {
 			return err
@@ -163,11 +163,8 @@ func (t *topkIter) fill() error {
 		if n == 0 {
 			break
 		}
-		count += n
-		if count/1024 != (count-n)/1024 {
-			if err := t.e.checkAbort(); err != nil {
-				return err
-			}
+		if err := t.e.checkAbort(); err != nil {
+			return err
 		}
 		for _, row := range buf[:n] {
 			t.offer(row)

@@ -229,7 +229,7 @@ func (e *Env) runTransferPrepass(root plan.Node) error {
 	// deterministic and parallelism/batching-invariant. The shared pool is
 	// left alone — other sessions' resident pages are not ours to evict, and
 	// physical residency no longer affects this query's measurement.
-	e.trk().EvictUnpinned()
+	e.tracker.EvictUnpinned()
 	e.transfer = ts
 	return nil
 }
@@ -307,7 +307,7 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 		keep [DefaultBatchSize]bool
 		sc   predScratch
 	)
-	count, added := 0, 0
+	added := 0
 	for {
 		n, err := scan.NextBatch(rows[:])
 		if err != nil {
@@ -318,7 +318,7 @@ func (ts *transferState) scanTable(e *Env, t *transferTable) error {
 		}
 		batch := rows[:n]
 		for _, cp := range t.costly {
-			if err := cp.holdsBatch(e, nil, batch, keep[:len(batch)], &count, &sc); err != nil {
+			if err := cp.holdsBatch(e, nil, batch, keep[:len(batch)], &sc); err != nil {
 				return err
 			}
 			m := 0
@@ -367,7 +367,7 @@ type nullGate struct {
 	slots []transferSlot
 }
 
-func (g *nullGate) admit(_ *Env, rec []byte, _ int) (outcome, error) {
+func (g *nullGate) admit(_ *Env, rec []byte) (outcome, error) {
 	for _, s := range g.slots {
 		_, null, ok := s.field.Read(rec)
 		if !ok {
@@ -417,7 +417,7 @@ type probeGate struct {
 	tc     *opCounters
 }
 
-func (g *probeGate) admit(_ *Env, rec []byte, _ int) (outcome, error) {
+func (g *probeGate) admit(_ *Env, rec []byte) (outcome, error) {
 	v, null, ok := g.slot.field.Read(rec)
 	h := bloomHash(expr.I(v))
 	if !ok {

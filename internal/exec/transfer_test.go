@@ -122,6 +122,7 @@ func addTable(t *testing.T, db *datagen.DB, name string, cols []string, n int, r
 // records of a table that has a filter to probe.
 func referencePrepass(t *testing.T, e *Env, root plan.Node, f *expr.FuncDef) prepassCounts {
 	t.Helper()
+	e.begin()
 	ts, err := newTransferState(e, root)
 	if err != nil || ts == nil {
 		t.Fatalf("no transfer schedule: %v", err)

@@ -97,8 +97,8 @@ func TestLookupReleasesReadLock(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Reset did not return within 5s: a lookup kept the manager's read lock")
+	case <-time.After(time.Second):
+		t.Fatal("Reset did not return within 1s: a lookup kept the manager's read lock")
 	}
 }
 

@@ -14,7 +14,8 @@ func newTestPool(capacity int) (*Disk, *BufferPool) {
 }
 
 // finishes runs fn and stops the test binary, naming the test, if fn has not
-// returned within five seconds. A pool call that returns with its shard still
+// returned within one second — a pool call takes microseconds, under the
+// race detector too. A pool call that returns with its shard still
 // locked blocks the next call on that shard for good, in this test and in
 // every later one that takes the same path; a panic reports it at once
 // instead of at go test's own timeout.
@@ -26,8 +27,8 @@ func finishes(t *testing.T, what string, fn func()) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(5 * time.Second):
-		panic(fmt.Sprintf("%s: %s did not return within 5s: a shard lock is still held", t.Name(), what))
+	case <-time.After(time.Second):
+		panic(fmt.Sprintf("%s: %s did not return within 1s: a shard lock is still held", t.Name(), what))
 	}
 }
 

@@ -27,7 +27,19 @@ type Accountant struct {
 	// last packs the previously read (file, page) plus a validity bit so
 	// sequential-read detection is a single load/compare/store.
 	last atomic.Uint64
+	// hook is told of each read or write once it is counted (SetHook).
+	hook ChargeHook
 }
+
+// A ChargeHook is told of each read or write an Accountant records, once it
+// is counted: how a query with a charged-cost budget sees its page I/O the
+// moment it is charged.
+type ChargeHook interface{ OnCharge() }
+
+// SetHook makes the accountant call h.OnCharge after each read or write it
+// records (nil: none). Set it before the accountant is shared between
+// goroutines.
+func (a *Accountant) SetHook(h ChargeHook) { a.hook = h }
 
 // lastValid marks the packed last-read word as holding a real position.
 const lastValid = 1 << 63
@@ -64,6 +76,9 @@ func (a *Accountant) RecordRead(f FileID, p PageID) {
 		a.randReads.Add(1)
 	}
 	a.last.Store(packLast(f, p))
+	if a.hook != nil {
+		a.hook.OnCharge()
+	}
 }
 
 // RecordRandRead notes a physical access that is random by construction
@@ -71,11 +86,17 @@ func (a *Accountant) RecordRead(f FileID, p PageID) {
 func (a *Accountant) RecordRandRead() {
 	a.randReads.Add(1)
 	a.last.Store(0)
+	if a.hook != nil {
+		a.hook.OnCharge()
+	}
 }
 
 // RecordWrite notes a physical page write.
 func (a *Accountant) RecordWrite() {
 	a.writes.Add(1)
+	if a.hook != nil {
+		a.hook.OnCharge()
+	}
 }
 
 // Stats returns a snapshot of the counters.

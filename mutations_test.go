@@ -92,6 +92,24 @@ func timedOut(out string, tests []string) bool {
 	return false
 }
 
+// runPattern is go test's -run for tests: a name runs that test, and when
+// every name is Test/Sub, the pattern runs only those subtests.
+func runPattern(tests []string) string {
+	var tops, subs []string
+	for _, name := range tests {
+		top, sub, _ := strings.Cut(name, "/")
+		tops = append(tops, top)
+		if sub != "" {
+			subs = append(subs, sub)
+		}
+	}
+	p := "^(" + strings.Join(tops, "|") + ")$"
+	if len(subs) == len(tests) {
+		p += "/^(" + strings.Join(subs, "|") + ")$"
+	}
+	return p
+}
+
 // TestMutations applies each row of testdata/mutations.txt through
 // `go test -overlay` — the working tree is never written — and passes the
 // row only if one of its named tests fails. A row whose old text is not
@@ -158,7 +176,7 @@ func TestMutations(t *testing.T) {
 			if m.hang {
 				timeout = hangTimeout
 			}
-			args = append(args, "-timeout", timeout.String(), "-run", "^("+strings.Join(m.tests, "|")+")$", m.pkg)
+			args = append(args, "-timeout", timeout.String(), "-run", runPattern(m.tests), m.pkg)
 			var out []byte
 			// The race a race row plants can end its test binary with an
 			// unrecoverable runtime error (concurrent map writes) before any

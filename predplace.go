@@ -527,8 +527,9 @@ func (d *DB) Query(sql string, algo Algorithm) (*Result, error) {
 
 // QueryContext is Query with a context: cancellation or deadline expiry
 // aborts the running query promptly — serial, parallel, and batched
-// executors alike observe the context on the executor's budget-check
-// cadence and unwind through the ordinary error path (iterators close,
+// executors alike observe the context at their abort checks, which read the
+// query's one stop flag (a scan's after each page, a join's after each
+// batch), and unwind through the ordinary error path (iterators close,
 // pages unpin, workers exit). The returned error wraps the context cause,
 // so errors.Is(err, context.Canceled) / context.DeadlineExceeded hold. A
 // configured Timeout applies on top of ctx.

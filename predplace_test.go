@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"predplace/internal/datagen"
+	"predplace/internal/exec"
 	"predplace/internal/expr"
 )
 
@@ -641,6 +642,29 @@ func TestExecDelete(t *testing.T) {
 	}
 	if _, err := db.Exec("SELECT * FROM d"); err == nil {
 		t.Fatal("Exec of SELECT should fail")
+	}
+}
+
+// TestExecDeleteBudget: a DELETE runs under Config.Budget like a query, and
+// one that passes it fails with ErrBudgetExceeded having deleted no row.
+func TestExecDeleteBudget(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateTable("d", []ColumnSpec{{Name: "k", Indexed: true}, {Name: "g"}})
+	for i := 0; i < 100; i++ {
+		db.Insert("d", i, i%4)
+	}
+	db.Analyze("d")
+	db.SetOptions(func(c *Config) { c.Budget = 0.5 })
+	if n, err := db.Exec("DELETE FROM d WHERE d.g = 1"); !errors.Is(err, exec.ErrBudgetExceeded) || n != 0 {
+		t.Fatalf("DELETE past its budget: deleted %d, err %v; want none and ErrBudgetExceeded", n, err)
+	}
+	db.SetOptions(func(c *Config) { c.Budget = 0 })
+	res, err := db.Query("SELECT COUNT(*) FROM d", PushDown)
+	if err != nil || res.Rows[0][0].I != 100 {
+		t.Fatalf("after the failed DELETE: %v, %v; want all 100 rows", res.Rows, err)
 	}
 }
 

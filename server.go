@@ -102,8 +102,10 @@ func (s *Server) DB() *DB { return s.db }
 // the limit; usage accounting continues either way). The quota is a budget
 // over the tenant's whole query history on this server, the per-tenant
 // lift of Config.Budget's per-query abort: a query that would run past the
-// remaining quota is clamped to it and returns DNF, and once the quota is
-// exhausted further queries are rejected with ErrQuotaExceeded.
+// remaining quota is clamped to it and returns DNF, having used at most the
+// bound of DESIGN.md §13 past it (one charge per worker; see Query), and
+// once the quota is exhausted further queries are rejected with
+// ErrQuotaExceeded.
 func (s *Server) SetTenantQuota(tenant string, quota float64) {
 	t := s.tenant(tenant)
 	t.mu.Lock()
@@ -168,8 +170,10 @@ func (s *Server) release() { <-s.slots }
 // Admission may shed the query with ErrOverloaded; an exhausted tenant
 // quota rejects it with ErrQuotaExceeded before any work happens. The
 // executed query's budget is the tighter of the DB's per-query budget and
-// the tenant's remaining quota, so a query cannot charge past either — it
-// DNFs at the boundary exactly as Config.Budget queries do.
+// the tenant's remaining quota, and it DNFs as Config.Budget queries do:
+// the charge that crosses the budget stops it, so it charges past either
+// at most one more charge — a page, a UDF call, a batch's spill — per
+// worker, and an index access one page more (DESIGN.md §13).
 func (s *Server) Query(ctx context.Context, tenant, sql string, algo Algorithm) (*Result, error) {
 	if err := s.admit(ctx); err != nil {
 		return nil, err

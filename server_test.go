@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"predplace"
+	pcost "predplace/internal/cost"
 )
 
 // napDB opens a tiny database and registers nap1(x): an expensive predicate
@@ -170,6 +172,36 @@ func TestServerTenantQuota(t *testing.T) {
 	}
 	if again, err := srv.Query(context.Background(), "free", sql, predplace.Migration); err != nil || again.DNF {
 		t.Fatalf("unlimited tenant after others: res=%+v err=%v", again, err)
+	}
+
+	// A clamped query stops within the bound of DESIGN.md §13: one charge
+	// past the one that crossed the quota (the server runs serially). event
+	// is the statement's largest charge: a costly100 or costly10 call, or the
+	// join's Grace spill of one batch of a 100-row table.
+	for _, st := range []struct {
+		sql   string
+		event float64
+	}{
+		{"SELECT * FROM t1 WHERE costly100(t1.u10)", 100},
+		{sql, 10},
+		{"SELECT * FROM t1, t2 WHERE t1.u10 = t2.u10", 100 * pcost.HashSpillPerTuple},
+	} {
+		free, err := srv.Query(context.Background(), "free", st.sql, predplace.Migration)
+		if err != nil || free.DNF {
+			t.Fatalf("%s unlimited: res=%+v err=%v", st.sql, free, err)
+		}
+		for i, f := range []float64{0.13, 0.5, 0.77} {
+			tenant := fmt.Sprintf("bound-%d-%s", i, st.sql)
+			quota := f * free.Stats.Charged()
+			srv.SetTenantQuota(tenant, quota)
+			res, err := srv.Query(context.Background(), tenant, st.sql, predplace.Migration)
+			if err != nil || !res.DNF {
+				t.Fatalf("%s under a quota of %v: want DNF, got res=%+v err=%v", st.sql, quota, res, err)
+			}
+			if used, _ := srv.TenantUsage(tenant); used-quota > st.event {
+				t.Fatalf("%s under a quota of %v: used %v, %v past it; the bound is one charge (%v)", st.sql, quota, used, used-quota, st.event)
+			}
+		}
 	}
 }
 
